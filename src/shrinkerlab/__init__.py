@@ -41,6 +41,7 @@ from .flowcore import (
     estimate_singularity,
     from_rmcf,
     rescale_to_rmcf,
+    run_flows,
     run_mcf,
     run_rmcf,
 )
@@ -64,7 +65,6 @@ from .frequency import (
     LojasiewiczFit,
     approach_series,
     d_coefficient,
-    dirichlet_einstein,
     dirichlet_energy,
     energy_I,
     frequency_U,

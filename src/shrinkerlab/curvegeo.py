@@ -42,19 +42,6 @@ def polygon_area(points: np.ndarray) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def polygon_centroid(points: np.ndarray) -> np.ndarray:
-    """Centroid of the region enclosed by the polygon."""
-    x = points[:, 0]
-    y = points[:, 1]
-    xn = np.roll(x, -1)
-    yn = np.roll(y, -1)
-    w = x * yn - xn * y
-    a = 0.5 * np.sum(w)
-    cx = np.sum((x + xn) * w) / (6.0 * a)
-    cy = np.sum((y + yn) * w) / (6.0 * a)
-    return np.array([cx, cy])
-
-
 def segment_lengths(points: np.ndarray) -> np.ndarray:
     """Chord lengths |p_{j+1} - p_j| of the closed polyline."""
     return np.hypot(*(np.roll(points, -1, axis=0) - points).T)

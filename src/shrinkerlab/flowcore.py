@@ -12,9 +12,14 @@ direction: gauging the initial area to exactly 2*pi removes it analytically.
 
 Time stepping is explicit Heun (two-stage Runge-Kutta) with the spectral
 stability bound dt <= cfl * (2/pi^2) * h_min^2, h_min the smallest node
-spacing. Frames are emitted at exact times: fixed tau multiples for the
-rescaled flow, fixed area levels A(0) * exp(-j * dtau) for the unrescaled
-flow (by the area law these are the same tau grid, without knowing T).
+spacing. `run_flows` steps curves of equal m in lockstep as the rows of one
+(2n, m) array, each with its own step, frame times and guards, in four FFT
+calls per step: the irfft of the filtered coefficients [c, ik*c, -k^2*c]
+(points and both derivatives), the midpoint's rfft and derivative irfft,
+and the filtered rfft of the corrector. Frames are emitted at exact times:
+fixed tau multiples for the rescaled flow, fixed area levels
+A(0) * exp(-j * dtau) for the unrescaled flow (by the area law these are the
+same tau grid, without knowing T).
 """
 
 from __future__ import annotations
@@ -26,13 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fourier, ioutil
-from .curvegeo import (
-    TWO_PI,
-    DiscreteCurve,
-    geometry,
-    resample,
-    segment_lengths,
-)
+from .curvegeo import TWO_PI, DiscreteCurve, geometry, resample
 from .errors import (
     BlowupDetected,
     ConvexityLost,
@@ -47,7 +46,13 @@ from .errors import (
 #: mode of the arclength Laplacian on spacing h has eigenvalue -(pi/h)^2.
 HEUN_STABILITY = 2.0 / math.pi**2
 
-# Full-array guard cadence inside the run loops. A scalar NaN sentinel runs
+#: Largest stable cfl with `fourier.smoothing_filter`: over s = k/(m/2) and
+#: z = 2*cfl*s^2, max_s |1 - z + z^2/2| * exp(-36 s^36) <= 1 up to ~1.45536.
+HEUN_CFL_MAX = 1.455
+
+GAUGES = ("none", "area", "area-centroid")
+
+# Full-array guard cadence inside the run loop. A scalar NaN sentinel runs
 # every step; divergence grows geometrically, so an 8-step window cannot
 # carry a blowup past the next full check.
 _GUARD_STRIDE = 8
@@ -57,87 +62,62 @@ _GUARD_STRIDE = 8
 class StepControl:
     """Knobs of the explicit stepping loop.
 
-    cfl scales the stability-limited time step. Frames are revalidated and,
-    when the node spacing ratio exceeds `resample_ratio`, redistributed by
-    arclength. `stop_curvature` ends unrescaled runs before the singular
-    time. `max_h` (if set) caps the largest node spacing by refining the
-    sample count at frame times. `require_convex` aborts when the curvature
-    changes sign.
+    cfl, in (0, HEUN_CFL_MAX], scales the stability-limited time step.
+    Frames are revalidated and, when the node spacing ratio exceeds
+    `resample_ratio`, redistributed by arclength. `stop_curvature` ends
+    unrescaled runs before the singular time. `require_convex` aborts when
+    the curvature changes sign.
     """
 
     cfl: float = 0.8
-    scheme: str = "spectral"
     resample_ratio: float = 1.05
     stop_curvature: float = 50.0
-    max_h: float | None = None
     require_convex: bool = False
 
 
-def _velocity(pts: np.ndarray, rescaled: bool, scheme: str, coef=None):
-    """Normal velocity field and the geometry it was computed from.
+def _check_cfl(control: StepControl) -> None:
+    if not 0.0 < control.cfl <= HEUN_CFL_MAX:
+        raise StepRejected("cfl %g is outside the Heun stability range (0, %g]"
+                           % (control.cfl, HEUN_CFL_MAX))
 
-    Returns (velocity, d1, metric_speed, curvature). The velocity is H*nu for
-    the unrescaled flow and phi*nu for the rescaled one, nu the inner normal.
-    `coef` optionally carries a precomputed rfft of pts (spectral scheme).
+
+def _velocity(pts: np.ndarray, d1: np.ndarray, d2: np.ndarray, rescaled: bool):
+    """Normal velocity H*nu (mcf) or phi*nu (rmcf); `pts` is x rows, then y rows.
+
+    No square root: H/g = cross/(g^2)^2 and <x, nu>/g = <x, n>/g^2, g the
+    metric speed. Returns (velocity, g^2, cross) for the guards.
     """
-    if scheme == "spectral":
-        d1, d2 = fourier.deriv12(pts, coef)
-    else:
-        d1 = fourier.deriv_any(pts, 1, scheme)
-        d2 = fourier.deriv_any(pts, 2, scheme)
-    gx = d1[:, 0]
-    gy = d1[:, 1]
+    n = pts.shape[0] // 2
+    gx = d1[:n]
+    gy = d1[n:]
     g2 = gx * gx + gy * gy
-    g = np.sqrt(g2)
-    curv = (gx * d2[:, 1] - gy * d2[:, 0]) / (g2 * g)
-    speed = curv
+    cross = gx * d2[n:] - gy * d2[:n]
+    ratio = cross / (g2 * g2)
     if rescaled:
-        # <x, nu> with nu = (-gy, gx)/g
-        speed = curv + 0.5 * (pts[:, 1] * gx - pts[:, 0] * gy) / g
+        ratio = ratio + 0.5 * (pts[n:] * gx - pts[:n] * gy) / g2
     vel = np.empty_like(pts)
-    ratio = speed / g
-    vel[:, 0] = -ratio * gy
-    vel[:, 1] = ratio * gx
-    return vel, d1, g, curv
+    vel[:n] = -ratio * gy
+    vel[n:] = ratio * gx
+    return vel, g2, cross
 
 
-def _velocity_only(pts: np.ndarray, rescaled: bool, scheme: str) -> np.ndarray:
-    """Corrector-stage velocity: same field as :func:`_velocity`, no extras.
+def _heun(pts: np.ndarray, v1: np.ndarray, dt, rescaled: bool) -> np.ndarray:
+    """One Heun step of the rows `pts` (dt: scalar or per-row column).
 
-    Avoids the square root: H/g = cross/(g^2)^2 and <x, nu>/g = <x, n>/g^2.
+    Returns the filtered rfft of the result. The filter clamps neutral
+    near-Nyquist reparametrization jitter that explicit stepping would
+    otherwise let grow through aliasing.
     """
-    if scheme == "spectral":
-        d1, d2 = fourier.deriv12(pts)
-    else:
-        d1 = fourier.deriv_any(pts, 1, scheme)
-        d2 = fourier.deriv_any(pts, 2, scheme)
-    gx = d1[:, 0]
-    gy = d1[:, 1]
-    g2 = gx * gx + gy * gy
-    ratio = (gx * d2[:, 1] - gy * d2[:, 0]) / (g2 * g2)
-    if rescaled:
-        ratio = ratio + 0.5 * (pts[:, 1] * gx - pts[:, 0] * gy) / g2
-    vel = np.empty_like(pts)
-    vel[:, 0] = -ratio * gy
-    vel[:, 1] = ratio * gx
-    return vel
-
-
-def _heun(pts, dt, v1, rescaled, scheme, with_coef=False):
+    r, m = pts.shape
     mid = pts + dt * v1
-    v2 = _velocity_only(mid, rescaled, scheme)
-    # the filter clamps neutral near-Nyquist reparametrization jitter that
-    # explicit stepping would otherwise let grow through aliasing
+    d = fourier.synth_rows(np.fft.rfft(mid, axis=1), m, with_values=False)
+    v2, _, _ = _velocity(mid, d[:r], d[r:], rescaled)
     np.add(v1, v2, out=v2)
     v2 *= 0.5 * dt
     np.add(pts, v2, out=v2)
-    return fourier.smooth(v2, with_coef=with_coef)
-
-
-def _area_of(pts, d1) -> float:
-    w = TWO_PI / pts.shape[0]
-    return 0.5 * w * (np.einsum("i,i->", pts[:, 0], d1[:, 1])
-                      - np.einsum("i,i->", pts[:, 1], d1[:, 0]))
+    coef = np.fft.rfft(v2, axis=1)
+    coef *= fourier.smoothing_filter(m)
+    return coef
 
 
 def _area_centroid(pts, d1):
@@ -151,21 +131,26 @@ def _area_centroid(pts, d1):
     return area, cx, cy
 
 
-def _cheap_guards(pts, g, curv, control, time_label):
-    if not np.all(np.isfinite(pts)):
-        raise BlowupDetected("non-finite positions at %s" % time_label)
-    if float(g.min()) < 1e-12:
-        raise BlowupDetected("parametrization collapsed at %s" % time_label)
-    if float(np.abs(curv).max()) > 1e6:
-        raise BlowupDetected("curvature exceeded 1e6 at %s" % time_label)
-    if control.require_convex and float(curv.min()) < 0.0:
-        raise ConvexityLost("curvature changed sign at %s" % time_label)
+def _guards(pts, g2, cross, control, where) -> None:
+    """Raise the typed error of the first unsafe curve; where(k) places curve k."""
+    n = g2.shape[0]
+    g = np.sqrt(g2)
+    curv = cross / (g2 * g)
+    for k in range(n):
+        if not (np.all(np.isfinite(pts[k])) and np.all(np.isfinite(pts[n + k]))):
+            raise BlowupDetected("non-finite positions %s" % where(k))
+        if float(g[k].min()) < 1e-12:
+            raise BlowupDetected("parametrization collapsed %s" % where(k))
+        if float(np.abs(curv[k]).max()) > 1e6:
+            raise BlowupDetected("curvature exceeded 1e6 %s" % where(k))
+        if control.require_convex and float(curv[k].min()) < 0.0:
+            raise ConvexityLost("curvature changed sign %s" % where(k))
 
 
 def cfl_timestep(curve: DiscreteCurve, control: StepControl | None = None) -> float:
     """Largest stable explicit step for this curve under `control`."""
     control = control or StepControl()
-    g = geometry(curve, control.scheme).metric_speed
+    g = geometry(curve).metric_speed
     h_min = (TWO_PI / curve.m) * float(g.min())
     return control.cfl * HEUN_STABILITY * h_min * h_min
 
@@ -173,6 +158,7 @@ def cfl_timestep(curve: DiscreteCurve, control: StepControl | None = None) -> fl
 def _public_step(curve, dt, control, rescaled):
     if not isinstance(curve, DiscreteCurve):
         raise InvalidCurve("expected a DiscreteCurve")
+    _check_cfl(control)
     if dt < 0.0:
         raise StepRejected("negative time step %g" % dt)
     if dt == 0.0:
@@ -180,14 +166,15 @@ def _public_step(curve, dt, control, rescaled):
     bound = cfl_timestep(curve, control)
     if dt > bound:
         raise StepRejected("step %g exceeds stability bound %g" % (dt, bound))
-    v1, _, g, curv = _velocity(curve.points, rescaled, control.scheme)
-    _cheap_guards(curve.points, g, curv, control, "input")
-    new_pts = _heun(curve.points, dt, v1, rescaled, control.scheme)
+    pts = curve.points.T
+    d = fourier.synth_rows(np.fft.rfft(pts, axis=1), curve.m, with_values=False)
+    v1, g2, cross = _velocity(pts, d[:2], d[2:], rescaled)
+    _guards(pts, g2, cross, control, lambda k: "at input")
+    new_pts = np.fft.irfft(_heun(pts, v1, dt, rescaled), n=curve.m, axis=1).T
     if not np.all(np.isfinite(new_pts)):
         raise BlowupDetected("step produced non-finite positions")
-    stepped = DiscreteCurve(new_pts)
-    out = resample(stepped)
-    if control.require_convex and float(geometry(out, control.scheme).curvature.min()) < 0:
+    out = resample(DiscreteCurve(new_pts))
+    if control.require_convex and float(geometry(out).curvature.min()) < 0:
         raise ConvexityLost("curvature changed sign within the step")
     return out
 
@@ -292,23 +279,14 @@ class FlowTrajectory:
         return traj
 
 
-def _even_at_least(n: int, floor: int = 16) -> int:
-    n = max(int(math.ceil(n)), floor)
-    return n + (n % 2)
-
 
 def _emit_frame(traj, t, pts, control, gauge):
     """Validate, optionally resample/gauge, record a frame; return working points."""
     curve = DiscreteCurve(pts)
     if curve.spacing_ratio() > control.resample_ratio:
         curve = resample(curve)
-    if control.max_h is not None:
-        lengths = segment_lengths(curve.points)
-        if float(lengths.max()) > control.max_h:
-            target = _even_at_least(curve.polyline_length() / control.max_h, curve.m)
-            curve = resample(curve, target)
     gauge_shift = 0.0
-    if gauge and gauge != "none":
+    if gauge != "none":
         d1 = fourier.deriv(curve.points, 1)
         area, cx, cy = _area_centroid(curve.points, d1)
         scale = math.sqrt(TWO_PI / area)
@@ -320,7 +298,7 @@ def _emit_frame(traj, t, pts, control, gauge):
         curve = DiscreteCurve(new_pts, validate=False)
     d1 = fourier.deriv(curve.points, 1)
     area, cx, cy = _area_centroid(curve.points, d1)
-    max_curv = float(np.abs(geometry(curve, control.scheme).curvature).max())
+    max_curv = float(np.abs(geometry(curve).curvature).max())
     traj.times.append(float(t))
     traj.curves.append(curve)
     s = traj.series
@@ -330,11 +308,126 @@ def _emit_frame(traj, t, pts, control, gauge):
     s["cy"].append(cy)
     s["max_curvature"].append(max_curv)
     s["gauge_shift"].append(gauge_shift)
-    return curve.points.copy(), area, max_curv
+    return curve.points, area, max_curv
 
 
-def _finalize_series(traj):
-    traj.series = {k: np.asarray(v, dtype=float) for k, v in traj.series.items()}
+def run_flows(curves, picture: str, end: float | None = None, *,
+              frame_dtau: float = 0.02, gauge: str = "none",
+              control: StepControl | None = None) -> list:
+    """Run one flow per curve in lockstep; returns their FlowTrajectory list.
+
+    picture is "mcf" (`end` = optional t_end, see :func:`run_mcf`) or "rmcf"
+    (`end` = tau_end, see :func:`run_rmcf`). All curves need the same m. Each
+    trajectory equals a run of its curve alone up to rounding. A guard
+    failure raises its typed error naming the curve's index and time.
+    """
+    control = control or StepControl()
+    rescaled = picture == "rmcf"
+    if rescaled:
+        if end is None or end <= 0:
+            raise TimeOutOfRange("tau_end must be positive")
+        if gauge not in GAUGES:
+            raise ValueError("unknown gauge %r" % gauge)
+        n_frames = int(math.floor(end / frame_dtau + 1e-9))
+        frame_times = [frame_dtau * j for j in range(1, n_frames + 1)]
+        if not frame_times or frame_times[-1] < end - 1e-12:
+            frame_times.append(end)
+    elif picture != "mcf" or gauge != "none":
+        raise ValueError("unknown picture %r or gauge %r for it" % (picture, gauge))
+    _check_cfl(control)
+    if len({curve.m for curve in curves}) > 1:
+        raise InvalidCurve("curves of one batch need the same m")
+    level_ratio = math.exp(-frame_dtau)
+
+    # per active curve: index into curves, time, next frame (an area level
+    # for mcf, an index into frame_times for rmcf), starting points
+    trajs, ids, times, goals, starts = [], [], [], [], []
+    for i, curve in enumerate(curves):
+        traj = FlowTrajectory(picture=picture, m=curve.m)
+        traj.series = {c: [] for c in _SERIES_COLUMNS}
+        trajs.append(traj)
+        pts, area, max_curv = _emit_frame(traj, 0.0, curve.points, control, gauge)
+        if rescaled or max_curv < control.stop_curvature:
+            ids.append(i)
+            times.append(0.0)
+            goals.append(0 if rescaled else area * level_ratio)
+            starts.append(pts)
+    if ids:
+        m = curves[0].m
+        w = TWO_PI / m
+        rows = np.array([p[:, 0] for p in starts] + [p[:, 1] for p in starts])
+        coef = np.fft.rfft(rows, axis=1)
+
+    def where(k):
+        return "in curve %d at %s=%.6g" % (ids[k], "tau" if rescaled else "t",
+                                           times[k])
+
+    since_guard = _GUARD_STRIDE  # full guards on the first step
+    while ids:
+        n = len(ids)
+        out = fourier.synth_rows(coef, m)
+        pts, d1, d2 = out[:2 * n], out[2 * n:4 * n], out[4 * n:]
+        v1, g2, cross = _velocity(pts, d1, d2, rescaled)
+        since_guard += 1
+        if since_guard >= _GUARD_STRIDE:
+            _guards(pts, g2, cross, control, where)
+            since_guard = 0
+        h_min = (w * np.sqrt(g2.min(axis=1))).tolist()
+        if not rescaled:
+            areas = (0.5 * w * (np.einsum("ij,ij->i", pts[:n], d1[n:])
+                                - np.einsum("ij,ij->i", pts[n:], d1[:n]))).tolist()
+        dts, events = [], []
+        for k in range(n):
+            if math.isnan(h_min[k]):
+                raise BlowupDetected("non-finite geometry %s" % where(k))
+            dt = control.cfl * HEUN_STABILITY * h_min[k] * h_min[k]
+            event = None
+            if rescaled:
+                if dt >= frame_times[goals[k]] - times[k]:
+                    dt = frame_times[goals[k]] - times[k]
+                    event = "frame"
+                times[k] = frame_times[goals[k]] if event else times[k] + dt
+            else:
+                # land exactly on the next area level: dA/dt = -2*pi
+                dt_land = (areas[k] - goals[k]) / TWO_PI
+                if dt_land <= dt:
+                    dt = max(dt_land, 0.0)
+                    event = "level"
+                if end is not None and end - times[k] <= dt:
+                    dt = end - times[k]
+                    event = "end"
+                times[k] += dt
+            dts.append(dt)
+            events.append(event)
+        coef = _heun(pts, v1, np.array(dts + dts)[:, None], rescaled)
+
+        keep = []
+        for k in range(n):
+            if events[k] is None:
+                keep.append(k)
+                continue
+            sel = [k, n + k]
+            frame = np.fft.irfft(coef[sel], n=m, axis=1).T
+            frame, _, max_curv = _emit_frame(trajs[ids[k]], times[k], frame,
+                                             control, gauge)
+            if events[k] == "frame":
+                goals[k] += 1
+                done = goals[k] == len(frame_times)
+            else:
+                goals[k] *= level_ratio
+                done = events[k] == "end" or max_curv >= control.stop_curvature
+            if not done:
+                # the frame may have been resampled or regauged
+                coef[sel] = np.fft.rfft(frame.T, axis=1)
+                keep.append(k)
+        if len(keep) < n:
+            coef = coef[keep + [n + k for k in keep]]
+            ids = [ids[k] for k in keep]
+            times = [times[k] for k in keep]
+            goals = [goals[k] for k in keep]
+    for traj in trajs:
+        traj.series = {k: np.asarray(v, dtype=float) for k, v in traj.series.items()}
+    return trajs
 
 
 def run_mcf(curve: DiscreteCurve, *, t_end: float | None = None,
@@ -347,53 +440,8 @@ def run_mcf(curve: DiscreteCurve, *, t_end: float | None = None,
     knowing it. The run stops when max |H| reaches control.stop_curvature,
     or at t_end if given (with a final frame there).
     """
-    control = control or StepControl()
-    traj = FlowTrajectory(picture="mcf", m=curve.m)
-    traj.series = {c: [] for c in _SERIES_COLUMNS}
-    pts, area, max_curv = _emit_frame(traj, 0.0, curve.points, control, None)
-    if max_curv >= control.stop_curvature:
-        _finalize_series(traj)
-        return traj
-    level_ratio = math.exp(-frame_dtau)
-    target = area * level_ratio
-    t = 0.0
-    coef = None
-    since_guard = _GUARD_STRIDE  # full guards on the first step
-    while True:
-        v1, d1, g, curv = _velocity(pts, False, control.scheme, coef=coef)
-        h_min = (TWO_PI / pts.shape[0]) * float(g.min())
-        if math.isnan(h_min):
-            raise BlowupDetected("non-finite geometry at t=%.6g" % t)
-        since_guard += 1
-        if since_guard >= _GUARD_STRIDE:
-            _cheap_guards(pts, g, curv, control, "t=%.6g" % t)
-            since_guard = 0
-        area = _area_of(pts, d1)
-        dt = control.cfl * HEUN_STABILITY * h_min * h_min
-        # land exactly on the next area level: dA/dt = -2*pi along the flow
-        landing = False
-        dt_land = (area - target) / TWO_PI
-        if dt_land <= dt:
-            dt = max(dt_land, 0.0)
-            landing = True
-        at_end = False
-        if t_end is not None and t_end - t <= dt:
-            dt = t_end - t
-            landing = False
-            at_end = True
-        if dt > 0.0:
-            pts, coef = _heun(pts, dt, v1, False, control.scheme,
-                              with_coef=True)
-            t += dt
-        if landing or at_end:
-            pts, area, max_curv = _emit_frame(traj, t, pts, control, None)
-            coef = None  # emit may have resampled
-            if landing:
-                target *= level_ratio
-            if at_end or max_curv >= control.stop_curvature:
-                break
-    _finalize_series(traj)
-    return traj
+    return run_flows([curve], "mcf", t_end, frame_dtau=frame_dtau,
+                     control=control)[0]
 
 
 def run_rmcf(curve: DiscreteCurve, tau_end: float, *,
@@ -411,45 +459,8 @@ def run_rmcf(curve: DiscreteCurve, tau_end: float, *,
     the same evolution; they suppress the unstable dilation (e^tau) and
     translation (e^(tau/2)) drifts seeded by floating-point error.
     """
-    if tau_end <= 0:
-        raise TimeOutOfRange("tau_end must be positive")
-    if gauge not in ("none", "area", "area-centroid"):
-        raise ValueError("unknown gauge %r" % gauge)
-    control = control or StepControl()
-    traj = FlowTrajectory(picture="rmcf", m=curve.m)
-    traj.series = {c: [] for c in _SERIES_COLUMNS}
-    pts, _, _ = _emit_frame(traj, 0.0, curve.points, control, gauge)
-    n_frames = int(math.floor(tau_end / frame_dtau + 1e-9))
-    frame_times = [frame_dtau * j for j in range(1, n_frames + 1)]
-    if not frame_times or frame_times[-1] < tau_end - 1e-12:
-        frame_times.append(tau_end)
-    tau = 0.0
-    coef = None
-    since_guard = _GUARD_STRIDE  # full guards on the first step
-    for tau_next in frame_times:
-        while tau < tau_next:
-            v1, _, g, curv = _velocity(pts, True, control.scheme, coef=coef)
-            h_min = (TWO_PI / pts.shape[0]) * float(g.min())
-            if math.isnan(h_min):
-                raise BlowupDetected("non-finite geometry at tau=%.6g" % tau)
-            since_guard += 1
-            if since_guard >= _GUARD_STRIDE:
-                _cheap_guards(pts, g, curv, control, "tau=%.6g" % tau)
-                since_guard = 0
-            dt = control.cfl * HEUN_STABILITY * h_min * h_min
-            remaining = tau_next - tau
-            if dt >= remaining:
-                pts, coef = _heun(pts, remaining, v1, True, control.scheme,
-                                  with_coef=True)
-                tau = tau_next
-            else:
-                pts, coef = _heun(pts, dt, v1, True, control.scheme,
-                                  with_coef=True)
-                tau += dt
-        pts, _, _ = _emit_frame(traj, tau_next, pts, control, gauge)
-        coef = None  # emit may have resampled or regauged
-    _finalize_series(traj)
-    return traj
+    return run_flows([curve], "rmcf", tau_end, frame_dtau=frame_dtau,
+                     gauge=gauge, control=control)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ def _deriv12_multipliers(m: int) -> tuple[np.ndarray, np.ndarray]:
         k = _wavenumbers(m)
         m1 = 1j * k
         m1[-1] = 0.0
-        pair = (m1[:, None], -(k * k)[:, None])
+        pair = (m1, -(k * k))
         _DERIV12_CACHE[m] = pair
     return pair
 
@@ -68,7 +68,7 @@ def deriv12(values: np.ndarray,
     """
     values = np.asarray(values, dtype=float)
     m = values.shape[0]
-    m1, m2 = _deriv12_multipliers(m)
+    m1, m2 = (mult[:, None] for mult in _deriv12_multipliers(m))
     if coef is None:
         coef = np.fft.rfft(values, axis=0)
     if values.ndim == 1:
@@ -81,6 +81,23 @@ def deriv12(values: np.ndarray,
     np.multiply(coef, m2, out=block[:, ncol:])
     out = np.fft.irfft(block, n=m, axis=0)
     return out[:, :ncol], out[:, ncol:]
+
+
+def synth_rows(coef: np.ndarray, m: int, with_values: bool = True) -> np.ndarray:
+    """Sample rows and their theta-derivatives from rfft rows, in one irfft.
+
+    `coef` is the rfft along the last axis of r rows. Returns the (3r, m)
+    stack [values; d/dtheta; d2/dtheta2], or (2r, m) without the values;
+    the multipliers are those of :func:`deriv12`.
+    """
+    m1, m2 = _deriv12_multipliers(m)
+    r = coef.shape[0]
+    block = np.empty(((2 + with_values) * r, coef.shape[1]), dtype=complex)
+    if with_values:
+        block[:r] = coef
+    np.multiply(coef, m1, out=block[-2 * r:-r])
+    np.multiply(coef, m2, out=block[-r:])
+    return np.fft.irfft(block, n=m, axis=1)
 
 
 def staggered_deriv(values: np.ndarray) -> np.ndarray:
@@ -136,9 +153,6 @@ def smoothing_filter(m: int) -> np.ndarray:
     return filt
 
 
-_FILTER_COL_CACHE: dict = {}
-
-
 def smooth(values: np.ndarray, with_coef: bool = False):
     """Apply :func:`smoothing_filter` to grid samples (any column count).
 
@@ -147,14 +161,8 @@ def smooth(values: np.ndarray, with_coef: bool = False):
     """
     m = values.shape[0]
     co = np.fft.rfft(values, axis=0)
-    if values.ndim == 1:
-        co *= smoothing_filter(m)
-    else:
-        col = _FILTER_COL_CACHE.get(m)
-        if col is None:
-            col = smoothing_filter(m)[:, None]
-            _FILTER_COL_CACHE[m] = col
-        co *= col
+    filt = smoothing_filter(m)
+    co *= filt if values.ndim == 1 else filt[:, None]
     out = np.fft.irfft(co, m, axis=0)
     return (out, co) if with_coef else out
 

@@ -50,7 +50,6 @@ __all__ = [
     "dirichlet_energy",
     "frequency_U",
     "shrinker_energy",
-    "dirichlet_einstein",
     "phi_c2_norm",
     "d_coefficient",
     "approach_series",
@@ -137,9 +136,6 @@ def shrinker_energy(curve: DiscreteCurve) -> float:
     phi = shrinker_quantity(curve)
     raw = float(np.sum(gaussian_weights(curve) * phi * phi))
     return raw / math.sqrt(4.0 * math.pi)
-
-
-dirichlet_einstein = shrinker_energy
 
 
 def _arc_deriv12(curve: DiscreteCurve, vals: np.ndarray):

@@ -30,8 +30,9 @@ from .curvegeo import (TWO_PI, DiscreteCurve, circle, ellipse, fourier_curve,
                        gaussian_weights, geometry, hausdorff_distance,
                        random_fourier, shrinker_quantity)
 from .errors import ConfigInvalid, NotShrinking, ShrinkerLabError, WindowTooShort
-from .flowcore import (FlowTrajectory, StepControl, estimate_singularity,
-                       rescale_to_rmcf, run_mcf, run_rmcf)
+from .flowcore import (GAUGES, HEUN_CFL_MAX, FlowTrajectory, StepControl,
+                       estimate_singularity, rescale_to_rmcf, run_flows,
+                       run_mcf, run_rmcf)
 from .frequency import monitor, superexponential_flag
 from .gauge import normal_graph, reconstruct, residual
 from .spectral import assemble, eigenpairs
@@ -53,8 +54,6 @@ _OPTIONAL = {
     "separation": ("frame_dtau", "cfl", "fit_window", "seed"),
     "rate": ("frame_dtau", "cfl", "fit_window", "gauge", "seed"),
 }
-
-_GAUGE_CHOICES = ("none", "area", "area-centroid")
 
 # verdicts that exit 0; anything else exits 2
 _CLEAN_VERDICTS = ("success", "consistent", "exact-shrinker")
@@ -243,15 +242,16 @@ def validate_config(raw: dict) -> ScenarioConfig:
                             field="seed")
 
     cfl = _as_float(raw, "cfl", default=0.8)
-    if cfl > 2.0:
-        raise ConfigInvalid("must be in (0, 2], got %g" % cfl, field="cfl")
+    if cfl > HEUN_CFL_MAX:
+        raise ConfigInvalid("must be in (0, %g], got %g" % (HEUN_CFL_MAX, cfl),
+                            field="cfl")
     fit_window = _as_float(raw, "fit_window", default=0.4)
     if not fit_window < 1.0:
         raise ConfigInvalid("must be a fraction in (0, 1), got %g" % fit_window,
                             field="fit_window")
     gauge = raw.get("gauge", "area-centroid")
-    if gauge not in _GAUGE_CHOICES:
-        raise ConfigInvalid("must be one of %s" % ", ".join(_GAUGE_CHOICES),
+    if gauge not in GAUGES:
+        raise ConfigInvalid("must be one of %s" % ", ".join(GAUGES),
                             field="gauge")
     count = _as_int(raw, "count")
     if count is not None and count < 1:
@@ -306,14 +306,6 @@ def config_hash(config: ScenarioConfig) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _hash_file(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _write_manifest(config: ScenarioConfig) -> str:
     """List every file under the output dir with its content hash."""
     outdir = config.out
@@ -330,7 +322,8 @@ def _write_manifest(config: ScenarioConfig) -> str:
         "scenario": config.scenario,
         "configHash": config_hash(config),
         "versions": {"shrinkerlab": __version__, "numpy": np.__version__},
-        "files": {rel: _hash_file(os.path.join(outdir, rel)) for rel in paths},
+        "files": {rel: ioutil.sha256_file(os.path.join(outdir, rel))
+                  for rel in paths},
     }
     path = os.path.join(outdir, "manifest.json")
     ioutil.dump_json(manifest, path)
@@ -497,9 +490,11 @@ def _run_gauge_residual(config: ScenarioConfig) -> dict:
     control = StepControl(cfl=config.cfl)
     rows = []
     reports = []
-    for eps in config.amplitudes:
-        start = reconstruct(base, eps * np.cos(config.mode_k * theta))
-        traj = run_rmcf(start, 2.0 * delta, frame_dtau=delta, control=control)
+    starts = [reconstruct(base, eps * np.cos(config.mode_k * theta))
+              for eps in config.amplitudes]
+    trajs = run_flows(starts, "rmcf", 2.0 * delta, frame_dtau=delta,
+                      control=control)
+    for eps, traj in zip(config.amplitudes, trajs):
         if len(traj.curves) < 3:
             raise WindowTooShort("flow stopped before three frames at "
                                  "amplitude %g" % eps)
@@ -580,9 +575,8 @@ def experiment_separation(config: ScenarioConfig) -> SeparationReport:
     control = StepControl(cfl=config.cfl, stop_curvature=1e12,
                           require_convex=True)
     flows = []
-    for curve in (curve1, curve2):
-        traj = run_mcf(curve, t_end=t_end, frame_dtau=config.frame_dtau,
-                       control=control)
+    for traj in run_flows([curve1, curve2], "mcf", t_end,
+                          frame_dtau=config.frame_dtau, control=control):
         estimate = estimate_singularity(traj)
         rescaled = rescale_to_rmcf(traj, estimate.time, estimate.center)
         flows.append(_regauged(rescaled))

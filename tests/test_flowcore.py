@@ -5,13 +5,16 @@ import pytest
 
 from shrinkerlab.curvegeo import DiscreteCurve, circle, ellipse, fourier_curve, geometry
 from shrinkerlab.errors import (
+    BlowupDetected,
     ConvexityLost,
     FrameMissing,
+    InvalidCurve,
     NotShrinking,
     StepRejected,
     TimeOutOfRange,
 )
 from shrinkerlab.flowcore import (
+    HEUN_CFL_MAX,
     FlowTrajectory,
     StepControl,
     cfl_timestep,
@@ -20,9 +23,12 @@ from shrinkerlab.flowcore import (
     mcf_step,
     rescale_to_rmcf,
     rmcf_step,
+    run_flows,
     run_mcf,
     run_rmcf,
 )
+from shrinkerlab.fourier import smoothing_filter
+from shrinkerlab.labcli import _normalize_unit_area
 
 SQRT2 = np.sqrt(2.0)
 
@@ -164,10 +170,94 @@ def test_run_rmcf_rejects_bad_args():
         run_rmcf(c, 1.0, gauge="bogus")
 
 
+def test_cfl_bound_matches_filtered_heun_stability():
+    # frozen-coefficient amplification of mode s = k/(m/2) at z = 2*cfl*s^2
+    m = 8192
+    s = np.arange(m // 2 + 1) / (m // 2)
+    filt = smoothing_filter(m)
+
+    def stable(cfl):
+        z = 2.0 * cfl * s * s
+        return np.max(np.abs(1.0 - z + 0.5 * z * z) * filt) <= 1.0 + 1e-15
+
+    lo, hi = 1.0, 2.0
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if stable(mid) else (lo, mid)
+    assert abs(HEUN_CFL_MAX - lo) < 1e-3
+    assert stable(HEUN_CFL_MAX)
+
+
+def test_cfl_above_stability_bound_rejected():
+    start = _normalize_unit_area(fourier_curve(1.0, (0.0, 0.05, 0.02), m=256))
+    for cfl in (1.5, 2.0):
+        with pytest.raises(StepRejected):
+            run_rmcf(start, 1.0, frame_dtau=0.05, control=StepControl(cfl=cfl))
+        with pytest.raises(StepRejected):
+            mcf_step(start, 1e-6, StepControl(cfl=cfl))
+    traj = run_rmcf(start, 1.0, frame_dtau=0.05, control=StepControl(cfl=1.4))
+    assert traj.series["max_curvature"][-1] == pytest.approx(0.75, abs=2e-3)
+
+
 def test_frames_stay_uniformly_sampled():
     traj = run_mcf(ellipse(1.4, 0.9, m=128), t_end=0.3)
     for curve in traj.curves:
         assert curve.spacing_ratio() < 1.06
+
+
+# ---------------------------------------------------------------------------
+# batched runs
+# ---------------------------------------------------------------------------
+
+def assert_same_trajectory(batched, solo, tol=1e-12):
+    assert len(batched) == len(solo)
+    assert np.allclose(batched.times, solo.times, rtol=0.0, atol=tol)
+    for a, b in zip(batched.curves, solo.curves):
+        assert np.abs(a.points - b.points).max() < tol
+
+
+def test_batched_mcf_matches_solo_runs():
+    curves = [ellipse(1.1, 1 / 1.1, m=128), circle(1.0, m=128)]
+    trajs = run_flows(curves, "mcf", 0.3, frame_dtau=0.05)
+    for curve, traj in zip(curves, trajs):
+        assert_same_trajectory(traj, run_mcf(curve, t_end=0.3, frame_dtau=0.05))
+
+
+def test_batched_gauged_rmcf_matches_solo_runs():
+    curves = [fourier_curve(1.3, (0.08, -0.04), (0.02, 0.05), m=128),
+              ellipse(1.5, 1.2, center=(0.1, 0.0), m=128)]
+    trajs = run_flows(curves, "rmcf", 0.3, frame_dtau=0.1, gauge="area-centroid")
+    for curve, traj in zip(curves, trajs):
+        assert_same_trajectory(traj, run_rmcf(curve, 0.3, frame_dtau=0.1,
+                                              gauge="area-centroid"))
+
+
+def test_batch_curves_stopping_at_different_steps():
+    # stop_curvature is reached at different times; each run stays complete
+    curves = [circle(1.0, m=64), circle(0.8, m=64), ellipse(1.2, 0.9, m=64)]
+    control = StepControl(stop_curvature=4.0)
+    trajs = run_flows(curves, "mcf", frame_dtau=0.1, control=control)
+    assert len({traj.times[-1] for traj in trajs}) == len(curves)
+    for curve, traj in zip(curves, trajs):
+        assert traj.series["max_curvature"][-1] >= 4.0
+        assert_same_trajectory(traj, run_mcf(curve, frame_dtau=0.1, control=control))
+
+
+def test_batch_guard_names_curve_and_time():
+    nonconvex = fourier_curve(1.0, (0.0, 0.0, 0.25), m=128)
+    control = StepControl(require_convex=True)
+    with pytest.raises(ConvexityLost, match=r"in curve 1 at t=0\b"):
+        run_flows([circle(1.0, m=128), nonconvex], "mcf", 0.1, control=control)
+    # the smaller circle dies at t = 0.125 while the other runs on
+    with pytest.raises(BlowupDetected,
+                       match=r"exceeded 1e6 in curve 1 at t=0\.125\b"):
+        run_flows([circle(1.0, m=32), circle(0.5, m=32)], "mcf", 0.3,
+                  frame_dtau=0.5, control=StepControl(stop_curvature=1e12))
+
+
+def test_batch_rejects_mixed_resolutions():
+    with pytest.raises(InvalidCurve):
+        run_flows([circle(1.0, m=64), circle(1.0, m=128)], "mcf", 0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,16 @@ def test_validate_amplitudes(tmp_path):
         validate_config(raw)
 
 
+def test_validate_cfl_stability_bound(tmp_path):
+    for cfl in ("1.5", "2"):
+        raw = make_config(tmp_path, scenario="rate", tau_end="2", cfl=cfl)
+        with pytest.raises(ConfigInvalid) as err:
+            validate_config(raw)
+        assert err.value.field == "cfl"
+    raw = make_config(tmp_path, scenario="rate", tau_end="2", cfl="1.4")
+    assert validate_config(raw).cfl == 1.4
+
+
 def test_validate_defaults_applied(tmp_path):
     cfg = validate_config(make_config(tmp_path, scenario="rate", tau_end="2"))
     assert cfg.frame_dtau == 0.05
