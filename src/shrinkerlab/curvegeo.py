@@ -42,6 +42,26 @@ def polygon_area(points: np.ndarray) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
+def area_centroid(points: np.ndarray) -> tuple[float, float, float]:
+    """Enclosed area and region centroid (area, cx, cy) of the interpolated curve.
+
+    Spectral quadrature of A = 1/2 * closed integral of x dy - y dx and of
+    the first moments; `points` are (m, 2) samples on the uniform grid.
+    """
+    d1 = fourier.deriv(points, 1)
+    x, y = points.T
+    w = TWO_PI / points.shape[0]
+    area = 0.5 * w * float(np.sum(x * d1[:, 1] - y * d1[:, 0]))
+    cx = 0.5 * w * float(np.sum(x * x * d1[:, 1])) / area
+    cy = -0.5 * w * float(np.sum(y * y * d1[:, 0])) / area
+    return area, cx, cy
+
+
+def gaussian_density(points: np.ndarray) -> np.ndarray:
+    """Per-node Gaussian density exp(-|x|^2/4) of (m, 2) points."""
+    return np.exp(-0.25 * np.einsum("ij,ij->i", points, points))
+
+
 def segment_lengths(points: np.ndarray) -> np.ndarray:
     """Chord lengths |p_{j+1} - p_j| of the closed polyline."""
     return np.hypot(*(np.roll(points, -1, axis=0) - points).T)
@@ -154,19 +174,12 @@ class DiscreteCurve:
         return float(geometry(self).arclength_weights.sum())
 
     def area(self) -> float:
-        """Enclosed area of the interpolated curve, A = 1/2 * closed integral of x dy - y dx."""
-        d1 = fourier.deriv(self.points, 1)
-        x, y = self.points.T
-        return 0.5 * (TWO_PI / self.m) * float(np.sum(x * d1[:, 1] - y * d1[:, 0]))
+        """Enclosed area of the interpolated curve, see :func:`area_centroid`."""
+        return area_centroid(self.points)[0]
 
     def centroid(self) -> np.ndarray:
-        """Centroid of the enclosed region (spectral quadrature)."""
-        d1 = fourier.deriv(self.points, 1)
-        x, y = self.points.T
-        a = self.area()
-        cx = 0.5 * (TWO_PI / self.m) * float(np.sum(x * x * d1[:, 1])) / a
-        cy = -0.5 * (TWO_PI / self.m) * float(np.sum(y * y * d1[:, 0])) / a
-        return np.array([cx, cy])
+        """Centroid of the enclosed region, see :func:`area_centroid`."""
+        return np.array(area_centroid(self.points)[1:])
 
     def translated(self, offset) -> "DiscreteCurve":
         return DiscreteCurve(self.points + np.asarray(offset, dtype=float), validate=False)
@@ -235,20 +248,16 @@ class GeometryFields:
     metric_speed: np.ndarray
 
 
-def geometry(curve: DiscreteCurve, scheme: str = "spectral") -> GeometryFields:
-    """Differential geometry fields of `curve` under the given scheme.
+def geometry(curve: DiscreteCurve) -> GeometryFields:
+    """Spectral differential geometry fields of `curve`.
 
     Raises DegenerateCurve if the metric speed falls below 1e-10 anywhere.
-    Results are cached on the curve per scheme.
+    Results are cached on the curve.
     """
-    cached = curve._cache.get(("geom", scheme))
+    cached = curve._cache.get("geom")
     if cached is not None:
         return cached
-    if scheme == "spectral":
-        d1, d2 = fourier.deriv12(curve.points)
-    else:
-        d1 = fourier.deriv_any(curve.points, 1, scheme)
-        d2 = fourier.deriv_any(curve.points, 2, scheme)
+    d1, d2 = fourier.deriv12(curve.points)
     g = np.hypot(d1[:, 0], d1[:, 1])
     if float(g.min()) < METRIC_FLOOR:
         raise DegenerateCurve("metric speed %.3g below %.1g" % (g.min(), METRIC_FLOOR))
@@ -264,30 +273,28 @@ def geometry(curve: DiscreteCurve, scheme: str = "spectral") -> GeometryFields:
         arclength_weights=weights,
         metric_speed=g,
     )
-    curve._cache[("geom", scheme)] = fields
+    curve._cache["geom"] = fields
     return fields
 
 
-def gaussian_weights(curve: DiscreteCurve, scheme: str = "spectral") -> np.ndarray:
+def gaussian_weights(curve: DiscreteCurve) -> np.ndarray:
     """Per-node quadrature weights of the Gaussian measure exp(-|x|^2/4) ds."""
-    geom = geometry(curve, scheme)
-    r2 = np.einsum("ij,ij->i", curve.points, curve.points)
-    return geom.arclength_weights * np.exp(-0.25 * r2)
+    return geometry(curve).arclength_weights * gaussian_density(curve.points)
 
 
-def shrinker_quantity(curve: DiscreteCurve, scheme: str = "spectral") -> np.ndarray:
+def shrinker_quantity(curve: DiscreteCurve) -> np.ndarray:
     """Pointwise stationarity defect phi = H + <x, nu>/2 of the rescaled flow.
 
     Vanishes identically exactly on the round curve of radius sqrt(2)
     centered at the origin.
     """
-    geom = geometry(curve, scheme)
+    geom = geometry(curve)
     return geom.curvature + 0.5 * np.einsum("ij,ij->i", curve.points, geom.normal)
 
 
-def f_functional(curve: DiscreteCurve, scheme: str = "spectral") -> float:
+def f_functional(curve: DiscreteCurve) -> float:
     """Normalized Gaussian length (4*pi)^(-1/2) * integral exp(-|x|^2/4) ds."""
-    return float(gaussian_weights(curve, scheme).sum()) / np.sqrt(4.0 * np.pi)
+    return float(gaussian_weights(curve).sum()) / np.sqrt(4.0 * np.pi)
 
 
 def _points_to_segments_max(a: np.ndarray, b: np.ndarray) -> float:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fourier, ioutil
-from .curvegeo import TWO_PI, DiscreteCurve, geometry, resample
+from .curvegeo import TWO_PI, DiscreteCurve, area_centroid, geometry, resample
 from .errors import (
     BlowupDetected,
     ConvexityLost,
@@ -57,20 +57,20 @@ GAUGES = ("none", "area", "area-centroid")
 # carry a blowup past the next full check.
 _GUARD_STRIDE = 8
 
+# Frames whose node spacing ratio exceeds this are redistributed by arclength.
+_RESAMPLE_RATIO = 1.05
+
 
 @dataclass
 class StepControl:
     """Knobs of the explicit stepping loop.
 
     cfl, in (0, HEUN_CFL_MAX], scales the stability-limited time step.
-    Frames are revalidated and, when the node spacing ratio exceeds
-    `resample_ratio`, redistributed by arclength. `stop_curvature` ends
-    unrescaled runs before the singular time. `require_convex` aborts when
-    the curvature changes sign.
+    `stop_curvature` ends unrescaled runs before the singular time.
+    `require_convex` aborts when the curvature changes sign.
     """
 
     cfl: float = 0.8
-    resample_ratio: float = 1.05
     stop_curvature: float = 50.0
     require_convex: bool = False
 
@@ -118,17 +118,6 @@ def _heun(pts: np.ndarray, v1: np.ndarray, dt, rescaled: bool) -> np.ndarray:
     coef = np.fft.rfft(v2, axis=1)
     coef *= fourier.smoothing_filter(m)
     return coef
-
-
-def _area_centroid(pts, d1):
-    m = pts.shape[0]
-    x = pts[:, 0]
-    y = pts[:, 1]
-    w = TWO_PI / m
-    area = 0.5 * w * float(np.sum(x * d1[:, 1] - y * d1[:, 0]))
-    cx = 0.5 * w * float(np.sum(x * x * d1[:, 1])) / area
-    cy = -0.5 * w * float(np.sum(y * y * d1[:, 0])) / area
-    return area, cx, cy
 
 
 def _guards(pts, g2, cross, control, where) -> None:
@@ -283,12 +272,11 @@ class FlowTrajectory:
 def _emit_frame(traj, t, pts, control, gauge):
     """Validate, optionally resample/gauge, record a frame; return working points."""
     curve = DiscreteCurve(pts)
-    if curve.spacing_ratio() > control.resample_ratio:
+    if curve.spacing_ratio() > _RESAMPLE_RATIO:
         curve = resample(curve)
     gauge_shift = 0.0
     if gauge != "none":
-        d1 = fourier.deriv(curve.points, 1)
-        area, cx, cy = _area_centroid(curve.points, d1)
+        area, cx, cy = area_centroid(curve.points)
         scale = math.sqrt(TWO_PI / area)
         new_pts = scale * curve.points
         gauge_shift = abs(scale - 1.0)
@@ -296,8 +284,7 @@ def _emit_frame(traj, t, pts, control, gauge):
             new_pts = new_pts - scale * np.array([cx, cy])
             gauge_shift += math.hypot(cx, cy)
         curve = DiscreteCurve(new_pts, validate=False)
-    d1 = fourier.deriv(curve.points, 1)
-    area, cx, cy = _area_centroid(curve.points, d1)
+    area, cx, cy = area_centroid(curve.points)
     max_curv = float(np.abs(geometry(curve).curvature).max())
     traj.times.append(float(t))
     traj.curves.append(curve)

@@ -1,9 +1,8 @@
 """Periodic differentiation and interpolation on the uniform grid.
 
 All curve fields live on the uniform parameter grid theta_j = 2*pi*j/m with
-even m. The default scheme is discrete Fourier (trigonometric interpolation,
-spectrally accurate for analytic data); a 4th-order centered-difference
-fallback is provided for data that is only polyline-smooth.
+even m. Derivatives and interpolants are discrete Fourier (trigonometric
+interpolation, spectrally accurate for analytic data).
 
 Staggered (half-grid) variants evaluate at theta_{j+1/2}. They are used to
 assemble stiffness quadratic forms: the collocated Fourier derivative
@@ -58,19 +57,12 @@ def _deriv12_multipliers(m: int) -> tuple[np.ndarray, np.ndarray]:
     return pair
 
 
-def deriv12(values: np.ndarray,
-            coef: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """First and second spectral theta-derivatives in one transform pair.
-
-    Callers that already hold the rfft of `values` (e.g. a stepper that just
-    synthesized them from filtered coefficients) pass it as `coef` to skip
-    the forward transform.
-    """
+def deriv12(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and second spectral theta-derivatives in one transform pair."""
     values = np.asarray(values, dtype=float)
     m = values.shape[0]
     m1, m2 = (mult[:, None] for mult in _deriv12_multipliers(m))
-    if coef is None:
-        coef = np.fft.rfft(values, axis=0)
+    coef = np.fft.rfft(values, axis=0)
     if values.ndim == 1:
         block = np.concatenate([coef[:, None] * m1, coef[:, None] * m2], axis=1)
         out = np.fft.irfft(block, n=m, axis=0)
@@ -248,53 +240,6 @@ def antideriv(values: np.ndarray) -> tuple[float, np.ndarray]:
     return mean, out
 
 
-# ---------------------------------------------------------------------------
-# 4th-order centered-difference fallback (polyline data)
-# ---------------------------------------------------------------------------
-
-def fd4_deriv(values: np.ndarray, order: int = 1) -> np.ndarray:
-    """4th-order centered difference d^order/dtheta^order, order in {1, 2}."""
-    values = np.asarray(values, dtype=float)
-    m = values.shape[0]
-    h = TWO_PI / m
-    r = lambda s: np.roll(values, -s, axis=0)
-    if order == 1:
-        return (-r(2) + 8.0 * r(1) - 8.0 * r(-1) + r(-2)) / (12.0 * h)
-    if order == 2:
-        return (-r(2) + 16.0 * r(1) - 30.0 * values + 16.0 * r(-1) - r(-2)) / (12.0 * h * h)
-    raise ValueError("fd4_deriv supports order 1 or 2")
-
-
-def fd4_staggered_deriv(values: np.ndarray) -> np.ndarray:
-    """4th-order staggered difference: d/dtheta at theta_{j+1/2}."""
-    values = np.asarray(values, dtype=float)
-    m = values.shape[0]
-    h = TWO_PI / m
-    r = lambda s: np.roll(values, -s, axis=0)
-    return (27.0 * (r(1) - values) - (r(2) - r(-1))) / (24.0 * h)
-
-
-def fd4_staggered_interp(values: np.ndarray) -> np.ndarray:
-    """4th-order interpolation of grid values onto the half grid."""
-    values = np.asarray(values, dtype=float)
-    r = lambda s: np.roll(values, -s, axis=0)
-    return (9.0 * (values + r(1)) - (r(-1) + r(2))) / 16.0
-
-
-def deriv_any(values: np.ndarray, order: int, scheme: str) -> np.ndarray:
-    """Dispatch between the spectral and fd4 schemes."""
-    if scheme == "spectral":
-        return deriv(values, order)
-    if scheme == "fd4":
-        return fd4_deriv(values, order)
-    raise ValueError("unknown differentiation scheme %r" % (scheme,))
-
-
-def staggered_matrix(m: int, scheme: str = "spectral") -> np.ndarray:
+def staggered_matrix(m: int) -> np.ndarray:
     """Dense half-grid first-derivative matrix (m x m), for form assembly."""
-    eye = np.eye(m)
-    if scheme == "spectral":
-        return staggered_deriv(eye)
-    if scheme == "fd4":
-        return fd4_staggered_deriv(eye)
-    raise ValueError("unknown differentiation scheme %r" % (scheme,))
+    return staggered_deriv(np.eye(m))

@@ -29,6 +29,7 @@ from .curvegeo import (
     TWO_PI,
     DiscreteCurve,
     f_functional,
+    gaussian_density,
     gaussian_weights,
     geometry,
     shrinker_quantity,
@@ -39,7 +40,7 @@ from .errors import (
     FrameMissing,
     WindowTooShort,
 )
-from .gauge import GraphFunction, apply_L, normal_graph
+from .gauge import GraphFunction, apply_L, arc_derivatives, normal_graph
 
 __all__ = [
     "ENERGY_FLOOR",
@@ -85,25 +86,20 @@ def energy_I(base: DiscreteCurve, u) -> float:
     return float(np.sum(gaussian_weights(base) * vals * vals))
 
 
-def dirichlet_energy(base: DiscreteCurve, u, scheme: str = "spectral") -> float:
+def dirichlet_energy(base: DiscreteCurve, u) -> float:
     """Gaussian Dirichlet energy: quadrature of |grad u|^2 dmu.
 
     Uses the same staggered half-grid stiffness as the assembled operator,
     so Rayleigh comparisons against the matrix spectrum are exact.
     """
     vals = _field_values(base, u)
-    fields = geometry(base, scheme=scheme)
-    rho = np.exp(-0.25 * np.sum(base.points ** 2, axis=1))
-    if scheme == "spectral":
-        c_half = fourier.staggered_interp(rho / fields.metric_speed)
-        du_half = fourier.staggered_deriv(vals)
-    else:
-        c_half = fourier.fd4_staggered_interp(rho / fields.metric_speed)
-        du_half = fourier.fd4_staggered_deriv(vals)
+    c_half = fourier.staggered_interp(gaussian_density(base.points)
+                                      / geometry(base).metric_speed)
+    du_half = fourier.staggered_deriv(vals)
     return float((TWO_PI / base.m) * np.sum(c_half * du_half * du_half))
 
 
-def frequency_U(base: DiscreteCurve, u, scheme: str = "spectral") -> float:
+def frequency_U(base: DiscreteCurve, u) -> float:
     """Doubled Rayleigh quotient of the drift operator at u.
 
     U = 2 (-dirichlet + potential) / I with the potential H^2 + 1/2; the
@@ -120,9 +116,9 @@ def frequency_U(base: DiscreteCurve, u, scheme: str = "spectral") -> float:
     if i_val <= ENERGY_FLOOR:
         raise EnergyUnderflow("energy %.3g at or below floor %.1g"
                               % (i_val, ENERGY_FLOOR))
-    h = geometry(base, scheme=scheme).curvature
+    h = geometry(base).curvature
     pot = float(np.sum(gaussian_weights(base) * (h * h + 0.5) * vals * vals))
-    return 2.0 * (pot - dirichlet_energy(base, vals, scheme=scheme)) / i_val
+    return 2.0 * (pot - dirichlet_energy(base, vals)) / i_val
 
 
 def shrinker_energy(curve: DiscreteCurve) -> float:
@@ -138,17 +134,10 @@ def shrinker_energy(curve: DiscreteCurve) -> float:
     return raw / math.sqrt(4.0 * math.pi)
 
 
-def _arc_deriv12(curve: DiscreteCurve, vals: np.ndarray):
-    g = geometry(curve).metric_speed
-    d1 = fourier.deriv(vals) / g
-    d2 = fourier.deriv(d1) / g
-    return d1, d2
-
-
 def phi_c2_norm(curve: DiscreteCurve) -> float:
     """Sup norm of the shrinker deviation and its first two arc derivatives."""
     phi = shrinker_quantity(curve)
-    d1, d2 = _arc_deriv12(curve, phi)
+    d1, d2 = arc_derivatives(curve, phi)
     return float(np.abs(phi).max() + np.abs(d1).max() + np.abs(d2).max())
 
 
@@ -163,7 +152,7 @@ def _frame_index(traj, tau: float) -> int:
 def _d_terms(curve: DiscreteCurve, dphi_dtau: np.ndarray) -> float:
     phi = shrinker_quantity(curve)
     h = geometry(curve).curvature
-    _, phi_ss = _arc_deriv12(curve, phi)
+    _, phi_ss = arc_derivatives(curve, phi)
     metric_term = np.abs(2.0 * phi * h).max()
     curv_term = np.abs(2.0 * h * phi_ss + 2.0 * phi * h ** 3).max()
     return float(metric_term + curv_term + np.abs(phi).max()
@@ -448,11 +437,10 @@ def monitor(base_traj, target_traj, *, lambda_bound: float | None = None,
     for r, j in enumerate(range(1, k - 1)):
         tau, bc, tc = pairs[j]
         span = taus[j + 1] - taus[j - 1]
-        g = geometry(bc).metric_speed
         u = u_fields[j]
         du_dtau = (u_fields[j + 1] - u_fields[j - 1]) / span
         resid = du_dtau - lu_fields[j]
-        u_arc = fourier.deriv(u) / g
+        u_arc, _ = arc_derivatives(bc, u)
         fitted_c = float((np.abs(resid) / (np.abs(u) + np.abs(u_arc)
                                            + 1e-14)).max())
         d_val = _d_terms(bc, (phi_fields[j + 1] - phi_fields[j - 1]) / span)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fourier, ioutil
-from .curvegeo import TWO_PI, DiscreteCurve, geometry
+from .curvegeo import TWO_PI, DiscreteCurve, gaussian_density, geometry
 from .errors import NotAGraph
 
 #: relative u-gap below which two normal-line hits count as the same point
@@ -47,16 +47,20 @@ class GraphFunction:
 
     def arc_derivatives(self):
         """(u, u', u'') with ' the arclength derivative along the base."""
-        g = geometry(self.base).metric_speed
-        du = fourier.deriv(self.values, 1) / g
-        d2u = fourier.deriv(du, 1) / g
-        return self.values, du, d2u
+        return (self.values,) + arc_derivatives(self.base, self.values)
 
     def seminorms(self):
         """(sup|u|, sup|u'|, sup|u''|)."""
         u, du, d2u = self.arc_derivatives()
         return (float(np.abs(u).max()), float(np.abs(du).max()),
                 float(np.abs(d2u).max()))
+
+
+def arc_derivatives(base: DiscreteCurve, values: np.ndarray):
+    """(u', u'') of grid values u, ' the arclength derivative along `base`."""
+    g = geometry(base).metric_speed
+    du = fourier.deriv(values, 1) / g
+    return du, fourier.deriv(du, 1) / g
 
 
 def reconstruct(base: DiscreteCurve, values) -> DiscreteCurve:
@@ -161,7 +165,7 @@ def apply_L(base: DiscreteCurve, values) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     geom = geometry(base)
     g = geom.metric_speed
-    rho = np.exp(-0.25 * np.einsum("ij,ij->i", base.points, base.points))
+    rho = gaussian_density(base.points)
     inner = (rho / g) * fourier.deriv(values, 1)
     div = fourier.deriv(inner, 1) / (g * rho)
     potential = geom.norm_sq_a + 0.5

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fourier, ioutil
-from .curvegeo import (TWO_PI, DiscreteCurve, circle, ellipse, fourier_curve,
-                       gaussian_weights, geometry, hausdorff_distance,
-                       random_fourier, shrinker_quantity)
+from .curvegeo import (TWO_PI, DiscreteCurve, area_centroid, circle, ellipse,
+                       fourier_curve, gaussian_weights, geometry,
+                       hausdorff_distance, random_fourier, shrinker_quantity)
 from .errors import ConfigInvalid, NotShrinking, ShrinkerLabError, WindowTooShort
 from .flowcore import (GAUGES, HEUN_CFL_MAX, FlowTrajectory, StepControl,
                        estimate_singularity, rescale_to_rmcf, run_flows,
@@ -36,24 +36,6 @@ from .flowcore import (GAUGES, HEUN_CFL_MAX, FlowTrajectory, StepControl,
 from .frequency import monitor, superexponential_flag
 from .gauge import normal_graph, reconstruct, residual
 from .spectral import assemble, eigenpairs
-
-SCENARIOS = ("simulate", "spectrum", "gauge-residual", "separation", "rate")
-
-_REQUIRED = {
-    "simulate": ("curve1", "m", "out"),
-    "spectrum": ("curve1", "m", "out"),
-    "gauge-residual": ("curve1", "m", "out", "amplitudes"),
-    "separation": ("curve1", "curve2", "m", "out", "tau_end"),
-    "rate": ("curve1", "m", "out", "tau_end"),
-}
-
-_OPTIONAL = {
-    "simulate": ("t_end", "frame_dtau", "cfl", "stop_curvature", "seed"),
-    "spectrum": ("count", "seed"),
-    "gauge-residual": ("mode_k", "delta_tau", "cfl", "seed"),
-    "separation": ("frame_dtau", "cfl", "fit_window", "seed"),
-    "rate": ("frame_dtau", "cfl", "fit_window", "gauge", "seed"),
-}
 
 # verdicts that exit 0; anything else exits 2
 _CLEAN_VERDICTS = ("success", "consistent", "exact-shrinker")
@@ -218,15 +200,16 @@ def validate_config(raw: dict) -> ScenarioConfig:
     if scenario is None:
         raise ConfigInvalid("missing; choose one of %s" % ", ".join(SCENARIOS),
                             field="scenario")
-    if scenario not in _REQUIRED:
+    if scenario not in SCENARIOS:
         raise ConfigInvalid("unknown scenario %r; choose one of %s"
                             % (scenario, ", ".join(SCENARIOS)), field="scenario")
-    allowed = {"scenario"} | set(_REQUIRED[scenario]) | set(_OPTIONAL[scenario])
+    required, optional, _ = SCENARIOS[scenario]
+    allowed = {"scenario"} | set(required) | set(optional)
     for key in raw:
         if key not in allowed:
             raise ConfigInvalid("not a recognized key for scenario %s" % scenario,
                                 field=key)
-    for key in _REQUIRED[scenario]:
+    for key in required:
         if key not in raw:
             raise ConfigInvalid("required for scenario %s" % scenario, field=key)
 
@@ -343,8 +326,9 @@ def _build_curves(config: ScenarioConfig, convex: bool = False) -> list:
 
 def _normalize_unit_area(curve: DiscreteCurve) -> DiscreteCurve:
     """Translate the centroid to the origin and scale enclosed area to 2*pi."""
-    pts = curve.points - curve.centroid()
-    pts = pts * math.sqrt(TWO_PI / curve.area())
+    area, cx, cy = area_centroid(curve.points)
+    pts = curve.points - np.array([cx, cy])
+    pts = pts * math.sqrt(TWO_PI / area)
     return DiscreteCurve(pts, validate=False)
 
 
@@ -440,7 +424,7 @@ def _run_simulate(config: ScenarioConfig) -> dict:
     curve = _build_curves(config)[0]
     control = StepControl(cfl=config.cfl)
     if config.stop_curvature is not None:
-        control = StepControl(cfl=config.cfl, stop_curvature=config.stop_curvature)
+        control.stop_curvature = config.stop_curvature
     predicted = curve.area() / TWO_PI
     traj = run_mcf(curve, t_end=config.t_end, frame_dtau=config.frame_dtau,
                    control=control)
@@ -556,6 +540,13 @@ class SeparationReport:
             "underflowFraction": self.underflow_fraction,
             "verdict": self.verdict,
         }
+
+
+def _run_separation(config: ScenarioConfig) -> dict:
+    summary = {"scenario": config.scenario, "m": config.m,
+               "tauEnd": config.tau_end}
+    summary.update(experiment_separation(config).to_dict())
+    return summary
 
 
 def experiment_separation(config: ScenarioConfig) -> SeparationReport:
@@ -688,6 +679,24 @@ def experiment_rate(config: ScenarioConfig) -> dict:
     }
 
 
+# scenario -> (required keys, optional keys, runner returning the summary)
+SCENARIOS = {
+    "simulate": (("curve1", "m", "out"),
+                 ("t_end", "frame_dtau", "cfl", "stop_curvature", "seed"),
+                 _run_simulate),
+    "spectrum": (("curve1", "m", "out"), ("count", "seed"), _run_spectrum),
+    "gauge-residual": (("curve1", "m", "out", "amplitudes"),
+                       ("mode_k", "delta_tau", "cfl", "seed"),
+                       _run_gauge_residual),
+    "separation": (("curve1", "curve2", "m", "out", "tau_end"),
+                   ("frame_dtau", "cfl", "fit_window", "seed"),
+                   _run_separation),
+    "rate": (("curve1", "m", "out", "tau_end"),
+             ("frame_dtau", "cfl", "fit_window", "gauge", "seed"),
+             experiment_rate),
+}
+
+
 def run(config: ScenarioConfig) -> dict:
     """Execute one validated scenario; returns the summary written to disk.
 
@@ -695,19 +704,7 @@ def run(config: ScenarioConfig) -> dict:
     JSON outputs. The manifest is written last and covers every file.
     """
     os.makedirs(config.out, exist_ok=True)
-    if config.scenario == "simulate":
-        summary = _run_simulate(config)
-    elif config.scenario == "spectrum":
-        summary = _run_spectrum(config)
-    elif config.scenario == "gauge-residual":
-        summary = _run_gauge_residual(config)
-    elif config.scenario == "separation":
-        report = experiment_separation(config)
-        summary = {"scenario": config.scenario, "m": config.m,
-                   "tauEnd": config.tau_end}
-        summary.update(report.to_dict())
-    else:
-        summary = experiment_rate(config)
+    summary = SCENARIOS[config.scenario][2](config)
     ioutil.dump_json(summary, os.path.join(config.out, "summary.json"))
     _write_manifest(config)
     return summary
@@ -718,7 +715,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="shrinkerlab",
         description="Run a curve-shortening laboratory scenario from a config file.")
-    parser.add_argument("scenario", choices=SCENARIOS)
+    parser.add_argument("scenario", choices=tuple(SCENARIOS))
     parser.add_argument("--config", required=True, help="path to key = value file")
     parser.add_argument("--out", help="override the output directory")
     parser.add_argument("--m", help="override the resolution")

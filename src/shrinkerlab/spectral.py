@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fourier, ioutil
-from .curvegeo import TWO_PI, DiscreteCurve, gaussian_weights, geometry
+from .curvegeo import (TWO_PI, DiscreteCurve, gaussian_density,
+                       gaussian_weights, geometry)
 from .errors import ConvergenceFailure, DegenerateCurve
 
 __all__ = [
@@ -50,14 +51,11 @@ class WeightedOperator:
     weights : ndarray, shape (m,)
         Diagonal Gaussian mass (quadrature weights of dmu); the operator in
         strong form is diag(1/weights) @ Q.
-    scheme : str
-        Differentiation scheme used for the stiffness block.
     """
 
     base: DiscreteCurve
     quad_form: np.ndarray
     weights: np.ndarray
-    scheme: str
 
     @property
     def m(self) -> int:
@@ -100,7 +98,7 @@ class Spectrum:
         ioutil.dump_json(self.to_dict(), path)
 
 
-def assemble(base: DiscreteCurve, scheme: str = "spectral") -> WeightedOperator:
+def assemble(base: DiscreteCurve) -> WeightedOperator:
     """Build the symmetric weak-form matrix of the drift operator.
 
     The stiffness coefficient rho/g (Gaussian density over metric speed) is
@@ -114,18 +112,14 @@ def assemble(base: DiscreteCurve, scheme: str = "spectral") -> WeightedOperator:
         If the base metric collapses, or the interpolated stiffness
         coefficient loses positivity (wildly under-resolved data).
     """
-    fields = geometry(base, scheme=scheme)
+    fields = geometry(base)
     m = base.m
-    rho = np.exp(-0.25 * np.sum(base.points ** 2, axis=1))
-    coeff = rho / fields.metric_speed
-    if scheme == "spectral":
-        c_half = fourier.staggered_interp(coeff)
-    else:
-        c_half = fourier.fd4_staggered_interp(coeff)
+    c_half = fourier.staggered_interp(gaussian_density(base.points)
+                                      / fields.metric_speed)
     if float(c_half.min()) <= 0.0:
         raise DegenerateCurve("stiffness coefficient lost positivity on the "
                               "half grid; curve is under-resolved")
-    d_half = fourier.staggered_matrix(m, scheme)
+    d_half = fourier.staggered_matrix(m)
     h = TWO_PI / m
     quad = -h * (d_half.T * c_half) @ d_half
     mass = gaussian_weights(base)
@@ -133,14 +127,13 @@ def assemble(base: DiscreteCurve, scheme: str = "spectral") -> WeightedOperator:
     idx = np.arange(m)
     quad[idx, idx] += potential
     quad = 0.5 * (quad + quad.T)  # kill rounding asymmetry
-    return WeightedOperator(base=base, quad_form=quad, weights=mass,
-                            scheme=scheme)
+    return WeightedOperator(base=base, quad_form=quad, weights=mass)
 
 
-def _top_eigenvalue(op: WeightedOperator) -> float:
+def _mass_symmetrized(op: WeightedOperator):
+    """(sqrt(mass), M^(-1/2) Q M^(-1/2)): the strong form as a symmetric matrix."""
     root = np.sqrt(op.weights)
-    sym = op.quad_form / root[:, None] / root[None, :]
-    return float(np.linalg.eigvalsh(sym)[-1])
+    return root, op.quad_form / root[:, None] / root[None, :]
 
 
 def eigenpairs(op, count: int | None = None) -> Spectrum:
@@ -149,7 +142,7 @@ def eigenpairs(op, count: int | None = None) -> Spectrum:
     Parameters
     ----------
     op : WeightedOperator or DiscreteCurve
-        A curve is assembled with the default scheme first.
+        A curve is assembled first.
     count : int, optional
         How many pairs to keep (default 13: the round-circle spectrum down
         to mode 6). count = m returns the full spectrum.
@@ -166,8 +159,7 @@ def eigenpairs(op, count: int | None = None) -> Spectrum:
         count = min(13, m)
     if not 1 <= count <= m:
         raise ValueError("count must be between 1 and m = %d" % m)
-    root = np.sqrt(op.weights)
-    sym = op.quad_form / root[:, None] / root[None, :]
+    root, sym = _mass_symmetrized(op)
     vals, vecs = np.linalg.eigh(sym)
     vals = vals[::-1][:count]
     vecs = vecs[:, ::-1][:, :count]
@@ -183,7 +175,7 @@ def eigenpairs(op, count: int | None = None) -> Spectrum:
                     top_eigenvalue=float(vals[0]))
 
 
-def rayleigh_bound(traj, stride: int = 1, scheme: str = "spectral"):
+def rayleigh_bound(traj, stride: int = 1):
     """Per-frame top eigenvalue along a rescaled trajectory.
 
     Returns (times, values, uniform) where uniform = max over the sampled
@@ -198,5 +190,6 @@ def rayleigh_bound(traj, stride: int = 1, scheme: str = "spectral"):
     times = np.array([traj.times[i] for i in idx])
     values = np.empty(len(idx))
     for j, i in enumerate(idx):
-        values[j] = _top_eigenvalue(assemble(traj.curves[i], scheme=scheme))
+        _, sym = _mass_symmetrized(assemble(traj.curves[i]))
+        values[j] = float(np.linalg.eigvalsh(sym)[-1])
     return times, values, float(values.max())

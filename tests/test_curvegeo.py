@@ -119,13 +119,6 @@ def test_ellipse_curvature_closed_form():
     assert np.allclose(geom.curvature, a * b / g**3, rtol=1e-10)
 
 
-def test_fd4_scheme_converges_to_spectral():
-    c = ellipse(1.5, 1.0, m=512)
-    h_fd = geometry(c, scheme="fd4").curvature
-    h_sp = geometry(c, scheme="spectral").curvature
-    assert np.max(np.abs(h_fd - h_sp)) < 1e-7
-
-
 def test_degenerate_parametrization_raises():
     # nearly stationary parametrization over a stretch of the grid
     t = np.linspace(0, 2 * np.pi, 64, endpoint=False)

@@ -1,7 +1,6 @@
 """Spectral utility layer: differentiation, interpolation, antiderivatives."""
 
 import numpy as np
-import pytest
 
 from shrinkerlab import fourier
 
@@ -85,43 +84,9 @@ def test_antideriv_reconstructs_integral():
     assert np.allclose(s - s[0], 2 * t + np.sin(3 * t) / 3, atol=1e-12)
 
 
-def test_fd4_consistency_with_spectral():
-    m = 256
-    t = fourier.grid(m)
-    vals = np.exp(np.cos(t))
-    for order in (1, 2):
-        err = np.abs(fourier.fd4_deriv(vals, order) - fourier.deriv(vals, order)).max()
-        coarse = np.abs(
-            fourier.fd4_deriv(vals[::2], order) - fourier.deriv(vals[::2], order)
-        ).max()
-        assert err < 1e-6
-        assert coarse / err > 12.0  # 4th order: factor 16 per refinement
-
-
-def test_fd4_staggered_consistency():
-    m = 256
-    t = fourier.grid(m)
-    vals = np.exp(np.sin(t))
-    sp = fourier.staggered_deriv(vals)
-    fd = fourier.fd4_staggered_deriv(vals)
-    assert np.abs(fd - sp).max() < 1e-6
-    spi = fourier.staggered_interp(vals)
-    fdi = fourier.fd4_staggered_interp(vals)
-    assert np.abs(fdi - spi).max() < 1e-6
-
-
 def test_staggered_matrix_matches_transform():
     m = 32
     rng = np.random.default_rng(0)
     v = rng.standard_normal(m)
-    mat = fourier.staggered_matrix(m, "spectral")
+    mat = fourier.staggered_matrix(m)
     assert np.allclose(mat @ v, fourier.staggered_deriv(v), atol=1e-12)
-
-
-def test_deriv_any_dispatch():
-    t = fourier.grid(64)
-    v = np.cos(2 * t)
-    assert np.allclose(fourier.deriv_any(v, 1, "spectral"), fourier.deriv(v, 1))
-    assert np.allclose(fourier.deriv_any(v, 1, "fd4"), fourier.fd4_deriv(v, 1))
-    with pytest.raises(ValueError):
-        fourier.deriv_any(v, 1, "fd9")

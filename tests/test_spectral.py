@@ -83,14 +83,6 @@ def test_near_round_base_perturbs_spectrum_slightly():
     assert np.abs(spec.eigenvalues - circle_levels(6)).max() < 5e-2
 
 
-def test_fd4_scheme_converges_fourth_order():
-    errs = []
-    for m in (64, 128):
-        spec = eigenpairs(assemble(circle(SQRT2, m=m), scheme="fd4"), count=5)
-        errs.append(np.abs(spec.eigenvalues - circle_levels(2)).max())
-    assert errs[0] / errs[1] > 4.0
-
-
 def test_degenerate_rejected():
     base = circle(1.0, m=64)
     squashed = base.scaled(1e-11)
