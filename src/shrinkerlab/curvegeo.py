@@ -15,8 +15,6 @@ the stationary profile of the rescaled flow.
 from __future__ import annotations
 
 import csv
-import io
-import os
 from dataclasses import dataclass
 
 import numpy as np

@@ -10,14 +10,25 @@ round profile of radius sqrt(2). Under the rescaled flow the enclosed area
 satisfies dA/dtau = A - 2*pi exactly, which pins the one unstable dilation
 direction: gauging the initial area to exactly 2*pi removes it analytically.
 
-Time stepping is explicit Heun (two-stage Runge-Kutta) with the spectral
-stability bound dt <= cfl * (2/pi^2) * h_min^2, h_min the smallest node
-spacing. `run_flows` steps curves of equal m in lockstep as the rows of one
-(2n, m) array, each with its own step, frame times and guards, in four FFT
-calls per step: the irfft of the filtered coefficients [c, ik*c, -k^2*c]
-(points and both derivatives), the midpoint's rfft and derivative irfft,
-and the filtered rfft of the corrector. Frames are emitted at exact times:
-fixed tau multiples for the rescaled flow, fixed area levels
+Time stepping is the L-stable, third-order IMEX Runge-Kutta scheme
+ARS(4,4,3) (Ascher, Ruuth & Spiteri, Appl. Numer. Math. 25, 1997) on the rfft
+rows of the node coordinates. The velocity is x_thth / g^2 (plus x/2 for the
+rescaled flow), g = |x_theta|: its normal part is the curvature (shrinker)
+speed and its tangential part (g_theta / g^2) spreads the nodes along the
+curve. Following the small-scale decomposition of Hou, Lowengrub & Shelley
+(J. Comput. Phys. 114, 1994), the stiff part sigma * x_thth, sigma = max 1/g^2
+per curve frozen over the step, is solved implicitly as a division by
+1 + dt*gamma*sigma*k^2 in Fourier; the rest is explicit. Where g varies
+along the curve that rest is stiff too, of relative size 1 - min g^2/max g^2;
+the scheme's update is its last stage, which keeps it bounded at every k
+(ARS(3,4,3), whose update adds explicit slopes, amplifies it like that size
+times dt*sigma*k^2 and diverged on the separation ellipse at m = 1024). The step
+dt = cfl * C / max(max kappa^2, 1/2) is set by accuracy, not by m.
+`run_flows` steps curves of equal m in lockstep as the rows of one (2n, m)
+array, each with its own step, frame times and guards, in eight FFT calls per
+step: per stage one irfft of [c, ik*c, -k^2*c] (the values only at the first
+stage) and one rfft of the explicit velocity. Frames are emitted at exact
+times: fixed tau multiples for the rescaled flow, fixed area levels
 A(0) * exp(-j * dtau) for the unrescaled flow (by the area law these are the
 same tau grid, without knowing T).
 """
@@ -42,13 +53,16 @@ from .errors import (
     TimeOutOfRange,
 )
 
-#: Heun's method is stable on the negative real axis down to -2; the stiffest
-#: mode of the arclength Laplacian on spacing h has eigenvalue -(pi/h)^2.
-HEUN_STABILITY = 2.0 / math.pi**2
+#: Largest accepted cfl, the range every config is validated against. The
+#: step is set by accuracy, not by a stability limit in m: a larger cfl
+#: trades accuracy for speed.
+CFL_MAX = 1.455
 
-#: Largest stable cfl with `fourier.smoothing_filter`: over s = k/(m/2) and
-#: z = 2*cfl*s^2, max_s |1 - z + z^2/2| * exp(-36 s^36) <= 1 up to ~1.45536.
-HEUN_CFL_MAX = 1.455
+#: dt = cfl * _STEP_SCALE / max(max kappa^2, 1/2): at the reference cfl 1.4 a
+#: step is 1/200 of the curvature time 1/kappa^2 (1/100 of a unit of tau on
+#: the round shrinker); at the default cfl 0.8 the radial-ODE and area-law
+#: checks hold to 1e-8.
+_STEP_SCALE = 5e-3 / 1.4
 
 GAUGES = ("none", "area", "area-centroid")
 
@@ -61,11 +75,26 @@ _GUARD_STRIDE = 8
 _RESAMPLE_RATIO = 1.05
 
 
+# ARS(4,4,3) tableau (Ascher, Ruuth & Spiteri 1997, section 2.8): stages 2-5
+# of the explicit part, and the implicit off-diagonal entries from column 2
+# (the first implicit column is zero, the diagonal is _GAMMA). Both parts are
+# stiffly accurate, so a step's result is its last stage; the explicit rows
+# sum to the stage times c = 1/2, 2/3, 1/2, 1 in floating point too, so a
+# stationary curve stays stationary to rounding.
+_GAMMA = 0.5
+_EXPLICIT = ((0.5,),
+             (2.0 / 3.0 - 1.0 / 18.0, 1.0 / 18.0),
+             (5.0 / 6.0, -5.0 / 6.0, 0.5),
+             (0.25, 1.75, 0.75, -1.75))
+_IMPLICIT = ((), (1.0 / 6.0,), (-0.5, 0.5), (1.5, -1.5, 0.5))
+
+
 @dataclass
 class StepControl:
-    """Knobs of the explicit stepping loop.
+    """Knobs of the stepping loop.
 
-    cfl, in (0, HEUN_CFL_MAX], scales the stability-limited time step.
+    cfl, in (0, CFL_MAX], scales the accuracy-limited time step
+    dt = cfl * C / max(max kappa^2, 1/2), the same at every m.
     `stop_curvature` ends unrescaled runs before the singular time.
     `require_convex` aborts when the curvature changes sign.
     """
@@ -76,48 +105,58 @@ class StepControl:
 
 
 def _check_cfl(control: StepControl) -> None:
-    if not 0.0 < control.cfl <= HEUN_CFL_MAX:
-        raise StepRejected("cfl %g is outside the Heun stability range (0, %g]"
-                           % (control.cfl, HEUN_CFL_MAX))
+    if not 0.0 < control.cfl <= CFL_MAX:
+        raise StepRejected("cfl %g is outside the accepted range (0, %g]"
+                           % (control.cfl, CFL_MAX))
 
 
-def _velocity(pts: np.ndarray, d1: np.ndarray, d2: np.ndarray, rescaled: bool):
-    """Normal velocity H*nu (mcf) or phi*nu (rmcf); `pts` is x rows, then y rows.
-
-    No square root: H/g = cross/(g^2)^2 and <x, nu>/g = <x, n>/g^2, g the
-    metric speed. Returns (velocity, g^2, cross) for the guards.
-    """
-    n = pts.shape[0] // 2
+def _metric(d1: np.ndarray, d2: np.ndarray):
+    """g^2 = |x_theta|^2 and cross = x_theta ^ x_thth of each curve row pair."""
+    n = d1.shape[0] // 2
     gx = d1[:n]
     gy = d1[n:]
-    g2 = gx * gx + gy * gy
-    cross = gx * d2[n:] - gy * d2[:n]
-    ratio = cross / (g2 * g2)
-    if rescaled:
-        ratio = ratio + 0.5 * (pts[n:] * gx - pts[:n] * gy) / g2
-    vel = np.empty_like(pts)
-    vel[:n] = -ratio * gy
-    vel[n:] = ratio * gx
-    return vel, g2, cross
+    return gx * gx + gy * gy, gx * d2[n:] - gy * d2[:n]
 
 
-def _heun(pts: np.ndarray, v1: np.ndarray, dt, rescaled: bool) -> np.ndarray:
-    """One Heun step of the rows `pts` (dt: scalar or per-row column).
+def _explicit(coef, g2, d2, sigma, rescaled: bool) -> np.ndarray:
+    """rfft rows of the explicit part V - sigma * x_thth of the velocity.
 
-    Returns the filtered rfft of the result. The filter clamps neutral
-    near-Nyquist reparametrization jitter that explicit stepping would
-    otherwise let grow through aliasing.
+    V = x_thth / g^2, plus x/2 for the rescaled flow (added on the
+    coefficients); `sigma` is the (n, 1) column of frozen stiff factors.
     """
-    r, m = pts.shape
-    mid = pts + dt * v1
-    d = fourier.synth_rows(np.fft.rfft(mid, axis=1), m, with_values=False)
-    v2, _, _ = _velocity(mid, d[:r], d[r:], rescaled)
-    np.add(v1, v2, out=v2)
-    v2 *= 0.5 * dt
-    np.add(pts, v2, out=v2)
-    coef = np.fft.rfft(v2, axis=1)
-    coef *= fourier.smoothing_filter(m)
-    return coef
+    n = g2.shape[0]
+    w = 1.0 / g2 - sigma
+    e = np.fft.rfft((d2.reshape(2, n, -1) * w).reshape(2 * n, -1), axis=1)
+    if rescaled:
+        e += 0.5 * coef
+    return e
+
+
+def _imex_step(coef, g2, d2, dt, rescaled: bool) -> np.ndarray:
+    """One ARS(4,4,3) step of the rfft rows `coef` (x rows, then y rows).
+
+    g2 and d2 are the metric and second derivatives at the step start; dt
+    is a scalar or a per-row column. Returns the rfft rows of the result.
+    """
+    m = d2.shape[1]
+    r = coef.shape[0]
+    sigma = 1.0 / g2.min(axis=1, keepdims=True)
+    stiff_mult = np.concatenate([sigma, sigma]) * fourier.deriv12_multipliers(m)[1]
+    solve = 1.0 / (1.0 - (_GAMMA * dt) * stiff_mult)
+    slopes = [_explicit(coef, g2, d2, sigma, rescaled)]
+    stiff = []
+
+    def stage(ex, im):
+        rhs = (sum(a * e for a, e in zip(ex, slopes))
+               + sum(a * s for a, s in zip(im, stiff)))
+        return (coef + dt * rhs) * solve
+
+    for ex, im in zip(_EXPLICIT[:-1], _IMPLICIT[:-1]):
+        y = stage(ex, im)
+        stiff.append(stiff_mult * y)
+        d = fourier.synth_rows(y, m, with_values=False)
+        slopes.append(_explicit(y, _metric(d[:r], d[r:])[0], d[r:], sigma, rescaled))
+    return stage(_EXPLICIT[-1], _IMPLICIT[-1])
 
 
 def _guards(pts, g2, cross, control, where) -> None:
@@ -136,12 +175,18 @@ def _guards(pts, g2, cross, control, where) -> None:
             raise ConvexityLost("curvature changed sign %s" % where(k))
 
 
+def _timestep(kappa2_max: float, control: StepControl) -> float:
+    return control.cfl * _STEP_SCALE / max(kappa2_max, 0.5)
+
+
 def cfl_timestep(curve: DiscreteCurve, control: StepControl | None = None) -> float:
-    """Largest stable explicit step for this curve under `control`."""
-    control = control or StepControl()
-    g = geometry(curve).metric_speed
-    h_min = (TWO_PI / curve.m) * float(g.min())
-    return control.cfl * HEUN_STABILITY * h_min * h_min
+    """Time step of the stepper for this curve under `control`.
+
+    cfl * C / max(max kappa^2, 1/2): set by the curvature time scale, so it
+    does not depend on m.
+    """
+    kappa = geometry(curve).curvature
+    return _timestep(float(np.max(kappa * kappa)), control or StepControl())
 
 
 def _public_step(curve, dt, control, rescaled):
@@ -154,12 +199,13 @@ def _public_step(curve, dt, control, rescaled):
         return curve
     bound = cfl_timestep(curve, control)
     if dt > bound:
-        raise StepRejected("step %g exceeds stability bound %g" % (dt, bound))
-    pts = curve.points.T
-    d = fourier.synth_rows(np.fft.rfft(pts, axis=1), curve.m, with_values=False)
-    v1, g2, cross = _velocity(pts, d[:2], d[2:], rescaled)
-    _guards(pts, g2, cross, control, lambda k: "at input")
-    new_pts = np.fft.irfft(_heun(pts, v1, dt, rescaled), n=curve.m, axis=1).T
+        raise StepRejected("step %g exceeds the accuracy bound %g" % (dt, bound))
+    coef = np.fft.rfft(curve.points.T, axis=1)
+    rows = fourier.synth_rows(coef, curve.m)
+    g2, cross = _metric(rows[2:4], rows[4:])
+    _guards(rows[:2], g2, cross, control, lambda k: "at input")
+    new_pts = np.fft.irfft(_imex_step(coef, g2, rows[4:], dt, rescaled),
+                           n=curve.m, axis=1).T
     if not np.all(np.isfinite(new_pts)):
         raise BlowupDetected("step produced non-finite positions")
     out = resample(DiscreteCurve(new_pts))
@@ -172,7 +218,7 @@ def mcf_step(curve: DiscreteCurve, dt: float,
              control: StepControl | None = None) -> DiscreteCurve:
     """One validated, resampled step of the unrescaled flow.
 
-    dt must respect `cfl_timestep`; dt = 0 returns the input unchanged.
+    dt must not exceed `cfl_timestep`; dt = 0 returns the input unchanged.
     """
     return _public_step(curve, dt, control or StepControl(), rescaled=False)
 
@@ -196,7 +242,8 @@ class FlowTrajectory:
 
     picture is "mcf" (unrescaled, times are t) or "rmcf" (rescaled, times are
     tau). The series maps column name -> per-frame array; columns are listed
-    in _SERIES_COLUMNS.
+    in _SERIES_COLUMNS. `steps` counts the time steps of the run that made
+    the trajectory; it is not saved.
     """
 
     picture: str
@@ -205,6 +252,7 @@ class FlowTrajectory:
     curves: list = field(default_factory=list)
     singular_data: dict | None = None
     series: dict | None = None
+    steps: int = 0
 
     def __len__(self):
         return len(self.times)
@@ -354,20 +402,20 @@ def run_flows(curves, picture: str, end: float | None = None, *,
         n = len(ids)
         out = fourier.synth_rows(coef, m)
         pts, d1, d2 = out[:2 * n], out[2 * n:4 * n], out[4 * n:]
-        v1, g2, cross = _velocity(pts, d1, d2, rescaled)
+        g2, cross = _metric(d1, d2)
         since_guard += 1
         if since_guard >= _GUARD_STRIDE:
             _guards(pts, g2, cross, control, where)
             since_guard = 0
-        h_min = (w * np.sqrt(g2.min(axis=1))).tolist()
+        kappa2 = (cross * cross / (g2 * g2 * g2)).max(axis=1).tolist()
         if not rescaled:
             areas = (0.5 * w * (np.einsum("ij,ij->i", pts[:n], d1[n:])
                                 - np.einsum("ij,ij->i", pts[n:], d1[:n]))).tolist()
         dts, events = [], []
         for k in range(n):
-            if math.isnan(h_min[k]):
+            if math.isnan(kappa2[k]):
                 raise BlowupDetected("non-finite geometry %s" % where(k))
-            dt = control.cfl * HEUN_STABILITY * h_min[k] * h_min[k]
+            dt = _timestep(kappa2[k], control)
             event = None
             if rescaled:
                 if dt >= frame_times[goals[k]] - times[k]:
@@ -384,9 +432,10 @@ def run_flows(curves, picture: str, end: float | None = None, *,
                     dt = end - times[k]
                     event = "end"
                 times[k] += dt
+            trajs[ids[k]].steps += 1
             dts.append(dt)
             events.append(event)
-        coef = _heun(pts, v1, np.array(dts + dts)[:, None], rescaled)
+        coef = _imex_step(coef, g2, d2, np.array(dts + dts)[:, None], rescaled)
 
         keep = []
         for k in range(n):

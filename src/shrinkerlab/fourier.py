@@ -46,7 +46,8 @@ def deriv(values: np.ndarray, order: int = 1) -> np.ndarray:
 _DERIV12_CACHE: dict = {}
 
 
-def _deriv12_multipliers(m: int) -> tuple[np.ndarray, np.ndarray]:
+def deriv12_multipliers(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """rfft multipliers (ik, -k^2) of d/dtheta and d2/dtheta2, Nyquist ik = 0."""
     pair = _DERIV12_CACHE.get(m)
     if pair is None:
         k = _wavenumbers(m)
@@ -61,7 +62,7 @@ def deriv12(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First and second spectral theta-derivatives in one transform pair."""
     values = np.asarray(values, dtype=float)
     m = values.shape[0]
-    m1, m2 = (mult[:, None] for mult in _deriv12_multipliers(m))
+    m1, m2 = (mult[:, None] for mult in deriv12_multipliers(m))
     coef = np.fft.rfft(values, axis=0)
     if values.ndim == 1:
         block = np.concatenate([coef[:, None] * m1, coef[:, None] * m2], axis=1)
@@ -82,7 +83,7 @@ def synth_rows(coef: np.ndarray, m: int, with_values: bool = True) -> np.ndarray
     stack [values; d/dtheta; d2/dtheta2], or (2r, m) without the values;
     the multipliers are those of :func:`deriv12`.
     """
-    m1, m2 = _deriv12_multipliers(m)
+    m1, m2 = deriv12_multipliers(m)
     r = coef.shape[0]
     block = np.empty(((2 + with_values) * r, coef.shape[1]), dtype=complex)
     if with_values:

@@ -30,7 +30,7 @@ from .curvegeo import (TWO_PI, DiscreteCurve, area_centroid, circle, ellipse,
                        fourier_curve, gaussian_weights, geometry,
                        hausdorff_distance, random_fourier, shrinker_quantity)
 from .errors import ConfigInvalid, NotShrinking, ShrinkerLabError, WindowTooShort
-from .flowcore import (GAUGES, HEUN_CFL_MAX, FlowTrajectory, StepControl,
+from .flowcore import (CFL_MAX, GAUGES, FlowTrajectory, StepControl,
                        estimate_singularity, rescale_to_rmcf, run_flows,
                        run_mcf, run_rmcf)
 from .frequency import monitor, superexponential_flag
@@ -225,8 +225,8 @@ def validate_config(raw: dict) -> ScenarioConfig:
                             field="seed")
 
     cfl = _as_float(raw, "cfl", default=0.8)
-    if cfl > HEUN_CFL_MAX:
-        raise ConfigInvalid("must be in (0, %g], got %g" % (HEUN_CFL_MAX, cfl),
+    if cfl > CFL_MAX:
+        raise ConfigInvalid("must be in (0, %g], got %g" % (CFL_MAX, cfl),
                             field="cfl")
     fit_window = _as_float(raw, "fit_window", default=0.4)
     if not fit_window < 1.0:

@@ -4,12 +4,10 @@ Heavy reference runs come from session fixtures in conftest.py so they are
 computed once. Every tolerance is stated inline next to its assert.
 """
 
-import json
 import math
 import time
 
 import numpy as np
-import pytest
 
 from shrinkerlab.curvegeo import circle, f_functional, shrinker_quantity
 from shrinkerlab.flowcore import FlowTrajectory

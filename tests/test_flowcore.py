@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from shrinkerlab.curvegeo import DiscreteCurve, circle, ellipse, fourier_curve, geometry
+from shrinkerlab.curvegeo import circle, ellipse, fourier_curve, geometry
 from shrinkerlab.errors import (
     BlowupDetected,
     ConvexityLost,
@@ -14,7 +14,7 @@ from shrinkerlab.errors import (
     TimeOutOfRange,
 )
 from shrinkerlab.flowcore import (
-    HEUN_CFL_MAX,
+    CFL_MAX,
     FlowTrajectory,
     StepControl,
     cfl_timestep,
@@ -27,7 +27,6 @@ from shrinkerlab.flowcore import (
     run_mcf,
     run_rmcf,
 )
-from shrinkerlab.fourier import smoothing_filter
 from shrinkerlab.labcli import _normalize_unit_area
 
 SQRT2 = np.sqrt(2.0)
@@ -41,10 +40,10 @@ def radius_of(curve, center=(0.0, 0.0)):
 # single steps
 # ---------------------------------------------------------------------------
 
-def test_cfl_timestep_scales_with_spacing():
+def test_cfl_timestep_does_not_depend_on_m():
     a = cfl_timestep(circle(1.0, m=64))
     b = cfl_timestep(circle(1.0, m=128))
-    assert abs(a / b - 4.0) < 1e-10  # halving h quarters the step
+    assert abs(a / b - 1.0) < 1e-10  # set by the curvature, not the spacing
 
 
 def test_step_zero_dt_returns_input():
@@ -170,24 +169,6 @@ def test_run_rmcf_rejects_bad_args():
         run_rmcf(c, 1.0, gauge="bogus")
 
 
-def test_cfl_bound_matches_filtered_heun_stability():
-    # frozen-coefficient amplification of mode s = k/(m/2) at z = 2*cfl*s^2
-    m = 8192
-    s = np.arange(m // 2 + 1) / (m // 2)
-    filt = smoothing_filter(m)
-
-    def stable(cfl):
-        z = 2.0 * cfl * s * s
-        return np.max(np.abs(1.0 - z + 0.5 * z * z) * filt) <= 1.0 + 1e-15
-
-    lo, hi = 1.0, 2.0
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if stable(mid) else (lo, mid)
-    assert abs(HEUN_CFL_MAX - lo) < 1e-3
-    assert stable(HEUN_CFL_MAX)
-
-
 def test_cfl_above_stability_bound_rejected():
     start = _normalize_unit_area(fourier_curve(1.0, (0.0, 0.05, 0.02), m=256))
     for cfl in (1.5, 2.0):
@@ -197,6 +178,37 @@ def test_cfl_above_stability_bound_rejected():
             mcf_step(start, 1e-6, StepControl(cfl=cfl))
     traj = run_rmcf(start, 1.0, frame_dtau=0.05, control=StepControl(cfl=1.4))
     assert traj.series["max_curvature"][-1] == pytest.approx(0.75, abs=2e-3)
+
+
+def test_run_rmcf_third_order_in_time():
+    # halving cfl halves the step everywhere; at order p the gap between
+    # successive refinements shrinks by 2^p
+    start = _normalize_unit_area(fourier_curve(1.0, (0.0, 0.05, 0.02), m=128))
+    ends = [run_rmcf(start, 0.5, frame_dtau=0.5,
+                     control=StepControl(cfl=f * CFL_MAX)).curves[-1].points
+            for f in (1.0, 0.5, 0.25)]
+    coarse = np.abs(ends[0] - ends[1]).max()
+    fine = np.abs(ends[1] - ends[2]).max()
+    assert np.log2(coarse / fine) >= 2.7
+
+
+def test_step_count_does_not_grow_with_m():
+    steps = []
+    for m in (128, 512):
+        start = _normalize_unit_area(fourier_curve(1.0, (0.0, 0.05, 0.02), m=m))
+        steps.append(run_rmcf(start, 1.0, frame_dtau=0.25).steps)
+    assert steps[0] > 0
+    # the step follows the curvature; only the 4 frame landings may differ
+    assert abs(steps[0] - steps[1]) <= 4
+
+
+def test_high_resolution_run_stays_stable():
+    # node speed varies along the flowing ellipse, so part of the stiff term
+    # is explicit; the step must still damp the top of the spectrum at large m
+    traj = run_mcf(ellipse(1.1, 1 / 1.1, m=2048), t_end=0.05, frame_dtau=0.05,
+                   control=StepControl(cfl=1.4, require_convex=True))
+    top = np.abs(np.fft.rfft(traj.curves[-1].points, axis=0))[-256:]
+    assert top.max() < 1e-10
 
 
 def test_frames_stay_uniformly_sampled():

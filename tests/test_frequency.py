@@ -22,7 +22,6 @@ from shrinkerlab.frequency import (
     frequency_U,
     lojasiewicz_fit,
     monitor,
-    phi_c2_norm,
     shrinker_energy,
     superexponential_flag,
 )

@@ -10,8 +10,8 @@ import pytest
 
 from shrinkerlab import labcli
 from shrinkerlab.errors import ConfigInvalid
-from shrinkerlab.labcli import (ScenarioConfig, build_curve, main,
-                                parse_config_text, run, validate_config)
+from shrinkerlab.labcli import (build_curve, main, parse_config_text, run,
+                                validate_config)
 
 SQRT2 = math.sqrt(2.0)
 

@@ -7,7 +7,7 @@ from shrinkerlab.curvegeo import circle, ellipse, gaussian_weights, random_fouri
 from shrinkerlab.errors import DegenerateCurve
 from shrinkerlab.flowcore import run_rmcf
 from shrinkerlab.gauge import apply_L
-from shrinkerlab.spectral import Spectrum, assemble, eigenpairs, rayleigh_bound
+from shrinkerlab.spectral import assemble, eigenpairs, rayleigh_bound
 
 SQRT2 = np.sqrt(2.0)
 
