@@ -276,8 +276,16 @@ def geometry(curve: DiscreteCurve) -> GeometryFields:
 
 
 def gaussian_weights(curve: DiscreteCurve) -> np.ndarray:
-    """Per-node quadrature weights of the Gaussian measure exp(-|x|^2/4) ds."""
-    return geometry(curve).arclength_weights * gaussian_density(curve.points)
+    """Per-node quadrature weights of the Gaussian measure exp(-|x|^2/4) ds.
+
+    Cached on the curve (read-only), like `geometry`.
+    """
+    weights = curve._cache.get("gauss")
+    if weights is None:
+        weights = geometry(curve).arclength_weights * gaussian_density(curve.points)
+        weights.flags.writeable = False
+        curve._cache["gauss"] = weights
+    return weights
 
 
 def shrinker_quantity(curve: DiscreteCurve) -> np.ndarray:

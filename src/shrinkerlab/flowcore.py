@@ -281,11 +281,8 @@ class FlowTrajectory:
         written.append(index_path)
         if self.series is not None:
             series_path = os.path.join(outdir, "series.csv")
-            with open(series_path, "w") as fh:
-                fh.write(",".join(_SERIES_COLUMNS) + "\n")
-                cols = [self.series[c] for c in _SERIES_COLUMNS]
-                for row in zip(*cols):
-                    fh.write(",".join(ioutil.format_float(v) for v in row) + "\n")
+            ioutil.write_csv(series_path, _SERIES_COLUMNS,
+                             zip(*(self.series[c] for c in _SERIES_COLUMNS)))
             written.append(series_path)
         return written
 

@@ -40,7 +40,7 @@ from .errors import (
     FrameMissing,
     WindowTooShort,
 )
-from .gauge import GraphFunction, apply_L, arc_derivatives, normal_graph
+from .gauge import GraphFunction, arc_derivatives, normal_graph, residual
 
 __all__ = [
     "ENERGY_FLOOR",
@@ -99,6 +99,13 @@ def dirichlet_energy(base: DiscreteCurve, u) -> float:
     return float((TWO_PI / base.m) * np.sum(c_half * du_half * du_half))
 
 
+def _quotient(weights: np.ndarray, base: DiscreteCurve, vals: np.ndarray,
+              i_val: float, dirichlet: float) -> float:
+    h = geometry(base).curvature
+    pot = float(np.sum(weights * (h * h + 0.5) * vals * vals))
+    return 2.0 * (pot - dirichlet) / i_val
+
+
 def frequency_U(base: DiscreteCurve, u) -> float:
     """Doubled Rayleigh quotient of the drift operator at u.
 
@@ -116,9 +123,49 @@ def frequency_U(base: DiscreteCurve, u) -> float:
     if i_val <= ENERGY_FLOOR:
         raise EnergyUnderflow("energy %.3g at or below floor %.1g"
                               % (i_val, ENERGY_FLOOR))
-    h = geometry(base).curvature
-    pot = float(np.sum(gaussian_weights(base) * (h * h + 0.5) * vals * vals))
-    return 2.0 * (pot - dirichlet_energy(base, vals)) / i_val
+    return _quotient(gaussian_weights(base), base, vals, i_val,
+                     dirichlet_energy(base, vals))
+
+
+@dataclass(frozen=True)
+class _Frame:
+    """Diagnostics of one base frame, each computed once.
+
+    weights are the Gaussian quadrature weights and phi the shrinker
+    deviation; itilde, f and c2 are the values of shrinker_energy,
+    f_functional and phi_c2_norm; d_static is the error budget D without
+    its dphi/dtau term (see d_coefficient).
+    """
+
+    weights: np.ndarray
+    phi: np.ndarray
+    itilde: float
+    f: float
+    c2: float
+    d_static: float
+
+
+def _frame(curve: DiscreteCurve) -> _Frame:
+    weights = gaussian_weights(curve)
+    phi = shrinker_quantity(curve)
+    h = geometry(curve).curvature
+    phi_s, phi_ss = arc_derivatives(curve, phi)
+    sup_phi = np.abs(phi).max()
+    metric_term = np.abs(2.0 * phi * h).max()
+    curv_term = np.abs(2.0 * h * phi_ss + 2.0 * phi * h ** 3).max()
+    return _Frame(
+        weights=weights,
+        phi=phi,
+        itilde=float(np.sum(weights * phi * phi)) / math.sqrt(4.0 * math.pi),
+        f=f_functional(curve),
+        c2=float(sup_phi + np.abs(phi_s).max() + np.abs(phi_ss).max()),
+        d_static=float(metric_term + curv_term + sup_phi),
+    )
+
+
+def _budget(prev: _Frame, mid: _Frame, nxt: _Frame, span: float) -> float:
+    """D at the middle of three frames, dphi/dtau a central difference."""
+    return float(mid.d_static + np.abs((nxt.phi - prev.phi) / span).max())
 
 
 def shrinker_energy(curve: DiscreteCurve) -> float:
@@ -129,16 +176,12 @@ def shrinker_energy(curve: DiscreteCurve) -> float:
     derivative of that functional exactly. Vanishes on centered round
     shrinkers.
     """
-    phi = shrinker_quantity(curve)
-    raw = float(np.sum(gaussian_weights(curve) * phi * phi))
-    return raw / math.sqrt(4.0 * math.pi)
+    return _frame(curve).itilde
 
 
 def phi_c2_norm(curve: DiscreteCurve) -> float:
     """Sup norm of the shrinker deviation and its first two arc derivatives."""
-    phi = shrinker_quantity(curve)
-    d1, d2 = arc_derivatives(curve, phi)
-    return float(np.abs(phi).max() + np.abs(d1).max() + np.abs(d2).max())
+    return _frame(curve).c2
 
 
 def _frame_index(traj, tau: float) -> int:
@@ -147,16 +190,6 @@ def _frame_index(traj, tau: float) -> int:
     if abs(times[j] - tau) > 1e-9 * (1.0 + abs(tau)):
         raise FrameMissing("no frame at tau = %.6g" % tau)
     return j
-
-
-def _d_terms(curve: DiscreteCurve, dphi_dtau: np.ndarray) -> float:
-    phi = shrinker_quantity(curve)
-    h = geometry(curve).curvature
-    _, phi_ss = arc_derivatives(curve, phi)
-    metric_term = np.abs(2.0 * phi * h).max()
-    curv_term = np.abs(2.0 * h * phi_ss + 2.0 * phi * h ** 3).max()
-    return float(metric_term + curv_term + np.abs(phi).max()
-                 + np.abs(dphi_dtau).max())
 
 
 def d_coefficient(traj, tau: float) -> float:
@@ -175,10 +208,8 @@ def d_coefficient(traj, tau: float) -> float:
     j = _frame_index(traj, tau)
     if j == 0 or j == len(traj) - 1:
         raise FrameMissing("tau = %.6g has no two-sided neighbors" % tau)
-    phi_prev = shrinker_quantity(traj.curves[j - 1])
-    phi_next = shrinker_quantity(traj.curves[j + 1])
-    span = traj.times[j + 1] - traj.times[j - 1]
-    return _d_terms(traj.curves[j], (phi_next - phi_prev) / span)
+    prev, mid, nxt = (_frame(traj.curves[i]) for i in (j - 1, j, j + 1))
+    return _budget(prev, mid, nxt, traj.times[j + 1] - traj.times[j - 1])
 
 
 def approach_series(traj) -> dict:
@@ -192,22 +223,15 @@ def approach_series(traj) -> dict:
     n = len(traj)
     if n < 3:
         raise WindowTooShort("need at least 3 frames, got %d" % n)
+    frames = [_frame(curve) for curve in traj.curves]
     taus = np.asarray(traj.times, dtype=float)[1:-1]
-    d_vals = np.empty(n - 2)
-    c2_vals = np.empty(n - 2)
-    l2_vals = np.empty(n - 2)
-    for k, j in enumerate(range(1, n - 1)):
-        curve = traj.curves[j]
-        phi_prev = shrinker_quantity(traj.curves[j - 1])
-        phi_next = shrinker_quantity(traj.curves[j + 1])
-        span = traj.times[j + 1] - traj.times[j - 1]
-        d_vals[k] = _d_terms(curve, (phi_next - phi_prev) / span)
-        c2_vals[k] = phi_c2_norm(curve)
-        l2_vals[k] = math.sqrt(shrinker_energy(curve))
-    int_d = _cumtrapz(taus, d_vals)
-    int_c2 = _cumtrapz(taus, c2_vals)
+    d_vals = np.array([_budget(*frames[j - 1:j + 2],
+                               traj.times[j + 1] - traj.times[j - 1])
+                       for j in range(1, n - 1)])
+    c2_vals = np.array([fr.c2 for fr in frames[1:-1]])
+    l2_vals = np.array([math.sqrt(fr.itilde) for fr in frames[1:-1]])
     return {"tau": taus, "D": d_vals, "phiC2": c2_vals, "phiL2": l2_vals,
-            "intD": int_d, "intC2": int_c2}
+            "intD": _cumtrapz(taus, d_vals), "intC2": _cumtrapz(taus, c2_vals)}
 
 
 def _cumtrapz(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -246,13 +270,13 @@ def lojasiewicz_fit(traj, f_limit: float = ROUND_F_VALUE) -> LojasiewiczFit:
     WindowTooShort
         If fewer than 20 frames have a usable positive gap.
     """
-    n = len(traj)
-    taus = np.asarray(traj.times, dtype=float)
-    phi_l2 = np.empty(n)
-    gap = np.empty(n)
-    for j in range(n):
-        phi_l2[j] = math.sqrt(shrinker_energy(traj.curves[j]))
-        gap[j] = f_functional(traj.curves[j]) - f_limit
+    return _lojasiewicz(traj.times, [_frame(c) for c in traj.curves], f_limit)
+
+
+def _lojasiewicz(times, frames: list, f_limit: float) -> LojasiewiczFit:
+    taus = np.asarray(times, dtype=float)
+    phi_l2 = np.array([math.sqrt(fr.itilde) for fr in frames])
+    gap = np.array([fr.f - f_limit for fr in frames])
     usable = (gap > 1e-13) & (phi_l2 > 1e-13)
     if not usable.any():
         raise ExactShrinker("trajectory sits on the limit shrinker; "
@@ -300,13 +324,11 @@ class FrequencyTrace:
 
     columns holds one array per CSV column (TRACE_COLUMNS order); underflow
     rows carry zeros in the quotient fields and are excluded from every fit.
-    The check arrays and fitted scalars summarize the verified inequalities.
+    The margin array and fitted scalars summarize the verified inequalities.
     """
 
     columns: dict
-    lower_envelope: np.ndarray
     inequality_margin: np.ndarray
-    rayleigh_ok: np.ndarray
     lambda_bound: float
     lambda_fit: float
     offset_fit: float
@@ -320,18 +342,8 @@ class FrequencyTrace:
         return len(self.columns["tau"])
 
     def save_csv(self, path) -> None:
-        rows = [",".join(TRACE_COLUMNS)]
-        cols = [self.columns[name] for name in TRACE_COLUMNS]
-        for j in range(len(self)):
-            parts = []
-            for name, col in zip(TRACE_COLUMNS, cols):
-                if name == "underflow":
-                    parts.append(str(int(col[j])))
-                else:
-                    parts.append(ioutil.format_float(float(col[j])))
-            rows.append(",".join(parts))
-        with open(path, "w") as fh:
-            fh.write("\n".join(rows) + "\n")
+        ioutil.write_csv(path, TRACE_COLUMNS,
+                         zip(*(self.columns[name] for name in TRACE_COLUMNS)))
 
     def summary_dict(self) -> dict:
         return {
@@ -348,14 +360,15 @@ class FrequencyTrace:
         ioutil.dump_json(self.summary_dict(), path)
 
 
-def _common_frames(base_traj, target_traj):
+def _common_frames(base_traj, target_traj) -> list:
+    """(base index, target index) of the frames the two share in time."""
     ta = np.asarray(base_traj.times, dtype=float)
     tb = np.asarray(target_traj.times, dtype=float)
     pairs = []
     i = j = 0
     while i < ta.size and j < tb.size:
         if abs(ta[i] - tb[j]) <= 1e-9 * (1.0 + abs(ta[i])):
-            pairs.append((ta[i], base_traj.curves[i], target_traj.curves[j]))
+            pairs.append((i, j))
             i += 1
             j += 1
         elif ta[i] < tb[j]:
@@ -365,9 +378,8 @@ def _common_frames(base_traj, target_traj):
     return pairs
 
 
-def monitor(base_traj, target_traj, *, lambda_bound: float | None = None,
-            fit_fraction: float = 0.4,
-            rayleigh_stride: int | None = None) -> FrequencyTrace:
+def monitor(base_traj, target_traj, *,
+            fit_fraction: float = 0.4) -> FrequencyTrace:
     """Track one flow as a normal graph over another and verify the
     frequency inequalities frame by frame.
 
@@ -381,9 +393,9 @@ def monitor(base_traj, target_traj, *, lambda_bound: float | None = None,
       * U <= 2 Lambda + 1e-10 against the spectral bound;
       * no super-exponential collapse of I over the fit window.
 
-    lambda_bound (the top eigenvalue along the base) is computed via a
-    strided eigensolve when not supplied. Fits use the trailing
-    fit_fraction of non-underflow rows.
+    Lambda (the top eigenvalue along the base) comes from an eigensolve
+    of every max(1, k // 12)-th base frame and the last, k the number of
+    common frames. Fits use the trailing fit_fraction of non-underflow rows.
     """
     if getattr(base_traj, "picture", "rmcf") != "rmcf" or \
             getattr(target_traj, "picture", "rmcf") != "rmcf":
@@ -393,92 +405,69 @@ def monitor(base_traj, target_traj, *, lambda_bound: float | None = None,
         raise FrameMissing("only %d common frames between the trajectories"
                            % len(pairs))
     k = len(pairs)
+    curves = [base_traj.curves[i] for i, _ in pairs]
+    taus = np.array([base_traj.times[i] for i, _ in pairs], dtype=float)
+    # the m x m temporaries of normal_graph and of the eigensolves set the
+    # peak memory, so both run before the frame records are held
+    u_fields = [normal_graph(bc, target_traj.curves[t]).values
+                for bc, (_, t) in zip(curves, pairs)]
+    _, _, lambda_bound = spectral.rayleigh_bound(base_traj,
+                                                 stride=max(1, k // 12))
+    records = [_frame(curve) for curve in base_traj.curves]
+    frames = [records[i] for i, _ in pairs]
 
-    taus = np.array([p[0] for p in pairs])
-    u_fields, w_fields, lu_fields = [], [], []
     i_vals = np.empty(k)
-    f_vals = np.empty(k)
-    itilde = np.empty(k)
-    phi_fields = []
-    for j, (tau, bc, tc) in enumerate(pairs):
-        u = normal_graph(bc, tc).values
-        u_fields.append(u)
-        w_fields.append(gaussian_weights(bc))
-        lu_fields.append(apply_L(bc, u))
-        i_vals[j] = float(np.sum(w_fields[j] * u * u))
-        f_vals[j] = f_functional(bc)
-        itilde[j] = shrinker_energy(bc)
-        phi_fields.append(shrinker_quantity(bc))
-
-    under = i_vals <= ENERGY_FLOOR
     u_quot = np.zeros(k)
     corr = np.zeros(k)
     dirat = np.zeros(k)
-    for j, (tau, bc, tc) in enumerate(pairs):
-        if under[j]:
+    for j, (bc, fr, u) in enumerate(zip(curves, frames, u_fields)):
+        i_vals[j] = float(np.sum(fr.weights * u * u))
+        if i_vals[j] <= ENERGY_FLOOR:
             continue
-        u = u_fields[j]
-        u_quot[j] = frequency_U(bc, u)
-        corr[j] = float(np.sum(w_fields[j] * phi_fields[j] ** 2 * u * u)) \
-            / i_vals[j]
-        dirat[j] = dirichlet_energy(bc, u) / i_vals[j]
-
-    if lambda_bound is None:
-        if rayleigh_stride is None:
-            rayleigh_stride = max(1, k // 12)
-        _, _, lambda_bound = spectral.rayleigh_bound(base_traj,
-                                                     stride=rayleigh_stride)
+        dirichlet = dirichlet_energy(bc, u)
+        u_quot[j] = _quotient(fr.weights, bc, u, i_vals[j], dirichlet)
+        corr[j] = float(np.sum(fr.weights * fr.phi ** 2 * u * u)) / i_vals[j]
+        dirat[j] = dirichlet / i_vals[j]
+    under = i_vals <= ENERGY_FLOOR
 
     n_rows = k - 2
     cols = {name: np.zeros(n_rows) for name in TRACE_COLUMNS}
     margin = np.zeros(n_rows)
-    ray_ok = np.ones(n_rows, dtype=bool)
     flags: list = []
     for r, j in enumerate(range(1, k - 1)):
-        tau, bc, tc = pairs[j]
+        tau = taus[j]
         span = taus[j + 1] - taus[j - 1]
-        u = u_fields[j]
-        du_dtau = (u_fields[j + 1] - u_fields[j - 1]) / span
-        resid = du_dtau - lu_fields[j]
-        u_arc, _ = arc_derivatives(bc, u)
-        fitted_c = float((np.abs(resid) / (np.abs(u) + np.abs(u_arc)
-                                           + 1e-14)).max())
-        d_val = _d_terms(bc, (phi_fields[j + 1] - phi_fields[j - 1]) / span)
-        row_under = bool(under[j - 1] or under[j] or under[j + 1])
-        dlog_i = 0.0 if row_under else \
-            (math.log(i_vals[j + 1]) - math.log(i_vals[j - 1])) / span
-        v_main = 0.0
-        v_err = 0.0
-        if not row_under:
-            v_main = 4.0 * float(np.sum(w_fields[j] * lu_fields[j] ** 2)) \
-                / i_vals[j] - u_quot[j] ** 2
-            v_err = (u_quot[j + 1] - u_quot[j - 1]) / span - v_main
-
+        mid = frames[j]
+        report = residual(curves[j], u_fields[j - 1], u_fields[j],
+                          u_fields[j + 1], span / 2)
+        d_val = _budget(frames[j - 1], mid, frames[j + 1], span)
+        row_under = bool(under[j - 1:j + 2].any())
         cols["tau"][r] = tau
         cols["I"][r] = i_vals[j]
         cols["U"][r] = u_quot[j]
-        cols["Itilde"][r] = itilde[j]
-        cols["F"][r] = f_vals[j]
-        cols["dFdtau"][r] = (f_vals[j + 1] - f_vals[j - 1]) / span
-        cols["phiL2"][r] = math.sqrt(itilde[j])
+        cols["Itilde"][r] = mid.itilde
+        cols["F"][r] = mid.f
+        cols["dFdtau"][r] = (frames[j + 1].f - frames[j - 1].f) / span
+        cols["phiL2"][r] = math.sqrt(mid.itilde)
         cols["D"][r] = d_val
-        cols["fittedC"][r] = fitted_c
+        cols["fittedC"][r] = report.fitted_c
+        cols["underflow"][r] = float(row_under)
+        if row_under:
+            continue
+
+        dlog_i = (math.log(i_vals[j + 1]) - math.log(i_vals[j - 1])) / span
+        v_main = 4.0 * float(np.sum(mid.weights * report.drift ** 2)) \
+            / i_vals[j] - u_quot[j] ** 2
         cols["dlogI"][r] = dlog_i
         cols["Vmain"][r] = v_main
-        cols["Verr"][r] = v_err
-        cols["underflow"][r] = float(row_under)
-
-        if row_under:
-            margin[r] = 0.0
-            continue
+        cols["Verr"][r] = (u_quot[j + 1] - u_quot[j - 1]) / span - v_main
         lhs = abs(dlog_i - (u_quot[j] - corr[j]))
-        rhs = 3.0 * (fitted_c + d_val) + fitted_c * dirat[j]
+        rhs = 3.0 * (report.fitted_c + d_val) + report.fitted_c * dirat[j]
         margin[r] = rhs - lhs
         if margin[r] < -1e-9:
             flags.append("frequency-inequality violated at tau = %.6g "
                          "(lhs %.3g > rhs %.3g)" % (tau, lhs, rhs))
         if u_quot[j] > 2.0 * lambda_bound + 1e-10:
-            ray_ok[r] = False
             flags.append("rayleigh bound violated at tau = %.6g "
                          "(U = %.6g, Lambda = %.6g)"
                          % (tau, u_quot[j], lambda_bound))
@@ -486,11 +475,8 @@ def monitor(base_traj, target_traj, *, lambda_bound: float | None = None,
     good = cols["underflow"] == 0.0
     lam_fit = offset_fit = 0.0
     u_inf = 0.0
-    envelope = np.zeros(n_rows)
     if good.any():
         u_good = cols["U"][good]
-        env = np.minimum.accumulate(u_good[::-1])[::-1]
-        envelope[good] = env
         start = int(math.ceil((1.0 - fit_fraction) * int(good.sum())))
         start = min(start, int(good.sum()) - 2) if good.sum() > 2 else 0
         tw = cols["tau"][good][start:]
@@ -507,19 +493,16 @@ def monitor(base_traj, target_traj, *, lambda_bound: float | None = None,
                              "fit window")
 
     integral_d = float(np.trapezoid(cols["D"], cols["tau"]))
-    c2_vals = np.array([phi_c2_norm(pairs[j][1]) for j in range(1, k - 1)])
+    c2_vals = np.array([fr.c2 for fr in frames[1:-1]])
     integral_c2 = float(np.trapezoid(c2_vals, cols["tau"]))
 
-    theta_fit: float | None = None
     try:
-        theta_fit = lojasiewicz_fit(base_traj).theta
+        theta_fit = _lojasiewicz(base_traj.times, records, ROUND_F_VALUE).theta
     except (ExactShrinker, WindowTooShort):
         theta_fit = None
 
     return FrequencyTrace(columns=cols,
-                          lower_envelope=envelope,
                           inequality_margin=margin,
-                          rayleigh_ok=ray_ok,
                           lambda_bound=float(lambda_bound),
                           lambda_fit=lam_fit,
                           offset_fit=offset_fit,

@@ -51,9 +51,11 @@ class GraphFunction:
 
     def seminorms(self):
         """(sup|u|, sup|u'|, sup|u''|)."""
-        u, du, d2u = self.arc_derivatives()
-        return (float(np.abs(u).max()), float(np.abs(du).max()),
-                float(np.abs(d2u).max()))
+        return _sup_norms(*self.arc_derivatives())
+
+
+def _sup_norms(*fields) -> tuple:
+    return tuple(float(np.abs(f).max()) for f in fields)
 
 
 def arc_derivatives(base: DiscreteCurve, values: np.ndarray):
@@ -179,6 +181,7 @@ class ResidualReport:
     max_residual = sup |du/dtau - L u| at the middle frame; fitted_c is the
     smallest C with |residual| <= C (|u| + |u'|) pointwise; quad_ratio
     normalizes by the quadratic smallness scale ||u||_C2 (sup|u|+sup|u'|).
+    drift is L u at the middle frame.
     """
 
     tau: float
@@ -187,6 +190,7 @@ class ResidualReport:
     norms_u: tuple
     quad_ratio: float
     residual: np.ndarray
+    drift: np.ndarray
 
     def to_dict(self):
         return {
@@ -214,10 +218,10 @@ def residual(base: DiscreteCurve, u_prev, u_mid, u_next, dtau: float,
                     np.asarray(u, dtype=float))
     u_prev, u_mid, u_next = vals
     du_dt = (u_next - u_prev) / (2.0 * dtau)
-    res = du_dt - apply_L(base, u_mid)
-    graph = GraphFunction(base=base, values=u_mid)
-    c0, c1, c2 = graph.seminorms()
-    _, du, _ = graph.arc_derivatives()
+    drift = apply_L(base, u_mid)
+    res = du_dt - drift
+    du, d2u = arc_derivatives(base, u_mid)
+    c0, c1, c2 = _sup_norms(u_mid, du, d2u)
     gauge_size = np.abs(u_mid) + np.abs(du)
     fitted_c = float((np.abs(res) / (gauge_size + 1e-14)).max())
     cum_c2 = c0 + c1 + c2
@@ -229,4 +233,5 @@ def residual(base: DiscreteCurve, u_prev, u_mid, u_next, dtau: float,
         norms_u=(c0, c0 + c1, cum_c2),
         quad_ratio=quad_ratio,
         residual=res,
+        drift=drift,
     )

@@ -19,6 +19,14 @@ def format_float(x) -> str:
     return "%.17g" % x
 
 
+def write_csv(path, header, rows) -> None:
+    """Write a header line, then one line per row of format_float cells."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(format_float(v) for v in row) + "\n")
+
+
 def _render(obj, indent: int) -> str:
     pad = "  " * indent
     inner = "  " * (indent + 1)

@@ -237,8 +237,9 @@ def validate_config(raw: dict) -> ScenarioConfig:
         raise ConfigInvalid("must be one of %s" % ", ".join(GAUGES),
                             field="gauge")
     count = _as_int(raw, "count")
-    if count is not None and count < 1:
-        raise ConfigInvalid("must be at least 1, got %d" % count, field="count")
+    if count is not None and not 1 <= count <= m:
+        raise ConfigInvalid("must be in [1, m = %d], got %d" % (m, count),
+                            field="count")
     mode_k = _as_int(raw, "mode_k", default=2)
     if mode_k < 0:
         raise ConfigInvalid("must be nonnegative, got %d" % mode_k, field="mode_k")
@@ -488,11 +489,8 @@ def _run_gauge_residual(config: ScenarioConfig) -> dict:
         rows.append((eps, report.tau, report.max_residual, report.fitted_c,
                      report.norms_u[0], report.norms_u[1], report.norms_u[2],
                      report.quad_ratio))
-    path = os.path.join(config.out, "trace.csv")
-    with open(path, "w") as fh:
-        fh.write(",".join(_RESIDUAL_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(ioutil.format_float(v) for v in row) + "\n")
+    ioutil.write_csv(os.path.join(config.out, "trace.csv"),
+                     _RESIDUAL_COLUMNS, rows)
     ratios = [r.quad_ratio for r in reports]
     return {
         "scenario": config.scenario,
@@ -660,12 +658,8 @@ def experiment_rate(config: ScenarioConfig) -> dict:
         verdict = "consistent" if matches else "slope-mismatch"
 
     traj.save(config.out)
-    path = os.path.join(config.out, "trace.csv")
-    with open(path, "w") as fh:
-        fh.write("tau,dH,phiL2\n")
-        for j in range(len(taus)):
-            fh.write(",".join(ioutil.format_float(v)
-                              for v in (taus[j], dh[j], phi_l2[j])) + "\n")
+    ioutil.write_csv(os.path.join(config.out, "trace.csv"),
+                     ("tau", "dH", "phiL2"), zip(taus, dh, phi_l2))
     return {
         "scenario": config.scenario,
         "m": config.m,

@@ -25,7 +25,7 @@ from shrinkerlab.frequency import (
     shrinker_energy,
     superexponential_flag,
 )
-from shrinkerlab.gauge import reconstruct
+from shrinkerlab.gauge import normal_graph, reconstruct, residual
 from shrinkerlab.spectral import assemble, eigenpairs
 
 SQRT2 = math.sqrt(2.0)
@@ -279,6 +279,30 @@ def test_monitor_real_two_flow_run():
     df = trace.columns["dFdtau"]
     big = it > 1e-8
     assert np.abs(df[big] + it[big]).max() < 5e-3 * it[big].max()
+
+
+def test_monitor_columns_equal_public_helpers():
+    # one record per base frame feeds the monitor; its columns must be the
+    # very numbers the public helpers return on the paired frames
+    a = run_rmcf(normalized_perturbed_circle(0.03, m=96), 1.0,
+                 frame_dtau=0.05)
+    b = run_rmcf(normalized_perturbed_circle(-0.02, m=96), 1.0,
+                 frame_dtau=0.05)
+    trace = monitor(a, b)
+    cols = trace.columns
+    assert len(trace) == len(a) - 2
+    for r, tau in enumerate(cols["tau"]):
+        j = r + 1
+        assert a.times[j] == tau and b.times[j] == tau
+        base = a.curves[j]
+        u = [normal_graph(a.curves[i], b.curves[i]).values
+             for i in (j - 1, j, j + 1)]
+        span = a.times[j + 1] - a.times[j - 1]
+        assert cols["Itilde"][r] == shrinker_energy(base)
+        assert cols["F"][r] == f_functional(base)
+        assert cols["D"][r] == d_coefficient(a, tau)
+        assert cols["U"][r] == frequency_U(base, u[1])
+        assert cols["fittedC"][r] == residual(base, *u, span / 2).fitted_c
 
 
 def test_monitor_requires_rescaled_pictures():

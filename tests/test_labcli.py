@@ -513,3 +513,17 @@ out = %s
     monkeypatch.setattr(labcli, "run",
                         lambda cfg: {"verdict": "superexponential-flagged"})
     assert main(["spectrum", "--config", path]) == 2
+
+
+def test_main_count_above_m_is_a_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, """
+scenario = spectrum
+curve1 = circle(1.4142135623730951)
+m = 64
+count = 100
+out = %s
+""" % (tmp_path / "x"))
+    assert main(["spectrum", "--config", path]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: count: ")
+    assert not (tmp_path / "x").exists()
