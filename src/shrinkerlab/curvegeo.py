@@ -65,46 +65,60 @@ def segment_lengths(points: np.ndarray) -> np.ndarray:
     return np.hypot(*(np.roll(points, -1, axis=0) - points).T)
 
 
-def _is_star_shaped(points: np.ndarray) -> bool:
-    """Sufficient simplicity test: star-shaped about the vertex mean, O(m).
+def star_angles(points: np.ndarray):
+    """Vertex mean and polar angles about it, or None if not star-shaped.
 
-    Polar angles about the mean must advance strictly, each step under pi,
-    winding exactly once; then every ray meets the polyline once, so it
-    cannot cross itself.
+    Star-shaped here is a sufficient simplicity test, O(m): the polar
+    angles about the mean must advance strictly, each step under pi,
+    winding exactly once. Then every ray from the mean meets the polyline
+    once, so it cannot cross itself, and segment i lies in the angular
+    sector between its end vertices.
     """
     c = points.mean(axis=0)
     ang = np.arctan2(points[:, 1] - c[1], points[:, 0] - c[0])
     step = (np.roll(ang, -1) - ang) % (2.0 * np.pi)
     if not bool(np.all((step > 1e-12) & (step < np.pi - 1e-12))):
-        return False
-    return abs(float(step.sum()) - 2.0 * np.pi) < 1e-9
+        return None
+    if abs(float(step.sum()) - 2.0 * np.pi) >= 1e-9:
+        return None
+    return c, ang
+
+
+#: rows per block in the all-pairs fallbacks, which bounds their temporaries
+#: to a few (_BLOCK, m) arrays
+_BLOCK = 256
 
 
 def _has_self_intersection(points: np.ndarray) -> bool:
     """Proper-crossing test over all non-adjacent segment pairs.
 
     A star-shapedness pre-pass dispatches the overwhelmingly common convex
-    and near-convex inputs in O(m); only the rest pay the O(m^2) scan.
+    and near-convex inputs in O(m); only the rest pay the O(m^2) scan, in
+    blocks of _BLOCK segments against all others.
     """
-    if _is_star_shaped(points):
+    if star_angles(points) is not None:
         return False
     m = points.shape[0]
     p = points
     q = np.roll(points, -1, axis=0)
     d = q - p
-    # cross(d_i, p_j - p_i) for all pairs
-    rx = p[None, :, 0] - p[:, None, 0]
-    ry = p[None, :, 1] - p[:, None, 1]
-    sx = q[None, :, 0] - p[:, None, 0]
-    sy = q[None, :, 1] - p[:, None, 1]
-    d1 = d[:, None, 0] * ry - d[:, None, 1] * rx
-    d2 = d[:, None, 0] * sy - d[:, None, 1] * sx
-    # and the transposed roles
-    cross = (d1 * d2 < 0.0) & (d1 * d2 < 0.0).T
     idx = np.arange(m)
-    adj = np.abs(idx[:, None] - idx[None, :]) % m
-    cross[(adj == 0) | (adj == 1) | (adj == m - 1)] = False
-    return bool(cross.any())
+    j = idx[None, :]
+
+    def side(a, b, ends):
+        """cross(d_a, ends_b - p_a), broadcast over the index arrays a, b."""
+        return d[a, 0] * (ends[b, 1] - p[a, 1]) - d[a, 1] * (ends[b, 0] - p[a, 0])
+
+    for lo in range(0, m, _BLOCK):
+        i = idx[lo:lo + _BLOCK, None]
+        # segment j straddles the line of segment i, and the other way round
+        cross = ((side(i, j, p) * side(i, j, q) < 0.0)
+                 & (side(j, i, p) * side(j, i, q) < 0.0))
+        adj = np.abs(i - j) % m
+        cross[(adj == 0) | (adj == 1) | (adj == m - 1)] = False
+        if cross.any():
+            return True
+    return False
 
 
 class DiscreteCurve:
@@ -304,17 +318,23 @@ def f_functional(curve: DiscreteCurve) -> float:
 
 
 def _points_to_segments_max(a: np.ndarray, b: np.ndarray) -> float:
-    """max over nodes of `a` of the distance to the closed polyline `b`."""
+    """max over nodes of `a` of the distance to the closed polyline `b`.
+
+    All pairs, in blocks of _BLOCK nodes of `a`.
+    """
     s = b
     d = np.roll(b, -1, axis=0) - b
     dd = np.einsum("ij,ij->i", d, d)
-    # t = clamp(<a_i - s_j, d_j> / |d_j|^2), broadcast over (na, nb)
-    diff = a[:, None, :] - s[None, :, :]
-    t = np.einsum("ijk,jk->ij", diff, d) / dd[None, :]
-    np.clip(t, 0.0, 1.0, out=t)
-    closest = diff - t[:, :, None] * d[None, :, :]
-    dist2 = np.einsum("ijk,ijk->ij", closest, closest)
-    return float(np.sqrt(dist2.min(axis=1).max()))
+    worst = 0.0
+    for lo in range(0, a.shape[0], _BLOCK):
+        # t = clamp(<a_i - s_j, d_j> / |d_j|^2), broadcast over (block, nb)
+        diff = a[lo:lo + _BLOCK, None, :] - s[None, :, :]
+        t = np.einsum("ijk,jk->ij", diff, d) / dd[None, :]
+        np.clip(t, 0.0, 1.0, out=t)
+        closest = diff - t[:, :, None] * d[None, :, :]
+        dist2 = np.einsum("ijk,ijk->ij", closest, closest)
+        worst = max(worst, float(dist2.min(axis=1).max()))
+    return float(np.sqrt(worst))
 
 
 def hausdorff_distance(a: DiscreteCurve, b: DiscreteCurve) -> float:

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fourier, ioutil
-from .curvegeo import TWO_PI, DiscreteCurve, gaussian_density, geometry
+from .curvegeo import (TWO_PI, DiscreteCurve, gaussian_density, geometry,
+                       star_angles)
 from .errors import NotAGraph
 
 #: relative u-gap below which two normal-line hits count as the same point
@@ -72,15 +73,92 @@ def reconstruct(base: DiscreteCurve, values) -> DiscreteCurve:
     return DiscreteCurve(base.points + values[:, None] * normal)
 
 
+#: base normals per block of the crossing search, which bounds its arrays
+#: to _ROWS x m_target candidate pairs when every row is full
+_ROWS = 256
+
+
+def _sectors(p):
+    """(c, sorted polar angles about c, the roll j0 that sorts them) for the
+    vertex mean c of the polyline p, or None if p is not star-shaped about c."""
+    polar = star_angles(p)
+    if polar is None:
+        return None
+    c, ang = polar
+    j0 = int(np.argmin(ang))
+    return c, np.roll(ang, -j0), j0
+
+
+def _candidate_pairs(j, x, nu, half: float, m_t: int, sectors):
+    """(rows, cols): the base normals j and target segments i that may cross.
+
+    If the target is star-shaped about its vertex mean c, segment i lies in
+    the angular sector between its end vertices, and every point of normal
+    segment j, x_j +- half nu_j, lies on the arc between the angles of its
+    two end points (the shorter one; when the segment passes through c,
+    its crossings sit at the ends of either half-turn). Row j takes the
+    segments whose sectors meet that arc, widened by one segment on each
+    side for crossings within the s-slack of a segment end. A row takes
+    every segment when that range would cover them all, and every row does
+    when the target is not star-shaped (`sectors` None).
+    """
+    count = np.full(j.size, m_t)
+    first = np.zeros(j.size, dtype=np.intp)
+    if sectors is not None:
+        c, sorted_ang, j0 = sectors
+        e0 = x[j] - half * nu[j] - c
+        e1 = x[j] + half * nu[j] - c
+        a0 = np.arctan2(e0[:, 1], e0[:, 0])
+        a1 = np.arctan2(e1[:, 1], e1[:, 0])
+        # the shorter arc runs counterclockwise from a0 to a1 (the sign of a
+        # difference is exact; a wrapped one flips it)
+        turn = a1 - a0
+        ccw = np.where(np.abs(turn) <= np.pi, turn >= 0.0, turn < 0.0)
+        # sector k of the sorted order runs from sorted vertex k to k + 1:
+        # it is segment (k + j0) mod m_t
+        k_lo = np.searchsorted(sorted_ang, np.where(ccw, a0, a1)) - 1
+        k_hi = np.searchsorted(sorted_ang, np.where(ccw, a1, a0)) - 1
+        # sectors k_lo..k_hi, and one more on each side
+        span = (k_hi - k_lo) % m_t + 3
+        windowed = span < m_t
+        count[windowed] = span[windowed]
+        first[windowed] = (k_lo[windowed] - 1 + j0) % m_t
+    offsets = np.cumsum(count) - count
+    rows = np.repeat(j, count)
+    cols = (np.arange(rows.size) + np.repeat(first - offsets, count)) % m_t
+    return rows, cols
+
+
+def _crossings(j, x, nu, half: float, p, d, sectors):
+    """(rows, cols, u, s) of every crossing x_j + u nu_j = p_i + s d_i of the
+    normals j with |u| < half and s in [0, 1] up to 1e-9."""
+    rows, cols = _candidate_pairs(j, x, nu, half, p.shape[0], sectors)
+    rx = p[cols, 0] - x[rows, 0]
+    ry = p[cols, 1] - x[rows, 1]
+    dx = d[cols, 0]
+    dy = d[cols, 1]
+    nx = nu[rows, 0]
+    ny = nu[rows, 1]
+    den = nx * dy - ny * dx
+    ok = np.abs(den) > 1e-14
+    safe_den = np.where(ok, den, 1.0)
+    u = (rx * dy - ry * dx) / safe_den
+    s = (rx * ny - ry * nx) / safe_den
+    hit = ok & (s >= -1e-9) & (s <= 1.0 + 1e-9) & (np.abs(u) < half)
+    return rows[hit], cols[hit], u[hit], s[hit]
+
+
 def normal_graph(base: DiscreteCurve, target: DiscreteCurve,
                  reach: float | None = None) -> GraphFunction:
     """Write `target` as a normal graph over `base`.
 
     Each base normal line is intersected with the target polyline (exact
-    segment test, all crossings found); the unique crossing with |u| below
-    reach/2 seeds a 2x2 Newton iteration on the target's trigonometric
-    interpolant. NotAGraph if a normal line finds no crossing or more than
-    one within the window, or if the final height reaches reach/2.
+    segment test over the candidate segments of `_candidate_pairs`, all
+    crossings found, _ROWS normals at a time); the unique crossing with |u|
+    below reach/2 seeds a 2x2 Newton iteration on the target's
+    trigonometric interpolant. NotAGraph if a normal line finds no crossing
+    or more than one within the window, or if the final height reaches
+    reach/2.
 
     reach defaults to 1/max|H| of the target.
     """
@@ -92,26 +170,19 @@ def normal_graph(base: DiscreteCurve, target: DiscreteCurve,
     nu = base_geom.normal
     p = target.points
     d = np.roll(p, -1, axis=0) - p
-
-    # all base-node x target-segment crossings: x_j + u nu_j = p_i + s d_i
-    rx = p[None, :, 0] - x[:, None, 0]
-    ry = p[None, :, 1] - x[:, None, 1]
-    den = nu[:, None, 0] * d[None, :, 1] - nu[:, None, 1] * d[None, :, 0]
-    ok = np.abs(den) > 1e-14
-    safe_den = np.where(ok, den, 1.0)
-    u_all = (rx * d[None, :, 1] - ry * d[None, :, 0]) / safe_den
-    s_all = (rx * nu[:, None, 1] - ry * nu[:, None, 0]) / safe_den
-    hit = ok & (s_all >= -1e-9) & (s_all <= 1.0 + 1e-9) & (np.abs(u_all) < half)
-
     m = base.m
+    sectors = _sectors(p)
+    idx = np.arange(m)
+    blocks = [_crossings(idx[lo:lo + _ROWS], x, nu, half, p, d, sectors)
+              for lo in range(0, m, _ROWS)]
+    rows, cols, uvals, svals = (np.concatenate(a) for a in zip(*blocks))
+
     tol = _CLUSTER_TOL * (1.0 + reach)
-    counts = hit.sum(axis=1)
-    # group the crossings by normal, ordered by height within each group;
-    # crossings at shared segment endpoints appear twice, so real
-    # multiplicity shows as u-gaps far above rounding
-    rows, cols = np.nonzero(hit)
-    uvals = u_all[rows, cols]
-    order = np.lexsort((uvals, rows))
+    counts = np.bincount(rows, minlength=m)
+    # group the crossings by normal, ordered by height within each group
+    # (ties by segment); crossings at shared segment endpoints appear twice,
+    # so real multiplicity shows as u-gaps far above rounding
+    order = np.lexsort((cols, uvals, rows))
     rows_s = rows[order]
     cols_s = cols[order]
     u_s = uvals[order]
@@ -124,14 +195,14 @@ def normal_graph(base: DiscreteCurve, target: DiscreteCurve,
         if j_zero < j_gap:
             raise NotAGraph("no target point within reach/2 along normal %d"
                             % j_zero)
-        uj = np.sort(u_all[j_gap, np.nonzero(hit[j_gap])[0]])
+        uj = u_s[rows_s == j_gap]
         clusters = 1 + int(np.count_nonzero(np.diff(uj) > tol))
         raise NotAGraph("normal %d crosses the target %d times within "
                         "reach/2" % (j_gap, clusters))
     starts = np.searchsorted(rows_s, np.arange(m))
     u0 = u_s[starts]
     seg = cols_s[starts]
-    frac = np.clip(s_all[rows_s[starts], seg], 0.0, 1.0)
+    frac = np.clip(svals[order][starts], 0.0, 1.0)
 
     # Newton polish on the target interpolant: c(theta) - x - u nu = 0
     c_coef = fourier.coeffs(p)

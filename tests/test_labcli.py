@@ -347,8 +347,8 @@ def test_separation_identical_curves_underflow(tmp_path):
         "scenario": "separation", "curve1": "circle(1)", "curve2": "circle(1)",
         "m": "96", "out": str(tmp_path / "same"), "tau_end": "2"})
     summary = run(cfg)
-    assert summary["verdict"] == "consistent"
-    assert summary["dhSlope"] is None
+    assert summary["verdict"] == "coincident"
+    assert summary["dhSlope"] is None and summary["lambdaFit"] is None
     assert summary["underflowFraction"] == 1.0
 
 
@@ -359,6 +359,31 @@ def test_separation_rejects_nonconvex(tmp_path):
         "out": str(tmp_path / "nc"), "tau_end": "2"})
     with pytest.raises(ConfigInvalid, match="curve2"):
         run(cfg)
+
+
+@pytest.mark.parametrize("curve", ["circle(1)",
+                                   "ellipse(1.1, 0.9090909090909091)"])
+def test_separation_coincident_flows(curve, tmp_path, capsys):
+    """M1 = M2: a flow against itself gets its own clean verdict, no fits."""
+    out = tmp_path / "same"
+    path = write_config(tmp_path, """
+scenario = separation
+curve1 = %s
+curve2 = %s
+m = 128
+tau_end = 3
+out = %s
+""" % (curve, curve, out))
+    assert main(["separation", "--config", path]) == 0
+    assert "verdict: coincident" in capsys.readouterr().out
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["verdict"] == "coincident"
+    for key in ("dhSlope", "lambdaFit", "offsetFit", "Uinf", "slopesMatch"):
+        assert summary[key] is None, key
+    assert summary["underflowFraction"] == 1.0
+    assert summary["Lambda"] > 0.0
+    frequency = json.loads((out / "separation.json").read_text())["frequencySummary"]
+    assert frequency["lambdaFit"] is None and frequency["Uinf"] is None
 
 
 def test_separation_cross_resolution_slope(separation_result, tmp_path):
