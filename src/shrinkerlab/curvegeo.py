@@ -15,6 +15,7 @@ the stationary profile of the rescaled flow.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,9 @@ METRIC_FLOOR = 1e-10
 SPACING_RATIO_MAX = 10.0
 
 MIN_NODES = 16
+
+#: lowest mode random_fourier perturbs; mode 1 would move the centroid
+_RANDOM_KMIN = 2
 
 
 def polygon_area(points: np.ndarray) -> float:
@@ -317,36 +321,113 @@ def f_functional(curve: DiscreteCurve) -> float:
     return float(gaussian_weights(curve).sum()) / np.sqrt(4.0 * np.pi)
 
 
-def _points_to_segments_max(a: np.ndarray, b: np.ndarray) -> float:
-    """max over nodes of `a` of the distance to the closed polyline `b`.
+#: points on which hausdorff_distance samples each trigonometric interpolant
+_M_DENSE = 8192
 
-    All pairs, in blocks of _BLOCK nodes of `a`.
-    """
-    s = b
-    d = np.roll(b, -1, axis=0) - b
-    dd = np.einsum("ij,ij->i", d, d)
+#: chord sag of that dense polygon on the round shrinker of radius sqrt(2):
+#: the smallest distance hausdorff_distance resolves
+HAUSDORFF_SAG = math.sqrt(2.0) * (1.0 - math.cos(math.pi / _M_DENSE))
+
+
+def _dense_points(curve: DiscreteCurve, m_dense: int) -> np.ndarray:
+    """Sample the curve's trigonometric interpolant on a finer grid."""
+    m = curve.m
+    if m_dense <= m:
+        return curve.points
+    coeffs = np.fft.rfft(curve.points, axis=0)
+    coeffs[m // 2] *= 0.5  # Nyquist bin splits when the band widens
+    padded = np.zeros((m_dense // 2 + 1, 2), dtype=complex)
+    padded[: m // 2 + 1] = coeffs
+    return np.fft.irfft(padded, n=m_dense, axis=0) * (m_dense / m)
+
+
+class _Polygon:
+    """Closed polygon: points x, y, edge vectors ex, ey to the next point,
+    their squared lengths ee and, if given, increasing polar angles ang."""
+
+    def __init__(self, points: np.ndarray, ang=None):
+        self.x, self.y = np.ascontiguousarray(points.T)
+        self.ex = np.roll(self.x, -1) - self.x
+        self.ey = np.roll(self.y, -1) - self.y
+        self.ee = self.ex * self.ex + self.ey * self.ey
+        self.ang = ang
+
+
+def _polar_polygon(curve: DiscreteCurve):
+    """The curve's interpolant on the dense grid, started at its least polar
+    angle about the origin, or None when that angle does not increase."""
+    pts = _dense_points(curve, _M_DENSE)
+    ang = np.arctan2(pts[:, 1], pts[:, 0])
+    j0 = int(np.argmin(ang))
+    ang = np.roll(ang, -j0)
+    if np.any(np.diff(ang) <= 0.0):
+        return None
+    return _Polygon(np.roll(pts, -j0, axis=0), ang)
+
+
+def _dist2(px, py, q: _Polygon, idx) -> np.ndarray:
+    """Squared distances from the points (px, py) to the segments idx of q,
+    broadcast; the same arithmetic for every shape, so bit for bit."""
+    ex = q.ex[idx]
+    ey = q.ey[idx]
+    wx = px - q.x[idx]
+    wy = py - q.y[idx]
+    t = (wx * ex + wy * ey) / q.ee[idx]
+    np.clip(t, 0.0, 1.0, out=t)
+    dx = wx - t * ex
+    dy = wy - t * ey
+    return dx * dx + dy * dy
+
+
+def _nearest2_max(px, py, q: _Polygon) -> float:
+    """max over the points (px, py) of the squared distance to polygon q,
+    all pairs, in blocks of _BLOCK**2 pairs to keep the temporaries small."""
+    step = max(1, _BLOCK * _BLOCK // q.x.shape[0])
     worst = 0.0
-    for lo in range(0, a.shape[0], _BLOCK):
-        # t = clamp(<a_i - s_j, d_j> / |d_j|^2), broadcast over (block, nb)
-        diff = a[lo:lo + _BLOCK, None, :] - s[None, :, :]
-        t = np.einsum("ijk,jk->ij", diff, d) / dd[None, :]
-        np.clip(t, 0.0, 1.0, out=t)
-        closest = diff - t[:, :, None] * d[None, :, :]
-        dist2 = np.einsum("ijk,ijk->ij", closest, closest)
+    for lo in range(0, px.shape[0], step):
+        dist2 = _dist2(px[lo:lo + step, None], py[lo:lo + step, None], q,
+                       slice(None))
         worst = max(worst, float(dist2.min(axis=1).max()))
-    return float(np.sqrt(worst))
+    return worst
+
+
+def _points_to_segments_max(a: np.ndarray, b: np.ndarray) -> float:
+    """max over nodes of `a` of the distance to the closed polyline `b`."""
+    return math.sqrt(_nearest2_max(a[:, 0], a[:, 1], _Polygon(b)))
+
+
+def _directed_sup(p: _Polygon, q: _Polygon) -> float:
+    """sup over the points of p of the distance to the polygon q.
+
+    The six segments around each point's polar angle in q bound its
+    distance from above. The worst point is checked against all segments,
+    then every point whose bound exceeds that exact distance: linear cost
+    when the window holds the nearest segments.
+    """
+    base = np.searchsorted(q.ang, p.ang)
+    best = np.full(p.x.shape[0], np.inf)
+    for off in range(-3, 3):
+        np.minimum(best, _dist2(p.x, p.y, q, (base + off) % q.x.size), out=best)
+    i = int(np.argmax(best))
+    sup2 = _nearest2_max(p.x[i:i + 1], p.y[i:i + 1], q)
+    loose = best > sup2
+    sup2 = max(sup2, _nearest2_max(p.x[loose], p.y[loose], q))
+    return math.sqrt(sup2)
 
 
 def hausdorff_distance(a: DiscreteCurve, b: DiscreteCurve) -> float:
-    """Symmetric two-sided Hausdorff distance between the polylines.
+    """Two-sided Hausdorff distance between the interpolants of two curves.
 
-    Node-to-segment in both directions; exact for the polylines up to chord
-    sag of the sampled smooth curves.
+    Exact between the _M_DENSE-point polygons of the interpolants, built
+    once per call, so it resolves HAUSDORFF_SAG on the round shrinker.
+    Curves not star-shaped about the origin fall back to the node polylines.
     """
-    return max(
-        _points_to_segments_max(a.points, b.points),
-        _points_to_segments_max(b.points, a.points),
-    )
+    pa = _polar_polygon(a)
+    pb = _polar_polygon(b) if pa is not None else None
+    if pb is None:
+        return max(_points_to_segments_max(a.points, b.points),
+                   _points_to_segments_max(b.points, a.points))
+    return max(_directed_sup(pa, pb), _directed_sup(pb, pa))
 
 
 def resample(curve: DiscreteCurve, m_new: int | None = None) -> DiscreteCurve:
@@ -435,20 +516,19 @@ def fourier_curve(r0: float, cos_coeffs=(), sin_coeffs=(), m: int = 256) -> Disc
     return DiscreteCurve(np.column_stack([r * np.cos(t), r * np.sin(t)]))
 
 
-def random_fourier(kmax: int, amplitude: float, seed: int = 0, m: int = 256,
-                   kmin: int = 2) -> DiscreteCurve:
+def random_fourier(kmax: int, amplitude: float, seed: int = 0,
+                   m: int = 256) -> DiscreteCurve:
     """Random smooth perturbation of the unit circle.
 
-    Modes k = kmin..kmax get uniform coefficients scaled by (kmin/k)^2 so the
-    leading mode carries roughly `amplitude`. Mode 1 is excluded by default to
-    keep the centroid near the origin.
+    Modes k = _RANDOM_KMIN..kmax get uniform coefficients scaled by
+    (_RANDOM_KMIN/k)^2 so the leading mode carries roughly `amplitude`.
     """
     rng = np.random.default_rng(seed)
     nk = kmax + 1
     cos_c = np.zeros(nk - 1)
     sin_c = np.zeros(nk - 1)
-    for k in range(kmin, kmax + 1):
-        scale = amplitude * (kmin / k) ** 2
+    for k in range(_RANDOM_KMIN, kmax + 1):
+        scale = amplitude * (_RANDOM_KMIN / k) ** 2
         cos_c[k - 1] = scale * rng.uniform(-1.0, 1.0)
         sin_c[k - 1] = scale * rng.uniform(-1.0, 1.0)
     return fourier_curve(1.0, cos_c, sin_c, m=m)

@@ -74,6 +74,9 @@ _GUARD_STRIDE = 8
 # Frames whose node spacing ratio exceeds this are redistributed by arclength.
 _RESAMPLE_RATIO = 1.05
 
+# estimate_singularity fits over this trailing fraction of the frames (>= 5).
+_SINGULAR_WINDOW = 0.25
+
 
 # ARS(4,4,3) tableau (Ascher, Ruuth & Spiteri 1997, section 2.8): stages 2-5
 # of the explicit part, and the implicit off-diagonal entries from column 2
@@ -519,8 +522,7 @@ class SingularityEstimate:
         }
 
 
-def estimate_singularity(traj: FlowTrajectory,
-                         window_fraction: float = 0.25) -> SingularityEstimate:
+def estimate_singularity(traj: FlowTrajectory) -> SingularityEstimate:
     """Extrapolate the singular time and point from an unrescaled run.
 
     The singular time comes from the exact area law A(t) = 2*pi*(T - t):
@@ -539,7 +541,7 @@ def estimate_singularity(traj: FlowTrajectory,
     if area[-1] > 0.5 * area[0]:
         raise NotShrinking("flow did not get close enough to the singular time")
     n = len(t)
-    k = max(5, int(round(window_fraction * n)))
+    k = max(5, int(round(_SINGULAR_WINDOW * n)))
     lo = n - k
     t_win = t[lo:]
     t_hats = t_win + area[lo:] / TWO_PI

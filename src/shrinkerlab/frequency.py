@@ -245,8 +245,8 @@ def _cumtrapz(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 class LojasiewiczFit:
     """Power-law fit of the deviation norm against the energy gap.
 
-    The exponent theta fits ||phi||_L2 ~ (F - F_limit)^(1 - theta); the
-    bound constant is the smallest C making
+    The exponent theta fits ||phi||_L2 ~ (F - F_limit)^(1 - theta) with
+    F_limit = ROUND_F_VALUE; the bound constant is the smallest C making
     (F - F_limit)^(1 - theta) <= C ||phi||_L2 hold at every fitted frame.
     """
 
@@ -259,7 +259,7 @@ class LojasiewiczFit:
     bound_constant: float
 
 
-def lojasiewicz_fit(traj, f_limit: float = ROUND_F_VALUE) -> LojasiewiczFit:
+def lojasiewicz_fit(traj) -> LojasiewiczFit:
     """Fit the energy-gap power law along a rescaled trajectory.
 
     Raises
@@ -270,13 +270,13 @@ def lojasiewicz_fit(traj, f_limit: float = ROUND_F_VALUE) -> LojasiewiczFit:
     WindowTooShort
         If fewer than 20 frames have a usable positive gap.
     """
-    return _lojasiewicz(traj.times, [_frame(c) for c in traj.curves], f_limit)
+    return _lojasiewicz(traj.times, [_frame(c) for c in traj.curves])
 
 
-def _lojasiewicz(times, frames: list, f_limit: float) -> LojasiewiczFit:
+def _lojasiewicz(times, frames: list) -> LojasiewiczFit:
     taus = np.asarray(times, dtype=float)
     phi_l2 = np.array([math.sqrt(fr.itilde) for fr in frames])
-    gap = np.array([fr.f - f_limit for fr in frames])
+    gap = np.array([fr.f - ROUND_F_VALUE for fr in frames])
     usable = (gap > 1e-13) & (phi_l2 > 1e-13)
     if not usable.any():
         raise ExactShrinker("trajectory sits on the limit shrinker; "
@@ -324,10 +324,12 @@ class FrequencyTrace:
 
     columns holds one array per CSV column (TRACE_COLUMNS order); underflow
     rows carry zeros in the quotient fields and are excluded from every fit.
-    The margin array and fitted scalars summarize the verified inequalities.
+    pairs holds the (base, target) frame indices of each row. The margin
+    array and fitted scalars summarize the verified inequalities.
     """
 
     columns: dict
+    pairs: list
     inequality_margin: np.ndarray
     lambda_bound: float
     lambda_fit: float
@@ -497,11 +499,12 @@ def monitor(base_traj, target_traj, *,
     integral_c2 = float(np.trapezoid(c2_vals, cols["tau"]))
 
     try:
-        theta_fit = _lojasiewicz(base_traj.times, records, ROUND_F_VALUE).theta
+        theta_fit = _lojasiewicz(base_traj.times, records).theta
     except (ExactShrinker, WindowTooShort):
         theta_fit = None
 
     return FrequencyTrace(columns=cols,
+                          pairs=pairs[1:-1],
                           inequality_margin=margin,
                           lambda_bound=float(lambda_bound),
                           lambda_fit=lam_fit,

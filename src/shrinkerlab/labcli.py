@@ -22,14 +22,15 @@ import os
 import re
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from . import fourier, ioutil
-from .curvegeo import (TWO_PI, DiscreteCurve, area_centroid, circle, ellipse,
-                       fourier_curve, gaussian_weights, geometry,
-                       hausdorff_distance, random_fourier, shrinker_quantity)
+from .curvegeo import (HAUSDORFF_SAG, TWO_PI, DiscreteCurve, area_centroid,
+                       circle, ellipse, fourier_curve, gaussian_weights,
+                       geometry, random_fourier, shrinker_quantity)
+# bound under the name perfbench/tracer.py times as "curvegeo.hausdorff"
+from .curvegeo import hausdorff_distance as _hausdorff_dense
 from .errors import ConfigInvalid, NotShrinking, ShrinkerLabError, WindowTooShort
 from .flowcore import (CFL_MAX, GAUGES, FlowTrajectory, StepControl,
                        estimate_singularity, rescale_to_rmcf, run_flows,
@@ -44,12 +45,9 @@ _CLEAN_VERDICTS = ("success", "consistent", "exact-shrinker", "coincident")
 _SLOPE_MATCH_TOL = 0.3
 _DH_FLOOR = 1e-8
 
-# Hausdorff distances are measured between the trigonometric interpolants,
-# sampled on a fine common grid; the chord error of that dense polygon sets
-# the smallest distance the measurement can resolve, so rate fits ignore
-# frames below a safe multiple of it.
-_M_DENSE = 8192
-_DH_FIT_FLOOR = 12.0 * math.sqrt(2.0) * (1.0 - math.cos(math.pi / _M_DENSE))
+# rate fits ignore distances below a safe multiple of the smallest one the
+# dense Hausdorff measurement resolves
+_DH_FIT_FLOOR = 12.0 * HAUSDORFF_SAG
 
 
 # ---------------------------------------------------------------------------
@@ -347,95 +345,6 @@ def _regauged(traj: FlowTrajectory) -> FlowTrajectory:
                           singular_data=traj.singular_data)
 
 
-def _dense_points(curve: DiscreteCurve, m_dense: int) -> np.ndarray:
-    """Sample the curve's trigonometric interpolant on a finer grid."""
-    m = curve.m
-    if m_dense <= m:
-        return curve.points
-    coeffs = np.fft.rfft(curve.points, axis=0)
-    coeffs[m // 2] *= 0.5  # Nyquist bin splits when the band widens
-    padded = np.zeros((m_dense // 2 + 1, 2), dtype=complex)
-    padded[: m // 2 + 1] = coeffs
-    return np.fft.irfft(padded, n=m_dense, axis=0) * (m_dense / m)
-
-
-class _PolarPolygon(NamedTuple):
-    """Dense polygon of a centered curve, prepared for lookup by polar angle.
-
-    x, y are the points; ex, ey the edge vectors to the next point and ee
-    their squared lengths; ang the polar angles about the origin, sorted_ang
-    the same angles rolled by j0 so they increase.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    ex: np.ndarray
-    ey: np.ndarray
-    ee: np.ndarray
-    ang: np.ndarray
-    sorted_ang: np.ndarray
-    j0: int
-
-
-def _polar_polygon(curve: DiscreteCurve):
-    """The curve's interpolant on the dense grid, or None when its polar
-    angle about the origin does not advance monotonically."""
-    pts = _dense_points(curve, _M_DENSE)
-    ang = np.arctan2(pts[:, 1], pts[:, 0])
-    j0 = int(np.argmin(ang))
-    sorted_ang = np.roll(ang, -j0)
-    if np.any(np.diff(sorted_ang) <= 0.0):
-        return None
-    x, y = np.ascontiguousarray(pts.T)
-    ex = np.roll(x, -1) - x
-    ey = np.roll(y, -1) - y
-    return _PolarPolygon(x, y, ex, ey, ex * ex + ey * ey, ang, sorted_ang, j0)
-
-
-def _directed_sup(p: _PolarPolygon, q: _PolarPolygon) -> float:
-    """sup over the points of p of the distance to the polygon q.
-
-    Candidate segments are the six around the insertion point of each
-    angle of p in the sorted angles of q, so the cost stays linear.
-    """
-    m_q = q.x.shape[0]
-    base = np.searchsorted(q.sorted_ang, p.ang) + q.j0
-    best = np.full(p.x.shape[0], np.inf)
-    for off in range(-3, 3):
-        idx = (base + off) % m_q
-        ex = q.ex[idx]
-        ey = q.ey[idx]
-        wx = p.x - q.x[idx]
-        wy = p.y - q.y[idx]
-        t = (wx * ex + wy * ey) / q.ee[idx]
-        np.clip(t, 0.0, 1.0, out=t)
-        dx = wx - t * ex
-        dy = wy - t * ey
-        np.minimum(best, dx * dx + dy * dy, out=best)
-    return float(math.sqrt(best.max()))
-
-
-def _hausdorff_dense(a: DiscreteCurve, b: DiscreteCurve) -> float:
-    """Hausdorff distance between the interpolants of two centered curves.
-
-    Each dense polygon is built once per call and serves both directions;
-    curves that are not star-shaped about the origin fall back to the
-    node-to-segment distance of the polylines.
-    """
-    pa = _polar_polygon(a)
-    pb = _polar_polygon(b) if pa is not None else None
-    if pb is None:
-        return hausdorff_distance(a, b)
-    return max(_directed_sup(pa, pb), _directed_sup(pb, pa))
-
-
-def _frame_lookup(times, taus) -> np.ndarray:
-    """Indices of `taus` inside the sorted frame time array."""
-    times = np.asarray(times, dtype=float)
-    idx = np.searchsorted(times, np.asarray(taus, dtype=float) - 1e-9)
-    return np.clip(idx, 0, len(times) - 1)
-
-
 def _fit_tail_slope(taus: np.ndarray, values: np.ndarray, fraction: float):
     """Least-squares slope of log(values) over the trailing fraction.
 
@@ -609,10 +518,8 @@ def experiment_separation(config: ScenarioConfig) -> SeparationReport:
     trace = monitor(base_traj, target_traj, fit_fraction=config.fit_window)
     taus = trace.columns["tau"]
     underflow = trace.columns["underflow"].astype(bool)
-    i_base = _frame_lookup(base_traj.times, taus)
-    i_target = _frame_lookup(target_traj.times, taus)
     dh = np.array([_hausdorff_dense(base_traj.curves[i], target_traj.curves[j])
-                   for i, j in zip(i_base, i_target)])
+                   for i, j in trace.pairs])
 
     usable = (dh > _DH_FIT_FLOOR) & ~underflow
     dh_slope, tw, lw = _fit_tail_slope(taus[usable], dh[usable],

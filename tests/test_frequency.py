@@ -22,6 +22,7 @@ from shrinkerlab.frequency import (
     frequency_U,
     lojasiewicz_fit,
     monitor,
+    phi_c2_norm,
     shrinker_energy,
     superexponential_flag,
 )
@@ -303,6 +304,8 @@ def test_monitor_columns_equal_public_helpers():
         assert cols["D"][r] == d_coefficient(a, tau)
         assert cols["U"][r] == frequency_U(base, u[1])
         assert cols["fittedC"][r] == residual(base, *u, span / 2).fitted_c
+    c2 = [phi_c2_norm(a.curves[i]) for i, _ in trace.pairs]
+    assert trace.integral_c2 == np.trapezoid(c2, cols["tau"])
 
 
 def test_monitor_requires_rescaled_pictures():

@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from shrinkerlab import labcli
+from shrinkerlab import frequency, labcli
 from shrinkerlab.errors import ConfigInvalid
 from shrinkerlab.labcli import (build_curve, main, parse_config_text, run,
                                 validate_config)
@@ -386,6 +386,38 @@ out = %s
     assert frequency["lambdaFit"] is None and frequency["Uinf"] is None
 
 
+def test_separation_dh_rows_use_the_monitor_frame_pairs(tmp_path, monkeypatch):
+    """Each dH row compares the two frames the monitor paired, also when the
+    paired target times sit more than 1e-9 below the base times."""
+    flows, calls = [], []
+    regauged, hausdorff = labcli._regauged, labcli._hausdorff_dense
+
+    def regauged_early_target(traj):
+        traj = regauged(traj)
+        if flows:
+            # within the monitor's pairing tolerance 1e-9 (1 + tau)
+            assert len(traj.times) == len(flows[0].times)
+            traj.times = [t - 0.9e-9 * (1.0 + t) for t in flows[0].times]
+        flows.append(traj)
+        return traj
+
+    def recorded(a, b):
+        calls.append((a, b))
+        return hausdorff(a, b)
+
+    monkeypatch.setattr(labcli, "_regauged", regauged_early_target)
+    monkeypatch.setattr(labcli, "_hausdorff_dense", recorded)
+    run(validate_config({
+        "scenario": "separation", "curve1": "ellipse(1.1, 0.9090909090909091)",
+        "curve2": "ellipse(1.05, 0.9523809523809523)", "m": "64",
+        "out": str(tmp_path / "sep"), "tau_end": "3", "frame_dtau": "0.05"}))
+    base, target = flows
+    pairs = frequency._common_frames(base, target)[1:-1]
+    assert len(pairs) > 20 and len(calls) == len(pairs)
+    for (a, b), (i, j) in zip(calls, pairs):
+        assert a is base.curves[i] and b is target.curves[j]
+
+
 def test_separation_cross_resolution_slope(separation_result, tmp_path):
     """Doubling the resolution moves the fitted separation slope < 0.05."""
     coarse, _ = separation_result
@@ -401,19 +433,19 @@ def test_separation_cross_resolution_slope(separation_result, tmp_path):
 # dense distance helper
 
 def test_hausdorff_dense_resolves_small_offsets():
-    from shrinkerlab.curvegeo import circle
+    from shrinkerlab.curvegeo import circle, hausdorff_distance
     a = circle(SQRT2, m=96)
     b = circle(SQRT2 + 1e-5, m=96)
-    d = labcli._hausdorff_dense(a, b)
+    d = hausdorff_distance(a, b)
     assert abs(d - 1e-5) < 1e-8
 
 
 def test_hausdorff_dense_fallback_offcenter():
-    from shrinkerlab.curvegeo import circle
-    # not star-shaped about the origin: falls back to the generic routine
+    from shrinkerlab.curvegeo import circle, hausdorff_distance
+    # not star-shaped about the origin: falls back to the node polylines
     a = circle(1.0, center=(5.0, 0.0), m=64)
     b = circle(1.0, center=(5.001, 0.0), m=64)
-    d = labcli._hausdorff_dense(a, b)
+    d = hausdorff_distance(a, b)
     assert 0.0005 < d < 0.002
 
 

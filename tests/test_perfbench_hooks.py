@@ -14,7 +14,7 @@ import os
 import numpy as np
 
 import shrinkerlab
-from shrinkerlab import fourier
+from shrinkerlab import curvegeo, fourier, labcli
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench")
 
@@ -53,3 +53,9 @@ def test_kernel_imports_resolve():
                 names.append(alias.name)
     assert {"cfl_timestep", "mcf_step", "deriv12", "resample", "normal_graph",
             "assemble", "eigenpairs", "hausdorff_distance"} <= set(names)
+
+
+def test_traced_hausdorff_is_the_swept_kernel():
+    # the tracer times labcli._hausdorff_dense as "curvegeo.hausdorff" and the
+    # kernel sweep times curvegeo.hausdorff_distance: they must be one routine
+    assert labcli._hausdorff_dense is curvegeo.hausdorff_distance
