@@ -209,9 +209,8 @@ class DiscreteCurve:
     def to_csv(self, path) -> None:
         """Write the node list as CSV with header x,y (implicitly periodic)."""
         with open(path, "w", newline="") as fh:
-            fh.write("x,y\n")
-            for px, py in self.points:
-                fh.write("%.17g,%.17g\n" % (px, py))
+            fh.write("x,y\n" + "".join("%.17g,%.17g\n" % (px, py)
+                                        for px, py in self.points.tolist()))
 
     @classmethod
     def from_csv(cls, path) -> "DiscreteCurve":
@@ -329,24 +328,12 @@ _M_DENSE = 8192
 HAUSDORFF_SAG = math.sqrt(2.0) * (1.0 - math.cos(math.pi / _M_DENSE))
 
 
-def _dense_points(curve: DiscreteCurve, m_dense: int) -> np.ndarray:
-    """Sample the curve's trigonometric interpolant on a finer grid."""
-    m = curve.m
-    if m_dense <= m:
-        return curve.points
-    coeffs = np.fft.rfft(curve.points, axis=0)
-    coeffs[m // 2] *= 0.5  # Nyquist bin splits when the band widens
-    padded = np.zeros((m_dense // 2 + 1, 2), dtype=complex)
-    padded[: m // 2 + 1] = coeffs
-    return np.fft.irfft(padded, n=m_dense, axis=0) * (m_dense / m)
-
-
 class _Polygon:
-    """Closed polygon: points x, y, edge vectors ex, ey to the next point,
-    their squared lengths ee and, if given, increasing polar angles ang."""
+    """Closed polygon: point rows x, y, edge vectors ex, ey to the next
+    point, their squared lengths ee and, if given, increasing polar angles."""
 
-    def __init__(self, points: np.ndarray, ang=None):
-        self.x, self.y = np.ascontiguousarray(points.T)
+    def __init__(self, rows: np.ndarray, ang=None):
+        self.x, self.y = np.ascontiguousarray(rows)
         self.ex = np.roll(self.x, -1) - self.x
         self.ey = np.roll(self.y, -1) - self.y
         self.ee = self.ex * self.ex + self.ey * self.ey
@@ -356,44 +343,54 @@ class _Polygon:
 def _polar_polygon(curve: DiscreteCurve):
     """The curve's interpolant on the dense grid, started at its least polar
     angle about the origin, or None when that angle does not increase."""
-    pts = _dense_points(curve, _M_DENSE)
-    ang = np.arctan2(pts[:, 1], pts[:, 0])
+    rows = fourier.upsample(curve.points.T, _M_DENSE)
+    ang = np.arctan2(rows[1], rows[0])
     j0 = int(np.argmin(ang))
     ang = np.roll(ang, -j0)
     if np.any(np.diff(ang) <= 0.0):
         return None
-    return _Polygon(np.roll(pts, -j0, axis=0), ang)
+    return _Polygon(np.roll(rows, -j0, axis=1), ang)
 
 
-def _dist2(px, py, q: _Polygon, idx) -> np.ndarray:
+def _dist2(px, py, q: _Polygon, idx, work) -> np.ndarray:
     """Squared distances from the points (px, py) to the segments idx of q,
-    broadcast; the same arithmetic for every shape, so bit for bit."""
+    broadcast; the same arithmetic for every shape, so bit for bit. Computed
+    in the four arrays of the broadcast shape in `work` (a caller's loop
+    reuses them) and returned in work[0]."""
+    wx, wy, t, tmp = work
+    np.subtract(px, q.x[idx], out=wx)
+    np.subtract(py, q.y[idx], out=wy)
     ex = q.ex[idx]
     ey = q.ey[idx]
-    wx = px - q.x[idx]
-    wy = py - q.y[idx]
-    t = (wx * ex + wy * ey) / q.ee[idx]
+    np.multiply(wx, ex, out=t)
+    t += np.multiply(wy, ey, out=tmp)
+    t /= q.ee[idx]
     np.clip(t, 0.0, 1.0, out=t)
-    dx = wx - t * ex
-    dy = wy - t * ey
-    return dx * dx + dy * dy
+    wx -= np.multiply(t, ex, out=tmp)
+    wy -= np.multiply(t, ey, out=tmp)
+    wx *= wx
+    wy *= wy
+    wx += wy
+    return wx
 
 
 def _nearest2_max(px, py, q: _Polygon) -> float:
     """max over the points (px, py) of the squared distance to polygon q,
     all pairs, in blocks of _BLOCK**2 pairs to keep the temporaries small."""
-    step = max(1, _BLOCK * _BLOCK // q.x.shape[0])
+    n = q.x.shape[0]
+    step = max(1, _BLOCK * _BLOCK // n)
+    work = np.empty((4, min(step, px.shape[0]), n))
     worst = 0.0
     for lo in range(0, px.shape[0], step):
         dist2 = _dist2(px[lo:lo + step, None], py[lo:lo + step, None], q,
-                       slice(None))
+                       slice(None), work[:, :min(step, px.shape[0] - lo)])
         worst = max(worst, float(dist2.min(axis=1).max()))
     return worst
 
 
 def _points_to_segments_max(a: np.ndarray, b: np.ndarray) -> float:
     """max over nodes of `a` of the distance to the closed polyline `b`."""
-    return math.sqrt(_nearest2_max(a[:, 0], a[:, 1], _Polygon(b)))
+    return math.sqrt(_nearest2_max(a[:, 0], a[:, 1], _Polygon(b.T)))
 
 
 def _directed_sup(p: _Polygon, q: _Polygon) -> float:
@@ -406,8 +403,10 @@ def _directed_sup(p: _Polygon, q: _Polygon) -> float:
     """
     base = np.searchsorted(q.ang, p.ang)
     best = np.full(p.x.shape[0], np.inf)
+    work = np.empty((4,) + best.shape)
     for off in range(-3, 3):
-        np.minimum(best, _dist2(p.x, p.y, q, (base + off) % q.x.size), out=best)
+        np.minimum(best, _dist2(p.x, p.y, q, (base + off) % q.x.size, work),
+                   out=best)
     i = int(np.argmax(best))
     sup2 = _nearest2_max(p.x[i:i + 1], p.y[i:i + 1], q)
     loose = best > sup2

@@ -2,7 +2,9 @@
 
 All curve fields live on the uniform parameter grid theta_j = 2*pi*j/m with
 even m. Derivatives and interpolants are discrete Fourier (trigonometric
-interpolation, spectrally accurate for analytic data).
+interpolation, spectrally accurate for analytic data). This module owns the
+interpolant off the grid: `trig_eval` anywhere, from a Taylor table on the
+grid, and `upsample` on a finer uniform grid.
 
 Staggered (half-grid) variants evaluate at theta_{j+1/2}. They are used to
 assemble stiffness quadratic forms: the collocated Fourier derivative
@@ -11,6 +13,9 @@ into any D^T C D stiffness; the staggered multiplier is nonzero at Nyquist.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -26,21 +31,24 @@ def _wavenumbers(m: int) -> np.ndarray:
     return np.arange(m // 2 + 1, dtype=float)
 
 
+def _multiply(values, mult: np.ndarray) -> np.ndarray:
+    """irfft(rfft(values) * mult) along axis 0, for any trailing shape."""
+    values = np.asarray(values, dtype=float)
+    coef = np.fft.rfft(values, axis=0)
+    shape = (-1,) + (1,) * (values.ndim - 1)
+    return np.fft.irfft(coef * mult.reshape(shape), n=values.shape[0], axis=0)
+
+
 def deriv(values: np.ndarray, order: int = 1) -> np.ndarray:
     """Spectral derivative d^order/dtheta^order along axis 0.
 
     For odd orders the Nyquist mode is zeroed (its sine interpolant vanishes
     on the grid); for even orders it carries the exact factor (i*m/2)^order.
     """
-    values = np.asarray(values, dtype=float)
-    m = values.shape[0]
-    k = _wavenumbers(m)
-    mult = (1j * k) ** order
+    mult = (1j * _wavenumbers(len(values))) ** order
     if order % 2 == 1:
         mult[-1] = 0.0
-    coef = np.fft.rfft(values, axis=0)
-    shape = (m // 2 + 1,) + (1,) * (values.ndim - 1)
-    return np.fft.irfft(coef * mult.reshape(shape), n=m, axis=0)
+    return _multiply(values, mult)
 
 
 _DERIV12_CACHE: dict = {}
@@ -62,18 +70,15 @@ def deriv12(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First and second spectral theta-derivatives in one transform pair."""
     values = np.asarray(values, dtype=float)
     m = values.shape[0]
+    cols = values.reshape(m, -1)
+    ncol = cols.shape[1]
     m1, m2 = (mult[:, None] for mult in deriv12_multipliers(m))
-    coef = np.fft.rfft(values, axis=0)
-    if values.ndim == 1:
-        block = np.concatenate([coef[:, None] * m1, coef[:, None] * m2], axis=1)
-        out = np.fft.irfft(block, n=m, axis=0)
-        return out[:, 0], out[:, 1]
-    ncol = values.shape[1]
+    coef = np.fft.rfft(cols, axis=0)
     block = np.empty((m // 2 + 1, 2 * ncol), dtype=complex)
     np.multiply(coef, m1, out=block[:, :ncol])
     np.multiply(coef, m2, out=block[:, ncol:])
     out = np.fft.irfft(block, n=m, axis=0)
-    return out[:, :ncol], out[:, ncol:]
+    return out[:, :ncol].reshape(values.shape), out[:, ncol:].reshape(values.shape)
 
 
 def synth_rows(coef: np.ndarray, m: int, with_values: bool = True) -> np.ndarray:
@@ -99,26 +104,19 @@ def staggered_deriv(values: np.ndarray) -> np.ndarray:
     The Nyquist multiplier i*(m/2)*exp(i*pi/2) = -m/2 is exactly real, so the
     sawtooth mode differentiates to +-m/2 instead of being annihilated.
     """
-    values = np.asarray(values, dtype=float)
-    m = values.shape[0]
+    m = len(values)
     k = _wavenumbers(m)
     mult = 1j * k * np.exp(1j * k * (np.pi / m))
     mult[-1] = -(m // 2)  # exact value; avoids fp residue in cos(pi/2)
-    coef = np.fft.rfft(values, axis=0)
-    shape = (m // 2 + 1,) + (1,) * (values.ndim - 1)
-    return np.fft.irfft(coef * mult.reshape(shape), n=m, axis=0)
+    return _multiply(values, mult)
 
 
 def staggered_interp(values: np.ndarray) -> np.ndarray:
     """Trigonometric interpolation of grid values onto the half grid."""
-    values = np.asarray(values, dtype=float)
-    m = values.shape[0]
-    k = _wavenumbers(m)
-    mult = np.exp(1j * k * (np.pi / m))
+    m = len(values)
+    mult = np.exp(1j * _wavenumbers(m) * (np.pi / m))
     mult[-1] = 0.0  # the Nyquist cosine vanishes at half-grid points
-    coef = np.fft.rfft(values, axis=0)
-    shape = (m // 2 + 1,) + (1,) * (values.ndim - 1)
-    return np.fft.irfft(coef * mult.reshape(shape), n=m, axis=0)
+    return _multiply(values, mult)
 
 
 def coeffs(values: np.ndarray) -> np.ndarray:
@@ -126,101 +124,101 @@ def coeffs(values: np.ndarray) -> np.ndarray:
     return np.fft.rfft(np.asarray(values, dtype=float), axis=0)
 
 
-_FILTER_CACHE: dict = {}
+def smooth(values: np.ndarray) -> np.ndarray:
+    """Damp the top of the spectrum of grid samples along axis 0 with a
+    36th-order exponential filter, the identity below ~0.6 Nyquist. No
+    stepper calls it since the semi-implicit one; the benchmark tracer
+    still wraps this name."""
+    k = _wavenumbers(len(values))
+    return _multiply(values, np.exp(-36.0 * (k / k[-1]) ** 36))
 
 
-def smoothing_filter(m: int) -> np.ndarray:
-    """36th-order exponential spectral filter, identity below ~0.6 Nyquist.
+#: Taylor degree of the off-grid evaluator: the least P whose remainder
+#: bound (pi/2)^(P+1)/(P+1)! on one mode, half a node from the nearest node,
+#: is below eps/16 of the mode's amplitude, so truncation stays under the
+#: rounding of the sum (P = 22)
+_TAYLOR_P = next(p for p in range(64)
+                 if (np.pi / 2) ** (p + 1) / math.factorial(p + 1)
+                 < np.finfo(float).eps / 16)
 
-    Explicit stepping of curve motions by a collocated spectral velocity
-    leaves near-Nyquist reparametrization modes first-order neutral; they
-    grow slowly through nonlinear aliasing. Damping the top of the spectrum
-    each step bounds them at rounding level while perturbing resolved modes
-    by less than 1e-10 relative.
-    """
-    filt = _FILTER_CACHE.get(m)
-    if filt is None:
-        k = _wavenumbers(m).astype(float)
-        filt = np.exp(-36.0 * (k / (m // 2)) ** 36)
-        _FILTER_CACHE[m] = filt
-    return filt
+#: 2*pi to 40 digits, for the rounding error of the grid spacing TWO_PI/m
+_TWO_PI_EXACT = Fraction("6.283185307179586476925286766559005768394")
 
 
-def smooth(values: np.ndarray, with_coef: bool = False):
-    """Apply :func:`smoothing_filter` to grid samples (any column count).
+def _nearest_node(thetas: np.ndarray, m: int):
+    """Nearest node j and offset x = theta/h - j, |x| <= 1/2, h = 2*pi/m,
+    exact to rounding however far theta lies from 0 (theta/h is off by
+    |theta/h| eps): fmod splits theta exactly by the float h, and n times
+    the rounding error of h is added back."""
+    h = TWO_PI / m
+    dh = float(_TWO_PI_EXACT / m - Fraction(h))
+    r = np.fmod(thetas, h)
+    n = np.rint((thetas - r) / h)
+    x = (r - n * dh) / h
+    near = np.rint(x)
+    return (n + near).astype(np.intp) % m, x - near
 
-    With `with_coef` the filtered rfft coefficients come back too, so a
-    stepper can reuse them as the next derivative transform's input.
-    """
-    m = values.shape[0]
-    co = np.fft.rfft(values, axis=0)
-    filt = smoothing_filter(m)
-    co *= filt if values.ndim == 1 else filt[:, None]
-    out = np.fft.irfft(co, m, axis=0)
-    return (out, co) if with_coef else out
 
+def _taylor_eval(coef: np.ndarray, m: int, thetas: np.ndarray,
+                 order: int) -> list:
+    """Derivatives 0..order of the trigonometric interpolant at `thetas`.
 
-def _eval_basis(m: int, thetas: np.ndarray) -> np.ndarray:
-    """exp(i k theta) matrix, rows = thetas, columns k = 0..m//2.
-
-    Built by cumulative products of exp(i theta): an order of magnitude
-    cheaper than a dense complex exp, with phase drift below k * eps.
-    """
-    n = m // 2 + 1
-    basis = np.empty((thetas.shape[0], n), dtype=complex)
-    basis[:, 0] = 1.0
-    if n > 1:
-        z = np.exp(1j * thetas)
-        np.cumprod(np.broadcast_to(z[:, None], (thetas.shape[0], n - 1)),
-                   axis=1, out=basis[:, 1:])
-    return basis
+    Row q of one table holds h^q f^(q)/q! on the grid (h = 2*pi/m), all
+    rows from one batched irfft of coef * (i k h)^q/q!; the Nyquist cosine
+    needs no special case, as irfft drops its odd rows, whose sine vanishes
+    on the grid. Each theta reads the Taylor polynomial of degree P + order
+    about its nearest node, and Horner's rule with synthetic division gives
+    the derivatives with the value: O(P m log m + P n) time, O(P (m + n))
+    memory."""
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    h = TWO_PI / m
+    top = _TAYLOR_P + order
+    q = np.arange(top + 1)
+    mult = ((1j * h * _wavenumbers(m)) ** q[:, None]
+            / np.cumprod(np.maximum(q, 1.0))[:, None])
+    cols = coef.reshape(coef.shape[0], -1)
+    table = np.fft.irfft(mult[:, :, None] * cols, n=m, axis=1)
+    j, x = _nearest_node(thetas, m)
+    near = table[:, j]
+    x = x[:, None]
+    # out[r] ends as the r-th derivative of the polynomial in x over r!
+    out = [near[top].copy()] + [np.zeros_like(near[top]) for _ in range(order)]
+    for q in range(top - 1, -1, -1):
+        for r in range(order, 0, -1):
+            out[r] *= x
+            out[r] += out[r - 1]
+        out[0] *= x
+        out[0] += near[q]
+    shape = thetas.shape + coef.shape[1:]
+    return [(o * (math.factorial(r) / h ** r) if r else o).reshape(shape)
+            for r, o in enumerate(out)]
 
 
 def trig_eval(coef: np.ndarray, m: int, thetas: np.ndarray, order: int = 0) -> np.ndarray:
-    """Evaluate the trigonometric interpolant (or a derivative) anywhere.
-
-    Parameters
-    ----------
-    coef : ndarray
-        rfft coefficients of the grid samples, shape (m//2+1,) or (m//2+1, d).
-    m : int
-        Number of grid samples the coefficients came from.
-    thetas : ndarray
-        Evaluation parameters, any shape (n,).
-    order : int
-        Derivative order (0 = value).
-    """
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    k = _wavenumbers(m)
-    w = np.full(m // 2 + 1, 2.0)
-    w[0] = 1.0
-    w[-1] = 1.0
-    mult = w * (1j * k) ** order if order else w.astype(complex)
-    basis = _eval_basis(m, thetas)
-    if coef.ndim == 1:
-        return (basis @ (mult * coef)).real / m
-    return (basis @ (mult[:, None] * coef)).real / m
+    """The trigonometric interpolant, or its derivative of `order`, at the
+    parameters thetas (n,), from the rfft coefficients `coef`, (m//2+1,) or
+    (m//2+1, d), of m grid samples."""
+    return _taylor_eval(coef, m, thetas, order)[order]
 
 
 def trig_eval_pair(coef: np.ndarray, m: int,
                    thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Interpolant value and first theta-derivative, sharing one basis.
+    """Interpolant value and first theta-derivative from one table: the
+    pair a Newton iteration on the interpolant consumes."""
+    return tuple(_taylor_eval(coef, m, thetas, 1))
 
-    Same result as two :func:`trig_eval` calls at half the cost; the pair is
-    what a Newton iteration on the interpolant consumes.
-    """
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    k = _wavenumbers(m)
-    w = np.full(m // 2 + 1, 2.0)
-    w[0] = 1.0
-    w[-1] = 1.0
-    basis = _eval_basis(m, thetas)
-    ik = 1j * k
-    if coef.ndim == 1:
-        wc = w * coef
-        return (basis @ wc).real / m, (basis @ (ik * wc)).real / m
-    wc = w[:, None] * coef
-    return (basis @ wc).real / m, (basis @ (ik[:, None] * wc)).real / m
+
+def upsample(rows: np.ndarray, m_fine: int) -> np.ndarray:
+    """Sample the trigonometric interpolants of rows of grid samples (along
+    the last axis) on the finer uniform grid of m_fine points."""
+    m = rows.shape[-1]
+    if m_fine <= m:
+        return rows
+    coef = np.fft.rfft(rows, axis=-1)
+    coef[..., m // 2] *= 0.5  # Nyquist bin splits when the band widens
+    padded = np.zeros(rows.shape[:-1] + (m_fine // 2 + 1,), dtype=complex)
+    padded[..., : m // 2 + 1] = coef
+    return np.fft.irfft(padded, n=m_fine, axis=-1) * (m_fine / m)
 
 
 def antideriv(values: np.ndarray) -> tuple[float, np.ndarray]:
@@ -237,7 +235,6 @@ def antideriv(values: np.ndarray) -> tuple[float, np.ndarray]:
     k = _wavenumbers(m)
     out = np.zeros_like(coef)
     out[1:-1] = coef[1:-1] / (1j * k[1:-1])
-    out[-1] = 0.0
     return mean, out
 
 

@@ -216,6 +216,8 @@ def validate_config(raw: dict) -> ScenarioConfig:
     if m % 2 != 0 or m < 64:
         raise ConfigInvalid("must be even and at least 64, got %d" % m, field="m")
     seed = _as_int(raw, "seed")
+    if seed is not None and seed < 0:
+        raise ConfigInvalid("must be nonnegative, got %d" % seed, field="seed")
     specs = [_parse_curve(raw["curve1"], "curve1")]
     if "curve2" in raw:
         specs.append(_parse_curve(raw["curve2"], "curve2"))

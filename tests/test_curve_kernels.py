@@ -17,11 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shrinkerlab import fourier, labcli
-from shrinkerlab.curvegeo import (_M_DENSE, TWO_PI, DiscreteCurve, _dense_points,
+from shrinkerlab.curvegeo import (_M_DENSE, TWO_PI, DiscreteCurve,
                                   _has_self_intersection,
                                   _points_to_segments_max, circle, ellipse,
                                   fourier_curve, geometry, hausdorff_distance,
-                                  star_angles)
+                                  resample, star_angles)
 from shrinkerlab.errors import NotAGraph
 from shrinkerlab.flowcore import run_rmcf
 from shrinkerlab.gauge import (_candidate_pairs, _sectors, normal_graph,
@@ -141,8 +141,8 @@ def windowed_directed_sup(p, q):
 
 
 def oracle_hausdorff_dense(a, b, directed_sup=oracle_directed_sup):
-    pa = _dense_points(a, _M_DENSE)
-    pb = _dense_points(b, _M_DENSE)
+    pa = fourier.upsample(a.points.T, _M_DENSE).T
+    pb = fourier.upsample(b.points.T, _M_DENSE).T
     d_ab = directed_sup(pa, pb)
     d_ba = directed_sup(pb, pa)
     if d_ab is None or d_ba is None:
@@ -252,8 +252,9 @@ def test_not_a_graph_messages_match_oracle(base, target, reach, text):
 
 
 def test_normal_graph_search_is_linear_in_m():
-    # an all-pairs search at m = 2048 peaks near 236 MB; the trig_eval_pair
-    # basis of the Newton polish alone is 32 MB
+    # an all-pairs search at m = 2048 peaks near 236 MB, and a dense
+    # (m, m/2+1) basis for the Newton polish on the interpolant near 35 MB;
+    # the candidate search and the Taylor-table evaluator stay near 3 MB
     m = 2048
     base = circle(SQRT2, m=m)
     target = reconstruct(base, 0.01 * np.cos(3 * grid(m)))
@@ -264,12 +265,25 @@ def test_normal_graph_search_is_linear_in_m():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64e6
+    assert peak < 8e6
     # each normal meets one or two sectors, plus one on each side; a row
     # that fell back to every segment would cost O(m) on its own
     rows, _ = _candidate_pairs(np.arange(m), base.points, geometry(base).normal,
                                half, m, _sectors(target.points))
     assert np.bincount(rows, minlength=m).max() <= 4
+
+
+def test_resample_memory_is_linear_in_m():
+    # a dense basis on the 4m+1-point guess grid peaked near 135 MB at
+    # m = 2048; the Taylor-table evaluator stays near 3 MB
+    curve = ellipse(1.1, 1.0 / 1.1, m=2048)
+    tracemalloc.start()
+    try:
+        resample(curve)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 BASES = {"circle": circle(SQRT2, m=64), "ellipse": ellipse(1.5, 1.2, m=64)}

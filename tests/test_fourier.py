@@ -1,6 +1,7 @@
 """Spectral utility layer: differentiation, interpolation, antiderivatives."""
 
 import numpy as np
+import pytest
 
 from shrinkerlab import fourier
 
@@ -72,6 +73,50 @@ def test_trig_eval_vector_valued():
     out = fourier.trig_eval(coef, m, pts)
     assert out.shape == (2, 2)
     assert np.allclose(out, np.column_stack([np.cos(pts), np.sin(2 * pts)]), atol=1e-13)
+
+
+def dense_basis_eval(coef, m, thetas, order=0):
+    """Oracle: the dense evaluator the Taylor table replaced, an (n, m/2+1)
+    basis of exp(i k theta) built by cumulative products and summed against
+    the weighted coefficients (Nyquist weight 1, the others 2)."""
+    n = m // 2 + 1
+    basis = np.empty((thetas.shape[0], n), dtype=complex)
+    basis[:, 0] = 1.0
+    z = np.exp(1j * thetas)
+    np.cumprod(np.broadcast_to(z[:, None], (thetas.shape[0], n - 1)),
+               axis=1, out=basis[:, 1:])
+    k = np.arange(n, dtype=float)
+    w = np.full(n, 2.0)
+    w[0] = w[-1] = 1.0
+    mult = w * (1j * k) ** order
+    if coef.ndim == 2:
+        mult = mult[:, None]
+    return (basis @ (mult * coef)).real / m
+
+
+@pytest.mark.parametrize("m", [64, 256, 2048])
+@pytest.mark.parametrize("kind", ["scalar", "pair", "nyquist"])
+def test_trig_eval_matches_dense_basis(m, kind):
+    rng = np.random.default_rng(m)
+    samples = {"scalar": lambda: rng.standard_normal(m),
+               "pair": lambda: rng.standard_normal((m, 2)),
+               "nyquist": lambda: np.cos((m // 2) * fourier.grid(m))}[kind]()
+    coef = fourier.coeffs(samples)
+    # points in [-2 pi, 4 pi), and half-way between nodes inside and just
+    # outside [0, 2 pi)
+    h = 2.0 * np.pi / m
+    halves = (np.arange(0, m, max(1, m // 64)) + 0.5) * h
+    thetas = np.concatenate([rng.uniform(-2.0 * np.pi, 4.0 * np.pi, 200),
+                             halves, [-0.5 * h, 2.0 * np.pi + 0.5 * h]])
+    for order in range(3):
+        got = fourier.trig_eval(coef, m, thetas, order=order)
+        want = dense_basis_eval(coef, m, thetas, order)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    value, der = fourier.trig_eval_pair(coef, m, thetas)
+    for got, order in ((value, 0), (der, 1)):
+        want = dense_basis_eval(coef, m, thetas, order)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_antideriv_reconstructs_integral():

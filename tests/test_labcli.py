@@ -584,3 +584,17 @@ out = %s
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: count: ")
     assert not (tmp_path / "x").exists()
+
+
+def test_main_negative_seed_is_a_config_error(tmp_path, capsys):
+    path = write_config(tmp_path, """
+scenario = spectrum
+curve1 = random_fourier(4, 0.05)
+seed = -3
+m = 64
+out = %s
+""" % (tmp_path / "x"))
+    assert main(["spectrum", "--config", path]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: seed: ")
+    assert not (tmp_path / "x").exists()
