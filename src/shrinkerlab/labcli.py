@@ -5,7 +5,7 @@ Five scenarios tie the library together end to end:
   simulate        unrescaled flow of one curve, singularity estimate
   spectrum        assemble the drift operator on one curve, eigensolve
   gauge-residual  linearization residual sweep over graph amplitudes
-  separation      two flows, common-singularity rescaling, frequency monitor
+  separation      two equal-area rescaled flows, frequency monitor
   rate            one rescaled flow, decay rate against the round limit
 
 Configs are flat ``key = value`` text files with ``#`` comments.  Every run
@@ -27,15 +27,14 @@ import numpy as np
 
 from . import fourier, ioutil
 from .curvegeo import (HAUSDORFF_SAG, TWO_PI, DiscreteCurve, area_centroid,
-                       circle, ellipse, fourier_curve, gaussian_weights,
-                       geometry, random_fourier, shrinker_quantity)
+                       circle, ellipse, fourier_curve, geometry,
+                       random_fourier)
 # bound under the name perfbench/tracer.py times as "curvegeo.hausdorff"
 from .curvegeo import hausdorff_distance as _hausdorff_dense
 from .errors import ConfigInvalid, NotShrinking, ShrinkerLabError, WindowTooShort
-from .flowcore import (CFL_MAX, GAUGES, FlowTrajectory, StepControl,
-                       estimate_singularity, rescale_to_rmcf, run_flows,
-                       run_mcf, run_rmcf)
-from .frequency import monitor, superexponential_flag
+from .flowcore import (CFL_MAX, GAUGES, StepControl, estimate_singularity,
+                       run_flows, run_mcf, run_rmcf)
+from .frequency import monitor, shrinker_energy, superexponential_flag
 from .gauge import normal_graph, reconstruct, residual
 from .spectral import assemble, eigenpairs
 
@@ -48,6 +47,9 @@ _DH_FLOOR = 1e-8
 # rate fits ignore distances below a safe multiple of the smallest one the
 # dense Hausdorff measurement resolves
 _DH_FIT_FLOOR = 12.0 * HAUSDORFF_SAG
+
+# separation curves must enclose equal areas to this relative tolerance
+_AREA_MATCH_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -334,19 +336,6 @@ def _normalize_unit_area(curve: DiscreteCurve) -> DiscreteCurve:
     return DiscreteCurve(pts, validate=False)
 
 
-def _regauged(traj: FlowTrajectory) -> FlowTrajectory:
-    """Area-centroid normalize every frame of a rescaled trajectory.
-
-    Rescaling about an estimated spacetime point leaves a dilation and
-    translation error that grows like e^tau; renormalizing each frame
-    re-chooses the singular point exactly and removes it.
-    """
-    curves = [_normalize_unit_area(c) for c in traj.curves]
-    return FlowTrajectory(picture=traj.picture, m=traj.m,
-                          times=list(traj.times), curves=curves,
-                          singular_data=traj.singular_data)
-
-
 def _fit_tail_slope(taus: np.ndarray, values: np.ndarray, fraction: float):
     """Least-squares slope of log(values) over the trailing fraction.
 
@@ -496,26 +485,25 @@ def _run_separation(config: ScenarioConfig) -> dict:
 def experiment_separation(config: ScenarioConfig) -> SeparationReport:
     """Evolve two curves into the same singularity and watch them separate.
 
-    Pipeline: unrescaled flow of both curves to a common area level, singular
-    point estimation, rescaling about each flow's own estimate (equal initial
-    areas give frame-aligned rescaled time grids), per-frame area-centroid
-    normalization, then the two-flow frequency monitor plus a Hausdorff
-    distance fit. Writes frames/, target/, trace.csv, separation.json.
+    The curves must enclose equal areas, so that both flows become singular
+    at one time. Pipeline: each curve is recentered and scaled to enclosed
+    area 2*pi, both are stepped in one batch by the rescaled flow under the
+    area-centroid gauge (so their frames share the times 0, frame_dtau, ...,
+    tau_end), then the two-flow frequency monitor runs on them, plus a
+    Hausdorff distance fit. Writes frames/, target/, trace.csv,
+    separation.json.
     """
     curve1, curve2 = _build_curves(config, convex=True)
-    tau_end = config.tau_end
-    predicted_t = curve1.area() / TWO_PI
-    # push half a frame past the last wanted area level; curvature stop off
-    t_end = predicted_t * (1.0 - math.exp(-(tau_end + 0.5 * config.frame_dtau)))
-    control = StepControl(cfl=config.cfl, stop_curvature=1e12,
-                          require_convex=True)
-    flows = []
-    for traj in run_flows([curve1, curve2], "mcf", t_end,
-                          frame_dtau=config.frame_dtau, control=control):
-        estimate = estimate_singularity(traj)
-        rescaled = rescale_to_rmcf(traj, estimate.time, estimate.center)
-        flows.append(_regauged(rescaled))
-    base_traj, target_traj = flows
+    area1, area2 = curve1.area(), curve2.area()
+    if abs(area1 - area2) > _AREA_MATCH_TOL * max(area1, area2):
+        raise ConfigInvalid("encloses area %.17g but curve1 encloses %.17g; "
+                            "the two flows need one singular time"
+                            % (area2, area1), field="curve2")
+    control = StepControl(cfl=config.cfl, require_convex=True)
+    base_traj, target_traj = run_flows(
+        [_normalize_unit_area(curve1), _normalize_unit_area(curve2)], "rmcf",
+        config.tau_end, frame_dtau=config.frame_dtau, gauge="area-centroid",
+        control=control)
 
     trace = monitor(base_traj, target_traj, fit_fraction=config.fit_window)
     taus = trace.columns["tau"]
@@ -585,8 +573,7 @@ def experiment_rate(config: ScenarioConfig) -> dict:
     phi_l2 = np.empty(len(taus))
     for j, frame in enumerate(traj.curves):
         dh[j] = _hausdorff_dense(frame, reference)
-        phi = shrinker_quantity(frame)
-        phi_l2[j] = math.sqrt(float(np.sum(gaussian_weights(frame) * phi * phi)))
+        phi_l2[j] = math.sqrt(shrinker_energy(frame))
 
     coeffs = np.abs(np.fft.rfft(normal_graph(reference, traj.curves[0]).values))
     mode = int(np.argmax(coeffs[2:config.m // 2])) + 2 if len(coeffs) > 3 else 2

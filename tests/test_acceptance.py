@@ -8,6 +8,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from shrinkerlab.curvegeo import circle, f_functional, shrinker_quantity
 from shrinkerlab.flowcore import FlowTrajectory
@@ -195,6 +196,35 @@ def test_two_flow_separation(separation_512):
                   "(-2 +- 0.2), min U = %.2f (bounded), verdict = %s, "
                   "%.1f s (< 60)" % (summary["dhSlope"], summary["Uinf"],
                                      u_min, summary["verdict"], elapsed))
+    assert ok, line
+
+
+@pytest.mark.parametrize("k, eps", [(3, 0.05), (4, 0.03), (5, 0.02)])
+def test_separation_mode_ladder(k, eps, tmp_path):
+    """A pair differing in mode k separates at rate 1 - k^2/2 with frequency
+    2 - k^2, and the monitor covers every interior frame of the run."""
+    # r0 makes the polar graph r0 (1 + eps cos k theta) enclose area pi
+    r0 = (1.0 + 0.5 * eps * eps) ** -0.5
+    coeffs = ["0"] * (2 * k)
+    coeffs[2 * k - 2] = repr(eps)
+    out = tmp_path / ("k%d" % k)
+    summary = run(validate_config({
+        "scenario": "separation",
+        "curve1": "fourier(%r, %s)" % (r0, ", ".join(coeffs)),
+        "curve2": "circle(1)", "m": "256", "out": str(out), "tau_end": "4",
+        "frame_dtau": "0.05", "cfl": "1.4"}))
+    taus = np.genfromtxt(out / "trace.csv", delimiter=",", names=True)["tau"]
+    slope, u_inf = 1.0 - 0.5 * k * k, 2.0 - k * k
+    ok = (abs(summary["dhSlope"] - slope) <= 0.15
+          and abs(summary["Uinf"] - u_inf) <= 0.2
+          and summary["verdict"] == "consistent"
+          and abs(taus[0] - 0.05) < 1e-12 and abs(taus[-1] - 3.95) < 1e-12)
+    line = report("mode-%d separation" % k, ok,
+                  "log d_H slope = %.4f (%g +- 0.15), late U = %.4f "
+                  "(%g +- 0.2), verdict = %s, trace tau %.4g..%.4g "
+                  "(0.05..3.95)" % (summary["dhSlope"], slope, summary["Uinf"],
+                                    u_inf, summary["verdict"], taus[0],
+                                    taus[-1]))
     assert ok, line
 
 

@@ -333,6 +333,8 @@ def test_separation_output_layout(separation_result):
     _, out = separation_result
     assert (out / "frames" / "frame_00000.csv").exists()
     assert (out / "target" / "frames" / "frame_00000.csv").exists()
+    assert (out / "series.csv").exists()
+    assert (out / "target" / "series.csv").exists()
     assert (out / "trace.csv").exists()
     report = json.loads((out / "separation.json").read_text())
     assert report["verdict"] == "consistent"
@@ -390,22 +392,21 @@ def test_separation_dh_rows_use_the_monitor_frame_pairs(tmp_path, monkeypatch):
     """Each dH row compares the two frames the monitor paired, also when the
     paired target times sit more than 1e-9 below the base times."""
     flows, calls = [], []
-    regauged, hausdorff = labcli._regauged, labcli._hausdorff_dense
+    run_flows, hausdorff = labcli.run_flows, labcli._hausdorff_dense
 
-    def regauged_early_target(traj):
-        traj = regauged(traj)
-        if flows:
-            # within the monitor's pairing tolerance 1e-9 (1 + tau)
-            assert len(traj.times) == len(flows[0].times)
-            traj.times = [t - 0.9e-9 * (1.0 + t) for t in flows[0].times]
-        flows.append(traj)
-        return traj
+    def run_flows_early_target(*args, **kwargs):
+        base, target = run_flows(*args, **kwargs)
+        # within the monitor's pairing tolerance 1e-9 (1 + tau)
+        assert len(target.times) == len(base.times)
+        target.times = [t - 0.9e-9 * (1.0 + t) for t in base.times]
+        flows.extend((base, target))
+        return base, target
 
     def recorded(a, b):
         calls.append((a, b))
         return hausdorff(a, b)
 
-    monkeypatch.setattr(labcli, "_regauged", regauged_early_target)
+    monkeypatch.setattr(labcli, "run_flows", run_flows_early_target)
     monkeypatch.setattr(labcli, "_hausdorff_dense", recorded)
     run(validate_config({
         "scenario": "separation", "curve1": "ellipse(1.1, 0.9090909090909091)",
@@ -461,6 +462,16 @@ def test_rerun_byte_identical(tmp_path):
     run(validate_config(dict(raw, out=str(out_b))))
     assert (out_a / "trace.csv").read_bytes() == (out_b / "trace.csv").read_bytes()
     assert (out_a / "summary.json").read_bytes() == (out_b / "summary.json").read_bytes()
+
+    raw = {"scenario": "separation", "curve1": "ellipse(1.1, 0.9090909090909091)",
+           "curve2": "circle(1)", "m": "64", "tau_end": "2"}
+    files = []
+    for name in ("sep_a", "sep_b"):
+        out = tmp_path / name
+        run(validate_config(dict(raw, out=str(out))))
+        files.append(json.loads((out / "manifest.json").read_text())["files"])
+    assert "trace.csv" in files[0] and "target/series.csv" in files[0]
+    assert files[0] == files[1]
 
 
 def test_manifest_lists_every_file(separation_result):
@@ -598,3 +609,18 @@ out = %s
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: seed: ")
     assert not (tmp_path / "x").exists()
+
+
+def test_main_separation_unequal_areas_is_a_config_error(tmp_path, capsys):
+    """Two flows with different singular times are rejected, not compared."""
+    path = write_config(tmp_path, """
+scenario = separation
+curve1 = ellipse(1.2, 0.9)
+curve2 = circle(1)
+m = 64
+tau_end = 2
+out = %s
+""" % (tmp_path / "x"))
+    assert main(["separation", "--config", path]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: curve2: ")
