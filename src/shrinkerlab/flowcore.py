@@ -418,7 +418,9 @@ def run_flows(curves, picture: str, end: float | None = None, *,
             dt = _timestep(kappa2[k], control)
             event = None
             if rescaled:
-                if dt >= frame_times[goals[k]] - times[k]:
+                # land within rounding: tau accumulated in steps that divide
+                # frame_dtau can fall a few ulps short of the frame time
+                if dt >= frame_times[goals[k]] - times[k] - 1e-9 * frame_dtau:
                     dt = frame_times[goals[k]] - times[k]
                     event = "frame"
                 times[k] = frame_times[goals[k]] if event else times[k] + dt

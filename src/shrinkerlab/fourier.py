@@ -31,7 +31,7 @@ def _wavenumbers(m: int) -> np.ndarray:
     return np.arange(m // 2 + 1, dtype=float)
 
 
-def _multiply(values, mult: np.ndarray) -> np.ndarray:
+def multiply(values, mult: np.ndarray) -> np.ndarray:
     """irfft(rfft(values) * mult) along axis 0, for any trailing shape."""
     values = np.asarray(values, dtype=float)
     coef = np.fft.rfft(values, axis=0)
@@ -48,7 +48,7 @@ def deriv(values: np.ndarray, order: int = 1) -> np.ndarray:
     mult = (1j * _wavenumbers(len(values))) ** order
     if order % 2 == 1:
         mult[-1] = 0.0
-    return _multiply(values, mult)
+    return multiply(values, mult)
 
 
 _DERIV12_CACHE: dict = {}
@@ -98,17 +98,22 @@ def synth_rows(coef: np.ndarray, m: int, with_values: bool = True) -> np.ndarray
     return np.fft.irfft(block, n=m, axis=1)
 
 
-def staggered_deriv(values: np.ndarray) -> np.ndarray:
-    """Spectral d/dtheta evaluated at the half grid theta_{j+1/2}.
+def staggered_multiplier(m: int) -> np.ndarray:
+    """rfft multiplier of d/dtheta from the grid onto the half grid.
 
-    The Nyquist multiplier i*(m/2)*exp(i*pi/2) = -m/2 is exactly real, so the
-    sawtooth mode differentiates to +-m/2 instead of being annihilated.
+    The Nyquist entry i*(m/2)*exp(i*pi/2) = -m/2 is exactly real, so the
+    sawtooth mode differentiates to +-m/2 instead of being annihilated, and
+    the complex conjugate multiplier applies the transposed derivative.
     """
-    m = len(values)
     k = _wavenumbers(m)
     mult = 1j * k * np.exp(1j * k * (np.pi / m))
     mult[-1] = -(m // 2)  # exact value; avoids fp residue in cos(pi/2)
-    return _multiply(values, mult)
+    return mult
+
+
+def staggered_deriv(values: np.ndarray) -> np.ndarray:
+    """Spectral d/dtheta evaluated at the half grid theta_{j+1/2}."""
+    return multiply(values, staggered_multiplier(len(values)))
 
 
 def staggered_interp(values: np.ndarray) -> np.ndarray:
@@ -116,7 +121,7 @@ def staggered_interp(values: np.ndarray) -> np.ndarray:
     m = len(values)
     mult = np.exp(1j * _wavenumbers(m) * (np.pi / m))
     mult[-1] = 0.0  # the Nyquist cosine vanishes at half-grid points
-    return _multiply(values, mult)
+    return multiply(values, mult)
 
 
 def coeffs(values: np.ndarray) -> np.ndarray:
@@ -130,7 +135,7 @@ def smooth(values: np.ndarray) -> np.ndarray:
     stepper calls it since the semi-implicit one; the benchmark tracer
     still wraps this name."""
     k = _wavenumbers(len(values))
-    return _multiply(values, np.exp(-36.0 * (k / k[-1]) ** 36))
+    return multiply(values, np.exp(-36.0 * (k / k[-1]) ** 36))
 
 
 #: Taylor degree of the off-grid evaluator: the least P whose remainder
@@ -239,5 +244,5 @@ def antideriv(values: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def staggered_matrix(m: int) -> np.ndarray:
-    """Dense half-grid first-derivative matrix (m x m), for form assembly."""
+    """Dense half-grid first-derivative matrix (m x m), for the dense form."""
     return staggered_deriv(np.eye(m))

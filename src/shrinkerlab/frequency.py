@@ -29,7 +29,6 @@ from .curvegeo import (
     TWO_PI,
     DiscreteCurve,
     f_functional,
-    gaussian_density,
     gaussian_weights,
     geometry,
     shrinker_quantity,
@@ -89,12 +88,12 @@ def energy_I(base: DiscreteCurve, u) -> float:
 def dirichlet_energy(base: DiscreteCurve, u) -> float:
     """Gaussian Dirichlet energy: quadrature of |grad u|^2 dmu.
 
-    Uses the same staggered half-grid stiffness as the assembled operator,
-    so Rayleigh comparisons against the matrix spectrum are exact.
+    Takes its half-grid coefficient from `spectral.half_grid_coefficient`,
+    like the stiffness of `spectral.assemble`, so the Rayleigh quotient and
+    the eigenvalues of `spectral` come from one discrete form.
     """
     vals = _field_values(base, u)
-    c_half = fourier.staggered_interp(gaussian_density(base.points)
-                                      / geometry(base).metric_speed)
+    c_half = spectral.half_grid_coefficient(base)
     du_half = fourier.staggered_deriv(vals)
     return float((TWO_PI / base.m) * np.sum(c_half * du_half * du_half))
 
@@ -409,8 +408,6 @@ def monitor(base_traj, target_traj, *,
     k = len(pairs)
     curves = [base_traj.curves[i] for i, _ in pairs]
     taus = np.array([base_traj.times[i] for i, _ in pairs], dtype=float)
-    # the m x m temporaries of normal_graph and of the eigensolves set the
-    # peak memory, so both run before the frame records are held
     u_fields = [normal_graph(bc, target_traj.curves[t]).values
                 for bc, (_, t) in zip(curves, pairs)]
     _, _, lambda_bound = spectral.rayleigh_bound(base_traj,

@@ -136,6 +136,18 @@ def test_run_rmcf_frame_times_exact():
     assert traj.times == [0.0] + [0.02 * j for j in range(1, 6)]
 
 
+def test_rescaled_frames_cost_no_sliver_step():
+    # on the round shrinker at cfl 1.4 the step is exactly 0.01, so every
+    # frame lands after frame_dtau / 0.01 steps although the accumulated tau
+    # falls a few ulps short of the frame time
+    for frame_dtau in (0.05, 0.01):
+        traj = run_flows([circle(np.sqrt(2.0), m=256)], "rmcf", 1.0,
+                         frame_dtau=frame_dtau, gauge="area-centroid",
+                         control=StepControl(cfl=1.4))[0]
+        assert len(traj) == round(1.0 / frame_dtau) + 1
+        assert traj.steps == 100
+
+
 def test_run_rmcf_area_evolution_identity():
     # dA/dtau = A - 2 pi holds exactly for any embedded curve, so the frame
     # areas must track A(tau) = 2 pi + (A0 - 2 pi) e^tau up to stepping error

@@ -8,8 +8,10 @@ import os
 import numpy as np
 import pytest
 
-from shrinkerlab import frequency, labcli
-from shrinkerlab.errors import ConfigInvalid
+from shrinkerlab import frequency, labcli, spectral
+from shrinkerlab.curvegeo import ellipse
+from shrinkerlab.errors import ConfigInvalid, ConvergenceFailure
+from shrinkerlab.flowcore import run_rmcf
 from shrinkerlab.labcli import (build_curve, main, parse_config_text, run,
                                 validate_config)
 
@@ -473,6 +475,16 @@ def test_rerun_byte_identical(tmp_path):
     assert "trace.csv" in files[0] and "target/series.csv" in files[0]
     assert files[0] == files[1]
 
+    # the eigensolver starts from fixed Fourier modes and draws no random numbers
+    raw = {"scenario": "spectrum", "curve1": "ellipse(1.4, 1.0)", "m": "256"}
+    files = []
+    for name in ("spec_a", "spec_b"):
+        out = tmp_path / name
+        run(validate_config(dict(raw, out=str(out))))
+        files.append(json.loads((out / "manifest.json").read_text())["files"])
+    assert "spectrum.json" in files[0]
+    assert files[0] == files[1]
+
 
 def test_manifest_lists_every_file(separation_result):
     _, out = separation_result
@@ -595,6 +607,23 @@ out = %s
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: count: ")
     assert not (tmp_path / "x").exists()
+
+
+def test_main_eigensolver_nonconvergence_is_typed(tmp_path, capsys,
+                                                  monkeypatch):
+    monkeypatch.setattr(spectral, "_MAX_ITERATIONS", 1)
+    path = write_config(tmp_path, """
+scenario = spectrum
+curve1 = ellipse(2, 0.5)
+m = 256
+out = %s
+""" % (tmp_path / "x"))
+    assert main(["spectrum", "--config", path]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: eigenpair residual ")
+    traj = run_rmcf(ellipse(2.0, 0.5, m=256), 0.02, frame_dtau=0.01)
+    with pytest.raises(ConvergenceFailure, match="residual"):
+        spectral.rayleigh_bound(traj)
 
 
 def test_main_negative_seed_is_a_config_error(tmp_path, capsys):

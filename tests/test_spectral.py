@@ -1,15 +1,30 @@
 """Spectrum of the weighted drift operator."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from shrinkerlab.curvegeo import circle, ellipse, gaussian_weights, random_fourier
+from shrinkerlab.curvegeo import (circle, ellipse, fourier_curve,
+                                  gaussian_weights, random_fourier)
 from shrinkerlab.errors import DegenerateCurve
 from shrinkerlab.flowcore import run_rmcf
 from shrinkerlab.gauge import apply_L
 from shrinkerlab.spectral import assemble, eigenpairs, rayleigh_bound
 
 SQRT2 = np.sqrt(2.0)
+
+# the curves the matrix-free solver is checked on against the dense oracle
+ORACLE_CURVES = {
+    "circle": lambda m: circle(SQRT2, m=m),
+    "ellipse-1.4": lambda m: ellipse(1.4, 1.0, m=m),
+    "ellipse-2": lambda m: ellipse(2.0, 0.5, m=m),
+    "random-0": lambda m: random_fourier(5, 0.06, seed=0, m=m),
+    "random-1": lambda m: random_fourier(5, 0.06, seed=1, m=m),
+    "random-2": lambda m: random_fourier(5, 0.06, seed=2, m=m),
+    "fourier-2": lambda m: fourier_curve(1.0, (0.0, 0.05), (0.0, 0.0), m=m),
+}
 
 
 def circle_levels(n_modes):
@@ -20,13 +35,36 @@ def circle_levels(n_modes):
     return np.array(out)
 
 
+def dense_levels(op):
+    """All eigenvalues, descending, by a dense eigvalsh of the assembled form."""
+    root = np.sqrt(op.weights)
+    sym = op.quad_form / root[:, None] / root[None, :]
+    return np.linalg.eigvalsh(sym)[::-1]
+
+
+def peak_bytes(fn):
+    """(result, tracemalloc peak) of one call."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_round_base_spectrum_is_exact():
-    spec = eigenpairs(assemble(circle(SQRT2, m=512)), count=13)
-    assert np.abs(spec.eigenvalues - circle_levels(6)).max() < 1e-10
-    assert spec.top_eigenvalue == spec.eigenvalues[0]
-    # degenerate pairs stay numerically degenerate
-    pairs = spec.eigenvalues[1::2] - spec.eigenvalues[2::2]
-    assert np.abs(pairs).max() < 1e-8
+    for m, tol in ((512, 1e-10), (8192, 1e-9)):
+        # no m x m array: one would take 512 MB at m = 8192
+        t0 = time.perf_counter()
+        spec, peak = peak_bytes(
+            lambda: eigenpairs(assemble(circle(SQRT2, m=m)), count=13))
+        assert time.perf_counter() - t0 < 30.0
+        assert peak < 64e6
+        assert np.abs(spec.eigenvalues - circle_levels(6)).max() < tol
+        assert spec.top_eigenvalue == spec.eigenvalues[0]
+        # degenerate pairs stay numerically degenerate
+        pairs = spec.eigenvalues[1::2] - spec.eigenvalues[2::2]
+        assert np.abs(pairs).max() < 1e-8
 
 
 def test_form_is_symmetric():
@@ -34,7 +72,28 @@ def test_form_is_symmetric():
     rng = np.random.default_rng(0)
     v, w = rng.standard_normal((2, 128))
     assert abs(op.form(v, w) - op.form(w, v)) < 1e-12 * (1 + abs(op.form(v, w)))
+    assert abs(op.form(v, w) - v @ op.quad_form @ w) < 1e-12 * abs(op.form(v, w))
     assert np.abs(op.quad_form - op.quad_form.T).max() == 0.0
+
+
+def test_apply_matches_assembled_matrix():
+    op = assemble(random_fourier(5, 0.06, seed=3, m=128))
+    block = np.random.default_rng(1).standard_normal((128, 6))
+    want = op.quad_form @ block / op.weights[:, None]
+    scale = np.abs(want).max()
+    assert np.abs(op.apply(block) - want).max() < 1e-13 * scale
+    assert np.abs(op.apply(block[:, 2]) - want[:, 2]).max() < 1e-13 * scale
+
+
+@pytest.mark.parametrize("m", [64, 512])
+@pytest.mark.parametrize("name", sorted(ORACLE_CURVES))
+def test_eigenpairs_match_dense_oracle(name, m):
+    op = assemble(ORACLE_CURVES[name](m))
+    dense = dense_levels(op)
+    for count in (1, 5, 13):
+        vals = eigenpairs(op, count=count).eigenvalues
+        assert np.all(np.abs(vals - dense[:count])
+                      <= 1e-10 * np.maximum(1.0, np.abs(dense[:count])))
 
 
 def test_strong_form_matches_pointwise_operator():
@@ -72,9 +131,11 @@ def test_mode_two_eigenspace_on_round_base():
 
 
 def test_full_spectrum_trace_identity():
+    # count = m leaves no room for a Ritz basis: the dense branch runs
     op = assemble(ellipse(1.4, 1.0, m=64))
     spec = eigenpairs(op, count=64)
     assert np.isclose(spec.eigenvalues.sum(), op.trace(), rtol=1e-6)
+    assert np.abs(spec.eigenvalues - dense_levels(op)).max() < 1e-10
 
 
 def test_near_round_base_perturbs_spectrum_slightly():
@@ -122,3 +183,26 @@ def test_rayleigh_bound_static_and_converging():
     assert uniform2 >= vals2[-1]
     # gauge-fixed frames approach the round circle, so the bound tightens
     assert abs(vals2[-1] - 1.0) < abs(vals2[0] - 1.0) + 1e-12
+
+
+def separation_base(m, tau_end):
+    """The base flow of the separation scenario: its ellipse at area 2 pi."""
+    return run_rmcf(ellipse(1.1 * SQRT2, SQRT2 / 1.1, m=m), tau_end,
+                    frame_dtau=0.1, gauge="area-centroid")
+
+
+def test_rayleigh_bound_matches_dense_along_separation():
+    traj = separation_base(128, 1.0)
+    _, vals, uniform = rayleigh_bound(traj)
+    dense = np.array([dense_levels(assemble(c))[0] for c in traj.curves])
+    assert np.abs(vals - dense).max() < 1e-10
+    # an upper bound, up to the rounding of the dense oracle
+    assert (vals - dense).min() > -1e-12
+    assert uniform == vals.max()
+
+
+def test_rayleigh_bound_memory_is_linear_in_m():
+    traj = separation_base(1024, 0.2)
+    (_, vals, _), peak = peak_bytes(lambda: rayleigh_bound(traj))
+    assert len(vals) == len(traj)
+    assert peak < 16e6
