@@ -80,7 +80,6 @@ from .labcli import (
     build_curve,
     experiment_rate,
     experiment_separation,
-    load_config,
     main,
     parse_config,
     parse_config_text,

@@ -260,9 +260,6 @@ class FlowTrajectory:
     def __len__(self):
         return len(self.times)
 
-    def frame(self, i):
-        return self.times[i], self.curves[i]
-
     def save(self, outdir) -> list:
         """Write frames/, index.json and series.csv; returns written paths."""
         outdir = os.fspath(outdir)
@@ -513,7 +510,6 @@ class SingularityEstimate:
     center: np.ndarray
     time_err: float
     center_err: float
-    window: tuple
 
     def to_dict(self):
         return {
@@ -562,8 +558,7 @@ def estimate_singularity(traj: FlowTrajectory) -> SingularityEstimate:
     slope = np.hypot(coef[1, 0], coef[1, 1])
     center_err = float(np.abs(resid).max()) + slope * time_err + 1e-12
     return SingularityEstimate(time=t_hat, center=center.copy(),
-                               time_err=time_err, center_err=center_err,
-                               window=(lo, n))
+                               time_err=time_err, center_err=center_err)
 
 
 def rescale_to_rmcf(traj: FlowTrajectory, time: float, center) -> FlowTrajectory:

@@ -4,7 +4,8 @@ Everything here lives in the Gaussian-weighted inner product of a base
 curve. The central objects:
 
   I      = integral of u^2 dmu          (energy of a graph field u)
-  U      = 2 form(u, u) / I             (frequency: doubled Rayleigh quotient)
+  U      = 2 form(u, u) / I             (frequency: doubled Rayleigh quotient
+                                         of the form of `spectral.assemble`)
   Itilde = integral of phi^2 dmu        (squared shrinker deviation; equals
                                          -dF/dtau along any rescaled flow)
   D(tau) = sup-norm error budget of the moving base
@@ -24,9 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fourier, ioutil, spectral
+from . import ioutil, spectral
 from .curvegeo import (
-    TWO_PI,
     DiscreteCurve,
     f_functional,
     gaussian_weights,
@@ -88,29 +88,21 @@ def energy_I(base: DiscreteCurve, u) -> float:
 def dirichlet_energy(base: DiscreteCurve, u) -> float:
     """Gaussian Dirichlet energy: quadrature of |grad u|^2 dmu.
 
-    Takes its half-grid coefficient from `spectral.half_grid_coefficient`,
-    like the stiffness of `spectral.assemble`, so the Rayleigh quotient and
-    the eigenvalues of `spectral` come from one discrete form.
+    The stiffness part of `spectral.assemble(base)`, so the Rayleigh
+    quotient and the eigenvalues of `spectral` come from one discrete form.
     """
     vals = _field_values(base, u)
-    c_half = spectral.half_grid_coefficient(base)
-    du_half = fourier.staggered_deriv(vals)
-    return float((TWO_PI / base.m) * np.sum(c_half * du_half * du_half))
-
-
-def _quotient(weights: np.ndarray, base: DiscreteCurve, vals: np.ndarray,
-              i_val: float, dirichlet: float) -> float:
-    h = geometry(base).curvature
-    pot = float(np.sum(weights * (h * h + 0.5) * vals * vals))
-    return 2.0 * (pot - dirichlet) / i_val
+    return spectral.assemble(base).stiffness(vals, vals)
 
 
 def frequency_U(base: DiscreteCurve, u) -> float:
     """Doubled Rayleigh quotient of the drift operator at u.
 
-    U = 2 (-dirichlet + potential) / I with the potential H^2 + 1/2; the
-    doubling matches the convention in which a pure decaying mode of rate
-    lam contributes dlogI/dtau = 2 lam = U.
+    U = 2 form(u, u) / I, with form the weak form of `spectral.assemble`
+    (potential H^2 + 1/2 minus the Dirichlet energy), so U = 2 <u, L u> / I
+    for the L of `gauge.apply_L`; the doubling matches the convention in
+    which a pure decaying mode of rate lam contributes dlogI/dtau = 2 lam
+    = U.
 
     Raises
     ------
@@ -122,8 +114,7 @@ def frequency_U(base: DiscreteCurve, u) -> float:
     if i_val <= ENERGY_FLOOR:
         raise EnergyUnderflow("energy %.3g at or below floor %.1g"
                               % (i_val, ENERGY_FLOOR))
-    return _quotient(gaussian_weights(base), base, vals, i_val,
-                     dirichlet_energy(base, vals))
+    return 2.0 * spectral.assemble(base).form(vals, vals) / i_val
 
 
 @dataclass(frozen=True)
@@ -423,8 +414,11 @@ def monitor(base_traj, target_traj, *,
         i_vals[j] = float(np.sum(fr.weights * u * u))
         if i_vals[j] <= ENERGY_FLOOR:
             continue
-        dirichlet = dirichlet_energy(bc, u)
-        u_quot[j] = _quotient(fr.weights, bc, u, i_vals[j], dirichlet)
+        # frequency_U and dirichlet_energy, sharing one stiffness evaluation
+        op = spectral.assemble(bc)
+        dirichlet = op.stiffness(u, u)
+        u_quot[j] = 2.0 * (float(np.sum(op.potential * u * u)) - dirichlet) \
+            / i_vals[j]
         corr[j] = float(np.sum(fr.weights * fr.phi ** 2 * u * u)) / i_vals[j]
         dirat[j] = dirichlet / i_vals[j]
     under = i_vals <= ENERGY_FLOOR

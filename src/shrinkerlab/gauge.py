@@ -1,4 +1,4 @@
-"""Normal graphs over a base curve and the linearized drift operator.
+"""Normal graphs over a base curve and the linearization residual.
 
 A nearby curve is written as x + u(x) * nu(x) over a base curve (the graph
 gauge). `normal_graph` extracts u by intersecting each base normal line with
@@ -8,11 +8,10 @@ rescaled flow at a stationary base:
 
     L u = u'' - <x, T>/2 * u' + (H^2 + 1/2) u      (' = arclength derivative)
 
-computed in divergence form (1/(g rho)) d_theta((rho/g) d_theta u) + V u with
-rho = exp(-|x|^2/4), which makes it exactly self-adjoint in the discrete
-Gaussian inner product for arbitrary grid functions. On the round base of
-radius sqrt(2) the eigenfunctions are Fourier modes with L cos(k theta) =
-(1 - k^2/2) cos(k theta).
+evaluated by the one discretization of L, the weak form of
+`spectral.assemble`. On the round base of radius sqrt(2) the
+eigenfunctions are Fourier modes with L cos(k theta) = (1 - k^2/2) cos(k
+theta).
 
 `residual` measures how well a sequence of graphs over a fixed base solves
 du/dtau = L u, quantifying the quadratic error term of the linearization.
@@ -24,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fourier, ioutil
-from .curvegeo import (TWO_PI, DiscreteCurve, gaussian_density, geometry,
-                       star_angles)
+from . import fourier, ioutil, spectral
+from .curvegeo import TWO_PI, DiscreteCurve, geometry, star_angles
 from .errors import NotAGraph
 
 #: relative u-gap below which two normal-line hits count as the same point
@@ -230,19 +228,10 @@ def normal_graph(base: DiscreteCurve, target: DiscreteCurve,
 
 
 def apply_L(base: DiscreteCurve, values) -> np.ndarray:
-    """Drift-Laplacian linearization at `base` applied to a grid function.
-
-    Divergence form (1/(g rho)) d_theta((rho/g) d_theta u) + (H^2 + 1/2) u,
-    exactly self-adjoint under the Gaussian weights of the base.
-    """
-    values = np.asarray(values, dtype=float)
-    geom = geometry(base)
-    g = geom.metric_speed
-    rho = gaussian_density(base.points)
-    inner = (rho / g) * fourier.deriv(values, 1)
-    div = fourier.deriv(inner, 1) / (g * rho)
-    potential = geom.norm_sq_a + 0.5
-    return div + potential * values
+    """Drift-Laplacian linearization at `base` applied to a grid function:
+    the strong form of `spectral.assemble(base)`, self-adjoint under the
+    Gaussian weights of the base."""
+    return spectral.assemble(base).apply(values)
 
 
 @dataclass

@@ -82,9 +82,9 @@ def parse_config_text(text: str) -> dict:
 def parse_config(path) -> dict:
     """Read a config file; see parse_config_text for the grammar."""
     try:
-        with open(path, "r") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigInvalid("cannot read config file: %s" % exc)
     return parse_config_text(text)
 
@@ -277,11 +277,6 @@ def validate_config(raw: dict) -> ScenarioConfig:
         stop_curvature=_as_float(raw, "stop_curvature"),
         raw=tuple(sorted(raw.items())),
     )
-
-
-def load_config(path) -> ScenarioConfig:
-    """Read and validate a config file in one step."""
-    return validate_config(parse_config(path))
 
 
 # ---------------------------------------------------------------------------
@@ -635,8 +630,15 @@ def run(config: ScenarioConfig) -> dict:
 
     Deterministic given the config: reruns produce byte-identical CSV and
     JSON outputs. The manifest is written last and covers every file.
+
+    Raises ConfigInvalid (field out) if the output directory cannot be
+    created, for example because `out` names an existing file.
     """
-    os.makedirs(config.out, exist_ok=True)
+    try:
+        os.makedirs(config.out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigInvalid("cannot create output directory: %s" % exc,
+                            field="out")
     summary = SCENARIOS[config.scenario][2](config)
     ioutil.dump_json(summary, os.path.join(config.out, "summary.json"))
     _write_manifest(config)

@@ -1,4 +1,4 @@
-"""Self-adjoint discretization of the drift operator and its spectrum.
+"""The one discretization of the drift operator L, and its spectrum.
 
 The drift operator acts on fields over a closed base curve; in the Gaussian
 inner product it is self adjoint, with quadratic form
@@ -21,6 +21,9 @@ derivative, so the discrete symbol is monotone all the way to the grid limit.
 
 Q is applied to a block of fields by FFT, O(m log m) per field: D is the
 rfft multiplier of `fourier.staggered_deriv` and D^T its complex conjugate.
+`assemble` caches the operator on the curve; `gauge.apply_L` is its strong
+form and `frequency` takes the frequency U and the Dirichlet energy from
+its form, so Lambda, U and L u all come from one self-adjoint L.
 The top eigenpairs come from block LOBPCG (Knyazev, SIAM J. Sci. Comput. 23,
 2001) on the mass-symmetrized operator M^(-1/2) Q M^(-1/2), preconditioned
 by the constant-coefficient symbol 1 / (1 + s k^2) with s the mean of
@@ -45,7 +48,6 @@ __all__ = [
     "Spectrum",
     "assemble",
     "eigenpairs",
-    "half_grid_coefficient",
     "rayleigh_bound",
 ]
 
@@ -93,13 +95,18 @@ class WeightedOperator:
         quad[idx, idx] += self.potential
         return 0.5 * (quad + quad.T)  # kill rounding asymmetry
 
+    def stiffness(self, u: np.ndarray, v: np.ndarray) -> float:
+        """Gaussian Dirichlet form: the quadrature of grad(u) . grad(v) dmu,
+        symmetric in its arguments."""
+        stiff = np.sum(self.c_half * fourier.staggered_deriv(u)
+                       * fourier.staggered_deriv(v))
+        return float((TWO_PI / self.m) * stiff)
+
     def form(self, u: np.ndarray, v: np.ndarray) -> float:
         """Bilinear form value form(u, v); symmetric in its arguments."""
         u = np.asarray(u, float)
         v = np.asarray(v, float)
-        stiff = np.sum(self.c_half * fourier.staggered_deriv(u)
-                       * fourier.staggered_deriv(v))
-        return float(np.sum(self.potential * u * v) - (TWO_PI / self.m) * stiff)
+        return float(np.sum(self.potential * u * v) - self.stiffness(u, v))
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Strong-form action on a field, or on a block of fields (one per
@@ -141,15 +148,13 @@ class Spectrum:
         ioutil.dump_json(self.to_dict(), path)
 
 
-def half_grid_coefficient(base: DiscreteCurve) -> np.ndarray:
-    """Stiffness coefficient rho/g (Gaussian density over metric speed)
-    interpolated to the staggered half grid."""
-    return fourier.staggered_interp(gaussian_density(base.points)
-                                    / geometry(base).metric_speed)
-
-
 def assemble(base: DiscreteCurve) -> WeightedOperator:
     """The weak form of the drift operator on `base`, ready to apply.
+
+    The stiffness coefficient is rho/g (Gaussian density over metric speed)
+    interpolated to the staggered half grid. Cached on the curve, like
+    `geometry` and `gaussian_weights`, so every quantity of one frame comes
+    from one assembly.
 
     Raises
     ------
@@ -157,14 +162,20 @@ def assemble(base: DiscreteCurve) -> WeightedOperator:
         If the base metric collapses, or the interpolated stiffness
         coefficient loses positivity (wildly under-resolved data).
     """
-    c_half = half_grid_coefficient(base)
+    op = base._cache.get("drift")
+    if op is not None:
+        return op
+    c_half = fourier.staggered_interp(gaussian_density(base.points)
+                                      / geometry(base).metric_speed)
     if float(c_half.min()) <= 0.0:
         raise DegenerateCurve("stiffness coefficient lost positivity on the "
                               "half grid; curve is under-resolved")
     mass = gaussian_weights(base)
     potential = mass * (geometry(base).curvature ** 2 + 0.5)
-    return WeightedOperator(base=base, weights=mass, c_half=c_half,
-                            potential=potential)
+    op = WeightedOperator(base=base, weights=mass, c_half=c_half,
+                          potential=potential)
+    base._cache["drift"] = op
+    return op
 
 
 def _start_block(op: WeightedOperator, size: int) -> np.ndarray:

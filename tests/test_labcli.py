@@ -609,6 +609,29 @@ out = %s
     assert not (tmp_path / "x").exists()
 
 
+def test_main_non_utf8_config_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"scenario = spectrum\ncurve1 = circle(1)  # \xff\xfe\n")
+    assert main(["spectrum", "--config", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot read config ")
+
+
+def test_main_out_naming_a_file_is_a_config_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    path = write_config(tmp_path, """
+scenario = spectrum
+curve1 = circle(1.4142135623730951)
+m = 64
+out = %s
+""" % taken)
+    assert main(["spectrum", "--config", path]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: out: ")
+    assert taken.read_text() == "not a directory\n"
+
+
 def test_main_eigensolver_nonconvergence_is_typed(tmp_path, capsys,
                                                   monkeypatch):
     monkeypatch.setattr(spectral, "_MAX_ITERATIONS", 1)

@@ -5,11 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shrinkerlab.curvegeo import (circle, ellipse, fourier_curve,
                                   gaussian_weights, random_fourier)
 from shrinkerlab.errors import DegenerateCurve
 from shrinkerlab.flowcore import run_rmcf
+from shrinkerlab.frequency import energy_I, frequency_U
 from shrinkerlab.gauge import apply_L
 from shrinkerlab.spectral import assemble, eigenpairs, rayleigh_bound
 
@@ -96,16 +99,29 @@ def test_eigenpairs_match_dense_oracle(name, m):
                       <= 1e-10 * np.maximum(1.0, np.abs(dense[:count])))
 
 
-def test_strong_form_matches_pointwise_operator():
-    # matrix action and the pointwise divergence-form action agree on smooth
-    # fields (they share the potential; stiffness differs only at the very
-    # top of the spectrum, absent from a band-limited field)
-    base = ellipse(1.5, 1.1, m=128)
-    t = np.linspace(0, 2 * np.pi, 128, endpoint=False)
-    u = np.cos(3 * t) + 0.3 * np.sin(5 * t)
-    a = assemble(base).apply(u)
-    b = apply_L(base, u)
-    assert np.abs(a - b).max() < 1e-6 * (1 + np.abs(b).max())
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(kmax=st.integers(2, 8), amplitude=st.floats(0.01, 0.08),
+       curve_seed=st.integers(0, 1000), field_seed=st.integers(0, 1000),
+       m=st.sampled_from([64, 128, 256]))
+def test_one_self_adjoint_drift_operator(kmax, amplitude, curve_seed,
+                                         field_seed, m):
+    # the form, apply_L and the frequency quotient are one discrete operator
+    # L, so the frequency argument's Cauchy-Schwarz step holds to rounding
+    # even on rough fields (where two discretizations would part by percents)
+    base = random_fourier(kmax, amplitude, seed=curve_seed, m=m)
+    op = assemble(base)
+    w = gaussian_weights(base)
+    u, v = np.random.default_rng(field_seed).standard_normal((2, m))
+    scale = 1.0 + abs(op.form(u, u)) + abs(op.form(v, v))
+    assert abs(op.form(u, v) - op.form(v, u)) <= 1e-12 * scale
+    lu, lv = apply_L(base, u), apply_L(base, v)
+    assert abs(np.sum(w * lu * v) - np.sum(w * u * lv)) <= 1e-12 * scale
+    i_val = energy_I(base, u)
+    big_u = frequency_U(base, u)
+    assert abs(big_u - 2.0 * np.sum(w * u * lu) / i_val) \
+        <= 1e-12 * (1.0 + abs(big_u))
+    v_main = 4.0 * np.sum(w * lu * lu) / i_val - big_u ** 2
+    assert v_main >= -1e-12 * (1.0 + big_u ** 2)
 
 
 def test_eigenfunctions_weighted_orthonormal():
