@@ -6,6 +6,7 @@ from .curvegeo import (
     DiscreteCurve,
     GeometryFields,
     circle,
+    distance_to_circle,
     ellipse,
     f_functional,
     fourier_curve,

@@ -209,8 +209,8 @@ class DiscreteCurve:
     def to_csv(self, path) -> None:
         """Write the node list as CSV with header x,y (implicitly periodic)."""
         with open(path, "w", newline="") as fh:
-            fh.write("x,y\n" + "".join("%.17g,%.17g\n" % (px, py)
-                                        for px, py in self.points.tolist()))
+            fh.write("x,y\n" + ("%.17g,%.17g\n" * self.m)
+                     % tuple(self.points.ravel().tolist()))
 
     @classmethod
     def from_csv(cls, path) -> "DiscreteCurve":
@@ -340,16 +340,17 @@ class _Polygon:
         self.ang = ang
 
 
-def _polar_polygon(curve: DiscreteCurve):
-    """The curve's interpolant on the dense grid, started at its least polar
-    angle about the origin, or None when that angle does not increase."""
+def _polar_rows(curve: DiscreteCurve):
+    """(rows, angles, j0): the curve's interpolant on the dense grid and its
+    polar angles about the origin, both rolled to start at the least angle,
+    dense sample j0; None when those angles do not increase."""
     rows = fourier.upsample(curve.points.T, _M_DENSE)
     ang = np.arctan2(rows[1], rows[0])
     j0 = int(np.argmin(ang))
     ang = np.roll(ang, -j0)
     if np.any(np.diff(ang) <= 0.0):
         return None
-    return _Polygon(np.roll(rows, -j0, axis=1), ang)
+    return np.roll(rows, -j0, axis=1), ang, j0
 
 
 def _dist2(px, py, q: _Polygon, idx, work) -> np.ndarray:
@@ -421,12 +422,63 @@ def hausdorff_distance(a: DiscreteCurve, b: DiscreteCurve) -> float:
     once per call, so it resolves HAUSDORFF_SAG on the round shrinker.
     Curves not star-shaped about the origin fall back to the node polylines.
     """
-    pa = _polar_polygon(a)
-    pb = _polar_polygon(b) if pa is not None else None
+    pa = _polar_rows(a)
+    pb = _polar_rows(b) if pa is not None else None
     if pb is None:
         return max(_points_to_segments_max(a.points, b.points),
                    _points_to_segments_max(b.points, a.points))
+    pa, pb = _Polygon(*pa[:2]), _Polygon(*pb[:2])
     return max(_directed_sup(pa, pb), _directed_sup(pb, pa))
+
+
+#: Newton steps distance_to_circle takes at most on each extremum of |x|^2
+_EXTREMUM_STEPS = 6
+
+_EPS = float(np.finfo(float).eps)
+
+
+def distance_to_circle(curve: DiscreteCurve, radius: float):
+    """Hausdorff distance from the curve's interpolant M to the circle of
+    `radius` about the origin, or None when M does not wind once around the
+    origin with increasing polar angle on the dense grid.
+
+    Then d_H = max over x in M of | |x| - radius |: the distance from M to
+    the circle is exactly that, and every ray from the origin meets M, so
+    the distance from the circle to M is no larger. The extremes of |x|^2
+    start at the dense samples and are refined by Newton on <x, x'> = 0 on
+    one order-2 interpolant. A step counts only where the second derivative
+    |x'|^2 + <x, x''> has the sign of the extremum and it moves at most one
+    dense spacing, and the result is never below the dense samples: exact to
+    rounding when the true extremes lie next to the dense ones. On a round
+    curve that derivative is zero up to rounding, and every point the
+    iteration visits lies on the circle, so the result stays at rounding.
+    """
+    polar = _polar_rows(curve)
+    if polar is None:
+        return None
+    rows, _, j0 = polar
+    r2 = rows[0] * rows[0] + rows[1] * rows[1]
+    ends = np.array([np.argmax(r2), np.argmin(r2)])
+    hi2, lo2 = r2[ends]
+    # d/dtheta <x, x'> is negative at the maximum, positive at the minimum
+    sign = np.array([-1.0, 1.0])
+    spacing = TWO_PI / _M_DENSE
+    theta = (ends + j0) * spacing
+    curve_at = fourier.Interpolant(fourier.coeffs(curve.points), curve.m, 2)
+    for _ in range(_EXTREMUM_STEPS):
+        x, dx, ddx = curve_at(theta)
+        val = np.einsum("ij,ij->i", x, x)
+        hi2, lo2 = max(hi2, val[0]), min(lo2, val[1])
+        slope = np.einsum("ij,ij->i", x, dx)
+        curv = np.einsum("ij,ij->i", dx, dx) + np.einsum("ij,ij->i", x, ddx)
+        ok = sign * curv > 0.0
+        step = -slope / np.where(ok, curv, 1.0)
+        ok &= np.abs(step) <= spacing
+        # stop once no step would move |x|^2 by more than its rounding
+        if not np.any(ok & (np.abs(curv) * step * step > _EPS * val)):
+            break
+        theta += np.where(ok, step, 0.0)
+    return max(math.sqrt(hi2) - radius, radius - math.sqrt(lo2))
 
 
 def resample(curve: DiscreteCurve, m_new: int | None = None) -> DiscreteCurve:
@@ -446,28 +498,27 @@ def resample(curve: DiscreteCurve, m_new: int | None = None) -> DiscreteCurve:
     if float(g.min()) < METRIC_FLOOR:
         raise InterpolationFailure("degenerate parametrization")
     mean_g, s_coef = fourier.antideriv(g)
-    g_coef = fourier.coeffs(g)
-    p_coef = fourier.coeffs(curve.points)
+    s_at = fourier.Interpolant(s_coef, m)
+    g_at = fourier.Interpolant(fourier.coeffs(g), m)
     total = mean_g * TWO_PI
     # anchor arclength zero at node 0: the periodic part of the
     # antiderivative need not vanish there
-    s0 = float(fourier.trig_eval(s_coef, m, np.array([0.0]))[0])
+    s0 = float(s_at(np.array([0.0]))[0][0])
     targets = np.arange(m_new) * (total / m_new)
 
     # monotone initial guess from a refined grid
     dense_t = np.linspace(0.0, TWO_PI, 4 * m + 1)
-    dense_s = mean_g * dense_t + fourier.trig_eval(s_coef, m, dense_t) - s0
+    dense_s = mean_g * dense_t + s_at(dense_t)[0] - s0
     dense_s[0] = 0.0
     dense_s[-1] = total
     theta = np.interp(targets, dense_s, dense_t)
     # Newton refinement on s(theta) = target; s' = g > 0
     for _ in range(4):
-        s_val = mean_g * theta + fourier.trig_eval(s_coef, m, theta) - s0
-        g_val = fourier.trig_eval(g_coef, m, theta)
-        theta -= (s_val - targets) / g_val
+        s_val = mean_g * theta + s_at(theta)[0] - s0
+        theta -= (s_val - targets) / g_at(theta)[0]
     theta[0] = 0.0
 
-    new_points = fourier.trig_eval(p_coef, m, theta)
+    new_points = fourier.Interpolant(fourier.coeffs(curve.points), m)(theta)[0]
     try:
         return DiscreteCurve(new_points)
     except (InvalidCurve, DegenerateCurve) as exc:

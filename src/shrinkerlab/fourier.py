@@ -3,8 +3,8 @@
 All curve fields live on the uniform parameter grid theta_j = 2*pi*j/m with
 even m. Derivatives and interpolants are discrete Fourier (trigonometric
 interpolation, spectrally accurate for analytic data). This module owns the
-interpolant off the grid: `trig_eval` anywhere, from a Taylor table on the
-grid, and `upsample` on a finer uniform grid.
+interpolant off the grid: `Interpolant` anywhere, from a Taylor table on the
+grid built once per coefficient set, and `upsample` on a finer uniform grid.
 
 Staggered (half-grid) variants evaluate at theta_{j+1/2}. They are used to
 assemble stiffness quadratic forms: the collocated Fourier derivative
@@ -164,53 +164,83 @@ def _nearest_node(thetas: np.ndarray, m: int):
     return (n + near).astype(np.intp) % m, x - near
 
 
-def _taylor_eval(coef: np.ndarray, m: int, thetas: np.ndarray,
-                 order: int) -> list:
-    """Derivatives 0..order of the trigonometric interpolant at `thetas`.
+_TAYLOR_CACHE: dict = {}
 
-    Row q of one table holds h^q f^(q)/q! on the grid (h = 2*pi/m), all
-    rows from one batched irfft of coef * (i k h)^q/q!; the Nyquist cosine
-    needs no special case, as irfft drops its odd rows, whose sine vanishes
-    on the grid. Each theta reads the Taylor polynomial of degree P + order
-    about its nearest node, and Horner's rule with synthetic division gives
-    the derivatives with the value: O(P m log m + P n) time, O(P (m + n))
-    memory."""
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    h = TWO_PI / m
-    top = _TAYLOR_P + order
-    q = np.arange(top + 1)
-    mult = ((1j * h * _wavenumbers(m)) ** q[:, None]
-            / np.cumprod(np.maximum(q, 1.0))[:, None])
-    cols = coef.reshape(coef.shape[0], -1)
-    table = np.fft.irfft(mult[:, :, None] * cols, n=m, axis=1)
-    j, x = _nearest_node(thetas, m)
-    near = table[:, j]
-    x = x[:, None]
-    # out[r] ends as the r-th derivative of the polynomial in x over r!
-    out = [near[top].copy()] + [np.zeros_like(near[top]) for _ in range(order)]
-    for q in range(top - 1, -1, -1):
-        for r in range(order, 0, -1):
-            out[r] *= x
-            out[r] += out[r - 1]
-        out[0] *= x
-        out[0] += near[q]
-    shape = thetas.shape + coef.shape[1:]
-    return [(o * (math.factorial(r) / h ** r) if r else o).reshape(shape)
-            for r, o in enumerate(out)]
+
+def _taylor_multipliers(m: int, top: int) -> np.ndarray:
+    """rfft multipliers (i k h)^q/q!, q = 0..top, h = 2*pi/m, cached per
+    (m, top) like :func:`deriv12_multipliers`."""
+    mult = _TAYLOR_CACHE.get((m, top))
+    if mult is None:
+        q = np.arange(top + 1)
+        mult = ((1j * (TWO_PI / m) * _wavenumbers(m)) ** q[:, None]
+                / np.cumprod(np.maximum(q, 1.0))[:, None])
+        mult.flags.writeable = False
+        _TAYLOR_CACHE[(m, top)] = mult
+    return mult
+
+
+class Interpolant:
+    """The trigonometric interpolant of m grid samples with rfft
+    coefficients `coef`, (m//2+1,) or (m//2+1, d), prepared once so that
+    calls return its derivatives 0..order at any parameters.
+
+    Row q of the Taylor table holds h^q f^(q)/q! on the grid (h = 2*pi/m),
+    all rows from one batched irfft of coef * (i k h)^q/q!; the Nyquist
+    cosine needs no special case, as irfft drops its odd rows, whose sine
+    vanishes on the grid. Each theta reads the Taylor polynomial of degree
+    P + order about its nearest node, and Horner's rule with synthetic
+    division gives the derivatives with the value: O(P m log m) time to
+    build, O(P n) time and memory per call on n parameters.
+    """
+
+    __slots__ = ("m", "order", "_table", "_tail")
+
+    def __init__(self, coef: np.ndarray, m: int, order: int = 0):
+        self.m = m
+        self.order = order
+        cols = coef.reshape(coef.shape[0], -1)
+        mult = _taylor_multipliers(m, _TAYLOR_P + order)
+        self._table = np.fft.irfft(mult[:, :, None] * cols, n=m, axis=1)
+        self._tail = coef.shape[1:]
+
+    def __call__(self, thetas) -> list:
+        """[f, f', ..., f^(order)] at the parameters thetas (n,), each of
+        shape (n,) + the trailing shape of the coefficients."""
+        thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+        j, x = _nearest_node(thetas, self.m)
+        near = self._table[:, j]
+        x = x[:, None]
+        # row r of acc ends as the r-th derivative of the polynomial in x
+        # over r!; a Horner step sets row r to (row r) x + (old row r - 1),
+        # and row 0 to (row 0) x + the next coefficient
+        acc = np.zeros((self.order + 1,) + near.shape[1:])
+        acc[0] = near[-1]
+        nxt = np.empty_like(acc)
+        for row in near[-2::-1]:
+            np.multiply(acc, x, out=nxt)
+            nxt[0] += row
+            if self.order:
+                nxt[1:] += acc[:-1]
+            acc, nxt = nxt, acc
+        h = TWO_PI / self.m
+        shape = thetas.shape + self._tail
+        return [(o * (math.factorial(r) / h ** r) if r else o).reshape(shape)
+                for r, o in enumerate(acc)]
 
 
 def trig_eval(coef: np.ndarray, m: int, thetas: np.ndarray, order: int = 0) -> np.ndarray:
     """The trigonometric interpolant, or its derivative of `order`, at the
     parameters thetas (n,), from the rfft coefficients `coef`, (m//2+1,) or
     (m//2+1, d), of m grid samples."""
-    return _taylor_eval(coef, m, thetas, order)[order]
+    return Interpolant(coef, m, order)(thetas)[order]
 
 
 def trig_eval_pair(coef: np.ndarray, m: int,
                    thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Interpolant value and first theta-derivative from one table: the
     pair a Newton iteration on the interpolant consumes."""
-    return tuple(_taylor_eval(coef, m, thetas, 1))
+    return tuple(Interpolant(coef, m, 1)(thetas))
 
 
 def upsample(rows: np.ndarray, m_fine: int) -> np.ndarray:

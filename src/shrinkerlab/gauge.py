@@ -203,11 +203,11 @@ def normal_graph(base: DiscreteCurve, target: DiscreteCurve,
     frac = np.clip(svals[order][starts], 0.0, 1.0)
 
     # Newton polish on the target interpolant: c(theta) - x - u nu = 0
-    c_coef = fourier.coeffs(p)
+    curve_at = fourier.Interpolant(fourier.coeffs(p), target.m, 1)
     theta = (seg + frac) * (TWO_PI / target.m)
     u = u0.copy()
     for _ in range(4):
-        c_val, c_der = fourier.trig_eval_pair(c_coef, target.m, theta)
+        c_val, c_der = curve_at(theta)
         fx = c_val[:, 0] - x[:, 0] - u * nu[:, 0]
         fy = c_val[:, 1] - x[:, 1] - u * nu[:, 1]
         det = -(c_der[:, 0] * nu[:, 1] - c_der[:, 1] * nu[:, 0])
@@ -216,7 +216,7 @@ def normal_graph(base: DiscreteCurve, target: DiscreteCurve,
         u += (c_der[:, 1] * fx - c_der[:, 0] * fy) / det
         if float(np.abs(dth).max()) < 1e-12:
             break
-    c_val = fourier.trig_eval(c_coef, target.m, theta)
+    c_val = curve_at(theta)[0]
     err = np.hypot(c_val[:, 0] - x[:, 0] - u * nu[:, 0],
                    c_val[:, 1] - x[:, 1] - u * nu[:, 1])
     if float(err.max()) > 1e-9 * (1.0 + float(np.abs(u).max())):

@@ -27,8 +27,8 @@ import numpy as np
 
 from . import fourier, ioutil
 from .curvegeo import (HAUSDORFF_SAG, TWO_PI, DiscreteCurve, area_centroid,
-                       circle, ellipse, fourier_curve, geometry,
-                       random_fourier)
+                       circle, distance_to_circle, ellipse, fourier_curve,
+                       geometry, random_fourier)
 # bound under the name perfbench/tracer.py times as "curvegeo.hausdorff"
 from .curvegeo import hausdorff_distance as _hausdorff_dense
 from .errors import ConfigInvalid, NotShrinking, ShrinkerLabError, WindowTooShort
@@ -552,22 +552,26 @@ def experiment_rate(config: ScenarioConfig) -> dict:
 
     The initial curve is recentered and scaled to enclosed area 2*pi, then
     evolved by the rescaled flow under the configured gauge. Hausdorff
-    distance to the round limit and the L2 size of the shrinker quantity are
-    fitted over the trailing window and compared against the rate of the
-    dominant initial mode. Writes frames/ and trace.csv.
+    distance to the round limit (in closed form by `distance_to_circle`,
+    the dense routine for a frame that does not wind once around the
+    origin) and the L2 size of the shrinker quantity are fitted over the
+    trailing window and compared against the rate of the dominant initial
+    mode. Writes frames/ and trace.csv.
     """
     curve = _build_curves(config, convex=True)[0]
     start = _normalize_unit_area(curve)
     control = StepControl(cfl=config.cfl)
     traj = run_rmcf(start, config.tau_end, frame_dtau=config.frame_dtau,
                     gauge=config.gauge, control=control)
-    reference = circle(math.sqrt(2.0), m=config.m)
+    radius = math.sqrt(2.0)
+    reference = circle(radius, m=config.m)
 
     taus = np.asarray(traj.times, dtype=float)
     dh = np.empty(len(taus))
     phi_l2 = np.empty(len(taus))
     for j, frame in enumerate(traj.curves):
-        dh[j] = _hausdorff_dense(frame, reference)
+        exact = distance_to_circle(frame, radius)
+        dh[j] = _hausdorff_dense(frame, reference) if exact is None else exact
         phi_l2[j] = math.sqrt(shrinker_energy(frame))
 
     coeffs = np.abs(np.fft.rfft(normal_graph(reference, traj.curves[0]).values))

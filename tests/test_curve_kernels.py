@@ -19,9 +19,10 @@ from hypothesis import strategies as st
 from shrinkerlab import fourier, labcli
 from shrinkerlab.curvegeo import (_M_DENSE, TWO_PI, DiscreteCurve,
                                   _has_self_intersection,
-                                  _points_to_segments_max, circle, ellipse,
-                                  fourier_curve, geometry, hausdorff_distance,
-                                  resample, star_angles)
+                                  _points_to_segments_max, circle,
+                                  distance_to_circle, ellipse, fourier_curve,
+                                  geometry, hausdorff_distance, resample,
+                                  star_angles)
 from shrinkerlab.errors import NotAGraph
 from shrinkerlab.flowcore import run_rmcf
 from shrinkerlab.gauge import (_candidate_pairs, _sectors, normal_graph,
@@ -337,6 +338,61 @@ def test_hausdorff_dense_matches_oracle_along_a_flow():
     for frame in traj.curves:
         assert (hausdorff_distance(frame, reference)
                 == oracle_hausdorff_dense(frame, reference, windowed_directed_sup))
+
+
+def test_one_interpolant_table_per_coefficient_set(monkeypatch):
+    # normal_graph polishes on the target's one table; resample builds one
+    # each for the arclength, the speed and the points
+    built = []
+
+    class Counted(fourier.Interpolant):
+        def __init__(self, coef, m, order=0):
+            built.append(order)
+            super().__init__(coef, m, order)
+
+    monkeypatch.setattr(fourier, "Interpolant", Counted)
+    base = circle(SQRT2, m=128)
+    normal_graph(base, reconstruct(base, 0.01 * np.cos(3 * grid(128))))
+    assert built == [1]
+    built.clear()
+    resample(ellipse(1.3, 0.8, m=128))
+    assert built == [0, 0, 0]
+
+
+# ---------------------------------------------------------------------------
+# closed-form distance to the round limit
+
+def test_distance_to_circle_is_exact_on_a_rotated_ellipse():
+    # the extremes of |x| sit between dense samples: the dense routine is
+    # 5.2e-8 off here, the Newton-refined extremes are exact to rounding
+    a, b, phi = 1.6, 1.25, 1.2343
+    t = grid(256)
+    curve = DiscreteCurve(np.column_stack([a * np.cos(t + phi),
+                                           b * np.sin(t + phi)]))
+    expected = max(a - SQRT2, SQRT2 - b)
+    assert abs(distance_to_circle(curve, SQRT2) - expected) <= 1e-14
+
+
+def test_distance_to_circle_round_and_off_centre(recwarn):
+    # on a round curve the second derivative of |x|^2 is rounding noise:
+    # the safeguarded division warns of nothing and the result stays exact
+    assert distance_to_circle(circle(SQRT2), SQRT2) <= 1e-14
+    assert abs(distance_to_circle(circle(1.3), SQRT2) - (SQRT2 - 1.3)) <= 1e-14
+    assert len(recwarn) == 0
+    # the polar angle about the origin does not wind once
+    assert distance_to_circle(circle(1.0, center=(2.0, 0.0)), SQRT2) is None
+
+
+def test_distance_to_circle_matches_dense_along_a_flow():
+    start = labcli._normalize_unit_area(fourier_curve(1.0, (0.0, 0.05), m=128))
+    traj = run_rmcf(start, 2.0, frame_dtau=0.1)
+    reference = circle(SQRT2, m=128)
+    for frame in traj.curves:
+        got = distance_to_circle(frame, SQRT2)
+        dense = oracle_hausdorff_dense(frame, reference, windowed_directed_sup)
+        assert abs(got - dense) <= 1e-12 * dense
+        rows = fourier.upsample(frame.points.T, _M_DENSE)
+        assert got >= np.abs(np.hypot(*rows) - SQRT2).max()
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,17 @@ def test_trig_eval_matches_dense_basis(m, kind):
     for got, order in ((value, 0), (der, 1)):
         want = dense_basis_eval(coef, m, thetas, order)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    # one prepared table per order gives the fronts' results bit for bit
+    for order in range(3):
+        prepared = fourier.Interpolant(coef, m, order)
+        got = prepared(thetas)
+        assert len(got) == order + 1
+        assert np.array_equal(got[order],
+                              fourier.trig_eval(coef, m, thetas, order=order))
+        assert np.array_equal(prepared(thetas[::-1])[order], got[order][::-1])
+    pair = fourier.Interpolant(coef, m, 1)(thetas)
+    for got, want in zip(pair, fourier.trig_eval_pair(coef, m, thetas)):
+        assert np.array_equal(got, want)
 
 
 def test_antideriv_reconstructs_integral():

@@ -290,6 +290,37 @@ def test_rate_mode3_slope(tmp_path):
     assert summary["verdict"] == "consistent"
 
 
+def test_rate_dh_falls_back_to_the_dense_routine(tmp_path, monkeypatch):
+    """Centred frames take dH in closed form; a frame distance_to_circle
+    declines (None) takes it from the dense routine against circle(sqrt 2)."""
+    calls = []
+    hausdorff = labcli._hausdorff_dense
+
+    def recorded(a, b):
+        calls.append((b, hausdorff(a, b)))
+        return calls[-1][1]
+
+    def rate(name):
+        out = tmp_path / name
+        run(validate_config({
+            "scenario": "rate", "curve1": "fourier(1, 0, 0, 0.05, 0)",
+            "m": "64", "out": str(out), "tau_end": "2", "frame_dtau": "0.1"}))
+        return np.genfromtxt(out / "trace.csv", delimiter=",", names=True)["dH"]
+
+    monkeypatch.setattr(labcli, "_hausdorff_dense", recorded)
+    closed = rate("closed")
+    assert calls == []
+    monkeypatch.setattr(labcli, "distance_to_circle", lambda curve, radius: None)
+    dense = rate("dense")
+    assert len(calls) == dense.size == closed.size
+    reference = calls[0][0]
+    assert reference.m == 64
+    assert np.abs(np.hypot(*reference.points.T) - math.sqrt(2.0)).max() < 1e-15
+    assert all(b is reference for b, _ in calls)
+    assert np.array_equal(dense, [d for _, d in calls])
+    assert np.abs(closed - dense).max() <= 1e-12 * dense.max()
+
+
 def test_rate_circle_is_exact_shrinker(tmp_path):
     cfg = validate_config({
         "scenario": "rate", "curve1": "circle(3, 0.5, -0.2)", "m": "96",
