@@ -50,6 +50,7 @@ from .gauge import (
     GraphFunction,
     ResidualReport,
     apply_L,
+    graph_hausdorff,
     normal_graph,
     reconstruct,
     residual,

@@ -341,16 +341,19 @@ class _Polygon:
 
 
 def _polar_rows(curve: DiscreteCurve):
-    """(rows, angles, j0): the curve's interpolant on the dense grid and its
-    polar angles about the origin, both rolled to start at the least angle,
-    dense sample j0; None when those angles do not increase."""
+    """(rows, angles, j0): the curve's interpolant on the dense grid, its
+    polar angles about the origin and the dense sample j0 of the least
+    angle; None when the angles do not increase from j0 once around.
+
+    They do exactly when one cyclic step fails to increase (the step into
+    j0), which needs no copy rolled to start at j0.
+    """
     rows = fourier.upsample(curve.points.T, _M_DENSE)
     ang = np.arctan2(rows[1], rows[0])
-    j0 = int(np.argmin(ang))
-    ang = np.roll(ang, -j0)
-    if np.any(np.diff(ang) <= 0.0):
+    drops = np.count_nonzero(np.diff(ang) <= 0.0) + int(ang[0] <= ang[-1])
+    if drops != 1:
         return None
-    return np.roll(rows, -j0, axis=1), ang, j0
+    return rows, ang, int(np.argmin(ang))
 
 
 def _dist2(px, py, q: _Polygon, idx, work) -> np.ndarray:
@@ -427,14 +430,42 @@ def hausdorff_distance(a: DiscreteCurve, b: DiscreteCurve) -> float:
     if pb is None:
         return max(_points_to_segments_max(a.points, b.points),
                    _points_to_segments_max(b.points, a.points))
-    pa, pb = _Polygon(*pa[:2]), _Polygon(*pb[:2])
+    # each polygon starts at its least angle, so its angles are sorted
+    pa, pb = (_Polygon(np.roll(rows, -j0, axis=1), np.roll(ang, -j0))
+              for rows, ang, j0 in (pa, pb))
     return max(_directed_sup(pa, pb), _directed_sup(pb, pa))
 
 
-#: Newton steps distance_to_circle takes at most on each extremum of |x|^2
+#: Newton steps refine_extrema takes at most on each extremum
 _EXTREMUM_STEPS = 6
 
 _EPS = float(np.finfo(float).eps)
+
+
+def refine_extrema(field, theta, sign, best, spacing: float):
+    """Refine extremes of a periodic function f by safeguarded Newton on
+    f' = 0, from the parameters theta (n,).
+
+    field(theta) returns (f, a f', a f'') for some a > 0; sign holds -1 for
+    a maximum and +1 for a minimum; best holds the values at the start,
+    usually samples. A step counts only where a f'' has the sign of the
+    extremum and it moves at most `spacing`; the iteration stops once no
+    step would move f by more than its rounding. Returns, per extremum, the
+    most extreme of `best` and the values visited: never less extreme than
+    the samples, and exact to rounding when the true extremum lies within
+    `spacing` of its start.
+    """
+    for _ in range(_EXTREMUM_STEPS):
+        val, slope, curv = field(theta)
+        best = np.where(sign < 0.0, np.maximum(best, val),
+                        np.minimum(best, val))
+        ok = sign * curv > 0.0
+        step = -slope / np.where(ok, curv, 1.0)
+        ok &= np.abs(step) <= spacing
+        if not np.any(ok & (np.abs(curv) * step * step > _EPS * np.abs(val))):
+            break
+        theta = theta + np.where(ok, step, 0.0)
+    return best
 
 
 def distance_to_circle(curve: DiscreteCurve, radius: float):
@@ -445,39 +476,30 @@ def distance_to_circle(curve: DiscreteCurve, radius: float):
     Then d_H = max over x in M of | |x| - radius |: the distance from M to
     the circle is exactly that, and every ray from the origin meets M, so
     the distance from the circle to M is no larger. The extremes of |x|^2
-    start at the dense samples and are refined by Newton on <x, x'> = 0 on
-    one order-2 interpolant. A step counts only where the second derivative
-    |x'|^2 + <x, x''> has the sign of the extremum and it moves at most one
-    dense spacing, and the result is never below the dense samples: exact to
-    rounding when the true extremes lie next to the dense ones. On a round
-    curve that derivative is zero up to rounding, and every point the
-    iteration visits lies on the circle, so the result stays at rounding.
+    start at the dense samples and are refined by `refine_extrema` on
+    <x, x'> = 0 on one order-2 interpolant, within one dense spacing: exact
+    to rounding when the true extremes lie next to the dense ones. On a
+    round curve the second derivative |x'|^2 + <x, x''> is zero up to
+    rounding, and every point the iteration visits lies on the circle, so
+    the result stays at rounding.
     """
     polar = _polar_rows(curve)
     if polar is None:
         return None
-    rows, _, j0 = polar
+    rows = polar[0]
     r2 = rows[0] * rows[0] + rows[1] * rows[1]
     ends = np.array([np.argmax(r2), np.argmin(r2)])
-    hi2, lo2 = r2[ends]
-    # d/dtheta <x, x'> is negative at the maximum, positive at the minimum
-    sign = np.array([-1.0, 1.0])
-    spacing = TWO_PI / _M_DENSE
-    theta = (ends + j0) * spacing
     curve_at = fourier.Interpolant(fourier.coeffs(curve.points), curve.m, 2)
-    for _ in range(_EXTREMUM_STEPS):
+
+    def half_r2(theta):
+        """|x|^2 with half its first two derivatives."""
         x, dx, ddx = curve_at(theta)
-        val = np.einsum("ij,ij->i", x, x)
-        hi2, lo2 = max(hi2, val[0]), min(lo2, val[1])
-        slope = np.einsum("ij,ij->i", x, dx)
-        curv = np.einsum("ij,ij->i", dx, dx) + np.einsum("ij,ij->i", x, ddx)
-        ok = sign * curv > 0.0
-        step = -slope / np.where(ok, curv, 1.0)
-        ok &= np.abs(step) <= spacing
-        # stop once no step would move |x|^2 by more than its rounding
-        if not np.any(ok & (np.abs(curv) * step * step > _EPS * val)):
-            break
-        theta += np.where(ok, step, 0.0)
+        return (np.einsum("ij,ij->i", x, x), np.einsum("ij,ij->i", x, dx),
+                np.einsum("ij,ij->i", dx, dx) + np.einsum("ij,ij->i", x, ddx))
+
+    spacing = TWO_PI / _M_DENSE
+    hi2, lo2 = refine_extrema(half_r2, ends * spacing, np.array([-1.0, 1.0]),
+                              r2[ends], spacing)
     return max(math.sqrt(hi2) - radius, radius - math.sqrt(lo2))
 
 

@@ -314,12 +314,15 @@ class FrequencyTrace:
 
     columns holds one array per CSV column (TRACE_COLUMNS order); underflow
     rows carry zeros in the quotient fields and are excluded from every fit.
-    pairs holds the (base, target) frame indices of each row. The margin
-    array and fitted scalars summarize the verified inequalities.
+    pairs holds the (base, target) frame indices of each row and graphs the
+    target frame written as a normal graph over the base frame (kept in
+    memory, not written). The margin array and fitted scalars summarize the
+    verified inequalities.
     """
 
     columns: dict
     pairs: list
+    graphs: list
     inequality_margin: np.ndarray
     lambda_bound: float
     lambda_fit: float
@@ -399,8 +402,9 @@ def monitor(base_traj, target_traj, *,
     k = len(pairs)
     curves = [base_traj.curves[i] for i, _ in pairs]
     taus = np.array([base_traj.times[i] for i, _ in pairs], dtype=float)
-    u_fields = [normal_graph(bc, target_traj.curves[t]).values
-                for bc, (_, t) in zip(curves, pairs)]
+    graphs = [normal_graph(bc, target_traj.curves[t])
+              for bc, (_, t) in zip(curves, pairs)]
+    u_fields = [graph.values for graph in graphs]
     _, _, lambda_bound = spectral.rayleigh_bound(base_traj,
                                                  stride=max(1, k // 12))
     records = [_frame(curve) for curve in base_traj.curves]
@@ -496,6 +500,7 @@ def monitor(base_traj, target_traj, *,
 
     return FrequencyTrace(columns=cols,
                           pairs=pairs[1:-1],
+                          graphs=graphs[1:-1],
                           inequality_margin=margin,
                           lambda_bound=float(lambda_bound),
                           lambda_fit=lam_fit,

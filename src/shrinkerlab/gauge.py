@@ -3,8 +3,12 @@
 A nearby curve is written as x + u(x) * nu(x) over a base curve (the graph
 gauge). `normal_graph` extracts u by intersecting each base normal line with
 the target and polishing on the target's trigonometric interpolant;
-`reconstruct` goes the other way. `apply_L` is the linearization of the
-rescaled flow at a stationary base:
+`reconstruct` goes the other way. `graph_hausdorff` reads the Hausdorff
+distance off a graph: when base and target are convex and sup|u| stays
+below half of both reaches (1/max H), it is sup|u| in closed form, the node
+maximum refined on the interpolant of u; otherwise the dense
+`curvegeo.hausdorff_distance` measures it. `apply_L` is the linearization
+of the rescaled flow at a stationary base:
 
     L u = u'' - <x, T>/2 * u' + (H^2 + 1/2) u      (' = arclength derivative)
 
@@ -24,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fourier, ioutil, spectral
-from .curvegeo import TWO_PI, DiscreteCurve, geometry, star_angles
+from .curvegeo import (TWO_PI, DiscreteCurve, geometry, hausdorff_distance,
+                       refine_extrema, star_angles)
 from .errors import NotAGraph
 
 #: relative u-gap below which two normal-line hits count as the same point
@@ -225,6 +230,36 @@ def normal_graph(base: DiscreteCurve, target: DiscreteCurve,
         raise NotAGraph("graph height %.3g reaches reach/2 = %.3g"
                         % (np.abs(u).max(), half))
     return GraphFunction(base=base, values=u)
+
+
+def graph_hausdorff(graph: GraphFunction, target: DiscreteCurve) -> float:
+    """Hausdorff distance between the base of `graph` and `target`, the
+    curve the graph writes over it (target = base + u nu).
+
+    When both curves are convex and sup|u| stays below both reaches (1/max
+    H for a convex closed curve), d_H = sup|u| exactly: each target point
+    x + u nu lies on the base normal at x within the base's reach, so its
+    distance to the base is |u|, and each base point is within |u| of the
+    target. The node maximum of |u| is refined by `refine_extrema` on u' =
+    0 on one order-2 interpolant of u, within one node spacing; the result
+    is never below the node maximum. When either curve has a node
+    curvature <= 0, or sup|u| reaches half the smaller reach, the dense
+    `hausdorff_distance` measures it instead.
+    """
+    base, u = graph.base, graph.values
+    h_base = geometry(base).curvature
+    h_target = geometry(target).curvature
+    j = int(np.argmax(np.abs(u)))
+    if (min(float(h_base.min()), float(h_target.min())) <= 0.0
+            or abs(u[j]) >= 0.5 / max(float(h_base.max()),
+                                      float(h_target.max()))):
+        return hausdorff_distance(base, target)
+    u_at = fourier.Interpolant(fourier.coeffs(u), base.m, 2)
+    spacing = TWO_PI / base.m
+    sign = -np.sign(u[j:j + 1])
+    best = refine_extrema(u_at, np.array([j * spacing]), sign, u[j:j + 1],
+                          spacing)
+    return abs(float(best[0]))
 
 
 def apply_L(base: DiscreteCurve, values) -> np.ndarray:

@@ -35,7 +35,7 @@ from .errors import ConfigInvalid, NotShrinking, ShrinkerLabError, WindowTooShor
 from .flowcore import (CFL_MAX, GAUGES, StepControl, estimate_singularity,
                        run_flows, run_mcf, run_rmcf)
 from .frequency import monitor, shrinker_energy, superexponential_flag
-from .gauge import normal_graph, reconstruct, residual
+from .gauge import graph_hausdorff, normal_graph, reconstruct, residual
 from .spectral import assemble, eigenpairs
 
 # verdicts that exit 0; anything else exits 2
@@ -485,8 +485,12 @@ def experiment_separation(config: ScenarioConfig) -> SeparationReport:
     area 2*pi, both are stepped in one batch by the rescaled flow under the
     area-centroid gauge (so their frames share the times 0, frame_dtau, ...,
     tau_end), then the two-flow frequency monitor runs on them, plus a
-    Hausdorff distance fit. Writes frames/, target/, trace.csv,
-    separation.json.
+    Hausdorff distance fit. Each dH row is read off the normal graph u the
+    monitor built for that frame pair (`gauge.graph_hausdorff`): when both
+    frames are convex and sup|u| stays below half of both reaches (1/max
+    H), d_H = sup|u| in closed form, the node maximum refined on the
+    interpolant of u; otherwise the dense `hausdorff_distance` measures it.
+    Writes frames/, target/, trace.csv, separation.json.
     """
     curve1, curve2 = _build_curves(config, convex=True)
     area1, area2 = curve1.area(), curve2.area()
@@ -503,8 +507,8 @@ def experiment_separation(config: ScenarioConfig) -> SeparationReport:
     trace = monitor(base_traj, target_traj, fit_fraction=config.fit_window)
     taus = trace.columns["tau"]
     underflow = trace.columns["underflow"].astype(bool)
-    dh = np.array([_hausdorff_dense(base_traj.curves[i], target_traj.curves[j])
-                   for i, j in trace.pairs])
+    dh = np.array([graph_hausdorff(graph, target_traj.curves[j])
+                   for graph, (_, j) in zip(trace.graphs, trace.pairs)])
 
     usable = (dh > _DH_FIT_FLOOR) & ~underflow
     dh_slope, tw, lw = _fit_tail_slope(taus[usable], dh[usable],

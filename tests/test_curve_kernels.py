@@ -8,6 +8,7 @@ change a result: each is compared here with `np.array_equal` (or `==`)
 against a copy of the straightforward all-pairs formulation it replaced.
 """
 
+import functools
 import math
 import tracemalloc
 
@@ -15,18 +16,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
-from shrinkerlab import fourier, labcli
+from shrinkerlab import fourier, frequency, gauge, labcli
 from shrinkerlab.curvegeo import (_M_DENSE, TWO_PI, DiscreteCurve,
                                   _has_self_intersection,
-                                  _points_to_segments_max, circle,
+                                  _points_to_segments_max, _polar_rows, circle,
                                   distance_to_circle, ellipse, fourier_curve,
-                                  geometry, hausdorff_distance, resample,
-                                  star_angles)
+                                  geometry, hausdorff_distance, random_fourier,
+                                  resample, star_angles)
 from shrinkerlab.errors import NotAGraph
-from shrinkerlab.flowcore import run_rmcf
-from shrinkerlab.gauge import (_candidate_pairs, _sectors, normal_graph,
-                              reconstruct)
+from shrinkerlab.flowcore import run_flows, run_rmcf
+from shrinkerlab.gauge import (GraphFunction, _candidate_pairs, _sectors,
+                              graph_hausdorff, normal_graph, reconstruct)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -120,15 +122,17 @@ def oracle_directed_sup(p, q):
     return math.sqrt(worst)
 
 
-def windowed_directed_sup(p, q):
-    """The six segments around each point's polar angle only: an upper
-    bound on the distance, exact when they hold the nearest segments."""
+def windowed_directed_sup(p, q, base=None):
+    """The six segments around each point's polar angle (or around vertex
+    base[i] of q for point i) only: an upper bound on the distance, exact
+    when they hold the nearest segments."""
     m_q = q.shape[0]
-    ang_p = np.arctan2(p[:, 1], p[:, 0])
-    ang_q = np.arctan2(q[:, 1], q[:, 0])
-    j0 = int(np.argmin(ang_q))
-    sorted_q = np.roll(ang_q, -j0)
-    base = np.searchsorted(sorted_q, ang_p) + j0
+    if base is None:
+        ang_p = np.arctan2(p[:, 1], p[:, 0])
+        ang_q = np.arctan2(q[:, 1], q[:, 0])
+        j0 = int(np.argmin(ang_q))
+        sorted_q = np.roll(ang_q, -j0)
+        base = np.searchsorted(sorted_q, ang_p) + j0
     best = np.full(p.shape[0], np.inf)
     for off in range(-3, 3):
         idx = (base + off) % m_q
@@ -393,6 +397,146 @@ def test_distance_to_circle_matches_dense_along_a_flow():
         assert abs(got - dense) <= 1e-12 * dense
         rows = fourier.upsample(frame.points.T, _M_DENSE)
         assert got >= np.abs(np.hypot(*rows) - SQRT2).max()
+
+
+def test_polar_rows_angles_increase_without_a_rolled_copy():
+    # exactly one cyclic step of the dense angles fails to increase (the
+    # step into the least angle, sample j0) when the copy rolled to start at
+    # j0 increases throughout, the test the rolled rows used to take
+    t = grid(64)
+    curves = [DiscreteCurve(np.column_stack([1.3 * np.cos(t + phase),
+                                             np.sin(t + phase)]))
+              for phase in (0.0, 1.0, 3.0, -2.5)]
+    curves += [circle(1.0, center=(0.0, 0.9), m=64),
+               circle(1.0, center=(2.0, 0.0), m=64),
+               # winds once around the origin, but not star-shaped about it
+               fourier_curve(1.0, (0.0, 0.0, 0.0, 0.2),
+                             m=64).translated((0.8, 0.0))]
+    winding = []
+    for curve in curves:
+        rows = fourier.upsample(curve.points.T, _M_DENSE)
+        ang = np.arctan2(rows[1], rows[0])
+        j0 = int(np.argmin(ang))
+        winding.append(bool(np.all(np.diff(np.roll(ang, -j0)) > 0.0)))
+        polar = _polar_rows(curve)
+        assert (polar is not None) == winding[-1]
+        if polar is not None:
+            assert np.array_equal(polar[0], rows)
+            assert np.array_equal(polar[1], ang) and polar[2] == j0
+    assert winding == [True] * 5 + [False] * 2
+
+
+# ---------------------------------------------------------------------------
+# normal-graph distance in closed form
+
+def nearest_vertices(p, q, coarse=64):
+    """Index of the vertex of polygon q nearest each point of p: a k-d tree
+    on every coarse-th vertex, then descent over the vertices in steps
+    halving from coarse/2 to 1. Exact where the vertex distance has one
+    minimum within a coarse spacing, as for a smooth curve well within its
+    reach."""
+    m_q = q.shape[0]
+    idx = coarse * cKDTree(q[::coarse]).query(p)[1]
+    best = ((p - q[idx]) ** 2).sum(axis=1)
+    step = coarse // 2
+    while step:
+        moved = False
+        for trial in (idx + step, idx - step):
+            d2 = ((p - q[trial % m_q]) ** 2).sum(axis=1)
+            better = d2 < best
+            idx = np.where(better, trial % m_q, idx)
+            best = np.minimum(best, d2)
+            moved = moved or bool(better.any())
+        if not moved:
+            step //= 2
+    return idx
+
+
+def dense_hausdorff(a, b, m_dense=131072):
+    """Both interpolants on m_dense points, each point against the six
+    segments around its nearest vertex of the other polygon: exact to the
+    chord sag of the finer polygons, about 5e-10 here."""
+    pa = fourier.upsample(a.points.T, m_dense).T
+    pb = fourier.upsample(b.points.T, m_dense).T
+    return max(windowed_directed_sup(p, q, nearest_vertices(p, q))
+               for p, q in ((pa, pb), (pb, pa)))
+
+
+def rotated_ellipse(a, b, phase, m):
+    t = grid(m) + phase
+    return DiscreteCurve(np.column_stack([a * np.cos(t), b * np.sin(t)]))
+
+
+GRAPH_PAIRS = {
+    # |u| peaks on the x-axis, which no base node hits
+    "ellipses": lambda m: (rotated_ellipse(1.5, 1.3, 1.2343, m),
+                           ellipse(1.45, 1.33, m=m)),
+    "random": lambda m: (random_fourier(6, 0.05, seed=3, m=m),
+                         random_fourier(5, 0.04, seed=7, m=m)),
+}
+
+
+@functools.cache
+def graph_pair_oracle(pair):
+    # both curves are trigonometric polynomials of degree <= 7, so their
+    # interpolants are the same curves at every m >= 16: one oracle each
+    return dense_hausdorff(*GRAPH_PAIRS[pair](512))
+
+
+@pytest.mark.parametrize("m", [64, 128, 512])
+@pytest.mark.parametrize("pair", sorted(GRAPH_PAIRS))
+def test_graph_hausdorff_refines_a_sup_between_nodes(pair, m, monkeypatch):
+    base, target = GRAPH_PAIRS[pair](m)
+    monkeypatch.setattr(gauge, "hausdorff_distance", None)  # no fallback
+    graph = normal_graph(base, target)
+    got = graph_hausdorff(graph, target)
+    assert got > np.abs(graph.values).max()
+    assert abs(got - graph_pair_oracle(pair)) <= 1e-9
+
+
+def test_graph_hausdorff_matches_dense_on_separation_frames(monkeypatch):
+    monkeypatch.setattr(gauge, "hausdorff_distance", None)  # no fallback
+    starts = [labcli._normalize_unit_area(c)
+              for c in (ellipse(1.1, 1.0 / 1.1, m=128), circle(1.0, m=128))]
+    base, target = run_flows(starts, "rmcf", 3.0, frame_dtau=0.1,
+                             gauge="area-centroid")
+    trace = frequency.monitor(base, target)
+    assert len(trace.graphs) == len(trace.pairs) > 20
+    for graph, (i, j) in zip(trace.graphs, trace.pairs):
+        assert graph.base is base.curves[i]
+        got = graph_hausdorff(graph, target.curves[j])
+        assert abs(got - hausdorff_distance(base.curves[i], target.curves[j])) \
+            <= 1e-15
+
+
+def test_graph_hausdorff_falls_back_off_its_conditions(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return hausdorff_distance(a, b)
+
+    monkeypatch.setattr(gauge, "hausdorff_distance", counted)
+    t = grid(128)
+    # in reach over a convex base: closed form
+    base = circle(1.0, m=128)
+    graph = GraphFunction(base, 0.02 * np.cos(3 * t))
+    assert abs(graph_hausdorff(graph, reconstruct(base, graph.values))
+               - 0.02) <= 1e-15
+    assert calls == []
+    # a non-convex base (curvature < 0 near the dents of a strong mode 3)
+    dented = fourier_curve(1.0, (0.0, 0.0, 0.15), m=128)
+    assert geometry(dented).curvature.min() < 0.0
+    graph = GraphFunction(dented, 0.01 * np.cos(2 * t))
+    target = reconstruct(dented, graph.values)
+    assert graph_hausdorff(graph, target) == hausdorff_distance(dented, target)
+    assert len(calls) == 1 and calls[0] == (dented, target)
+    # a height of 0.6 over circle(1) (reach 1): beyond half of either reach
+    for height in (0.6, -0.6):
+        graph = GraphFunction(base, np.full(128, height))
+        target = reconstruct(base, graph.values)
+        assert graph_hausdorff(graph, target) == hausdorff_distance(base, target)
+    assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -422,10 +422,11 @@ out = %s
 
 
 def test_separation_dh_rows_use_the_monitor_frame_pairs(tmp_path, monkeypatch):
-    """Each dH row compares the two frames the monitor paired, also when the
-    paired target times sit more than 1e-9 below the base times."""
+    """Each dH row reads the graph of the two frames the monitor paired,
+    also when the paired target times sit more than 1e-9 below the base
+    times."""
     flows, calls = [], []
-    run_flows, hausdorff = labcli.run_flows, labcli._hausdorff_dense
+    run_flows, graph_hausdorff = labcli.run_flows, labcli.graph_hausdorff
 
     def run_flows_early_target(*args, **kwargs):
         base, target = run_flows(*args, **kwargs)
@@ -435,12 +436,12 @@ def test_separation_dh_rows_use_the_monitor_frame_pairs(tmp_path, monkeypatch):
         flows.extend((base, target))
         return base, target
 
-    def recorded(a, b):
-        calls.append((a, b))
-        return hausdorff(a, b)
+    def recorded(graph, target):
+        calls.append((graph.base, target))
+        return graph_hausdorff(graph, target)
 
     monkeypatch.setattr(labcli, "run_flows", run_flows_early_target)
-    monkeypatch.setattr(labcli, "_hausdorff_dense", recorded)
+    monkeypatch.setattr(labcli, "graph_hausdorff", recorded)
     run(validate_config({
         "scenario": "separation", "curve1": "ellipse(1.1, 0.9090909090909091)",
         "curve2": "ellipse(1.05, 0.9523809523809523)", "m": "64",
@@ -707,3 +708,20 @@ out = %s
     assert main(["separation", "--config", path]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: curve2: ")
+
+
+def test_main_separation_pair_that_is_not_a_graph_is_typed(tmp_path, capsys):
+    """An elongated flow against a round one is no normal graph over it: the
+    monitor's typed NotAGraph reaches the CLI as one line, before any dH."""
+    path = write_config(tmp_path, """
+scenario = separation
+curve1 = ellipse(2, 0.5)
+curve2 = circle(1)
+m = 128
+tau_end = 2
+frame_dtau = 0.05
+out = %s
+""" % (tmp_path / "x"))
+    assert main(["separation", "--config", path]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: no target point within reach/2 along normal 0"]
