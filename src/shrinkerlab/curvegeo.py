@@ -341,9 +341,10 @@ class _Polygon:
 
 
 def _polar_rows(curve: DiscreteCurve):
-    """(rows, angles, j0): the curve's interpolant on the dense grid, its
-    polar angles about the origin and the dense sample j0 of the least
-    angle; None when the angles do not increase from j0 once around.
+    """(rows, angles, j0) for hausdorff_distance: the curve's interpolant
+    on the dense grid, its polar angles about the origin and the dense
+    sample j0 of the least angle; None when the angles do not increase from
+    j0 once around.
 
     They do exactly when one cyclic step fails to increase (the step into
     j0), which needs no copy rolled to start at j0.
@@ -441,6 +442,10 @@ _EXTREMUM_STEPS = 6
 
 _EPS = float(np.finfo(float).eps)
 
+#: how far distance_to_circle's node sum of the winding number about the
+#: origin may be from 1 for the closed form
+_WINDING_TOL = 1e-6
+
 
 def refine_extrema(field, theta, sign, best, spacing: float):
     """Refine extremes of a periodic function f by safeguarded Newton on
@@ -470,26 +475,36 @@ def refine_extrema(field, theta, sign, best, spacing: float):
 
 def distance_to_circle(curve: DiscreteCurve, radius: float):
     """Hausdorff distance from the curve's interpolant M to the circle of
-    `radius` about the origin, or None when M does not wind once around the
-    origin with increasing polar angle on the dense grid.
+    `radius` about the origin, or None when M is not seen to wind once
+    around the origin.
 
     Then d_H = max over x in M of | |x| - radius |: the distance from M to
-    the circle is exactly that, and every ray from the origin meets M, so
-    the distance from the circle to M is no larger. The extremes of |x|^2
-    start at the dense samples and are refined by `refine_extrema` on
-    <x, x'> = 0 on one order-2 interpolant, within one dense spacing: exact
-    to rounding when the true extremes lie next to the dense ones. On a
-    round curve the second derivative |x'|^2 + <x, x''> is zero up to
-    rounding, and every point the iteration visits lies on the circle, so
-    the result stays at rounding.
+    the circle is exactly that, and every ray from the origin meets M (a
+    ray that missed it would join the origin to infinity off M, so M would
+    not wind around the origin), so the distance from the circle to M is no
+    larger. The winding number is taken as the node sum
+    (1/m) sum (x ^ x')/|x|^2, x' from the `geometry` fields; a curve that
+    passes near the origin under-resolves it. None unless the sum is within
+    _WINDING_TOL of 1 and the refined minimum of |x|^2 is positive, which
+    sends the caller to the dense routine. The extremes of |x|^2 start at
+    the node samples and are refined by `refine_extrema` on <x, x'> = 0 on
+    one order-2 interpolant, within one node spacing: exact to rounding
+    when the true extremes lie next to the node ones, and never below the
+    node samples. On a round curve the second derivative
+    |x'|^2 + <x, x''> is zero up to rounding, and every point the iteration
+    visits lies on the circle, so the result stays at rounding.
     """
-    polar = _polar_rows(curve)
-    if polar is None:
+    pts = curve.points
+    r2 = np.einsum("ij,ij->i", pts, pts)
+    if not r2.min() > 0.0:
         return None
-    rows = polar[0]
-    r2 = rows[0] * rows[0] + rows[1] * rows[1]
+    geom = geometry(curve)
+    cross = geom.metric_speed * (pts[:, 0] * geom.tangent[:, 1]
+                                 - pts[:, 1] * geom.tangent[:, 0])
+    if abs(float(np.sum(cross / r2)) / curve.m - 1.0) > _WINDING_TOL:
+        return None
     ends = np.array([np.argmax(r2), np.argmin(r2)])
-    curve_at = fourier.Interpolant(fourier.coeffs(curve.points), curve.m, 2)
+    curve_at = fourier.Interpolant(fourier.coeffs(pts), curve.m, 2)
 
     def half_r2(theta):
         """|x|^2 with half its first two derivatives."""
@@ -497,9 +512,11 @@ def distance_to_circle(curve: DiscreteCurve, radius: float):
         return (np.einsum("ij,ij->i", x, x), np.einsum("ij,ij->i", x, dx),
                 np.einsum("ij,ij->i", dx, dx) + np.einsum("ij,ij->i", x, ddx))
 
-    spacing = TWO_PI / _M_DENSE
+    spacing = TWO_PI / curve.m
     hi2, lo2 = refine_extrema(half_r2, ends * spacing, np.array([-1.0, 1.0]),
                               r2[ends], spacing)
+    if not lo2 > 0.0:
+        return None
     return max(math.sqrt(hi2) - radius, radius - math.sqrt(lo2))
 
 

@@ -4,7 +4,8 @@ All curve fields live on the uniform parameter grid theta_j = 2*pi*j/m with
 even m. Derivatives and interpolants are discrete Fourier (trigonometric
 interpolation, spectrally accurate for analytic data). This module owns the
 interpolant off the grid: `Interpolant` anywhere, from a Taylor table on the
-grid built once per coefficient set, and `upsample` on a finer uniform grid.
+grid built once per coefficient set, and `upsample` on a finer uniform grid
+(the dense polygons of `curvegeo.hausdorff_distance`).
 
 Staggered (half-grid) variants evaluate at theta_{j+1/2}. They are used to
 assemble stiffness quadratic forms: the collocated Fourier derivative

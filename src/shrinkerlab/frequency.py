@@ -135,6 +135,10 @@ class _Frame:
     d_static: float
 
 
+def _itilde(weights: np.ndarray, phi: np.ndarray) -> float:
+    return float(np.sum(weights * phi * phi)) / math.sqrt(4.0 * math.pi)
+
+
 def _frame(curve: DiscreteCurve) -> _Frame:
     weights = gaussian_weights(curve)
     phi = shrinker_quantity(curve)
@@ -146,7 +150,7 @@ def _frame(curve: DiscreteCurve) -> _Frame:
     return _Frame(
         weights=weights,
         phi=phi,
-        itilde=float(np.sum(weights * phi * phi)) / math.sqrt(4.0 * math.pi),
+        itilde=_itilde(weights, phi),
         f=f_functional(curve),
         c2=float(sup_phi + np.abs(phi_s).max() + np.abs(phi_ss).max()),
         d_static=float(metric_term + curv_term + sup_phi),
@@ -164,9 +168,10 @@ def shrinker_energy(curve: DiscreteCurve) -> float:
     Carries the same (4 pi)^(-1/2) normalization as the Gaussian area
     functional, so that along any rescaled flow it equals minus the time
     derivative of that functional exactly. Vanishes on centered round
-    shrinkers.
+    shrinkers. Reads only the Gaussian weights and phi, not the full frame
+    record of the monitor.
     """
-    return _frame(curve).itilde
+    return _itilde(gaussian_weights(curve), shrinker_quantity(curve))
 
 
 def phi_c2_norm(curve: DiscreteCurve) -> float:

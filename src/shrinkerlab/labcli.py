@@ -555,10 +555,11 @@ def experiment_rate(config: ScenarioConfig) -> dict:
     """Fit the decay rate of one rescaled flow toward the round limit.
 
     The initial curve is recentered and scaled to enclosed area 2*pi, then
-    evolved by the rescaled flow under the configured gauge. Hausdorff
-    distance to the round limit (in closed form by `distance_to_circle`,
-    the dense routine for a frame that does not wind once around the
-    origin) and the L2 size of the shrinker quantity are fitted over the
+    evolved by the rescaled flow under the configured gauge. Each frame is
+    measured at node resolution: the Hausdorff distance to the round limit
+    in closed form by `distance_to_circle` (the dense routine only for a
+    frame not seen to wind once around the origin), and the L2 size of the
+    shrinker quantity by `shrinker_energy`. Both are fitted over the
     trailing window and compared against the rate of the dominant initial
     mode. Writes frames/ and trace.csv.
     """

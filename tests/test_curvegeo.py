@@ -64,13 +64,19 @@ def test_rejects_extreme_spacing_ratio():
         DiscreteCurve(pts)
 
 
-def test_orientation_normalized_to_ccw():
-    c = circle(1.0, m=64)
-    reversed_curve = DiscreteCurve(c.points[::-1])
-    assert reversed_curve.counterclockwise
-    # reversal of a reversed list restores the original nodes exactly
-    assert np.array_equal(reversed_curve.points, c.points)
-    assert reversed_curve.area() > 0
+@settings(max_examples=40, deadline=1000, derandomize=True)
+@given(kmax=st.integers(2, 8), amplitude=st.floats(0.0, 0.2),
+       seed=st.integers(0, 2 ** 16), m=st.sampled_from([16, 64, 256]),
+       roll=st.integers(0, 255))
+def test_orientation_normalized_to_ccw(kmax, amplitude, seed, m, roll):
+    forward = random_fourier(kmax, amplitude, seed=seed, m=m)
+    clockwise = np.roll(forward.points, roll % m, axis=0)[::-1]
+    back = DiscreteCurve(clockwise)
+    assert back.counterclockwise
+    # node for node the reverse of the input: reversal is exact
+    assert np.array_equal(back.points, clockwise[::-1])
+    assert back.area() > 0.0
+    assert abs(back.area() - forward.area()) <= 1e-13 * forward.area()
 
 
 def test_points_are_readonly():

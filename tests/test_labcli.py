@@ -664,6 +664,21 @@ out = %s
     assert taken.read_text() == "not a directory\n"
 
 
+def test_main_separation_with_too_few_frames_is_typed(tmp_path, capsys):
+    path = write_config(tmp_path, """
+scenario = separation
+curve1 = ellipse(1.1, 0.9090909090909091)
+curve2 = circle(1)
+m = 64
+out = %s
+tau_end = 0.1
+frame_dtau = 0.05
+""" % (tmp_path / "sep"))
+    assert main(["separation", "--config", path]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: only 3 common frames between the trajectories"]
+
+
 def test_main_eigensolver_nonconvergence_is_typed(tmp_path, capsys,
                                                   monkeypatch):
     monkeypatch.setattr(spectral, "_MAX_ITERATIONS", 1)
