@@ -473,6 +473,32 @@ def refine_extrema(field, theta, sign, best, spacing: float):
     return best
 
 
+def _extreme_nodes(values: np.ndarray):
+    """The node local maxima and minima of a periodic row of samples that
+    may sit beside the maximum and minimum of its interpolant f, and where
+    to refine each from.
+
+    A node extreme counts when it is within the largest second difference
+    of the node maximum (minimum): a true extreme lies within half a
+    spacing h of a node and differs from it by at most h^2 max|f''|/8,
+    and the largest second difference is about h^2 max|f''|. Returns the
+    indices of both and, per node, the offset in spacings of the vertex of
+    the parabola through it and its neighbours (within 1/2 at a node
+    extreme, 0 where the three agree).
+    """
+    padded = np.concatenate([values[-1:], values, values[:1]])
+    left, right = padded[:-2], padded[2:]
+    second = left - 2.0 * values + right
+    reach = float(np.abs(second).max())
+    offset = np.divide(left - right, 2.0 * second,
+                       out=np.zeros_like(values), where=second != 0.0)
+    peaks = ((values >= left) & (values >= right)
+             & (values >= values.max() - reach))
+    troughs = ((values <= left) & (values <= right)
+               & (values <= values.min() + reach))
+    return np.flatnonzero(peaks), np.flatnonzero(troughs), offset
+
+
 def distance_to_circle(curve: DiscreteCurve, radius: float):
     """Hausdorff distance from the curve's interpolant M to the circle of
     `radius` about the origin, or None when M is not seen to wind once
@@ -486,13 +512,15 @@ def distance_to_circle(curve: DiscreteCurve, radius: float):
     (1/m) sum (x ^ x')/|x|^2, x' from the `geometry` fields; a curve that
     passes near the origin under-resolves it. None unless the sum is within
     _WINDING_TOL of 1 and the refined minimum of |x|^2 is positive, which
-    sends the caller to the dense routine. The extremes of |x|^2 start at
-    the node samples and are refined by `refine_extrema` on <x, x'> = 0 on
-    one order-2 interpolant, within one node spacing: exact to rounding
-    when the true extremes lie next to the node ones, and never below the
-    node samples. On a round curve the second derivative
-    |x'|^2 + <x, x''> is zero up to rounding, and every point the iteration
-    visits lies on the circle, so the result stays at rounding.
+    sends the caller to the dense routine. The extremes of |x|^2 are
+    refined by `refine_extrema` on <x, x'> = 0 on one order-2 interpolant,
+    within one node spacing, from the parabolic vertex beside every node
+    local extreme that `_extreme_nodes` finds close enough to the node
+    extreme to hide the true one: exact to rounding when each true extreme
+    lies next to a node local extreme, and never below the node samples.
+    On a round curve the second derivative |x'|^2 + <x, x''> is zero up to
+    rounding, and every point the iteration visits lies on the circle, so
+    the result stays at rounding.
     """
     pts = curve.points
     r2 = np.einsum("ij,ij->i", pts, pts)
@@ -503,7 +531,8 @@ def distance_to_circle(curve: DiscreteCurve, radius: float):
                                  - pts[:, 1] * geom.tangent[:, 0])
     if abs(float(np.sum(cross / r2)) / curve.m - 1.0) > _WINDING_TOL:
         return None
-    ends = np.array([np.argmax(r2), np.argmin(r2)])
+    hi, lo, offset = _extreme_nodes(r2)
+    seeds = np.concatenate([hi, lo])
     curve_at = fourier.Interpolant(fourier.coeffs(pts), curve.m, 2)
 
     def half_r2(theta):
@@ -513,8 +542,10 @@ def distance_to_circle(curve: DiscreteCurve, radius: float):
                 np.einsum("ij,ij->i", dx, dx) + np.einsum("ij,ij->i", x, ddx))
 
     spacing = TWO_PI / curve.m
-    hi2, lo2 = refine_extrema(half_r2, ends * spacing, np.array([-1.0, 1.0]),
-                              r2[ends], spacing)
+    sign = np.where(np.arange(seeds.size) < hi.size, -1.0, 1.0)
+    best = refine_extrema(half_r2, (seeds + offset[seeds]) * spacing, sign,
+                          r2[seeds], spacing)
+    hi2, lo2 = float(best[:hi.size].max()), float(best[hi.size:].min())
     if not lo2 > 0.0:
         return None
     return max(math.sqrt(hi2) - radius, radius - math.sqrt(lo2))
