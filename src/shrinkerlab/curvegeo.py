@@ -499,6 +499,21 @@ def _extreme_nodes(values: np.ndarray):
     return np.flatnonzero(peaks), np.flatnonzero(troughs), offset
 
 
+def refined_extremes(field, values: np.ndarray, spacing: float):
+    """(max f, min f) of a periodic function f sampled as `values` on nodes
+    `spacing` apart, `field` giving f as for `refine_extrema`, which runs
+    from the parabolic vertex beside every node local extreme that
+    `_extreme_nodes` finds close enough to the node extreme to hide the
+    true one. Exact to rounding when each true extreme lies next to a node
+    local extreme, and never less extreme than the node samples."""
+    hi, lo, offset = _extreme_nodes(values)
+    seeds = np.concatenate([hi, lo])
+    sign = np.where(np.arange(seeds.size) < hi.size, -1.0, 1.0)
+    best = refine_extrema(field, (seeds + offset[seeds]) * spacing, sign,
+                          values[seeds], spacing)
+    return float(best[:hi.size].max()), float(best[hi.size:].min())
+
+
 def distance_to_circle(curve: DiscreteCurve, radius: float):
     """Hausdorff distance from the curve's interpolant M to the circle of
     `radius` about the origin, or None when M is not seen to wind once
@@ -513,11 +528,7 @@ def distance_to_circle(curve: DiscreteCurve, radius: float):
     passes near the origin under-resolves it. None unless the sum is within
     _WINDING_TOL of 1 and the refined minimum of |x|^2 is positive, which
     sends the caller to the dense routine. The extremes of |x|^2 are
-    refined by `refine_extrema` on <x, x'> = 0 on one order-2 interpolant,
-    within one node spacing, from the parabolic vertex beside every node
-    local extreme that `_extreme_nodes` finds close enough to the node
-    extreme to hide the true one: exact to rounding when each true extreme
-    lies next to a node local extreme, and never below the node samples.
+    `refined_extremes` on <x, x'> = 0 on one order-2 interpolant.
     On a round curve the second derivative |x'|^2 + <x, x''> is zero up to
     rounding, and every point the iteration visits lies on the circle, so
     the result stays at rounding.
@@ -531,8 +542,6 @@ def distance_to_circle(curve: DiscreteCurve, radius: float):
                                  - pts[:, 1] * geom.tangent[:, 0])
     if abs(float(np.sum(cross / r2)) / curve.m - 1.0) > _WINDING_TOL:
         return None
-    hi, lo, offset = _extreme_nodes(r2)
-    seeds = np.concatenate([hi, lo])
     curve_at = fourier.Interpolant(fourier.coeffs(pts), curve.m, 2)
 
     def half_r2(theta):
@@ -541,11 +550,7 @@ def distance_to_circle(curve: DiscreteCurve, radius: float):
         return (np.einsum("ij,ij->i", x, x), np.einsum("ij,ij->i", x, dx),
                 np.einsum("ij,ij->i", dx, dx) + np.einsum("ij,ij->i", x, ddx))
 
-    spacing = TWO_PI / curve.m
-    sign = np.where(np.arange(seeds.size) < hi.size, -1.0, 1.0)
-    best = refine_extrema(half_r2, (seeds + offset[seeds]) * spacing, sign,
-                          r2[seeds], spacing)
-    hi2, lo2 = float(best[:hi.size].max()), float(best[hi.size:].min())
+    hi2, lo2 = refined_extremes(half_r2, r2, TWO_PI / curve.m)
     if not lo2 > 0.0:
         return None
     return max(math.sqrt(hi2) - radius, radius - math.sqrt(lo2))

@@ -4,8 +4,9 @@ All curve fields live on the uniform parameter grid theta_j = 2*pi*j/m with
 even m. Derivatives and interpolants are discrete Fourier (trigonometric
 interpolation, spectrally accurate for analytic data). This module owns the
 interpolant off the grid: `Interpolant` anywhere, from a Taylor table on the
-grid built once per coefficient set, and `upsample` on a finer uniform grid
-(the dense polygons of `curvegeo.hausdorff_distance`).
+grid built once per coefficient set to the degree its spectrum needs (at
+most `_TAYLOR_P`), and `upsample` on a finer uniform grid (the dense
+polygons of `curvegeo.hausdorff_distance`).
 
 Staggered (half-grid) variants evaluate at theta_{j+1/2}. They are used to
 assemble stiffness quadratic forms: the collocated Fourier derivative
@@ -139,10 +140,11 @@ def smooth(values: np.ndarray) -> np.ndarray:
     return multiply(values, np.exp(-36.0 * (k / k[-1]) ** 36))
 
 
-#: Taylor degree of the off-grid evaluator: the least P whose remainder
-#: bound (pi/2)^(P+1)/(P+1)! on one mode, half a node from the nearest node,
-#: is below eps/16 of the mode's amplitude, so truncation stays under the
-#: rounding of the sum (P = 22)
+#: Taylor degree cap of the off-grid evaluator: the least P whose
+#: remainder bound (pi/2)^(P+1)/(P+1)! on one mode, half a node from the
+#: nearest node, is below eps/16 of the mode's amplitude, so truncation
+#: stays under the rounding of the sum for any spectrum (P = 22);
+#: `Interpolant` stops lower when its coefficients allow
 _TAYLOR_P = next(p for p in range(64)
                  if (np.pi / 2) ** (p + 1) / math.factorial(p + 1)
                  < np.finfo(float).eps / 16)
@@ -168,17 +170,51 @@ def _nearest_node(thetas: np.ndarray, m: int):
 _TAYLOR_CACHE: dict = {}
 
 
-def _taylor_multipliers(m: int, top: int) -> np.ndarray:
-    """rfft multipliers (i k h)^q/q!, q = 0..top, h = 2*pi/m, cached per
-    (m, top) like :func:`deriv12_multipliers`."""
-    mult = _TAYLOR_CACHE.get((m, top))
-    if mult is None:
-        q = np.arange(top + 1)
-        mult = ((1j * (TWO_PI / m) * _wavenumbers(m)) ** q[:, None]
-                / np.cumprod(np.maximum(q, 1.0))[:, None])
-        mult.flags.writeable = False
-        _TAYLOR_CACHE[(m, top)] = mult
-    return mult
+def _taylor_multipliers(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """rfft multipliers (i k h)^q/q!, q = 0.._TAYLOR_P + 2, h = 2*pi/m, and
+    their moduli times 2^-q, (k h/2)^q/q!: cached per m like
+    :func:`deriv12_multipliers`; a table of order <= 2 takes its first
+    rows."""
+    pair = _TAYLOR_CACHE.get(m)
+    if pair is None:
+        q = np.arange(_TAYLOR_P + 3)
+        k_h = (TWO_PI / m) * _wavenumbers(m)
+        fact = np.cumprod(np.maximum(q, 1.0))[:, None]
+        pair = ((1j * k_h) ** q[:, None] / fact,
+                (0.5 * k_h) ** q[:, None] / fact)
+        for table in pair:
+            table.flags.writeable = False
+        _TAYLOR_CACHE[m] = pair
+    return pair
+
+
+def _taylor_degree(half_moduli: np.ndarray, cols: np.ndarray,
+                   order: int) -> int:
+    """The least Taylor degree P <= _TAYLOR_P at which, for every
+    derivative r <= order, the terms the table drops sum below eps/16 of
+    its degree-0 terms, so truncation stays under the rounding of the sum.
+
+    Derivative r has the coefficients (i k)^r c_k; at |x| <= 1/2 its
+    degree-q term from mode k is at most w_k max|c_k| k^r (k h/2)^q/q!
+    (w_k the rfft weight: 1 at k = 0 and Nyquist, else 2), and t_q sums
+    these over k, one product of the rows (k h/2)^q/q! of `half_moduli`
+    with the weighted amplitudes. Those rows bound every tail: the terms
+    beyond them weigh under 1e-20 of t_0, by the choice of _TAYLOR_P. Each
+    derivative needs its own bound, as k^r lifts faint high modes above
+    the value's rounding.
+    """
+    # the max over columns of a transposed copy: ~5x faster than along axis 1
+    amp = np.abs(cols).T.copy().max(axis=0)
+    amp[1:-1] *= 2.0
+    k = np.arange(amp.size, dtype=float)
+    weighted = [amp]
+    for _ in range(order):
+        weighted.append(weighted[-1] * k)
+    terms = half_moduli @ np.column_stack(weighted)
+    tail = np.cumsum(terms[::-1], axis=0)[::-1]  # row q: sum over q' >= q
+    beyond = tail[1:_TAYLOR_P + 1]  # row P: what degree P drops
+    enough = (beyond <= np.finfo(float).eps / 16 * terms[0]).all(axis=1)
+    return int(np.argmax(enough)) if enough.any() else _TAYLOR_P
 
 
 class Interpolant:
@@ -189,7 +225,11 @@ class Interpolant:
     Row q of the Taylor table holds h^q f^(q)/q! on the grid (h = 2*pi/m),
     all rows from one batched irfft of coef * (i k h)^q/q!; the Nyquist
     cosine needs no special case, as irfft drops its odd rows, whose sine
-    vanishes on the grid. Each theta reads the Taylor polynomial of degree
+    vanishes on the grid. The table keeps rows 0..P + order, with `degree`
+    P the least one at which the terms it drops stay below the rounding of
+    the sum (`_taylor_degree`): exact to rounding for any coefficients,
+    P = _TAYLOR_P for the Nyquist cosine, 20-21 for white noise and 6-15
+    on resolved frames. Each theta reads the Taylor polynomial of degree
     P + order about its nearest node, and Horner's rule with synthetic
     division gives the derivatives with the value: O(P m log m) time to
     build, O(P n) time and memory per call on n parameters.
@@ -201,9 +241,15 @@ class Interpolant:
         self.m = m
         self.order = order
         cols = coef.reshape(coef.shape[0], -1)
-        mult = _taylor_multipliers(m, _TAYLOR_P + order)
-        self._table = np.fft.irfft(mult[:, :, None] * cols, n=m, axis=1)
+        mult, half_moduli = _taylor_multipliers(m)
+        rows = _taylor_degree(half_moduli, cols, order) + order + 1
+        self._table = np.fft.irfft(mult[:rows, :, None] * cols, n=m, axis=1)
         self._tail = coef.shape[1:]
+
+    @property
+    def degree(self) -> int:
+        """The Taylor degree P: the table holds rows 0..P + order."""
+        return self._table.shape[0] - 1 - self.order
 
     def __call__(self, thetas) -> list:
         """[f, f', ..., f^(order)] at the parameters thetas (n,), each of

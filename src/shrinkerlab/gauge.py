@@ -6,7 +6,7 @@ the target and polishing on the target's trigonometric interpolant;
 `reconstruct` goes the other way. `graph_hausdorff` reads the Hausdorff
 distance off a graph: when base and target are convex and sup|u| stays
 below half of both reaches (1/max H), it is sup|u| in closed form, the node
-maximum refined on the interpolant of u; otherwise the dense
+extremes refined on the interpolant of u; otherwise the dense
 `curvegeo.hausdorff_distance` measures it. `apply_L` is the linearization
 of the rescaled flow at a stationary base:
 
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import fourier, ioutil, spectral
 from .curvegeo import (TWO_PI, DiscreteCurve, geometry, hausdorff_distance,
-                       refine_extrema, star_angles)
+                       refined_extremes, star_angles)
 from .errors import NotAGraph
 
 #: relative u-gap below which two normal-line hits count as the same point
@@ -76,8 +76,9 @@ def reconstruct(base: DiscreteCurve, values) -> DiscreteCurve:
     return DiscreteCurve(base.points + values[:, None] * normal)
 
 
-#: base normals per block of the crossing search, which bounds its arrays
-#: to _ROWS x m_target candidate pairs when every row is full
+#: the crossing search runs in blocks of whole rows of at most _ROWS x
+#: m_target candidate pairs: _ROWS normals when every row is full, all of
+#: them at once when each row holds a few segments
 _ROWS = 256
 
 
@@ -92,8 +93,9 @@ def _sectors(p):
     return c, np.roll(ang, -j0), j0
 
 
-def _candidate_pairs(j, x, nu, half: float, m_t: int, sectors):
-    """(rows, cols): the base normals j and target segments i that may cross.
+def _windows(j, x, nu, half: float, m_t: int, sectors):
+    """(first, count): the run of target segments first, first + 1, ...
+    (count of them, mod m_t) that base normal j may cross.
 
     If the target is star-shaped about its vertex mean c, segment i lies in
     the angular sector between its end vertices, and every point of normal
@@ -126,16 +128,20 @@ def _candidate_pairs(j, x, nu, half: float, m_t: int, sectors):
         windowed = span < m_t
         count[windowed] = span[windowed]
         first[windowed] = (k_lo[windowed] - 1 + j0) % m_t
+    return first, count
+
+
+def _pairs(j, first, count, m_t: int):
+    """(rows, cols): every pair of a normal j and a segment of its window."""
     offsets = np.cumsum(count) - count
     rows = np.repeat(j, count)
     cols = (np.arange(rows.size) + np.repeat(first - offsets, count)) % m_t
     return rows, cols
 
 
-def _crossings(j, x, nu, half: float, p, d, sectors):
+def _crossings(rows, cols, x, nu, half: float, p, d):
     """(rows, cols, u, s) of every crossing x_j + u nu_j = p_i + s d_i of the
-    normals j with |u| < half and s in [0, 1] up to 1e-9."""
-    rows, cols = _candidate_pairs(j, x, nu, half, p.shape[0], sectors)
+    candidate pairs (j, i) with |u| < half and s in [0, 1] up to 1e-9."""
     rx = p[cols, 0] - x[rows, 0]
     ry = p[cols, 1] - x[rows, 1]
     dx = d[cols, 0]
@@ -156,12 +162,12 @@ def normal_graph(base: DiscreteCurve, target: DiscreteCurve,
     """Write `target` as a normal graph over `base`.
 
     Each base normal line is intersected with the target polyline (exact
-    segment test over the candidate segments of `_candidate_pairs`, all
-    crossings found, _ROWS normals at a time); the unique crossing with |u|
-    below reach/2 seeds a 2x2 Newton iteration on the target's
-    trigonometric interpolant. NotAGraph if a normal line finds no crossing
-    or more than one within the window, or if the final height reaches
-    reach/2.
+    segment test over the candidate segments of `_windows`, all crossings
+    found, in blocks of at most _ROWS x m_target pairs); the unique
+    crossing with |u| below reach/2 seeds a 2x2 Newton iteration on the
+    target's trigonometric interpolant. NotAGraph if a normal line finds
+    no crossing or more than one within the window, or if the final
+    height reaches reach/2.
 
     reach defaults to 1/max|H| of the target.
     """
@@ -174,10 +180,17 @@ def normal_graph(base: DiscreteCurve, target: DiscreteCurve,
     p = target.points
     d = np.roll(p, -1, axis=0) - p
     m = base.m
-    sectors = _sectors(p)
+    m_t = target.m
     idx = np.arange(m)
-    blocks = [_crossings(idx[lo:lo + _ROWS], x, nu, half, p, d, sectors)
-              for lo in range(0, m, _ROWS)]
+    first, width = _windows(idx, x, nu, half, m_t, _sectors(p))
+    ends = np.cumsum(width)
+    blocks = []
+    lo = start = 0
+    while lo < m:
+        hi = int(np.searchsorted(ends, start + _ROWS * m_t, side="right"))
+        pairs = _pairs(idx[lo:hi], first[lo:hi], width[lo:hi], m_t)
+        blocks.append(_crossings(*pairs, x, nu, half, p, d))
+        lo, start = hi, ends[hi - 1]
     rows, cols, uvals, svals = (np.concatenate(a) for a in zip(*blocks))
 
     tol = _CLUSTER_TOL * (1.0 + reach)
@@ -240,26 +253,22 @@ def graph_hausdorff(graph: GraphFunction, target: DiscreteCurve) -> float:
     H for a convex closed curve), d_H = sup|u| exactly: each target point
     x + u nu lies on the base normal at x within the base's reach, so its
     distance to the base is |u|, and each base point is within |u| of the
-    target. The node maximum of |u| is refined by `refine_extrema` on u' =
-    0 on one order-2 interpolant of u, within one node spacing; the result
-    is never below the node maximum. When either curve has a node
-    curvature <= 0, or sup|u| reaches half the smaller reach, the dense
-    `hausdorff_distance` measures it instead.
+    target. The maximum and minimum of u are `refined_extremes` on u' = 0
+    on one order-2 interpolant of u, as `distance_to_circle` refines
+    |x|^2; the result is never below the node maximum of |u|. When either
+    curve has a node curvature <= 0, or sup|u| reaches half the smaller
+    reach, the dense `hausdorff_distance` measures it instead.
     """
     base, u = graph.base, graph.values
     h_base = geometry(base).curvature
     h_target = geometry(target).curvature
-    j = int(np.argmax(np.abs(u)))
     if (min(float(h_base.min()), float(h_target.min())) <= 0.0
-            or abs(u[j]) >= 0.5 / max(float(h_base.max()),
-                                      float(h_target.max()))):
+            or float(np.abs(u).max())
+            >= 0.5 / max(float(h_base.max()), float(h_target.max()))):
         return hausdorff_distance(base, target)
     u_at = fourier.Interpolant(fourier.coeffs(u), base.m, 2)
-    spacing = TWO_PI / base.m
-    sign = -np.sign(u[j:j + 1])
-    best = refine_extrema(u_at, np.array([j * spacing]), sign, u[j:j + 1],
-                          spacing)
-    return abs(float(best[0]))
+    top, bottom = refined_extremes(u_at, u, TWO_PI / base.m)
+    return max(top, -bottom)
 
 
 def apply_L(base: DiscreteCurve, values) -> np.ndarray:

@@ -29,7 +29,7 @@ from shrinkerlab.curvegeo import (_M_DENSE, HAUSDORFF_SAG, TWO_PI,
                                   resample, star_angles)
 from shrinkerlab.errors import NotAGraph
 from shrinkerlab.flowcore import run_flows, run_rmcf
-from shrinkerlab.gauge import (GraphFunction, _candidate_pairs, _sectors,
+from shrinkerlab.gauge import (GraphFunction, _sectors, _windows,
                               graph_hausdorff, normal_graph, reconstruct)
 
 SQRT2 = math.sqrt(2.0)
@@ -281,9 +281,52 @@ def test_normal_graph_search_is_linear_in_m():
     assert peak < 8e6
     # each normal meets one or two sectors, plus one on each side; a row
     # that fell back to every segment would cost O(m) on its own
-    rows, _ = _candidate_pairs(np.arange(m), base.points, geometry(base).normal,
-                               half, m, _sectors(target.points))
-    assert np.bincount(rows, minlength=m).max() <= 4
+    _, width = _windows(np.arange(m), base.points, geometry(base).normal,
+                        half, m, _sectors(target.points))
+    assert width.max() <= 4
+
+
+def counted_crossings(monkeypatch):
+    """The pair count of every `gauge._crossings` block, in call order."""
+    sizes = []
+    crossings = gauge._crossings
+
+    def counted(rows, *args):
+        sizes.append(rows.size)
+        return crossings(rows, *args)
+
+    monkeypatch.setattr(gauge, "_crossings", counted)
+    return sizes
+
+
+def test_nearby_graph_takes_one_crossing_block(monkeypatch):
+    # the graph of the linear-in-m test above: about 4m candidate pairs,
+    # far below the _ROWS * m budget of one block
+    m = 2048
+    base = circle(SQRT2, m=m)
+    target = reconstruct(base, 0.01 * np.cos(3 * grid(m)))
+    sizes = counted_crossings(monkeypatch)
+    normal_graph(base, target)
+    assert len(sizes) == 1 and sizes[0] <= 4 * m
+
+
+def test_non_star_graph_takes_full_rows_in_blocks(monkeypatch):
+    # 640 normals of a finer U-shape against every segment of the non-star
+    # target of GRAPH_CASES: blocks of _ROWS full rows, then the rest
+    target = _non_star()[1]
+    base = u_shape(640)
+    sizes = counted_crossings(monkeypatch)
+    tracemalloc.start()
+    try:
+        got = normal_graph(base, target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    m_t = target.m
+    assert sizes == [gauge._ROWS * m_t, gauge._ROWS * m_t,
+                     (640 - 2 * gauge._ROWS) * m_t]
+    assert np.array_equal(got.values, oracle_normal_graph(base, target))
 
 
 def test_resample_memory_is_linear_in_m():
@@ -599,6 +642,27 @@ def test_graph_hausdorff_refines_a_sup_between_nodes(pair, m, monkeypatch):
     got = graph_hausdorff(graph, target)
     assert got > np.abs(graph.values).max()
     assert abs(got - graph_pair_oracle(pair)) <= 1e-9
+
+
+def test_graph_hausdorff_refines_a_peak_below_the_node_maximum(monkeypatch):
+    # two peaks of |u| within the node sag of each other: the node maximum
+    # sits beside the lower one, and sup|u| = 0.0501 beside another node
+    def u_of(t):
+        return 0.05 * np.cos(3 * t) + 1e-4 * np.cos(t - TWO_PI / 3)
+
+    m = 64
+    base = circle(SQRT2, m=m)
+    graph = GraphFunction(base, u_of(grid(m)))
+    monkeypatch.setattr(gauge, "hausdorff_distance", None)  # no fallback
+    got = graph_hausdorff(graph, reconstruct(base, graph.values))
+    fine = np.abs(u_of(grid(1 << 16)))
+    j = int(np.argmax(fine))
+    h = TWO_PI / fine.size
+    res = minimize_scalar(lambda t: -abs(float(u_of(t))),
+                          bounds=((j - 1) * h, (j + 1) * h), method="bounded",
+                          options={"xatol": 1e-12})
+    assert abs(got - max(-res.fun, fine[j])) <= 1e-12
+    assert got > np.abs(graph.values).max() + 1e-4
 
 
 def test_graph_hausdorff_matches_dense_on_separation_frames(monkeypatch):

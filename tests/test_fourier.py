@@ -1,9 +1,13 @@
 """Spectral utility layer: differentiation, interpolation, antiderivatives."""
 
+import math
+
 import numpy as np
 import pytest
 
 from shrinkerlab import fourier
+from shrinkerlab.curvegeo import circle
+from shrinkerlab.gauge import reconstruct
 
 
 def f(t):
@@ -128,6 +132,68 @@ def test_trig_eval_matches_dense_basis(m, kind):
     pair = fourier.Interpolant(coef, m, 1)(thetas)
     for got, want in zip(pair, fourier.trig_eval_pair(coef, m, thetas)):
         assert np.array_equal(got, want)
+
+
+def test_interpolant_degree_on_a_resolved_curve():
+    # the nearby graph of the normal_graph tests: its spectrum falls to
+    # rounding by mode ~10, so the Newton table keeps at most 12 rows
+    m = 2048
+    base = circle(math.sqrt(2.0), m=m)
+    target = reconstruct(base, 0.01 * np.cos(3 * fourier.grid(m)))
+    coef = fourier.coeffs(target.points)
+    for order in (0, 1):
+        prepared = fourier.Interpolant(coef, m, order)
+        assert prepared.degree + order + 1 <= 12
+    with pytest.raises(AttributeError):
+        prepared.degree = fourier._TAYLOR_P
+    # one multiplier table per m, whatever the orders and degrees
+    assert m in fourier._TAYLOR_CACHE
+    assert all(isinstance(key, int) for key in fourier._TAYLOR_CACHE)
+
+
+@pytest.mark.parametrize("m", [64, 256, 2048])
+def test_interpolant_degree_near_the_cap_on_rough_spectra(m):
+    # the Nyquist cosine needs every row; white noise spreads its terms
+    # over all modes, whose tail sums fall below eps/16 one or two rows
+    # earlier than the single top mode's
+    rng = np.random.default_rng(m)
+    nyquist = fourier.coeffs(np.cos((m // 2) * fourier.grid(m)))
+    noise = fourier.coeffs(rng.standard_normal((m, 2)))
+    cap = fourier._TAYLOR_P
+    for order in range(3):
+        assert fourier.Interpolant(nyquist, m, order).degree == cap
+        assert fourier.Interpolant(noise, m, order).degree >= cap - 2
+
+
+def slow_spectrum(m):
+    """rfft coefficients with |c_k| ~ 0.97^k up to Nyquist, random phases."""
+    rng = np.random.default_rng(m)
+    k = np.arange(m // 2 + 1)
+    coef = m * 0.97 ** k * np.exp(2j * np.pi * rng.uniform(size=k.size))
+    coef[[0, -1]] = coef[[0, -1]].real
+    return coef
+
+
+def faint_top_mode(m):
+    """cos(theta) and a 1e-12 mode near Nyquist: its Taylor terms are below
+    rounding in the value but not in the second derivative, so each
+    derivative needs its own tail bound."""
+    t = fourier.grid(m)
+    return fourier.coeffs(np.cos(t) + 1e-12 * np.cos((m // 2 - 24) * t))
+
+
+@pytest.mark.parametrize("m", [256, 2048])
+@pytest.mark.parametrize("spectrum", [slow_spectrum, faint_top_mode])
+def test_adaptive_degree_matches_dense_basis(m, spectrum):
+    coef = spectrum(m)
+    rng = np.random.default_rng(m + 1)
+    h = 2.0 * np.pi / m
+    thetas = np.concatenate([rng.uniform(-2.0 * np.pi, 4.0 * np.pi, 300),
+                             (np.arange(m) + 0.5) * h])
+    for order in range(3):
+        got = fourier.trig_eval(coef, m, thetas, order=order)
+        want = dense_basis_eval(coef, m, thetas, order)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_antideriv_reconstructs_integral():
