@@ -14,7 +14,6 @@ the stationary profile of the rescaled flow.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -44,19 +43,23 @@ def polygon_area(points: np.ndarray) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def area_centroid(points: np.ndarray) -> tuple[float, float, float]:
-    """Enclosed area and region centroid (area, cx, cy) of the interpolated curve.
-
-    Spectral quadrature of A = 1/2 * closed integral of x dy - y dx and of
-    the first moments; `points` are (m, 2) samples on the uniform grid.
-    """
-    d1 = fourier.deriv(points, 1)
-    x, y = points.T
-    w = TWO_PI / points.shape[0]
-    area = 0.5 * w * float(np.sum(x * d1[:, 1] - y * d1[:, 0]))
-    cx = 0.5 * w * float(np.sum(x * x * d1[:, 1])) / area
-    cy = -0.5 * w * float(np.sum(y * y * d1[:, 0])) / area
+def area_centroid_rows(x, y, dx, dy):
+    """Enclosed area and region centroid (area, cx, cy): spectral quadrature
+    of A = 1/2 * closed integral of x dy - y dx and of the first moments, from
+    samples x, y on the uniform grid and their theta-derivatives dx, dy along
+    the last axis (leading axes index curves)."""
+    w = TWO_PI / x.shape[-1]
+    area = 0.5 * w * np.sum(x * dy - y * dx, axis=-1)
+    cx = 0.5 * w * np.sum(x * x * dy, axis=-1) / area
+    cy = -0.5 * w * np.sum(y * y * dx, axis=-1) / area
     return area, cx, cy
+
+
+def area_centroid(points: np.ndarray) -> tuple[float, float, float]:
+    """Enclosed area and region centroid (area, cx, cy) of the interpolated
+    curve through the (m, 2) samples `points`, see :func:`area_centroid_rows`."""
+    d1 = fourier.deriv(points, 1)
+    return tuple(float(v) for v in area_centroid_rows(*points.T, *d1.T))
 
 
 def gaussian_density(points: np.ndarray) -> np.ndarray:
@@ -204,32 +207,6 @@ class DiscreteCurve:
         about = np.asarray(about, dtype=float)
         return DiscreteCurve(about + factor * (self.points - about), validate=False)
 
-    # -- serialization ------------------------------------------------------
-
-    def to_csv(self, path) -> None:
-        """Write the node list as CSV with header x,y (implicitly periodic)."""
-        with open(path, "w", newline="") as fh:
-            fh.write("x,y\n" + ("%.17g,%.17g\n" * self.m)
-                     % tuple(self.points.ravel().tolist()))
-
-    @classmethod
-    def from_csv(cls, path) -> "DiscreteCurve":
-        """Read a curve written by :meth:`to_csv`; invariants are re-validated."""
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip() for h in header[:2]] != ["x", "y"]:
-                raise InvalidCurve("curve CSV must start with header 'x,y'")
-            rows = []
-            for row in reader:
-                if not row:
-                    continue
-                try:
-                    rows.append((float(row[0]), float(row[1])))
-                except (ValueError, IndexError) as exc:
-                    raise InvalidCurve("malformed curve CSV row %r" % (row,)) from exc
-        return cls(np.array(rows))
-
     def __repr__(self):
         return "DiscreteCurve(m=%d, length=%.6g)" % (self.m, self.polyline_length())
 
@@ -263,33 +240,33 @@ class GeometryFields:
     metric_speed: np.ndarray
 
 
-def geometry(curve: DiscreteCurve) -> GeometryFields:
-    """Spectral differential geometry fields of `curve`.
-
-    Raises DegenerateCurve if the metric speed falls below 1e-10 anywhere.
-    Results are cached on the curve.
-    """
-    cached = curve._cache.get("geom")
-    if cached is not None:
-        return cached
-    d1, d2 = fourier.deriv12(curve.points)
-    g = np.hypot(d1[:, 0], d1[:, 1])
+def geometry_rows(d1: np.ndarray, d2: np.ndarray) -> GeometryFields:
+    """Geometry fields from the (2, m) rows (x', y') and (x'', y'') of a
+    curve's theta-derivatives; DegenerateCurve if the metric speed < 1e-10."""
+    g = np.hypot(d1[0], d1[1])
     if float(g.min()) < METRIC_FLOOR:
         raise DegenerateCurve("metric speed %.3g below %.1g" % (g.min(), METRIC_FLOOR))
-    tangent = d1 / g[:, None]
+    tangent = np.column_stack([d1[0] / g, d1[1] / g])
     normal = np.column_stack([-tangent[:, 1], tangent[:, 0]])
-    curvature = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) / (g * g * g)
-    weights = (TWO_PI / curve.m) * g
-    fields = GeometryFields(
+    curvature = (d1[0] * d2[1] - d1[1] * d2[0]) / (g * g * g)
+    return GeometryFields(
         tangent=tangent,
         normal=normal,
         curvature=curvature,
         norm_sq_a=curvature * curvature,
-        arclength_weights=weights,
+        arclength_weights=(TWO_PI / g.size) * g,
         metric_speed=g,
     )
-    curve._cache["geom"] = fields
-    return fields
+
+
+def geometry(curve: DiscreteCurve) -> GeometryFields:
+    """Spectral differential geometry fields of `curve`, see
+    :func:`geometry_rows`. Results are cached on the curve."""
+    cached = curve._cache.get("geom")
+    if cached is None:
+        d1, d2 = fourier.deriv12(curve.points)
+        cached = curve._cache["geom"] = geometry_rows(d1.T, d2.T)
+    return cached
 
 
 def gaussian_weights(curve: DiscreteCurve) -> np.ndarray:

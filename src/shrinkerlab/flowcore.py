@@ -30,7 +30,8 @@ step: per stage one irfft of [c, ik*c, -k^2*c] (the values only at the first
 stage) and one rfft of the explicit velocity. Frames are emitted at exact
 times: fixed tau multiples for the rescaled flow, fixed area levels
 A(0) * exp(-j * dtau) for the unrescaled flow (by the area law these are the
-same tau grid, without knowing T).
+same tau grid, without knowing T), each built from the step's own rfft rows
+at one irfft more. A saved trajectory keeps its frames in one frames.npy.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fourier, ioutil
-from .curvegeo import TWO_PI, DiscreteCurve, area_centroid, geometry, resample
+from .curvegeo import (TWO_PI, DiscreteCurve, area_centroid_rows, geometry,
+                       geometry_rows, resample)
 from .errors import (
     BlowupDetected,
     ConvexityLost,
@@ -261,49 +263,52 @@ class FlowTrajectory:
         return len(self.times)
 
     def save(self, outdir) -> list:
-        """Write frames/, index.json and series.csv; returns written paths."""
+        """Write frames.npy, index.json and series.csv; returns written paths.
+        frames.npy is np.save of the (frames, m, 2) node positions, streamed
+        frame by frame after its header, so no stacked copy is made."""
         outdir = os.fspath(outdir)
-        frame_dir = os.path.join(outdir, "frames")
-        os.makedirs(frame_dir, exist_ok=True)
-        written = []
-        for i, curve in enumerate(self.curves):
-            path = os.path.join(frame_dir, "frame_%05d.csv" % i)
-            curve.to_csv(path)
-            written.append(path)
-        index = {
-            "picture": self.picture,
-            "times": [float(t) for t in self.times],
-            "m": self.m,
-            "singularData": self.singular_data,
-        }
-        index_path = os.path.join(outdir, "index.json")
-        ioutil.dump_json(index, index_path)
-        written.append(index_path)
-        if self.series is not None:
-            series_path = os.path.join(outdir, "series.csv")
-            ioutil.write_csv(series_path, _SERIES_COLUMNS,
-                             zip(*(self.series[c] for c in _SERIES_COLUMNS)))
-            written.append(series_path)
-        return written
+        os.makedirs(outdir, exist_ok=True)
+        paths = [os.path.join(outdir, name)
+                 for name in ("frames.npy", "index.json", "series.csv")]
+        with open(paths[0], "wb") as fh:
+            np.lib.format.write_array_header_1_0(fh, {
+                "descr": "<f8", "fortran_order": False,
+                "shape": (len(self.curves), self.m, 2)})
+            for curve in self.curves:
+                fh.write(curve.points.astype("<f8", copy=False).tobytes())
+        ioutil.dump_json({"picture": self.picture,
+                          "times": [float(t) for t in self.times],
+                          "m": self.m, "singularData": self.singular_data},
+                         paths[1])
+        if self.series is None:
+            return paths[:2]
+        ioutil.write_csv(paths[2], _SERIES_COLUMNS,
+                         zip(*(self.series[c] for c in _SERIES_COLUMNS)))
+        return paths
 
     @classmethod
     def load(cls, outdir) -> "FlowTrajectory":
+        """Read a trajectory written by :meth:`save`, its frames bit for bit.
+        FrameMissing: index.json or frames.npy is missing or unreadable, or
+        the frames' shape is not (len(times), m, 2)."""
         import json
 
         outdir = os.fspath(outdir)
-        index_path = os.path.join(outdir, "index.json")
-        if not os.path.exists(index_path):
-            raise FrameMissing("no index.json under %s" % outdir)
-        with open(index_path) as fh:
-            index = json.load(fh)
-        traj = cls(picture=index["picture"], m=int(index["m"]),
+        try:
+            with open(os.path.join(outdir, "index.json")) as fh:
+                index = json.load(fh)
+            frames = np.load(os.path.join(outdir, "frames.npy"))
+        except (OSError, ValueError, EOFError) as exc:
+            raise FrameMissing("cannot read the trajectory under %s: %s"
+                               % (outdir, exc)) from exc
+        shape = (len(index["times"]), int(index["m"]), 2)
+        if frames.shape != shape:
+            raise FrameMissing("frames.npy holds shape %r, index.json needs %r"
+                               % (frames.shape, shape))
+        traj = cls(picture=index["picture"], m=shape[1],
+                   times=[float(t) for t in index["times"]],
+                   curves=[DiscreteCurve(frame) for frame in frames],
                    singular_data=index.get("singularData"))
-        for i, t in enumerate(index["times"]):
-            path = os.path.join(outdir, "frames", "frame_%05d.csv" % i)
-            if not os.path.exists(path):
-                raise FrameMissing("missing frame file %s" % path)
-            traj.times.append(float(t))
-            traj.curves.append(DiscreteCurve.from_csv(path))
         series_path = os.path.join(outdir, "series.csv")
         if os.path.exists(series_path):
             data = np.genfromtxt(series_path, delimiter=",", names=True)
@@ -313,34 +318,47 @@ class FlowTrajectory:
         return traj
 
 
+def _emit_frame(traj, t, coef, control, gauge, where):
+    """Record the frame at time t of the curve with rfft rows `coef` (x, y).
 
-def _emit_frame(traj, t, pts, control, gauge):
-    """Validate, optionally resample/gauge, record a frame; return working points."""
-    curve = DiscreteCurve(pts)
+    Everything recorded comes from one synth_rows of x, x_theta, x_thth
+    (a resample adds its own FFTs); the gauge acts on rows and coefficients.
+    Under `require_convex` the curvature row replaces the simplicity scan.
+    Returns the working curve's rfft rows, sample rows, area and max |kappa|.
+    """
+    rows = fourier.synth_rows(coef, traj.m)
+    if control.require_convex and _metric(rows[2:4], rows[4:])[1].min() < 0.0:
+        raise ConvexityLost("curvature changed sign %s" % where)
+    curve = DiscreteCurve(rows[:2].T, validate=not control.require_convex)
     if curve.spacing_ratio() > _RESAMPLE_RATIO:
         curve = resample(curve)
+    if not np.array_equal(curve.points.T, rows[:2]):
+        # resampled, or the constructor reversed the node order
+        coef = np.fft.rfft(curve.points.T, axis=1)
+        rows = fourier.synth_rows(coef, traj.m)
+    area, cx, cy = (float(v) for v in area_centroid_rows(*rows[:4]))
     gauge_shift = 0.0
     if gauge != "none":
-        area, cx, cy = area_centroid(curve.points)
         scale = math.sqrt(TWO_PI / area)
-        new_pts = scale * curve.points
         gauge_shift = abs(scale - 1.0)
+        coef = scale * coef
+        rows *= scale
         if gauge == "area-centroid":
-            new_pts = new_pts - scale * np.array([cx, cy])
+            shift = scale * np.array([cx, cy])
+            rows[:2] -= shift[:, None]
+            coef[:, 0] -= traj.m * shift  # coefficient 0 sums the m values
             gauge_shift += math.hypot(cx, cy)
-        curve = DiscreteCurve(new_pts, validate=False)
-    area, cx, cy = area_centroid(curve.points)
-    max_curv = float(np.abs(geometry(curve).curvature).max())
+        area, cx, cy = (float(v) for v in area_centroid_rows(*rows[:4]))
+        curve = DiscreteCurve(rows[:2].T, validate=False)
+    fields = geometry_rows(rows[2:4], rows[4:])
+    if np.array_equal(curve.points.T, rows[:2]):
+        curve._cache["geom"] = fields
+    max_curv = float(np.abs(fields.curvature).max())
     traj.times.append(float(t))
     traj.curves.append(curve)
-    s = traj.series
-    s["time"].append(float(t))
-    s["area"].append(area)
-    s["cx"].append(cx)
-    s["cy"].append(cy)
-    s["max_curvature"].append(max_curv)
-    s["gauge_shift"].append(gauge_shift)
-    return curve.points, area, max_curv
+    for col, v in zip(_SERIES_COLUMNS, (t, area, cx, cy, max_curv, gauge_shift)):
+        traj.series[col].append(float(v))
+    return coef, rows, area, max_curv
 
 
 def run_flows(curves, picture: str, end: float | None = None, *,
@@ -371,34 +389,38 @@ def run_flows(curves, picture: str, end: float | None = None, *,
         raise InvalidCurve("curves of one batch need the same m")
     level_ratio = math.exp(-frame_dtau)
 
+    var = "tau" if rescaled else "t"
+    # the batch: rfft rows (x rows, then y rows) and their samples
+    # [x; y; x'; y'; x''; y''], curve i at rows i::n, filled by frame 0
+    n, m = len(curves), curves[0].m if curves else 0
+    coef = np.empty((2 * n, m // 2 + 1), dtype=complex)
+    rows = np.empty((6 * n, m))
     # per active curve: index into curves, time, next frame (an area level
-    # for mcf, an index into frame_times for rmcf), starting points
-    trajs, ids, times, goals, starts = [], [], [], [], []
+    # for mcf, an index into frame_times for rmcf)
+    trajs, ids, times, goals = [], [], [], []
     for i, curve in enumerate(curves):
-        traj = FlowTrajectory(picture=picture, m=curve.m)
+        traj = FlowTrajectory(picture=picture, m=m)
         traj.series = {c: [] for c in _SERIES_COLUMNS}
         trajs.append(traj)
-        pts, area, max_curv = _emit_frame(traj, 0.0, curve.points, control, gauge)
+        coef[i::n], rows[i::n], area, max_curv = _emit_frame(
+            traj, 0.0, np.fft.rfft(curve.points.T, axis=1), control, gauge,
+            "in curve %d at %s=0" % (i, var))
         if rescaled or max_curv < control.stop_curvature:
             ids.append(i)
             times.append(0.0)
             goals.append(0 if rescaled else area * level_ratio)
-            starts.append(pts)
-    if ids:
-        m = curves[0].m
-        w = TWO_PI / m
-        rows = np.array([p[:, 0] for p in starts] + [p[:, 1] for p in starts])
-        coef = np.fft.rfft(rows, axis=1)
+    if len(ids) < n:  # curves done at frame 0 leave the batch
+        coef, rows = coef[ids + [n + i for i in ids]], None
 
     def where(k):
-        return "in curve %d at %s=%.6g" % (ids[k], "tau" if rescaled else "t",
-                                           times[k])
+        return "in curve %d at %s=%.6g" % (ids[k], var, times[k])
 
     since_guard = _GUARD_STRIDE  # full guards on the first step
     while ids:
         n = len(ids)
-        out = fourier.synth_rows(coef, m)
-        pts, d1, d2 = out[:2 * n], out[2 * n:4 * n], out[4 * n:]
+        if rows is None:
+            rows = fourier.synth_rows(coef, m)
+        pts, d1, d2 = rows[:2 * n], rows[2 * n:4 * n], rows[4 * n:]
         g2, cross = _metric(d1, d2)
         since_guard += 1
         if since_guard >= _GUARD_STRIDE:
@@ -406,8 +428,7 @@ def run_flows(curves, picture: str, end: float | None = None, *,
             since_guard = 0
         kappa2 = (cross * cross / (g2 * g2 * g2)).max(axis=1).tolist()
         if not rescaled:
-            areas = (0.5 * w * (np.einsum("ij,ij->i", pts[:n], d1[n:])
-                                - np.einsum("ij,ij->i", pts[n:], d1[:n]))).tolist()
+            areas = area_centroid_rows(pts[:n], pts[n:], d1[:n], d1[n:])[0].tolist()
         dts, events = [], []
         for k in range(n):
             if math.isnan(kappa2[k]):
@@ -435,6 +456,7 @@ def run_flows(curves, picture: str, end: float | None = None, *,
             dts.append(dt)
             events.append(event)
         coef = _imex_step(coef, g2, d2, np.array(dts + dts)[:, None], rescaled)
+        rows = None
 
         keep = []
         for k in range(n):
@@ -442,9 +464,8 @@ def run_flows(curves, picture: str, end: float | None = None, *,
                 keep.append(k)
                 continue
             sel = [k, n + k]
-            frame = np.fft.irfft(coef[sel], n=m, axis=1).T
-            frame, _, max_curv = _emit_frame(trajs[ids[k]], times[k], frame,
-                                             control, gauge)
+            frame_coef, _, _, max_curv = _emit_frame(
+                trajs[ids[k]], times[k], coef[sel], control, gauge, where(k))
             if events[k] == "frame":
                 goals[k] += 1
                 done = goals[k] == len(frame_times)
@@ -453,7 +474,7 @@ def run_flows(curves, picture: str, end: float | None = None, *,
                 done = events[k] == "end" or max_curv >= control.stop_curvature
             if not done:
                 # the frame may have been resampled or regauged
-                coef[sel] = np.fft.rfft(frame.T, axis=1)
+                coef[sel] = frame_coef
                 keep.append(k)
         if len(keep) < n:
             coef = coef[keep + [n + k for k in keep]]

@@ -1,6 +1,6 @@
 """Deterministic serialization helpers.
 
-All floating-point output across the package goes through "%.17g" so that
+Floating-point text output across the package goes through "%.17g" so that
 repeated runs with identical inputs produce byte-identical files.
 """
 

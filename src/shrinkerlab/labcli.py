@@ -490,7 +490,8 @@ def experiment_separation(config: ScenarioConfig) -> SeparationReport:
     frames are convex and sup|u| stays below half of both reaches (1/max
     H), d_H = sup|u| in closed form, the node maximum refined on the
     interpolant of u; otherwise the dense `hausdorff_distance` measures it.
-    Writes frames/, target/, trace.csv, separation.json.
+    Writes frames.npy, index.json, series.csv, target/ (the same for curve2),
+    trace.csv and separation.json.
     """
     curve1, curve2 = _build_curves(config, convex=True)
     area1, area2 = curve1.area(), curve2.area()
@@ -555,17 +556,18 @@ def experiment_rate(config: ScenarioConfig) -> dict:
     """Fit the decay rate of one rescaled flow toward the round limit.
 
     The initial curve is recentered and scaled to enclosed area 2*pi, then
-    evolved by the rescaled flow under the configured gauge. Each frame is
-    measured at node resolution: the Hausdorff distance to the round limit
-    in closed form by `distance_to_circle` (the dense routine only for a
-    frame not seen to wind once around the origin), and the L2 size of the
-    shrinker quantity by `shrinker_energy`. Both are fitted over the
-    trailing window and compared against the rate of the dominant initial
-    mode. Writes frames/ and trace.csv.
+    evolved by the rescaled flow under the configured gauge and
+    `require_convex` (curve shortening keeps convexity, Gage & Hamilton
+    1986). Each frame is measured at node resolution: the Hausdorff
+    distance to the round limit in closed form by `distance_to_circle` (the
+    dense routine for a frame not seen to wind once around the origin), and
+    the L2 size of the shrinker quantity by `shrinker_energy`, both fitted
+    over the trailing window against the rate of the dominant initial mode.
+    Writes frames.npy, index.json, series.csv and trace.csv.
     """
     curve = _build_curves(config, convex=True)[0]
     start = _normalize_unit_area(curve)
-    control = StepControl(cfl=config.cfl)
+    control = StepControl(cfl=config.cfl, require_convex=True)
     traj = run_rmcf(start, config.tau_end, frame_dtau=config.frame_dtau,
                     gauge=config.gauge, control=control)
     radius = math.sqrt(2.0)

@@ -85,21 +85,6 @@ def test_points_are_readonly():
         c.points[0, 0] = 5.0
 
 
-def test_csv_round_trip(tmp_path):
-    c = random_fourier(5, 0.05, seed=3, m=64)
-    path = tmp_path / "curve.csv"
-    c.to_csv(path)
-    back = DiscreteCurve.from_csv(path)
-    assert np.array_equal(back.points, c.points)
-
-
-def test_csv_rejects_bad_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("a,b\n1,2\n")
-    with pytest.raises(InvalidCurve):
-        DiscreteCurve.from_csv(path)
-
-
 # ---------------------------------------------------------------------------
 # differential geometry oracles
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 """Flow drivers: radial ODE oracles, exact area laws, trajectory plumbing."""
 
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from shrinkerlab import curvegeo, flowcore
 from shrinkerlab.curvegeo import circle, ellipse, fourier_curve, geometry
 from shrinkerlab.errors import (
     BlowupDetected,
@@ -257,8 +261,10 @@ def test_batched_gauged_rmcf_matches_solo_runs():
 
 
 def test_batch_curves_stopping_at_different_steps():
-    # stop_curvature is reached at different times; each run stays complete
-    curves = [circle(1.0, m=64), circle(0.8, m=64), ellipse(1.2, 0.9, m=64)]
+    # stop_curvature is reached at different times, by circle(0.2) at its
+    # start frame; each run stays complete
+    curves = [circle(1.0, m=64), circle(0.2, m=64), circle(0.8, m=64),
+              ellipse(1.2, 0.9, m=64)]
     control = StepControl(stop_curvature=4.0)
     trajs = run_flows(curves, "mcf", frame_dtau=0.1, control=control)
     assert len({traj.times[-1] for traj in trajs}) == len(curves)
@@ -272,6 +278,9 @@ def test_batch_guard_names_curve_and_time():
     control = StepControl(require_convex=True)
     with pytest.raises(ConvexityLost, match=r"in curve 1 at t=0\b"):
         run_flows([circle(1.0, m=128), nonconvex], "mcf", 0.1, control=control)
+    # a frame's curvature row is its check, also before the first step
+    with pytest.raises(ConvexityLost, match=r"in curve 0 at tau=0\b"):
+        run_rmcf(nonconvex, 0.1, gauge="area-centroid", control=control)
     # the smaller circle dies at t = 0.125 while the other runs on
     with pytest.raises(BlowupDetected,
                        match=r"exceeded 1e6 in curve 1 at t=0\.125\b"):
@@ -367,6 +376,95 @@ def test_save_load_round_trip(tmp_path):
 def test_load_missing_frame(tmp_path):
     traj = run_rmcf(circle(1.0, m=64), 0.1, frame_dtau=0.05)
     traj.save(tmp_path)
-    (tmp_path / "frames" / "frame_00001.csv").unlink()
-    with pytest.raises(FrameMissing):
+    (tmp_path / "frames.npy").unlink()
+    with pytest.raises(FrameMissing, match="frames.npy"):
         FlowTrajectory.load(tmp_path)
+
+
+def test_load_truncated_frames(tmp_path):
+    traj = run_rmcf(circle(1.0, m=64), 0.1, frame_dtau=0.05)
+    traj.save(tmp_path)
+    path = tmp_path / "frames.npy"
+    data = path.read_bytes()
+    frames = np.load(path)
+    # one frame short of index.json, then every other node
+    for cut in (frames[:-1], frames[:, ::2]):
+        np.save(path, cut)
+        with pytest.raises(FrameMissing, match="shape"):
+            FlowTrajectory.load(tmp_path)
+    # a file cut inside the data
+    path.write_bytes(data[:-100])
+    with pytest.raises(FrameMissing, match="cannot read"):
+        FlowTrajectory.load(tmp_path)
+
+
+def test_frames_npy_is_np_save_of_the_stacked_frames(tmp_path):
+    traj = run_rmcf(fourier_curve(1.2, (0.05,), (0.03,), m=64), 0.2,
+                    frame_dtau=0.05, gauge="area-centroid")
+    traj.save(tmp_path)
+    expected = io.BytesIO()
+    np.save(expected, np.stack([c.points for c in traj.curves]))
+    assert (tmp_path / "frames.npy").read_bytes() == expected.getvalue()
+
+
+def test_save_streams_frames_without_a_stacked_copy(tmp_path):
+    m, n = 512, 200
+    curves = [circle(1.0 + 1e-3 * j, m=m) for j in range(n)]
+    traj = FlowTrajectory(picture="rmcf", m=m, curves=curves,
+                          times=[0.01 * j for j in range(n)])
+    stacked = n * m * 2 * 8  # bytes of the (n, m, 2) array, 1.6 MB
+    tracemalloc.start()
+    try:
+        traj.save(tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < stacked / 8
+    assert (tmp_path / "frames.npy").stat().st_size > stacked
+
+
+@pytest.mark.parametrize("picture, end, gauge", [("rmcf", 0.3, "area-centroid"),
+                                                 ("mcf", None, "none")])
+def test_fft_calls_are_eight_per_step_and_one_per_frame(monkeypatch, picture,
+                                                        end, gauge):
+    """Every frame is built from the step's own rfft rows: one irfft per
+    frame, on top of the stepper's eight calls per step (the first step
+    reuses frame 0's rows, which cost the start's rfft)."""
+    # arclength-uniform nodes, which the flow keeps within the resample ratio
+    curve = curvegeo.resample(fourier_curve(SQRT2, (0.0, 0.02), (0.0, 0.0, 0.01),
+                                            m=64))
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def no_resample(_):
+        raise AssertionError("the frames need no resampling")
+
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    monkeypatch.setattr(flowcore, "resample", no_resample)
+    control = StepControl(stop_curvature=2.0)
+    traj = run_flows([curve], picture, end, frame_dtau=0.05, gauge=gauge,
+                     control=control)[0]
+    assert len(traj) > 3 and traj.steps > len(traj)
+    assert len(calls) == 8 * traj.steps + len(traj)
+
+
+@pytest.mark.parametrize("require_convex", [True, False])
+def test_simplicity_scan_only_without_require_convex(monkeypatch,
+                                                     require_convex):
+    scans = []
+    scan = curvegeo._has_self_intersection
+
+    def counted(points):
+        scans.append(1)
+        return scan(points)
+
+    monkeypatch.setattr(curvegeo, "_has_self_intersection", counted)
+    traj = run_rmcf(circle(1.3, m=64), 0.2, frame_dtau=0.05, gauge="area",
+                    control=StepControl(require_convex=require_convex))
+    assert len(scans) == (0 if require_convex else len(traj))

@@ -194,12 +194,13 @@ def test_simulate_recovers_singularity(simulate_summary):
 
 def test_simulate_output_layout(simulate_summary):
     _, out = simulate_summary
-    assert (out / "frames" / "frame_00000.csv").exists()
-    assert (out / "index.json").exists()
+    index = json.loads((out / "index.json").read_text())
+    frames = np.load(out / "frames.npy")
+    assert frames.shape == (len(index["times"]), index["m"], 2)
+    assert not (out / "frames").exists()
     assert (out / "series.csv").exists()
     assert (out / "summary.json").exists()
     assert (out / "manifest.json").exists()
-    index = json.loads((out / "index.json").read_text())
     assert index["singularData"] is not None
 
 
@@ -274,7 +275,7 @@ def test_rate_trace_layout(rate_mode2):
     lines = (out / "trace.csv").read_text().strip().splitlines()
     assert lines[0] == "tau,dH,phiL2"
     assert len(lines) == 42  # tau = 0, 0.1, ..., 4.0 plus header
-    assert (out / "frames" / "frame_00000.csv").exists()
+    assert np.load(out / "frames.npy").shape == (41, 96, 2)
 
 
 def test_rate_mode3_slope(tmp_path):
@@ -364,8 +365,10 @@ def test_separation_slopes_and_frequency(separation_result):
 
 def test_separation_output_layout(separation_result):
     _, out = separation_result
-    assert (out / "frames" / "frame_00000.csv").exists()
-    assert (out / "target" / "frames" / "frame_00000.csv").exists()
+    for traj_dir in (out, out / "target"):
+        frames = np.load(traj_dir / "frames.npy")
+        assert frames.shape == (81, 96, 2)  # tau = 0, 0.05, ..., 4
+        assert not (traj_dir / "frames").exists()
     assert (out / "series.csv").exists()
     assert (out / "target" / "series.csv").exists()
     assert (out / "trace.csv").exists()
@@ -694,6 +697,25 @@ out = %s
     traj = run_rmcf(ellipse(2.0, 0.5, m=256), 0.02, frame_dtau=0.01)
     with pytest.raises(ConvergenceFailure, match="residual"):
         spectral.rayleigh_bound(traj)
+
+
+def test_main_rate_losing_convexity_is_typed(tmp_path, capsys, monkeypatch):
+    """rate steps under require_convex. Its config check keeps non-convex
+    starts out, so the check is bypassed here to reach the flow's own
+    frame check."""
+    build = labcli._build_curves
+    monkeypatch.setattr(labcli, "_build_curves",
+                        lambda config, convex=False: build(config))
+    path = write_config(tmp_path, """
+scenario = rate
+curve1 = fourier(1, 0, 0, 0.45, 0)
+m = 96
+out = %s
+tau_end = 1
+""" % (tmp_path / "x"))
+    assert main(["rate", "--config", path]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: curvature changed sign in curve 0 at tau=0"]
 
 
 def test_main_negative_seed_is_a_config_error(tmp_path, capsys):
