@@ -10,28 +10,24 @@ round profile of radius sqrt(2). Under the rescaled flow the enclosed area
 satisfies dA/dtau = A - 2*pi exactly, which pins the one unstable dilation
 direction: gauging the initial area to exactly 2*pi removes it analytically.
 
-Time stepping is the L-stable, third-order IMEX Runge-Kutta scheme
-ARS(4,4,3) (Ascher, Ruuth & Spiteri, Appl. Numer. Math. 25, 1997) on the rfft
-rows of the node coordinates. The velocity is x_thth / g^2 (plus x/2 for the
-rescaled flow), g = |x_theta|: its normal part is the curvature (shrinker)
-speed and its tangential part (g_theta / g^2) spreads the nodes along the
-curve. Following the small-scale decomposition of Hou, Lowengrub & Shelley
-(J. Comput. Phys. 114, 1994), the stiff part sigma * x_thth, sigma = max 1/g^2
-per curve frozen over the step, is solved implicitly as a division by
-1 + dt*gamma*sigma*k^2 in Fourier; the rest is explicit. Where g varies
-along the curve that rest is stiff too, of relative size 1 - min g^2/max g^2;
-the scheme's update is its last stage, which keeps it bounded at every k
-(ARS(3,4,3), whose update adds explicit slopes, amplifies it like that size
-times dt*sigma*k^2 and diverged on the separation ellipse at m = 1024). The step
-dt = cfl * C / max(max kappa^2, 1/2) is set by accuracy, not by m.
+Time stepping is the fourth-order exponential Runge-Kutta scheme ETDRK4
+(Cox & Matthews, J. Comput. Phys. 176, 2002; Kassam & Trefethen, SIAM J. Sci.
+Comput. 26, 2005) on the rfft rows of the node coordinates. The velocity is
+x_thth / g^2 (plus x/2 for the rescaled flow), g = |x_theta|: its normal part
+is the curvature (shrinker) speed, its tangential part spreads the nodes.
+After Hou, Lowengrub & Shelley (J. Comput. Phys. 114, 1994) the stiff part
+sigma * x_thth, sigma = max 1/g^2 per curve frozen over the step, advances
+exactly; the rest, stiff too where g varies, is damped by the phi weights of
+the scheme at every k. The step dt = cfl * C / max(max kappa^2, 1/2) is set
+by accuracy, not by m.
 `run_flows` steps curves of equal m in lockstep as the rows of one (2n, m)
 array, each with its own step, frame times and guards, in eight FFT calls per
 step: per stage one irfft of [c, ik*c, -k^2*c] (the values only at the first
-stage) and one rfft of the explicit velocity. Frames are emitted at exact
-times: fixed tau multiples for the rescaled flow, fixed area levels
-A(0) * exp(-j * dtau) for the unrescaled flow (by the area law these are the
-same tau grid, without knowing T), each built from the step's own rfft rows
-at one irfft more. A saved trajectory keeps its frames in one frames.npy.
+stage) and one rfft of N. Frames are emitted at exact times: fixed tau
+multiples for the rescaled flow, fixed area levels A(0) * exp(-j * dtau) for
+the unrescaled flow (by the area law these are the same tau grid, without
+knowing T), each built from the step's own rfft rows at one irfft more. A
+saved trajectory keeps its frames in one frames.npy.
 """
 
 from __future__ import annotations
@@ -61,10 +57,10 @@ from .errors import (
 CFL_MAX = 1.455
 
 #: dt = cfl * _STEP_SCALE / max(max kappa^2, 1/2): at the reference cfl 1.4 a
-#: step is 1/200 of the curvature time 1/kappa^2 (1/100 of a unit of tau on
-#: the round shrinker); at the default cfl 0.8 the radial-ODE and area-law
-#: checks hold to 1e-8.
-_STEP_SCALE = 5e-3 / 1.4
+#: step is 1/50 of the curvature time 1/kappa^2 (0.04 in tau on the round
+#: shrinker); at the default cfl 0.8 the radial-ODE and area-law checks hold
+#: to 1e-8.
+_STEP_SCALE = 2e-2 / 1.4
 
 GAUGES = ("none", "area", "area-centroid")
 
@@ -80,18 +76,8 @@ _RESAMPLE_RATIO = 1.05
 _SINGULAR_WINDOW = 0.25
 
 
-# ARS(4,4,3) tableau (Ascher, Ruuth & Spiteri 1997, section 2.8): stages 2-5
-# of the explicit part, and the implicit off-diagonal entries from column 2
-# (the first implicit column is zero, the diagonal is _GAMMA). Both parts are
-# stiffly accurate, so a step's result is its last stage; the explicit rows
-# sum to the stage times c = 1/2, 2/3, 1/2, 1 in floating point too, so a
-# stationary curve stays stationary to rounding.
-_GAMMA = 0.5
-_EXPLICIT = ((0.5,),
-             (2.0 / 3.0 - 1.0 / 18.0, 1.0 / 18.0),
-             (5.0 / 6.0, -5.0 / 6.0, 0.5),
-             (0.25, 1.75, 0.75, -1.75))
-_IMPLICIT = ((), (1.0 / 6.0,), (-0.5, 0.5), (1.5, -1.5, 0.5))
+# phi_3(z) = sum_j z^j/(j + 3)!, j = 0..15, is exact to rounding for |z| <= 1
+_PHI3_TAYLOR = np.array([1.0 / math.factorial(j + 3) for j in range(16)])
 
 
 @dataclass
@@ -118,50 +104,66 @@ def _check_cfl(control: StepControl) -> None:
 def _metric(d1: np.ndarray, d2: np.ndarray):
     """g^2 = |x_theta|^2 and cross = x_theta ^ x_thth of each curve row pair."""
     n = d1.shape[0] // 2
-    gx = d1[:n]
-    gy = d1[n:]
+    gx, gy = d1[:n], d1[n:]
     return gx * gx + gy * gy, gx * d2[n:] - gy * d2[:n]
 
 
-def _explicit(coef, g2, d2, sigma, rescaled: bool) -> np.ndarray:
-    """rfft rows of the explicit part V - sigma * x_thth of the velocity.
+def _phi(z: np.ndarray) -> list:
+    """[e^z, phi_1, phi_2, phi_3] of real z <= 0 whose |z| grows along rows.
 
-    V = x_thth / g^2, plus x/2 for the rescaled flow (added on the
-    coefficients); `sigma` is the (n, 1) column of frozen stiff factors.
+    phi_k = (phi_(k-1) - 1/(k-1)!)/z from phi_0 = e^z where z <= -1. Above,
+    where that cancels, the leading columns take phi_3 from its Taylor series
+    and phi_k = 1/k! + z*phi_(k+1) downward.
     """
-    n = g2.shape[0]
-    w = 1.0 / g2 - sigma
-    e = np.fft.rfft((d2.reshape(2, n, -1) * w).reshape(2 * n, -1), axis=1)
-    if rescaled:
-        e += 0.5 * coef
-    return e
+    zc = np.minimum(z, -1.0)
+    phi = [np.exp(z)]
+    for k in (1, 2, 3):
+        phi.append((phi[-1] - 1.0 / math.factorial(k - 1)) / zc)
+    lead = int(np.count_nonzero(z.max(axis=0) > -1.0))
+    zs = z[:, :lead]
+    near = zs > -1.0
+    series = np.vander(zs.ravel(), len(_PHI3_TAYLOR), increasing=True) @ _PHI3_TAYLOR
+    series = series.reshape(zs.shape)
+    for k in (3, 2, 1):
+        np.copyto(phi[k][:, :lead], series, where=near)
+        series = 1.0 / math.factorial(k - 1) + zs * series
+    return phi
 
 
 def _imex_step(coef, g2, d2, dt, rescaled: bool) -> np.ndarray:
-    """One ARS(4,4,3) step of the rfft rows `coef` (x rows, then y rows).
+    """One ETDRK4 step of `coef`, the rfft x rows, then y rows, of n curves.
 
-    g2 and d2 are the metric and second derivatives at the step start; dt
-    is a scalar or a per-row column. Returns the rfft rows of the result.
+    g2 and d2 are their metric and second derivatives, dt a scalar or an
+    (n, 1) column. sigma * x_thth decays exactly, by e^z, z = -sigma*dt*k^2;
+    N = (1/g^2 - sigma) * x_thth (+ x/2 when rescaled) takes four stages.
     """
-    m = d2.shape[1]
-    r = coef.shape[0]
+    m, n = d2.shape[1], g2.shape[0]
     sigma = 1.0 / g2.min(axis=1, keepdims=True)
-    stiff_mult = np.concatenate([sigma, sigma]) * fourier.deriv12_multipliers(m)[1]
-    solve = 1.0 / (1.0 - (_GAMMA * dt) * stiff_mult)
-    slopes = [_explicit(coef, g2, d2, sigma, rescaled)]
-    stiff = []
+    z = (sigma * dt) * fourier.deriv12_multipliers(m)[1]
+    # one array of the z/2 rows, then the z rows; x and y rows share them
+    e, p1, p2, p3 = (p.reshape(2, n, -1)
+                     for p in _phi(np.concatenate([0.5 * z, z])))
+    q = (0.5 * dt) * p1[0]
 
-    def stage(ex, im):
-        rhs = (sum(a * e for a, e in zip(ex, slopes))
-               + sum(a * s for a, s in zip(im, stiff)))
-        return (coef + dt * rhs) * solve
+    def slope(y, g2=None, d2=None):
+        """N of the (2, n, m/2 + 1) rows y; g2 and d2 from y unless given."""
+        if d2 is None:
+            d = fourier.synth_rows(y.reshape(2 * n, -1), m, with_values=False)
+            g2, d2 = _metric(d[:2 * n], d[2 * n:])[0], d[2 * n:]
+        s = np.fft.rfft(d2.reshape(2, n, -1) * (1.0 / g2 - sigma), axis=-1)
+        return s + 0.5 * y if rescaled else s
 
-    for ex, im in zip(_EXPLICIT[:-1], _IMPLICIT[:-1]):
-        y = stage(ex, im)
-        stiff.append(stiff_mult * y)
-        d = fourier.synth_rows(y, m, with_values=False)
-        slopes.append(_explicit(y, _metric(d[:r], d[r:])[0], d[r:], sigma, rescaled))
-    return stage(_EXPLICIT[-1], _IMPLICIT[-1])
+    u = coef.reshape(2, n, -1)
+    e_u = e[0] * u
+    n_u = slope(u, g2, d2)
+    a = e_u + q * n_u
+    n_a = slope(a)
+    n_b = slope(e_u + q * n_a)
+    n_c = slope(e[0] * a + q * (2.0 * n_b - n_u))
+    p1, p2, p3 = dt * p1[1], dt * p2[1], dt * p3[1]
+    out = (e[1] * u + (p1 - 3.0 * p2 + 4.0 * p3) * n_u
+           + 2.0 * (p2 - 2.0 * p3) * (n_a + n_b) + (4.0 * p3 - p2) * n_c)
+    return out.reshape(2 * n, -1)
 
 
 def _guards(pts, g2, cross, control, where) -> None:
@@ -455,7 +457,7 @@ def run_flows(curves, picture: str, end: float | None = None, *,
             trajs[ids[k]].steps += 1
             dts.append(dt)
             events.append(event)
-        coef = _imex_step(coef, g2, d2, np.array(dts + dts)[:, None], rescaled)
+        coef = _imex_step(coef, g2, d2, np.array(dts)[:, None], rescaled)
         rows = None
 
         keep = []
@@ -478,9 +480,7 @@ def run_flows(curves, picture: str, end: float | None = None, *,
                 keep.append(k)
         if len(keep) < n:
             coef = coef[keep + [n + k for k in keep]]
-            ids = [ids[k] for k in keep]
-            times = [times[k] for k in keep]
-            goals = [goals[k] for k in keep]
+            ids, times, goals = ([v[k] for k in keep] for v in (ids, times, goals))
     for traj in trajs:
         traj.series = {k: np.asarray(v, dtype=float) for k, v in traj.series.items()}
     return trajs

@@ -228,6 +228,30 @@ def test_separation_mode_ladder(k, eps, tmp_path):
     assert ok, line
 
 
+def test_separation_converges_in_cfl(tmp_path):
+    """Halving cfl halves every step; at fourth order the fitted rates move
+    by 16x less per halving (at least 8x is asked), and the late frequency
+    is already at rounding."""
+    runs = [run(validate_config({
+        "scenario": "separation", "curve1": "ellipse(1.1, 0.9090909090909091)",
+        "curve2": "circle(1)", "m": "256", "out": str(tmp_path / cfl),
+        "tau_end": "7", "frame_dtau": "0.05", "cfl": cfl}))
+        for cfl in ("1.4", "0.7", "0.35")]
+    ratios, details = [], []
+    for key in ("dhSlope", "lambdaFit", "Uinf"):
+        gaps = [abs(a[key] - b[key]) for a, b in zip(runs, runs[1:])]
+        details.append("%s gaps %.2e, %.2e" % (key, gaps[0], gaps[1]))
+        if key == "Uinf":
+            u_gap = max(gaps)
+        else:
+            ratios.append(gaps[0] / gaps[1])
+    ok = min(ratios) >= 8.0 and u_gap <= 1e-11
+    line = report("separation cfl convergence", ok,
+                  "%s; shrink %.1fx, %.1fx (>= 8); Uinf gaps <= 1e-11"
+                  % ("; ".join(details), ratios[0], ratios[1]))
+    assert ok, line
+
+
 def test_singularity_estimation(tmp_path):
     """Extinction data recovered from unrescaled runs at 1e-3."""
     c_cfg = validate_config({

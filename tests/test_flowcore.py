@@ -1,7 +1,9 @@
 """Flow drivers: radial ODE oracles, exact area laws, trajectory plumbing."""
 
 import io
+import math
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -141,15 +143,19 @@ def test_run_rmcf_frame_times_exact():
 
 
 def test_rescaled_frames_cost_no_sliver_step():
-    # on the round shrinker at cfl 1.4 the step is exactly 0.01, so every
-    # frame lands after frame_dtau / 0.01 steps although the accumulated tau
-    # falls a few ulps short of the frame time
-    for frame_dtau in (0.05, 0.01):
-        traj = run_flows([circle(np.sqrt(2.0), m=256)], "rmcf", 1.0,
-                         frame_dtau=frame_dtau, gauge="area-centroid",
-                         control=StepControl(cfl=1.4))[0]
-        assert len(traj) == round(1.0 / frame_dtau) + 1
-        assert traj.steps == 100
+    # on the round shrinker every step is dt = cfl_timestep(start), so a frame
+    # costs ceil(frame_dtau / dt) steps; where dt divides frame_dtau (0.2) the
+    # accumulated tau falls a few ulps short of the frame time, and the frame
+    # still lands without a sliver step
+    start = circle(SQRT2, m=256)
+    control = StepControl(cfl=1.4)
+    dt = cfl_timestep(start, control)
+    for frame_dtau, steps in ((0.05, 40), (0.01, 100), (0.2, 25)):
+        traj = run_flows([start], "rmcf", 1.0, frame_dtau=frame_dtau,
+                         gauge="area-centroid", control=control)[0]
+        frames = round(1.0 / frame_dtau)
+        assert len(traj) == frames + 1
+        assert traj.steps == frames * math.ceil(frame_dtau / dt - 1e-9) == steps
 
 
 def test_run_rmcf_area_evolution_identity():
@@ -206,6 +212,71 @@ def test_run_rmcf_third_order_in_time():
     coarse = np.abs(ends[0] - ends[1]).max()
     fine = np.abs(ends[1] - ends[2]).max()
     assert np.log2(coarse / fine) >= 2.7
+
+
+def test_run_rmcf_fourth_order_in_time():
+    # the same case as above, one halving further: at order p the gap
+    # between successive refinements shrinks by 2^p
+    start = _normalize_unit_area(fourier_curve(1.0, (0.0, 0.05, 0.02), m=128))
+    ends = [run_rmcf(start, 0.5, frame_dtau=0.5,
+                     control=StepControl(cfl=f * CFL_MAX)).curves[-1].points
+            for f in (1.0, 0.5, 0.25, 0.125)]
+    gaps = [np.abs(a - b).max() for a, b in zip(ends, ends[1:])]
+    assert min(np.log2(gaps[0] / gaps[1]), np.log2(gaps[1] / gaps[2])) >= 3.5
+
+
+def _phi_reference(z: float) -> list:
+    """e^z, phi_1, phi_2, phi_3 of the float z, to 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        x = Decimal(z)
+        if abs(x) < 1:  # phi_k = sum_j x^j / (j + k)!, free of cancellation
+            out = []
+            for k in range(4):
+                term = Decimal(1) / math.factorial(k)
+                total = term
+                for j in range(1, 40):
+                    term = term * x / (j + k)
+                    total += term
+                out.append(total)
+            return [float(v) for v in out]
+        e = x.exp()
+        p1 = (e - 1) / x
+        p2 = (p1 - 1) / x
+        p3 = (p2 - Decimal("0.5")) / x
+        return [float(v) for v in (e, p1, p2, p3)]
+
+
+def test_phi_matches_a_50_digit_reference():
+    # rows of -s*k^2 at different s grow at different rates, as the z/2 and
+    # z rows of a step do; the switch from series to closed form at z = -1
+    # falls in a different column of each
+    grid = np.concatenate([[0.0, -1e-300, -1e-16, -1e-8, -1e-4, -0.01, -0.5,
+                            -0.999, -1.0, -1.001, -2.0],
+                           -np.logspace(0.5, 4, 30)])
+    k2 = np.arange(120.0) ** 2
+    rows = [grid, 0.5 * grid] + [-s * np.minimum(k2, 1e4 / s) for s in
+                                 (0.02, 0.013, 1e-4, 0.999, 1.001)]
+    width = max(len(r) for r in rows)
+    z = np.array([np.pad(r, (0, width - len(r)), mode="edge") for r in rows])
+    got = flowcore._phi(z)
+    for i, j in np.ndindex(z.shape):
+        ref = _phi_reference(float(z[i, j]))
+        e = float(got[0][i, j])
+        assert abs(e - ref[0]) <= 1e-14 * ref[0] + 1e-300
+        for q in (1, 2, 3):
+            assert abs(float(got[q][i, j]) / ref[q] - 1.0) <= 1e-14, (z[i, j], q)
+
+
+def test_ellipse_rmcf_at_m_1024_stays_smooth():
+    # the metric varies by a factor 16 along the gauged 2 : 0.5 ellipse, so
+    # the explicit share of the stiff term is large; the top modes stay at
+    # rounding
+    start = _normalize_unit_area(ellipse(2.0, 0.5, m=1024))
+    traj = run_rmcf(start, 3.0, frame_dtau=0.5, gauge="area-centroid",
+                    control=StepControl(cfl=1.4, require_convex=True))
+    spectrum = np.abs(np.fft.rfft(traj.curves[-1].points, axis=0))
+    assert spectrum[-len(spectrum) // 8:].max() <= 1e-12
 
 
 def test_step_count_does_not_grow_with_m():

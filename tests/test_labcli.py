@@ -291,6 +291,21 @@ def test_rate_mode3_slope(tmp_path):
     assert summary["verdict"] == "consistent"
 
 
+def test_rate_mode12_slope(tmp_path):
+    # d_H decays like e^(-71 tau) over tau in [0, 0.6]; that rate is the
+    # decay of the stiff linear term, which the step must give exactly
+    cfg = validate_config({
+        "scenario": "rate",
+        "curve1": "fourier(1, %s, 0.004, 0)" % ", ".join(["0"] * 22),
+        "m": "128", "out": str(tmp_path / "rate12"), "tau_end": "0.6",
+        "frame_dtau": "0.01", "cfl": "1.4"})
+    summary = run(cfg)
+    assert summary["dominantMode"] == 12
+    assert summary["predictedSlope"] == -71.0
+    assert abs(summary["dhSlope"] + 71.0) <= 0.05
+    assert summary["verdict"] == "consistent"
+
+
 def test_rate_dh_falls_back_to_the_dense_routine(tmp_path, monkeypatch):
     """Centred frames take dH in closed form; a frame distance_to_circle
     declines (None) takes it from the dense routine against circle(sqrt 2)."""
