@@ -14,7 +14,6 @@ the stationary profile of the rescaled flow.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,8 +90,8 @@ def star_angles(points: np.ndarray):
     return c, ang
 
 
-#: rows per block in the all-pairs fallbacks, which bounds their temporaries
-#: to a few (_BLOCK, m) arrays
+#: rows per block in the all-pairs simplicity scan, which bounds its
+#: temporaries to a few (_BLOCK, m) arrays
 _BLOCK = 256
 
 
@@ -297,131 +296,10 @@ def f_functional(curve: DiscreteCurve) -> float:
     return float(gaussian_weights(curve).sum()) / np.sqrt(4.0 * np.pi)
 
 
-#: points on which hausdorff_distance samples each trigonometric interpolant
-_M_DENSE = 8192
-
-#: chord sag of that dense polygon on the round shrinker of radius sqrt(2):
-#: the smallest distance hausdorff_distance resolves
-HAUSDORFF_SAG = math.sqrt(2.0) * (1.0 - math.cos(math.pi / _M_DENSE))
-
-
-class _Polygon:
-    """Closed polygon: point rows x, y, edge vectors ex, ey to the next
-    point, their squared lengths ee and, if given, increasing polar angles."""
-
-    def __init__(self, rows: np.ndarray, ang=None):
-        self.x, self.y = np.ascontiguousarray(rows)
-        self.ex = np.roll(self.x, -1) - self.x
-        self.ey = np.roll(self.y, -1) - self.y
-        self.ee = self.ex * self.ex + self.ey * self.ey
-        self.ang = ang
-
-
-def _polar_rows(curve: DiscreteCurve):
-    """(rows, angles, j0) for hausdorff_distance: the curve's interpolant
-    on the dense grid, its polar angles about the origin and the dense
-    sample j0 of the least angle; None when the angles do not increase from
-    j0 once around.
-
-    They do exactly when one cyclic step fails to increase (the step into
-    j0), which needs no copy rolled to start at j0.
-    """
-    rows = fourier.upsample(curve.points.T, _M_DENSE)
-    ang = np.arctan2(rows[1], rows[0])
-    drops = np.count_nonzero(np.diff(ang) <= 0.0) + int(ang[0] <= ang[-1])
-    if drops != 1:
-        return None
-    return rows, ang, int(np.argmin(ang))
-
-
-def _dist2(px, py, q: _Polygon, idx, work) -> np.ndarray:
-    """Squared distances from the points (px, py) to the segments idx of q,
-    broadcast; the same arithmetic for every shape, so bit for bit. Computed
-    in the four arrays of the broadcast shape in `work` (a caller's loop
-    reuses them) and returned in work[0]."""
-    wx, wy, t, tmp = work
-    np.subtract(px, q.x[idx], out=wx)
-    np.subtract(py, q.y[idx], out=wy)
-    ex = q.ex[idx]
-    ey = q.ey[idx]
-    np.multiply(wx, ex, out=t)
-    t += np.multiply(wy, ey, out=tmp)
-    t /= q.ee[idx]
-    np.clip(t, 0.0, 1.0, out=t)
-    wx -= np.multiply(t, ex, out=tmp)
-    wy -= np.multiply(t, ey, out=tmp)
-    wx *= wx
-    wy *= wy
-    wx += wy
-    return wx
-
-
-def _nearest2_max(px, py, q: _Polygon) -> float:
-    """max over the points (px, py) of the squared distance to polygon q,
-    all pairs, in blocks of _BLOCK**2 pairs to keep the temporaries small."""
-    n = q.x.shape[0]
-    step = max(1, _BLOCK * _BLOCK // n)
-    work = np.empty((4, min(step, px.shape[0]), n))
-    worst = 0.0
-    for lo in range(0, px.shape[0], step):
-        dist2 = _dist2(px[lo:lo + step, None], py[lo:lo + step, None], q,
-                       slice(None), work[:, :min(step, px.shape[0] - lo)])
-        worst = max(worst, float(dist2.min(axis=1).max()))
-    return worst
-
-
-def _points_to_segments_max(a: np.ndarray, b: np.ndarray) -> float:
-    """max over nodes of `a` of the distance to the closed polyline `b`."""
-    return math.sqrt(_nearest2_max(a[:, 0], a[:, 1], _Polygon(b.T)))
-
-
-def _directed_sup(p: _Polygon, q: _Polygon) -> float:
-    """sup over the points of p of the distance to the polygon q.
-
-    The six segments around each point's polar angle in q bound its
-    distance from above. The worst point is checked against all segments,
-    then every point whose bound exceeds that exact distance: linear cost
-    when the window holds the nearest segments.
-    """
-    base = np.searchsorted(q.ang, p.ang)
-    best = np.full(p.x.shape[0], np.inf)
-    work = np.empty((4,) + best.shape)
-    for off in range(-3, 3):
-        np.minimum(best, _dist2(p.x, p.y, q, (base + off) % q.x.size, work),
-                   out=best)
-    i = int(np.argmax(best))
-    sup2 = _nearest2_max(p.x[i:i + 1], p.y[i:i + 1], q)
-    loose = best > sup2
-    sup2 = max(sup2, _nearest2_max(p.x[loose], p.y[loose], q))
-    return math.sqrt(sup2)
-
-
-def hausdorff_distance(a: DiscreteCurve, b: DiscreteCurve) -> float:
-    """Two-sided Hausdorff distance between the interpolants of two curves.
-
-    Exact between the _M_DENSE-point polygons of the interpolants, built
-    once per call, so it resolves HAUSDORFF_SAG on the round shrinker.
-    Curves not star-shaped about the origin fall back to the node polylines.
-    """
-    pa = _polar_rows(a)
-    pb = _polar_rows(b) if pa is not None else None
-    if pb is None:
-        return max(_points_to_segments_max(a.points, b.points),
-                   _points_to_segments_max(b.points, a.points))
-    # each polygon starts at its least angle, so its angles are sorted
-    pa, pb = (_Polygon(np.roll(rows, -j0, axis=1), np.roll(ang, -j0))
-              for rows, ang, j0 in (pa, pb))
-    return max(_directed_sup(pa, pb), _directed_sup(pb, pa))
-
-
 #: Newton steps refine_extrema takes at most on each extremum
 _EXTREMUM_STEPS = 6
 
 _EPS = float(np.finfo(float).eps)
-
-#: how far distance_to_circle's node sum of the winding number about the
-#: origin may be from 1 for the closed form
-_WINDING_TOL = 1e-6
 
 
 def refine_extrema(field, theta, sign, best, spacing: float):
@@ -491,46 +369,107 @@ def refined_extremes(field, values: np.ndarray, spacing: float):
     return float(best[:hi.size].max()), float(best[hi.size:].min())
 
 
-def distance_to_circle(curve: DiscreteCurve, radius: float):
-    """Hausdorff distance from the curve's interpolant M to the circle of
-    `radius` about the origin, or None when M is not seen to wind once
-    around the origin.
-
-    Then d_H = max over x in M of | |x| - radius |: the distance from M to
-    the circle is exactly that, and every ray from the origin meets M (a
-    ray that missed it would join the origin to infinity off M, so M would
-    not wind around the origin), so the distance from the circle to M is no
-    larger. The winding number is taken as the node sum
-    (1/m) sum (x ^ x')/|x|^2, x' from the `geometry` fields; a curve that
-    passes near the origin under-resolves it. None unless the sum is within
-    _WINDING_TOL of 1 and the refined minimum of |x|^2 is positive, which
-    sends the caller to the dense routine. The extremes of |x|^2 are
-    `refined_extremes` on <x, x'> = 0 on one order-2 interpolant.
-    On a round curve the second derivative |x'|^2 + <x, x''> is zero up to
-    rounding, and every point the iteration visits lies on the circle, so
-    the result stays at rounding.
-    """
-    pts = curve.points
-    r2 = np.einsum("ij,ij->i", pts, pts)
-    if not r2.min() > 0.0:
-        return None
+def _convex_tangents(curve: DiscreteCurve):
+    """The node unit tangents (tx, ty) of a convex curve; InvalidCurve if a
+    node curvature is <= 0."""
     geom = geometry(curve)
-    cross = geom.metric_speed * (pts[:, 0] * geom.tangent[:, 1]
-                                 - pts[:, 1] * geom.tangent[:, 0])
-    if abs(float(np.sum(cross / r2)) / curve.m - 1.0) > _WINDING_TOL:
-        return None
-    curve_at = fourier.Interpolant(fourier.coeffs(pts), curve.m, 2)
+    kmin = float(geom.curvature.min())
+    if not kmin > 0.0:
+        raise InvalidCurve("support-function distance needs a convex curve, "
+                           "but a node curvature is %.3g" % kmin)
+    return geom.tangent.T
 
-    def half_r2(theta):
-        """|x|^2 with half its first two derivatives."""
+
+def _support_function(curve: DiscreteCurve, curve_at: fourier.Interpolant):
+    """The support function of a convex curve's interpolant, `curve_at` the
+    order-2 `Interpolant` of its points: a function of the unit outward
+    normals (nx, ny) returning h, h' = <y, t> and the radius of curvature
+    rho = h + h'' at the support points y, with t the tangent (-ny, nx).
+
+    y is where <x'(theta), n> = 0, by Newton from theta interpolated
+    linearly in the node outward normal angles, which increase once around
+    a convex curve; it stops when no step would move h by more than its
+    rounding.
+    """
+    tx, ty = _convex_tangents(curve)
+    angles = np.unwrap(np.arctan2(-tx, ty))
+    angles = np.append(angles, angles[0] + TWO_PI)
+    scale = float(np.abs(curve.points).max())
+
+    def support(nx, ny):
+        alpha = angles[0] + (np.arctan2(ny, nx) - angles[0]) % TWO_PI
+        j = np.minimum(np.searchsorted(angles, alpha, side="right") - 1,
+                       curve.m - 1)
+        theta = (j + (alpha - angles[j]) / (angles[j + 1] - angles[j])) \
+            * (TWO_PI / curve.m)
+        for _ in range(_EXTREMUM_STEPS):
+            x, dx, ddx = curve_at(theta)
+            curv = ddx[:, 0] * nx + ddx[:, 1] * ny
+            step = (dx[:, 0] * nx + dx[:, 1] * ny) / curv
+            if not np.any(np.abs(curv) * step * step > _EPS * scale):
+                break
+            theta = theta - step
+        speed = np.hypot(dx[:, 0], dx[:, 1])
+        return (x[:, 0] * nx + x[:, 1] * ny, x[:, 1] * nx - x[:, 0] * ny,
+                speed ** 3 / (dx[:, 0] * ddx[:, 1] - dx[:, 1] * ddx[:, 0]))
+
+    return support
+
+
+def _support_gap(curve: DiscreteCurve, curve_at: fourier.Interpolant,
+                 support) -> float:
+    """sup over directions of |h - h_L|, h the support function of a convex
+    curve (`curve_at` the order-2 `Interpolant` of its points) and
+    h_L = support(...)[0] that of a convex body L, as for
+    `_support_function`: the Hausdorff distance between the curve and the
+    boundary of L (Schneider, Convex Bodies, section 1.8).
+
+    The directions are the curve's outward normals n = -`geometry().normal`,
+    its node gaps h - h_L `refined_extremes` on the curve's parameter. With
+    h' = <x, t> and h'' = rho - h, the gap g has g' = <x - y, t> and
+    g'' = rho - rho_L - g in the normal angle, whose theta-derivative
+    kappa |x'| is the positive scale `refine_extrema` allows.
+    """
+    tx, ty = _convex_tangents(curve)
+    x, y = curve.points.T
+    gaps = x * ty - y * tx - support(ty, -tx)[0]
+
+    def field(theta):
         x, dx, ddx = curve_at(theta)
-        return (np.einsum("ij,ij->i", x, x), np.einsum("ij,ij->i", x, dx),
-                np.einsum("ij,ij->i", dx, dx) + np.einsum("ij,ij->i", x, ddx))
+        speed = np.hypot(dx[:, 0], dx[:, 1])
+        nx, ny = dx[:, 1] / speed, -dx[:, 0] / speed
+        h, dh, rho = support(nx, ny)
+        gap = x[:, 0] * nx + x[:, 1] * ny - h
+        turn = (dx[:, 0] * ddx[:, 1] - dx[:, 1] * ddx[:, 0]) / (speed * speed)
+        return (gap, x[:, 1] * nx - x[:, 0] * ny - dh,
+                speed - (rho + gap) * turn)
 
-    hi2, lo2 = refined_extremes(half_r2, r2, TWO_PI / curve.m)
-    if not lo2 > 0.0:
-        return None
-    return max(math.sqrt(hi2) - radius, radius - math.sqrt(lo2))
+    top, bottom = refined_extremes(field, gaps, TWO_PI / curve.m)
+    return max(top, -bottom)
+
+
+def hausdorff_distance(a: DiscreteCurve, b: DiscreteCurve) -> float:
+    """Hausdorff distance between the interpolants of two convex curves,
+    the sup of the gap of their support functions (`_support_gap`), taken
+    over the outward normals of each in turn, so symmetric bit for bit.
+    InvalidCurve if either has a node curvature <= 0."""
+    a_at, b_at = (fourier.Interpolant(fourier.coeffs(c.points), c.m, 2)
+                  for c in (a, b))
+    return max(_support_gap(a, a_at, _support_function(b, b_at)),
+               _support_gap(b, b_at, _support_function(a, a_at)))
+
+
+def distance_to_circle(curve: DiscreteCurve, radius: float) -> float:
+    """Hausdorff distance from a convex curve's interpolant to the circle of
+    `radius` about the origin: `_support_gap` against h = rho = radius.
+    InvalidCurve if the curve has a node curvature <= 0.
+
+    On a round curve h' and the second derivative |x'| - h kappa |x'| are
+    zero up to rounding, and every point the iteration visits lies on the
+    circle, so the result stays at rounding.
+    """
+    curve_at = fourier.Interpolant(fourier.coeffs(curve.points), curve.m, 2)
+    return _support_gap(curve, curve_at, lambda nx, ny: (radius, 0.0, radius))
 
 
 def resample(curve: DiscreteCurve, m_new: int | None = None) -> DiscreteCurve:

@@ -5,8 +5,9 @@ even m. Derivatives and interpolants are discrete Fourier (trigonometric
 interpolation, spectrally accurate for analytic data). This module owns the
 interpolant off the grid: `Interpolant` anywhere, from a Taylor table on the
 grid built once per coefficient set to the degree its spectrum needs (at
-most `_TAYLOR_P`), and `upsample` on a finer uniform grid (the dense
-polygons of `curvegeo.hausdorff_distance`).
+most `_TAYLOR_P`), and `upsample` on a finer uniform grid, which no
+computation of the package needs: it samples dense polygons to check the
+off-grid results against.
 
 Staggered (half-grid) variants evaluate at theta_{j+1/2}. They are used to
 assemble stiffness quadratic forms: the collocated Fourier derivative

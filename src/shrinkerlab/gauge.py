@@ -4,10 +4,10 @@ A nearby curve is written as x + u(x) * nu(x) over a base curve (the graph
 gauge). `normal_graph` extracts u by intersecting each base normal line with
 the target and polishing on the target's trigonometric interpolant;
 `reconstruct` goes the other way. `graph_hausdorff` reads the Hausdorff
-distance off a graph: when base and target are convex and sup|u| stays
-below half of both reaches (1/max H), it is sup|u| in closed form, the node
-extremes refined on the interpolant of u; otherwise the dense
-`curvegeo.hausdorff_distance` measures it. `apply_L` is the linearization
+distance off a graph between convex curves: sup|u| in closed form while it
+stays below half of both reaches (1/max H), the node extremes refined on
+the interpolant of u; beyond that, the support-function distance
+`curvegeo.hausdorff_distance`. `apply_L` is the linearization
 of the rescaled flow at a stationary base:
 
     L u = u'' - <x, T>/2 * u' + (H^2 + 1/2) u      (' = arclength derivative)
@@ -246,25 +246,22 @@ def normal_graph(base: DiscreteCurve, target: DiscreteCurve,
 
 
 def graph_hausdorff(graph: GraphFunction, target: DiscreteCurve) -> float:
-    """Hausdorff distance between the base of `graph` and `target`, the
-    curve the graph writes over it (target = base + u nu).
+    """Hausdorff distance between the convex base of `graph` and the convex
+    `target`, the curve the graph writes over it (target = base + u nu).
 
-    When both curves are convex and sup|u| stays below both reaches (1/max
-    H for a convex closed curve), d_H = sup|u| exactly: each target point
-    x + u nu lies on the base normal at x within the base's reach, so its
-    distance to the base is |u|, and each base point is within |u| of the
-    target. The maximum and minimum of u are `refined_extremes` on u' = 0
-    on one order-2 interpolant of u, as `distance_to_circle` refines
-    |x|^2; the result is never below the node maximum of |u|. When either
-    curve has a node curvature <= 0, or sup|u| reaches half the smaller
-    reach, the dense `hausdorff_distance` measures it instead.
+    While sup|u| stays below half of both reaches (1/max H for a convex
+    closed curve), d_H = sup|u| exactly: each target point x + u nu lies on
+    the base normal at x within the base's reach, so its distance to the
+    base is |u|, and each base point is within |u| of the target. The
+    maximum and minimum of u are `refined_extremes` on u' = 0 on one
+    order-2 interpolant of u; the result is never below the node maximum of
+    |u|. Beyond half a reach, `hausdorff_distance` measures it, which raises
+    InvalidCurve if either curve has a node curvature <= 0.
     """
     base, u = graph.base, graph.values
-    h_base = geometry(base).curvature
-    h_target = geometry(target).curvature
-    if (min(float(h_base.min()), float(h_target.min())) <= 0.0
-            or float(np.abs(u).max())
-            >= 0.5 / max(float(h_base.max()), float(h_target.max()))):
+    if (float(np.abs(u).max())
+            >= 0.5 / max(float(geometry(base).curvature.max()),
+                         float(geometry(target).curvature.max()))):
         return hausdorff_distance(base, target)
     u_at = fourier.Interpolant(fourier.coeffs(u), base.m, 2)
     top, bottom = refined_extremes(u_at, u, TWO_PI / base.m)

@@ -26,11 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fourier, ioutil
-from .curvegeo import (HAUSDORFF_SAG, TWO_PI, DiscreteCurve, area_centroid,
-                       circle, distance_to_circle, ellipse, fourier_curve,
-                       geometry, random_fourier)
-# bound under the name perfbench/tracer.py times as "curvegeo.hausdorff"
-from .curvegeo import hausdorff_distance as _hausdorff_dense
+from .curvegeo import (TWO_PI, DiscreteCurve, area_centroid, circle,
+                       distance_to_circle, ellipse, fourier_curve, geometry,
+                       hausdorff_distance, random_fourier)
 from .errors import ConfigInvalid, NotShrinking, ShrinkerLabError, WindowTooShort
 from .flowcore import (CFL_MAX, GAUGES, StepControl, estimate_singularity,
                        run_flows, run_mcf, run_rmcf)
@@ -38,15 +36,15 @@ from .frequency import monitor, shrinker_energy, superexponential_flag
 from .gauge import graph_hausdorff, normal_graph, reconstruct, residual
 from .spectral import assemble, eigenpairs
 
+# no scenario calls this alias: only the perfbench tracer resolves it, and
+# times it as "curvegeo.hausdorff", until ROADMAP item 1 retargets the tracer
+_hausdorff_dense = hausdorff_distance
+
 # verdicts that exit 0; anything else exits 2
 _CLEAN_VERDICTS = ("success", "consistent", "exact-shrinker", "coincident")
 
 _SLOPE_MATCH_TOL = 0.3
 _DH_FLOOR = 1e-8
-
-# rate fits ignore distances below a safe multiple of the smallest one the
-# dense Hausdorff measurement resolves
-_DH_FIT_FLOOR = 12.0 * HAUSDORFF_SAG
 
 # separation curves must enclose equal areas to this relative tolerance
 _AREA_MATCH_TOL = 1e-9
@@ -486,10 +484,12 @@ def experiment_separation(config: ScenarioConfig) -> SeparationReport:
     area-centroid gauge (so their frames share the times 0, frame_dtau, ...,
     tau_end), then the two-flow frequency monitor runs on them, plus a
     Hausdorff distance fit. Each dH row is read off the normal graph u the
-    monitor built for that frame pair (`gauge.graph_hausdorff`): when both
-    frames are convex and sup|u| stays below half of both reaches (1/max
-    H), d_H = sup|u| in closed form, the node maximum refined on the
-    interpolant of u; otherwise the dense `hausdorff_distance` measures it.
+    monitor built for that frame pair (`gauge.graph_hausdorff`): the frames
+    are convex (`require_convex`), so while sup|u| stays below half of both
+    reaches (1/max H), d_H = sup|u| in closed form, the node extremes
+    refined on the interpolant of u; beyond that, the support-function
+    distance `hausdorff_distance`. The fit takes every row above _DH_FLOOR
+    whose graph energy does not underflow.
     Writes frames.npy, index.json, series.csv, target/ (the same for curve2),
     trace.csv and separation.json.
     """
@@ -511,7 +511,7 @@ def experiment_separation(config: ScenarioConfig) -> SeparationReport:
     dh = np.array([graph_hausdorff(graph, target_traj.curves[j])
                    for graph, (_, j) in zip(trace.graphs, trace.pairs)])
 
-    usable = (dh > _DH_FIT_FLOOR) & ~underflow
+    usable = (dh > _DH_FLOOR) & ~underflow
     dh_slope, tw, lw = _fit_tail_slope(taus[usable], dh[usable],
                                        config.fit_window)
     collapse = any("collapse" in flag for flag in trace.flags)
@@ -559,10 +559,11 @@ def experiment_rate(config: ScenarioConfig) -> dict:
     evolved by the rescaled flow under the configured gauge and
     `require_convex` (curve shortening keeps convexity, Gage & Hamilton
     1986). Each frame is measured at node resolution: the Hausdorff
-    distance to the round limit in closed form by `distance_to_circle` (the
-    dense routine for a frame not seen to wind once around the origin), and
-    the L2 size of the shrinker quantity by `shrinker_energy`, both fitted
-    over the trailing window against the rate of the dominant initial mode.
+    distance to the round limit by `distance_to_circle`, the support-function
+    gap to h = sqrt(2), and the L2 size of the shrinker quantity by
+    `shrinker_energy`, both fitted over the trailing window, on the frames
+    whose distance is above _DH_FLOOR, against the rate of the dominant
+    initial mode.
     Writes frames.npy, index.json, series.csv and trace.csv.
     """
     curve = _build_curves(config, convex=True)[0]
@@ -577,8 +578,7 @@ def experiment_rate(config: ScenarioConfig) -> dict:
     dh = np.empty(len(taus))
     phi_l2 = np.empty(len(taus))
     for j, frame in enumerate(traj.curves):
-        exact = distance_to_circle(frame, radius)
-        dh[j] = _hausdorff_dense(frame, reference) if exact is None else exact
+        dh[j] = distance_to_circle(frame, radius)
         phi_l2[j] = math.sqrt(shrinker_energy(frame))
 
     coeffs = np.abs(np.fft.rfft(normal_graph(reference, traj.curves[0]).values))
@@ -589,7 +589,7 @@ def experiment_rate(config: ScenarioConfig) -> dict:
         dh_slope = phi_slope = None
         verdict = "exact-shrinker"
     else:
-        fit_mask = dh > _DH_FIT_FLOOR
+        fit_mask = dh > _DH_FLOOR
         dh_slope, _, _ = _fit_tail_slope(taus[fit_mask], dh[fit_mask],
                                          config.fit_window)
         good_phi = fit_mask & (phi_l2 > 0)

@@ -252,6 +252,29 @@ def test_separation_converges_in_cfl(tmp_path):
     assert ok, line
 
 
+def test_rate_converges_in_cfl_and_m(tmp_path):
+    """The fitted rates of a rate run move by at least 8x less per halving
+    of cfl, and m = 128 already resolves them: m = 256 agrees to 1e-12."""
+    runs = {m: [run(validate_config({
+        "scenario": "rate", "curve1": "fourier(1, 0, 0, 0.05, 0)", "m": m,
+        "out": str(tmp_path / (m + "-" + cfl)), "tau_end": "4",
+        "frame_dtau": "0.05", "cfl": cfl}))
+        for cfl in ("1.4", "0.7", "0.35")] for m in ("128", "256")}
+    ratios, details = [], []
+    for key in ("dhSlope", "phiSlope"):
+        for m, series in runs.items():
+            gaps = [abs(a[key] - b[key]) for a, b in zip(series, series[1:])]
+            ratios.append(gaps[0] / gaps[1])
+            details.append("%s m=%s gaps %.2e, %.2e" % (key, m, *gaps))
+    m_gap = max(abs(a[key] - b[key]) for key in ("dhSlope", "phiSlope")
+                for a, b in zip(runs["128"], runs["256"]))
+    ok = min(ratios) >= 8.0 and m_gap <= 1e-12
+    line = report("rate cfl and m convergence", ok,
+                  "%s; shrink >= %.1fx (>= 8); m gap %.2e (<= 1e-12)"
+                  % ("; ".join(details), min(ratios), m_gap))
+    assert ok, line
+
+
 def test_singularity_estimation(tmp_path):
     """Extinction data recovered from unrescaled runs at 1e-3."""
     c_cfg = validate_config({

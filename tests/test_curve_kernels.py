@@ -1,11 +1,12 @@
-"""The curve-to-curve kernels against all-pairs oracles, bit for bit.
+"""The curve-to-curve kernels against all-pairs and dense oracles.
 
 `gauge.normal_graph` searches only candidate target segments found by polar
-angle, `curvegeo.hausdorff_distance` builds each dense polygon once per call
-and searches in full only the points its six-segment window may misjudge, and
-the all-pairs fallbacks of `curvegeo` run in row blocks. None of them may
-change a result: each is compared here with `np.array_equal` (or `==`)
-against a copy of the straightforward all-pairs formulation it replaced.
+angle, and the all-pairs simplicity scan of `curvegeo` runs in row blocks.
+Neither may change a result: each is compared here with `np.array_equal`
+(or `==`) against a copy of the straightforward all-pairs formulation it
+replaced. The distances of `curvegeo` and `gauge.graph_hausdorff` are exact
+for convex curves; they are compared with dense polygons of the
+interpolants, within the polygons' own chord sag, and with closed forms.
 """
 
 import functools
@@ -21,18 +22,24 @@ from scipy.optimize import minimize_scalar
 from scipy.spatial import cKDTree
 
 from shrinkerlab import fourier, frequency, gauge, labcli
-from shrinkerlab.curvegeo import (_M_DENSE, HAUSDORFF_SAG, TWO_PI,
-                                  DiscreteCurve, _has_self_intersection,
-                                  _points_to_segments_max, _polar_rows, circle,
+from shrinkerlab.curvegeo import (TWO_PI, DiscreteCurve,
+                                  _has_self_intersection, circle,
                                   distance_to_circle, ellipse, fourier_curve,
                                   geometry, hausdorff_distance, random_fourier,
                                   resample, star_angles)
-from shrinkerlab.errors import NotAGraph
+from shrinkerlab.errors import InvalidCurve, NotAGraph
 from shrinkerlab.flowcore import run_flows, run_rmcf
 from shrinkerlab.gauge import (GraphFunction, _sectors, _windows,
                               graph_hausdorff, normal_graph, reconstruct)
 
 SQRT2 = math.sqrt(2.0)
+
+#: points of the dense polygons the distance oracles sample each
+#: interpolant on
+M_DENSE = 8192
+
+#: chord sag of that dense polygon on the round shrinker of radius sqrt(2)
+ROUND_SAG = SQRT2 * (1.0 - math.cos(math.pi / M_DENSE))
 
 
 # ---------------------------------------------------------------------------
@@ -105,15 +112,6 @@ def oracle_normal_graph(base, target, reach=None):
     return u
 
 
-def oracle_directed_sup(p, q):
-    """sup over p of the distance to polygon q, or None (as the dense
-    routine) when q's polar angle does not wind once; (n, 2) arrays."""
-    ang_q = np.arctan2(q[:, 1], q[:, 0])
-    if np.any(np.diff(np.roll(ang_q, -int(np.argmin(ang_q)))) <= 0.0):
-        return None
-    return oracle_polygon_sup(p, q)
-
-
 def oracle_polygon_sup(p, q):
     """sup over p of the distance to polygon q, every point against every
     segment in blocks of 16 points; (n, 2) arrays."""
@@ -153,15 +151,29 @@ def windowed_directed_sup(p, q, base=None):
     return float(math.sqrt(best.max()))
 
 
-def oracle_hausdorff_dense(a, b, directed_sup=oracle_directed_sup):
-    pa = fourier.upsample(a.points.T, _M_DENSE).T
-    pb = fourier.upsample(b.points.T, _M_DENSE).T
-    d_ab = directed_sup(pa, pb)
-    d_ba = directed_sup(pb, pa)
-    if d_ab is None or d_ba is None:
-        return max(oracle_points_to_segments_max(a.points, b.points),
-                   oracle_points_to_segments_max(b.points, a.points))
-    return max(d_ab, d_ba)
+def nearest_windowed_sup(p, q):
+    """`windowed_directed_sup` around the vertex of q nearest each point of
+    p, from a k-d tree: exact for polygons of smooth curves sampled far
+    finer than the distance between them or their radii of curvature."""
+    return windowed_directed_sup(p, q, cKDTree(q).query(p)[1])
+
+
+def oracle_hausdorff_dense(a, b, directed_sup=nearest_windowed_sup,
+                           m_dense=M_DENSE):
+    """Two-sided Hausdorff distance between the m_dense-point polygons of
+    the interpolants of a and b."""
+    pa = fourier.upsample(a.points.T, m_dense).T
+    pb = fourier.upsample(b.points.T, m_dense).T
+    return max(directed_sup(pa, pb), directed_sup(pb, pa))
+
+
+def chord_sag(curve, m_dense=M_DENSE):
+    """Largest distance from the interpolant's points halfway between two
+    dense samples to the chord between them: the dense polygon is within
+    about this of the interpolant."""
+    fine = fourier.upsample(curve.points.T, 2 * m_dense)
+    return float(np.hypot(*(fine[:, 1::2] - 0.5 * (
+        fine[:, ::2] + np.roll(fine[:, ::2], -1, axis=1)))).max())
 
 
 def oracle_has_self_intersection(points):
@@ -182,17 +194,6 @@ def oracle_has_self_intersection(points):
     adj = np.abs(idx[:, None] - idx[None, :]) % m
     cross[(adj == 0) | (adj == 1) | (adj == m - 1)] = False
     return bool(cross.any())
-
-
-def oracle_points_to_segments_max(a, b):
-    d = np.roll(b, -1, axis=0) - b
-    dd = np.einsum("ij,ij->i", d, d)
-    diff = a[:, None, :] - b[None, :, :]
-    t = np.einsum("ijk,jk->ij", diff, d) / dd[None, :]
-    np.clip(t, 0.0, 1.0, out=t)
-    closest = diff - t[:, :, None] * d[None, :, :]
-    dist2 = np.einsum("ijk,ijk->ij", closest, closest)
-    return float(np.sqrt(dist2.min(axis=1).max()))
 
 
 # ---------------------------------------------------------------------------
@@ -360,39 +361,76 @@ def test_normal_graph_inverts_reconstruct(base_name, amps, phases):
 
 
 # ---------------------------------------------------------------------------
-# dense Hausdorff distance
+# support-function Hausdorff distance
+
+def dented(m=128):
+    """A strong mode 3: curvature < 0 at the dents."""
+    curve = fourier_curve(1.0, (0.0, 0.0, 0.15), m=m)
+    assert geometry(curve).curvature.min() < 0.0
+    return curve
+
 
 HAUSDORFF_CASES = {
+    # nested
     "small-offset": lambda: (circle(SQRT2, m=96), circle(SQRT2 + 1e-5, m=96)),
+    # crossing, at two samplings
     "different-m": lambda: (ellipse(1.3, 0.8, m=128), circle(1.1, m=96)),
     "rate-start": lambda: (
         labcli._normalize_unit_area(fourier_curve(1.0, (0.0, 0.0, 0.05), m=256)),
         circle(SQRT2, m=256)),
+    # not star-shaped about the origin, which neither curve contains
     "fallback-offcentre": lambda: (circle(1.0, center=(5.0, 0.0), m=64),
                                    circle(1.0, center=(5.001, 0.0), m=64)),
-    # polar angle and normal part ways: the window's bound is loose at most
-    # points and its sup is 0.21491, where the exact distance is 0.2
+    # nested, with polar angle and normal far apart
     "non-round": lambda: (ellipse(2.0, 0.5), ellipse(2.2, 0.6)),
+    "off-centre": lambda: (
+        circle(SQRT2, m=128),
+        fourier_curve(1.35, (0.0, 0.04), (0.0, 0.0, 0.02), m=112)
+        .translated((0.12, -0.07))),
+    "disjoint": lambda: (ellipse(1.0, 0.5, m=128),
+                         fourier_curve(0.8, (0.0, 0.05), m=96)
+                         .translated((2.5, 0.7))),
 }
 
 
 @pytest.mark.parametrize("case", sorted(HAUSDORFF_CASES))
 def test_hausdorff_dense_matches_oracle(case):
+    # the two-sided distance between the dense polygons is within their
+    # chord sags of the distance between the interpolants
     a, b = HAUSDORFF_CASES[case]()
-    expected = oracle_hausdorff_dense(a, b)
-    assert hausdorff_distance(a, b) == expected
-    assert hausdorff_distance(b, a) == expected
+    got = hausdorff_distance(a, b)
+    assert hausdorff_distance(b, a) == got
+    assert abs(got - oracle_hausdorff_dense(a, b)) <= chord_sag(a) + chord_sag(b)
 
 
 def test_hausdorff_dense_matches_oracle_along_a_flow():
-    # the window is exact on every frame of a flow toward the round limit,
-    # so the full check changes no scenario output
     start = labcli._normalize_unit_area(fourier_curve(1.0, (0.0, 0.06, 0.02), m=128))
     traj = run_rmcf(start, 1.0, frame_dtau=0.1)
     reference = circle(SQRT2, m=128)
     for frame in traj.curves:
-        assert (hausdorff_distance(frame, reference)
-                == oracle_hausdorff_dense(frame, reference, windowed_directed_sup))
+        got = hausdorff_distance(frame, reference)
+        assert hausdorff_distance(reference, frame) == got
+        dense = oracle_hausdorff_dense(frame, reference, windowed_directed_sup)
+        assert abs(got - dense) <= chord_sag(frame) + ROUND_SAG
+
+
+def test_hausdorff_distance_closed_forms():
+    assert abs(hausdorff_distance(circle(1.0, center=(5.0, 0.0), m=64),
+                                  circle(1.0, center=(5.001, 0.0), m=64))
+               - 0.001) <= 1e-15
+    # the support functions of nested ellipses with parallel axes differ
+    # most along the axis where the semi-axes differ most
+    assert abs(hausdorff_distance(ellipse(2.0, 0.5), ellipse(2.2, 0.6))
+               - 0.2) <= 1e-15
+
+
+def test_distances_reject_a_curve_that_is_not_convex():
+    round_curve = circle(SQRT2, m=128)
+    for a, b in ((dented(), round_curve), (round_curve, dented())):
+        with pytest.raises(InvalidCurve, match="convex"):
+            hausdorff_distance(a, b)
+    with pytest.raises(InvalidCurve, match="convex"):
+        distance_to_circle(dented(), SQRT2)
 
 
 def test_one_interpolant_table_per_coefficient_set(monkeypatch):
@@ -418,8 +456,8 @@ def test_one_interpolant_table_per_coefficient_set(monkeypatch):
 # closed-form distance to the round limit
 
 def test_distance_to_circle_is_exact_on_a_rotated_ellipse():
-    # the extremes of |x| sit between dense samples: the dense routine is
-    # 5.2e-8 off here, the Newton-refined extremes are exact to rounding
+    # the extremes of the support gap sit between 8192-point samples, which
+    # are 5.2e-8 off here; the Newton-refined extremes are exact to rounding
     a, b, phi = 1.6, 1.25, 1.2343
     t = grid(256)
     curve = DiscreteCurve(np.column_stack([a * np.cos(t + phi),
@@ -429,15 +467,17 @@ def test_distance_to_circle_is_exact_on_a_rotated_ellipse():
 
 
 def test_distance_to_circle_round_and_off_centre(recwarn):
-    # on a round curve the second derivative of |x|^2 is rounding noise:
-    # the safeguarded division warns of nothing and the result stays exact
+    # on a round curve the second derivative of the support gap is rounding
+    # noise: the safeguarded division warns of nothing and the result stays
+    # exact
     assert distance_to_circle(circle(SQRT2), SQRT2) <= 1e-14
     assert abs(distance_to_circle(circle(1.3), SQRT2) - (SQRT2 - 1.3)) <= 1e-14
-    # the node sum of the winding number about the origin is not 1: 0 off
-    # the origin, and under-resolved where the curve passes 0.001 from it
-    assert distance_to_circle(circle(1.0, center=(2.0, 0.0)), SQRT2) is None
-    assert distance_to_circle(circle(1.0, center=(0.999, 0.0), m=256),
-                              SQRT2) is None
+    # off the origin, and passing 0.001 from it: the support functions
+    # 1 + <c, n> and sqrt(2) differ most along c or against it
+    assert abs(distance_to_circle(circle(1.0, center=(2.0, 0.0)), SQRT2)
+               - (1.0 + SQRT2)) <= 1e-14
+    assert abs(distance_to_circle(circle(1.0, center=(0.999, 0.0), m=256),
+                                  SQRT2) - (SQRT2 - 0.001)) <= 1e-14
     assert len(recwarn) == 0
 
 
@@ -455,7 +495,7 @@ def test_distance_to_circle_matches_dense_along_a_flow():
             dense = oracle_hausdorff_dense(frame, reference,
                                            windowed_directed_sup)
             assert abs(got - dense) <= 1e-12 * dense, (m, modes)
-            rows = fourier.upsample(frame.points.T, _M_DENSE)
+            rows = fourier.upsample(frame.points.T, M_DENSE)
             assert got >= np.abs(np.hypot(*rows) - SQRT2).max(), (m, modes)
 
 
@@ -491,17 +531,18 @@ ROUND_R = 4.0 * np.finfo(float).eps * SQRT2
 
 def test_distance_to_circle_resolves_a_mode_5_flow():
     # the inner extremes of mode 5 (angle pi/5) fall between the dense
-    # samples, and the flow takes d_H down to 2.7e-8, where one unit in
-    # the last place of |x| is 8e-9 of it: the oracle refines them on the
+    # samples, and the flow takes d_H down to 3.0e-8, where one unit in
+    # the last place of |x| is 7e-9 of it: the oracle refines them on the
     # direct Fourier sum, and the bound is absolute, tighter than 1e-12
-    # relative while d_H > 1.3e-3
+    # relative while d_H > 1.3e-3. The amplitude 0.035 is below 1/26, so
+    # the start is convex
     for m in (64, 128, 256):
         start = labcli._normalize_unit_area(
-            fourier_curve(1.0, (0.0, 0.0, 0.0, 0.0, 0.04), m=m))
+            fourier_curve(1.0, (0.0, 0.0, 0.0, 0.0, 0.035), m=m))
         for frame in run_rmcf(start, 2.0, frame_dtau=0.1).curves:
             got = distance_to_circle(frame, SQRT2)
             exact = oracle_round_distance(
-                np.hypot(*fourier.upsample(frame.points.T, _M_DENSE)),
+                np.hypot(*fourier.upsample(frame.points.T, M_DENSE)),
                 direct_radius(frame))
             assert abs(got - exact) <= ROUND_R, m
             assert got >= np.abs(np.hypot(*frame.points.T) - SQRT2).max()
@@ -519,27 +560,22 @@ def test_distance_to_circle_finds_the_extreme_the_node_samples_misrank():
     r = radius_at(t)
     curve = DiscreteCurve(np.column_stack([r * np.cos(t), r * np.sin(t)]))
     assert np.argmax(r) == 0 and np.argmin(r) == 32
-    exact = oracle_round_distance(radius_at(grid(_M_DENSE)), radius_at)
+    exact = oracle_round_distance(radius_at(grid(M_DENSE)), radius_at)
     assert exact - max(r.max() - SQRT2, SQRT2 - r.min()) > 1e-4
     assert abs(distance_to_circle(curve, SQRT2) - exact) <= ROUND_R
 
 
-def test_distance_to_circle_winds_once_without_a_star_shape(recwarn):
-    # every ray from the origin meets a curve that winds once around it, so
-    # the closed form holds although the polar angle is not monotone. The
-    # oracle takes every point of each 8192-point polygon against every
-    # segment of the other; each polygon is within its chord sag of its
-    # interpolant, HAUSDORFF_SAG for the circle
-    curve = fourier_curve(1.0, (0.0, 0.0, 0.0, 0.2), m=256).translated((0.8, 0.0))
-    assert _polar_rows(curve) is None
+def test_distance_to_circle_matches_dense_off_the_origin(recwarn):
+    # a convex mode-4 curve beside the circle, not around the origin: the
+    # oracle takes every point of each dense polygon against every segment
+    # of the other
+    curve = fourier_curve(0.5, (0.0, 0.0, 0.0, 0.05), m=256).translated((1.6, 0.4))
+    assert curve.points[:, 0].min() > 0.0
     got = distance_to_circle(curve, SQRT2)
-    pa, pb = (fourier.upsample(c.points.T, _M_DENSE).T
+    pa, pb = (fourier.upsample(c.points.T, M_DENSE).T
               for c in (curve, circle(SQRT2, m=256)))
     exact = max(oracle_polygon_sup(pa, pb), oracle_polygon_sup(pb, pa))
-    fine = fourier.upsample(curve.points.T, 2 * _M_DENSE)
-    sag = float(np.hypot(*(fine[:, 1::2] - 0.5 * (fine[:, ::2] + np.roll(
-        fine[:, ::2], -1, axis=1)))).max())
-    assert abs(got - exact) <= sag + HAUSDORFF_SAG
+    assert abs(got - exact) <= chord_sag(curve) + ROUND_SAG
     assert len(recwarn) == 0
 
 
@@ -547,33 +583,6 @@ def test_shrinker_energy_is_the_monitor_itilde():
     for curve in (random_fourier(5, 0.08, seed=2, m=128),
                   ellipse(1.3, 0.8, m=64), circle(1.1, m=64)):
         assert frequency.shrinker_energy(curve) == frequency._frame(curve).itilde
-
-
-def test_polar_rows_angles_increase_without_a_rolled_copy():
-    # exactly one cyclic step of the dense angles fails to increase (the
-    # step into the least angle, sample j0) when the copy rolled to start at
-    # j0 increases throughout, the test the rolled rows used to take
-    t = grid(64)
-    curves = [DiscreteCurve(np.column_stack([1.3 * np.cos(t + phase),
-                                             np.sin(t + phase)]))
-              for phase in (0.0, 1.0, 3.0, -2.5)]
-    curves += [circle(1.0, center=(0.0, 0.9), m=64),
-               circle(1.0, center=(2.0, 0.0), m=64),
-               # winds once around the origin, but not star-shaped about it
-               fourier_curve(1.0, (0.0, 0.0, 0.0, 0.2),
-                             m=64).translated((0.8, 0.0))]
-    winding = []
-    for curve in curves:
-        rows = fourier.upsample(curve.points.T, _M_DENSE)
-        ang = np.arctan2(rows[1], rows[0])
-        j0 = int(np.argmin(ang))
-        winding.append(bool(np.all(np.diff(np.roll(ang, -j0)) > 0.0)))
-        polar = _polar_rows(curve)
-        assert (polar is not None) == winding[-1]
-        if polar is not None:
-            assert np.array_equal(polar[0], rows)
-            assert np.array_equal(polar[1], ang) and polar[2] == j0
-    assert winding == [True] * 5 + [False] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -695,23 +704,25 @@ def test_graph_hausdorff_falls_back_off_its_conditions(monkeypatch):
     assert abs(graph_hausdorff(graph, reconstruct(base, graph.values))
                - 0.02) <= 1e-15
     assert calls == []
-    # a non-convex base (curvature < 0 near the dents of a strong mode 3)
-    dented = fourier_curve(1.0, (0.0, 0.0, 0.15), m=128)
-    assert geometry(dented).curvature.min() < 0.0
-    graph = GraphFunction(dented, 0.01 * np.cos(2 * t))
-    target = reconstruct(dented, graph.values)
-    assert graph_hausdorff(graph, target) == hausdorff_distance(dented, target)
-    assert len(calls) == 1 and calls[0] == (dented, target)
     # a height of 0.6 over circle(1) (reach 1): beyond half of either reach
     for height in (0.6, -0.6):
         graph = GraphFunction(base, np.full(128, height))
         target = reconstruct(base, graph.values)
         assert graph_hausdorff(graph, target) == hausdorff_distance(base, target)
-    assert len(calls) == 3
+    assert len(calls) == 2
+    # beyond half the reach of a base that is not convex: the support
+    # functions do not measure it
+    base = dented()
+    graph = GraphFunction(base, np.full(128, 0.3))
+    assert 0.3 >= 0.5 / geometry(base).curvature.max()
+    target = reconstruct(base, graph.values)
+    with pytest.raises(InvalidCurve, match="convex"):
+        graph_hausdorff(graph, target)
+    assert len(calls) == 3 and calls[-1] == (base, target)
 
 
 # ---------------------------------------------------------------------------
-# blocked all-pairs fallbacks
+# blocked all-pairs simplicity scan
 
 def test_blocked_self_intersection_matches_unblocked():
     simple = u_shape(512).points
@@ -723,9 +734,3 @@ def test_blocked_self_intersection_matches_unblocked():
     assert not _has_self_intersection(simple)
     assert _has_self_intersection(figure_eight)
 
-
-def test_blocked_points_to_segments_matches_unblocked():
-    a = u_shape(512).points
-    b = reconstruct(u_shape(600), 0.002 * np.cos(5 * grid(600))).points
-    for p, q in ((a, b), (b, a)):
-        assert _points_to_segments_max(p, q) == oracle_points_to_segments_max(p, q)

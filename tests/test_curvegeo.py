@@ -23,6 +23,7 @@ from shrinkerlab.curvegeo import (
 from shrinkerlab.errors import DegenerateCurve, InterpolationFailure, InvalidCurve
 
 SQRT2 = np.sqrt(2.0)
+EPS = float(np.finfo(float).eps)
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +211,11 @@ def test_hausdorff_translated_circle():
 
 
 def test_hausdorff_symmetric_and_zero_on_self():
+    # on itself the support points come from Newton on the interpolant, the
+    # support values from the node geometry: they agree to rounding
     a = random_fourier(4, 0.06, seed=2, m=128)
     b = circle(1.2, m=64)
-    assert hausdorff_distance(a, a) == 0.0
+    assert hausdorff_distance(a, a) <= 4.0 * EPS * np.abs(a.points).max()
     assert hausdorff_distance(a, b) == hausdorff_distance(b, a)
 
 

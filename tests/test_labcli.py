@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from shrinkerlab import frequency, labcli, spectral
-from shrinkerlab.curvegeo import ellipse
+from shrinkerlab.curvegeo import circle, ellipse, hausdorff_distance
 from shrinkerlab.errors import ConfigInvalid, ConvergenceFailure
-from shrinkerlab.flowcore import run_rmcf
+from shrinkerlab.flowcore import FlowTrajectory, run_rmcf
 from shrinkerlab.labcli import (build_curve, main, parse_config_text, run,
                                 validate_config)
 
@@ -306,35 +306,19 @@ def test_rate_mode12_slope(tmp_path):
     assert summary["verdict"] == "consistent"
 
 
-def test_rate_dh_falls_back_to_the_dense_routine(tmp_path, monkeypatch):
-    """Centred frames take dH in closed form; a frame distance_to_circle
-    declines (None) takes it from the dense routine against circle(sqrt 2)."""
-    calls = []
-    hausdorff = labcli._hausdorff_dense
-
-    def recorded(a, b):
-        calls.append((b, hausdorff(a, b)))
-        return calls[-1][1]
-
-    def rate(name):
-        out = tmp_path / name
-        run(validate_config({
-            "scenario": "rate", "curve1": "fourier(1, 0, 0, 0.05, 0)",
-            "m": "64", "out": str(out), "tau_end": "2", "frame_dtau": "0.1"}))
-        return np.genfromtxt(out / "trace.csv", delimiter=",", names=True)["dH"]
-
-    monkeypatch.setattr(labcli, "_hausdorff_dense", recorded)
-    closed = rate("closed")
-    assert calls == []
-    monkeypatch.setattr(labcli, "distance_to_circle", lambda curve, radius: None)
-    dense = rate("dense")
-    assert len(calls) == dense.size == closed.size
-    reference = calls[0][0]
-    assert reference.m == 64
-    assert np.abs(np.hypot(*reference.points.T) - math.sqrt(2.0)).max() < 1e-15
-    assert all(b is reference for b, _ in calls)
-    assert np.array_equal(dense, [d for _, d in calls])
-    assert np.abs(closed - dense).max() <= 1e-12 * dense.max()
+def test_rate_dh_is_the_distance_to_the_sampled_round_limit(tmp_path):
+    """The closed form against h = sqrt(2) is the two-curve distance to
+    circle(sqrt 2) at the run's m, on every frame of a rate flow."""
+    out = tmp_path / "rate"
+    run(validate_config({
+        "scenario": "rate", "curve1": "fourier(1, 0, 0, 0.05, 0)",
+        "m": "64", "out": str(out), "tau_end": "2", "frame_dtau": "0.1"}))
+    dh = np.genfromtxt(out / "trace.csv", delimiter=",", names=True)["dH"]
+    frames = FlowTrajectory.load(out).curves
+    reference = circle(math.sqrt(2.0), m=64)
+    two_curve = np.array([hausdorff_distance(f, reference) for f in frames])
+    assert dh.size == two_curve.size == 21
+    assert np.abs(dh - two_curve).max() <= 1e-12 * dh.max()
 
 
 def test_rate_circle_is_exact_shrinker(tmp_path):
@@ -483,10 +467,9 @@ def test_separation_cross_resolution_slope(separation_result, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# dense distance helper
+# two-curve distance
 
 def test_hausdorff_dense_resolves_small_offsets():
-    from shrinkerlab.curvegeo import circle, hausdorff_distance
     a = circle(SQRT2, m=96)
     b = circle(SQRT2 + 1e-5, m=96)
     d = hausdorff_distance(a, b)
@@ -494,8 +477,7 @@ def test_hausdorff_dense_resolves_small_offsets():
 
 
 def test_hausdorff_dense_fallback_offcenter():
-    from shrinkerlab.curvegeo import circle, hausdorff_distance
-    # not star-shaped about the origin: falls back to the node polylines
+    # not star-shaped about the origin, which the distance does not need
     a = circle(1.0, center=(5.0, 0.0), m=64)
     b = circle(1.0, center=(5.001, 0.0), m=64)
     d = hausdorff_distance(a, b)
