@@ -40,7 +40,6 @@ from .flowcore import (
     SingularityEstimate,
     StepControl,
     estimate_singularity,
-    from_rmcf,
     rescale_to_rmcf,
     run_flows,
     run_mcf,
@@ -78,7 +77,6 @@ from .frequency import (
 )
 from .labcli import (
     ScenarioConfig,
-    SeparationReport,
     build_curve,
     experiment_rate,
     experiment_separation,

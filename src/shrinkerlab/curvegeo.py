@@ -472,17 +472,13 @@ def distance_to_circle(curve: DiscreteCurve, radius: float) -> float:
     return _support_gap(curve, curve_at, lambda nx, ny: (radius, 0.0, radius))
 
 
-def resample(curve: DiscreteCurve, m_new: int | None = None) -> DiscreteCurve:
+def resample(curve: DiscreteCurve) -> DiscreteCurve:
     """Arclength-uniform resampling via trigonometric interpolation.
 
-    Node 0 is preserved; the remaining nodes are placed at equal arclength
+    Node 0 is preserved; the other m - 1 nodes are placed at equal arclength
     intervals of the interpolated curve. Length is preserved to spectral
     accuracy.
     """
-    if m_new is None:
-        m_new = curve.m
-    if m_new < MIN_NODES or m_new % 2 != 0:
-        raise InterpolationFailure("target node count must be even and >= %d" % MIN_NODES)
     m = curve.m
     d1 = fourier.deriv(curve.points, 1)
     g = np.hypot(d1[:, 0], d1[:, 1])
@@ -495,7 +491,7 @@ def resample(curve: DiscreteCurve, m_new: int | None = None) -> DiscreteCurve:
     # anchor arclength zero at node 0: the periodic part of the
     # antiderivative need not vanish there
     s0 = float(s_at(np.array([0.0]))[0][0])
-    targets = np.arange(m_new) * (total / m_new)
+    targets = np.arange(m) * (total / m)
 
     # monotone initial guess from a refined grid
     dense_t = np.linspace(0.0, TWO_PI, 4 * m + 1)

@@ -27,14 +27,16 @@ stage) and one rfft of N. Frames are emitted at exact times: fixed tau
 multiples for the rescaled flow, fixed area levels A(0) * exp(-j * dtau) for
 the unrescaled flow (by the area law these are the same tau grid, without
 knowing T), each built from the step's own rfft rows at one irfft more. A
-saved trajectory keeps its frames in one frames.npy.
+saved trajectory keeps its frames in one frames.npy. `run_flows` is the one
+stepping loop: `run_mcf`, `run_rmcf` and the single step `mcf_step` (a run
+to t = dt) go through it.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -93,12 +95,6 @@ class StepControl:
     cfl: float = 0.8
     stop_curvature: float = 50.0
     require_convex: bool = False
-
-
-def _check_cfl(control: StepControl) -> None:
-    if not 0.0 < control.cfl <= CFL_MAX:
-        raise StepRejected("cfl %g is outside the accepted range (0, %g]"
-                           % (control.cfl, CFL_MAX))
 
 
 def _metric(d1: np.ndarray, d2: np.ndarray):
@@ -196,10 +192,20 @@ def cfl_timestep(curve: DiscreteCurve, control: StepControl | None = None) -> fl
     return _timestep(float(np.max(kappa * kappa)), control or StepControl())
 
 
-def _public_step(curve, dt, control, rescaled):
+def mcf_step(curve: DiscreteCurve, dt: float,
+             control: StepControl | None = None) -> DiscreteCurve:
+    """One validated step of the unrescaled flow: a `run_flows` run to t = dt.
+
+    dt must not exceed `cfl_timestep`; dt = 0 returns the input unchanged.
+    The result is the run's last frame, and `stop_curvature` does not apply.
+    As in every run, a frame, the input at frame 0 among them, is resampled
+    by arclength only when its node spacing ratio exceeds 1.05; when the
+    resampled input's own step bound is below dt, the loop splits the step
+    in two.
+    """
     if not isinstance(curve, DiscreteCurve):
         raise InvalidCurve("expected a DiscreteCurve")
-    _check_cfl(control)
+    control = control or StepControl()
     if dt < 0.0:
         raise StepRejected("negative time step %g" % dt)
     if dt == 0.0:
@@ -207,33 +213,9 @@ def _public_step(curve, dt, control, rescaled):
     bound = cfl_timestep(curve, control)
     if dt > bound:
         raise StepRejected("step %g exceeds the accuracy bound %g" % (dt, bound))
-    coef = np.fft.rfft(curve.points.T, axis=1)
-    rows = fourier.synth_rows(coef, curve.m)
-    g2, cross = _metric(rows[2:4], rows[4:])
-    _guards(rows[:2], g2, cross, control, lambda k: "at input")
-    new_pts = np.fft.irfft(_imex_step(coef, g2, rows[4:], dt, rescaled),
-                           n=curve.m, axis=1).T
-    if not np.all(np.isfinite(new_pts)):
-        raise BlowupDetected("step produced non-finite positions")
-    out = resample(DiscreteCurve(new_pts))
-    if control.require_convex and float(geometry(out).curvature.min()) < 0:
-        raise ConvexityLost("curvature changed sign within the step")
-    return out
-
-
-def mcf_step(curve: DiscreteCurve, dt: float,
-             control: StepControl | None = None) -> DiscreteCurve:
-    """One validated, resampled step of the unrescaled flow.
-
-    dt must not exceed `cfl_timestep`; dt = 0 returns the input unchanged.
-    """
-    return _public_step(curve, dt, control or StepControl(), rescaled=False)
-
-
-def rmcf_step(curve: DiscreteCurve, dt: float,
-              control: StepControl | None = None) -> DiscreteCurve:
-    """One validated, resampled step of the rescaled flow."""
-    return _public_step(curve, dt, control or StepControl(), rescaled=True)
+    traj = run_flows([curve], "mcf", dt, frame_dtau=math.inf,
+                     control=replace(control, stop_curvature=math.inf))[0]
+    return traj.curves[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +368,9 @@ def run_flows(curves, picture: str, end: float | None = None, *,
             frame_times.append(end)
     elif picture != "mcf" or gauge != "none":
         raise ValueError("unknown picture %r or gauge %r for it" % (picture, gauge))
-    _check_cfl(control)
+    if not 0.0 < control.cfl <= CFL_MAX:
+        raise StepRejected("cfl %g is outside the accepted range (0, %g]"
+                           % (control.cfl, CFL_MAX))
     if len({curve.m for curve in curves}) > 1:
         raise InvalidCurve("curves of one batch need the same m")
     level_ratio = math.exp(-frame_dtau)
@@ -600,19 +584,5 @@ def rescale_to_rmcf(traj: FlowTrajectory, time: float, center) -> FlowTrajectory
         scale = 1.0 / math.sqrt(gap)
         pts = (curve.points - center) * scale
         out.times.append(-math.log(gap))
-        out.curves.append(DiscreteCurve(pts, validate=False))
-    return out
-
-
-def from_rmcf(traj: FlowTrajectory, time: float, center) -> FlowTrajectory:
-    """Inverse of `rescale_to_rmcf`: back to the unrescaled picture."""
-    if traj.picture != "rmcf":
-        raise ValueError("expected a rescaled trajectory")
-    center = np.asarray(center, dtype=float)
-    out = FlowTrajectory(picture="mcf", m=traj.m, singular_data=traj.singular_data)
-    for tau, curve in zip(traj.times, traj.curves):
-        gap = math.exp(-tau)
-        pts = center + curve.points * math.sqrt(gap)
-        out.times.append(time - gap)
         out.curves.append(DiscreteCurve(pts, validate=False))
     return out

@@ -330,9 +330,9 @@ class FrequencyTrace:
     graphs: list
     inequality_margin: np.ndarray
     lambda_bound: float
-    lambda_fit: float
-    offset_fit: float
-    u_inf: float
+    lambda_fit: float | None
+    offset_fit: float | None
+    u_inf: float | None
     theta_fit: float | None
     integral_d: float
     integral_c2: float
@@ -355,9 +355,6 @@ class FrequencyTrace:
             "integralD": self.integral_d,
             "integralC2": self.integral_c2,
         }
-
-    def save_summary(self, path) -> None:
-        ioutil.dump_json(self.summary_dict(), path)
 
 
 def _common_frames(base_traj, target_traj) -> list:
@@ -395,7 +392,9 @@ def monitor(base_traj, target_traj, *,
 
     Lambda (the top eigenvalue along the base) comes from an eigensolve
     of every max(1, k // 12)-th base frame and the last, k the number of
-    common frames. Fits use the trailing fit_fraction of non-underflow rows.
+    common frames. Fits use the trailing fit_fraction of non-underflow rows;
+    lambda_fit, offset_fit and u_inf are None when fewer than two rows clear
+    ENERGY_FLOOR.
     """
     if getattr(base_traj, "picture", "rmcf") != "rmcf" or \
             getattr(target_traj, "picture", "rmcf") != "rmcf":
@@ -475,24 +474,21 @@ def monitor(base_traj, target_traj, *,
                          % (tau, u_quot[j], lambda_bound))
 
     good = cols["underflow"] == 0.0
-    lam_fit = offset_fit = 0.0
-    u_inf = 0.0
-    if good.any():
-        u_good = cols["U"][good]
-        start = int(math.ceil((1.0 - fit_fraction) * int(good.sum())))
-        start = min(start, int(good.sum()) - 2) if good.sum() > 2 else 0
+    n_good = int(good.sum())
+    lam_fit = offset_fit = u_inf = None
+    if n_good >= 2:
+        start = min(int(math.ceil((1.0 - fit_fraction) * n_good)), n_good - 2)
         tw = cols["tau"][good][start:]
         lw = np.log(cols["I"][good][start:])
-        if tw.size >= 2:
-            design = np.column_stack([tw, np.ones(tw.size)])
-            (slope, _), *_ = np.linalg.lstsq(design, lw, rcond=None)
-            lam_fit = -float(slope)
-            offset_fit = float((-lam_fit * tw - lw).max())
-            u_inf = float(u_good[start:].min())
-            collapsed, _ = superexponential_flag(tw, lw)
-            if collapsed:
-                flags.append("super-exponential collapse of I over the "
-                             "fit window")
+        design = np.column_stack([tw, np.ones(tw.size)])
+        (slope, _), *_ = np.linalg.lstsq(design, lw, rcond=None)
+        lam_fit = -float(slope)
+        offset_fit = float((-lam_fit * tw - lw).max())
+        u_inf = float(cols["U"][good][start:].min())
+        collapsed, _ = superexponential_flag(tw, lw)
+        if collapsed:
+            flags.append("super-exponential collapse of I over the "
+                         "fit window")
 
     integral_d = float(np.trapezoid(cols["D"], cols["tau"]))
     c2_vals = np.array([fr.c2 for fr in frames[1:-1]])

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fourier, ioutil, spectral
+from . import fourier, spectral
 from .curvegeo import (TWO_PI, DiscreteCurve, geometry, hausdorff_distance,
                        refined_extremes, star_angles)
 from .errors import NotAGraph
@@ -301,9 +301,6 @@ class ResidualReport:
             "normsU": [self.norms_u[0], self.norms_u[1], self.norms_u[2]],
             "quadRatio": self.quad_ratio,
         }
-
-    def save(self, path):
-        ioutil.dump_json(self.to_dict(), path)
 
 
 def residual(base: DiscreteCurve, u_prev, u_mid, u_next, dtau: float,

@@ -29,7 +29,8 @@ from . import fourier, ioutil
 from .curvegeo import (TWO_PI, DiscreteCurve, area_centroid, circle,
                        distance_to_circle, ellipse, fourier_curve, geometry,
                        hausdorff_distance, random_fourier)
-from .errors import ConfigInvalid, NotShrinking, ShrinkerLabError, WindowTooShort
+from .errors import (ConfigInvalid, EnergyUnderflow, NotShrinking,
+                     ShrinkerLabError, WindowTooShort)
 from .flowcore import (CFL_MAX, GAUGES, StepControl, estimate_singularity,
                        run_flows, run_mcf, run_rmcf)
 from .frequency import monitor, shrinker_energy, superexponential_flag
@@ -431,51 +432,7 @@ def _run_gauge_residual(config: ScenarioConfig) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class SeparationReport:
-    """Outcome of the two-flow separation experiment.
-
-    dh_slope is the fitted decay rate of log Hausdorff distance in rescaled
-    time; lambda_fit and offset_fit describe the fitted envelope of log I;
-    u_inf is the empirical late-time minimum of the frequency; lambda_bound
-    the Rayleigh ceiling. slopes_match records whether the distance and
-    sqrt-energy rates agree within the tolerance. The verdict is
-    superexponential-flagged only when log I or log d_H drops below every
-    linear envelope over the fit window, and coincident when the two flows
-    agree to the floors on every frame (M1 = M2): then there is nothing to
-    fit, and every fitted field is None.
-    """
-
-    dh_slope: float | None
-    lambda_fit: float | None
-    offset_fit: float | None
-    u_inf: float | None
-    lambda_bound: float
-    slopes_match: bool | None
-    underflow_fraction: float
-    verdict: str
-
-    def to_dict(self) -> dict:
-        return {
-            "dhSlope": self.dh_slope,
-            "lambdaFit": self.lambda_fit,
-            "offsetFit": self.offset_fit,
-            "Uinf": self.u_inf,
-            "Lambda": self.lambda_bound,
-            "slopesMatch": self.slopes_match,
-            "underflowFraction": self.underflow_fraction,
-            "verdict": self.verdict,
-        }
-
-
-def _run_separation(config: ScenarioConfig) -> dict:
-    summary = {"scenario": config.scenario, "m": config.m,
-               "tauEnd": config.tau_end}
-    summary.update(experiment_separation(config).to_dict())
-    return summary
-
-
-def experiment_separation(config: ScenarioConfig) -> SeparationReport:
+def experiment_separation(config: ScenarioConfig) -> dict:
     """Evolve two curves into the same singularity and watch them separate.
 
     The curves must enclose equal areas, so that both flows become singular
@@ -490,8 +447,13 @@ def experiment_separation(config: ScenarioConfig) -> SeparationReport:
     refined on the interpolant of u; beyond that, the support-function
     distance `hausdorff_distance`. The fit takes every row above _DH_FLOOR
     whose graph energy does not underflow.
+    The verdict is superexponential-flagged when log I or log d_H drops below
+    every linear envelope over the fit window, and coincident when the two
+    flows agree to the floors on every frame (M1 = M2): then there is nothing
+    to fit, and every fitted field is None. EnergyUnderflow when the monitor
+    has no fit but the flows are not coincident.
     Writes frames.npy, index.json, series.csv, target/ (the same for curve2),
-    trace.csv and separation.json.
+    trace.csv and separation.json; returns the summary.
     """
     curve1, curve2 = _build_curves(config, convex=True)
     area1, area2 = curve1.area(), curve2.area()
@@ -518,39 +480,37 @@ def experiment_separation(config: ScenarioConfig) -> SeparationReport:
     if dh_slope is not None and len(tw) >= 5:
         dh_flagged, _ = superexponential_flag(tw, lw)
         collapse = collapse or dh_flagged
+    # every frame underflows and no distance clears the floor: M1 = M2
+    coincident = underflow.all() and not np.any(dh > _DH_FLOOR)
+    if trace.lambda_fit is None and not coincident:
+        raise EnergyUnderflow("the graph energy clears its floor on %d of %d "
+                              "monitor rows, too few for a fit, while d_H "
+                              "reaches %.3g"
+                              % (np.count_nonzero(~underflow), len(underflow),
+                                 dh.max()))
     slopes_match = None
     if dh_slope is not None:
         # log sqrt(I) decays at lambda_fit / 2
         slopes_match = bool(abs(dh_slope + 0.5 * trace.lambda_fit)
                             <= _SLOPE_MATCH_TOL)
-    fits = {"lambdaFit": trace.lambda_fit, "offsetFit": trace.offset_fit,
-            "Uinf": trace.u_inf}
-    verdict = "superexponential-flagged" if collapse else "consistent"
-    # every frame underflows and no distance clears the floor: the monitor's
-    # fits are placeholders, not measurements (dh_slope is None already)
-    if underflow.all() and not np.any(dh > _DH_FLOOR):
-        fits = dict.fromkeys(fits)
+    if coincident:
         verdict = "coincident"
-    report = SeparationReport(
-        dh_slope=dh_slope,
-        lambda_fit=fits["lambdaFit"],
-        offset_fit=fits["offsetFit"],
-        u_inf=fits["Uinf"],
-        lambda_bound=trace.lambda_bound,
-        slopes_match=slopes_match,
-        underflow_fraction=float(np.mean(underflow)),
-        verdict=verdict,
-    )
+    else:
+        verdict = "superexponential-flagged" if collapse else "consistent"
+    report = {"dhSlope": dh_slope, "lambdaFit": trace.lambda_fit,
+              "offsetFit": trace.offset_fit, "Uinf": trace.u_inf,
+              "Lambda": trace.lambda_bound, "slopesMatch": slopes_match,
+              "underflowFraction": float(np.mean(underflow)),
+              "verdict": verdict}
 
     base_traj.save(config.out)
     target_traj.save(os.path.join(config.out, "target"))
     trace.save_csv(os.path.join(config.out, "trace.csv"))
-    payload = dict(report.to_dict())
-    payload["flags"] = list(trace.flags)
-    payload["frequencySummary"] = dict(trace.summary_dict(), **fits)
-    ioutil.dump_json(payload, os.path.join(config.out, "separation.json"))
-    return report
-
+    ioutil.dump_json(dict(report, flags=list(trace.flags),
+                          frequencySummary=trace.summary_dict()),
+                     os.path.join(config.out, "separation.json"))
+    return dict({"scenario": config.scenario, "m": config.m,
+                 "tauEnd": config.tau_end}, **report)
 
 def experiment_rate(config: ScenarioConfig) -> dict:
     """Fit the decay rate of one rescaled flow toward the round limit.
@@ -629,7 +589,7 @@ SCENARIOS = {
                        _run_gauge_residual),
     "separation": (("curve1", "curve2", "m", "out", "tau_end"),
                    ("frame_dtau", "cfl", "fit_window", "seed"),
-                   _run_separation),
+                   experiment_separation),
     "rate": (("curve1", "m", "out", "tau_end"),
              ("frame_dtau", "cfl", "fit_window", "gauge", "seed"),
              experiment_rate),

@@ -20,7 +20,7 @@ from shrinkerlab.curvegeo import (
     resample,
     shrinker_quantity,
 )
-from shrinkerlab.errors import DegenerateCurve, InterpolationFailure, InvalidCurve
+from shrinkerlab.errors import DegenerateCurve, InvalidCurve
 
 SQRT2 = np.sqrt(2.0)
 EPS = float(np.finfo(float).eps)
@@ -235,14 +235,6 @@ def test_resample_uniformizes_spacing():
     assert abs(r.length() - c.length()) < 1e-12 * c.length()
 
 
-def test_resample_preserves_node_zero_and_length():
-    c = fourier_curve(1.0, (0.1, 0.05), (0.0, 0.02), m=128)
-    r = resample(c, 256)
-    assert r.m == 256
-    assert np.allclose(r.points[0], c.points[0], atol=1e-12)
-    assert abs(r.length() - c.length()) < 1e-10
-
-
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(kmax=st.integers(2, 8), amplitude=st.floats(0.0, 0.1),
        seed=st.integers(0, 2 ** 16), m=st.sampled_from([128, 256]))
@@ -260,12 +252,6 @@ def test_resample_identity_on_circle():
     c = circle(1.1, m=64)
     r = resample(c)
     assert np.max(np.abs(r.points - c.points)) < 1e-12
-
-
-def test_resample_rejects_bad_target():
-    c = circle(1.0, m=64)
-    with pytest.raises(InterpolationFailure):
-        resample(c, 15)
 
 
 def test_resample_geometry_consistent():

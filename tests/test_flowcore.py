@@ -25,10 +25,8 @@ from shrinkerlab.flowcore import (
     StepControl,
     cfl_timestep,
     estimate_singularity,
-    from_rmcf,
     mcf_step,
     rescale_to_rmcf,
-    rmcf_step,
     run_flows,
     run_mcf,
     run_rmcf,
@@ -55,7 +53,6 @@ def test_cfl_timestep_does_not_depend_on_m():
 def test_step_zero_dt_returns_input():
     c = circle(1.0, m=64)
     assert mcf_step(c, 0.0) is c
-    assert rmcf_step(c, 0.0) is c
 
 
 def test_step_rejects_bad_dt():
@@ -64,6 +61,8 @@ def test_step_rejects_bad_dt():
         mcf_step(c, -1e-4)
     with pytest.raises(StepRejected):
         mcf_step(c, 10.0 * cfl_timestep(c))
+    with pytest.raises(InvalidCurve):
+        mcf_step(c.points, 1e-6)
 
 
 def test_mcf_step_matches_radius_ode():
@@ -75,22 +74,45 @@ def test_mcf_step_matches_radius_ode():
     assert np.allclose(radius_of(out), expected, atol=1e-10)
 
 
-def test_rmcf_step_matches_radial_ode():
+def test_mcf_step_ignores_stop_curvature():
+    # max kappa = 1/r ~ 67 is past the default stop_curvature 50: a run would
+    # stop at frame 0, the step still steps
+    r = 0.015
+    c = circle(r, m=128)
+    assert 1.0 / r > StepControl().stop_curvature
+    dt = 0.5 * cfl_timestep(c)
+    out = mcf_step(c, dt)
+    assert np.abs(radius_of(out) - np.sqrt(r * r - 2.0 * dt)).max() <= 1e-12
+
+
+def test_run_rmcf_zero_time_is_the_input():
+    c = circle(1.2, m=128)
+    with pytest.raises(TimeOutOfRange):
+        run_rmcf(c, 0.0, frame_dtau=0.0)
+    dt = 0.5 * cfl_timestep(c)
+    traj = run_rmcf(c, dt, frame_dtau=dt)
+    assert traj.times[0] == 0.0
+    assert np.abs(traj.curves[0].points - c.points).max() <= 1e-14
+
+
+def test_run_rmcf_one_step_matches_radial_ode():
     # d(r^2)/dtau = r^2 - 2
     for r0 in (1.2, 1.8):
         c = circle(r0, m=128)
         dt = 0.5 * cfl_timestep(c)
-        out = rmcf_step(c, dt)
+        traj = run_rmcf(c, dt, frame_dtau=dt)
+        assert traj.steps == 1 and traj.times == [0.0, dt]
         expected = np.sqrt(2.0 + (r0 * r0 - 2.0) * np.exp(dt))
-        assert np.allclose(radius_of(out), expected, atol=1e-9)
+        assert np.allclose(radius_of(traj.curves[-1]), expected, atol=1e-9)
 
 
 def test_step_convexity_guard():
     c = fourier_curve(1.0, (0.0, 0.0, 0.25), m=128)
     assert geometry(c).curvature.min() < 0  # genuinely nonconvex input
     ctl = StepControl(require_convex=True)
+    dt = 0.5 * cfl_timestep(c, ctl)
     with pytest.raises(ConvexityLost):
-        rmcf_step(c, 0.5 * cfl_timestep(c, ctl), ctl)
+        run_rmcf(c, dt, frame_dtau=dt, control=ctl)
 
 
 # ---------------------------------------------------------------------------
@@ -407,15 +429,6 @@ def test_rescale_true_shrinker_is_static():
         assert np.allclose(radius_of(curve), SQRT2, atol=1e-7)
     # tau = -log(T - t)
     assert np.allclose(resc.times, -np.log(2.0 - np.asarray(traj.times)), atol=1e-14)
-
-
-def test_rescale_round_trip():
-    traj = run_mcf(ellipse(1.2, 0.9, m=64), t_end=0.2)
-    resc = rescale_to_rmcf(traj, 0.54, (0.01, -0.02))
-    back = from_rmcf(resc, 0.54, (0.01, -0.02))
-    assert np.allclose(back.times, traj.times, atol=1e-15)
-    for orig, rt in zip(traj.curves, back.curves):
-        assert np.abs(orig.points - rt.points).max() < 1e-13
 
 
 def test_rescale_time_out_of_range():

@@ -260,7 +260,7 @@ def test_monitor_underflow_path():
     base, base_traj = static_round_traj(8)
     trace = monitor(base_traj, base_traj)
     assert np.all(trace.columns["underflow"] == 1)
-    assert trace.lambda_fit == 0.0
+    assert trace.lambda_fit is None
     assert not trace.flags
 
 
@@ -337,10 +337,7 @@ def test_trace_serialization(tmp_path):
     trace.save_csv(tmp_path / "again.csv")
     assert (tmp_path / "again.csv").read_bytes() == csv_path.read_bytes()
 
-    trace.save_summary(tmp_path / "summary.json")
-    import json
-
-    data = json.loads((tmp_path / "summary.json").read_text())
+    data = trace.summary_dict()
     assert set(data) == {"lambdaFit", "offsetFit", "Uinf", "Lambda",
                          "thetaFit", "integralD", "integralC2"}
     assert data["thetaFit"] is None

@@ -140,15 +140,11 @@ def test_residual_on_manufactured_eigenflow():
     assert rep.norms_u[0] == pytest.approx(a, rel=1e-12)
 
 
-def test_residual_report_serialization(tmp_path):
+def test_residual_report_serialization():
     base = circle(SQRT2, m=64)
     u = mode(base, 2, 0.05)
     rep = residual(base, 0.9 * u, u, 1.1 * u, 0.01, tau=1.5)
-    path = tmp_path / "resid.json"
-    rep.save(path)
-    import json
-
-    data = json.loads(path.read_text())
+    data = rep.to_dict()
     assert set(data) == {"tau", "maxResidual", "fittedC", "normsU", "quadRatio"}
     assert data["tau"] == 1.5
     assert len(data["normsU"]) == 3

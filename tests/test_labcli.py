@@ -423,6 +423,25 @@ out = %s
     assert frequency["lambdaFit"] is None and frequency["Uinf"] is None
 
 
+def test_separation_energy_underflow_without_coincidence(tmp_path, capsys):
+    """Every graph energy underflows while d_H clears its floor: the monitor
+    has no fit, so the run fails instead of reporting placeholder fits."""
+    out = tmp_path / "near"
+    path = write_config(tmp_path, """
+scenario = separation
+curve1 = fourier(1, 0, 0, 3e-8, 0)
+curve2 = circle(1)
+m = 128
+tau_end = 2
+frame_dtau = 0.05
+out = %s
+""" % out)
+    assert main(["separation", "--config", path]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: the graph energy ")
+    assert not (out / "summary.json").exists()
+
+
 def test_separation_dh_rows_use_the_monitor_frame_pairs(tmp_path, monkeypatch):
     """Each dH row reads the graph of the two frames the monitor paired,
     also when the paired target times sit more than 1e-9 below the base
