@@ -63,15 +63,8 @@ from .spectral import (
 )
 from .frequency import (
     FrequencyTrace,
-    LojasiewiczFit,
     approach_series,
-    d_coefficient,
-    dirichlet_energy,
-    energy_I,
-    frequency_U,
-    lojasiewicz_fit,
     monitor,
-    phi_c2_norm,
     shrinker_energy,
     superexponential_flag,
 )

@@ -10,12 +10,17 @@ curve. The central objects:
                                          -dF/dtau along any rescaled flow)
   D(tau) = sup-norm error budget of the moving base
   C(tau) = fitted pointwise linearization constant of the graph evolution
+  theta  = Lojasiewicz exponent of ||phi|| ~ (F - F_round)^(1 - theta)
 
-The monitor pairs two rescaled trajectories frame by frame, writes one record
+`monitor` pairs two rescaled trajectories frame by frame, writes one record
 per interior frame, and checks the inequalities that make the frequency
 argument run: the logarithmic derivative of I stays within the C/D error
 budget of U, U never exceeds the spectral bound, and log I admits a linear
-lower support line (no super-exponential collapse).
+lower support line (no super-exponential collapse). I, U and the Dirichlet
+ratio are computed in its pair loop. `approach_series` is the base half of
+the monitor: Itilde, F, D, the C2 norm of phi, their integrals and theta of
+one trajectory, from the same private routine the monitor runs over its
+paired base frames. `shrinker_energy` gives Itilde of a single curve.
 """
 
 from __future__ import annotations
@@ -33,27 +38,15 @@ from .curvegeo import (
     geometry,
     shrinker_quantity,
 )
-from .errors import (
-    EnergyUnderflow,
-    ExactShrinker,
-    FrameMissing,
-    WindowTooShort,
-)
-from .gauge import GraphFunction, arc_derivatives, normal_graph, residual
+from .errors import ExactShrinker, FrameMissing, WindowTooShort
+from .gauge import arc_derivatives, normal_graph, residual
 
 __all__ = [
     "ENERGY_FLOOR",
     "ROUND_F_VALUE",
     "FrequencyTrace",
-    "LojasiewiczFit",
-    "energy_I",
-    "dirichlet_energy",
-    "frequency_U",
     "shrinker_energy",
-    "phi_c2_norm",
-    "d_coefficient",
     "approach_series",
-    "lojasiewicz_fit",
     "superexponential_flag",
     "monitor",
 ]
@@ -67,64 +60,15 @@ TRACE_COLUMNS = ("tau", "I", "U", "Itilde", "F", "dFdtau", "phiL2", "D",
                  "fittedC", "dlogI", "Vmain", "Verr", "underflow")
 
 
-def _field_values(base: DiscreteCurve, u) -> np.ndarray:
-    if isinstance(u, GraphFunction):
-        if u.base.m != base.m:
-            raise ValueError("graph field lives on a different discretization")
-        u = u.values
-    u = np.asarray(u, dtype=float)
-    if u.shape != (base.m,):
-        raise ValueError("field shape %r does not match m = %d"
-                         % (u.shape, base.m))
-    return u
-
-
-def energy_I(base: DiscreteCurve, u) -> float:
-    """Gaussian energy of a field: quadrature of u^2 dmu."""
-    vals = _field_values(base, u)
-    return float(np.sum(gaussian_weights(base) * vals * vals))
-
-
-def dirichlet_energy(base: DiscreteCurve, u) -> float:
-    """Gaussian Dirichlet energy: quadrature of |grad u|^2 dmu.
-
-    The stiffness part of `spectral.assemble(base)`, so the Rayleigh
-    quotient and the eigenvalues of `spectral` come from one discrete form.
-    """
-    vals = _field_values(base, u)
-    return spectral.assemble(base).stiffness(vals, vals)
-
-
-def frequency_U(base: DiscreteCurve, u) -> float:
-    """Doubled Rayleigh quotient of the drift operator at u.
-
-    U = 2 form(u, u) / I, with form the weak form of `spectral.assemble`
-    (potential H^2 + 1/2 minus the Dirichlet energy), so U = 2 <u, L u> / I
-    for the L of `gauge.apply_L`; the doubling matches the convention in
-    which a pure decaying mode of rate lam contributes dlogI/dtau = 2 lam
-    = U.
-
-    Raises
-    ------
-    EnergyUnderflow
-        If I <= ENERGY_FLOOR, where the quotient is meaningless.
-    """
-    vals = _field_values(base, u)
-    i_val = energy_I(base, vals)
-    if i_val <= ENERGY_FLOOR:
-        raise EnergyUnderflow("energy %.3g at or below floor %.1g"
-                              % (i_val, ENERGY_FLOOR))
-    return 2.0 * spectral.assemble(base).form(vals, vals) / i_val
-
-
 @dataclass(frozen=True)
 class _Frame:
     """Diagnostics of one base frame, each computed once.
 
     weights are the Gaussian quadrature weights and phi the shrinker
-    deviation; itilde, f and c2 are the values of shrinker_energy,
-    f_functional and phi_c2_norm; d_static is the error budget D without
-    its dphi/dtau term (see d_coefficient).
+    deviation; itilde and f are the values of shrinker_energy and
+    f_functional, c2 the sup norm of phi and its first two arc derivatives;
+    d_static is the error budget D without its dphi/dtau term (see
+    _approach).
     """
 
     weights: np.ndarray
@@ -157,11 +101,6 @@ def _frame(curve: DiscreteCurve) -> _Frame:
     )
 
 
-def _budget(prev: _Frame, mid: _Frame, nxt: _Frame, span: float) -> float:
-    """D at the middle of three frames, dphi/dtau a central difference."""
-    return float(mid.d_static + np.abs((nxt.phi - prev.phi) / span).max())
-
-
 def shrinker_energy(curve: DiscreteCurve) -> float:
     """Squared Gaussian norm of the shrinker deviation field.
 
@@ -174,102 +113,66 @@ def shrinker_energy(curve: DiscreteCurve) -> float:
     return _itilde(gaussian_weights(curve), shrinker_quantity(curve))
 
 
-def phi_c2_norm(curve: DiscreteCurve) -> float:
-    """Sup norm of the shrinker deviation and its first two arc derivatives."""
-    return _frame(curve).c2
+def approach_series(traj) -> dict:
+    """Convergence diagnostics of one rescaled trajectory: the base half of
+    `monitor`, which returns the same numbers for its paired base frames.
 
-
-def _frame_index(traj, tau: float) -> int:
-    times = np.asarray(traj.times, dtype=float)
-    j = int(np.argmin(np.abs(times - tau)))
-    if abs(times[j] - tau) > 1e-9 * (1.0 + abs(tau)):
-        raise FrameMissing("no frame at tau = %.6g" % tau)
-    return j
-
-
-def d_coefficient(traj, tau: float) -> float:
-    """Sup-norm error budget of the base frame nearest tau.
-
-    Collects the terms through which a non-shrinker base perturbs the linear
-    evolution of a graph field: metric drift, curvature drift, the deviation
-    itself, and its time derivative (central difference over the two
-    neighboring frames).
+    Returns the columns tau, Itilde, F, dFdtau, phiL2, D and phiC2 over the
+    interior frames, the trapezoid integrals integralD and integralC2 of D
+    and of the C2 norm over them (their finiteness as tau grows certifies
+    convergence to the round shrinker), and the Lojasiewicz exponent theta.
 
     Raises
     ------
-    FrameMissing
-        If tau matches no frame or sits at the trajectory boundary.
+    WindowTooShort
+        If the trajectory has fewer than 3 frames.
     """
-    j = _frame_index(traj, tau)
-    if j == 0 or j == len(traj) - 1:
-        raise FrameMissing("tau = %.6g has no two-sided neighbors" % tau)
-    prev, mid, nxt = (_frame(traj.curves[i]) for i in (j - 1, j, j + 1))
-    return _budget(prev, mid, nxt, traj.times[j + 1] - traj.times[j - 1])
+    if len(traj) < 3:
+        raise WindowTooShort("need at least 3 frames, got %d" % len(traj))
+    return _approach(np.asarray(traj.times, dtype=float),
+                     [_frame(curve) for curve in traj.curves])
 
 
-def approach_series(traj) -> dict:
-    """Per-frame convergence diagnostics of one rescaled trajectory.
+def _approach(taus: np.ndarray, frames: list) -> dict:
+    """Every base-only quantity of the frame records at times taus.
 
-    Returns arrays over the interior frames: the sup-norm error budget D,
-    both deviation norms, and running integrals of D and of the C2 norm
-    (trapezoid rule). The increments of the running integrals are the
-    quantities whose summability certifies convergence to the round shrinker.
+    D at an interior frame is its static part plus sup|dphi/dtau|, a central
+    difference over the two neighboring frames. theta is None when no
+    energy-gap law is fittable (see _lojasiewicz).
     """
-    n = len(traj)
-    if n < 3:
-        raise WindowTooShort("need at least 3 frames, got %d" % n)
-    frames = [_frame(curve) for curve in traj.curves]
-    taus = np.asarray(traj.times, dtype=float)[1:-1]
-    d_vals = np.array([_budget(*frames[j - 1:j + 2],
-                               traj.times[j + 1] - traj.times[j - 1])
-                       for j in range(1, n - 1)])
-    c2_vals = np.array([fr.c2 for fr in frames[1:-1]])
-    l2_vals = np.array([math.sqrt(fr.itilde) for fr in frames[1:-1]])
-    return {"tau": taus, "D": d_vals, "phiC2": c2_vals, "phiL2": l2_vals,
-            "intD": _cumtrapz(taus, d_vals), "intC2": _cumtrapz(taus, c2_vals)}
+    tau = taus[1:-1]
+    span = taus[2:] - taus[:-2]
+    inner = frames[1:-1]
+    f_vals = np.array([fr.f for fr in frames])
+    itilde = np.array([fr.itilde for fr in inner])
+    d_vals = np.array([mid.d_static + np.abs((nxt.phi - prev.phi) / s).max()
+                       for prev, mid, nxt, s
+                       in zip(frames, inner, frames[2:], span)])
+    c2_vals = np.array([fr.c2 for fr in inner])
+    try:
+        theta = _lojasiewicz(frames)
+    except (ExactShrinker, WindowTooShort):
+        theta = None
+    return {"tau": tau, "Itilde": itilde, "F": f_vals[1:-1],
+            "dFdtau": (f_vals[2:] - f_vals[:-2]) / span,
+            "phiL2": np.sqrt(itilde), "D": d_vals, "phiC2": c2_vals,
+            "integralD": float(np.trapezoid(d_vals, tau)),
+            "integralC2": float(np.trapezoid(c2_vals, tau)),
+            "theta": theta}
 
 
-def _cumtrapz(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(y)
-    if len(y) > 1:
-        out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))
-    return out
-
-
-@dataclass(frozen=True)
-class LojasiewiczFit:
-    """Power-law fit of the deviation norm against the energy gap.
-
-    The exponent theta fits ||phi||_L2 ~ (F - F_limit)^(1 - theta) with
-    F_limit = ROUND_F_VALUE; the bound constant is the smallest C making
-    (F - F_limit)^(1 - theta) <= C ||phi||_L2 hold at every fitted frame.
-    """
-
-    theta: float
-    tau0: float
-    taus: np.ndarray
-    gap: np.ndarray
-    phi_l2: np.ndarray
-    partial_sums: np.ndarray
-    bound_constant: float
-
-
-def lojasiewicz_fit(traj) -> LojasiewiczFit:
-    """Fit the energy-gap power law along a rescaled trajectory.
+def _lojasiewicz(frames: list) -> float:
+    """Exponent theta of ||phi||_L2 ~ (F - ROUND_F_VALUE)^(1 - theta): a
+    least-squares line in logs over the frames with a usable gap.
 
     Raises
     ------
     ExactShrinker
-        If the trajectory never leaves the limit level set (gap and
-        deviation both at rounding level) so no law is fittable.
+        If the frames never leave the limit level set (gap and deviation
+        both at rounding level), so no law is fittable.
     WindowTooShort
         If fewer than 20 frames have a usable positive gap.
     """
-    return _lojasiewicz(traj.times, [_frame(c) for c in traj.curves])
-
-
-def _lojasiewicz(times, frames: list) -> LojasiewiczFit:
-    taus = np.asarray(times, dtype=float)
     phi_l2 = np.array([math.sqrt(fr.itilde) for fr in frames])
     gap = np.array([fr.f - ROUND_F_VALUE for fr in frames])
     usable = (gap > 1e-13) & (phi_l2 > 1e-13)
@@ -280,18 +183,10 @@ def _lojasiewicz(times, frames: list) -> LojasiewiczFit:
         raise WindowTooShort("only %d usable frames, need 20"
                              % int(usable.sum()))
     lg = np.log(gap[usable])
-    lp = np.log(phi_l2[usable])
     design = np.column_stack([lg, np.ones(lg.size)])
-    (slope, _), *_ = np.linalg.lstsq(design, lp, rcond=None)
-    theta = 1.0 - float(slope)
-    bound = float(np.exp(((1.0 - theta) * lg - lp).max()))
-    return LojasiewiczFit(theta=theta,
-                          tau0=float(taus[usable][0]),
-                          taus=taus,
-                          gap=gap,
-                          phi_l2=phi_l2,
-                          partial_sums=_cumtrapz(taus, phi_l2),
-                          bound_constant=bound)
+    (slope, _), *_ = np.linalg.lstsq(design, np.log(phi_l2[usable]),
+                                     rcond=None)
+    return 1.0 - float(slope)
 
 
 def superexponential_flag(taus: np.ndarray, log_i: np.ndarray):
@@ -383,7 +278,10 @@ def monitor(base_traj, target_traj, *,
     Per interior common frame: the graph energy I, frequency U, deviation
     energies of the base, the error budget D, the fitted linearization
     constant C, and the decomposition of dU/dtau into its nonnegative
-    main part and the remainder. Checks recorded in flags:
+    main part and the remainder. The base columns (Itilde, F, dFdtau,
+    phiL2, D), integral_d, integral_c2 and theta_fit are those that
+    `approach_series` returns for the paired base frames. Checks recorded
+    in flags:
 
       * the logarithmic derivative of I matches U minus the measure
         correction within 3(C + D) + C * (dirichlet ratio);
@@ -411,8 +309,8 @@ def monitor(base_traj, target_traj, *,
     u_fields = [graph.values for graph in graphs]
     _, _, lambda_bound = spectral.rayleigh_bound(base_traj,
                                                  stride=max(1, k // 12))
-    records = [_frame(curve) for curve in base_traj.curves]
-    frames = [records[i] for i, _ in pairs]
+    frames = [_frame(curve) for curve in curves]
+    base = _approach(taus, frames)
 
     i_vals = np.empty(k)
     u_quot = np.zeros(k)
@@ -422,7 +320,7 @@ def monitor(base_traj, target_traj, *,
         i_vals[j] = float(np.sum(fr.weights * u * u))
         if i_vals[j] <= ENERGY_FLOOR:
             continue
-        # frequency_U and dirichlet_energy, sharing one stiffness evaluation
+        # U and the Dirichlet ratio, sharing one stiffness evaluation
         op = spectral.assemble(bc)
         dirichlet = op.stiffness(u, u)
         u_quot[j] = 2.0 * (float(np.sum(op.potential * u * u)) - dirichlet) \
@@ -432,38 +330,31 @@ def monitor(base_traj, target_traj, *,
     under = i_vals <= ENERGY_FLOOR
 
     n_rows = k - 2
-    cols = {name: np.zeros(n_rows) for name in TRACE_COLUMNS}
+    cols = {name: base[name] if name in base else np.zeros(n_rows)
+            for name in TRACE_COLUMNS}
+    cols["I"] = i_vals[1:-1]
+    cols["U"] = u_quot[1:-1]
+    cols["underflow"] = (under[:-2] | under[1:-1] | under[2:]).astype(float)
     margin = np.zeros(n_rows)
     flags: list = []
     for r, j in enumerate(range(1, k - 1)):
         tau = taus[j]
         span = taus[j + 1] - taus[j - 1]
-        mid = frames[j]
         report = residual(curves[j], u_fields[j - 1], u_fields[j],
                           u_fields[j + 1], span / 2)
-        d_val = _budget(frames[j - 1], mid, frames[j + 1], span)
-        row_under = bool(under[j - 1:j + 2].any())
-        cols["tau"][r] = tau
-        cols["I"][r] = i_vals[j]
-        cols["U"][r] = u_quot[j]
-        cols["Itilde"][r] = mid.itilde
-        cols["F"][r] = mid.f
-        cols["dFdtau"][r] = (frames[j + 1].f - frames[j - 1].f) / span
-        cols["phiL2"][r] = math.sqrt(mid.itilde)
-        cols["D"][r] = d_val
         cols["fittedC"][r] = report.fitted_c
-        cols["underflow"][r] = float(row_under)
-        if row_under:
+        if cols["underflow"][r]:
             continue
 
         dlog_i = (math.log(i_vals[j + 1]) - math.log(i_vals[j - 1])) / span
-        v_main = 4.0 * float(np.sum(mid.weights * report.drift ** 2)) \
+        v_main = 4.0 * float(np.sum(frames[j].weights * report.drift ** 2)) \
             / i_vals[j] - u_quot[j] ** 2
         cols["dlogI"][r] = dlog_i
         cols["Vmain"][r] = v_main
         cols["Verr"][r] = (u_quot[j + 1] - u_quot[j - 1]) / span - v_main
         lhs = abs(dlog_i - (u_quot[j] - corr[j]))
-        rhs = 3.0 * (report.fitted_c + d_val) + report.fitted_c * dirat[j]
+        rhs = 3.0 * (report.fitted_c + cols["D"][r]) \
+            + report.fitted_c * dirat[j]
         margin[r] = rhs - lhs
         if margin[r] < -1e-9:
             flags.append("frequency-inequality violated at tau = %.6g "
@@ -490,15 +381,6 @@ def monitor(base_traj, target_traj, *,
             flags.append("super-exponential collapse of I over the "
                          "fit window")
 
-    integral_d = float(np.trapezoid(cols["D"], cols["tau"]))
-    c2_vals = np.array([fr.c2 for fr in frames[1:-1]])
-    integral_c2 = float(np.trapezoid(c2_vals, cols["tau"]))
-
-    try:
-        theta_fit = _lojasiewicz(base_traj.times, records).theta
-    except (ExactShrinker, WindowTooShort):
-        theta_fit = None
-
     return FrequencyTrace(columns=cols,
                           pairs=pairs[1:-1],
                           graphs=graphs[1:-1],
@@ -507,7 +389,7 @@ def monitor(base_traj, target_traj, *,
                           lambda_fit=lam_fit,
                           offset_fit=offset_fit,
                           u_inf=u_inf,
-                          theta_fit=theta_fit,
-                          integral_d=integral_d,
-                          integral_c2=integral_c2,
+                          theta_fit=base["theta"],
+                          integral_d=base["integralD"],
+                          integral_c2=base["integralC2"],
                           flags=flags)

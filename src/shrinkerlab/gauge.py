@@ -49,18 +49,6 @@ class GraphFunction:
             raise ValueError("values must have shape (%d,)" % self.base.m)
         self.values = vals
 
-    def arc_derivatives(self):
-        """(u, u', u'') with ' the arclength derivative along the base."""
-        return (self.values,) + arc_derivatives(self.base, self.values)
-
-    def seminorms(self):
-        """(sup|u|, sup|u'|, sup|u''|)."""
-        return _sup_norms(*self.arc_derivatives())
-
-
-def _sup_norms(*fields) -> tuple:
-    return tuple(float(np.abs(f).max()) for f in fields)
-
 
 def arc_derivatives(base: DiscreteCurve, values: np.ndarray):
     """(u', u'') of grid values u, ' the arclength derivative along `base`."""
@@ -319,7 +307,7 @@ def residual(base: DiscreteCurve, u_prev, u_mid, u_next, dtau: float,
     drift = apply_L(base, u_mid)
     res = du_dt - drift
     du, d2u = arc_derivatives(base, u_mid)
-    c0, c1, c2 = _sup_norms(u_mid, du, d2u)
+    c0, c1, c2 = (float(np.abs(f).max()) for f in (u_mid, du, d2u))
     gauge_size = np.abs(u_mid) + np.abs(du)
     fitted_c = float((np.abs(res) / (gauge_size + 1e-14)).max())
     cum_c2 = c0 + c1 + c2

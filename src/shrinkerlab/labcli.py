@@ -166,23 +166,26 @@ class ScenarioConfig:
     raw: tuple = ()
 
 
-def _as_float(raw: dict, key: str, default=None, positive=True):
-    if key not in raw:
-        return default
+# optional float keys; a key left out takes the ScenarioConfig default
+_FLOAT_KEYS = ("t_end", "tau_end", "frame_dtau", "cfl", "fit_window",
+               "delta_tau", "stop_curvature")
+
+
+def _as_float(raw: dict, key: str):
     try:
         value = float(raw[key])
     except ValueError:
         raise ConfigInvalid("must be a number, got %r" % raw[key], field=key)
-    if positive and not value > 0:
+    if not value > 0:
         raise ConfigInvalid("must be positive, got %r" % raw[key], field=key)
     if not math.isfinite(value):
         raise ConfigInvalid("must be finite", field=key)
     return value
 
 
-def _as_int(raw: dict, key: str, default=None):
+def _as_int(raw: dict, key: str):
     if key not in raw:
-        return default
+        return None
     try:
         value = int(raw[key])
     except ValueError:
@@ -226,25 +229,27 @@ def validate_config(raw: dict) -> ScenarioConfig:
         raise ConfigInvalid("random_fourier curves need an explicit seed",
                             field="seed")
 
-    cfl = _as_float(raw, "cfl", default=0.8)
-    if cfl > CFL_MAX:
-        raise ConfigInvalid("must be in (0, %g], got %g" % (CFL_MAX, cfl),
-                            field="cfl")
-    fit_window = _as_float(raw, "fit_window", default=0.4)
-    if not fit_window < 1.0:
-        raise ConfigInvalid("must be a fraction in (0, 1), got %g" % fit_window,
-                            field="fit_window")
-    gauge = raw.get("gauge", "area-centroid")
-    if gauge not in GAUGES:
-        raise ConfigInvalid("must be one of %s" % ", ".join(GAUGES),
-                            field="gauge")
+    options = {key: _as_float(raw, key) for key in _FLOAT_KEYS if key in raw}
+    if options.get("cfl", 0.0) > CFL_MAX:
+        raise ConfigInvalid("must be in (0, %g], got %g"
+                            % (CFL_MAX, options["cfl"]), field="cfl")
+    if not options.get("fit_window", 0.0) < 1.0:
+        raise ConfigInvalid("must be a fraction in (0, 1), got %g"
+                            % options["fit_window"], field="fit_window")
+    if "gauge" in raw:
+        if raw["gauge"] not in GAUGES:
+            raise ConfigInvalid("must be one of %s" % ", ".join(GAUGES),
+                                field="gauge")
+        options["gauge"] = raw["gauge"]
     count = _as_int(raw, "count")
     if count is not None and not 1 <= count <= m:
         raise ConfigInvalid("must be in [1, m = %d], got %d" % (m, count),
                             field="count")
-    mode_k = _as_int(raw, "mode_k", default=2)
-    if mode_k < 0:
-        raise ConfigInvalid("must be nonnegative, got %d" % mode_k, field="mode_k")
+    if "mode_k" in raw:
+        options["mode_k"] = _as_int(raw, "mode_k")
+        if options["mode_k"] < 0:
+            raise ConfigInvalid("must be nonnegative, got %d"
+                                % options["mode_k"], field="mode_k")
 
     amplitudes: tuple = ()
     if "amplitudes" in raw:
@@ -262,19 +267,11 @@ def validate_config(raw: dict) -> ScenarioConfig:
         curve_specs=tuple(specs),
         m=m,
         out=raw["out"],
-        t_end=_as_float(raw, "t_end"),
-        tau_end=_as_float(raw, "tau_end"),
-        frame_dtau=_as_float(raw, "frame_dtau", default=0.05),
-        cfl=cfl,
-        fit_window=fit_window,
         seed=seed,
-        gauge=gauge,
         count=count,
         amplitudes=amplitudes,
-        mode_k=mode_k,
-        delta_tau=_as_float(raw, "delta_tau", default=0.005),
-        stop_curvature=_as_float(raw, "stop_curvature"),
         raw=tuple(sorted(raw.items())),
+        **options,
     )
 
 
@@ -650,6 +647,3 @@ def main(argv=None) -> int:
     print("verdict: %s" % verdict)
     return 0 if verdict in _CLEAN_VERDICTS else 2
 
-
-if __name__ == "__main__":
-    sys.exit(main())

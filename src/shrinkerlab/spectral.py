@@ -272,8 +272,8 @@ def eigenpairs(op, count: int | None = None) -> Spectrum:
 
     Parameters
     ----------
-    op : WeightedOperator or DiscreteCurve
-        A curve is assembled first.
+    op : WeightedOperator
+        The operator `assemble` built on a curve.
     count : int, optional
         How many pairs to keep (default 13: the round-circle spectrum down
         to mode 6). count = m returns the full spectrum.
@@ -283,8 +283,6 @@ def eigenpairs(op, count: int | None = None) -> Spectrum:
     ConvergenceFailure
         If any reported pair fails the weighted residual check.
     """
-    if isinstance(op, DiscreteCurve):
-        op = assemble(op)
     m = op.m
     if count is None:
         count = min(13, m)

@@ -101,7 +101,7 @@ def test_integrability_tail(rmcf_convex_128):
     series = approach_series(traj)
     taus = series["tau"]
     cum_phi = cumtrapz(taus, series["phiL2"])
-    cum_d = series["intD"]
+    cum_d = cumtrapz(taus, series["D"])
     tail = taus >= 12.0
     assert tail.sum() >= 10
     rate_phi = float((np.diff(cum_phi)[tail[1:]] / np.diff(taus)[tail[1:]]).max())

@@ -5,24 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from shrinkerlab.curvegeo import circle, ellipse, f_functional, shrinker_quantity
-from shrinkerlab.errors import (
-    EnergyUnderflow,
-    ExactShrinker,
-    FrameMissing,
-    WindowTooShort,
-)
+from shrinkerlab.curvegeo import (circle, ellipse, f_functional,
+                                  gaussian_weights, shrinker_quantity)
+from shrinkerlab.errors import FrameMissing, WindowTooShort
 from shrinkerlab.flowcore import FlowTrajectory, run_rmcf
 from shrinkerlab.frequency import (
+    ENERGY_FLOOR,
     TRACE_COLUMNS,
     approach_series,
-    d_coefficient,
-    dirichlet_energy,
-    energy_I,
-    frequency_U,
-    lojasiewicz_fit,
     monitor,
-    phi_c2_norm,
     shrinker_energy,
     superexponential_flag,
 )
@@ -50,6 +41,15 @@ def graph_traj(base, fields, dtau):
                           curves=[reconstruct(base, u) for u in fields])
 
 
+def static_monitor(base, fields, dtau=0.02):
+    """Monitor of the graphs fields[j] over a base that stays put."""
+    n = len(fields)
+    base_traj = FlowTrajectory(picture="rmcf", m=base.m,
+                               times=[j * dtau for j in range(n)],
+                               curves=[base] * n)
+    return monitor(base_traj, graph_traj(base, fields, dtau))
+
+
 def normalized_perturbed_circle(amp, k=2, m=128):
     c = reconstruct(circle(SQRT2, m=m), mode(m, k, amp))
     return c.scaled(math.sqrt(2.0 * math.pi / c.area()))
@@ -60,19 +60,23 @@ def normalized_perturbed_circle(amp, k=2, m=128):
 # ---------------------------------------------------------------------------
 
 def test_energy_closed_forms():
+    # the Gaussian quadrature the monitor's I column sums
     base = circle(SQRT2, m=256)
     w = 2 * math.pi * SQRT2 * math.exp(-0.5)
-    assert energy_I(base, np.zeros(256)) == 0.0
-    assert energy_I(base, np.ones(256)) == pytest.approx(w, abs=1e-6)
-    assert energy_I(base, mode(256, 2)) == pytest.approx(w / 2, abs=1e-6)
+    weights = gaussian_weights(base)
+    assert np.sum(weights * np.zeros(256)) == 0.0
+    assert np.sum(weights) == pytest.approx(w, abs=1e-6)
+    assert np.sum(weights * mode(256, 2) ** 2) == pytest.approx(w / 2,
+                                                                abs=1e-6)
 
 
 def test_frequency_round_base_modes():
+    # mode k over the round shrinker has rate lam = 1 - k^2/2: U = 2 lam
     base = circle(SQRT2, m=256)
-    assert frequency_U(base, np.ones(256)) == pytest.approx(2.0, abs=1e-6)
-    for k in (1, 2, 3, 5):
+    for k, tol in ((0, 1e-6), (1, 1e-4), (2, 1e-4), (3, 1e-4), (5, 1e-4)):
+        trace = static_monitor(base, [0.01 * mode(256, k)] * 5)
         want = 2.0 * (1.0 - k * k / 2.0)
-        assert frequency_U(base, mode(256, k)) == pytest.approx(want, abs=1e-4)
+        assert np.abs(trace.columns["U"] - want).max() < tol
 
 
 def test_frequency_matches_eigensolver():
@@ -80,23 +84,33 @@ def test_frequency_matches_eigensolver():
     spec = eigenpairs(assemble(base), count=5)
     for j in (0, 3, 4):
         u = spec.eigenfunctions[:, j]
-        assert frequency_U(base, u) == pytest.approx(
-            2.0 * spec.eigenvalues[j], abs=1e-6)
+        u = 0.01 * u / np.abs(u).max()
+        trace = static_monitor(base, [u] * 5)
+        assert np.abs(trace.columns["U"]
+                      - 2.0 * spec.eigenvalues[j]).max() < 1e-6
 
 
 def test_frequency_never_exceeds_doubled_bound():
     base = ellipse(1.5, 1.1, m=128)
     top = eigenpairs(assemble(base), count=1).top_eigenvalue
     rng = np.random.default_rng(2)
-    for _ in range(8):
-        u = rng.standard_normal(128)
-        assert frequency_U(base, u) <= 2.0 * top + 1e-10
+    trace = static_monitor(base, 1e-3 * rng.standard_normal((10, 128)))
+    assert len(trace) == 8
+    assert trace.columns["U"].max() <= 2.0 * top + 1e-10
+    assert trace.lambda_bound >= top
+    assert not any("rayleigh" in flag for flag in trace.flags)
 
 
 def test_energy_floor_guard():
+    # a graph below the energy floor has no quotient: the rows underflow
     base = circle(SQRT2, m=64)
-    with pytest.raises(EnergyUnderflow):
-        frequency_U(base, np.zeros(64))
+    fields = [1e-9 * mode(64, 2)] * 6
+    trace = static_monitor(base, fields)
+    assert np.all(trace.columns["I"] <= ENERGY_FLOOR)
+    assert np.all(trace.columns["I"] > 0.0)
+    assert np.all(trace.columns["underflow"] == 1)
+    assert np.all(trace.columns["U"] == 0.0)
+    assert trace.lambda_fit is None and not trace.flags
 
 
 def test_shrinker_energy_closed_forms():
@@ -120,7 +134,8 @@ def test_shrinker_energy_is_minus_df_dtau_radially():
 def test_dirichlet_energy_closed_form():
     base = circle(SQRT2, m=256)
     want = 2 * SQRT2 * math.pi * math.exp(-0.5)  # |grad cos 2t|^2 integrated
-    assert dirichlet_energy(base, mode(256, 2)) == pytest.approx(want, abs=1e-8)
+    u = mode(256, 2)
+    assert assemble(base).stiffness(u, u) == pytest.approx(want, abs=1e-8)
 
 
 def test_gradient_flow_identity_along_rescaled_flow():
@@ -141,28 +156,23 @@ def test_gradient_flow_identity_along_rescaled_flow():
 
 def test_d_coefficient_static_round():
     _, traj = static_round_traj(5)
-    assert d_coefficient(traj, traj.times[2]) < 1e-8
+    assert np.all(approach_series(traj)["D"] < 1e-8)
 
 
 def test_d_coefficient_dominates_deviation_norm():
     traj = run_rmcf(normalized_perturbed_circle(0.08), 0.4, frame_dtau=0.1)
-    for j in (1, 2, 3):
-        d = d_coefficient(traj, traj.times[j])
+    series = approach_series(traj)
+    assert len(series["D"]) == len(traj) - 2 >= 3
+    for j, d in enumerate(series["D"], start=1):
         assert d >= np.abs(shrinker_quantity(traj.curves[j])).max()
-
-
-def test_d_coefficient_boundary_and_missing():
-    _, traj = static_round_traj(5)
-    with pytest.raises(FrameMissing):
-        d_coefficient(traj, 0.0)
-    with pytest.raises(FrameMissing):
-        d_coefficient(traj, 0.031)
 
 
 def test_approach_series_converges():
     traj = run_rmcf(normalized_perturbed_circle(0.08), 3.0, frame_dtau=0.1)
     series = approach_series(traj)
-    assert np.all(np.diff(series["intD"]) >= 0)
+    assert np.array_equal(series["tau"], traj.times[1:-1])
+    assert np.all(series["D"] >= 0)
+    assert series["integralD"] == np.trapezoid(series["D"], series["tau"])
     # slowest stable mode decays like e^(-tau); 0.07 leaves transient room
     assert series["phiC2"][-1] < 0.07 * series["phiC2"][0]
     assert series["phiL2"][-1] < 0.07 * series["phiL2"][0]
@@ -180,27 +190,17 @@ def test_lojasiewicz_fit_mode_two_manifold():
     # area-normalized mode-2 perturbation decays like e^(-tau), the energy
     # gap like e^(-2 tau): exponent 1 - theta = 1/2
     traj = run_rmcf(normalized_perturbed_circle(0.05), 6.0, frame_dtau=0.1)
-    fit = lojasiewicz_fit(traj)
-    assert 0.4 < fit.theta < 0.6
-    assert fit.tau0 == pytest.approx(0.0, abs=1e-12)
-    assert np.all(np.diff(fit.partial_sums) >= 0)
-    assert np.isfinite(fit.bound_constant) and fit.bound_constant > 0
-    # the fitted constant makes the inequality hold on every usable frame
-    usable = (fit.gap > 1e-13) & (fit.phi_l2 > 1e-13)
-    lhs = fit.gap[usable] ** (1.0 - fit.theta)
-    assert np.all(lhs <= fit.bound_constant * fit.phi_l2[usable] * (1 + 1e-9))
+    assert 0.4 < approach_series(traj)["theta"] < 0.6
 
 
 def test_lojasiewicz_static_is_exact_shrinker():
     _, traj = static_round_traj(25)
-    with pytest.raises(ExactShrinker):
-        lojasiewicz_fit(traj)
+    assert approach_series(traj)["theta"] is None
 
 
 def test_lojasiewicz_window_guard():
     traj = run_rmcf(normalized_perturbed_circle(0.05), 0.5, frame_dtau=0.1)
-    with pytest.raises(WindowTooShort):
-        lojasiewicz_fit(traj)
+    assert approach_series(traj)["theta"] is None
 
 
 def test_superexponential_flag_cases():
@@ -283,8 +283,8 @@ def test_monitor_real_two_flow_run():
 
 
 def test_monitor_columns_equal_public_helpers():
-    # one record per base frame feeds the monitor; its columns must be the
-    # very numbers the public helpers return on the paired frames
+    # the monitor's base half is approach_series of its paired base frames,
+    # number for number; its pair columns are the form and the residual
     a = run_rmcf(normalized_perturbed_circle(0.03, m=96), 1.0,
                  frame_dtau=0.05)
     b = run_rmcf(normalized_perturbed_circle(-0.02, m=96), 1.0,
@@ -292,6 +292,12 @@ def test_monitor_columns_equal_public_helpers():
     trace = monitor(a, b)
     cols = trace.columns
     assert len(trace) == len(a) - 2
+    series = approach_series(a)
+    for name in ("tau", "Itilde", "F", "dFdtau", "phiL2", "D"):
+        assert np.array_equal(cols[name], series[name]), name
+    assert trace.integral_d == series["integralD"]
+    assert trace.integral_c2 == series["integralC2"]
+    assert trace.theta_fit == series["theta"]
     for r, tau in enumerate(cols["tau"]):
         j = r + 1
         assert a.times[j] == tau and b.times[j] == tau
@@ -299,13 +305,10 @@ def test_monitor_columns_equal_public_helpers():
         u = [normal_graph(a.curves[i], b.curves[i]).values
              for i in (j - 1, j, j + 1)]
         span = a.times[j + 1] - a.times[j - 1]
-        assert cols["Itilde"][r] == shrinker_energy(base)
-        assert cols["F"][r] == f_functional(base)
-        assert cols["D"][r] == d_coefficient(a, tau)
-        assert cols["U"][r] == frequency_U(base, u[1])
+        assert cols["I"][r] == np.sum(gaussian_weights(base) * u[1] * u[1])
+        assert cols["U"][r] == 2.0 * assemble(base).form(u[1], u[1]) \
+            / cols["I"][r]
         assert cols["fittedC"][r] == residual(base, *u, span / 2).fitted_c
-    c2 = [phi_c2_norm(a.curves[i]) for i, _ in trace.pairs]
-    assert trace.integral_c2 == np.trapezoid(c2, cols["tau"])
 
 
 def test_monitor_requires_rescaled_pictures():

@@ -4,6 +4,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -778,3 +780,46 @@ out = %s
     assert main(["separation", "--config", path]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: no target point within reach/2 along normal 0"]
+
+
+def test_main_rate_curve_with_negative_polar_radius_is_typed(tmp_path, capsys):
+    """The spec parses, but r(theta) = 1 + 1.5 cos(theta) changes sign."""
+    path = write_config(tmp_path, """
+scenario = rate
+curve1 = fourier(1, 1.5, 0)
+m = 64
+tau_end = 1
+out = %s
+""" % (tmp_path / "x"))
+    assert main(["rate", "--config", path]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: polar radius must stay positive"]
+
+
+def test_main_rate_ellipse_too_thin_for_m_is_typed(tmp_path, capsys):
+    """At m = 64 the nodes of a 100:1 ellipse bunch at its tips."""
+    path = write_config(tmp_path, """
+scenario = rate
+curve1 = ellipse(1, 0.01)
+m = 64
+tau_end = 1
+out = %s
+""" % (tmp_path / "x"))
+    assert main(["rate", "--config", path]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: node spacing ratio 19.9 exceeds 10"]
+
+
+def test_python_dash_m_reports_one_error_line(tmp_path):
+    """`python -m shrinkerlab` runs the CLI with nothing on stderr but the
+    error line."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "shrinkerlab", "rate", "--config",
+         str(tmp_path / "missing.cfg")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot read config ")
