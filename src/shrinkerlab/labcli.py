@@ -600,14 +600,28 @@ def run(config: ScenarioConfig) -> dict:
     JSON outputs. The manifest is written last and covers every file.
 
     Raises ConfigInvalid (field out) if the output directory cannot be
-    created, for example because `out` names an existing file.
+    created, for example because `out` names an existing file. A scenario
+    that fails with a ShrinkerLabError before writing anything leaves none
+    of the directories this call created.
     """
+    made = []  # the directories makedirs creates, innermost first
+    path = os.path.abspath(config.out)
+    while not os.path.exists(path):
+        made.append(path)
+        path = os.path.dirname(path)
     try:
         os.makedirs(config.out, exist_ok=True)
     except OSError as exc:
         raise ConfigInvalid("cannot create output directory: %s" % exc,
                             field="out")
-    summary = SCENARIOS[config.scenario][2](config)
+    try:
+        summary = SCENARIOS[config.scenario][2](config)
+    except ShrinkerLabError:
+        for created in made:
+            if os.listdir(created):
+                break
+            os.rmdir(created)
+        raise
     ioutil.dump_json(summary, os.path.join(config.out, "summary.json"))
     _write_manifest(config)
     return summary
@@ -647,3 +661,8 @@ def main(argv=None) -> int:
     print("verdict: %s" % verdict)
     return 0 if verdict in _CLEAN_VERDICTS else 2
 
+
+if __name__ == "__main__":
+    # runpy runs this file a second time, beside the copy the package has
+    # imported; the module entry is the package
+    sys.exit("error: run scenarios with `python -m shrinkerlab`")

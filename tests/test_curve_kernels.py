@@ -452,6 +452,55 @@ def test_one_interpolant_table_per_coefficient_set(monkeypatch):
     assert built == [0, 0, 0]
 
 
+class CountedCalls(fourier.Interpolant):
+    """An Interpolant that counts its evaluations in `calls`."""
+
+    calls = 0
+
+    def __call__(self, thetas):
+        CountedCalls.calls += 1
+        return super().__call__(thetas)
+
+
+def half_node_pair(m):
+    """circle(sqrt 2) and the graph of 0.01 sqrt(2) cos 3 theta over it,
+    its nodes half a node off the base normals."""
+    phi = grid(m) + np.pi / m
+    r = SQRT2 * (1.0 + 0.01 * np.cos(3 * phi))
+    return circle(SQRT2, m=m), DiscreteCurve(
+        np.column_stack([r * np.cos(phi), r * np.sin(phi)]))
+
+
+def test_normal_graph_takes_one_evaluation_per_newton_step(monkeypatch):
+    # the residual a step below 1e-12 starts from is the convergence check,
+    # so no evaluation follows the last step: one where every seed is a
+    # target node, two from half-way between nodes
+    monkeypatch.setattr(fourier, "Interpolant", CountedCalls)
+    monkeypatch.setattr(CountedCalls, "calls", 0)
+    base = circle(SQRT2, m=256)
+    normal_graph(base, reconstruct(base, 0.01 * np.cos(3 * grid(256))))
+    assert CountedCalls.calls == 1
+    CountedCalls.calls = 0
+    normal_graph(*half_node_pair(256))
+    assert CountedCalls.calls == 2
+
+
+def test_normal_graph_still_checks_a_newton_loop_that_runs_out(monkeypatch):
+    # a derivative ten times too steep moves theta a tenth of the way, so
+    # every step stays above 1e-12 and the loop ends at its cap; the final
+    # residual is evaluated afresh and is far above the tolerance
+    class Stalled(CountedCalls):
+        def __call__(self, thetas):
+            value, der = super().__call__(thetas)
+            return [value, 10.0 * der]
+
+    monkeypatch.setattr(fourier, "Interpolant", Stalled)
+    monkeypatch.setattr(CountedCalls, "calls", 0)
+    with pytest.raises(NotAGraph, match="graph iteration failed to converge"):
+        normal_graph(*half_node_pair(256))
+    assert CountedCalls.calls == 5
+
+
 # ---------------------------------------------------------------------------
 # closed-form distance to the round limit
 

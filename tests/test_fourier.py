@@ -134,6 +134,55 @@ def test_trig_eval_matches_dense_basis(m, kind):
         assert np.array_equal(got, want)
 
 
+def horner_on_nodes_first(coef, m, order, degree, thetas):
+    """The evaluator on a (rows, m, d) Taylor table, each Horner step
+    broadcasting the offsets over the trailing axis of length d."""
+    cols = coef.reshape(coef.shape[0], -1)
+    mult = fourier._taylor_multipliers(m)[0][:degree + order + 1]
+    table = np.fft.irfft(mult[:, :, None] * cols, n=m, axis=1)
+    j, x = fourier._nearest_node(thetas, m)
+    near = table[:, j]
+    x = x[:, None]
+    acc = np.zeros((order + 1,) + near.shape[1:])
+    acc[0] = near[-1]
+    for row in near[-2::-1]:
+        nxt = acc * x
+        nxt[0] += row
+        nxt[1:] += acc[:-1]
+        acc = nxt
+    h = 2.0 * np.pi / m
+    shape = thetas.shape + coef.shape[1:]
+    return [(o * (math.factorial(r) / h ** r) if r else o).reshape(shape)
+            for r, o in enumerate(acc)]
+
+
+@pytest.mark.parametrize("m", [16, 256, 2048])
+@pytest.mark.parametrize("pair", [False, True])
+def test_interpolant_matches_a_node_first_table_bit_for_bit(m, pair):
+    # the table keeps its nodes on the last axis, so each Horner step runs
+    # along the parameters; every product and sum is the one a (rows, m, d)
+    # table takes
+    rng = np.random.default_rng(m + pair)
+    t = fourier.grid(m)
+    if pair:
+        r = 1.0 + 0.05 * np.cos(3 * t)
+        samples = np.column_stack([r * np.cos(t), r * np.sin(t)])
+    else:
+        samples = np.exp(np.sin(t))
+    samples = samples + 1e-6 * rng.standard_normal(samples.shape)
+    coef = fourier.coeffs(samples)
+    thetas = np.concatenate([rng.uniform(-1e4, 1e4, 300),
+                             [-1e7 - 0.3, 3e8 + 0.1, -2.0 * np.pi, 1e-300]])
+    for order in range(3):
+        prepared = fourier.Interpolant(coef, m, order)
+        want = horner_on_nodes_first(coef, m, order, prepared.degree, thetas)
+        got = prepared(thetas)
+        assert len(got) == order + 1
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == thetas.shape + coef.shape[1:]
+            assert np.array_equal(g, w)
+
+
 def test_interpolant_degree_on_a_resolved_curve():
     # the nearby graph of the normal_graph tests: its spectrum falls to
     # rounding by mode ~10, so the Newton table keeps at most 12 rows

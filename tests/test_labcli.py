@@ -794,6 +794,7 @@ out = %s
     assert main(["rate", "--config", path]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: polar radius must stay positive"]
+    assert not (tmp_path / "x").exists()
 
 
 def test_main_rate_ellipse_too_thin_for_m_is_typed(tmp_path, capsys):
@@ -808,18 +809,55 @@ out = %s
     assert main(["rate", "--config", path]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: node spacing ratio 19.9 exceeds 10"]
+    assert not (tmp_path / "x").exists()
+
+
+def test_failed_scenario_leaves_no_directory_it_created(tmp_path):
+    """Missing parents made for `out` go too; an existing one stays."""
+    (tmp_path / "kept").mkdir()
+    path = write_config(tmp_path, """
+scenario = rate
+curve1 = fourier(1, 1.5, 0)
+m = 64
+tau_end = 1
+out = %s
+""" % (tmp_path / "kept" / "new" / "x"))
+    assert main(["rate", "--config", path]) == 1
+    assert os.listdir(tmp_path / "kept") == []
+
+
+def src_env():
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_python_dash_m_labcli_points_to_the_package(tmp_path):
+    """`python -m shrinkerlab.labcli` runs nothing and exits 1 with the
+    entry to use."""
+    path = write_config(tmp_path, """
+curve1 = fourier(1, 0, 0, 0.05, 0)
+m = 64
+tau_end = 1
+out = %s
+""" % (tmp_path / "x"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "shrinkerlab.labcli", "rate", "--config", path],
+        capture_output=True, text=True, env=src_env(), timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1] == (
+        "error: run scenarios with `python -m shrinkerlab`")
+    assert proc.stdout == ""
+    assert not (tmp_path / "x").exists()
 
 
 def test_python_dash_m_reports_one_error_line(tmp_path):
     """`python -m shrinkerlab` runs the CLI with nothing on stderr but the
     error line."""
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-m", "shrinkerlab", "rate", "--config",
          str(tmp_path / "missing.cfg")],
-        capture_output=True, text=True, env=env, timeout=120)
+        capture_output=True, text=True, env=src_env(), timeout=120)
     assert proc.returncode == 1
     err = proc.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("error: cannot read config ")
