@@ -16,6 +16,7 @@ from .curvegeo import (
     random_fourier,
     resample,
     shrinker_quantity,
+    support_function,
 )
 from .errors import (
     BlowupDetected,
@@ -24,7 +25,6 @@ from .errors import (
     ConvexityLost,
     DegenerateCurve,
     EnergyUnderflow,
-    ExactShrinker,
     FrameMissing,
     InterpolationFailure,
     InvalidCurve,
@@ -46,7 +46,6 @@ from .flowcore import (
     run_rmcf,
 )
 from .gauge import (
-    GraphFunction,
     ResidualReport,
     apply_L,
     graph_hausdorff,
@@ -68,14 +67,16 @@ from .frequency import (
     shrinker_energy,
     superexponential_flag,
 )
-from .labcli import (
-    ScenarioConfig,
-    build_curve,
-    experiment_rate,
-    experiment_separation,
-    main,
-    parse_config,
-    parse_config_text,
-    run,
-    validate_config,
-)
+
+_LABCLI_NAMES = ("ScenarioConfig", "build_curve", "experiment_rate",
+                 "experiment_separation", "main", "parse_config",
+                 "parse_config_text", "run", "validate_config")
+
+
+def __getattr__(name):
+    # the scenario runner loads on first use, so that `python -m
+    # shrinkerlab.labcli` finds it not yet imported and runpy stays silent
+    if name in _LABCLI_NAMES:
+        from . import labcli
+        return getattr(labcli, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

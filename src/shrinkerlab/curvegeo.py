@@ -416,6 +416,14 @@ def _support_function(curve: DiscreteCurve, curve_at: fourier.Interpolant):
     return support
 
 
+def support_function(curve: DiscreteCurve):
+    """`_support_function` of a convex curve on its order-2 `Interpolant`:
+    (nx, ny) -> (h, h', rho) at unit outward normals. InvalidCurve if a
+    node curvature is <= 0."""
+    return _support_function(
+        curve, fourier.Interpolant(fourier.coeffs(curve.points), curve.m, 2))
+
+
 def _support_gap(curve: DiscreteCurve, curve_at: fourier.Interpolant,
                  support) -> float:
     """sup over directions of |h - h_L|, h the support function of a convex

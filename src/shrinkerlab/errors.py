@@ -57,10 +57,6 @@ class WindowTooShort(ShrinkerLabError):
     """Fit window contains too few frames for a stable regression."""
 
 
-class ExactShrinker(ShrinkerLabError):
-    """Trajectory sits on the limit shrinker; there is no gap to fit."""
-
-
 class ConvergenceFailure(ShrinkerLabError):
     """Eigenvalue solve did not converge."""
 

@@ -12,15 +12,15 @@ curve. The central objects:
   C(tau) = fitted pointwise linearization constant of the graph evolution
   theta  = Lojasiewicz exponent of ||phi|| ~ (F - F_round)^(1 - theta)
 
-`monitor` pairs two rescaled trajectories frame by frame, writes one record
-per interior frame, and checks the inequalities that make the frequency
-argument run: the logarithmic derivative of I stays within the C/D error
-budget of U, U never exceeds the spectral bound, and log I admits a linear
-lower support line (no super-exponential collapse). I, U and the Dirichlet
-ratio are computed in its pair loop. `approach_series` is the base half of
-the monitor: Itilde, F, D, the C2 norm of phi, their integrals and theta of
-one trajectory, from the same private routine the monitor runs over its
-paired base frames. `shrinker_energy` gives Itilde of a single curve.
+`monitor` pairs frame j of two rescaled trajectories with equal times,
+writes one record per interior frame, and checks the inequalities that make
+the frequency argument run: the logarithmic derivative of I stays within
+the C/D error budget of U, U never exceeds the spectral bound, and log I
+admits a linear lower support line (no super-exponential collapse). I, U
+and the Dirichlet ratio are computed in its frame loop. `approach_series`
+is the base half of the monitor: Itilde, F, D, the C2 norm of phi, their
+integrals and theta of one trajectory, from the same private routine the
+monitor runs. `shrinker_energy` gives Itilde of a single curve.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .curvegeo import (
     geometry,
     shrinker_quantity,
 )
-from .errors import ExactShrinker, FrameMissing, WindowTooShort
+from .errors import FrameMissing, NotAGraph, WindowTooShort
 from .gauge import arc_derivatives, normal_graph, residual
 
 __all__ = [
@@ -115,7 +115,7 @@ def shrinker_energy(curve: DiscreteCurve) -> float:
 
 def approach_series(traj) -> dict:
     """Convergence diagnostics of one rescaled trajectory: the base half of
-    `monitor`, which returns the same numbers for its paired base frames.
+    `monitor`, which returns the same numbers for its base frames.
 
     Returns the columns tau, Itilde, F, dFdtau, phiL2, D and phiC2 over the
     interior frames, the trapezoid integrals integralD and integralC2 of D
@@ -149,39 +149,25 @@ def _approach(taus: np.ndarray, frames: list) -> dict:
                        for prev, mid, nxt, s
                        in zip(frames, inner, frames[2:], span)])
     c2_vals = np.array([fr.c2 for fr in inner])
-    try:
-        theta = _lojasiewicz(frames)
-    except (ExactShrinker, WindowTooShort):
-        theta = None
     return {"tau": tau, "Itilde": itilde, "F": f_vals[1:-1],
             "dFdtau": (f_vals[2:] - f_vals[:-2]) / span,
             "phiL2": np.sqrt(itilde), "D": d_vals, "phiC2": c2_vals,
             "integralD": float(np.trapezoid(d_vals, tau)),
             "integralC2": float(np.trapezoid(c2_vals, tau)),
-            "theta": theta}
+            "theta": _lojasiewicz(frames)}
 
 
-def _lojasiewicz(frames: list) -> float:
+def _lojasiewicz(frames: list) -> float | None:
     """Exponent theta of ||phi||_L2 ~ (F - ROUND_F_VALUE)^(1 - theta): a
-    least-squares line in logs over the frames with a usable gap.
-
-    Raises
-    ------
-    ExactShrinker
-        If the frames never leave the limit level set (gap and deviation
-        both at rounding level), so no law is fittable.
-    WindowTooShort
-        If fewer than 20 frames have a usable positive gap.
+    least-squares line in logs over the frames with a usable gap (gap and
+    deviation both above rounding level). None when fewer than 20 frames
+    have one, a trajectory on the limit shrinker among them.
     """
     phi_l2 = np.array([math.sqrt(fr.itilde) for fr in frames])
     gap = np.array([fr.f - ROUND_F_VALUE for fr in frames])
     usable = (gap > 1e-13) & (phi_l2 > 1e-13)
-    if not usable.any():
-        raise ExactShrinker("trajectory sits on the limit shrinker; "
-                            "no gap to fit")
     if int(usable.sum()) < 20:
-        raise WindowTooShort("only %d usable frames, need 20"
-                             % int(usable.sum()))
+        return None
     lg = np.log(gap[usable])
     design = np.column_stack([lg, np.ones(lg.size)])
     (slope, _), *_ = np.linalg.lstsq(design, np.log(phi_l2[usable]),
@@ -214,15 +200,14 @@ class FrequencyTrace:
 
     columns holds one array per CSV column (TRACE_COLUMNS order); underflow
     rows carry zeros in the quotient fields and are excluded from every fit.
-    pairs holds the (base, target) frame indices of each row and graphs the
-    target frame written as a normal graph over the base frame (kept in
-    memory, not written). The margin array and fitted scalars summarize the
-    verified inequalities.
+    Row r is frame r + 1 of both trajectories, and fields[r] holds the
+    normal-graph heights u of that target frame over that base frame (kept
+    in memory, not written). The margin array and fitted scalars summarize
+    the verified inequalities.
     """
 
     columns: dict
-    pairs: list
-    graphs: list
+    fields: list
     inequality_margin: np.ndarray
     lambda_bound: float
     lambda_fit: float | None
@@ -252,36 +237,19 @@ class FrequencyTrace:
         }
 
 
-def _common_frames(base_traj, target_traj) -> list:
-    """(base index, target index) of the frames the two share in time."""
-    ta = np.asarray(base_traj.times, dtype=float)
-    tb = np.asarray(target_traj.times, dtype=float)
-    pairs = []
-    i = j = 0
-    while i < ta.size and j < tb.size:
-        if abs(ta[i] - tb[j]) <= 1e-9 * (1.0 + abs(ta[i])):
-            pairs.append((i, j))
-            i += 1
-            j += 1
-        elif ta[i] < tb[j]:
-            i += 1
-        else:
-            j += 1
-    return pairs
-
-
 def monitor(base_traj, target_traj, *,
             fit_fraction: float = 0.4) -> FrequencyTrace:
     """Track one flow as a normal graph over another and verify the
-    frequency inequalities frame by frame.
+    frequency inequalities frame by frame, frame j of the target over frame
+    j of the base; the two share their frame times, as the flows of one
+    `flowcore.run_flows` batch do.
 
-    Per interior common frame: the graph energy I, frequency U, deviation
-    energies of the base, the error budget D, the fitted linearization
-    constant C, and the decomposition of dU/dtau into its nonnegative
-    main part and the remainder. The base columns (Itilde, F, dFdtau,
-    phiL2, D), integral_d, integral_c2 and theta_fit are those that
-    `approach_series` returns for the paired base frames. Checks recorded
-    in flags:
+    Per interior frame: the graph energy I, frequency U, deviation energies
+    of the base, the error budget D, the fitted linearization constant C,
+    and the decomposition of dU/dtau into its nonnegative main part and the
+    remainder. The base columns (Itilde, F, dFdtau, phiL2, D), integral_d,
+    integral_c2 and theta_fit are those of `approach_series(base_traj)`.
+    Checks recorded in flags:
 
       * the logarithmic derivative of I matches U minus the measure
         correction within 3(C + D) + C * (dirichlet ratio);
@@ -290,23 +258,26 @@ def monitor(base_traj, target_traj, *,
 
     Lambda (the top eigenvalue along the base) comes from an eigensolve
     of every max(1, k // 12)-th base frame and the last, k the number of
-    common frames. Fits use the trailing fit_fraction of non-underflow rows;
+    frames. Fits use the trailing fit_fraction of non-underflow rows;
     lambda_fit, offset_fit and u_inf are None when fewer than two rows clear
-    ENERGY_FLOOR.
+    ENERGY_FLOOR. FrameMissing if the frame times differ or k < 5;
+    NotAGraph, naming the frame time, if a frame pair is no graph.
     """
-    if getattr(base_traj, "picture", "rmcf") != "rmcf" or \
-            getattr(target_traj, "picture", "rmcf") != "rmcf":
+    if {base_traj.picture, target_traj.picture} != {"rmcf"}:
         raise ValueError("monitor expects two rescaled trajectories")
-    pairs = _common_frames(base_traj, target_traj)
-    if len(pairs) < 5:
-        raise FrameMissing("only %d common frames between the trajectories"
-                           % len(pairs))
-    k = len(pairs)
-    curves = [base_traj.curves[i] for i, _ in pairs]
-    taus = np.array([base_traj.times[i] for i, _ in pairs], dtype=float)
-    graphs = [normal_graph(bc, target_traj.curves[t])
-              for bc, (_, t) in zip(curves, pairs)]
-    u_fields = [graph.values for graph in graphs]
+    if list(base_traj.times) != list(target_traj.times):
+        raise FrameMissing("the trajectories do not share their frame times")
+    k = len(base_traj)
+    if k < 5:
+        raise FrameMissing("need at least 5 frames, got %d" % k)
+    curves = base_traj.curves
+    taus = np.asarray(base_traj.times, dtype=float)
+    u_fields = []
+    for bc, tc, tau in zip(curves, target_traj.curves, taus):
+        try:
+            u_fields.append(normal_graph(bc, tc))
+        except NotAGraph as exc:
+            raise NotAGraph("frame pair at tau = %.6g: %s" % (tau, exc))
     _, _, lambda_bound = spectral.rayleigh_bound(base_traj,
                                                  stride=max(1, k // 12))
     frames = [_frame(curve) for curve in curves]
@@ -382,8 +353,7 @@ def monitor(base_traj, target_traj, *,
                          "fit window")
 
     return FrequencyTrace(columns=cols,
-                          pairs=pairs[1:-1],
-                          graphs=graphs[1:-1],
+                          fields=u_fields[1:-1],
                           inequality_margin=margin,
                           lambda_bound=float(lambda_bound),
                           lambda_fit=lam_fit,

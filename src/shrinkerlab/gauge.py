@@ -36,20 +36,6 @@ from .errors import NotAGraph
 _CLUSTER_TOL = 1e-8
 
 
-@dataclass
-class GraphFunction:
-    """Scalar field u over the nodes of a base curve (normal-graph height)."""
-
-    base: DiscreteCurve
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.base.m,):
-            raise ValueError("values must have shape (%d,)" % self.base.m)
-        self.values = vals
-
-
 def arc_derivatives(base: DiscreteCurve, values: np.ndarray):
     """(u', u'') of grid values u, ' the arclength derivative along `base`."""
     g = geometry(base).metric_speed
@@ -146,8 +132,8 @@ def _crossings(rows, cols, x, nu, half: float, p, d):
 
 
 def normal_graph(base: DiscreteCurve, target: DiscreteCurve,
-                 reach: float | None = None) -> GraphFunction:
-    """Write `target` as a normal graph over `base`.
+                 reach: float | None = None) -> np.ndarray:
+    """The (m,) heights u that write `target` as a normal graph over `base`.
 
     Each base normal line is intersected with the target polyline (exact
     segment test over the candidate segments of `_windows`, all crossings
@@ -233,12 +219,12 @@ def normal_graph(base: DiscreteCurve, target: DiscreteCurve,
     if float(np.abs(u).max()) >= half:
         raise NotAGraph("graph height %.3g reaches reach/2 = %.3g"
                         % (np.abs(u).max(), half))
-    return GraphFunction(base=base, values=u)
+    return u
 
 
-def graph_hausdorff(graph: GraphFunction, target: DiscreteCurve) -> float:
-    """Hausdorff distance between the convex base of `graph` and the convex
-    `target`, the curve the graph writes over it (target = base + u nu).
+def graph_hausdorff(base: DiscreteCurve, u, target: DiscreteCurve) -> float:
+    """Hausdorff distance between the convex `base` and the convex `target`,
+    the curve the graph heights u write over it (target = base + u nu).
 
     While sup|u| stays below half of both reaches (1/max H for a convex
     closed curve), d_H = sup|u| exactly: each target point x + u nu lies on
@@ -249,7 +235,6 @@ def graph_hausdorff(graph: GraphFunction, target: DiscreteCurve) -> float:
     |u|. Beyond half a reach, `hausdorff_distance` measures it, which raises
     InvalidCurve if either curve has a node curvature <= 0.
     """
-    base, u = graph.base, graph.values
     if (float(np.abs(u).max())
             >= 0.5 / max(float(geometry(base).curvature.max()),
                          float(geometry(target).curvature.max()))):
@@ -281,7 +266,6 @@ class ResidualReport:
     fitted_c: float
     norms_u: tuple
     quad_ratio: float
-    residual: np.ndarray
     drift: np.ndarray
 
     def to_dict(self):
@@ -296,16 +280,12 @@ class ResidualReport:
 
 def residual(base: DiscreteCurve, u_prev, u_mid, u_next, dtau: float,
              tau: float = 0.0) -> ResidualReport:
-    """Linearization residual at the middle of three equally spaced graphs.
+    """Linearization residual at the middle of three equally spaced graphs,
+    given as height arrays u over the fixed base.
 
     du/dtau is the centered difference across the outer graphs; the residual
-    is du/dtau - L u_mid, evaluated nodewise over the fixed base.
+    is du/dtau - L u_mid, evaluated nodewise.
     """
-    vals = []
-    for u in (u_prev, u_mid, u_next):
-        vals.append(u.values if isinstance(u, GraphFunction) else
-                    np.asarray(u, dtype=float))
-    u_prev, u_mid, u_next = vals
     du_dt = (u_next - u_prev) / (2.0 * dtau)
     drift = apply_L(base, u_mid)
     res = du_dt - drift
@@ -321,6 +301,5 @@ def residual(base: DiscreteCurve, u_prev, u_mid, u_next, dtau: float,
         fitted_c=fitted_c,
         norms_u=(c0, c0 + c1, cum_c2),
         quad_ratio=quad_ratio,
-        residual=res,
         drift=drift,
     )

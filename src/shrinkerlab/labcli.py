@@ -28,8 +28,8 @@ import numpy as np
 from . import fourier, ioutil
 from .curvegeo import (TWO_PI, DiscreteCurve, area_centroid, circle,
                        distance_to_circle, ellipse, fourier_curve, geometry,
-                       hausdorff_distance, random_fourier)
-from .errors import (ConfigInvalid, EnergyUnderflow, NotShrinking,
+                       hausdorff_distance, random_fourier, support_function)
+from .errors import (ConfigInvalid, EnergyUnderflow, NotAGraph, NotShrinking,
                      ShrinkerLabError, WindowTooShort)
 from .flowcore import (CFL_MAX, GAUGES, StepControl, estimate_singularity,
                        run_flows, run_mcf, run_rmcf)
@@ -357,7 +357,7 @@ def _run_simulate(config: ScenarioConfig) -> dict:
     try:
         estimate = estimate_singularity(traj)
         traj.singular_data = estimate.to_dict()
-    except (NotShrinking, WindowTooShort):
+    except NotShrinking:
         pass
     traj.save(config.out)
     summary = {
@@ -407,7 +407,10 @@ def _run_gauge_residual(config: ScenarioConfig) -> dict:
         if len(traj.curves) < 3:
             raise WindowTooShort("flow stopped before three frames at "
                                  "amplitude %g" % eps)
-        u = [normal_graph(base, traj.curves[j]).values for j in range(3)]
+        try:
+            u = [normal_graph(base, traj.curves[j]) for j in range(3)]
+        except NotAGraph as exc:
+            raise NotAGraph("amplitude %g: %s" % (eps, exc))
         report = residual(base, u[0], u[1], u[2], delta, tau=delta)
         reports.append(report)
         rows.append((eps, report.tau, report.max_residual, report.fitted_c,
@@ -436,14 +439,14 @@ def experiment_separation(config: ScenarioConfig) -> dict:
     at one time. Pipeline: each curve is recentered and scaled to enclosed
     area 2*pi, both are stepped in one batch by the rescaled flow under the
     area-centroid gauge (so their frames share the times 0, frame_dtau, ...,
-    tau_end), then the two-flow frequency monitor runs on them, plus a
-    Hausdorff distance fit. Each dH row is read off the normal graph u the
-    monitor built for that frame pair (`gauge.graph_hausdorff`): the frames
-    are convex (`require_convex`), so while sup|u| stays below half of both
-    reaches (1/max H), d_H = sup|u| in closed form, the node extremes
-    refined on the interpolant of u; beyond that, the support-function
-    distance `hausdorff_distance`. The fit takes every row above _DH_FLOOR
-    whose graph energy does not underflow.
+    tau_end), then the two-flow frequency monitor pairs their frames by
+    index, plus a Hausdorff distance fit. Each dH row is read off the normal
+    graph u the monitor built for that frame (`gauge.graph_hausdorff`): the
+    frames are convex (`require_convex`), so while sup|u| stays below half
+    of both reaches (1/max H), d_H = sup|u| in closed form, the node
+    extremes refined on the interpolant of u; beyond that, the
+    support-function distance `hausdorff_distance`. The fit takes every row
+    above _DH_FLOOR whose graph energy does not underflow.
     The verdict is superexponential-flagged when log I or log d_H drops below
     every linear envelope over the fit window, and coincident when the two
     flows agree to the floors on every frame (M1 = M2): then there is nothing
@@ -467,8 +470,8 @@ def experiment_separation(config: ScenarioConfig) -> dict:
     trace = monitor(base_traj, target_traj, fit_fraction=config.fit_window)
     taus = trace.columns["tau"]
     underflow = trace.columns["underflow"].astype(bool)
-    dh = np.array([graph_hausdorff(graph, target_traj.curves[j])
-                   for graph, (_, j) in zip(trace.graphs, trace.pairs)])
+    dh = np.array([graph_hausdorff(*row) for row in zip(
+        base_traj.curves[1:-1], trace.fields, target_traj.curves[1:-1])])
 
     usable = (dh > _DH_FLOOR) & ~underflow
     dh_slope, tw, lw = _fit_tail_slope(taus[usable], dh[usable],
@@ -515,12 +518,13 @@ def experiment_rate(config: ScenarioConfig) -> dict:
     The initial curve is recentered and scaled to enclosed area 2*pi, then
     evolved by the rescaled flow under the configured gauge and
     `require_convex` (curve shortening keeps convexity, Gage & Hamilton
-    1986). Each frame is measured at node resolution: the Hausdorff
-    distance to the round limit by `distance_to_circle`, the support-function
-    gap to h = sqrt(2), and the L2 size of the shrinker quantity by
+    1986). Each frame is compared with the round limit through its support
+    function h at node resolution: the Hausdorff distance sup|h - sqrt(2)|
+    by `distance_to_circle` and the L2 size of the shrinker quantity by
     `shrinker_energy`, both fitted over the trailing window, on the frames
-    whose distance is above _DH_FLOOR, against the rate of the dominant
-    initial mode.
+    whose distance is above _DH_FLOOR, against the rate 1 - k^2/2 of the
+    dominant initial mode k, the largest rfft amplitude over k >= 2 of
+    h - sqrt(2) at the m grid normal angles of frame 0.
     Writes frames.npy, index.json, series.csv and trace.csv.
     """
     curve = _build_curves(config, convex=True)[0]
@@ -529,7 +533,6 @@ def experiment_rate(config: ScenarioConfig) -> dict:
     traj = run_rmcf(start, config.tau_end, frame_dtau=config.frame_dtau,
                     gauge=config.gauge, control=control)
     radius = math.sqrt(2.0)
-    reference = circle(radius, m=config.m)
 
     taus = np.asarray(traj.times, dtype=float)
     dh = np.empty(len(taus))
@@ -538,8 +541,9 @@ def experiment_rate(config: ScenarioConfig) -> dict:
         dh[j] = distance_to_circle(frame, radius)
         phi_l2[j] = math.sqrt(shrinker_energy(frame))
 
-    coeffs = np.abs(np.fft.rfft(normal_graph(reference, traj.curves[0]).values))
-    mode = int(np.argmax(coeffs[2:config.m // 2])) + 2 if len(coeffs) > 3 else 2
+    alpha = fourier.grid(config.m)
+    h = support_function(traj.curves[0])(np.cos(alpha), np.sin(alpha))[0]
+    mode = int(np.argmax(np.abs(np.fft.rfft(h - radius))[2:])) + 2
     predicted = 1.0 - 0.5 * mode * mode
 
     if not np.any(dh > _DH_FLOOR):

@@ -29,7 +29,7 @@ from shrinkerlab.curvegeo import (TWO_PI, DiscreteCurve,
                                   resample, star_angles)
 from shrinkerlab.errors import InvalidCurve, NotAGraph
 from shrinkerlab.flowcore import run_flows, run_rmcf
-from shrinkerlab.gauge import (GraphFunction, _sectors, _windows,
+from shrinkerlab.gauge import (_sectors, _windows,
                               graph_hausdorff, normal_graph, reconstruct)
 
 SQRT2 = math.sqrt(2.0)
@@ -242,7 +242,7 @@ GRAPH_CASES = {
 @pytest.mark.parametrize("case", sorted(GRAPH_CASES))
 def test_normal_graph_matches_all_pairs_oracle(case):
     base, target = GRAPH_CASES[case]()
-    assert np.array_equal(normal_graph(base, target).values,
+    assert np.array_equal(normal_graph(base, target),
                           oracle_normal_graph(base, target))
 
 
@@ -327,7 +327,7 @@ def test_non_star_graph_takes_full_rows_in_blocks(monkeypatch):
     m_t = target.m
     assert sizes == [gauge._ROWS * m_t, gauge._ROWS * m_t,
                      (640 - 2 * gauge._ROWS) * m_t]
-    assert np.array_equal(got.values, oracle_normal_graph(base, target))
+    assert np.array_equal(got, oracle_normal_graph(base, target))
 
 
 def test_resample_memory_is_linear_in_m():
@@ -355,7 +355,7 @@ def test_normal_graph_inverts_reconstruct(base_name, amps, phases):
     t = grid(base.m)
     u = sum(a * np.cos(k * t + ph) for k, a, ph in zip(range(2, 7), amps, phases))
     target = reconstruct(base, u)
-    got = normal_graph(base, target).values
+    got = normal_graph(base, target)
     assert np.abs(got - u).max() < 1e-10
     assert np.array_equal(got, oracle_normal_graph(base, target))
 
@@ -696,9 +696,9 @@ def graph_pair_oracle(pair):
 def test_graph_hausdorff_refines_a_sup_between_nodes(pair, m, monkeypatch):
     base, target = GRAPH_PAIRS[pair](m)
     monkeypatch.setattr(gauge, "hausdorff_distance", None)  # no fallback
-    graph = normal_graph(base, target)
-    got = graph_hausdorff(graph, target)
-    assert got > np.abs(graph.values).max()
+    u = normal_graph(base, target)
+    got = graph_hausdorff(base, u, target)
+    assert got > np.abs(u).max()
     assert abs(got - graph_pair_oracle(pair)) <= 1e-9
 
 
@@ -710,9 +710,9 @@ def test_graph_hausdorff_refines_a_peak_below_the_node_maximum(monkeypatch):
 
     m = 64
     base = circle(SQRT2, m=m)
-    graph = GraphFunction(base, u_of(grid(m)))
+    u = u_of(grid(m))
     monkeypatch.setattr(gauge, "hausdorff_distance", None)  # no fallback
-    got = graph_hausdorff(graph, reconstruct(base, graph.values))
+    got = graph_hausdorff(base, u, reconstruct(base, u))
     fine = np.abs(u_of(grid(1 << 16)))
     j = int(np.argmax(fine))
     h = TWO_PI / fine.size
@@ -720,7 +720,7 @@ def test_graph_hausdorff_refines_a_peak_below_the_node_maximum(monkeypatch):
                           bounds=((j - 1) * h, (j + 1) * h), method="bounded",
                           options={"xatol": 1e-12})
     assert abs(got - max(-res.fun, fine[j])) <= 1e-12
-    assert got > np.abs(graph.values).max() + 1e-4
+    assert got > np.abs(u).max() + 1e-4
 
 
 def test_graph_hausdorff_matches_dense_on_separation_frames(monkeypatch):
@@ -730,11 +730,10 @@ def test_graph_hausdorff_matches_dense_on_separation_frames(monkeypatch):
     base, target = run_flows(starts, "rmcf", 3.0, frame_dtau=0.1,
                              gauge="area-centroid")
     trace = frequency.monitor(base, target)
-    assert len(trace.graphs) == len(trace.pairs) > 20
-    for graph, (i, j) in zip(trace.graphs, trace.pairs):
-        assert graph.base is base.curves[i]
-        got = graph_hausdorff(graph, target.curves[j])
-        assert abs(got - hausdorff_distance(base.curves[i], target.curves[j])) \
+    assert len(trace.fields) == len(base) - 2 > 20
+    for j, u in enumerate(trace.fields, start=1):
+        got = graph_hausdorff(base.curves[j], u, target.curves[j])
+        assert abs(got - hausdorff_distance(base.curves[j], target.curves[j])) \
             <= 1e-15
 
 
@@ -749,24 +748,23 @@ def test_graph_hausdorff_falls_back_off_its_conditions(monkeypatch):
     t = grid(128)
     # in reach over a convex base: closed form
     base = circle(1.0, m=128)
-    graph = GraphFunction(base, 0.02 * np.cos(3 * t))
-    assert abs(graph_hausdorff(graph, reconstruct(base, graph.values))
-               - 0.02) <= 1e-15
+    u = 0.02 * np.cos(3 * t)
+    assert abs(graph_hausdorff(base, u, reconstruct(base, u)) - 0.02) <= 1e-15
     assert calls == []
     # a height of 0.6 over circle(1) (reach 1): beyond half of either reach
     for height in (0.6, -0.6):
-        graph = GraphFunction(base, np.full(128, height))
-        target = reconstruct(base, graph.values)
-        assert graph_hausdorff(graph, target) == hausdorff_distance(base, target)
+        u = np.full(128, height)
+        target = reconstruct(base, u)
+        assert graph_hausdorff(base, u, target) == hausdorff_distance(base, target)
     assert len(calls) == 2
     # beyond half the reach of a base that is not convex: the support
     # functions do not measure it
     base = dented()
-    graph = GraphFunction(base, np.full(128, 0.3))
+    u = np.full(128, 0.3)
     assert 0.3 >= 0.5 / geometry(base).curvature.max()
-    target = reconstruct(base, graph.values)
+    target = reconstruct(base, u)
     with pytest.raises(InvalidCurve, match="convex"):
-        graph_hausdorff(graph, target)
+        graph_hausdorff(base, u, target)
     assert len(calls) == 3 and calls[-1] == (base, target)
 
 

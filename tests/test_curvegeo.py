@@ -19,6 +19,7 @@ from shrinkerlab.curvegeo import (
     random_fourier,
     resample,
     shrinker_quantity,
+    support_function,
 )
 from shrinkerlab.errors import DegenerateCurve, InvalidCurve
 
@@ -217,6 +218,20 @@ def test_hausdorff_symmetric_and_zero_on_self():
     b = circle(1.2, m=64)
     assert hausdorff_distance(a, a) <= 4.0 * EPS * np.abs(a.points).max()
     assert hausdorff_distance(a, b) == hausdorff_distance(b, a)
+
+
+def test_support_function_of_an_ellipse():
+    # x = (a cos t, b sin t) is its own interpolant: h, h' and the radius
+    # of curvature rho match the closed forms in the normal angle alpha
+    a, b = 2.0, 0.5
+    alpha = np.linspace(0.0, 2.0 * np.pi, 97)
+    h, dh, rho = support_function(ellipse(a, b, m=64))(np.cos(alpha),
+                                                        np.sin(alpha))
+    q = a * a * np.cos(alpha) ** 2 + b * b * np.sin(alpha) ** 2
+    assert np.abs(h - np.sqrt(q)).max() <= 1e-14
+    assert np.abs(dh - (b * b - a * a) * np.sin(alpha) * np.cos(alpha)
+                  / np.sqrt(q)).max() <= 1e-13
+    assert np.abs(rho - (a * b) ** 2 / q ** 1.5).max() <= 1e-11
 
 
 # ---------------------------------------------------------------------------

@@ -283,8 +283,9 @@ def test_monitor_real_two_flow_run():
 
 
 def test_monitor_columns_equal_public_helpers():
-    # the monitor's base half is approach_series of its paired base frames,
-    # number for number; its pair columns are the form and the residual
+    # the monitor's base half is approach_series of its base trajectory,
+    # number for number; its graph columns are the form and the residual of
+    # frame j of one flow written over frame j of the other
     a = run_rmcf(normalized_perturbed_circle(0.03, m=96), 1.0,
                  frame_dtau=0.05)
     b = run_rmcf(normalized_perturbed_circle(-0.02, m=96), 1.0,
@@ -302,8 +303,9 @@ def test_monitor_columns_equal_public_helpers():
         j = r + 1
         assert a.times[j] == tau and b.times[j] == tau
         base = a.curves[j]
-        u = [normal_graph(a.curves[i], b.curves[i]).values
+        u = [normal_graph(a.curves[i], b.curves[i])
              for i in (j - 1, j, j + 1)]
+        assert np.array_equal(trace.fields[r], u[1])
         span = a.times[j + 1] - a.times[j - 1]
         assert cols["I"][r] == np.sum(gaussian_weights(base) * u[1] * u[1])
         assert cols["U"][r] == 2.0 * assemble(base).form(u[1], u[1]) \
@@ -326,6 +328,18 @@ def test_monitor_needs_overlap():
                              curves=base_traj.curves)
     with pytest.raises(FrameMissing):
         monitor(base_traj, shifted)
+
+
+def test_monitor_pairs_frames_only_at_equal_times():
+    # frames pair by index, so one moved time of two equal-length
+    # trajectories is an error, not a skipped frame
+    base, base_traj = static_round_traj(8)
+    times = list(base_traj.times)
+    times[3] += 1e-12
+    moved = FlowTrajectory(picture="rmcf", m=128, times=times,
+                           curves=base_traj.curves)
+    with pytest.raises(FrameMissing, match="frame times"):
+        monitor(base_traj, moved)
 
 
 def test_trace_serialization(tmp_path):

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from shrinkerlab.curvegeo import circle, fourier_curve, gaussian_weights, geometry, random_fourier
+from shrinkerlab.curvegeo import (circle, ellipse, fourier_curve, gaussian_weights,
+                                 geometry, random_fourier)
 from shrinkerlab.errors import NotAGraph
 from shrinkerlab.flowcore import run_rmcf
 from shrinkerlab.gauge import (
-    GraphFunction,
     apply_L,
     arc_derivatives,
     normal_graph,
@@ -32,7 +32,7 @@ def test_graph_concentric_circles():
     for r in (SQRT2 - 0.2, SQRT2, SQRT2 + 0.25):
         u = normal_graph(base, circle(r, m=128))
         # inner normal: height is sqrt(2) - r
-        assert np.allclose(u.values, SQRT2 - r, atol=1e-12)
+        assert np.allclose(u, SQRT2 - r, atol=1e-12)
 
 
 def test_graph_reconstruct_round_trip():
@@ -40,14 +40,14 @@ def test_graph_reconstruct_round_trip():
     u0 = mode(base, 3, 0.08) + mode(base, 5, 0.02, "sin")
     target = reconstruct(base, u0)
     u = normal_graph(base, target)
-    assert np.abs(u.values - u0).max() < 1e-12
+    assert np.abs(u - u0).max() < 1e-12
 
 
 def test_graph_different_sampling():
     # target sampled differently still produces the same graph
     base = circle(SQRT2, m=128)
     u = normal_graph(base, circle(1.2, m=96))
-    assert np.allclose(u.values, SQRT2 - 1.2, atol=1e-12)
+    assert np.allclose(u, SQRT2 - 1.2, atol=1e-12)
 
 
 def test_graph_out_of_reach():
@@ -69,10 +69,11 @@ def test_graph_height_cap():
         normal_graph(base, circle(1.0, m=64), reach=0.8)  # |u| = 0.41 >= 0.4
 
 
-def test_graph_function_validates_shape():
-    base = circle(1.0, m=64)
-    with pytest.raises(ValueError):
-        GraphFunction(base=base, values=np.zeros(32))
+def test_normal_graph_returns_one_height_per_base_node():
+    base = ellipse(1.5, 1.2, m=96)
+    u = normal_graph(base, circle(SQRT2, m=64))
+    assert isinstance(u, np.ndarray)
+    assert u.shape == (96,) and u.dtype == float
 
 
 def test_seminorms_closed_form():
@@ -162,8 +163,7 @@ def test_residual_quadratic_smallness_on_true_flow():
         start = reconstruct(base, mode(base, 2, amp))
         traj = run_rmcf(start, 2 * dtau, frame_dtau=dtau)
         graphs = [normal_graph(base, c) for c in traj.curves]
-        rep = residual(base, graphs[0].values, graphs[1].values,
-                       graphs[2].values, dtau)
+        rep = residual(base, graphs[0], graphs[1], graphs[2], dtau)
         assert rep.fitted_c < 0.2
         cs[amp] = rep.fitted_c
     assert cs[3e-2] / cs[3e-3] > 3.0

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from shrinkerlab import frequency, labcli, spectral
+from shrinkerlab import labcli, spectral
 from shrinkerlab.curvegeo import circle, ellipse, hausdorff_distance
 from shrinkerlab.errors import ConfigInvalid, ConvergenceFailure
 from shrinkerlab.flowcore import FlowTrajectory, run_rmcf
@@ -308,6 +308,17 @@ def test_rate_mode12_slope(tmp_path):
     assert summary["verdict"] == "consistent"
 
 
+def test_rate_of_an_ellipse_beyond_the_round_reach(tmp_path):
+    """A 1.6:1 ellipse is no normal graph over circle(sqrt 2); its support
+    function still finds mode 2."""
+    summary = run(validate_config({
+        "scenario": "rate", "curve1": "ellipse(1.6, 0.625)", "m": "256",
+        "out": str(tmp_path / "rate"), "tau_end": "6"}))
+    assert summary["dominantMode"] == 2
+    assert abs(summary["dhSlope"] + 1.0) <= 0.05
+    assert summary["verdict"] == "consistent"
+
+
 def test_rate_dh_is_the_distance_to_the_sampled_round_limit(tmp_path):
     """The closed form against h = sqrt(2) is the two-curve distance to
     circle(sqrt 2) at the run's m, on every frame of a rate flow."""
@@ -445,35 +456,38 @@ out = %s
 
 
 def test_separation_dh_rows_use_the_monitor_frame_pairs(tmp_path, monkeypatch):
-    """Each dH row reads the graph of the two frames the monitor paired,
-    also when the paired target times sit more than 1e-9 below the base
-    times."""
-    flows, calls = [], []
-    run_flows, graph_hausdorff = labcli.run_flows, labcli.graph_hausdorff
+    """dH row r reads interior frame r + 1 of both flows and the graph the
+    monitor wrote between those two frames."""
+    flows, traces, calls = [], [], []
+    run_flows, monitor = labcli.run_flows, labcli.monitor
+    graph_hausdorff = labcli.graph_hausdorff
 
-    def run_flows_early_target(*args, **kwargs):
-        base, target = run_flows(*args, **kwargs)
-        # within the monitor's pairing tolerance 1e-9 (1 + tau)
-        assert len(target.times) == len(base.times)
-        target.times = [t - 0.9e-9 * (1.0 + t) for t in base.times]
-        flows.extend((base, target))
-        return base, target
+    def recorded_flows(*args, **kwargs):
+        pair = run_flows(*args, **kwargs)
+        flows.extend(pair)
+        return pair
 
-    def recorded(graph, target):
-        calls.append((graph.base, target))
-        return graph_hausdorff(graph, target)
+    def recorded_monitor(*args, **kwargs):
+        traces.append(monitor(*args, **kwargs))
+        return traces[-1]
 
-    monkeypatch.setattr(labcli, "run_flows", run_flows_early_target)
+    def recorded(base, u, target):
+        calls.append((base, u, target))
+        return graph_hausdorff(base, u, target)
+
+    monkeypatch.setattr(labcli, "run_flows", recorded_flows)
+    monkeypatch.setattr(labcli, "monitor", recorded_monitor)
     monkeypatch.setattr(labcli, "graph_hausdorff", recorded)
     run(validate_config({
         "scenario": "separation", "curve1": "ellipse(1.1, 0.9090909090909091)",
         "curve2": "ellipse(1.05, 0.9523809523809523)", "m": "64",
         "out": str(tmp_path / "sep"), "tau_end": "3", "frame_dtau": "0.05"}))
     base, target = flows
-    pairs = frequency._common_frames(base, target)[1:-1]
-    assert len(pairs) > 20 and len(calls) == len(pairs)
-    for (a, b), (i, j) in zip(calls, pairs):
-        assert a is base.curves[i] and b is target.curves[j]
+    (trace,) = traces
+    assert len(base) > 22 and len(calls) == len(base) - 2
+    for j, (a, u, b) in enumerate(calls, start=1):
+        assert a is base.curves[j] and b is target.curves[j]
+        assert u is trace.fields[j - 1]
 
 
 def test_separation_cross_resolution_slope(separation_result, tmp_path):
@@ -697,7 +711,22 @@ frame_dtau = 0.05
 """ % (tmp_path / "sep"))
     assert main(["separation", "--config", path]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert err == ["error: only 3 common frames between the trajectories"]
+    assert err == ["error: need at least 5 frames, got 3"]
+
+
+def test_main_gauge_residual_not_a_graph_names_the_amplitude(tmp_path,
+                                                             capsys):
+    path = write_config(tmp_path, """
+scenario = gauge-residual
+curve1 = circle(1.4142135623730951)
+amplitudes = 0.01, 0.5
+m = 64
+out = %s
+""" % (tmp_path / "res"))
+    assert main(["gauge-residual", "--config", path]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: amplitude 0.5: no target point within reach/2 "
+                   "along normal 0"]
 
 
 def test_main_eigensolver_nonconvergence_is_typed(tmp_path, capsys,
@@ -767,7 +796,8 @@ out = %s
 
 def test_main_separation_pair_that_is_not_a_graph_is_typed(tmp_path, capsys):
     """An elongated flow against a round one is no normal graph over it: the
-    monitor's typed NotAGraph reaches the CLI as one line, before any dH."""
+    monitor's typed NotAGraph reaches the CLI as one line that names the
+    frame, before any dH."""
     path = write_config(tmp_path, """
 scenario = separation
 curve1 = ellipse(2, 0.5)
@@ -779,7 +809,8 @@ out = %s
 """ % (tmp_path / "x"))
     assert main(["separation", "--config", path]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert err == ["error: no target point within reach/2 along normal 0"]
+    assert err == ["error: frame pair at tau = 0: no target point within "
+                   "reach/2 along normal 0"]
 
 
 def test_main_rate_curve_with_negative_polar_radius_is_typed(tmp_path, capsys):
@@ -845,8 +876,8 @@ out = %s
         [sys.executable, "-m", "shrinkerlab.labcli", "rate", "--config", path],
         capture_output=True, text=True, env=src_env(), timeout=120)
     assert proc.returncode == 1
-    assert proc.stderr.splitlines()[-1] == (
-        "error: run scenarios with `python -m shrinkerlab`")
+    assert proc.stderr.splitlines() == [
+        "error: run scenarios with `python -m shrinkerlab`"]
     assert proc.stdout == ""
     assert not (tmp_path / "x").exists()
 
