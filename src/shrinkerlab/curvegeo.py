@@ -72,13 +72,15 @@ def segment_lengths(points: np.ndarray) -> np.ndarray:
 
 
 def star_angles(points: np.ndarray):
-    """Vertex mean and polar angles about it, or None if not star-shaped.
+    """(c, sorted polar angles about c, the roll j0 that sorts them) for the
+    vertex mean c of the polyline, or None if it is not star-shaped about c.
 
     Star-shaped here is a sufficient simplicity test, O(m): the polar
     angles about the mean must advance strictly, each step under pi,
     winding exactly once. Then every ray from the mean meets the polyline
     once, so it cannot cross itself, and segment i lies in the angular
-    sector between its end vertices.
+    sector between its end vertices: sector k of the sorted order, from
+    sorted vertex k to k + 1, is segment (k + j0) mod m.
     """
     c = points.mean(axis=0)
     ang = np.arctan2(points[:, 1] - c[1], points[:, 0] - c[0])
@@ -87,44 +89,136 @@ def star_angles(points: np.ndarray):
         return None
     if abs(float(step.sum()) - 2.0 * np.pi) >= 1e-9:
         return None
-    return c, ang
+    j0 = int(np.argmin(ang))
+    return c, np.roll(ang, -j0), j0
 
 
-#: rows per block in the all-pairs simplicity scan, which bounds its
-#: temporaries to a few (_BLOCK, m) arrays
-_BLOCK = 256
+#: the crossing search runs in blocks of whole rows of at most _ROWS x m_t
+#: candidate pairs: _ROWS rows when every row is full, all of them at once
+#: when each row holds a few segments
+_ROWS = 256
+
+
+def _windows(j, x, nu, half: float, m_t: int, sectors):
+    """(first, count): the run of polyline segments first, first + 1, ...
+    (count of them, mod m_t) that segment j, x_j +- half nu_j, may cross.
+
+    If the polyline is star-shaped about its vertex mean c (`sectors` its
+    `star_angles`), segment i lies in the angular sector between its end
+    vertices, and every point of segment j lies on the arc between the
+    angles of its two end points (the shorter one; when the segment passes
+    through c, its crossings sit at the ends of either half-turn). Row j
+    takes the segments whose sectors meet that arc, widened by one segment
+    on each side for crossings within the s-slack of a segment end. A row
+    takes every segment when that range would cover them all, and every
+    row does when `sectors` is None.
+    """
+    count = np.full(j.size, m_t)
+    first = np.zeros(j.size, dtype=np.intp)
+    if sectors is not None:
+        c, sorted_ang, j0 = sectors
+        e0 = x[j] - half * nu[j] - c
+        e1 = x[j] + half * nu[j] - c
+        a0 = np.arctan2(e0[:, 1], e0[:, 0])
+        a1 = np.arctan2(e1[:, 1], e1[:, 0])
+        # the shorter arc runs counterclockwise from a0 to a1 (the sign of a
+        # difference is exact; a wrapped one flips it)
+        turn = a1 - a0
+        ccw = np.where(np.abs(turn) <= np.pi, turn >= 0.0, turn < 0.0)
+        k_lo = np.searchsorted(sorted_ang, np.where(ccw, a0, a1)) - 1
+        k_hi = np.searchsorted(sorted_ang, np.where(ccw, a1, a0)) - 1
+        # sectors k_lo..k_hi, and one more on each side
+        span = (k_hi - k_lo) % m_t + 3
+        windowed = span < m_t
+        count[windowed] = span[windowed]
+        first[windowed] = (k_lo[windowed] - 1 + j0) % m_t
+    return first, count
+
+
+def _pairs(j, first, count, m_t: int):
+    """(rows, cols): every pair of a row j and a segment of its window."""
+    offsets = np.cumsum(count) - count
+    rows = np.repeat(j, count)
+    cols = (np.arange(rows.size) + np.repeat(first - offsets, count)) % m_t
+    return rows, cols
+
+
+def _crossings(rows, cols, x, nu, half: float, p, d):
+    """(rows, cols, u, s) of every crossing x_j + u nu_j = p_i + s d_i of the
+    candidate pairs (j, i), rows and cols broadcast against each other,
+    with |u| < half and s in [0, 1] up to 1e-9."""
+    rx = p[cols, 0] - x[rows, 0]
+    ry = p[cols, 1] - x[rows, 1]
+    dx = d[cols, 0]
+    dy = d[cols, 1]
+    nx = nu[rows, 0]
+    ny = nu[rows, 1]
+    den = nx * dy - ny * dx
+    ok = np.abs(den) > 1e-14
+    den[~ok] = 1.0
+    u = (rx * dy - ry * dx) / den
+    s = (rx * ny - ry * nx) / den
+    hit = ok & (s >= -1e-9) & (s <= 1.0 + 1e-9) & (np.abs(u) < half)
+    rows, cols = np.broadcast_arrays(rows, cols)
+    return rows[hit], cols[hit], u[hit], s[hit]
+
+
+def crossings(x, nu, half: float, p, sectors):
+    """(rows, cols, u, s) of every crossing x_j + u nu_j = p_i + s d_i of a
+    segment x_j +- half nu_j with a segment of the closed polyline p,
+    d_i = p_{i+1} - p_i, with |u| < half and s in [0, 1] up to 1e-9.
+
+    Row j is tested exactly against the segments of its `_windows`, whose
+    `sectors` are the `star_angles` of p (None: every segment), in blocks of
+    whole rows holding at most _ROWS x m_t candidate pairs, so memory stays
+    O(_ROWS m_t); a block whose rows all take every segment tests one
+    (rows, 1) x (1, m_t) grid.
+    """
+    m_t = p.shape[0]
+    d = np.roll(p, -1, axis=0) - p
+    idx = np.arange(x.shape[0])
+    first, width = _windows(idx, x, nu, half, m_t, sectors)
+    ends = np.cumsum(width)
+    blocks = []
+    lo = start = 0
+    while lo < idx.size:
+        hi = int(np.searchsorted(ends, start + _ROWS * m_t, side="right"))
+        if (width[lo:hi] == m_t).all():
+            pairs = idx[lo:hi, None], np.arange(m_t)[None, :]
+        else:
+            pairs = _pairs(idx[lo:hi], first[lo:hi], width[lo:hi], m_t)
+        blocks.append(_crossings(*pairs, x, nu, half, p, d))
+        lo, start = hi, ends[hi - 1]
+    return tuple(np.concatenate(a) for a in zip(*blocks))
 
 
 def _has_self_intersection(points: np.ndarray) -> bool:
     """Proper-crossing test over all non-adjacent segment pairs.
 
     A star-shapedness pre-pass dispatches the overwhelmingly common convex
-    and near-convex inputs in O(m); only the rest pay the O(m^2) scan, in
-    blocks of _BLOCK segments against all others.
+    and near-convex inputs in O(m). The rest pay one `crossings` search of
+    the polyline's own segments, each doubled about its midpoint so that
+    rounding cannot drop a crossing at its ends, scaled exactly to lengths
+    at most 1 so the parallel cut of `_crossings` is one on the angle. A
+    non-adjacent pair found counts when the ends of each segment lie
+    strictly on both sides of the other's line: a vertex that touches
+    another segment is not a crossing.
     """
     if star_angles(points) is not None:
         return False
     m = points.shape[0]
-    p = points
-    q = np.roll(points, -1, axis=0)
+    p = np.ldexp(points, -np.frexp(segment_lengths(points).max())[1])
+    q = np.roll(p, -1, axis=0)
     d = q - p
-    idx = np.arange(m)
-    j = idx[None, :]
+    j, i, _, _ = crossings(p + 0.5 * d, d, 1.0, p, None)
 
-    def side(a, b, ends):
-        """cross(d_a, ends_b - p_a), broadcast over the index arrays a, b."""
-        return d[a, 0] * (ends[b, 1] - p[a, 1]) - d[a, 1] * (ends[b, 0] - p[a, 0])
+    def straddles(a, b):  # the ends of segment b, strictly apart by line a
+        s0 = d[a, 0] * (p[b, 1] - p[a, 1]) - d[a, 1] * (p[b, 0] - p[a, 0])
+        s1 = d[a, 0] * (q[b, 1] - p[a, 1]) - d[a, 1] * (q[b, 0] - p[a, 0])
+        return s0 * s1 < 0.0
 
-    for lo in range(0, m, _BLOCK):
-        i = idx[lo:lo + _BLOCK, None]
-        # segment j straddles the line of segment i, and the other way round
-        cross = ((side(i, j, p) * side(i, j, q) < 0.0)
-                 & (side(j, i, p) * side(j, i, q) < 0.0))
-        adj = np.abs(i - j) % m
-        cross[(adj == 0) | (adj == 1) | (adj == m - 1)] = False
-        if cross.any():
-            return True
-    return False
+    apart = ((j - i) % m > 1) & ((i - j) % m > 1)
+    return bool(np.any(apart & straddles(j, i) & straddles(i, j)))
 
 
 class DiscreteCurve:
@@ -142,12 +236,12 @@ class DiscreteCurve:
     Notes
     -----
     Orientation is normalized: if the input winds clockwise the node order is
-    reversed, so `counterclockwise` is always True afterwards and curvature of
+    reversed, so the curve is counterclockwise afterwards and curvature of
     convex curves is positive. Points are stored read-only; operations return
     new curves.
     """
 
-    __slots__ = ("points", "m", "counterclockwise", "_cache")
+    __slots__ = ("points", "m", "_cache")
 
     def __init__(self, points, *, validate: bool = True):
         pts = np.array(points, dtype=float)
@@ -175,7 +269,6 @@ class DiscreteCurve:
         pts.flags.writeable = False
         self.points = pts
         self.m = m
-        self.counterclockwise = True
         self._cache = {}
 
     # -- basic derived quantities ------------------------------------------
@@ -222,8 +315,6 @@ class GeometryFields:
         Inner unit normal (tangent rotated +90 degrees; CCW orientation).
     curvature : (m,) ndarray
         Signed curvature H; positive on convex curves.
-    norm_sq_a : (m,) ndarray
-        |A|^2 = H^2 for plane curves.
     arclength_weights : (m,) ndarray
         Quadrature weights (2*pi/m) * metric_speed; they sum to the length
         of the interpolated curve.
@@ -234,7 +325,6 @@ class GeometryFields:
     tangent: np.ndarray
     normal: np.ndarray
     curvature: np.ndarray
-    norm_sq_a: np.ndarray
     arclength_weights: np.ndarray
     metric_speed: np.ndarray
 
@@ -252,7 +342,6 @@ def geometry_rows(d1: np.ndarray, d2: np.ndarray) -> GeometryFields:
         tangent=tangent,
         normal=normal,
         curvature=curvature,
-        norm_sq_a=curvature * curvature,
         arclength_weights=(TWO_PI / g.size) * g,
         metric_speed=g,
     )

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fourier, spectral
-from .curvegeo import (TWO_PI, DiscreteCurve, geometry, hausdorff_distance,
-                       refined_extremes, star_angles)
+from .curvegeo import (TWO_PI, DiscreteCurve, crossings, geometry,
+                       hausdorff_distance, refined_extremes, star_angles)
 from .errors import NotAGraph
 
 #: relative u-gap below which two normal-line hits count as the same point
@@ -50,95 +50,14 @@ def reconstruct(base: DiscreteCurve, values) -> DiscreteCurve:
     return DiscreteCurve(base.points + values[:, None] * normal)
 
 
-#: the crossing search runs in blocks of whole rows of at most _ROWS x
-#: m_target candidate pairs: _ROWS normals when every row is full, all of
-#: them at once when each row holds a few segments
-_ROWS = 256
-
-
-def _sectors(p):
-    """(c, sorted polar angles about c, the roll j0 that sorts them) for the
-    vertex mean c of the polyline p, or None if p is not star-shaped about c."""
-    polar = star_angles(p)
-    if polar is None:
-        return None
-    c, ang = polar
-    j0 = int(np.argmin(ang))
-    return c, np.roll(ang, -j0), j0
-
-
-def _windows(j, x, nu, half: float, m_t: int, sectors):
-    """(first, count): the run of target segments first, first + 1, ...
-    (count of them, mod m_t) that base normal j may cross.
-
-    If the target is star-shaped about its vertex mean c, segment i lies in
-    the angular sector between its end vertices, and every point of normal
-    segment j, x_j +- half nu_j, lies on the arc between the angles of its
-    two end points (the shorter one; when the segment passes through c,
-    its crossings sit at the ends of either half-turn). Row j takes the
-    segments whose sectors meet that arc, widened by one segment on each
-    side for crossings within the s-slack of a segment end. A row takes
-    every segment when that range would cover them all, and every row does
-    when the target is not star-shaped (`sectors` None).
-    """
-    count = np.full(j.size, m_t)
-    first = np.zeros(j.size, dtype=np.intp)
-    if sectors is not None:
-        c, sorted_ang, j0 = sectors
-        e0 = x[j] - half * nu[j] - c
-        e1 = x[j] + half * nu[j] - c
-        a0 = np.arctan2(e0[:, 1], e0[:, 0])
-        a1 = np.arctan2(e1[:, 1], e1[:, 0])
-        # the shorter arc runs counterclockwise from a0 to a1 (the sign of a
-        # difference is exact; a wrapped one flips it)
-        turn = a1 - a0
-        ccw = np.where(np.abs(turn) <= np.pi, turn >= 0.0, turn < 0.0)
-        # sector k of the sorted order runs from sorted vertex k to k + 1:
-        # it is segment (k + j0) mod m_t
-        k_lo = np.searchsorted(sorted_ang, np.where(ccw, a0, a1)) - 1
-        k_hi = np.searchsorted(sorted_ang, np.where(ccw, a1, a0)) - 1
-        # sectors k_lo..k_hi, and one more on each side
-        span = (k_hi - k_lo) % m_t + 3
-        windowed = span < m_t
-        count[windowed] = span[windowed]
-        first[windowed] = (k_lo[windowed] - 1 + j0) % m_t
-    return first, count
-
-
-def _pairs(j, first, count, m_t: int):
-    """(rows, cols): every pair of a normal j and a segment of its window."""
-    offsets = np.cumsum(count) - count
-    rows = np.repeat(j, count)
-    cols = (np.arange(rows.size) + np.repeat(first - offsets, count)) % m_t
-    return rows, cols
-
-
-def _crossings(rows, cols, x, nu, half: float, p, d):
-    """(rows, cols, u, s) of every crossing x_j + u nu_j = p_i + s d_i of the
-    candidate pairs (j, i) with |u| < half and s in [0, 1] up to 1e-9."""
-    rx = p[cols, 0] - x[rows, 0]
-    ry = p[cols, 1] - x[rows, 1]
-    dx = d[cols, 0]
-    dy = d[cols, 1]
-    nx = nu[rows, 0]
-    ny = nu[rows, 1]
-    den = nx * dy - ny * dx
-    ok = np.abs(den) > 1e-14
-    safe_den = np.where(ok, den, 1.0)
-    u = (rx * dy - ry * dx) / safe_den
-    s = (rx * ny - ry * nx) / safe_den
-    hit = ok & (s >= -1e-9) & (s <= 1.0 + 1e-9) & (np.abs(u) < half)
-    return rows[hit], cols[hit], u[hit], s[hit]
-
-
 def normal_graph(base: DiscreteCurve, target: DiscreteCurve,
                  reach: float | None = None) -> np.ndarray:
     """The (m,) heights u that write `target` as a normal graph over `base`.
 
-    Each base normal line is intersected with the target polyline (exact
-    segment test over the candidate segments of `_windows`, all crossings
-    found, in blocks of at most _ROWS x m_target pairs); the unique
-    crossing with |u| below reach/2 seeds a 2x2 Newton iteration on the
+    Each base normal segment x +- (reach/2) nu is intersected with the
+    target polyline by `curvegeo.crossings`, over the target segments whose
+    polar sectors its sweep meets (every segment when the target is not
+    star-shaped); the unique crossing seeds a 2x2 Newton iteration on the
     target's trigonometric interpolant. NotAGraph if a normal line finds
     no crossing or more than one within the window, or if the final
     height reaches reach/2.
@@ -152,20 +71,8 @@ def normal_graph(base: DiscreteCurve, target: DiscreteCurve,
     x = base.points
     nu = base_geom.normal
     p = target.points
-    d = np.roll(p, -1, axis=0) - p
     m = base.m
-    m_t = target.m
-    idx = np.arange(m)
-    first, width = _windows(idx, x, nu, half, m_t, _sectors(p))
-    ends = np.cumsum(width)
-    blocks = []
-    lo = start = 0
-    while lo < m:
-        hi = int(np.searchsorted(ends, start + _ROWS * m_t, side="right"))
-        pairs = _pairs(idx[lo:hi], first[lo:hi], width[lo:hi], m_t)
-        blocks.append(_crossings(*pairs, x, nu, half, p, d))
-        lo, start = hi, ends[hi - 1]
-    rows, cols, uvals, svals = (np.concatenate(a) for a in zip(*blocks))
+    rows, cols, uvals, svals = crossings(x, nu, half, p, star_angles(p))
 
     tol = _CLUSTER_TOL * (1.0 + reach)
     counts = np.bincount(rows, minlength=m)

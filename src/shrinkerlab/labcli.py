@@ -91,8 +91,8 @@ def parse_config(path) -> dict:
 _CURVE_RE = re.compile(r"([a-z_]+)\s*\(([^()]*)\)")
 
 
-def _parse_curve(text: str, key: str):
-    """Validate one curve spec string; returns (builder name, float args)."""
+def _parse_curve(text: str, key: str, m: int):
+    """Validate one curve spec string at m nodes; returns (name, float args)."""
     match = _CURVE_RE.fullmatch(text.strip())
     if match is None:
         raise ConfigInvalid("curve spec must look like name(a, b, ...): %r" % text,
@@ -104,6 +104,8 @@ def _parse_curve(text: str, key: str):
         args = tuple(float(p) for p in parts)
     except ValueError:
         raise ConfigInvalid("curve arguments must be numbers: %r" % text, field=key)
+    if not all(map(math.isfinite, args)):
+        raise ConfigInvalid("curve arguments must be finite: %r" % text, field=key)
     if name == "circle":
         if len(args) not in (1, 3) or args[0] <= 0:
             raise ConfigInvalid("circle takes (r) or (r, cx, cy) with r > 0", field=key)
@@ -116,9 +118,11 @@ def _parse_curve(text: str, key: str):
             raise ConfigInvalid("fourier takes (r0, c1, s1, c2, s2, ...) with r0 > 0",
                                 field=key)
     elif name == "random_fourier":
-        if len(args) != 2 or args[0] != int(args[0]) or args[0] < 2 or args[1] <= 0:
-            raise ConfigInvalid("random_fourier takes (kmax, amplitude) with "
-                                "integer kmax >= 2 and amplitude > 0", field=key)
+        # modes above m/2 would alias onto lower ones on the m-point grid
+        if len(args) != 2 or args[0] != int(args[0]) or not 2 <= args[0] <= m / 2 \
+                or args[1] <= 0:
+            raise ConfigInvalid("random_fourier takes (kmax, amplitude) with integer "
+                                "2 <= kmax <= m/2 and amplitude > 0", field=key)
     else:
         raise ConfigInvalid("unknown curve builder %r" % name, field=key)
     return name, args
@@ -222,9 +226,8 @@ def validate_config(raw: dict) -> ScenarioConfig:
     seed = _as_int(raw, "seed")
     if seed is not None and seed < 0:
         raise ConfigInvalid("must be nonnegative, got %d" % seed, field="seed")
-    specs = [_parse_curve(raw["curve1"], "curve1")]
-    if "curve2" in raw:
-        specs.append(_parse_curve(raw["curve2"], "curve2"))
+    specs = [_parse_curve(raw[key], key, m)
+             for key in ("curve1", "curve2") if key in raw]
     if seed is None and any(name == "random_fourier" for name, _ in specs):
         raise ConfigInvalid("random_fourier curves need an explicit seed",
                             field="seed")

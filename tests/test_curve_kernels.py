@@ -1,7 +1,8 @@
 """The curve-to-curve kernels against all-pairs and dense oracles.
 
 `gauge.normal_graph` searches only candidate target segments found by polar
-angle, and the all-pairs simplicity scan of `curvegeo` runs in row blocks.
+angle, and both it and the simplicity scan of `curvegeo` run the one
+crossing search, `curvegeo.crossings`, in row blocks.
 Neither may change a result: each is compared here with `np.array_equal`
 (or `==`) against a copy of the straightforward all-pairs formulation it
 replaced. The distances of `curvegeo` and `gauge.graph_hausdorff` are exact
@@ -21,16 +22,16 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 from scipy.spatial import cKDTree
 
-from shrinkerlab import fourier, frequency, gauge, labcli
-from shrinkerlab.curvegeo import (TWO_PI, DiscreteCurve,
-                                  _has_self_intersection, circle,
+from shrinkerlab import curvegeo, fourier, frequency, gauge, labcli
+from shrinkerlab.curvegeo import (_ROWS, TWO_PI, DiscreteCurve,
+                                  _has_self_intersection, _windows, circle,
                                   distance_to_circle, ellipse, fourier_curve,
                                   geometry, hausdorff_distance, random_fourier,
                                   resample, star_angles)
 from shrinkerlab.errors import InvalidCurve, NotAGraph
 from shrinkerlab.flowcore import run_flows, run_rmcf
-from shrinkerlab.gauge import (_sectors, _windows,
-                              graph_hausdorff, normal_graph, reconstruct)
+from shrinkerlab.gauge import (graph_hausdorff, normal_graph,
+                              reconstruct)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -248,7 +249,7 @@ def test_normal_graph_matches_all_pairs_oracle(case):
 
 def test_non_star_case_takes_full_rows():
     # so its oracle comparison above covers the full-row path
-    assert _sectors(_non_star()[1].points) is None
+    assert star_angles(_non_star()[1].points) is None
 
 
 @pytest.mark.parametrize("base, target, reach, text", [
@@ -283,20 +284,21 @@ def test_normal_graph_search_is_linear_in_m():
     # each normal meets one or two sectors, plus one on each side; a row
     # that fell back to every segment would cost O(m) on its own
     _, width = _windows(np.arange(m), base.points, geometry(base).normal,
-                        half, m, _sectors(target.points))
+                        half, m, star_angles(target.points))
     assert width.max() <= 4
 
 
 def counted_crossings(monkeypatch):
-    """The pair count of every `gauge._crossings` block, in call order."""
+    """The candidate pair count of every `curvegeo._crossings` block, in
+    call order: rows and cols broadcast against each other."""
     sizes = []
-    crossings = gauge._crossings
+    crossings = curvegeo._crossings
 
-    def counted(rows, *args):
-        sizes.append(rows.size)
-        return crossings(rows, *args)
+    def counted(rows, cols, *args):
+        sizes.append(np.broadcast(rows, cols).size)
+        return crossings(rows, cols, *args)
 
-    monkeypatch.setattr(gauge, "_crossings", counted)
+    monkeypatch.setattr(curvegeo, "_crossings", counted)
     return sizes
 
 
@@ -325,8 +327,7 @@ def test_non_star_graph_takes_full_rows_in_blocks(monkeypatch):
         tracemalloc.stop()
     assert peak < 8e6
     m_t = target.m
-    assert sizes == [gauge._ROWS * m_t, gauge._ROWS * m_t,
-                     (640 - 2 * gauge._ROWS) * m_t]
+    assert sizes == [_ROWS * m_t, _ROWS * m_t, (640 - 2 * _ROWS) * m_t]
     assert np.array_equal(got, oracle_normal_graph(base, target))
 
 
@@ -769,15 +770,60 @@ def test_graph_hausdorff_falls_back_off_its_conditions(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# blocked all-pairs simplicity scan
+# simplicity scan: one `curvegeo.crossings` search of a polyline's own segments
+
+def shallow_figure_eight(m):
+    """A figure eight whose arms cross at about 0.05 rad between nodes."""
+    t = grid(m) + 0.3 * TWO_PI / m
+    return np.column_stack([np.sin(2 * t), 0.05 * np.sin(t)])
+
+
+def c_shape(n, gap):
+    """An annular arc of radii 0.6 and 1 whose radial end caps come within
+    `gap` of each other at the inner radius (they cross for gap < 0)."""
+    a = math.asin(0.5 * gap / 0.6)
+    t = np.linspace(a, TWO_PI - a, n)
+    arc = np.column_stack([np.cos(t), np.sin(t)])
+    return np.concatenate([arc, 0.6 * arc[::-1]])
+
 
 def test_blocked_self_intersection_matches_unblocked():
-    simple = u_shape(512).points
     t = grid(512)
     figure_eight = np.column_stack([np.sin(2 * t), np.sin(t)])
-    for points in (simple, figure_eight):
+    # vertex 5 lies on segment 0, which it is not adjacent to: no crossing;
+    # pushed one unit further down, it crosses it
+    touch = np.array([(0, 0), (8, 0), (8, 4), (8, 8), (6, 8), (4, 0), (2, 8),
+                      (0, 8)], dtype=float)
+    poke = touch.copy()
+    poke[5, 1] = -1.0
+    cases = [
+        (u_shape(512).points, False),
+        # 640 rows: two full blocks of _ROWS and a partial last one
+        (u_shape(640).points, False),
+        (figure_eight, True),
+        (shallow_figure_eight(512), True),
+        (c_shape(256, 1e-6), False),
+        (c_shape(256, -1e-6), True),
+        (touch, False),
+        (poke, True),
+        # segments so short that unscaled, |den| would fall below 1e-14
+        (1e-8 * touch, False),
+        (1e-8 * poke, True),
+    ]
+    for points, crossed in cases:
         assert star_angles(points) is None
-        assert _has_self_intersection(points) == oracle_has_self_intersection(points)
-    assert not _has_self_intersection(simple)
-    assert _has_self_intersection(figure_eight)
+        assert _has_self_intersection(points) == crossed
+        assert oracle_has_self_intersection(points) == crossed
 
+
+def test_self_intersection_scan_memory_is_linear_in_m():
+    # the all-pairs oracle at m = 2048 holds m x m arrays of 34 MB each;
+    # the scan, blocks of _ROWS x m pairs, peaks near 27 MB
+    points = u_shape(2048).points
+    tracemalloc.start()
+    try:
+        assert not _has_self_intersection(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6

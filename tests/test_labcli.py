@@ -142,6 +142,9 @@ def test_curve_specs_build(tmp_path, spec):
     "ellipse(1)", "ellipse(1, -1)",
     "fourier()", "fourier(1, 0.1)",
     "random_fourier(4)", "random_fourier(4.5, 0.1)",
+    "random_fourier(nan, 0.1)", "random_fourier(inf, 0.1)", "circle(nan)",
+    # kmax above m/2 = 64 of the config: those modes alias
+    "random_fourier(65, 0.1)",
     "blob(1)", "circle 1", "circle(one)",
 ])
 def test_bad_curve_specs_rejected(tmp_path, spec):
@@ -160,11 +163,11 @@ def test_random_fourier_requires_seed(tmp_path):
 
 
 def test_build_curve_centers_and_coefficients():
-    circle_spec = labcli._parse_curve("circle(2, 1, -1)", "curve1")
+    circle_spec = labcli._parse_curve("circle(2, 1, -1)", "curve1", 64)
     curve = build_curve(circle_spec, 64)
     assert np.allclose(curve.centroid(), [1.0, -1.0], atol=1e-12)
     # fourier(r0, c1, s1, c2, s2): second harmonic lands in cos/sin slots
-    spec = labcli._parse_curve("fourier(1, 0, 0, 0.1, 0.05)", "curve1")
+    spec = labcli._parse_curve("fourier(1, 0, 0, 0.1, 0.05)", "curve1", 256)
     curve = build_curve(spec, 256)
     radii = np.hypot(curve.points[:, 0], curve.points[:, 1])
     theta = np.arctan2(curve.points[:, 1], curve.points[:, 0])
@@ -673,6 +676,23 @@ out = %s
     assert main(["spectrum", "--config", path]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: count: ")
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("spec", ["random_fourier(nan, 0.1)",
+                                  "random_fourier(inf, 0.1)"])
+def test_main_non_finite_curve_argument_is_a_config_error(tmp_path, capsys,
+                                                          spec):
+    path = write_config(tmp_path, """
+scenario = spectrum
+curve1 = %s
+m = 64
+seed = 0
+out = %s
+""" % (spec, tmp_path / "x"))
+    assert main(["spectrum", "--config", path]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: curve1: ")
     assert not (tmp_path / "x").exists()
 
 
