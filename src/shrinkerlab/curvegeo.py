@@ -390,72 +390,107 @@ _EXTREMUM_STEPS = 6
 
 _EPS = float(np.finfo(float).eps)
 
+#: a row of samples whose largest second difference is at most
+#: _NOISE eps times the size of the coordinates it came from is rounding
+#: noise, and its node extremes are not refined
+_NOISE = 16.0
 
-def refine_extrema(field, theta, sign, best, spacing: float):
-    """Refine extremes of a periodic function f by safeguarded Newton on
-    f' = 0, from the parameters theta (n,).
+#: the frame-batched distances take their frames in blocks of at most
+#: _BLOCK_NODES nodes, so their memory stays O(_BLOCK_NODES)
+_BLOCK_NODES = 1 << 14
 
-    field(theta) returns (f, a f', a f'') for some a > 0; sign holds -1 for
-    a maximum and +1 for a minimum; best holds the values at the start,
-    usually samples. A step counts only where a f'' has the sign of the
-    extremum and it moves at most `spacing`; the iteration stops once no
-    step would move f by more than its rounding. Returns, per extremum, the
-    most extreme of `best` and the values visited: never less extreme than
-    the samples, and exact to rounding when the true extremum lies within
+
+def frame_blocks(count: int, m: int) -> list:
+    """Slices of `count` frames of m nodes, each of at most _BLOCK_NODES
+    nodes (one frame at least)."""
+    step = max(1, _BLOCK_NODES // m)
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
+def refine_extrema(field, rows, theta, sign, best, spacing: float):
+    """Refine extremes of periodic functions f_r by safeguarded Newton on
+    f' = 0, extreme p of function rows[p] from the parameter theta[p].
+
+    field(rows, theta) returns (f, a f', a f'') of each f_rows[p] at
+    theta[p], for some a > 0; sign holds -1 for a maximum and +1 for a
+    minimum; best holds the values at the start, usually samples. A step
+    counts only where a f'' has the sign of the extremum and it moves at
+    most `spacing`; the iteration of a function stops once no step of its
+    extremes would move f by more than its rounding, so a function's
+    result does not depend on the others. Returns, per extremum, the most
+    extreme of `best` and the values visited: never less extreme than the
+    samples, and exact to rounding when the true extremum lies within
     `spacing` of its start.
     """
+    live = np.arange(theta.size)
     for _ in range(_EXTREMUM_STEPS):
-        val, slope, curv = field(theta)
-        best = np.where(sign < 0.0, np.maximum(best, val),
-                        np.minimum(best, val))
-        ok = sign * curv > 0.0
+        if not live.size:
+            break
+        val, slope, curv = field(rows[live], theta[live])
+        best[live] = np.where(sign[live] < 0.0, np.maximum(best[live], val),
+                              np.minimum(best[live], val))
+        ok = sign[live] * curv > 0.0
         step = -slope / np.where(ok, curv, 1.0)
         ok &= np.abs(step) <= spacing
-        if not np.any(ok & (np.abs(curv) * step * step > _EPS * np.abs(val))):
-            break
-        theta = theta + np.where(ok, step, 0.0)
+        moving = ok & (np.abs(curv) * step * step > _EPS * np.abs(val))
+        going = np.isin(rows[live], rows[live][moving])
+        theta[live[going]] += np.where(ok, step, 0.0)[going]
+        live = live[going]
     return best
 
 
-def _extreme_nodes(values: np.ndarray):
-    """The node local maxima and minima of a periodic row of samples that
-    may sit beside the maximum and minimum of its interpolant f, and where
-    to refine each from.
+def _extreme_nodes(values: np.ndarray, scale: np.ndarray):
+    """The node local maxima and minima of periodic rows of samples
+    (frames, m) that may sit beside the maximum and minimum of a row's
+    interpolant f, and where to refine each from.
 
     A node extreme counts when it is within the largest second difference
-    of the node maximum (minimum): a true extreme lies within half a
-    spacing h of a node and differs from it by at most h^2 max|f''|/8,
-    and the largest second difference is about h^2 max|f''|. Returns the
-    indices of both and, per node, the offset in spacings of the vertex of
-    the parabola through it and its neighbours (within 1/2 at a node
-    extreme, 0 where the three agree).
+    of its row of the node maximum (minimum): a true extreme lies within
+    half a spacing h of a node and differs from it by at most
+    h^2 max|f''|/8, and the largest second difference is about
+    h^2 max|f''|. None counts in a row whose largest second difference is
+    rounding noise, at most _NOISE eps times `scale` (frames,), the size of
+    the coordinates the row came from: its node extremes are then exact to
+    rounding. Returns the (row, node) indices of both and, per node, the
+    offset in spacings of the vertex of the parabola through it and its
+    neighbours (within 1/2 at a node extreme, 0 where the three agree).
     """
-    padded = np.concatenate([values[-1:], values, values[:1]])
-    left, right = padded[:-2], padded[2:]
+    left = np.roll(values, 1, axis=1)
+    right = np.roll(values, -1, axis=1)
     second = left - 2.0 * values + right
-    reach = float(np.abs(second).max())
+    reach = np.abs(second).max(axis=1, keepdims=True)
     offset = np.divide(left - right, 2.0 * second,
                        out=np.zeros_like(values), where=second != 0.0)
-    peaks = ((values >= left) & (values >= right)
-             & (values >= values.max() - reach))
-    troughs = ((values <= left) & (values <= right)
-               & (values <= values.min() + reach))
-    return np.flatnonzero(peaks), np.flatnonzero(troughs), offset
+    live = reach > _NOISE * _EPS * scale[:, None]
+    peaks = (live & (values >= left) & (values >= right)
+             & (values >= values.max(axis=1, keepdims=True) - reach))
+    troughs = (live & (values <= left) & (values <= right)
+               & (values <= values.min(axis=1, keepdims=True) + reach))
+    return np.nonzero(peaks), np.nonzero(troughs), offset
 
 
-def refined_extremes(field, values: np.ndarray, spacing: float):
-    """(max f, min f) of a periodic function f sampled as `values` on nodes
-    `spacing` apart, `field` giving f as for `refine_extrema`, which runs
-    from the parabolic vertex beside every node local extreme that
-    `_extreme_nodes` finds close enough to the node extreme to hide the
-    true one. Exact to rounding when each true extreme lies next to a node
-    local extreme, and never less extreme than the node samples."""
-    hi, lo, offset = _extreme_nodes(values)
-    seeds = np.concatenate([hi, lo])
-    sign = np.where(np.arange(seeds.size) < hi.size, -1.0, 1.0)
-    best = refine_extrema(field, (seeds + offset[seeds]) * spacing, sign,
-                          values[seeds], spacing)
-    return float(best[:hi.size].max()), float(best[hi.size:].min())
+def refined_extremes(field, values: np.ndarray, spacing: float,
+                     scale: np.ndarray):
+    """(max f_r, min f_r) per row r of periodic functions sampled as the
+    rows of `values` (frames, m) on nodes `spacing` apart, `field` giving
+    them as for `refine_extrema`, which runs from the parabolic vertex
+    beside every node local extreme that `_extreme_nodes` finds close
+    enough to its row's node extreme to hide the true one (none in a row
+    of rounding noise for coordinates of size `scale`). Exact to rounding
+    when each true extreme lies next to a node local extreme, and never
+    less extreme than the node samples."""
+    (hi_rows, hi_nodes), (lo_rows, lo_nodes), offset = _extreme_nodes(
+        values, scale)
+    rows = np.concatenate([hi_rows, lo_rows])
+    nodes = np.concatenate([hi_nodes, lo_nodes])
+    sign = np.repeat([-1.0, 1.0], [hi_rows.size, lo_rows.size])
+    best = refine_extrema(field, rows, (nodes + offset[rows, nodes]) * spacing,
+                          sign, values[rows, nodes], spacing)
+    top = values.max(axis=1)
+    bottom = values.min(axis=1)
+    np.maximum.at(top, hi_rows, best[:hi_rows.size])
+    np.minimum.at(bottom, lo_rows, best[hi_rows.size:])
+    return top, bottom
 
 
 def _convex_tangents(curve: DiscreteCurve):
@@ -513,60 +548,77 @@ def support_function(curve: DiscreteCurve):
         curve, fourier.Interpolant(fourier.coeffs(curve.points), curve.m, 2))
 
 
-def _support_gap(curve: DiscreteCurve, curve_at: fourier.Interpolant,
-                 support) -> float:
-    """sup over directions of |h - h_L|, h the support function of a convex
-    curve (`curve_at` the order-2 `Interpolant` of its points) and
-    h_L = support(...)[0] that of a convex body L, as for
-    `_support_function`: the Hausdorff distance between the curve and the
-    boundary of L (Schneider, Convex Bodies, section 1.8).
+def _node_gaps(frames, support):
+    """(the node gaps h - h_L (frames, m) of convex curves of one m, the
+    rfft rows (frames, 2, m//2+1) of their points, and the largest
+    coordinate of each), h_L = support(...)[0] as for `_support_gaps`."""
+    tx, ty = np.stack([_convex_tangents(c) for c in frames], axis=1)
+    points = np.stack([c.points.T for c in frames])
+    x, y = points[:, 0], points[:, 1]
+    gaps = ((x * ty - y * tx).ravel()
+            - support(ty.ravel(), -tx.ravel())[0]).reshape(x.shape)
+    return gaps, np.fft.rfft(points, axis=-1), np.abs(points).max(axis=(1, 2))
 
-    The directions are the curve's outward normals n = -`geometry().normal`,
-    its node gaps h - h_L `refined_extremes` on the curve's parameter. With
-    h' = <x, t> and h'' = rho - h, the gap g has g' = <x - y, t> and
-    g'' = rho - rho_L - g in the normal angle, whose theta-derivative
-    kappa |x'| is the positive scale `refine_extrema` allows.
+
+def _support_gaps(curves, support) -> np.ndarray:
+    """sup over directions of |h - h_L| per curve, h the support function of
+    a convex curve and h_L = support(...)[0] that of a convex body L, as
+    for `_support_function`: the Hausdorff distance between the curve and
+    the boundary of L (Schneider, Convex Bodies, section 1.8), for a
+    sequence of curves of one m.
+
+    The directions are each curve's outward normals n = -`geometry().normal`,
+    its node gaps h - h_L `refined_extremes` on the curve's parameter, all
+    frames of a `frame_blocks` block in one pass, their points evaluated
+    by `fourier.mode_sum`. With h' = <x, t> and h'' = rho - h, the gap g
+    has g' = <x - y, t> and g'' = rho - rho_L - g in the normal angle,
+    whose theta-derivative kappa |x'| is the positive scale
+    `refine_extrema` allows. InvalidCurve if a curve has a node curvature
+    <= 0.
     """
-    tx, ty = _convex_tangents(curve)
-    x, y = curve.points.T
-    gaps = x * ty - y * tx - support(ty, -tx)[0]
+    m = curves[0].m if len(curves) else 1
+    out = np.empty(len(curves))
+    for block in frame_blocks(len(curves), m):
+        gaps, coef, scale = _node_gaps(curves[block], support)
 
-    def field(theta):
-        x, dx, ddx = curve_at(theta)
-        speed = np.hypot(dx[:, 0], dx[:, 1])
-        nx, ny = dx[:, 1] / speed, -dx[:, 0] / speed
-        h, dh, rho = support(nx, ny)
-        gap = x[:, 0] * nx + x[:, 1] * ny - h
-        turn = (dx[:, 0] * ddx[:, 1] - dx[:, 1] * ddx[:, 0]) / (speed * speed)
-        return (gap, x[:, 1] * nx - x[:, 0] * ny - dh,
-                speed - (rho + gap) * turn)
+        def field(rows, theta):
+            x, dx, ddx = fourier.mode_sum(coef, m, rows, theta, 2)
+            speed = np.hypot(dx[:, 0], dx[:, 1])
+            nx, ny = dx[:, 1] / speed, -dx[:, 0] / speed
+            h, dh, rho = support(nx, ny)
+            gap = x[:, 0] * nx + x[:, 1] * ny - h
+            turn = ((dx[:, 0] * ddx[:, 1] - dx[:, 1] * ddx[:, 0])
+                    / (speed * speed))
+            return (gap, x[:, 1] * nx - x[:, 0] * ny - dh,
+                    speed - (rho + gap) * turn)
 
-    top, bottom = refined_extremes(field, gaps, TWO_PI / curve.m)
-    return max(top, -bottom)
+        top, bottom = refined_extremes(field, gaps, TWO_PI / m, scale)
+        out[block] = np.maximum(top, -bottom)
+    return out
 
 
 def hausdorff_distance(a: DiscreteCurve, b: DiscreteCurve) -> float:
     """Hausdorff distance between the interpolants of two convex curves,
-    the sup of the gap of their support functions (`_support_gap`), taken
+    the sup of the gap of their support functions (`_support_gaps`), taken
     over the outward normals of each in turn, so symmetric bit for bit.
     InvalidCurve if either has a node curvature <= 0."""
     a_at, b_at = (fourier.Interpolant(fourier.coeffs(c.points), c.m, 2)
                   for c in (a, b))
-    return max(_support_gap(a, a_at, _support_function(b, b_at)),
-               _support_gap(b, b_at, _support_function(a, a_at)))
+    return float(max(_support_gaps([a], _support_function(b, b_at))[0],
+                     _support_gaps([b], _support_function(a, a_at))[0]))
 
 
-def distance_to_circle(curve: DiscreteCurve, radius: float) -> float:
-    """Hausdorff distance from a convex curve's interpolant to the circle of
-    `radius` about the origin: `_support_gap` against h = rho = radius.
-    InvalidCurve if the curve has a node curvature <= 0.
+def distance_to_circle(curves, radius: float) -> np.ndarray:
+    """Hausdorff distances from the interpolants of a sequence of convex
+    curves of one m to the circle of `radius` about the origin:
+    `_support_gaps` against h = rho = radius. InvalidCurve if a curve has a
+    node curvature <= 0.
 
     On a round curve h' and the second derivative |x'| - h kappa |x'| are
-    zero up to rounding, and every point the iteration visits lies on the
-    circle, so the result stays at rounding.
+    zero up to rounding, and so are the node gaps' second differences, so
+    no extreme is refined and the result stays at rounding.
     """
-    curve_at = fourier.Interpolant(fourier.coeffs(curve.points), curve.m, 2)
-    return _support_gap(curve, curve_at, lambda nx, ny: (radius, 0.0, radius))
+    return _support_gaps(curves, lambda nx, ny: (radius, 0.0, radius))
 
 
 def resample(curve: DiscreteCurve) -> DiscreteCurve:

@@ -4,11 +4,11 @@ A nearby curve is written as x + u(x) * nu(x) over a base curve (the graph
 gauge). `normal_graph` extracts u by intersecting each base normal line with
 the target and polishing on the target's trigonometric interpolant;
 `reconstruct` goes the other way. `graph_hausdorff` reads the Hausdorff
-distance off a graph between convex curves: sup|u| in closed form while it
-stays below half of both reaches (1/max H), the node extremes refined on
-the interpolant of u; beyond that, the support-function distance
-`curvegeo.hausdorff_distance`. `apply_L` is the linearization
-of the rescaled flow at a stationary base:
+distances off a sequence of graphs between convex curves: sup|u| in closed
+form while it stays below half of both reaches (1/max H), the node extremes
+of all frames refined in one pass on the direct mode sums of u; beyond
+that, the support-function distance `curvegeo.hausdorff_distance`.
+`apply_L` is the linearization of the rescaled flow at a stationary base:
 
     L u = u'' - <x, T>/2 * u' + (H^2 + 1/2) u      (' = arclength derivative)
 
@@ -28,8 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fourier, spectral
-from .curvegeo import (TWO_PI, DiscreteCurve, crossings, geometry,
-                       hausdorff_distance, refined_extremes, star_angles)
+from .curvegeo import (TWO_PI, DiscreteCurve, crossings, frame_blocks,
+                       geometry, hausdorff_distance, refined_extremes,
+                       star_angles)
 from .errors import NotAGraph
 
 #: relative u-gap below which two normal-line hits count as the same point
@@ -129,26 +130,41 @@ def normal_graph(base: DiscreteCurve, target: DiscreteCurve,
     return u
 
 
-def graph_hausdorff(base: DiscreteCurve, u, target: DiscreteCurve) -> float:
-    """Hausdorff distance between the convex `base` and the convex `target`,
-    the curve the graph heights u write over it (target = base + u nu).
+def graph_hausdorff(bases, fields, targets) -> np.ndarray:
+    """Hausdorff distances between convex curves bases[j] and targets[j],
+    the curve the graph heights fields[j] write over bases[j]
+    (targets[j] = bases[j] + fields[j] nu), for sequences of one m.
 
     While sup|u| stays below half of both reaches (1/max H for a convex
     closed curve), d_H = sup|u| exactly: each target point x + u nu lies on
     the base normal at x within the base's reach, so its distance to the
     base is |u|, and each base point is within |u| of the target. The
-    maximum and minimum of u are `refined_extremes` on u' = 0 on one
-    order-2 interpolant of u; the result is never below the node maximum of
-    |u|. Beyond half a reach, `hausdorff_distance` measures it, which raises
-    InvalidCurve if either curve has a node curvature <= 0.
+    maxima and minima of those u are `refined_extremes` on u' = 0, all
+    frames of a `frame_blocks` block in one pass, their points evaluated
+    by `fourier.mode_sum`; a result is never below the node maximum of
+    |u|. Beyond half a reach, `hausdorff_distance` measures the pair, which
+    raises InvalidCurve if either curve has a node curvature <= 0.
     """
-    if (float(np.abs(u).max())
-            >= 0.5 / max(float(geometry(base).curvature.max()),
-                         float(geometry(target).curvature.max()))):
-        return hausdorff_distance(base, target)
-    u_at = fourier.Interpolant(fourier.coeffs(u), base.m, 2)
-    top, bottom = refined_extremes(u_at, u, TWO_PI / base.m)
-    return max(top, -bottom)
+    dh = np.empty(len(fields))
+    closed = []
+    for j, (base, u, target) in enumerate(zip(bases, fields, targets)):
+        if (float(np.abs(u).max())
+                >= 0.5 / max(float(geometry(base).curvature.max()),
+                             float(geometry(target).curvature.max()))):
+            dh[j] = hausdorff_distance(base, target)
+        else:
+            closed.append(j)
+    m = len(fields[0]) if len(fields) else 1
+    for block in frame_blocks(len(closed), m):
+        rows = closed[block]
+        u = np.stack([fields[j] for j in rows])
+        coef = np.fft.rfft(u, axis=-1)
+        scale = np.array([np.abs(bases[j].points).max() for j in rows])
+        top, bottom = refined_extremes(
+            lambda r, theta: fourier.mode_sum(coef, m, r, theta, 2), u,
+            TWO_PI / m, scale)
+        dh[rows] = np.maximum(top, -bottom)
+    return dh
 
 
 def apply_L(base: DiscreteCurve, values) -> np.ndarray:

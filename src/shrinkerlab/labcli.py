@@ -312,9 +312,22 @@ def _write_manifest(config: ScenarioConfig) -> str:
 
 
 def _build_curves(config: ScenarioConfig, convex: bool = False) -> list:
+    """The config's curves at resolution m. Each is built, with its
+    geometry and area moments, while numpy raises on overflow, so a curve
+    too large for their products (the cube of the metric speed in the
+    curvature, the cubic moments of the centroid) stops the run with one
+    ConfigInvalid naming its key, not a stream of warnings and a later
+    error; with convex, so does a curve with a node curvature <= 0."""
     curves = []
     for spec, key in zip(config.curve_specs, ("curve1", "curve2")):
-        curve = build_curve(spec, config.m, config.seed)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                curve = build_curve(spec, config.m, config.seed)
+                geometry(curve)
+                area_centroid(curve.points)
+        except FloatingPointError:
+            raise ConfigInvalid("too large: its geometry overflows double "
+                                "precision", field=key) from None
         if convex and float(geometry(curve).curvature.min()) <= 0.0:
             raise ConfigInvalid("must be convex for scenario %s" % config.scenario,
                                 field=key)
@@ -444,12 +457,13 @@ def experiment_separation(config: ScenarioConfig) -> dict:
     area-centroid gauge (so their frames share the times 0, frame_dtau, ...,
     tau_end), then the two-flow frequency monitor pairs their frames by
     index, plus a Hausdorff distance fit. Each dH row is read off the normal
-    graph u the monitor built for that frame (`gauge.graph_hausdorff`): the
-    frames are convex (`require_convex`), so while sup|u| stays below half
-    of both reaches (1/max H), d_H = sup|u| in closed form, the node
-    extremes refined on the interpolant of u; beyond that, the
-    support-function distance `hausdorff_distance`. The fit takes every row
-    above _DH_FLOOR whose graph energy does not underflow.
+    graph u the monitor built for that frame, all rows in one
+    `gauge.graph_hausdorff` call: the frames are convex (`require_convex`),
+    so while sup|u| stays below half of both reaches (1/max H), d_H =
+    sup|u| in closed form, the node extremes refined on the mode sums of u;
+    beyond that, the support-function distance `hausdorff_distance`. The
+    fit takes every row above _DH_FLOOR whose graph energy does not
+    underflow.
     The verdict is superexponential-flagged when log I or log d_H drops below
     every linear envelope over the fit window, and coincident when the two
     flows agree to the floors on every frame (M1 = M2): then there is nothing
@@ -473,8 +487,8 @@ def experiment_separation(config: ScenarioConfig) -> dict:
     trace = monitor(base_traj, target_traj, fit_fraction=config.fit_window)
     taus = trace.columns["tau"]
     underflow = trace.columns["underflow"].astype(bool)
-    dh = np.array([graph_hausdorff(*row) for row in zip(
-        base_traj.curves[1:-1], trace.fields, target_traj.curves[1:-1])])
+    dh = graph_hausdorff(base_traj.curves[1:-1], trace.fields,
+                         target_traj.curves[1:-1])
 
     usable = (dh > _DH_FLOOR) & ~underflow
     dh_slope, tw, lw = _fit_tail_slope(taus[usable], dh[usable],
@@ -523,11 +537,12 @@ def experiment_rate(config: ScenarioConfig) -> dict:
     `require_convex` (curve shortening keeps convexity, Gage & Hamilton
     1986). Each frame is compared with the round limit through its support
     function h at node resolution: the Hausdorff distance sup|h - sqrt(2)|
-    by `distance_to_circle` and the L2 size of the shrinker quantity by
-    `shrinker_energy`, both fitted over the trailing window, on the frames
-    whose distance is above _DH_FLOOR, against the rate 1 - k^2/2 of the
-    dominant initial mode k, the largest rfft amplitude over k >= 2 of
-    h - sqrt(2) at the m grid normal angles of frame 0.
+    of every frame by one `distance_to_circle` call and the L2 size of the
+    shrinker quantity by `shrinker_energy`, both fitted over the trailing
+    window, on the frames whose distance is above _DH_FLOOR, against the
+    rate 1 - k^2/2 of the dominant initial mode k, the largest rfft
+    amplitude over k >= 2 of h - sqrt(2) at the m grid normal angles of
+    frame 0.
     Writes frames.npy, index.json, series.csv and trace.csv.
     """
     curve = _build_curves(config, convex=True)[0]
@@ -538,11 +553,8 @@ def experiment_rate(config: ScenarioConfig) -> dict:
     radius = math.sqrt(2.0)
 
     taus = np.asarray(traj.times, dtype=float)
-    dh = np.empty(len(taus))
-    phi_l2 = np.empty(len(taus))
-    for j, frame in enumerate(traj.curves):
-        dh[j] = distance_to_circle(frame, radius)
-        phi_l2[j] = math.sqrt(shrinker_energy(frame))
+    dh = distance_to_circle(traj.curves, radius)
+    phi_l2 = np.sqrt([shrinker_energy(frame) for frame in traj.curves])
 
     alpha = fourier.grid(config.m)
     h = support_function(traj.curves[0])(np.cos(alpha), np.sin(alpha))[0]

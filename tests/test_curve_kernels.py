@@ -431,7 +431,7 @@ def test_distances_reject_a_curve_that_is_not_convex():
         with pytest.raises(InvalidCurve, match="convex"):
             hausdorff_distance(a, b)
     with pytest.raises(InvalidCurve, match="convex"):
-        distance_to_circle(dented(), SQRT2)
+        distance_to_circle([dented()], SQRT2)
 
 
 def test_one_interpolant_table_per_coefficient_set(monkeypatch):
@@ -513,21 +513,22 @@ def test_distance_to_circle_is_exact_on_a_rotated_ellipse():
     curve = DiscreteCurve(np.column_stack([a * np.cos(t + phi),
                                            b * np.sin(t + phi)]))
     expected = max(a - SQRT2, SQRT2 - b)
-    assert abs(distance_to_circle(curve, SQRT2) - expected) <= 1e-14
+    assert abs(distance_to_circle([curve], SQRT2)[0] - expected) <= 1e-14
 
 
 def test_distance_to_circle_round_and_off_centre(recwarn):
     # on a round curve the second derivative of the support gap is rounding
     # noise: the safeguarded division warns of nothing and the result stays
     # exact
-    assert distance_to_circle(circle(SQRT2), SQRT2) <= 1e-14
-    assert abs(distance_to_circle(circle(1.3), SQRT2) - (SQRT2 - 1.3)) <= 1e-14
+    assert distance_to_circle([circle(SQRT2)], SQRT2)[0] <= 1e-14
+    assert abs(distance_to_circle([circle(1.3)], SQRT2)[0]
+               - (SQRT2 - 1.3)) <= 1e-14
     # off the origin, and passing 0.001 from it: the support functions
     # 1 + <c, n> and sqrt(2) differ most along c or against it
-    assert abs(distance_to_circle(circle(1.0, center=(2.0, 0.0)), SQRT2)
+    assert abs(distance_to_circle([circle(1.0, center=(2.0, 0.0))], SQRT2)[0]
                - (1.0 + SQRT2)) <= 1e-14
-    assert abs(distance_to_circle(circle(1.0, center=(0.999, 0.0), m=256),
-                                  SQRT2) - (SQRT2 - 0.001)) <= 1e-14
+    assert abs(distance_to_circle([circle(1.0, center=(0.999, 0.0), m=256)],
+                                  SQRT2)[0] - (SQRT2 - 0.001)) <= 1e-14
     assert len(recwarn) == 0
 
 
@@ -540,8 +541,8 @@ def test_distance_to_circle_matches_dense_along_a_flow():
         start = labcli._normalize_unit_area(fourier_curve(1.0, modes, m=m))
         traj = run_rmcf(start, 2.0, frame_dtau=0.1)
         reference = circle(SQRT2, m=m)
-        for frame in traj.curves:
-            got = distance_to_circle(frame, SQRT2)
+        for frame, got in zip(traj.curves,
+                              distance_to_circle(traj.curves, SQRT2)):
             dense = oracle_hausdorff_dense(frame, reference,
                                            windowed_directed_sup)
             assert abs(got - dense) <= 1e-12 * dense, (m, modes)
@@ -589,8 +590,8 @@ def test_distance_to_circle_resolves_a_mode_5_flow():
     for m in (64, 128, 256):
         start = labcli._normalize_unit_area(
             fourier_curve(1.0, (0.0, 0.0, 0.0, 0.0, 0.035), m=m))
-        for frame in run_rmcf(start, 2.0, frame_dtau=0.1).curves:
-            got = distance_to_circle(frame, SQRT2)
+        frames = run_rmcf(start, 2.0, frame_dtau=0.1).curves
+        for frame, got in zip(frames, distance_to_circle(frames, SQRT2)):
             exact = oracle_round_distance(
                 np.hypot(*fourier.upsample(frame.points.T, M_DENSE)),
                 direct_radius(frame))
@@ -612,7 +613,7 @@ def test_distance_to_circle_finds_the_extreme_the_node_samples_misrank():
     assert np.argmax(r) == 0 and np.argmin(r) == 32
     exact = oracle_round_distance(radius_at(grid(M_DENSE)), radius_at)
     assert exact - max(r.max() - SQRT2, SQRT2 - r.min()) > 1e-4
-    assert abs(distance_to_circle(curve, SQRT2) - exact) <= ROUND_R
+    assert abs(distance_to_circle([curve], SQRT2)[0] - exact) <= ROUND_R
 
 
 def test_distance_to_circle_matches_dense_off_the_origin(recwarn):
@@ -621,12 +622,102 @@ def test_distance_to_circle_matches_dense_off_the_origin(recwarn):
     # of the other
     curve = fourier_curve(0.5, (0.0, 0.0, 0.0, 0.05), m=256).translated((1.6, 0.4))
     assert curve.points[:, 0].min() > 0.0
-    got = distance_to_circle(curve, SQRT2)
+    (got,) = distance_to_circle([curve], SQRT2)
     pa, pb = (fourier.upsample(c.points.T, M_DENSE).T
               for c in (curve, circle(SQRT2, m=256)))
     exact = max(oracle_polygon_sup(pa, pb), oracle_polygon_sup(pb, pa))
     assert abs(got - exact) <= chord_sag(curve) + ROUND_SAG
     assert len(recwarn) == 0
+
+
+@functools.cache
+def rate_frames(m=256, tau_end=4.0):
+    """The frames of the rate workload's flow: the mode-2 start at area
+    2 pi, every 0.01 in tau (401 frames to tau 4)."""
+    start = labcli._normalize_unit_area(fourier_curve(1.0, (0.0, 0.05), m=m))
+    return run_rmcf(start, tau_end, frame_dtau=0.01).curves
+
+
+def counted_mode_sum(monkeypatch):
+    """Route `fourier.mode_sum` through a wrapper that appends the number of
+    points of each call to the list it returns."""
+    points = []
+    mode_sum = fourier.mode_sum
+
+    def counted(coef, m, rows, thetas, order=0):
+        points.append(len(thetas))
+        return mode_sum(coef, m, rows, thetas, order)
+
+    monkeypatch.setattr(fourier, "mode_sum", counted)
+    return points
+
+
+def test_batched_distances_do_not_couple_frames(monkeypatch):
+    # two curves whose refinements take two and three Newton evaluations
+    # ahead of 131 flow frames that take one, in three blocks of at most 64
+    # frames: each row is the one-frame call bit for bit, and the batch
+    # evaluates exactly the points the one-frame calls do
+    points = counted_mode_sum(monkeypatch)
+    frames = [rotated_ellipse(1.6, 1.25, 1.2343, 256),
+              fourier_curve(0.5, (0.0, 0.0, 0.0, 0.05), m=256)
+              .translated((1.6, 0.4))] + rate_frames(tau_end=1.3)
+    assert len(frames) > 2 * (curvegeo._BLOCK_NODES // 256)
+    batched = distance_to_circle(frames, SQRT2)
+    assert batched.shape == (len(frames),)
+    evaluated = sum(points)
+    points.clear()
+    for frame, got in zip(frames, batched):
+        assert distance_to_circle([frame], SQRT2)[0] == got
+    assert sum(points) == evaluated
+    # the graph distances of the separation frames, in blocks of 3 frames
+    starts = [labcli._normalize_unit_area(c)
+              for c in (ellipse(1.1, 1.0 / 1.1, m=128), circle(1.0, m=128))]
+    base, target = run_flows(starts, "rmcf", 2.0, frame_dtau=0.1,
+                             gauge="area-centroid")
+    fields = frequency.monitor(base, target).fields
+    args = (base.curves[1:-1], fields, target.curves[1:-1])
+    monkeypatch.setattr(curvegeo, "_BLOCK_NODES", 3 * 128)
+    points.clear()
+    batched = graph_hausdorff(*args)
+    assert batched.shape == (len(fields),) and len(fields) > 6
+    evaluated = sum(points)
+    points.clear()
+    for j, row in enumerate(zip(*args)):
+        assert graph_hausdorff(*([a] for a in row))[0] == batched[j]
+    assert sum(points) == evaluated
+
+
+def test_rounding_noise_refines_nothing(monkeypatch):
+    # a round frame's node gaps, and the heights between a round curve and
+    # itself, are rounding noise: no point is evaluated, where 2,316 seeds
+    # would be refined without the noise floor
+    calls = counted_mode_sum(monkeypatch)
+    round_frame = circle(SQRT2, m=2048)
+    assert distance_to_circle([round_frame], SQRT2)[0] <= 1e-14
+    u = normal_graph(round_frame, circle(SQRT2, m=2048))
+    assert graph_hausdorff([round_frame], [u], [round_frame])[0] <= 1e-14
+    assert calls == []
+    # a frame one step from round still refines its extremes
+    assert distance_to_circle([circle(1.3, m=2048)], SQRT2)[0] \
+        == pytest.approx(SQRT2 - 1.3, abs=1e-14)
+    assert distance_to_circle([rate_frames()[-1]], SQRT2)[0] > 1e-3
+    assert calls
+
+
+def test_batched_distance_memory_is_bounded():
+    # the 401 frames of the rate workload in blocks of at most 64 frames,
+    # each block's points evaluated in chunks: near 1.7 MB, where one block
+    # of all 401 frames peaks near 7.5 MB (one table per frame, 0.2 MB)
+    frames = rate_frames()
+    assert len(frames) == 401
+    distance_to_circle(frames, SQRT2)
+    tracemalloc.start()
+    try:
+        distance_to_circle(frames, SQRT2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_shrinker_energy_is_the_monitor_itilde():
@@ -698,7 +789,7 @@ def test_graph_hausdorff_refines_a_sup_between_nodes(pair, m, monkeypatch):
     base, target = GRAPH_PAIRS[pair](m)
     monkeypatch.setattr(gauge, "hausdorff_distance", None)  # no fallback
     u = normal_graph(base, target)
-    got = graph_hausdorff(base, u, target)
+    (got,) = graph_hausdorff([base], [u], [target])
     assert got > np.abs(u).max()
     assert abs(got - graph_pair_oracle(pair)) <= 1e-9
 
@@ -713,7 +804,7 @@ def test_graph_hausdorff_refines_a_peak_below_the_node_maximum(monkeypatch):
     base = circle(SQRT2, m=m)
     u = u_of(grid(m))
     monkeypatch.setattr(gauge, "hausdorff_distance", None)  # no fallback
-    got = graph_hausdorff(base, u, reconstruct(base, u))
+    (got,) = graph_hausdorff([base], [u], [reconstruct(base, u)])
     fine = np.abs(u_of(grid(1 << 16)))
     j = int(np.argmax(fine))
     h = TWO_PI / fine.size
@@ -732,8 +823,9 @@ def test_graph_hausdorff_matches_dense_on_separation_frames(monkeypatch):
                              gauge="area-centroid")
     trace = frequency.monitor(base, target)
     assert len(trace.fields) == len(base) - 2 > 20
-    for j, u in enumerate(trace.fields, start=1):
-        got = graph_hausdorff(base.curves[j], u, target.curves[j])
+    dists = graph_hausdorff(base.curves[1:-1], trace.fields,
+                            target.curves[1:-1])
+    for j, got in enumerate(dists, start=1):
         assert abs(got - hausdorff_distance(base.curves[j], target.curves[j])) \
             <= 1e-15
 
@@ -750,13 +842,15 @@ def test_graph_hausdorff_falls_back_off_its_conditions(monkeypatch):
     # in reach over a convex base: closed form
     base = circle(1.0, m=128)
     u = 0.02 * np.cos(3 * t)
-    assert abs(graph_hausdorff(base, u, reconstruct(base, u)) - 0.02) <= 1e-15
+    assert abs(graph_hausdorff([base], [u], [reconstruct(base, u)])[0]
+               - 0.02) <= 1e-15
     assert calls == []
     # a height of 0.6 over circle(1) (reach 1): beyond half of either reach
     for height in (0.6, -0.6):
         u = np.full(128, height)
         target = reconstruct(base, u)
-        assert graph_hausdorff(base, u, target) == hausdorff_distance(base, target)
+        assert graph_hausdorff([base], [u], [target])[0] \
+            == hausdorff_distance(base, target)
     assert len(calls) == 2
     # beyond half the reach of a base that is not convex: the support
     # functions do not measure it
@@ -765,7 +859,7 @@ def test_graph_hausdorff_falls_back_off_its_conditions(monkeypatch):
     assert 0.3 >= 0.5 / geometry(base).curvature.max()
     target = reconstruct(base, u)
     with pytest.raises(InvalidCurve, match="convex"):
-        graph_hausdorff(base, u, target)
+        graph_hausdorff([base], [u], [target])
     assert len(calls) == 3 and calls[-1] == (base, target)
 
 

@@ -183,6 +183,43 @@ def test_interpolant_matches_a_node_first_table_bit_for_bit(m, pair):
             assert np.array_equal(g, w)
 
 
+@pytest.mark.parametrize("m", [16, 64, 256, 2048])
+def test_mode_sum_matches_the_interpolant(m):
+    # a resolved curve, white-noise samples (d = 2 and d = 1) and the
+    # Nyquist cosine, stacked as frames; each point evaluates one of them
+    rng = np.random.default_rng(m)
+    t = fourier.grid(m)
+    r = 1.0 + 0.05 * np.cos(3 * t)
+    frames = [np.column_stack([r * np.cos(t), r * np.sin(t)]),
+              rng.standard_normal((m, 2)),
+              np.column_stack([np.cos((m // 2) * t), np.sin(t)])]
+    h = 2.0 * np.pi / m
+    thetas = np.concatenate([rng.uniform(-1e4, 1e4, 200),
+                             (np.arange(m) + 0.5) * h, [-0.5 * h, 1e-300]])
+    rows = rng.integers(0, len(frames), thetas.size)
+    coef = np.stack([fourier.coeffs(f).T for f in frames])
+    for order in range(3):
+        got = fourier.mode_sum(coef, m, rows, thetas, order)
+        assert len(got) == order + 1
+        for frame, samples in enumerate(frames):
+            at = rows == frame
+            want = fourier.Interpolant(fourier.coeffs(samples), m,
+                                       order)(thetas[at])
+            for g, w in zip(got, want):
+                assert g[at].shape == w.shape
+                assert np.abs(g[at] - w).max() <= 1e-14 * np.abs(w).max()
+    noise = fourier.coeffs(rng.standard_normal(m))
+    for g, w in zip(fourier.mode_sum(noise[None], m, np.zeros(thetas.size),
+                                     thetas, 2),
+                    fourier.Interpolant(noise, m, 2)(thetas)):
+        assert g.shape == w.shape == thetas.shape
+        assert np.abs(g - w).max() <= 1e-14 * np.abs(w).max()
+    # the value is the grid value of the coefficients plus the change from
+    # the nearest node, so at theta = 0 it is the grid value bit for bit
+    value = fourier.mode_sum(coef, m, np.arange(3), np.zeros(3))[0]
+    assert np.array_equal(value, np.fft.irfft(coef, n=m)[:, :, 0])
+
+
 def test_interpolant_degree_on_a_resolved_curve():
     # the nearby graph of the normal_graph tests: its spectrum falls to
     # rounding by mode ~10, so the Newton table keeps at most 12 rows

@@ -474,9 +474,9 @@ def test_separation_dh_rows_use_the_monitor_frame_pairs(tmp_path, monkeypatch):
         traces.append(monitor(*args, **kwargs))
         return traces[-1]
 
-    def recorded(base, u, target):
-        calls.append((base, u, target))
-        return graph_hausdorff(base, u, target)
+    def recorded(bases, fields, targets):
+        calls.append((bases, fields, targets))
+        return graph_hausdorff(bases, fields, targets)
 
     monkeypatch.setattr(labcli, "run_flows", recorded_flows)
     monkeypatch.setattr(labcli, "monitor", recorded_monitor)
@@ -487,8 +487,10 @@ def test_separation_dh_rows_use_the_monitor_frame_pairs(tmp_path, monkeypatch):
         "out": str(tmp_path / "sep"), "tau_end": "3", "frame_dtau": "0.05"}))
     base, target = flows
     (trace,) = traces
-    assert len(base) > 22 and len(calls) == len(base) - 2
-    for j, (a, u, b) in enumerate(calls, start=1):
+    assert len(base) > 22 and len(calls) == 1
+    bases, fields, targets = calls[0]
+    assert len(bases) == len(fields) == len(targets) == len(base) - 2
+    for j, (a, u, b) in enumerate(zip(bases, fields, targets), start=1):
         assert a is base.curves[j] and b is target.curves[j]
         assert u is trace.fields[j - 1]
 
@@ -912,3 +914,21 @@ def test_python_dash_m_reports_one_error_line(tmp_path):
     assert proc.returncode == 1
     err = proc.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("error: cannot read config ")
+
+
+@pytest.mark.parametrize("scenario", ["spectrum", "rate"])
+def test_a_curve_too_large_for_its_geometry_is_one_error_line(tmp_path,
+                                                              scenario):
+    """circle(1e200) is finite, but the cube of its metric speed is not:
+    the process stops with one `error: curve1:` line, no numpy warning
+    before it, and leaves no output directory."""
+    tau_end = "tau_end = 1\n" if scenario == "rate" else ""
+    path = write_config(tmp_path, "curve1 = circle(1e200)\nm = 64\n%s"
+                        "out = %s\n" % (tau_end, tmp_path / "x"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "shrinkerlab", scenario, "--config", path],
+        capture_output=True, text=True, env=src_env(), timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "error: curve1: too large: its geometry overflows double precision"]
+    assert not (tmp_path / "x").exists()
