@@ -2,9 +2,9 @@
 
 A curve is a closed polyline sampled on the uniform parameter grid
 theta_j = 2*pi*j/m (even m), interpreted as samples of a smooth closed curve
-via trigonometric interpolation. Orientation is normalized to counterclockwise
-on construction, so the inner unit normal is the tangent rotated by +90
-degrees and convex curves have positive curvature.
+via trigonometric interpolation. Curves are counterclockwise (a validated
+construction reverses clockwise input), so the inner unit normal is the
+tangent rotated by +90 degrees and convex curves have positive curvature.
 
 The weighted measure throughout is the Gaussian  exp(-|x|^2/4) d(arclength);
 `f_functional` is the normalized total mass (4*pi)^(-1/2) * integral, which
@@ -200,21 +200,27 @@ def _has_self_intersection(points: np.ndarray) -> bool:
     the polyline's own segments, each doubled about its midpoint so that
     rounding cannot drop a crossing at its ends, scaled exactly to lengths
     at most 1 so the parallel cut of `_crossings` is one on the angle. A
-    non-adjacent pair found counts when the ends of each segment lie
-    strictly on both sides of the other's line: a vertex that touches
-    another segment is not a crossing.
+    non-adjacent pair found counts when the arm through each segment
+    crosses the other's line, an end of the segment within rounding of the
+    line standing for the vertex beyond it: an arm through a vertex on the
+    other segment crosses it, a vertex that only touches it does not.
     """
     if star_angles(points) is not None:
         return False
     m = points.shape[0]
     p = np.ldexp(points, -np.frexp(segment_lengths(points).max())[1])
-    q = np.roll(p, -1, axis=0)
-    d = q - p
+    d = np.roll(p, -1, axis=0) - p
     j, i, _, _ = crossings(p + 0.5 * d, d, 1.0, p, None)
 
-    def straddles(a, b):  # the ends of segment b, strictly apart by line a
-        s0 = d[a, 0] * (p[b, 1] - p[a, 1]) - d[a, 1] * (p[b, 0] - p[a, 0])
-        s1 = d[a, 0] * (q[b, 1] - p[a, 1]) - d[a, 1] * (q[b, 0] - p[a, 0])
+    def side(a, v):  # of vertex v by line a: +-1, or 0 within its rounding
+        u = d[a, 0] * (p[v, 1] - p[a, 1])
+        w = d[a, 1] * (p[v, 0] - p[a, 0])
+        return np.sign(u - w) * (np.abs(u - w) > 8 * _EPS * (np.abs(u) + np.abs(w)))
+
+    def straddles(a, b):  # the arm through segment b crosses line a
+        s0, s1 = side(a, b), side(a, (b + 1) % m)
+        s0 = np.where(s0 == 0, side(a, (b - 1) % m), s0)
+        s1 = np.where(s1 == 0, side(a, (b + 2) % m), s1)
         return s0 * s1 < 0.0
 
     apart = ((j - i) % m > 1) & ((i - j) % m > 1)
@@ -230,15 +236,15 @@ class DiscreteCurve:
         Node positions; the polyline closes implicitly from the last node
         back to the first. m must be even and at least 16.
     validate : bool
-        Run the construction invariants (simplicity, spacing ratio). Internal
-        callers that already guarantee validity may skip them.
+        Orient the curve and run the construction invariants (simplicity,
+        spacing ratio). Callers that already hold a simple counterclockwise
+        curve may skip them; the node order is then kept as given.
 
     Notes
     -----
-    Orientation is normalized: if the input winds clockwise the node order is
-    reversed, so the curve is counterclockwise afterwards and curvature of
-    convex curves is positive. Points are stored read-only; operations return
-    new curves.
+    A validated construction reverses clockwise input, so the curve is
+    counterclockwise and the curvature of a convex curve is positive. Points
+    are stored read-only; operations return new curves.
     """
 
     __slots__ = ("points", "m", "_cache")
@@ -252,9 +258,9 @@ class DiscreteCurve:
             raise InvalidCurve("need an even number of nodes >= %d, got %d" % (MIN_NODES, m))
         if not np.all(np.isfinite(pts)):
             raise InvalidCurve("points contain non-finite values")
-        if polygon_area(pts) < 0.0:
-            pts = pts[::-1].copy()
         if validate:
+            if polygon_area(pts) < 0.0:
+                pts = pts[::-1].copy()
             lengths = segment_lengths(pts)
             lmin = float(lengths.min())
             if lmin <= 0.0:

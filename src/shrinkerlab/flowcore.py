@@ -305,8 +305,10 @@ class FlowTrajectory:
 def _emit_frame(traj, t, coef, control, gauge, where):
     """Record the frame at time t of the curve with rfft rows `coef` (x, y).
 
-    Everything recorded comes from one synth_rows of x, x_theta, x_thth
-    (a resample adds its own FFTs); the gauge acts on rows and coefficients.
+    Everything recorded comes from one synth_rows of x, x_theta, x_thth (a
+    resample synthesizes its new nodes'); the gauge acts on rows and
+    coefficients, and the stored curve caches their geometry. The flow keeps
+    curves counterclockwise: a frame of area <= 0 raises BlowupDetected.
     Under `require_convex` the curvature row replaces the simplicity scan.
     Returns the working curve's rfft rows, sample rows, area and max |kappa|.
     """
@@ -316,11 +318,11 @@ def _emit_frame(traj, t, coef, control, gauge, where):
     curve = DiscreteCurve(rows[:2].T, validate=not control.require_convex)
     if curve.spacing_ratio() > _RESAMPLE_RATIO:
         curve = resample(curve)
-    if not np.array_equal(curve.points.T, rows[:2]):
-        # resampled, or the constructor reversed the node order
         coef = np.fft.rfft(curve.points.T, axis=1)
         rows = fourier.synth_rows(coef, traj.m)
     area, cx, cy = (float(v) for v in area_centroid_rows(*rows[:4]))
+    if not area > 0.0:
+        raise BlowupDetected("enclosed area %.3g is not positive %s" % (area, where))
     gauge_shift = 0.0
     if gauge != "none":
         scale = math.sqrt(TWO_PI / area)
@@ -334,9 +336,7 @@ def _emit_frame(traj, t, coef, control, gauge, where):
             gauge_shift += math.hypot(cx, cy)
         area, cx, cy = (float(v) for v in area_centroid_rows(*rows[:4]))
         curve = DiscreteCurve(rows[:2].T, validate=False)
-    fields = geometry_rows(rows[2:4], rows[4:])
-    if np.array_equal(curve.points.T, rows[:2]):
-        curve._cache["geom"] = fields
+    fields = curve._cache["geom"] = geometry_rows(rows[2:4], rows[4:])
     max_curv = float(np.abs(fields.curvature).max())
     traj.times.append(float(t))
     traj.curves.append(curve)

@@ -17,6 +17,7 @@ into any D^T C D stiffness; the staggered multiplier is nonzero at Nyquist.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -54,19 +55,13 @@ def deriv(values: np.ndarray, order: int = 1) -> np.ndarray:
     return multiply(values, mult)
 
 
-_DERIV12_CACHE: dict = {}
-
-
+@functools.cache
 def deriv12_multipliers(m: int) -> tuple[np.ndarray, np.ndarray]:
     """rfft multipliers (ik, -k^2) of d/dtheta and d2/dtheta2, Nyquist ik = 0."""
-    pair = _DERIV12_CACHE.get(m)
-    if pair is None:
-        k = _wavenumbers(m)
-        m1 = 1j * k
-        m1[-1] = 0.0
-        pair = (m1, -(k * k))
-        _DERIV12_CACHE[m] = pair
-    return pair
+    k = _wavenumbers(m)
+    m1 = 1j * k
+    m1[-1] = 0.0
+    return m1, -(k * k)
 
 
 def deriv12(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -153,8 +148,11 @@ _TAYLOR_P = next(p for p in range(64)
 #: 2*pi to 40 digits, for the rounding error of the grid spacing TWO_PI/m
 _TWO_PI_EXACT = Fraction("6.283185307179586476925286766559005768394")
 
-#: the rounding error TWO_PI/m - fl(TWO_PI/m) of the grid spacing, per m
-_SPACING_ERROR: dict = {}
+
+@functools.cache
+def _spacing_error(m: int) -> float:
+    """The rounding error TWO_PI/m - fl(TWO_PI/m) of the grid spacing."""
+    return float(_TWO_PI_EXACT / m - Fraction(TWO_PI / m))
 
 
 def _nearest_node(thetas: np.ndarray, m: int):
@@ -163,9 +161,7 @@ def _nearest_node(thetas: np.ndarray, m: int):
     |theta/h| eps): fmod splits theta exactly by the float h, and n times
     the rounding error of h is added back."""
     h = TWO_PI / m
-    dh = _SPACING_ERROR.get(m)
-    if dh is None:
-        dh = _SPACING_ERROR[m] = float(_TWO_PI_EXACT / m - Fraction(h))
+    dh = _spacing_error(m)
     r = np.fmod(thetas, h)
     n = np.rint((thetas - r) / h)
     x = (r - n * dh) / h
@@ -173,24 +169,17 @@ def _nearest_node(thetas: np.ndarray, m: int):
     return (n + near).astype(np.intp) % m, x - near
 
 
-_TAYLOR_CACHE: dict = {}
-
-
+@functools.cache
 def _taylor_multipliers(m: int) -> tuple[np.ndarray, np.ndarray]:
     """rfft multipliers (i k h)^q/q!, q = 0.._TAYLOR_P + 2, h = 2*pi/m, and
-    their moduli times 2^-q, (k h/2)^q/q!: cached per m like
-    :func:`deriv12_multipliers`; a table of order <= 2 takes its first
-    rows."""
-    pair = _TAYLOR_CACHE.get(m)
-    if pair is None:
-        q = np.arange(_TAYLOR_P + 3)
-        k_h = (TWO_PI / m) * _wavenumbers(m)
-        fact = np.cumprod(np.maximum(q, 1.0))[:, None]
-        pair = ((1j * k_h) ** q[:, None] / fact,
-                (0.5 * k_h) ** q[:, None] / fact)
-        for table in pair:
-            table.flags.writeable = False
-        _TAYLOR_CACHE[m] = pair
+    their moduli times 2^-q, (k h/2)^q/q!: cached per m, read-only; a table
+    of order <= 2 takes its first rows."""
+    q = np.arange(_TAYLOR_P + 3)
+    k_h = (TWO_PI / m) * _wavenumbers(m)
+    fact = np.cumprod(np.maximum(q, 1.0))[:, None]
+    pair = ((1j * k_h) ** q[:, None] / fact, (0.5 * k_h) ** q[:, None] / fact)
+    for table in pair:
+        table.flags.writeable = False
     return pair
 
 
@@ -247,7 +236,7 @@ class Interpolant:
     __slots__ = ("m", "order", "_table", "_tail")
 
     def __init__(self, coef: np.ndarray, m: int, order: int = 0):
-        self.m = m
+        self.m = m = int(m)  # one cached table per m, whatever its int type
         self.order = order
         cols = coef.reshape(coef.shape[0], -1)
         mult, half_moduli = _taylor_multipliers(m)
@@ -284,18 +273,13 @@ class Interpolant:
                 .T.reshape(shape) for r, o in enumerate(acc)]
 
 
-_ROOTS_CACHE: dict = {}
-
-
+@functools.cache
 def _roots_of_unity(m: int) -> np.ndarray:
     """exp(2 pi i q/m), q = 0..m-1, from angles reduced to (-pi, pi]:
-    cached per m like :func:`deriv12_multipliers`."""
-    roots = _ROOTS_CACHE.get(m)
-    if roots is None:
-        q = np.arange(m)
-        roots = np.exp(1j * (TWO_PI / m) * np.where(q > m // 2, q - m, q))
-        roots.flags.writeable = False
-        _ROOTS_CACHE[m] = roots
+    cached per m, read-only."""
+    q = np.arange(m)
+    roots = np.exp(1j * (TWO_PI / m) * np.where(q > m // 2, q - m, q))
+    roots.flags.writeable = False
     return roots
 
 

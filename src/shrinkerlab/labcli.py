@@ -542,7 +542,8 @@ def experiment_rate(config: ScenarioConfig) -> dict:
     window, on the frames whose distance is above _DH_FLOOR, against the
     rate 1 - k^2/2 of the dominant initial mode k, the largest rfft
     amplitude over k >= 2 of h - sqrt(2) at the m grid normal angles of
-    frame 0.
+    frame 0. On the exact shrinker (no distance above _DH_FLOOR) h - sqrt(2)
+    is rounding noise: there is no mode, and every fitted field is None.
     Writes frames.npy, index.json, series.csv and trace.csv.
     """
     curve = _build_curves(config, convex=True)[0]
@@ -556,15 +557,14 @@ def experiment_rate(config: ScenarioConfig) -> dict:
     dh = distance_to_circle(traj.curves, radius)
     phi_l2 = np.sqrt([shrinker_energy(frame) for frame in traj.curves])
 
-    alpha = fourier.grid(config.m)
-    h = support_function(traj.curves[0])(np.cos(alpha), np.sin(alpha))[0]
-    mode = int(np.argmax(np.abs(np.fft.rfft(h - radius))[2:])) + 2
-    predicted = 1.0 - 0.5 * mode * mode
-
     if not np.any(dh > _DH_FLOOR):
-        dh_slope = phi_slope = None
+        mode = predicted = dh_slope = phi_slope = None
         verdict = "exact-shrinker"
     else:
+        alpha = fourier.grid(config.m)
+        h = support_function(traj.curves[0])(np.cos(alpha), np.sin(alpha))[0]
+        mode = int(np.argmax(np.abs(np.fft.rfft(h - radius))[2:])) + 2
+        predicted = 1.0 - 0.5 * mode * mode
         fit_mask = dh > _DH_FLOOR
         dh_slope, _, _ = _fit_tail_slope(taus[fit_mask], dh[fit_mask],
                                          config.fit_window)

@@ -159,14 +159,19 @@ def assemble(base: DiscreteCurve) -> WeightedOperator:
     Raises
     ------
     DegenerateCurve
-        If the base metric collapses, or the interpolated stiffness
-        coefficient loses positivity (wildly under-resolved data).
+        If the base metric collapses, the Gaussian density is subnormal (a
+        node beyond |x| = 2 sqrt(-ln tiny) ~ 53.23), or the interpolated
+        stiffness coefficient loses positivity (wildly under-resolved data).
     """
     op = base._cache.get("drift")
     if op is not None:
         return op
-    c_half = fourier.staggered_interp(gaussian_density(base.points)
-                                      / geometry(base).metric_speed)
+    density = gaussian_density(base.points)
+    if float(density.min()) < np.finfo(float).tiny:
+        raise DegenerateCurve("the Gaussian density exp(-|x|^2/4) underflows: "
+                              "the curve reaches |x| = %.4g, beyond 53.23"
+                              % np.hypot(*base.points.T).max())
+    c_half = fourier.staggered_interp(density / geometry(base).metric_speed)
     if float(c_half.min()) <= 0.0:
         raise DegenerateCurve("stiffness coefficient lost positivity on the "
                               "half grid; curve is under-resolved")

@@ -182,15 +182,19 @@ def oracle_has_self_intersection(points):
         return False
     m = points.shape[0]
     p = points
-    q = np.roll(points, -1, axis=0)
-    d = q - p
-    rx = p[None, :, 0] - p[:, None, 0]
-    ry = p[None, :, 1] - p[:, None, 1]
-    sx = q[None, :, 0] - p[:, None, 0]
-    sy = q[None, :, 1] - p[:, None, 1]
-    d1 = d[:, None, 0] * ry - d[:, None, 1] * rx
-    d2 = d[:, None, 0] * sy - d[:, None, 1] * sx
-    cross = (d1 * d2 < 0.0) & (d1 * d2 < 0.0).T
+    d = np.roll(points, -1, axis=0) - p
+    # side[a, v]: the side of vertex v by the line of segment a, 0 where it
+    # lies within rounding of the line
+    u = d[:, None, 0] * (p[None, :, 1] - p[:, None, 1])
+    w = d[:, None, 1] * (p[None, :, 0] - p[:, None, 0])
+    eps = np.finfo(float).eps
+    side = np.sign(u - w) * (np.abs(u - w) > 8 * eps * (np.abs(u) + np.abs(w)))
+    # the arm through segment b crosses line a when the sides of its ends
+    # differ, an end on the line standing for the vertex beyond it
+    s0 = np.where(side == 0, np.roll(side, 1, axis=1), side)
+    s1 = np.roll(np.where(side == 0, np.roll(side, -1, axis=1), side), -1,
+                 axis=1)
+    cross = (s0 * s1 < 0.0) & (s0 * s1 < 0.0).T
     idx = np.arange(m)
     adj = np.abs(idx[:, None] - idx[None, :]) % m
     cross[(adj == 0) | (adj == 1) | (adj == m - 1)] = False
@@ -908,6 +912,39 @@ def test_blocked_self_intersection_matches_unblocked():
         assert star_angles(points) is None
         assert _has_self_intersection(points) == crossed
         assert oracle_has_self_intersection(points) == crossed
+
+
+@pytest.mark.parametrize("m", [64, 256, 512])
+@pytest.mark.parametrize("arms", [(-1, "sin2", "sin1"), (1, "sin1", "sin2"),
+                                  (1, "sin2", "sin1")])
+def test_figure_eights_through_vertices_are_not_simple(m, arms):
+    """Both arms pass through nodes at the origin, where the proper-crossing
+    rule decides on rounding: the arm through a vertex counts, in either
+    node order and at any roll."""
+    t = grid(m)
+    waves = {"sin1": np.sin(t), "sin2": np.sin(2 * t)}
+    sign, x, y = arms
+    points = np.column_stack([sign * waves[x], waves[y]])
+    for order in (points, points[::-1]):
+        for roll in (0, 1, m // 4, m // 2 - 1, m - 3):
+            rolled = np.roll(order, roll, axis=0)
+            assert _has_self_intersection(rolled)
+            assert oracle_has_self_intersection(rolled)
+            with pytest.raises(InvalidCurve, match="^polyline is not simple$"):
+                DiscreteCurve(rolled)
+
+
+def test_bow_tie_through_an_interior_vertex_is_not_simple():
+    """Exact coordinates: the falling diagonal's segment (5, 3)-(3, 5) runs
+    through the rising diagonal's vertex (4, 4), which no pair crosses
+    properly."""
+    points = np.array([(0, 0), (2, 2), (4, 4), (6, 6), (8, 8), (8, 6),
+                       (8, 4), (8, 0), (6, 2), (5, 3), (3, 5), (2, 6),
+                       (0, 8), (0, 6), (0, 4), (0, 2)], dtype=float)
+    assert _has_self_intersection(points)
+    assert oracle_has_self_intersection(points)
+    with pytest.raises(InvalidCurve, match="^polyline is not simple$"):
+        DiscreteCurve(points)
 
 
 def test_self_intersection_scan_memory_is_linear_in_m():

@@ -80,6 +80,13 @@ def test_orientation_normalized_to_ccw(kmax, amplitude, seed, m, roll):
     assert abs(back.area() - forward.area()) <= 1e-13 * forward.area()
 
 
+def test_unvalidated_construction_keeps_the_node_order():
+    clockwise = circle(1.0, m=32).points[::-1]
+    kept = DiscreteCurve(clockwise, validate=False)
+    assert np.array_equal(kept.points, clockwise)
+    assert kept.area() < 0.0
+
+
 def test_points_are_readonly():
     c = circle(1.0, m=32)
     with pytest.raises(ValueError):

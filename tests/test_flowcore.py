@@ -8,7 +8,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from shrinkerlab import curvegeo, flowcore
+from shrinkerlab import curvegeo, flowcore, fourier
 from shrinkerlab.curvegeo import circle, ellipse, fourier_curve, geometry
 from shrinkerlab.errors import (
     BlowupDetected,
@@ -31,6 +31,7 @@ from shrinkerlab.flowcore import (
     run_mcf,
     run_rmcf,
 )
+from shrinkerlab.gauge import reconstruct
 from shrinkerlab.labcli import _normalize_unit_area
 
 SQRT2 = np.sqrt(2.0)
@@ -552,3 +553,49 @@ def test_simplicity_scan_only_without_require_convex(monkeypatch,
     traj = run_rmcf(circle(1.3, m=64), 0.2, frame_dtau=0.05, gauge="area",
                     control=StepControl(require_convex=require_convex))
     assert len(scans) == (0 if require_convex else len(traj))
+
+
+def test_frames_cache_the_geometry_of_their_own_rows(monkeypatch):
+    """A resampled frame re-synthesizes its rows from its new nodes, so its
+    cached geometry is what `geometry` computes from the stored curve, bit
+    for bit; every other frame caches that of the step's rows, which a
+    fresh transform of its nodes gives to rounding."""
+    resampled = []
+
+    def spy(curve):
+        resampled.append(curvegeo.resample(curve))
+        return resampled[-1]
+
+    monkeypatch.setattr(flowcore, "resample", spy)
+    m = 256
+    start = reconstruct(circle(SQRT2, m=m), 0.1 * np.cos(2 * fourier.grid(m)))
+    traj = run_flows([start], "rmcf", 0.3, frame_dtau=0.05, gauge="none")[0]
+    assert traj.curves[0] is resampled[0]
+    assert len(resampled) < len(traj)
+    names = ("tangent", "normal", "curvature", "arclength_weights",
+             "metric_speed")
+    for frame in traj.curves:
+        cached = frame._cache["geom"]
+        d1, d2 = fourier.deriv12(frame.points)
+        fresh = curvegeo.geometry_rows(d1.T, d2.T)
+        for name in names:
+            got, want = getattr(cached, name), getattr(fresh, name)
+            if any(frame is c for c in resampled):
+                assert np.array_equal(got, want), name
+            else:
+                assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("gauge", ["none", "area"])
+def test_clockwise_rows_raise_blowup(gauge):
+    """The flow keeps curves counterclockwise: a frame that is not is an
+    error, not reversed."""
+    m = 64
+    clockwise = circle(1.0, m=m).points[::-1]
+    traj = FlowTrajectory(picture="rmcf", m=m)
+    traj.series = {c: [] for c in flowcore._SERIES_COLUMNS}
+    with pytest.raises(BlowupDetected,
+                       match=r"^enclosed area -3.14 is not positive at tau=1$"):
+        flowcore._emit_frame(traj, 1.0, np.fft.rfft(clockwise.T, axis=1),
+                             StepControl(), gauge, "at tau=1")
+    assert traj.curves == []

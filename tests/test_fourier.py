@@ -232,9 +232,14 @@ def test_interpolant_degree_on_a_resolved_curve():
         assert prepared.degree + order + 1 <= 12
     with pytest.raises(AttributeError):
         prepared.degree = fourier._TAYLOR_P
-    # one multiplier table per m, whatever the orders and degrees
-    assert m in fourier._TAYLOR_CACHE
-    assert all(isinstance(key, int) for key in fourier._TAYLOR_CACHE)
+    # one multiplier table per m, whatever the orders, the degrees and the
+    # integer type of m
+    fourier._taylor_multipliers.cache_clear()
+    for order in (0, 1):
+        for size in (m, np.int64(m)):
+            fourier.Interpolant(coef, size, order)
+    info = fourier._taylor_multipliers.cache_info()
+    assert (info.currsize, info.misses) == (1, 1)
 
 
 @pytest.mark.parametrize("m", [64, 256, 2048])

@@ -228,6 +228,42 @@ def test_spectrum_scenario_matches_circle_modes(tmp_path):
     assert saved["Lambda"] == pytest.approx(1.0, abs=1e-8)
 
 
+def test_spectrum_of_a_large_circle_before_the_density_underflows(tmp_path):
+    """On circle(53) the Gaussian density is still normal: the spectrum is
+    1/R^2 + 1/2 - k^2/R^2, k = 0, 1, 1, 2, 2, ..."""
+    radius = 53.0
+    summary = run(validate_config({
+        "scenario": "spectrum", "curve1": "circle(53)", "m": "64",
+        "out": str(tmp_path / "out")}))
+    k = (np.arange(len(summary["eigenvalues"])) + 1) // 2
+    expected = (1.0 - k * k) / radius ** 2 + 0.5
+    assert np.abs(np.array(summary["eigenvalues"]) - expected).max() <= 1e-14
+
+
+@pytest.mark.parametrize("curve, message", [
+    ("circle(54)", "error: the Gaussian density exp(-|x|^2/4) underflows: "
+                   "the curve reaches |x| = 54, beyond 53.23"),
+    ("circle(56)", "error: the Gaussian density exp(-|x|^2/4) underflows: "
+                   "the curve reaches |x| = 56, beyond 53.23"),
+    ("ellipse(40, 38)", "error: stiffness coefficient lost positivity on the "
+                        "half grid; curve is under-resolved"),
+], ids=["circle-54", "circle-56", "ellipse-40-38"])
+def test_spectrum_beyond_the_density_range_is_one_error_line(tmp_path, curve,
+                                                             message):
+    """Past |x| ~ 53.23 the density is subnormal and the operator loses
+    accuracy before positivity, so assembly names the underflow; an
+    under-resolved density inside that range keeps its own error."""
+    path = write_config(tmp_path, "curve1 = %s\nm = 64\nout = %s\n"
+                        % (curve, tmp_path / "x"))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "shrinkerlab", "spectrum",
+         "--config", path],
+        capture_output=True, text=True, env=src_env(), timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [message]
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.fixture(scope="module")
 def residual_summary(tmp_path_factory):
     out = tmp_path_factory.mktemp("residual")
@@ -347,6 +383,23 @@ def test_rate_circle_is_exact_shrinker(tmp_path):
     trace = np.genfromtxt(tmp_path / "ratec" / "trace.csv",
                           delimiter=",", names=True)
     assert np.all(trace["dH"] < 1e-8)
+
+
+def test_rate_on_the_exact_shrinker_has_no_mode(tmp_path):
+    """On circle(sqrt 2) h - sqrt(2) is rounding noise: no distance clears
+    the floor, and the mode and its predicted slope are null, not the
+    argmax of that noise."""
+    path = write_config(tmp_path, "curve1 = circle(1.4142135623730951)\n"
+                        "m = 256\ntau_end = 1\nout = %s\n" % (tmp_path / "x"))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "shrinkerlab", "rate",
+         "--config", path],
+        capture_output=True, text=True, env=src_env(), timeout=120)
+    assert proc.returncode == 0 and proc.stderr == ""
+    summary = json.loads((tmp_path / "x" / "summary.json").read_text())
+    assert summary["verdict"] == "exact-shrinker"
+    for key in ("dominantMode", "predictedSlope", "dhSlope", "phiSlope"):
+        assert summary[key] is None, key
 
 
 def test_rate_rejects_nonconvex(tmp_path):
