@@ -50,8 +50,10 @@ from .gauge import (
     apply_L,
     graph_hausdorff,
     normal_graph,
+    normal_graphs,
     reconstruct,
     residual,
+    residuals,
 )
 from .spectral import (
     Spectrum,

@@ -402,14 +402,25 @@ _EPS = float(np.finfo(float).eps)
 _NOISE = 16.0
 
 #: the frame-batched distances take their frames in blocks of at most
-#: _BLOCK_NODES nodes, so their memory stays O(_BLOCK_NODES)
+#: _BLOCK_NODES nodes, so their memory stays O(_BLOCK_NODES). At 1 << 12
+#: nodes they run ~1.5x slower: `distance_to_circle` of the 401 frames of
+#: rate-frames-256 36 -> 54 ms and `gauge.graph_hausdorff` of the 139 of
+#: separation-512 21 -> 35 ms (medians of 7 alternating runs, Xeon, 2 CPUs)
 _BLOCK_NODES = 1 << 14
 
+#: the frequency monitor's stacked passes (normal graphs, frame records,
+#: energies, residuals) take their frames in blocks of at most STACK_NODES
+#: nodes: each holds a dozen (frames, m) arrays, or an order-1 Taylor table
+#: of ~22 rows of m per frame, at once. At m = 512 a block of the normal
+#: graphs peaks at ~2.6 MB, against ~8 MB at 1 << 14 nodes, which runs no
+#: faster; frames one at a time run ~50% slower.
+STACK_NODES = 1 << 12
 
-def frame_blocks(count: int, m: int) -> list:
-    """Slices of `count` frames of m nodes, each of at most _BLOCK_NODES
-    nodes (one frame at least)."""
-    step = max(1, _BLOCK_NODES // m)
+
+def frame_blocks(count: int, m: int, nodes: int | None = None) -> list:
+    """Slices of `count` frames of m nodes, each of at most `nodes` nodes
+    (default _BLOCK_NODES; one frame at least)."""
+    step = max(1, (nodes or _BLOCK_NODES) // m)
     return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 

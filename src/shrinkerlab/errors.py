@@ -26,11 +26,18 @@ class BlowupDetected(ShrinkerLabError):
 
 
 class StepRejected(ShrinkerLabError):
-    """A time step produced an invalid curve; caller should halve the step."""
+    """A time step or a run's step plan is refused: a step beyond its bound,
+    a cfl out of range, or a run longer than the step budget."""
 
 
 class ConvexityLost(ShrinkerLabError):
-    """A flow started from convex data produced a non-convex frame."""
+    """A flow started from convex data produced a non-convex frame.
+
+    start is the batch index of the curve when `flowcore.run_flows` finds
+    it at frame 0, before any step (its start is not convex), else None.
+    """
+
+    start = None
 
 
 class NotShrinking(ShrinkerLabError):
@@ -42,7 +49,13 @@ class TimeOutOfRange(ShrinkerLabError):
 
 
 class NotAGraph(ShrinkerLabError):
-    """Target curve is not a single-valued normal graph over the base."""
+    """Target curve is not a single-valued normal graph over the base.
+
+    frame is the index of the failing frame pair when `gauge.normal_graphs`
+    raises it, else None.
+    """
+
+    frame = None
 
 
 class FrameMissing(ShrinkerLabError):

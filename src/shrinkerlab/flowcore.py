@@ -77,6 +77,10 @@ _RESAMPLE_RATIO = 1.05
 # estimate_singularity fits over this trailing fraction of the frames (>= 5).
 _SINGULAR_WINDOW = 0.25
 
+#: `run_flows` refuses up front a curve that needs more steps than this to
+#: its end time: at m = 64 a step takes some 30-50 us, so about a minute
+STEP_BUDGET = 10 ** 6
+
 
 # phi_3(z) = sum_j z^j/(j + 3)!, j = 0..15, is exact to rounding for |z| <= 1
 _PHI3_TAYLOR = np.array([1.0 / math.factorial(j + 3) for j in range(16)])
@@ -102,6 +106,19 @@ def _metric(d1: np.ndarray, d2: np.ndarray):
     n = d1.shape[0] // 2
     gx, gy = d1[:n], d1[n:]
     return gx * gx + gy * gy, gx * d2[n:] - gy * d2[:n]
+
+
+def _curvature_sq(g2: np.ndarray, cross: np.ndarray) -> np.ndarray:
+    """kappa^2 at the nodes from the rows of `_metric`, as the step reads it."""
+    return cross * cross / (g2 * g2 * g2)
+
+
+def step_curvature(curve: DiscreteCurve) -> float:
+    """max kappa^2 of `curve` as the step of a run forms it, cross^2/g^6
+    from its theta-derivative rows, so numpy overflows here where that
+    step would."""
+    d1, d2 = fourier.deriv12(curve.points)
+    return float(_curvature_sq(*_metric(d1.T, d2.T)).max())
 
 
 def _phi(z: np.ndarray) -> list:
@@ -309,7 +326,9 @@ def _emit_frame(traj, t, coef, control, gauge, where):
     resample synthesizes its new nodes'); the gauge acts on rows and
     coefficients, and the stored curve caches their geometry. The flow keeps
     curves counterclockwise: a frame of area <= 0 raises BlowupDetected.
-    Under `require_convex` the curvature row replaces the simplicity scan.
+    Under `require_convex` the curvature row replaces the simplicity scan,
+    and the rows the next step reads (resampled and regauged) must keep
+    x_theta ^ x_thth >= 0, so the step's guard finds what the frame passed.
     Returns the working curve's rfft rows, sample rows, area and max |kappa|.
     """
     rows = fourier.synth_rows(coef, traj.m)
@@ -337,6 +356,8 @@ def _emit_frame(traj, t, coef, control, gauge, where):
         area, cx, cy = (float(v) for v in area_centroid_rows(*rows[:4]))
         curve = DiscreteCurve(rows[:2].T, validate=False)
     fields = curve._cache["geom"] = geometry_rows(rows[2:4], rows[4:])
+    if control.require_convex and fields.curvature.min() < 0.0:
+        raise ConvexityLost("curvature changed sign %s" % where)
     max_curv = float(np.abs(fields.curvature).max())
     traj.times.append(float(t))
     traj.curves.append(curve)
@@ -353,7 +374,8 @@ def run_flows(curves, picture: str, end: float | None = None, *,
     picture is "mcf" (`end` = optional t_end, see :func:`run_mcf`) or "rmcf"
     (`end` = tau_end, see :func:`run_rmcf`). All curves need the same m. Each
     trajectory equals a run of its curve alone up to rounding. A guard
-    failure raises its typed error naming the curve's index and time.
+    failure raises its typed error naming the curve's index and time; a
+    ConvexityLost at frame 0 carries that index as `start`.
     """
     control = control or StepControl()
     rescaled = picture == "rmcf"
@@ -388,13 +410,34 @@ def run_flows(curves, picture: str, end: float | None = None, *,
         traj = FlowTrajectory(picture=picture, m=m)
         traj.series = {c: [] for c in _SERIES_COLUMNS}
         trajs.append(traj)
-        coef[i::n], rows[i::n], area, max_curv = _emit_frame(
-            traj, 0.0, np.fft.rfft(curve.points.T, axis=1), control, gauge,
-            "in curve %d at %s=0" % (i, var))
+        try:
+            coef[i::n], rows[i::n], area, max_curv = _emit_frame(
+                traj, 0.0, np.fft.rfft(curve.points.T, axis=1), control,
+                gauge, "in curve %d at %s=0" % (i, var))
+        except ConvexityLost as exc:
+            exc.start = i
+            raise
         if rescaled or max_curv < control.stop_curvature:
             ids.append(i)
             times.append(0.0)
             goals.append(0 if rescaled else area * level_ratio)
+    # every step is at most _timestep(0) long; an unrescaled run ends at
+    # t_end or once its curvature reaches stop_curvature K, which takes at
+    # least (1/k0^2 - 1/K^2)/2 from the maximum k0 at frame 0, as the
+    # maximum principle on k_t = k_ss + k^3 gives dk_max/dt <= k_max^3; that
+    # time exceeds `reach` exactly when k0 sqrt(2 reach + 1/K^2) < 1
+    reach = STEP_BUDGET * _timestep(0.0, control)
+    for i in ids:
+        if rescaled:
+            slow = end > reach
+        else:
+            k0 = trajs[i].series["max_curvature"][0]
+            slow = ((end is None or end > reach) and k0 * math.sqrt(
+                2.0 * reach + control.stop_curvature ** -2) < 1.0)
+        if slow:
+            raise StepRejected("curve %d needs more than %d steps to its end "
+                               "time, each at most %.3g long"
+                               % (i, STEP_BUDGET, _timestep(0.0, control)))
     if len(ids) < n:  # curves done at frame 0 leave the batch
         coef, rows = coef[ids + [n + i for i in ids]], None
 
@@ -412,7 +455,7 @@ def run_flows(curves, picture: str, end: float | None = None, *,
         if since_guard >= _GUARD_STRIDE:
             _guards(pts, g2, cross, control, where)
             since_guard = 0
-        kappa2 = (cross * cross / (g2 * g2 * g2)).max(axis=1).tolist()
+        kappa2 = _curvature_sq(g2, cross).max(axis=1).tolist()
         if not rescaled:
             areas = area_centroid_rows(pts[:n], pts[n:], d1[:n], d1[n:])[0].tolist()
         dts, events = [], []

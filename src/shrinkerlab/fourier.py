@@ -35,24 +35,29 @@ def _wavenumbers(m: int) -> np.ndarray:
     return np.arange(m // 2 + 1, dtype=float)
 
 
-def multiply(values, mult: np.ndarray) -> np.ndarray:
-    """irfft(rfft(values) * mult) along axis 0, for any trailing shape."""
+def multiply(values, mult: np.ndarray, axis: int = 0) -> np.ndarray:
+    """irfft(rfft(values) * mult) along `axis` (0: fields as columns, -1:
+    frames as rows), for any other shape. Each 1-D transform is the same
+    whatever the stack around it, so a row's result does not depend on the
+    layout or on the other rows."""
     values = np.asarray(values, dtype=float)
-    coef = np.fft.rfft(values, axis=0)
-    shape = (-1,) + (1,) * (values.ndim - 1)
-    return np.fft.irfft(coef * mult.reshape(shape), n=values.shape[0], axis=0)
+    coef = np.fft.rfft(values, axis=axis)
+    shape = [1] * values.ndim
+    shape[axis] = -1
+    return np.fft.irfft(coef * mult.reshape(shape), n=values.shape[axis],
+                        axis=axis)
 
 
-def deriv(values: np.ndarray, order: int = 1) -> np.ndarray:
-    """Spectral derivative d^order/dtheta^order along axis 0.
+def deriv(values: np.ndarray, order: int = 1, axis: int = 0) -> np.ndarray:
+    """Spectral derivative d^order/dtheta^order along `axis`.
 
     For odd orders the Nyquist mode is zeroed (its sine interpolant vanishes
     on the grid); for even orders it carries the exact factor (i*m/2)^order.
     """
-    mult = (1j * _wavenumbers(len(values))) ** order
+    mult = (1j * _wavenumbers(np.shape(values)[axis])) ** order
     if order % 2 == 1:
         mult[-1] = 0.0
-    return multiply(values, mult)
+    return multiply(values, mult, axis)
 
 
 @functools.cache

@@ -16,11 +16,13 @@ curve. The central objects:
 writes one record per interior frame, and checks the inequalities that make
 the frequency argument run: the logarithmic derivative of I stays within
 the C/D error budget of U, U never exceeds the spectral bound, and log I
-admits a linear lower support line (no super-exponential collapse). I, U
-and the Dirichlet ratio are computed in its frame loop. `approach_series`
-is the base half of the monitor: Itilde, F, D, the C2 norm of phi, their
-integrals and theta of one trajectory, from the same private routine the
-monitor runs. `shrinker_energy` gives Itilde of a single curve.
+admits a linear lower support line (no super-exponential collapse). Its
+per-frame work (normal graphs, frame records, I, U, the Dirichlet ratio
+and the residuals) runs over blocks of frames in stacked passes, each
+frame's numbers those of the frame alone. `approach_series` is the base
+half of the monitor: Itilde, F, D, the C2 norm of phi, their integrals and
+theta of one trajectory, from the same private routine the monitor runs.
+`shrinker_energy` gives Itilde of a single curve.
 """
 
 from __future__ import annotations
@@ -32,14 +34,16 @@ import numpy as np
 
 from . import ioutil, spectral
 from .curvegeo import (
+    STACK_NODES,
     DiscreteCurve,
     f_functional,
+    frame_blocks,
     gaussian_weights,
     geometry,
     shrinker_quantity,
 )
 from .errors import FrameMissing, NotAGraph, WindowTooShort
-from .gauge import arc_derivatives, normal_graph, residual
+from .gauge import arc_rows, normal_graphs, residuals
 
 __all__ = [
     "ENERGY_FLOOR",
@@ -79,26 +83,34 @@ class _Frame:
     d_static: float
 
 
-def _itilde(weights: np.ndarray, phi: np.ndarray) -> float:
-    return float(np.sum(weights * phi * phi)) / math.sqrt(4.0 * math.pi)
+def _itilde(weights: np.ndarray, phi: np.ndarray):
+    return np.sum(weights * phi * phi, axis=-1) / math.sqrt(4.0 * math.pi)
 
 
-def _frame(curve: DiscreteCurve) -> _Frame:
-    weights = gaussian_weights(curve)
-    phi = shrinker_quantity(curve)
-    h = geometry(curve).curvature
-    phi_s, phi_ss = arc_derivatives(curve, phi)
-    sup_phi = np.abs(phi).max()
-    metric_term = np.abs(2.0 * phi * h).max()
-    curv_term = np.abs(2.0 * h * phi_ss + 2.0 * phi * h ** 3).max()
-    return _Frame(
-        weights=weights,
-        phi=phi,
-        itilde=_itilde(weights, phi),
-        f=f_functional(curve),
-        c2=float(sup_phi + np.abs(phi_s).max() + np.abs(phi_ss).max()),
-        d_static=float(metric_term + curv_term + sup_phi),
-    )
+def _frames(curves) -> list:
+    """The `_Frame` record of each curve, of one m, the curves of each
+    `frame_blocks` block in one pass: the arc derivatives of phi by one
+    stacked `arc_rows`, each row equal to that of its curve alone."""
+    records = []
+    for block in frame_blocks(len(curves), curves[0].m if curves else 1,
+                              STACK_NODES):
+        part = curves[block]
+        weights = [gaussian_weights(c) for c in part]
+        phi = np.stack([shrinker_quantity(c) for c in part])
+        h = np.stack([geometry(c).curvature for c in part])
+        phi_s, phi_ss = arc_rows(
+            np.stack([geometry(c).metric_speed for c in part]), phi)
+        sup_phi = np.abs(phi).max(axis=1)
+        metric_term = np.abs(2.0 * phi * h).max(axis=1)
+        curv_term = np.abs(2.0 * h * phi_ss + 2.0 * phi * h ** 3).max(axis=1)
+        itilde = _itilde(np.stack(weights), phi)
+        c2 = sup_phi + np.abs(phi_s).max(axis=1) + np.abs(phi_ss).max(axis=1)
+        d_static = metric_term + curv_term + sup_phi
+        records += [_Frame(weights=w, phi=p, itilde=float(i),
+                           f=f_functional(c), c2=float(n), d_static=float(d))
+                    for w, p, i, c, n, d
+                    in zip(weights, phi, itilde, part, c2, d_static)]
+    return records
 
 
 def shrinker_energy(curve: DiscreteCurve) -> float:
@@ -110,7 +122,7 @@ def shrinker_energy(curve: DiscreteCurve) -> float:
     shrinkers. Reads only the Gaussian weights and phi, not the full frame
     record of the monitor.
     """
-    return _itilde(gaussian_weights(curve), shrinker_quantity(curve))
+    return float(_itilde(gaussian_weights(curve), shrinker_quantity(curve)))
 
 
 def approach_series(traj) -> dict:
@@ -130,7 +142,7 @@ def approach_series(traj) -> dict:
     if len(traj) < 3:
         raise WindowTooShort("need at least 3 frames, got %d" % len(traj))
     return _approach(np.asarray(traj.times, dtype=float),
-                     [_frame(curve) for curve in traj.curves])
+                     _frames(traj.curves))
 
 
 def _approach(taus: np.ndarray, frames: list) -> dict:
@@ -256,6 +268,18 @@ def monitor(base_traj, target_traj, *,
       * U <= 2 Lambda + 1e-10 against the spectral bound;
       * no super-exponential collapse of I over the fit window.
 
+    The graphs come from `gauge.normal_graphs`: Newton seeded at each base
+    node's own parameter, no crossing search, each frame accepted under the
+    convexity certificate that its crossing is the only one within reach/2
+    (the rolling disk of radius 1/max H of a convex target, at node
+    resolution) and otherwise sent through `gauge.normal_graph`, the one
+    crossing search; the target flow may have another m than the base.
+    They agree with `normal_graph` to about 1e-12 relative. The graphs, the frame
+    records, I, U, the Dirichlet ratio and the residuals run over
+    `curvegeo.frame_blocks` of STACK_NODES nodes, as stacked rfft/irfft
+    passes (`spectral.dirichlet_rows`, `gauge.residuals`) whose rows equal
+    the per-frame calls bit for bit.
+
     Lambda (the top eigenvalue along the base) comes from an eigensolve
     of every max(1, k // 12)-th base frame and the last, k the number of
     frames. Fits use the trailing fit_fraction of non-underflow rows;
@@ -272,32 +296,50 @@ def monitor(base_traj, target_traj, *,
         raise FrameMissing("need at least 5 frames, got %d" % k)
     curves = base_traj.curves
     taus = np.asarray(base_traj.times, dtype=float)
-    u_fields = []
-    for bc, tc, tau in zip(curves, target_traj.curves, taus):
-        try:
-            u_fields.append(normal_graph(bc, tc))
-        except NotAGraph as exc:
-            raise NotAGraph("frame pair at tau = %.6g: %s" % (tau, exc))
+    try:
+        fields = normal_graphs(curves, target_traj.curves)
+    except NotAGraph as exc:
+        raise NotAGraph("frame pair at tau = %.6g: %s" % (taus[exc.frame], exc))
     _, _, lambda_bound = spectral.rayleigh_bound(base_traj,
                                                  stride=max(1, k // 12))
-    frames = [_frame(curve) for curve in curves]
+    frames = _frames(curves)
     base = _approach(taus, frames)
 
+    # per frame: I, U, the measure correction and the Dirichlet ratio, U
+    # and the ratio sharing one stiffness evaluation; per interior frame j,
+    # the residual of frames j - 1, j, j + 1 and the Gaussian norm of its L u
     i_vals = np.empty(k)
     u_quot = np.zeros(k)
     corr = np.zeros(k)
     dirat = np.zeros(k)
-    for j, (bc, fr, u) in enumerate(zip(curves, frames, u_fields)):
-        i_vals[j] = float(np.sum(fr.weights * u * u))
-        if i_vals[j] <= ENERGY_FLOOR:
+    fitted_c = np.zeros(k)
+    drift_sq = np.zeros(k)
+    spans = np.zeros(k)
+    spans[1:-1] = taus[2:] - taus[:-2]
+    for block in frame_blocks(k, base_traj.m, STACK_NODES):
+        u = fields[block]
+        weights = np.stack([fr.weights for fr in frames[block]])
+        phi = np.stack([fr.phi for fr in frames[block]])
+        ops = [spectral.assemble(c) for c in curves[block]]
+        i_vals[block] = np.sum(weights * u * u, axis=1)
+        dirichlet = spectral.dirichlet_rows(ops, u)
+        potential = np.sum(np.stack([op.potential for op in ops]) * u * u,
+                           axis=1)
+        live = i_vals[block] > ENERGY_FLOOR
+        i_live = i_vals[block][live]
+        u_quot[block][live] = 2.0 * (potential - dirichlet)[live] / i_live
+        corr[block][live] = np.sum(weights * phi ** 2 * u * u,
+                                   axis=1)[live] / i_live
+        dirat[block][live] = dirichlet[live] / i_live
+        inner = np.arange(k)[block]
+        inner = inner[(inner > 0) & (inner < k - 1)]
+        if not inner.size:
             continue
-        # U and the Dirichlet ratio, sharing one stiffness evaluation
-        op = spectral.assemble(bc)
-        dirichlet = op.stiffness(u, u)
-        u_quot[j] = 2.0 * (float(np.sum(op.potential * u * u)) - dirichlet) \
-            / i_vals[j]
-        corr[j] = float(np.sum(fr.weights * fr.phi ** 2 * u * u)) / i_vals[j]
-        dirat[j] = dirichlet / i_vals[j]
+        reports = residuals([curves[j] for j in inner], fields[inner - 1],
+                            fields[inner], fields[inner + 1], spans[inner] / 2)
+        for j, report in zip(inner, reports):
+            fitted_c[j] = report.fitted_c
+            drift_sq[j] = np.sum(frames[j].weights * report.drift ** 2)
     under = i_vals <= ENERGY_FLOOR
 
     n_rows = k - 2
@@ -305,27 +347,22 @@ def monitor(base_traj, target_traj, *,
             for name in TRACE_COLUMNS}
     cols["I"] = i_vals[1:-1]
     cols["U"] = u_quot[1:-1]
+    cols["fittedC"] = fitted_c[1:-1]
     cols["underflow"] = (under[:-2] | under[1:-1] | under[2:]).astype(float)
     margin = np.zeros(n_rows)
     flags: list = []
     for r, j in enumerate(range(1, k - 1)):
-        tau = taus[j]
-        span = taus[j + 1] - taus[j - 1]
-        report = residual(curves[j], u_fields[j - 1], u_fields[j],
-                          u_fields[j + 1], span / 2)
-        cols["fittedC"][r] = report.fitted_c
         if cols["underflow"][r]:
             continue
-
+        tau = taus[j]
+        span = spans[j]
         dlog_i = (math.log(i_vals[j + 1]) - math.log(i_vals[j - 1])) / span
-        v_main = 4.0 * float(np.sum(frames[j].weights * report.drift ** 2)) \
-            / i_vals[j] - u_quot[j] ** 2
+        v_main = 4.0 * float(drift_sq[j]) / i_vals[j] - u_quot[j] ** 2
         cols["dlogI"][r] = dlog_i
         cols["Vmain"][r] = v_main
         cols["Verr"][r] = (u_quot[j + 1] - u_quot[j - 1]) / span - v_main
         lhs = abs(dlog_i - (u_quot[j] - corr[j]))
-        rhs = 3.0 * (report.fitted_c + cols["D"][r]) \
-            + report.fitted_c * dirat[j]
+        rhs = 3.0 * (fitted_c[j] + cols["D"][r]) + fitted_c[j] * dirat[j]
         margin[r] = rhs - lhs
         if margin[r] < -1e-9:
             flags.append("frequency-inequality violated at tau = %.6g "
@@ -353,7 +390,7 @@ def monitor(base_traj, target_traj, *,
                          "fit window")
 
     return FrequencyTrace(columns=cols,
-                          fields=u_fields[1:-1],
+                          fields=list(fields[1:-1]),
                           inequality_margin=margin,
                           lambda_bound=float(lambda_bound),
                           lambda_fit=lam_fit,

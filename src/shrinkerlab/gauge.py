@@ -2,7 +2,15 @@
 
 A nearby curve is written as x + u(x) * nu(x) over a base curve (the graph
 gauge). `normal_graph` extracts u by intersecting each base normal line with
-the target and polishing on the target's trigonometric interpolant;
+the target polyline (`curvegeo.crossings`) and polishing the crossing by a
+2x2 Newton iteration on the target's trigonometric interpolant; it is the
+one crossing search and the only source of NotAGraph. `normal_graphs` does
+the same for a sequence of frame pairs whose bases share one m, with no
+search: the frames of a `curvegeo.frame_blocks` block run the same Newton
+iteration in lockstep, seeded at node j's own parameter (the index seed),
+and a frame is accepted under a convexity certificate, at node
+resolution, that its crossing is the only one within reach/2 (Blaschke's
+rolling disk); a frame that fails it falls back to `normal_graph`.
 `reconstruct` goes the other way. `graph_hausdorff` reads the Hausdorff
 distances off a sequence of graphs between convex curves: sup|u| in closed
 form while it stays below half of both reaches (1/max H), the node extremes
@@ -17,8 +25,10 @@ evaluated by the one discretization of L, the weak form of
 eigenfunctions are Fourier modes with L cos(k theta) = (1 - k^2/2) cos(k
 theta).
 
-`residual` measures how well a sequence of graphs over a fixed base solves
-du/dtau = L u, quantifying the quadratic error term of the linearization.
+`residual` measures how well three graphs over a fixed base solve
+du/dtau = L u, quantifying the quadratic error term of the linearization;
+`residuals` gives the reports of a stack of frames in stacked rfft/irfft
+passes, each bit for bit that of its own `residual` call.
 """
 
 from __future__ import annotations
@@ -28,20 +38,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fourier, spectral
-from .curvegeo import (TWO_PI, DiscreteCurve, crossings, frame_blocks,
-                       geometry, hausdorff_distance, refined_extremes,
-                       star_angles)
+from .curvegeo import (STACK_NODES, TWO_PI, DiscreteCurve, crossings,
+                       frame_blocks, geometry, hausdorff_distance,
+                       refined_extremes, star_angles)
 from .errors import NotAGraph
 
 #: relative u-gap below which two normal-line hits count as the same point
 _CLUSTER_TOL = 1e-8
 
 
-def arc_derivatives(base: DiscreteCurve, values: np.ndarray):
-    """(u', u'') of grid values u, ' the arclength derivative along `base`."""
-    g = geometry(base).metric_speed
-    du = fourier.deriv(values, 1) / g
-    return du, fourier.deriv(du, 1) / g
+def arc_rows(speed: np.ndarray, values: np.ndarray):
+    """(u', u'') along the last axis of values, ' the arclength derivative
+    of curves with metric speed `speed` (broadcast against values): a stack
+    of frames (frames, m) in one pass, each row equal to its own call."""
+    du = fourier.deriv(values, 1, -1) / speed
+    return du, fourier.deriv(du, 1, -1) / speed
 
 
 def reconstruct(base: DiscreteCurve, values) -> DiscreteCurve:
@@ -51,6 +62,47 @@ def reconstruct(base: DiscreteCurve, values) -> DiscreteCurve:
     return DiscreteCurve(base.points + values[:, None] * normal)
 
 
+def _newton(tables, x, nu, theta, u):
+    """2x2 Newton on c_f(theta) - x - u nu = 0 for frames f, the rows of x
+    and nu (F, m, 2) and of theta and u (F, m), updated in place; tables[f]
+    is the order-1 `Interpolant` of target f. At most four steps, one
+    evaluation each; a frame stops once its largest theta step is below
+    1e-12, so its result does not depend on the other frames. Returns
+    (converged, tangent): per frame whether its residual |c - x - u nu| is
+    within 1e-9 (1 + max|u|) at every node, and c'(theta) at its last
+    evaluation. The residual before a last sub-1e-12 step bounds the one
+    after and decides when it passes; else, and after the fourth step, the
+    final iterate is evaluated afresh: u's equation is linear, so a theta
+    step below 1e-12 can still move u by as much as the residual before it
+    (a seed on the crossing's parameter but off its height).
+    """
+    err = np.full(len(tables), np.inf)
+    tangent = np.empty(x.shape)
+    live = np.arange(len(tables))
+    for _ in range(4):
+        c_val, c_der = (np.stack(c) for c in zip(*(tables[f](theta[f])
+                                                    for f in live)))
+        xs, ns, us = x[live], nu[live], u[live]
+        fx = c_val[..., 0] - xs[..., 0] - us * ns[..., 0]
+        fy = c_val[..., 1] - xs[..., 1] - us * ns[..., 1]
+        det = -(c_der[..., 0] * ns[..., 1] - c_der[..., 1] * ns[..., 0])
+        dth = (fx * ns[..., 1] - fy * ns[..., 0]) / det
+        theta[live] += dth
+        u[live] = us + (c_der[..., 1] * fx - c_der[..., 0] * fy) / det
+        tangent[live] = c_der
+        done = np.abs(dth).max(axis=1) < 1e-12
+        err[live[done]] = np.hypot(fx, fy)[done].max(axis=1)
+        live = live[~done]
+        if not live.size:
+            break
+    tol = 1e-9 * (1.0 + np.abs(u).max(axis=1))
+    for f in np.nonzero(~(err <= tol))[0]:
+        c_val, tangent[f] = tables[f](theta[f])
+        err[f] = np.hypot(c_val[:, 0] - x[f, :, 0] - u[f] * nu[f, :, 0],
+                          c_val[:, 1] - x[f, :, 1] - u[f] * nu[f, :, 1]).max()
+    return err <= tol, tangent
+
+
 def normal_graph(base: DiscreteCurve, target: DiscreteCurve,
                  reach: float | None = None) -> np.ndarray:
     """The (m,) heights u that write `target` as a normal graph over `base`.
@@ -58,10 +110,11 @@ def normal_graph(base: DiscreteCurve, target: DiscreteCurve,
     Each base normal segment x +- (reach/2) nu is intersected with the
     target polyline by `curvegeo.crossings`, over the target segments whose
     polar sectors its sweep meets (every segment when the target is not
-    star-shaped); the unique crossing seeds a 2x2 Newton iteration on the
-    target's trigonometric interpolant. NotAGraph if a normal line finds
-    no crossing or more than one within the window, or if the final
-    height reaches reach/2.
+    star-shaped); the unique crossing seeds the 2x2 Newton iteration
+    `_newton` on the target's trigonometric interpolant. NotAGraph if a
+    normal line finds no crossing or more than one within the window, or
+    if the iteration fails to converge, or if the final height reaches
+    reach/2.
 
     reach defaults to 1/max|H| of the target.
     """
@@ -98,36 +151,87 @@ def normal_graph(base: DiscreteCurve, target: DiscreteCurve,
         raise NotAGraph("normal %d crosses the target %d times within "
                         "reach/2" % (j_gap, clusters))
     starts = np.searchsorted(rows_s, np.arange(m))
-    u0 = u_s[starts]
     seg = cols_s[starts]
     frac = np.clip(svals[order][starts], 0.0, 1.0)
 
-    # Newton polish on the target interpolant: c(theta) - x - u nu = 0
     curve_at = fourier.Interpolant(fourier.coeffs(p), target.m, 1)
     theta = (seg + frac) * (TWO_PI / target.m)
-    u = u0.copy()
-    for _ in range(4):
-        c_val, c_der = curve_at(theta)
-        fx = c_val[:, 0] - x[:, 0] - u * nu[:, 0]
-        fy = c_val[:, 1] - x[:, 1] - u * nu[:, 1]
-        det = -(c_der[:, 0] * nu[:, 1] - c_der[:, 1] * nu[:, 0])
-        dth = (fx * nu[:, 1] - fy * nu[:, 0]) / det
-        theta += dth
-        u += (c_der[:, 1] * fx - c_der[:, 0] * fy) / det
-        if float(np.abs(dth).max()) < 1e-12:
-            # the residual before this sub-1e-12 step bounds the one after
-            err = np.hypot(fx, fy)
-            break
-    else:
-        c_val = curve_at(theta)[0]
-        err = np.hypot(c_val[:, 0] - x[:, 0] - u * nu[:, 0],
-                       c_val[:, 1] - x[:, 1] - u * nu[:, 1])
-    if float(err.max()) > 1e-9 * (1.0 + float(np.abs(u).max())):
+    u = u_s[starts]
+    if not _newton([curve_at], x[None], nu[None], theta[None], u[None])[0][0]:
         raise NotAGraph("graph iteration failed to converge onto the target")
     if float(np.abs(u).max()) >= half:
         raise NotAGraph("graph height %.3g reaches reach/2 = %.3g"
                         % (np.abs(u).max(), half))
     return u
+
+
+def normal_graphs(bases, targets) -> np.ndarray:
+    """The heights (frames, m) that write targets[f] as a normal graph over
+    bases[f], for a sequence of frame pairs whose bases share one m; each
+    row equals `normal_graph` of its pair to about 1e-12 relative.
+
+    Index seed: the frames go in `curvegeo.frame_blocks` of STACK_NODES
+    nodes, one order-1 `Interpolant` per target, and the Newton iteration
+    of `normal_graph` (`_newton`, every frame stopping on its own
+    criterion) starts at u = 0 and at node j's own parameter
+    theta_j = 2 pi j/m, with no crossing search (a target of another m is
+    read at the same fraction of its parameter). A frame is accepted when
+    it passes the convergence check of `normal_graph`, |u| < reach/2 with
+    the default reach 1/max|H| of the target, and this certificate holds at
+    every node: the target has positive node curvature, and
+    2 R cos(alpha) - |u| >= reach/2, with R = 1/max H and alpha the angle
+    between the base normal and the target normal at the crossing. Then the
+    crossing is the only one within reach/2: a convex curve of curvature at
+    most 1/R holds, at each of its points, the disk of radius R tangent
+    there (Blaschke's rolling theorem), so a line through the point at
+    angle alpha to its normal keeps the chord of that disk, of length
+    2 R cos(alpha), inside the curve; a line meets a convex curve at most
+    twice, so its other crossing lies at least 2 R cos(alpha) along the
+    line from this one, at a height of size at least 2 R cos(alpha) - |u|.
+    The certificate holds at node resolution, as the default reach does:
+    H and its sign are read at the nodes, and the interpolant's curvature
+    between nodes may exceed their maximum; alpha is read at the last
+    evaluation, within 1e-12 in theta of the crossing.
+
+    Fallback: a frame that fails any of these goes through `normal_graph`
+    unchanged, the one crossing search and the only source of NotAGraph,
+    whose error then carries the frame index as `frame`.
+    """
+    count = len(targets)
+    m = bases[0].m if count else 1
+    if any(b.m != m for b in bases):
+        raise ValueError("normal_graphs needs bases of one m")
+    heights = np.zeros((count, m))
+    seed = fourier.grid(m)
+    for block in frame_blocks(count, m, STACK_NODES):
+        frames = range(count)[block]
+        x = np.stack([bases[f].points for f in frames])
+        nu = np.stack([geometry(bases[f]).normal for f in frames])
+        curv = [geometry(targets[f]).curvature for f in frames]
+        tables = [fourier.Interpolant(fourier.coeffs(targets[f].points),
+                                      targets[f].m, 1) for f in frames]
+        theta = np.tile(seed, (len(frames), 1))
+        u = heights[block]
+        # a seed far from the crossing may step through a tangency or off
+        # to infinity; such a frame fails the checks below
+        with np.errstate(all="ignore"):
+            converged, tangent = _newton(tables, x, nu, theta, u)
+            half = np.array([0.5 / np.abs(h).max() for h in curv])
+            cos_a = (np.abs(tangent[..., 0] * nu[..., 1]
+                            - tangent[..., 1] * nu[..., 0])
+                     / np.hypot(tangent[..., 0], tangent[..., 1]))
+            ok = (converged & np.array([h.min() > 0.0 for h in curv])
+                  & (np.abs(u).max(axis=1) < half)
+                  & np.all(4.0 * half[:, None] * cos_a - np.abs(u)
+                           >= half[:, None], axis=1))
+        for r in np.nonzero(~ok)[0]:
+            f = frames[r]
+            try:
+                u[r] = normal_graph(bases[f], targets[f])
+            except NotAGraph as exc:
+                exc.frame = f
+                raise
+    return heights
 
 
 def graph_hausdorff(bases, fields, targets) -> np.ndarray:
@@ -209,20 +313,37 @@ def residual(base: DiscreteCurve, u_prev, u_mid, u_next, dtau: float,
     du/dtau is the centered difference across the outer graphs; the residual
     is du/dtau - L u_mid, evaluated nodewise.
     """
-    du_dt = (u_next - u_prev) / (2.0 * dtau)
-    drift = apply_L(base, u_mid)
-    res = du_dt - drift
-    du, d2u = arc_derivatives(base, u_mid)
-    c0, c1, c2 = (float(np.abs(f).max()) for f in (u_mid, du, d2u))
+    return residuals([base], [u_prev], [u_mid], [u_next], dtau, [tau])[0]
+
+
+def residuals(bases, u_prev, u_mid, u_next, dtau, taus=None) -> list:
+    """The `residual` reports of frames r = 0, 1, ...: graphs u_prev[r],
+    u_mid[r], u_next[r] (frames, m) over bases[r], of one m, a dtau (or
+    one per frame) apart, at times taus[r] (default 0). L u_mid comes from
+    `spectral.apply_rows` and the arc derivatives from `arc_rows`, stacked
+    rfft/irfft passes whose rows equal their own calls, so each report is
+    bit for bit that of its frame alone; memory is O(frames m), so callers
+    pass long sequences in `curvegeo.frame_blocks`.
+    """
+    u_prev, u_mid, u_next = (np.asarray(a, dtype=float)
+                             for a in (u_prev, u_mid, u_next))
+    count = len(bases)
+    dtau = np.broadcast_to(np.asarray(dtau, dtype=float), (count,))
+    du_dt = (u_next - u_prev) / (2.0 * dtau[:, None])
+    drift = spectral.apply_rows([spectral.assemble(b) for b in bases], u_mid)
+    res = np.abs(du_dt - drift)
+    du, d2u = arc_rows(np.stack([geometry(b).metric_speed for b in bases]),
+                       u_mid)
+    c0, c1, c2 = (np.abs(f).max(axis=1) for f in (u_mid, du, d2u))
     gauge_size = np.abs(u_mid) + np.abs(du)
-    fitted_c = float((np.abs(res) / (gauge_size + 1e-14)).max())
+    fitted_c = (res / (gauge_size + 1e-14)).max(axis=1)
     cum_c2 = c0 + c1 + c2
-    quad_ratio = float(np.abs(res).max() / (cum_c2 * (c0 + c1) + 1e-300))
-    return ResidualReport(
-        tau=float(tau),
-        max_residual=float(np.abs(res).max()),
-        fitted_c=fitted_c,
-        norms_u=(c0, c0 + c1, cum_c2),
-        quad_ratio=quad_ratio,
-        drift=drift,
-    )
+    top = res.max(axis=1)
+    quad_ratio = top / (cum_c2 * (c0 + c1) + 1e-300)
+    return [ResidualReport(tau=float(t), max_residual=float(r),
+                           fitted_c=float(c), norms_u=(a, a + b, n),
+                           quad_ratio=float(q), drift=d)
+            for t, r, c, a, b, n, q, d
+            in zip(np.zeros(count) if taus is None else taus, top, fitted_c,
+                   c0.tolist(), c1.tolist(), cum_c2.tolist(), quad_ratio,
+                   drift)]

@@ -16,6 +16,7 @@ a content hash, so runs are comparable byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import math
 import os
@@ -29,12 +30,12 @@ from . import fourier, ioutil
 from .curvegeo import (TWO_PI, DiscreteCurve, area_centroid, circle,
                        distance_to_circle, ellipse, fourier_curve, geometry,
                        hausdorff_distance, random_fourier, support_function)
-from .errors import (ConfigInvalid, EnergyUnderflow, NotAGraph, NotShrinking,
-                     ShrinkerLabError, WindowTooShort)
+from .errors import (ConfigInvalid, ConvexityLost, EnergyUnderflow, NotAGraph,
+                     NotShrinking, ShrinkerLabError, WindowTooShort)
 from .flowcore import (CFL_MAX, GAUGES, StepControl, estimate_singularity,
-                       run_flows, run_mcf, run_rmcf)
+                       run_flows, run_mcf, run_rmcf, step_curvature)
 from .frequency import monitor, shrinker_energy, superexponential_flag
-from .gauge import graph_hausdorff, normal_graph, reconstruct, residual
+from .gauge import graph_hausdorff, normal_graphs, reconstruct, residual
 from .spectral import assemble, eigenpairs
 
 # no scenario calls this alias: only the perfbench tracer resolves it, and
@@ -313,11 +314,15 @@ def _write_manifest(config: ScenarioConfig) -> str:
 
 def _build_curves(config: ScenarioConfig, convex: bool = False) -> list:
     """The config's curves at resolution m. Each is built, with its
-    geometry and area moments, while numpy raises on overflow, so a curve
+    geometry and area moments and, in a scenario that steps the curve as
+    given, its squared curvature as the step forms it
+    (`flowcore.step_curvature`), while numpy raises on overflow, so a curve
     too large for their products (the cube of the metric speed in the
-    curvature, the cubic moments of the centroid) stops the run with one
-    ConfigInvalid naming its key, not a stream of warnings and a later
-    error; with convex, so does a curve with a node curvature <= 0."""
+    curvature, its sixth power in the step, the cubic moments of the
+    centroid) stops the run with one ConfigInvalid naming its key, not a
+    stream of warnings and a later error; with convex, so does a curve
+    with a node curvature <= 0 (and, by `_convex_starts`, one whose
+    area-normalized start the stepper finds not convex)."""
     curves = []
     for spec, key in zip(config.curve_specs, ("curve1", "curve2")):
         try:
@@ -325,6 +330,8 @@ def _build_curves(config: ScenarioConfig, convex: bool = False) -> list:
                 curve = build_curve(spec, config.m, config.seed)
                 geometry(curve)
                 area_centroid(curve.points)
+                if not convex and config.scenario != "spectrum":
+                    step_curvature(curve)
         except FloatingPointError:
             raise ConfigInvalid("too large: its geometry overflows double "
                                 "precision", field=key) from None
@@ -333,6 +340,23 @@ def _build_curves(config: ScenarioConfig, convex: bool = False) -> list:
                                 field=key)
         curves.append(curve)
     return curves
+
+
+@contextlib.contextmanager
+def _convex_starts(config: ScenarioConfig, curves):
+    """Around the run of a convex scenario from `curves`, area-normalized:
+    a start that passed the node check of `_build_curves` but that the
+    stepper finds not convex at frame 0 (its normalized, regauged rows can
+    differ in sign from a node curvature near 0) is the same ConfigInvalid
+    naming its key; any other ConvexityLost is the flow's own."""
+    try:
+        yield
+    except ConvexityLost as exc:
+        if exc.start is None or not (
+                float(geometry(curves[exc.start]).curvature.min()) > 0.0):
+            raise
+        raise ConfigInvalid("must be convex for scenario %s" % config.scenario,
+                            field=("curve1", "curve2")[exc.start]) from None
 
 
 def _normalize_unit_area(curve: DiscreteCurve) -> DiscreteCurve:
@@ -424,7 +448,7 @@ def _run_gauge_residual(config: ScenarioConfig) -> dict:
             raise WindowTooShort("flow stopped before three frames at "
                                  "amplitude %g" % eps)
         try:
-            u = [normal_graph(base, traj.curves[j]) for j in range(3)]
+            u = normal_graphs([base] * 3, traj.curves[:3])
         except NotAGraph as exc:
             raise NotAGraph("amplitude %g: %s" % (eps, exc))
         report = residual(base, u[0], u[1], u[2], delta, tau=delta)
@@ -456,7 +480,12 @@ def experiment_separation(config: ScenarioConfig) -> dict:
     area 2*pi, both are stepped in one batch by the rescaled flow under the
     area-centroid gauge (so their frames share the times 0, frame_dtau, ...,
     tau_end), then the two-flow frequency monitor pairs their frames by
-    index, plus a Hausdorff distance fit. Each dH row is read off the normal
+    index, plus a Hausdorff distance fit. The monitor writes target frame j
+    as a normal graph over base frame j by `gauge.normal_graphs`: Newton
+    seeded at each base node's own parameter, with no crossing search,
+    each frame accepted under a convexity certificate (at node resolution)
+    that its crossing is the only one within half a reach and otherwise
+    sent through `gauge.normal_graph`. Each dH row is read off the normal
     graph u the monitor built for that frame, all rows in one
     `gauge.graph_hausdorff` call: the frames are convex (`require_convex`),
     so while sup|u| stays below half of both reaches (1/max H), d_H =
@@ -479,10 +508,11 @@ def experiment_separation(config: ScenarioConfig) -> dict:
                             "the two flows need one singular time"
                             % (area2, area1), field="curve2")
     control = StepControl(cfl=config.cfl, require_convex=True)
-    base_traj, target_traj = run_flows(
-        [_normalize_unit_area(curve1), _normalize_unit_area(curve2)], "rmcf",
-        config.tau_end, frame_dtau=config.frame_dtau, gauge="area-centroid",
-        control=control)
+    with _convex_starts(config, (curve1, curve2)):
+        base_traj, target_traj = run_flows(
+            [_normalize_unit_area(curve1), _normalize_unit_area(curve2)],
+            "rmcf", config.tau_end, frame_dtau=config.frame_dtau,
+            gauge="area-centroid", control=control)
 
     trace = monitor(base_traj, target_traj, fit_fraction=config.fit_window)
     taus = trace.columns["tau"]
@@ -549,8 +579,9 @@ def experiment_rate(config: ScenarioConfig) -> dict:
     curve = _build_curves(config, convex=True)[0]
     start = _normalize_unit_area(curve)
     control = StepControl(cfl=config.cfl, require_convex=True)
-    traj = run_rmcf(start, config.tau_end, frame_dtau=config.frame_dtau,
-                    gauge=config.gauge, control=control)
+    with _convex_starts(config, (curve,)):
+        traj = run_rmcf(start, config.tau_end, frame_dtau=config.frame_dtau,
+                        gauge=config.gauge, control=control)
     radius = math.sqrt(2.0)
 
     taus = np.asarray(traj.times, dtype=float)

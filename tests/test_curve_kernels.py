@@ -727,7 +727,7 @@ def test_batched_distance_memory_is_bounded():
 def test_shrinker_energy_is_the_monitor_itilde():
     for curve in (random_fourier(5, 0.08, seed=2, m=128),
                   ellipse(1.3, 0.8, m=64), circle(1.1, m=64)):
-        assert frequency.shrinker_energy(curve) == frequency._frame(curve).itilde
+        assert frequency.shrinker_energy(curve) == frequency._frames([curve])[0].itilde
 
 
 # ---------------------------------------------------------------------------

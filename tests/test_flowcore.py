@@ -66,6 +66,24 @@ def test_step_rejects_bad_dt():
         mcf_step(c.points, 1e-6)
 
 
+def test_run_flows_refuses_a_run_beyond_the_step_budget(monkeypatch):
+    # a lower bound on the steps: a run that fits its budget is never
+    # refused, and one that cannot is refused before its first step
+    runs = [([circle(1.0, m=64)], "mcf", None),
+            ([ellipse(1.3, 0.8, m=64)], "mcf", 0.1),
+            ([circle(SQRT2, m=64), ellipse(1.5, 1.3, m=64)], "rmcf", 1.0)]
+    for curves, picture, end in runs:
+        steps = max(t.steps for t in run_flows(curves, picture, end))
+        monkeypatch.setattr(flowcore, "STEP_BUDGET", steps)
+        run_flows(curves, picture, end)
+        monkeypatch.undo()
+    with pytest.raises(StepRejected, match="curve 1 needs more than 1000000 "
+                       "steps to its end time"):
+        run_flows([circle(1.0, m=64), circle(1e3, m=64)], "mcf")
+    with pytest.raises(StepRejected, match="curve 0 needs more than"):
+        run_flows([circle(SQRT2, m=64)], "rmcf", 1e5)
+
+
 def test_mcf_step_matches_radius_ode():
     # dR/dt = -1/R
     c = circle(1.0, m=128)
@@ -370,8 +388,9 @@ def test_batch_curves_stopping_at_different_steps():
 def test_batch_guard_names_curve_and_time():
     nonconvex = fourier_curve(1.0, (0.0, 0.0, 0.25), m=128)
     control = StepControl(require_convex=True)
-    with pytest.raises(ConvexityLost, match=r"in curve 1 at t=0\b"):
+    with pytest.raises(ConvexityLost, match=r"in curve 1 at t=0\b") as lost:
         run_flows([circle(1.0, m=128), nonconvex], "mcf", 0.1, control=control)
+    assert lost.value.start == 1  # a start that is not convex
     # a frame's curvature row is its check, also before the first step
     with pytest.raises(ConvexityLost, match=r"in curve 0 at tau=0\b"):
         run_rmcf(nonconvex, 0.1, gauge="area-centroid", control=control)

@@ -7,7 +7,7 @@ import pytest
 
 from shrinkerlab.curvegeo import (circle, ellipse, f_functional,
                                   gaussian_weights, shrinker_quantity)
-from shrinkerlab.errors import FrameMissing, WindowTooShort
+from shrinkerlab.errors import FrameMissing, NotAGraph, WindowTooShort
 from shrinkerlab.flowcore import FlowTrajectory, run_rmcf
 from shrinkerlab.frequency import (
     ENERGY_FLOOR,
@@ -17,7 +17,8 @@ from shrinkerlab.frequency import (
     shrinker_energy,
     superexponential_flag,
 )
-from shrinkerlab.gauge import normal_graph, reconstruct, residual
+from shrinkerlab.gauge import (normal_graph, normal_graphs, reconstruct,
+                              residual)
 from shrinkerlab.spectral import assemble, eigenpairs
 
 SQRT2 = math.sqrt(2.0)
@@ -285,7 +286,8 @@ def test_monitor_real_two_flow_run():
 def test_monitor_columns_equal_public_helpers():
     # the monitor's base half is approach_series of its base trajectory,
     # number for number; its graph columns are the form and the residual of
-    # frame j of one flow written over frame j of the other
+    # frame j of one flow written over frame j of the other, by
+    # normal_graphs, whose rows do not depend on the frames beside them
     a = run_rmcf(normalized_perturbed_circle(0.03, m=96), 1.0,
                  frame_dtau=0.05)
     b = run_rmcf(normalized_perturbed_circle(-0.02, m=96), 1.0,
@@ -303,14 +305,44 @@ def test_monitor_columns_equal_public_helpers():
         j = r + 1
         assert a.times[j] == tau and b.times[j] == tau
         base = a.curves[j]
-        u = [normal_graph(a.curves[i], b.curves[i])
+        u = [normal_graphs([a.curves[i]], [b.curves[i]])[0]
              for i in (j - 1, j, j + 1)]
         assert np.array_equal(trace.fields[r], u[1])
+        oracle = normal_graph(base, b.curves[j])
+        assert np.abs(u[1] - oracle).max() <= 1e-11 * np.abs(oracle).max()
         span = a.times[j + 1] - a.times[j - 1]
         assert cols["I"][r] == np.sum(gaussian_weights(base) * u[1] * u[1])
         assert cols["U"][r] == 2.0 * assemble(base).form(u[1], u[1]) \
             / cols["I"][r]
         assert cols["fittedC"][r] == residual(base, *u, span / 2).fitted_c
+
+
+def test_monitor_pairs_flows_of_different_m():
+    # the graphs of a target flow at another m than the base are the
+    # crossing search's to 1e-11 relative, one row per base node
+    a = run_rmcf(normalized_perturbed_circle(0.03, m=96), 0.5,
+                 frame_dtau=0.05)
+    b = run_rmcf(normalized_perturbed_circle(-0.02, m=128), 0.5,
+                 frame_dtau=0.05)
+    trace = monitor(a, b)
+    assert len(trace) == len(a) - 2
+    for r, u in enumerate(trace.fields):
+        oracle = normal_graph(a.curves[r + 1], b.curves[r + 1])
+        assert u.shape == (96,)
+        assert np.abs(u - oracle).max() <= 1e-11 * np.abs(oracle).max()
+
+
+def test_monitor_not_a_graph_names_the_frame_tau():
+    # an interior frame pair that is no normal graph stops the monitor with
+    # the crossing search's message under that frame's time
+    base, base_traj = static_round_traj(8)
+    curves = list(base_traj.curves)
+    curves[3] = circle(0.3, m=128)
+    target = FlowTrajectory(picture="rmcf", m=128, times=base_traj.times,
+                            curves=curves)
+    with pytest.raises(NotAGraph, match=r"^frame pair at tau = 0\.06: no "
+                       "target point within reach/2 along normal 0$"):
+        monitor(base_traj, target)
 
 
 def test_monitor_requires_rescaled_pictures():

@@ -1,18 +1,23 @@
 """Normal-graph gauge, drift operator, and linearization residual."""
 
+import random
+
 import numpy as np
 import pytest
 
-from shrinkerlab.curvegeo import (circle, ellipse, fourier_curve, gaussian_weights,
-                                 geometry, random_fourier)
+from shrinkerlab import frequency, gauge, labcli
+from shrinkerlab.curvegeo import (DiscreteCurve, circle, ellipse, fourier_curve,
+                                 gaussian_weights, geometry, random_fourier)
 from shrinkerlab.errors import NotAGraph
-from shrinkerlab.flowcore import run_rmcf
+from shrinkerlab.flowcore import StepControl, run_flows, run_rmcf
 from shrinkerlab.gauge import (
     apply_L,
-    arc_derivatives,
+    arc_rows,
     normal_graph,
+    normal_graphs,
     reconstruct,
     residual,
+    residuals,
 )
 
 SQRT2 = np.sqrt(2.0)
@@ -33,6 +38,20 @@ def test_graph_concentric_circles():
         u = normal_graph(base, circle(r, m=128))
         # inner normal: height is sqrt(2) - r
         assert np.allclose(u, SQRT2 - r, atol=1e-12)
+
+
+def test_graph_concentric_circles_half_a_node_apart():
+    # the target's nodes sit half a node off the base normals: each polyline
+    # crossing lies mid-segment, on the crossing's own parameter but a chord
+    # sag (~1e-3) off its height, so the first Newton step moves u alone;
+    # the converged heights are judged by their own residual, not the one
+    # before that step
+    base = circle(SQRT2, m=64)
+    t = (np.arange(64) + 0.5) * (2 * np.pi / 64)
+    target = DiscreteCurve(1.3 * np.column_stack([np.cos(t), np.sin(t)]))
+    assert np.allclose(normal_graph(base, target), SQRT2 - 1.3, atol=1e-12)
+    assert np.allclose(normal_graphs([base], [target])[0], SQRT2 - 1.3,
+                       atol=1e-12)
 
 
 def test_graph_reconstruct_round_trip():
@@ -76,11 +95,142 @@ def test_normal_graph_returns_one_height_per_base_node():
     assert u.shape == (96,) and u.dtype == float
 
 
+# ---------------------------------------------------------------------------
+# frame-batched normal graphs
+
+def recorded_graph_pairs(monkeypatch, owner, text):
+    """Every (base, target) pair `owner.normal_graphs` receives while the
+    scenario of the config `text` runs."""
+    pairs = []
+
+    def recorder(bases, targets):
+        pairs.extend(zip(bases, targets))
+        return normal_graphs(bases, targets)
+
+    monkeypatch.setattr(owner, "normal_graphs", recorder)
+    labcli.run(labcli.validate_config(labcli.parse_config_text(text)))
+    return pairs
+
+
+def separation_512(seed, out):
+    """The separation-512 benchmark config: seed 0 is the reference pair,
+    other seeds draw the ellipse axis as the benchmark does."""
+    a = 1.1 if seed == 0 else random.Random(seed).uniform(1.08, 1.12)
+    b = 0.9090909090909091 if seed == 0 else 1.0 / a
+    return ("scenario = separation\ncurve1 = ellipse(%r, %r)\n"
+            "curve2 = circle(1)\nm = 512\nout = %s\ntau_end = 7\n"
+            "frame_dtau = 0.05\ncfl = 1.4\n" % (a, b, out))
+
+
+@pytest.mark.parametrize("run", ["separation-0", "separation-5",
+                                 "linearization"])
+def test_normal_graphs_match_the_crossing_search_on_the_reference_runs(
+        run, tmp_path, monkeypatch):
+    """Every frame pair the monitor (separation-512 at seeds 0 and 5) and
+    the gauge-residual sweep (linearization-2048) graph equals
+    `normal_graph` to 1e-11 relative."""
+    if run == "linearization":
+        pairs = recorded_graph_pairs(monkeypatch, labcli, (
+            "scenario = gauge-residual\ncurve1 = circle(%r)\nm = 2048\n"
+            "amplitudes = 0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1\n"
+            "out = %s\n" % (float(SQRT2), tmp_path / "lin")))
+        assert len(pairs) == 21
+    else:
+        seed = int(run.split("-")[1])
+        pairs = recorded_graph_pairs(monkeypatch, frequency,
+                                     separation_512(seed, tmp_path / "sep"))
+        assert len(pairs) == 141
+    for base, target in pairs:
+        got = normal_graphs([base], [target])[0]
+        want = normal_graph(base, target)
+        assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+
+
+def spied_fallback(monkeypatch):
+    """The frames `normal_graphs` sends to `normal_graph`."""
+    calls = []
+
+    def spy(base, target, reach=None):
+        calls.append(target)
+        return normal_graph(base, target, reach)
+
+    monkeypatch.setattr(gauge, "normal_graph", spy)
+    return calls
+
+
+def test_normal_graphs_fall_back_where_the_certificate_fails(monkeypatch):
+    """A pair that fails the convexity certificate gets the bits of the
+    crossing search: a circle over a base whose normals it meets at up to
+    ~80 degrees (2 R cos(alpha) - |u| < R/2 at some node, though the other
+    crossings lie beyond the base point), and a target that is not convex."""
+    calls = spied_fallback(monkeypatch)
+    t = np.arange(256) * (2 * np.pi / 256)
+    r = 1.6 + 0.2 * np.cos(12 * t)
+    base = DiscreteCurve(np.column_stack([r * np.cos(t), r * np.sin(t)]))
+    target = circle(SQRT2, m=256)
+    want = normal_graph(base, target)
+    crossing = base.points + want[:, None] * geometry(base).normal
+    cos_a = (np.abs(np.sum(geometry(base).normal * crossing, axis=1))
+             / np.hypot(crossing[:, 0], crossing[:, 1]))
+    assert (2 * SQRT2 * cos_a - np.abs(want)).min() < SQRT2 / 2
+    calls.clear()
+    got = normal_graphs([base, base], [target, target])
+    assert [c is target for c in calls] == [True, True]
+    assert np.array_equal(got[0], want) and np.array_equal(got[1], want)
+    calls.clear()
+    normal_graphs([circle(1.3, m=256)], [target])  # a certified pair
+    assert not calls
+
+    bumpy = fourier_curve(1.0, (0.0, 0.0, 0.12), m=128)
+    assert geometry(bumpy).curvature.min() < 0.0
+    nearby = reconstruct(bumpy, mode(bumpy, 2, 0.002))
+    got = normal_graphs([bumpy], [nearby])
+    assert len(calls) == 1
+    assert np.array_equal(got[0], normal_graph(bumpy, nearby))
+
+
+def test_normal_graphs_raise_the_search_error_with_the_frame(monkeypatch):
+    """A frame that is no normal graph raises the NotAGraph of
+    `normal_graph`, message for message, with its index as `frame`."""
+    base = circle(SQRT2, m=64)
+    near = reconstruct(base, mode(base, 2, 0.01))
+    with pytest.raises(NotAGraph) as seeded:
+        normal_graphs([base] * 3, [near, near, circle(0.3, m=64)])
+    with pytest.raises(NotAGraph) as search:
+        normal_graph(base, circle(0.3, m=64))
+    assert str(seeded.value) == str(search.value)
+    assert seeded.value.frame == 2
+    # normal 0 (the x axis through (sqrt 2, 0)) cuts a chord of this circle
+    # at heights +-0.131, both within its reach/2 = 0.15
+    small = circle(0.3, center=(SQRT2, 0.27), m=64)
+    with pytest.raises(NotAGraph) as twice:
+        normal_graphs([base, base], [small, near])
+    assert twice.value.frame == 0
+    assert str(twice.value) == "normal 0 crosses the target 2 times within reach/2"
+
+
+def test_normal_graphs_rows_do_not_depend_on_the_block(monkeypatch):
+    """Each frame stops its Newton iteration on its own criterion, so its
+    heights are the same alone and in a block of 32 frames."""
+    start = [labcli._normalize_unit_area(ellipse(1.1, 1 / 1.1, m=128)),
+             labcli._normalize_unit_area(circle(1.0, m=128))]
+    base, target = run_flows(start, "rmcf", 3.0, frame_dtau=0.05,
+                             gauge="area-centroid",
+                             control=StepControl(cfl=1.4, require_convex=True))
+    rows = {}
+    for frames in (1, 32):
+        monkeypatch.setattr(gauge, "STACK_NODES", frames * 128)
+        rows[frames] = normal_graphs(base.curves, target.curves)
+    assert len(base) > 32
+    assert np.array_equal(rows[1], rows[32])
+
+
 def test_seminorms_closed_form():
     base = circle(SQRT2, m=128)
     a, k = 0.05, 4
     u = mode(base, k, a)
-    c0, c1, c2 = (np.abs(f).max() for f in (u, *arc_derivatives(base, u)))
+    c0, c1, c2 = (np.abs(f).max()
+                  for f in (u, *arc_rows(geometry(base).metric_speed, u)))
     # arclength derivative on radius sqrt(2): d/ds = (1/sqrt 2) d/dtheta
     assert abs(c0 - a) < 1e-14
     assert abs(c1 - a * k / SQRT2) < 1e-12
@@ -167,3 +317,18 @@ def test_residual_quadratic_smallness_on_true_flow():
         assert rep.fitted_c < 0.2
         cs[amp] = rep.fitted_c
     assert cs[3e-2] / cs[3e-3] > 3.0
+
+def test_residuals_rows_equal_residual():
+    """The stacked residual passes give each frame the report of its own
+    `residual` call, bit for bit."""
+    start = reconstruct(circle(SQRT2, m=128), mode(circle(SQRT2, m=128), 3, 0.03))
+    traj = run_rmcf(ellipse(1.5, 1.3, m=128), 0.5, frame_dtau=0.05)
+    u = normal_graphs([start] * len(traj), traj.curves)
+    bases = traj.curves[1:-1]
+    dtaus = 0.5 * (np.array(traj.times[2:]) - np.array(traj.times[:-2]))
+    taus = traj.times[1:-1]
+    reports = residuals(bases, u[:-2], u[1:-1], u[2:], dtaus, taus)
+    for j, rep in enumerate(reports):
+        one = residual(bases[j], u[j], u[j + 1], u[j + 2], dtaus[j], taus[j])
+        assert rep.to_dict() == one.to_dict()
+        assert np.array_equal(rep.drift, one.drift)

@@ -840,6 +840,35 @@ tau_end = 1
     assert err == ["error: curvature changed sign in curve 0 at tau=0"]
 
 
+MODE_7 = "fourier(1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0.02, 0)"
+
+
+@pytest.mark.parametrize("scenario, curves, key", [
+    ("rate", "curve1 = %s" % MODE_7, "curve1"),
+    ("separation", "curve1 = circle(%r)\ncurve2 = %s"
+     % (math.sqrt(1.0002), MODE_7), "curve2"),
+], ids=["rate", "separation"])
+def test_main_start_of_zero_curvature_is_a_config_error(tmp_path, capsys,
+                                                         scenario, curves,
+                                                         key):
+    """Mode 7 at amplitude 0.02 has exact minimum curvature 0: it passes the
+    node check, but the rows the first step reads from the area-normalized
+    start give it the wrong sign. The run stops as a config error naming
+    the curve (in `separation` the second flow, against a circle of its
+    area), as the stepper would, and writes nothing."""
+    path = write_config(tmp_path, """
+scenario = %s
+%s
+m = 64
+tau_end = 1
+out = %s
+""" % (scenario, curves, tmp_path / "x"))
+    assert main([scenario, "--config", path]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: %s: must be convex for scenario %s" % (key, scenario)]
+    assert not (tmp_path / "x").exists()
+
+
 def test_main_negative_seed_is_a_config_error(tmp_path, capsys):
     path = write_config(tmp_path, """
 scenario = spectrum
@@ -984,4 +1013,26 @@ def test_a_curve_too_large_for_its_geometry_is_one_error_line(tmp_path,
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == [
         "error: curve1: too large: its geometry overflows double precision"]
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("radius, message", [
+    ("1e90", "error: curve1: too large: its geometry overflows double "
+             "precision"),
+    ("1e50", "error: curve 0 needs more than 1000000 steps to its end time, "
+             "each at most 0.0229 long"),
+])
+def test_simulate_on_a_huge_circle_is_one_error_line(tmp_path, radius, message):
+    """circle(1e90) overflows the squared curvature the step size reads;
+    circle(1e50) does not, but its flow would take some 1e101 steps of at
+    most 0.0229 to reach its singular time r^2/2. Both stop up front with
+    one typed line under `python -W error`, and leave no output."""
+    path = write_config(tmp_path, "curve1 = circle(%s)\nm = 64\nout = %s\n"
+                        % (radius, tmp_path / "x"))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "shrinkerlab", "simulate",
+         "--config", path],
+        capture_output=True, text=True, env=src_env(), timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [message]
     assert not (tmp_path / "x").exists()

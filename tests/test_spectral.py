@@ -13,7 +13,8 @@ from shrinkerlab.curvegeo import (circle, ellipse, fourier_curve,
 from shrinkerlab.errors import DegenerateCurve
 from shrinkerlab.flowcore import run_rmcf
 from shrinkerlab.gauge import apply_L
-from shrinkerlab.spectral import assemble, eigenpairs, rayleigh_bound
+from shrinkerlab.spectral import (apply_rows, assemble, dirichlet_rows,
+                                 eigenpairs, rayleigh_bound)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -221,3 +222,17 @@ def test_rayleigh_bound_memory_is_linear_in_m():
     (_, vals, _), peak = peak_bytes(lambda: rayleigh_bound(traj))
     assert len(vals) == len(traj)
     assert peak < 16e6
+
+
+def test_stacked_rows_equal_their_own_operator_calls():
+    # one stacked pass over frames of different bases gives each row the
+    # bits of its own operator's apply and stiffness
+    curves = [ORACLE_CURVES[name](128) for name in sorted(ORACLE_CURVES)]
+    ops = [assemble(c) for c in curves]
+    rng = np.random.default_rng(3)
+    fields = rng.standard_normal((len(ops), 128))
+    applied = apply_rows(ops, fields)
+    energies = dirichlet_rows(ops, fields)
+    for op, u, lu, e in zip(ops, fields, applied, energies):
+        assert np.array_equal(lu, op.apply(u))
+        assert e == op.stiffness(u, u)
