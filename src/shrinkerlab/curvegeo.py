@@ -283,30 +283,16 @@ class DiscreteCurve:
         lengths = segment_lengths(self.points)
         return float(lengths.max() / lengths.min())
 
-    def polyline_length(self) -> float:
-        return float(segment_lengths(self.points).sum())
-
-    def length(self) -> float:
-        """Length of the interpolated curve (spectral quadrature)."""
-        return float(geometry(self).arclength_weights.sum())
-
     def area(self) -> float:
         """Enclosed area of the interpolated curve, see :func:`area_centroid`."""
         return area_centroid(self.points)[0]
-
-    def centroid(self) -> np.ndarray:
-        """Centroid of the enclosed region, see :func:`area_centroid`."""
-        return np.array(area_centroid(self.points)[1:])
-
-    def translated(self, offset) -> "DiscreteCurve":
-        return DiscreteCurve(self.points + np.asarray(offset, dtype=float), validate=False)
 
     def scaled(self, factor: float, about=(0.0, 0.0)) -> "DiscreteCurve":
         about = np.asarray(about, dtype=float)
         return DiscreteCurve(about + factor * (self.points - about), validate=False)
 
     def __repr__(self):
-        return "DiscreteCurve(m=%d, length=%.6g)" % (self.m, self.polyline_length())
+        return "DiscreteCurve(m=%d)" % self.m
 
 
 @dataclass
@@ -408,7 +394,7 @@ _NOISE = 16.0
 #: separation-512 21 -> 35 ms (medians of 7 alternating runs, Xeon, 2 CPUs)
 _BLOCK_NODES = 1 << 14
 
-#: the frequency monitor's stacked passes (normal graphs, frame records,
+#: the frequency monitor's stacked passes (normal graphs, base diagnostics,
 #: energies, residuals) take their frames in blocks of at most STACK_NODES
 #: nodes: each holds a dozen (frames, m) arrays, or an order-1 Taylor table
 #: of ~22 rows of m per frame, at once. At m = 512 a block of the normal
@@ -521,17 +507,19 @@ def _convex_tangents(curve: DiscreteCurve):
     return geom.tangent.T
 
 
-def _support_function(curve: DiscreteCurve, curve_at: fourier.Interpolant):
-    """The support function of a convex curve's interpolant, `curve_at` the
-    order-2 `Interpolant` of its points: a function of the unit outward
-    normals (nx, ny) returning h, h' = <y, t> and the radius of curvature
+def support_function(curve: DiscreteCurve):
+    """The support function of a convex curve's interpolant, evaluated on
+    its order-2 `Interpolant`: a function of the unit outward normals
+    (nx, ny) returning h, h' = <y, t> and the radius of curvature
     rho = h + h'' at the support points y, with t the tangent (-ny, nx).
+    InvalidCurve if a node curvature is <= 0.
 
     y is where <x'(theta), n> = 0, by Newton from theta interpolated
     linearly in the node outward normal angles, which increase once around
     a convex curve; it stops when no step would move h by more than its
     rounding.
     """
+    curve_at = fourier.Interpolant(fourier.coeffs(curve.points), curve.m, 2)
     tx, ty = _convex_tangents(curve)
     angles = np.unwrap(np.arctan2(-tx, ty))
     angles = np.append(angles, angles[0] + TWO_PI)
@@ -557,14 +545,6 @@ def _support_function(curve: DiscreteCurve, curve_at: fourier.Interpolant):
     return support
 
 
-def support_function(curve: DiscreteCurve):
-    """`_support_function` of a convex curve on its order-2 `Interpolant`:
-    (nx, ny) -> (h, h', rho) at unit outward normals. InvalidCurve if a
-    node curvature is <= 0."""
-    return _support_function(
-        curve, fourier.Interpolant(fourier.coeffs(curve.points), curve.m, 2))
-
-
 def _node_gaps(frames, support):
     """(the node gaps h - h_L (frames, m) of convex curves of one m, the
     rfft rows (frames, 2, m//2+1) of their points, and the largest
@@ -580,7 +560,7 @@ def _node_gaps(frames, support):
 def _support_gaps(curves, support) -> np.ndarray:
     """sup over directions of |h - h_L| per curve, h the support function of
     a convex curve and h_L = support(...)[0] that of a convex body L, as
-    for `_support_function`: the Hausdorff distance between the curve and
+    for `support_function`: the Hausdorff distance between the curve and
     the boundary of L (Schneider, Convex Bodies, section 1.8), for a
     sequence of curves of one m.
 
@@ -619,10 +599,8 @@ def hausdorff_distance(a: DiscreteCurve, b: DiscreteCurve) -> float:
     the sup of the gap of their support functions (`_support_gaps`), taken
     over the outward normals of each in turn, so symmetric bit for bit.
     InvalidCurve if either has a node curvature <= 0."""
-    a_at, b_at = (fourier.Interpolant(fourier.coeffs(c.points), c.m, 2)
-                  for c in (a, b))
-    return float(max(_support_gaps([a], _support_function(b, b_at))[0],
-                     _support_gaps([b], _support_function(a, a_at))[0]))
+    return float(max(_support_gaps([a], support_function(b))[0],
+                     _support_gaps([b], support_function(a))[0]))
 
 
 def distance_to_circle(curves, radius: float) -> np.ndarray:

@@ -5,9 +5,7 @@ even m. Derivatives and interpolants are discrete Fourier (trigonometric
 interpolation, spectrally accurate for analytic data). This module owns the
 interpolant off the grid: `Interpolant` anywhere, from a Taylor table on the
 grid built once per coefficient set to the degree its spectrum needs (at
-most `_TAYLOR_P`), and `upsample` on a finer uniform grid, which no
-computation of the package needs: it samples dense polygons to check the
-off-grid results against.
+most `_TAYLOR_P`), and `mode_sum` at a few points by direct mode sums.
 
 Staggered (half-grid) variants evaluate at theta_{j+1/2}. They are used to
 assemble stiffness quadratic forms: the collocated Fourier derivative
@@ -333,8 +331,8 @@ def mode_sum(coef: np.ndarray, m: int, rows, thetas, order: int = 0) -> list:
     parameter thetas[p]. The modes are summed directly, O(n m) time, and no
     table is built per coefficient set, which makes it cheaper than an
     `Interpolant` for the few points of a refinement. The value is the grid
-    value irfft(coef) at the nearest node, as `Interpolant` and `upsample`
-    give it there, plus the sum of each mode's change from that node
+    value irfft(coef) at the nearest node, as `Interpolant` gives it
+    there, plus the sum of each mode's change from that node
     (`_phases`), so it is exact to rounding however far theta lies from 0,
     and its rounding near a node is that of the change; the derivatives
     are the direct sums. The points go in chunks of at most _PAIRS
@@ -384,19 +382,6 @@ def trig_eval_pair(coef: np.ndarray, m: int,
     """Interpolant value and first theta-derivative from one table: the
     pair a Newton iteration on the interpolant consumes."""
     return tuple(Interpolant(coef, m, 1)(thetas))
-
-
-def upsample(rows: np.ndarray, m_fine: int) -> np.ndarray:
-    """Sample the trigonometric interpolants of rows of grid samples (along
-    the last axis) on the finer uniform grid of m_fine points."""
-    m = rows.shape[-1]
-    if m_fine <= m:
-        return rows
-    coef = np.fft.rfft(rows, axis=-1)
-    coef[..., m // 2] *= 0.5  # Nyquist bin splits when the band widens
-    padded = np.zeros(rows.shape[:-1] + (m_fine // 2 + 1,), dtype=complex)
-    padded[..., : m // 2 + 1] = coef
-    return np.fft.irfft(padded, n=m_fine, axis=-1) * (m_fine / m)
 
 
 def antideriv(values: np.ndarray) -> tuple[float, np.ndarray]:

@@ -17,11 +17,12 @@ writes one record per interior frame, and checks the inequalities that make
 the frequency argument run: the logarithmic derivative of I stays within
 the C/D error budget of U, U never exceeds the spectral bound, and log I
 admits a linear lower support line (no super-exponential collapse). Its
-per-frame work (normal graphs, frame records, I, U, the Dirichlet ratio
-and the residuals) runs over blocks of frames in stacked passes, each
-frame's numbers those of the frame alone. `approach_series` is the base
-half of the monitor: Itilde, F, D, the C2 norm of phi, their integrals and
-theta of one trajectory, from the same private routine the monitor runs.
+per-frame work (normal graphs, base diagnostics, I, U, the Dirichlet
+ratio and the residuals) runs over blocks of frames in stacked passes,
+each frame's numbers those of the frame alone, and its frames stay stacked
+as (frames, m) rows throughout. `approach_series` is the base half of the
+monitor: Itilde, F, D, the C2 norm of phi, their integrals and theta of one
+trajectory, from the same stacked columns the monitor reads.
 `shrinker_energy` gives Itilde of a single curve.
 """
 
@@ -64,38 +65,26 @@ TRACE_COLUMNS = ("tau", "I", "U", "Itilde", "F", "dFdtau", "phiL2", "D",
                  "fittedC", "dlogI", "Vmain", "Verr", "underflow")
 
 
-@dataclass(frozen=True)
-class _Frame:
-    """Diagnostics of one base frame, each computed once.
-
-    weights are the Gaussian quadrature weights and phi the shrinker
-    deviation; itilde and f are the values of shrinker_energy and
-    f_functional, c2 the sup norm of phi and its first two arc derivatives;
-    d_static is the error budget D without its dphi/dtau term (see
-    _approach).
-    """
-
-    weights: np.ndarray
-    phi: np.ndarray
-    itilde: float
-    f: float
-    c2: float
-    d_static: float
-
-
 def _itilde(weights: np.ndarray, phi: np.ndarray):
     return np.sum(weights * phi * phi, axis=-1) / math.sqrt(4.0 * math.pi)
 
 
-def _frames(curves) -> list:
-    """The `_Frame` record of each curve, of one m, the curves of each
-    `frame_blocks` block in one pass: the arc derivatives of phi by one
-    stacked `arc_rows`, each row equal to that of its curve alone."""
-    records = []
-    for block in frame_blocks(len(curves), curves[0].m if curves else 1,
-                              STACK_NODES):
+def _frames(curves) -> dict:
+    """The base diagnostics of curves of one m, stacked: the Gaussian
+    quadrature weights and the shrinker deviation phi as (k, m) rows; as
+    (k,) columns the values of shrinker_energy (itilde) and f_functional
+    (f), the sup norm of phi and its first two arc derivatives (c2), and
+    the error budget D without its dphi/dtau term (d_static, see
+    _approach). The curves of each `frame_blocks` block go in one pass, the
+    arc derivatives of phi by one stacked `arc_rows`, each row equal to
+    that of its curve alone."""
+    k, m = len(curves), curves[0].m
+    cols = {"weights": np.empty((k, m)), "phi": np.empty((k, m)),
+            "itilde": np.empty(k), "f": np.empty(k), "c2": np.empty(k),
+            "d_static": np.empty(k)}
+    for block in frame_blocks(k, m, STACK_NODES):
         part = curves[block]
-        weights = [gaussian_weights(c) for c in part]
+        weights = np.stack([gaussian_weights(c) for c in part])
         phi = np.stack([shrinker_quantity(c) for c in part])
         h = np.stack([geometry(c).curvature for c in part])
         phi_s, phi_ss = arc_rows(
@@ -103,14 +92,14 @@ def _frames(curves) -> list:
         sup_phi = np.abs(phi).max(axis=1)
         metric_term = np.abs(2.0 * phi * h).max(axis=1)
         curv_term = np.abs(2.0 * h * phi_ss + 2.0 * phi * h ** 3).max(axis=1)
-        itilde = _itilde(np.stack(weights), phi)
-        c2 = sup_phi + np.abs(phi_s).max(axis=1) + np.abs(phi_ss).max(axis=1)
-        d_static = metric_term + curv_term + sup_phi
-        records += [_Frame(weights=w, phi=p, itilde=float(i),
-                           f=f_functional(c), c2=float(n), d_static=float(d))
-                    for w, p, i, c, n, d
-                    in zip(weights, phi, itilde, part, c2, d_static)]
-    return records
+        cols["weights"][block] = weights
+        cols["phi"][block] = phi
+        cols["itilde"][block] = _itilde(weights, phi)
+        cols["f"][block] = [f_functional(c) for c in part]
+        cols["c2"][block] = (sup_phi + np.abs(phi_s).max(axis=1)
+                             + np.abs(phi_ss).max(axis=1))
+        cols["d_static"][block] = metric_term + curv_term + sup_phi
+    return cols
 
 
 def shrinker_energy(curve: DiscreteCurve) -> float:
@@ -119,8 +108,8 @@ def shrinker_energy(curve: DiscreteCurve) -> float:
     Carries the same (4 pi)^(-1/2) normalization as the Gaussian area
     functional, so that along any rescaled flow it equals minus the time
     derivative of that functional exactly. Vanishes on centered round
-    shrinkers. Reads only the Gaussian weights and phi, not the full frame
-    record of the monitor.
+    shrinkers. Reads only the Gaussian weights and phi, not the other base
+    diagnostics of the monitor.
     """
     return float(_itilde(gaussian_weights(curve), shrinker_quantity(curve)))
 
@@ -145,8 +134,8 @@ def approach_series(traj) -> dict:
                      _frames(traj.curves))
 
 
-def _approach(taus: np.ndarray, frames: list) -> dict:
-    """Every base-only quantity of the frame records at times taus.
+def _approach(taus: np.ndarray, frames: dict) -> dict:
+    """Every base-only quantity of the `_frames` columns at times taus.
 
     D at an interior frame is its static part plus sup|dphi/dtau|, a central
     difference over the two neighboring frames. theta is None when no
@@ -154,29 +143,29 @@ def _approach(taus: np.ndarray, frames: list) -> dict:
     """
     tau = taus[1:-1]
     span = taus[2:] - taus[:-2]
-    inner = frames[1:-1]
-    f_vals = np.array([fr.f for fr in frames])
-    itilde = np.array([fr.itilde for fr in inner])
-    d_vals = np.array([mid.d_static + np.abs((nxt.phi - prev.phi) / s).max()
-                       for prev, mid, nxt, s
-                       in zip(frames, inner, frames[2:], span)])
-    c2_vals = np.array([fr.c2 for fr in inner])
+    f_vals = frames["f"]
+    itilde = frames["itilde"][1:-1]
+    phi = frames["phi"]
+    d_vals = (frames["d_static"][1:-1]
+              + np.abs(phi[2:] - phi[:-2]).max(axis=1) / span)
+    c2_vals = frames["c2"][1:-1]
     return {"tau": tau, "Itilde": itilde, "F": f_vals[1:-1],
             "dFdtau": (f_vals[2:] - f_vals[:-2]) / span,
             "phiL2": np.sqrt(itilde), "D": d_vals, "phiC2": c2_vals,
             "integralD": float(np.trapezoid(d_vals, tau)),
             "integralC2": float(np.trapezoid(c2_vals, tau)),
-            "theta": _lojasiewicz(frames)}
+            "theta": _lojasiewicz(frames["itilde"], frames["f"])}
 
 
-def _lojasiewicz(frames: list) -> float | None:
+def _lojasiewicz(itilde: np.ndarray, f_vals: np.ndarray) -> float | None:
     """Exponent theta of ||phi||_L2 ~ (F - ROUND_F_VALUE)^(1 - theta): a
     least-squares line in logs over the frames with a usable gap (gap and
-    deviation both above rounding level). None when fewer than 20 frames
-    have one, a trajectory on the limit shrinker among them.
+    deviation both above rounding level), from the Itilde and F columns of
+    `_frames`. None when fewer than 20 frames have one, a trajectory on the
+    limit shrinker among them.
     """
-    phi_l2 = np.array([math.sqrt(fr.itilde) for fr in frames])
-    gap = np.array([fr.f - ROUND_F_VALUE for fr in frames])
+    phi_l2 = np.sqrt(itilde)
+    gap = f_vals - ROUND_F_VALUE
     usable = (gap > 1e-13) & (phi_l2 > 1e-13)
     if int(usable.sum()) < 20:
         return None
@@ -212,14 +201,14 @@ class FrequencyTrace:
 
     columns holds one array per CSV column (TRACE_COLUMNS order); underflow
     rows carry zeros in the quotient fields and are excluded from every fit.
-    Row r is frame r + 1 of both trajectories, and fields[r] holds the
-    normal-graph heights u of that target frame over that base frame (kept
-    in memory, not written). The margin array and fitted scalars summarize
-    the verified inequalities.
+    Row r is frame r + 1 of both trajectories, and row r of the (rows, m)
+    array fields holds the normal-graph heights u of that target frame over
+    that base frame (kept in memory, not written). The margin array and
+    fitted scalars summarize the verified inequalities.
     """
 
     columns: dict
-    fields: list
+    fields: np.ndarray
     inequality_margin: np.ndarray
     lambda_bound: float
     lambda_fit: float | None
@@ -274,8 +263,8 @@ def monitor(base_traj, target_traj, *,
     (the rolling disk of radius 1/max H of a convex target, at node
     resolution) and otherwise sent through `gauge.normal_graph`, the one
     crossing search; the target flow may have another m than the base.
-    They agree with `normal_graph` to about 1e-12 relative. The graphs, the frame
-    records, I, U, the Dirichlet ratio and the residuals run over
+    They agree with `normal_graph` to about 1e-12 relative. The graphs, the
+    base diagnostics, I, U, the Dirichlet ratio and the residuals run over
     `curvegeo.frame_blocks` of STACK_NODES nodes, as stacked rfft/irfft
     passes (`spectral.dirichlet_rows`, `gauge.residuals`) whose rows equal
     the per-frame calls bit for bit.
@@ -318,8 +307,8 @@ def monitor(base_traj, target_traj, *,
     spans[1:-1] = taus[2:] - taus[:-2]
     for block in frame_blocks(k, base_traj.m, STACK_NODES):
         u = fields[block]
-        weights = np.stack([fr.weights for fr in frames[block]])
-        phi = np.stack([fr.phi for fr in frames[block]])
+        weights = frames["weights"][block]
+        phi = frames["phi"][block]
         ops = [spectral.assemble(c) for c in curves[block]]
         i_vals[block] = np.sum(weights * u * u, axis=1)
         dirichlet = spectral.dirichlet_rows(ops, u)
@@ -339,7 +328,7 @@ def monitor(base_traj, target_traj, *,
                             fields[inner], fields[inner + 1], spans[inner] / 2)
         for j, report in zip(inner, reports):
             fitted_c[j] = report.fitted_c
-            drift_sq[j] = np.sum(frames[j].weights * report.drift ** 2)
+            drift_sq[j] = np.sum(frames["weights"][j] * report.drift ** 2)
     under = i_vals <= ENERGY_FLOOR
 
     n_rows = k - 2
@@ -390,7 +379,7 @@ def monitor(base_traj, target_traj, *,
                          "fit window")
 
     return FrequencyTrace(columns=cols,
-                          fields=list(fields[1:-1]),
+                          fields=fields[1:-1],
                           inequality_margin=margin,
                           lambda_bound=float(lambda_bound),
                           lambda_fit=lam_fit,

@@ -97,18 +97,6 @@ class WeightedOperator:
         quad[idx, idx] += self.potential
         return 0.5 * (quad + quad.T)  # kill rounding asymmetry
 
-    def stiffness(self, u: np.ndarray, v: np.ndarray) -> float:
-        """Gaussian Dirichlet form: the quadrature of grad(u) . grad(v) dmu,
-        symmetric in its arguments."""
-        return float(_stiffness(self.c_half, fourier.staggered_deriv(u),
-                                fourier.staggered_deriv(v)))
-
-    def form(self, u: np.ndarray, v: np.ndarray) -> float:
-        """Bilinear form value form(u, v); symmetric in its arguments."""
-        u = np.asarray(u, float)
-        v = np.asarray(v, float)
-        return float(np.sum(self.potential * u * v) - self.stiffness(u, v))
-
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Strong-form action on a field, or on a block of fields (one per
         column): Q u by FFT, with the mass solved out."""
@@ -116,16 +104,6 @@ class WeightedOperator:
         block = u.reshape(self.m, -1)
         return _strong_form(self.c_half[:, None], self.potential[:, None],
                             self.weights[:, None], block, 0).reshape(u.shape)
-
-    def trace(self) -> float:
-        """Trace of the strong-form operator (sum of all eigenvalues)."""
-        return float(np.sum(np.diag(self.quad_form) / self.weights))
-
-
-def _stiffness(c_half, du, dv):
-    """(2 pi/m) sum c_half du dv along the last axis: the Dirichlet form of
-    fields with half-grid derivatives du and dv."""
-    return (TWO_PI / du.shape[-1]) * np.sum(c_half * du * dv, axis=-1)
 
 
 def _strong_form(c_half, potential, weights, fields, axis: int):
@@ -152,13 +130,14 @@ def apply_rows(ops, fields) -> np.ndarray:
 
 
 def dirichlet_rows(ops, fields) -> np.ndarray:
-    """ops[r].stiffness(fields[r], fields[r]) for the rows of fields
-    (frames, m), in one stacked pass, each equal to its own call bit for
-    bit."""
+    """The Gaussian Dirichlet energy, the quadrature of |grad u|^2 dmu, of
+    each row u of fields (frames, m) on the operator ops[r] of its row:
+    (2 pi/m) sum c_half du^2 with du the half-grid derivative, one stacked
+    pass whose rows equal those of a one-row call bit for bit."""
     fields = np.asarray(fields, float)
-    du = fourier.multiply(fields, fourier.staggered_multiplier(
-        fields.shape[-1]), -1)
-    return _stiffness(_rows(ops, "c_half"), du, du)
+    m = fields.shape[-1]
+    du = fourier.multiply(fields, fourier.staggered_multiplier(m), -1)
+    return (TWO_PI / m) * np.sum(_rows(ops, "c_half") * du * du, axis=-1)
 
 
 @dataclass(frozen=True)

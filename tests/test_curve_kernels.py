@@ -159,12 +159,31 @@ def nearest_windowed_sup(p, q):
     return windowed_directed_sup(p, q, cKDTree(q).query(p)[1])
 
 
+def upsample(rows, m_fine):
+    """Sample the trigonometric interpolants of rows of grid samples (along
+    the last axis) on the finer uniform grid of m_fine points."""
+    m = rows.shape[-1]
+    if m_fine <= m:
+        return rows
+    coef = np.fft.rfft(rows, axis=-1)
+    coef[..., m // 2] *= 0.5  # Nyquist bin splits when the band widens
+    padded = np.zeros(rows.shape[:-1] + (m_fine // 2 + 1,), dtype=complex)
+    padded[..., : m // 2 + 1] = coef
+    return np.fft.irfft(padded, n=m_fine, axis=-1) * (m_fine / m)
+
+
+def translated(curve, offset):
+    """The curve moved by offset, its nodes in their order."""
+    return DiscreteCurve(curve.points + np.asarray(offset, dtype=float),
+                         validate=False)
+
+
 def oracle_hausdorff_dense(a, b, directed_sup=nearest_windowed_sup,
                            m_dense=M_DENSE):
     """Two-sided Hausdorff distance between the m_dense-point polygons of
     the interpolants of a and b."""
-    pa = fourier.upsample(a.points.T, m_dense).T
-    pb = fourier.upsample(b.points.T, m_dense).T
+    pa = upsample(a.points.T, m_dense).T
+    pb = upsample(b.points.T, m_dense).T
     return max(directed_sup(pa, pb), directed_sup(pb, pa))
 
 
@@ -172,7 +191,7 @@ def chord_sag(curve, m_dense=M_DENSE):
     """Largest distance from the interpolant's points halfway between two
     dense samples to the chord between them: the dense polygon is within
     about this of the interpolant."""
-    fine = fourier.upsample(curve.points.T, 2 * m_dense)
+    fine = upsample(curve.points.T, 2 * m_dense)
     return float(np.hypot(*(fine[:, 1::2] - 0.5 * (
         fine[:, ::2] + np.roll(fine[:, ::2], -1, axis=1)))).max())
 
@@ -234,8 +253,8 @@ GRAPH_CASES = {
     "different-sampling": lambda: (circle(SQRT2, m=128), circle(1.2, m=96)),
     "off-centre-star": lambda: (
         circle(SQRT2, m=128),
-        fourier_curve(1.35, (0.0, 0.04), (0.0, 0.0, 0.02), m=112)
-        .translated((0.12, -0.07))),
+        translated(fourier_curve(1.35, (0.0, 0.04), (0.0, 0.0, 0.02), m=112),
+                   (0.12, -0.07))),
     "ellipse": lambda: (ellipse(1.3, 0.8, m=128), ellipse(1.32, 0.79, m=128)),
     "non-star": _non_star,
 }
@@ -390,11 +409,11 @@ HAUSDORFF_CASES = {
     "non-round": lambda: (ellipse(2.0, 0.5), ellipse(2.2, 0.6)),
     "off-centre": lambda: (
         circle(SQRT2, m=128),
-        fourier_curve(1.35, (0.0, 0.04), (0.0, 0.0, 0.02), m=112)
-        .translated((0.12, -0.07))),
+        translated(fourier_curve(1.35, (0.0, 0.04), (0.0, 0.0, 0.02), m=112),
+                   (0.12, -0.07))),
     "disjoint": lambda: (ellipse(1.0, 0.5, m=128),
-                         fourier_curve(0.8, (0.0, 0.05), m=96)
-                         .translated((2.5, 0.7))),
+                         translated(fourier_curve(0.8, (0.0, 0.05), m=96),
+                                    (2.5, 0.7))),
 }
 
 
@@ -550,7 +569,7 @@ def test_distance_to_circle_matches_dense_along_a_flow():
             dense = oracle_hausdorff_dense(frame, reference,
                                            windowed_directed_sup)
             assert abs(got - dense) <= 1e-12 * dense, (m, modes)
-            rows = fourier.upsample(frame.points.T, M_DENSE)
+            rows = upsample(frame.points.T, M_DENSE)
             assert got >= np.abs(np.hypot(*rows) - SQRT2).max(), (m, modes)
 
 
@@ -597,7 +616,7 @@ def test_distance_to_circle_resolves_a_mode_5_flow():
         frames = run_rmcf(start, 2.0, frame_dtau=0.1).curves
         for frame, got in zip(frames, distance_to_circle(frames, SQRT2)):
             exact = oracle_round_distance(
-                np.hypot(*fourier.upsample(frame.points.T, M_DENSE)),
+                np.hypot(*upsample(frame.points.T, M_DENSE)),
                 direct_radius(frame))
             assert abs(got - exact) <= ROUND_R, m
             assert got >= np.abs(np.hypot(*frame.points.T) - SQRT2).max()
@@ -624,10 +643,11 @@ def test_distance_to_circle_matches_dense_off_the_origin(recwarn):
     # a convex mode-4 curve beside the circle, not around the origin: the
     # oracle takes every point of each dense polygon against every segment
     # of the other
-    curve = fourier_curve(0.5, (0.0, 0.0, 0.0, 0.05), m=256).translated((1.6, 0.4))
+    curve = translated(fourier_curve(0.5, (0.0, 0.0, 0.0, 0.05), m=256),
+                       (1.6, 0.4))
     assert curve.points[:, 0].min() > 0.0
     (got,) = distance_to_circle([curve], SQRT2)
-    pa, pb = (fourier.upsample(c.points.T, M_DENSE).T
+    pa, pb = (upsample(c.points.T, M_DENSE).T
               for c in (curve, circle(SQRT2, m=256)))
     exact = max(oracle_polygon_sup(pa, pb), oracle_polygon_sup(pb, pa))
     assert abs(got - exact) <= chord_sag(curve) + ROUND_SAG
@@ -663,8 +683,8 @@ def test_batched_distances_do_not_couple_frames(monkeypatch):
     # evaluates exactly the points the one-frame calls do
     points = counted_mode_sum(monkeypatch)
     frames = [rotated_ellipse(1.6, 1.25, 1.2343, 256),
-              fourier_curve(0.5, (0.0, 0.0, 0.0, 0.05), m=256)
-              .translated((1.6, 0.4))] + rate_frames(tau_end=1.3)
+              translated(fourier_curve(0.5, (0.0, 0.0, 0.0, 0.05), m=256),
+                         (1.6, 0.4))] + rate_frames(tau_end=1.3)
     assert len(frames) > 2 * (curvegeo._BLOCK_NODES // 256)
     batched = distance_to_circle(frames, SQRT2)
     assert batched.shape == (len(frames),)
@@ -727,7 +747,8 @@ def test_batched_distance_memory_is_bounded():
 def test_shrinker_energy_is_the_monitor_itilde():
     for curve in (random_fourier(5, 0.08, seed=2, m=128),
                   ellipse(1.3, 0.8, m=64), circle(1.1, m=64)):
-        assert frequency.shrinker_energy(curve) == frequency._frames([curve])[0].itilde
+        assert frequency.shrinker_energy(curve) == \
+            frequency._frames([curve])["itilde"][0]
 
 
 # ---------------------------------------------------------------------------
@@ -760,8 +781,8 @@ def dense_hausdorff(a, b, m_dense=131072):
     """Both interpolants on m_dense points, each point against the six
     segments around its nearest vertex of the other polygon: exact to the
     chord sag of the finer polygons, about 5e-10 here."""
-    pa = fourier.upsample(a.points.T, m_dense).T
-    pb = fourier.upsample(b.points.T, m_dense).T
+    pa = upsample(a.points.T, m_dense).T
+    pb = upsample(b.points.T, m_dense).T
     return max(windowed_directed_sup(p, q, nearest_vertices(p, q))
                for p, q in ((pa, pb), (pb, pa)))
 

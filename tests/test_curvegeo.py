@@ -27,6 +27,11 @@ SQRT2 = np.sqrt(2.0)
 EPS = float(np.finfo(float).eps)
 
 
+def length(curve):
+    """Length of the interpolated curve (spectral quadrature)."""
+    return float(geometry(curve).arclength_weights.sum())
+
+
 # ---------------------------------------------------------------------------
 # construction invariants
 # ---------------------------------------------------------------------------
@@ -132,7 +137,8 @@ def test_degenerate_parametrization_raises():
 def test_area_and_centroid():
     c = circle(1.3, center=(0.4, -0.2), m=128)
     assert abs(c.area() - np.pi * 1.3**2) < 1e-12
-    assert np.allclose(c.centroid(), [0.4, -0.2], atol=1e-12)
+    assert np.allclose(curvegeo.area_centroid(c.points)[1:], [0.4, -0.2],
+                       atol=1e-12)
     e = ellipse(2.0, 0.5, m=256)
     assert abs(e.area() - np.pi * 2.0 * 0.5) < 1e-10
     # shoelace agrees to polygon accuracy O(m^-2)
@@ -253,7 +259,7 @@ def test_resample_uniformizes_spacing():
     # the metric speed of the resampled interpolant is uniform
     g = geometry(r).metric_speed
     assert g.max() / g.min() - 1.0 < 1e-7
-    assert abs(r.length() - c.length()) < 1e-12 * c.length()
+    assert abs(length(r) - length(c)) < 1e-12 * length(c)
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -264,7 +270,7 @@ def test_resample_keeps_length_area_and_node_zero(kmax, amplitude, seed, m):
     # reparametrized interpolant already loses ~2e-8 of its length
     c = random_fourier(kmax, amplitude, seed=seed, m=m)
     r = resample(c)
-    assert abs(r.length() - c.length()) <= 1e-10 * c.length()
+    assert abs(length(r) - length(c)) <= 1e-10 * length(c)
     assert abs(r.area() - c.area()) <= 1e-10 * c.area()
     assert np.abs(r.points[0] - c.points[0]).max() <= 1e-14
 

@@ -19,7 +19,7 @@ from shrinkerlab.frequency import (
 )
 from shrinkerlab.gauge import (normal_graph, normal_graphs, reconstruct,
                               residual)
-from shrinkerlab.spectral import assemble, eigenpairs
+from shrinkerlab.spectral import assemble, dirichlet_rows, eigenpairs
 
 SQRT2 = math.sqrt(2.0)
 
@@ -136,7 +136,8 @@ def test_dirichlet_energy_closed_form():
     base = circle(SQRT2, m=256)
     want = 2 * SQRT2 * math.pi * math.exp(-0.5)  # |grad cos 2t|^2 integrated
     u = mode(256, 2)
-    assert assemble(base).stiffness(u, u) == pytest.approx(want, abs=1e-8)
+    assert dirichlet_rows([assemble(base)], [u])[0] == pytest.approx(want,
+                                                           abs=1e-8)
 
 
 def test_gradient_flow_identity_along_rescaled_flow():
@@ -312,9 +313,25 @@ def test_monitor_columns_equal_public_helpers():
         assert np.abs(u[1] - oracle).max() <= 1e-11 * np.abs(oracle).max()
         span = a.times[j + 1] - a.times[j - 1]
         assert cols["I"][r] == np.sum(gaussian_weights(base) * u[1] * u[1])
-        assert cols["U"][r] == 2.0 * assemble(base).form(u[1], u[1]) \
-            / cols["I"][r]
+        op = assemble(base)
+        form = (np.sum(op.potential * u[1] * u[1])
+                - dirichlet_rows([op], [u[1]])[0])
+        assert cols["U"][r] == 2.0 * form / cols["I"][r]
         assert cols["fittedC"][r] == residual(base, *u, span / 2).fitted_c
+
+
+def test_trace_fields_are_the_normal_graph_rows():
+    # fields is one (rows, m) array, row r the normal_graphs row of interior
+    # frame pair r + 1 bit for bit (one pair at a time, the rows are checked
+    # in test_monitor_columns_equal_public_helpers)
+    a = run_rmcf(normalized_perturbed_circle(0.03, m=96), 1.0,
+                 frame_dtau=0.05)
+    b = run_rmcf(normalized_perturbed_circle(-0.02, m=96), 1.0,
+                 frame_dtau=0.05)
+    fields = monitor(a, b).fields
+    assert isinstance(fields, np.ndarray) and fields.shape == (len(a) - 2, 96)
+    assert np.array_equal(fields, normal_graphs(a.curves[1:-1],
+                                                b.curves[1:-1]))
 
 
 def test_monitor_pairs_flows_of_different_m():

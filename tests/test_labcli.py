@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from shrinkerlab import labcli, spectral
-from shrinkerlab.curvegeo import circle, ellipse, hausdorff_distance
+from shrinkerlab.curvegeo import (area_centroid, circle, ellipse,
+                                  hausdorff_distance)
 from shrinkerlab.errors import ConfigInvalid, ConvergenceFailure
 from shrinkerlab.flowcore import FlowTrajectory, run_rmcf
 from shrinkerlab.labcli import (build_curve, main, parse_config_text, run,
@@ -165,7 +166,8 @@ def test_random_fourier_requires_seed(tmp_path):
 def test_build_curve_centers_and_coefficients():
     circle_spec = labcli._parse_curve("circle(2, 1, -1)", "curve1", 64)
     curve = build_curve(circle_spec, 64)
-    assert np.allclose(curve.centroid(), [1.0, -1.0], atol=1e-12)
+    assert np.allclose(area_centroid(curve.points)[1:], [1.0, -1.0],
+                       atol=1e-12)
     # fourier(r0, c1, s1, c2, s2): second harmonic lands in cos/sin slots
     spec = labcli._parse_curve("fourier(1, 0, 0, 0.1, 0.05)", "curve1", 256)
     curve = build_curve(spec, 256)
@@ -240,23 +242,37 @@ def test_spectrum_of_a_large_circle_before_the_density_underflows(tmp_path):
     assert np.abs(np.array(summary["eigenvalues"]) - expected).max() <= 1e-14
 
 
-@pytest.mark.parametrize("curve, message", [
-    ("circle(54)", "error: the Gaussian density exp(-|x|^2/4) underflows: "
-                   "the curve reaches |x| = 54, beyond 53.23"),
-    ("circle(56)", "error: the Gaussian density exp(-|x|^2/4) underflows: "
-                   "the curve reaches |x| = 56, beyond 53.23"),
-    ("ellipse(40, 38)", "error: stiffness coefficient lost positivity on the "
-                        "half grid; curve is under-resolved"),
-], ids=["circle-54", "circle-56", "ellipse-40-38"])
-def test_spectrum_beyond_the_density_range_is_one_error_line(tmp_path, curve,
+UNDERFLOW = "error: the Gaussian density exp(-|x|^2/4) underflows: "
+
+
+@pytest.mark.parametrize("scenario, curve, message", [
+    ("spectrum", "circle(54)",
+     UNDERFLOW + "the curve reaches |x| = 54, beyond 53.23"),
+    ("spectrum", "circle(56)",
+     UNDERFLOW + "the curve reaches |x| = 56, beyond 53.23"),
+    ("spectrum", "ellipse(40, 38)", "error: stiffness coefficient lost "
+                                    "positivity on the half grid; curve is "
+                                    "under-resolved"),
+    ("gauge-residual", "circle(60)",
+     UNDERFLOW + "the curve reaches |x| = 60, beyond 53.23"),
+    ("gauge-residual", "circle(1e20)",
+     UNDERFLOW + "the curve reaches |x| = 1e+20, beyond 53.23"),
+], ids=["circle-54", "circle-56", "ellipse-40-38", "gauge-residual-60",
+        "gauge-residual-1e20"])
+def test_spectrum_beyond_the_density_range_is_one_error_line(tmp_path,
+                                                             scenario, curve,
                                                              message):
     """Past |x| ~ 53.23 the density is subnormal and the operator loses
     accuracy before positivity, so assembly names the underflow; an
-    under-resolved density inside that range keeps its own error."""
-    path = write_config(tmp_path, "curve1 = %s\nm = 64\nout = %s\n"
-                        % (curve, tmp_path / "x"))
+    under-resolved density inside that range keeps its own error.
+    gauge-residual assembles its base's operator before it steps, so a base
+    however large stops on the same line, not on a graph iteration its size
+    keeps from converging."""
+    extra = "amplitudes = 0.01\n" if scenario == "gauge-residual" else ""
+    path = write_config(tmp_path, "curve1 = %s\nm = 64\n%sout = %s\n"
+                        % (curve, extra, tmp_path / "x"))
     proc = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "shrinkerlab", "spectrum",
+        [sys.executable, "-W", "error", "-m", "shrinkerlab", scenario,
          "--config", path],
         capture_output=True, text=True, env=src_env(), timeout=120)
     assert proc.returncode == 1
@@ -543,9 +559,9 @@ def test_separation_dh_rows_use_the_monitor_frame_pairs(tmp_path, monkeypatch):
     assert len(base) > 22 and len(calls) == 1
     bases, fields, targets = calls[0]
     assert len(bases) == len(fields) == len(targets) == len(base) - 2
-    for j, (a, u, b) in enumerate(zip(bases, fields, targets), start=1):
+    assert fields is trace.fields
+    for j, (a, b) in enumerate(zip(bases, targets), start=1):
         assert a is base.curves[j] and b is target.curves[j]
-        assert u is trace.fields[j - 1]
 
 
 def test_separation_cross_resolution_slope(separation_result, tmp_path):
@@ -824,7 +840,8 @@ out = %s
 def test_main_rate_losing_convexity_is_typed(tmp_path, capsys, monkeypatch):
     """rate steps under require_convex. Its config check keeps non-convex
     starts out, so the check is bypassed here to reach the flow's own
-    frame check."""
+    frame check, which finds the start not convex at frame 0: the run
+    reports it as the config error of that curve."""
     build = labcli._build_curves
     monkeypatch.setattr(labcli, "_build_curves",
                         lambda config, convex=False: build(config))
@@ -837,7 +854,7 @@ tau_end = 1
 """ % (tmp_path / "x"))
     assert main(["rate", "--config", path]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert err == ["error: curvature changed sign in curve 0 at tau=0"]
+    assert err == ["error: curve1: must be convex for scenario rate"]
 
 
 MODE_7 = "fourier(1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0.02, 0)"
