@@ -46,7 +46,6 @@ from .flowcore import (
     run_rmcf,
 )
 from .gauge import (
-    ResidualReport,
     apply_L,
     graph_hausdorff,
     normal_graph,
@@ -64,7 +63,6 @@ from .spectral import (
 )
 from .frequency import (
     FrequencyTrace,
-    approach_series,
     monitor,
     shrinker_energy,
     superexponential_flag,

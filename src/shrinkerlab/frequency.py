@@ -18,12 +18,11 @@ the frequency argument run: the logarithmic derivative of I stays within
 the C/D error budget of U, U never exceeds the spectral bound, and log I
 admits a linear lower support line (no super-exponential collapse). Its
 per-frame work (normal graphs, base diagnostics, I, U, the Dirichlet
-ratio and the residuals) runs over blocks of frames in stacked passes,
-each frame's numbers those of the frame alone, and its frames stay stacked
-as (frames, m) rows throughout. `approach_series` is the base half of the
-monitor: Itilde, F, D, the C2 norm of phi, their integrals and theta of one
-trajectory, from the same stacked columns the monitor reads.
-`shrinker_energy` gives Itilde of a single curve.
+ratio and the residual columns) runs over blocks of frames in stacked
+passes, each frame's numbers those of the frame alone, and its frames stay
+stacked as (frames, m) rows throughout. Its base half (Itilde, F, D, the C2
+norm of phi, their integrals and theta) comes from `_frames` and `_approach`
+of the base trajectory. `shrinker_energy` gives Itilde of a single curve.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from .curvegeo import (
     geometry,
     shrinker_quantity,
 )
-from .errors import FrameMissing, NotAGraph, WindowTooShort
+from .errors import FrameMissing, NotAGraph
 from .gauge import arc_rows, normal_graphs, residuals
 
 __all__ = [
@@ -51,7 +50,6 @@ __all__ = [
     "ROUND_F_VALUE",
     "FrequencyTrace",
     "shrinker_energy",
-    "approach_series",
     "superexponential_flag",
     "monitor",
 ]
@@ -112,26 +110,6 @@ def shrinker_energy(curve: DiscreteCurve) -> float:
     diagnostics of the monitor.
     """
     return float(_itilde(gaussian_weights(curve), shrinker_quantity(curve)))
-
-
-def approach_series(traj) -> dict:
-    """Convergence diagnostics of one rescaled trajectory: the base half of
-    `monitor`, which returns the same numbers for its base frames.
-
-    Returns the columns tau, Itilde, F, dFdtau, phiL2, D and phiC2 over the
-    interior frames, the trapezoid integrals integralD and integralC2 of D
-    and of the C2 norm over them (their finiteness as tau grows certifies
-    convergence to the round shrinker), and the Lojasiewicz exponent theta.
-
-    Raises
-    ------
-    WindowTooShort
-        If the trajectory has fewer than 3 frames.
-    """
-    if len(traj) < 3:
-        raise WindowTooShort("need at least 3 frames, got %d" % len(traj))
-    return _approach(np.asarray(traj.times, dtype=float),
-                     _frames(traj.curves))
 
 
 def _approach(taus: np.ndarray, frames: dict) -> dict:
@@ -249,7 +227,8 @@ def monitor(base_traj, target_traj, *,
     of the base, the error budget D, the fitted linearization constant C,
     and the decomposition of dU/dtau into its nonnegative main part and the
     remainder. The base columns (Itilde, F, dFdtau, phiL2, D), integral_d,
-    integral_c2 and theta_fit are those of `approach_series(base_traj)`.
+    integral_c2 and theta_fit are those of `_approach` over the `_frames`
+    columns of base_traj.
     Checks recorded in flags:
 
       * the logarithmic derivative of I matches U minus the measure
@@ -324,11 +303,11 @@ def monitor(base_traj, target_traj, *,
         inner = inner[(inner > 0) & (inner < k - 1)]
         if not inner.size:
             continue
-        reports = residuals([curves[j] for j in inner], fields[inner - 1],
-                            fields[inner], fields[inner + 1], spans[inner] / 2)
-        for j, report in zip(inner, reports):
-            fitted_c[j] = report.fitted_c
-            drift_sq[j] = np.sum(frames["weights"][j] * report.drift ** 2)
+        res = residuals([curves[j] for j in inner], fields[inner - 1],
+                        fields[inner], fields[inner + 1], spans[inner] / 2)
+        fitted_c[inner] = res["fittedC"]
+        drift_sq[inner] = np.sum(frames["weights"][inner] * res["drift"] ** 2,
+                                 axis=1)
     under = i_vals <= ENERGY_FLOOR
 
     n_rows = k - 2

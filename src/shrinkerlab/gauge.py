@@ -25,15 +25,13 @@ evaluated by the one discretization of L, the weak form of
 eigenfunctions are Fourier modes with L cos(k theta) = (1 - k^2/2) cos(k
 theta).
 
-`residual` measures how well three graphs over a fixed base solve
-du/dtau = L u, quantifying the quadratic error term of the linearization;
-`residuals` gives the reports of a stack of frames in stacked rfft/irfft
-passes, each bit for bit that of its own `residual` call.
+`residuals` measures how well triples of graphs over fixed bases solve
+du/dtau = L u, the quadratic error term of the linearization, as one dict
+of stacked columns, each row bit for bit that of its frame alone;
+`residual` is the row of one frame.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -278,57 +276,31 @@ def apply_L(base: DiscreteCurve, values) -> np.ndarray:
     return spectral.assemble(base).apply(values)
 
 
-@dataclass
-class ResidualReport:
-    """How far three consecutive graphs are from solving du/dtau = L u.
-
-    max_residual = sup |du/dtau - L u| at the middle frame; fitted_c is the
-    smallest C with |residual| <= C (|u| + |u'|) pointwise; quad_ratio
-    normalizes by the quadratic smallness scale ||u||_C2 (sup|u|+sup|u'|).
-    drift is L u at the middle frame.
-    """
-
-    tau: float
-    max_residual: float
-    fitted_c: float
-    norms_u: tuple
-    quad_ratio: float
-    drift: np.ndarray
-
-    def to_dict(self):
-        return {
-            "tau": self.tau,
-            "maxResidual": self.max_residual,
-            "fittedC": self.fitted_c,
-            "normsU": [self.norms_u[0], self.norms_u[1], self.norms_u[2]],
-            "quadRatio": self.quad_ratio,
-        }
+def residual(base: DiscreteCurve, u_prev, u_mid, u_next, dtau: float) -> dict:
+    """The `residuals` row of one frame, three equally spaced height arrays
+    over base: each column a scalar, drift an (m,) array."""
+    cols = residuals([base], [u_prev], [u_mid], [u_next], dtau)
+    return {name: col[0] for name, col in cols.items()}
 
 
-def residual(base: DiscreteCurve, u_prev, u_mid, u_next, dtau: float,
-             tau: float = 0.0) -> ResidualReport:
-    """Linearization residual at the middle of three equally spaced graphs,
-    given as height arrays u over the fixed base.
+def residuals(bases, u_prev, u_mid, u_next, dtau) -> dict:
+    """How far graphs u_prev[r], u_mid[r], u_next[r] (frames, m) over
+    bases[r], of one m, a dtau (or one per frame) apart, are from solving
+    du/dtau = L u, du/dtau the centered difference across the outer graphs,
+    as stacked columns over the frames: maxResidual = sup|du/dtau - L u| at
+    u_mid, fittedC the smallest C with |residual| <= C (|u| + |u'|)
+    nodewise, normC0 = sup|u|, normC01 = normC0 + sup|u'|, the C2 norm
+    normC012 = normC01 + sup|u''|, quadRatio = maxResidual / (normC012
+    normC01), and the (frames, m) rows drift = L u_mid.
 
-    du/dtau is the centered difference across the outer graphs; the residual
-    is du/dtau - L u_mid, evaluated nodewise.
-    """
-    return residuals([base], [u_prev], [u_mid], [u_next], dtau, [tau])[0]
-
-
-def residuals(bases, u_prev, u_mid, u_next, dtau, taus=None) -> list:
-    """The `residual` reports of frames r = 0, 1, ...: graphs u_prev[r],
-    u_mid[r], u_next[r] (frames, m) over bases[r], of one m, a dtau (or
-    one per frame) apart, at times taus[r] (default 0). L u_mid comes from
-    `spectral.apply_rows` and the arc derivatives from `arc_rows`, stacked
-    rfft/irfft passes whose rows equal their own calls, so each report is
-    bit for bit that of its frame alone; memory is O(frames m), so callers
-    pass long sequences in `curvegeo.frame_blocks`.
+    L u_mid comes from `spectral.apply_rows` and the arc derivatives from
+    `arc_rows`, stacked rfft/irfft passes whose rows equal their own calls,
+    so each row is bit for bit that of its frame alone; memory is
+    O(frames m), so callers pass long sequences in `curvegeo.frame_blocks`.
     """
     u_prev, u_mid, u_next = (np.asarray(a, dtype=float)
                              for a in (u_prev, u_mid, u_next))
-    count = len(bases)
-    dtau = np.broadcast_to(np.asarray(dtau, dtype=float), (count,))
+    dtau = np.broadcast_to(np.asarray(dtau, dtype=float), (len(bases),))
     du_dt = (u_next - u_prev) / (2.0 * dtau[:, None])
     drift = spectral.apply_rows([spectral.assemble(b) for b in bases], u_mid)
     res = np.abs(du_dt - drift)
@@ -336,14 +308,11 @@ def residuals(bases, u_prev, u_mid, u_next, dtau, taus=None) -> list:
                        u_mid)
     c0, c1, c2 = (np.abs(f).max(axis=1) for f in (u_mid, du, d2u))
     gauge_size = np.abs(u_mid) + np.abs(du)
-    fitted_c = (res / (gauge_size + 1e-14)).max(axis=1)
-    cum_c2 = c0 + c1 + c2
+    c01 = c0 + c1
+    c012 = c01 + c2
     top = res.max(axis=1)
-    quad_ratio = top / (cum_c2 * (c0 + c1) + 1e-300)
-    return [ResidualReport(tau=float(t), max_residual=float(r),
-                           fitted_c=float(c), norms_u=(a, a + b, n),
-                           quad_ratio=float(q), drift=d)
-            for t, r, c, a, b, n, q, d
-            in zip(np.zeros(count) if taus is None else taus, top, fitted_c,
-                   c0.tolist(), c1.tolist(), cum_c2.tolist(), quad_ratio,
-                   drift)]
+    return {"maxResidual": top,
+            "fittedC": (res / (gauge_size + 1e-14)).max(axis=1),
+            "normC0": c0, "normC01": c01, "normC012": c012,
+            "quadRatio": top / (c012 * c01 + 1e-300),
+            "drift": drift}

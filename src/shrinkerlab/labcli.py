@@ -35,7 +35,7 @@ from .errors import (ConfigInvalid, ConvexityLost, EnergyUnderflow, NotAGraph,
 from .flowcore import (CFL_MAX, GAUGES, StepControl, estimate_singularity,
                        run_flows, run_mcf, run_rmcf, step_curvature)
 from .frequency import monitor, shrinker_energy, superexponential_flag
-from .gauge import graph_hausdorff, normal_graphs, reconstruct, residual
+from .gauge import graph_hausdorff, normal_graphs, reconstruct, residuals
 from .spectral import assemble, eigenpairs
 
 # no scenario calls this alias: only the perfbench tracer resolves it, and
@@ -251,9 +251,11 @@ def validate_config(raw: dict) -> ScenarioConfig:
                             field="count")
     if "mode_k" in raw:
         options["mode_k"] = _as_int(raw, "mode_k")
-        if options["mode_k"] < 0:
-            raise ConfigInvalid("must be nonnegative, got %d"
-                                % options["mode_k"], field="mode_k")
+        # mode m/2 is the grid's sawtooth, and modes above it alias onto
+        # lower ones on the m-point grid
+        if not 0 <= options["mode_k"] < m / 2:
+            raise ConfigInvalid("must be in [0, m/2 = %d), got %d"
+                                % (m // 2, options["mode_k"]), field="mode_k")
 
     amplitudes: tuple = ()
     if "amplitudes" in raw:
@@ -312,17 +314,16 @@ def _write_manifest(config: ScenarioConfig) -> str:
     return path
 
 
-def _build_curves(config: ScenarioConfig, convex: bool = False) -> list:
+def _build_curves(config: ScenarioConfig) -> list:
     """The config's curves at resolution m. Each is built, with its
     geometry and area moments and, in a scenario that steps the curve as
-    given, its squared curvature as the step forms it
-    (`flowcore.step_curvature`), while numpy raises on overflow, so a curve
-    too large for their products (the cube of the metric speed in the
-    curvature, its sixth power in the step, the cubic moments of the
+    given (simulate, gauge-residual), its squared curvature as the step
+    forms it (`flowcore.step_curvature`), while numpy raises on overflow, so
+    a curve too large for their products (the cube of the metric speed in
+    the curvature, its sixth power in the step, the cubic moments of the
     centroid) stops the run with one ConfigInvalid naming its key, not a
-    stream of warnings and a later error; with convex, so does a curve
-    with a node curvature <= 0 (and, by `_convex_starts`, one whose
-    area-normalized start the stepper finds not convex)."""
+    stream of warnings and a later error. Convexity is checked where the
+    convex scenarios step their starts (`_convex_starts`)."""
     curves = []
     for spec, key in zip(config.curve_specs, ("curve1", "curve2")):
         try:
@@ -330,26 +331,22 @@ def _build_curves(config: ScenarioConfig, convex: bool = False) -> list:
                 curve = build_curve(spec, config.m, config.seed)
                 geometry(curve)
                 area_centroid(curve.points)
-                if not convex and config.scenario != "spectrum":
+                if config.scenario in ("simulate", "gauge-residual"):
                     step_curvature(curve)
         except FloatingPointError:
             raise ConfigInvalid("too large: its geometry overflows double "
                                 "precision", field=key) from None
-        if convex and float(geometry(curve).curvature.min()) <= 0.0:
-            raise ConfigInvalid("must be convex for scenario %s" % config.scenario,
-                                field=key)
         curves.append(curve)
     return curves
 
 
 @contextlib.contextmanager
 def _convex_starts(config: ScenarioConfig):
-    """Around the run of a convex scenario from the curves of
-    `_build_curves(convex=True)`, area-normalized: a start that passed the
-    node check there but that the stepper finds not convex at frame 0 (its
-    normalized, regauged rows can differ in sign from a node curvature near
-    0) is the same ConfigInvalid naming its key; any other ConvexityLost is
-    the flow's own."""
+    """Around the run of a convex scenario from the config's curves,
+    area-normalized, under `require_convex`: the one convexity gate of the
+    scenarios. A start that the stepper finds not convex at frame 0 (its
+    normalized, regauged rows have a curvature < 0) is a ConfigInvalid
+    naming its key; any other ConvexityLost is the flow's own."""
     try:
         yield
     except ConvexityLost as exc:
@@ -434,43 +431,42 @@ _RESIDUAL_COLUMNS = ("epsilon", "tau", "maxResidual", "fittedC",
 
 def _run_gauge_residual(config: ScenarioConfig) -> dict:
     base = _build_curves(config)[0]
-    # the operator `residual` reads, cached on the base: a base whose
+    # the operator `residuals` reads, cached on the base: a base whose
     # Gaussian density underflows stops here, before any graph is solved
     assemble(base)
     theta = fourier.grid(config.m)
     delta = config.delta_tau
-    control = StepControl(cfl=config.cfl)
-    rows = []
-    reports = []
+    amps = config.amplitudes
     starts = [reconstruct(base, eps * np.cos(config.mode_k * theta))
-              for eps in config.amplitudes]
+              for eps in amps]
     trajs = run_flows(starts, "rmcf", 2.0 * delta, frame_dtau=delta,
-                      control=control)
-    for eps, traj in zip(config.amplitudes, trajs):
+                      control=StepControl(cfl=config.cfl))
+    for eps, traj in zip(amps, trajs):
         if len(traj.curves) < 3:
             raise WindowTooShort("flow stopped before three frames at "
                                  "amplitude %g" % eps)
-        try:
-            u = normal_graphs([base] * 3, traj.curves[:3])
-        except NotAGraph as exc:
-            raise NotAGraph("amplitude %g: %s" % (eps, exc))
-        report = residual(base, u[0], u[1], u[2], delta, tau=delta)
-        reports.append(report)
-        rows.append((eps, report.tau, report.max_residual, report.fitted_c,
-                     report.norms_u[0], report.norms_u[1], report.norms_u[2],
-                     report.quad_ratio))
-    ioutil.write_csv(os.path.join(config.out, "trace.csv"),
-                     _RESIDUAL_COLUMNS, rows)
-    ratios = [r.quad_ratio for r in reports]
+    # frames 0, 1, 2 of every amplitude over the base, in one pass
+    try:
+        u = normal_graphs([base] * (3 * len(amps)),
+                          [c for traj in trajs for c in traj.curves[:3]])
+    except NotAGraph as exc:
+        raise NotAGraph("amplitude %g: %s" % (amps[exc.frame // 3], exc))
+    cols = residuals([base] * len(amps), u[0::3], u[1::3], u[2::3], delta)
+    stats = [cols[name] for name in _RESIDUAL_COLUMNS[2:]]
+    ioutil.write_csv(os.path.join(config.out, "trace.csv"), _RESIDUAL_COLUMNS,
+                     zip(amps, [delta] * len(amps), *stats))
+    ratios = cols["quadRatio"]
     return {
         "scenario": config.scenario,
         "m": config.m,
         "modeK": config.mode_k,
         "deltaTau": delta,
-        "amplitudes": list(config.amplitudes),
-        "reports": [r.to_dict() for r in reports],
-        "maxQuadRatio": max(ratios),
-        "ratioSpread": max(ratios) / min(ratios),
+        "amplitudes": list(amps),
+        "reports": [{"tau": delta, "maxResidual": r, "fittedC": c,
+                     "normsU": [a, b, n], "quadRatio": q}
+                    for r, c, a, b, n, q in zip(*stats)],
+        "maxQuadRatio": ratios.max(),
+        "ratioSpread": ratios.max() / ratios.min(),
         "verdict": "success",
     }
 
@@ -495,7 +491,8 @@ def experiment_separation(config: ScenarioConfig) -> dict:
     sup|u| in closed form, the node extremes refined on the mode sums of u;
     beyond that, the support-function distance `hausdorff_distance`. The
     fit takes every row above _DH_FLOOR whose graph energy does not
-    underflow.
+    underflow; when fewer than three do, dhSlope is None, and a run that is
+    not coincident says so in its flags with the count of those rows.
     The verdict is superexponential-flagged when log I or log d_H drops below
     every linear envelope over the fit window, and coincident when the two
     flows agree to the floors on every frame (M1 = M2): then there is nothing
@@ -504,7 +501,7 @@ def experiment_separation(config: ScenarioConfig) -> dict:
     Writes frames.npy, index.json, series.csv, target/ (the same for curve2),
     trace.csv and separation.json; returns the summary.
     """
-    curve1, curve2 = _build_curves(config, convex=True)
+    curve1, curve2 = _build_curves(config)
     area1, area2 = curve1.area(), curve2.area()
     if abs(area1 - area2) > _AREA_MATCH_TOL * max(area1, area2):
         raise ConfigInvalid("encloses area %.17g but curve1 encloses %.17g; "
@@ -543,10 +540,15 @@ def experiment_separation(config: ScenarioConfig) -> dict:
         # log sqrt(I) decays at lambda_fit / 2
         slopes_match = bool(abs(dh_slope + 0.5 * trace.lambda_fit)
                             <= _SLOPE_MATCH_TOL)
+    flags = list(trace.flags)
     if coincident:
         verdict = "coincident"
     else:
         verdict = "superexponential-flagged" if collapse else "consistent"
+        if dh_slope is None:
+            flags.append("no dH slope: %d of %d monitor rows have d_H above "
+                         "%g outside energy underflow, too few for a fit"
+                         % (np.count_nonzero(usable), len(usable), _DH_FLOOR))
     report = {"dhSlope": dh_slope, "lambdaFit": trace.lambda_fit,
               "offsetFit": trace.offset_fit, "Uinf": trace.u_inf,
               "Lambda": trace.lambda_bound, "slopesMatch": slopes_match,
@@ -556,11 +558,12 @@ def experiment_separation(config: ScenarioConfig) -> dict:
     base_traj.save(config.out)
     target_traj.save(os.path.join(config.out, "target"))
     trace.save_csv(os.path.join(config.out, "trace.csv"))
-    ioutil.dump_json(dict(report, flags=list(trace.flags),
+    ioutil.dump_json(dict(report, flags=flags,
                           frequencySummary=trace.summary_dict()),
                      os.path.join(config.out, "separation.json"))
     return dict({"scenario": config.scenario, "m": config.m,
                  "tauEnd": config.tau_end}, **report)
+
 
 def experiment_rate(config: ScenarioConfig) -> dict:
     """Fit the decay rate of one rescaled flow toward the round limit.
@@ -579,7 +582,7 @@ def experiment_rate(config: ScenarioConfig) -> dict:
     is rounding noise: there is no mode, and every fitted field is None.
     Writes frames.npy, index.json, series.csv and trace.csv.
     """
-    curve = _build_curves(config, convex=True)[0]
+    curve = _build_curves(config)[0]
     start = _normalize_unit_area(curve)
     control = StepControl(cfl=config.cfl, require_convex=True)
     with _convex_starts(config):

@@ -12,7 +12,7 @@ import pytest
 
 from shrinkerlab.curvegeo import circle, f_functional, shrinker_quantity
 from shrinkerlab.flowcore import FlowTrajectory
-from shrinkerlab.frequency import approach_series, monitor, shrinker_energy
+from shrinkerlab.frequency import _approach, _frames, monitor, shrinker_energy
 from shrinkerlab.gauge import reconstruct
 from shrinkerlab.labcli import run, validate_config
 from shrinkerlab.spectral import assemble, eigenpairs
@@ -98,7 +98,7 @@ def test_gradient_flow_identity(rmcf_mixed_512, rmcf_radial_256):
 def test_integrability_tail(rmcf_convex_128):
     """Late-time integrals of phi's size and the drift coefficient stall."""
     traj, _ = rmcf_convex_128
-    series = approach_series(traj)
+    series = _approach(np.asarray(traj.times), _frames(traj.curves))
     taus = series["tau"]
     cum_phi = cumtrapz(taus, series["phiL2"])
     cum_d = cumtrapz(taus, series["D"])

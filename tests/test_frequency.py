@@ -7,12 +7,13 @@ import pytest
 
 from shrinkerlab.curvegeo import (circle, ellipse, f_functional,
                                   gaussian_weights, shrinker_quantity)
-from shrinkerlab.errors import FrameMissing, NotAGraph, WindowTooShort
+from shrinkerlab.errors import FrameMissing, NotAGraph
 from shrinkerlab.flowcore import FlowTrajectory, run_rmcf
 from shrinkerlab.frequency import (
     ENERGY_FLOOR,
     TRACE_COLUMNS,
-    approach_series,
+    _approach,
+    _frames,
     monitor,
     shrinker_energy,
     superexponential_flag,
@@ -27,6 +28,12 @@ SQRT2 = math.sqrt(2.0)
 def mode(m, k, amp=1.0, phase="cos"):
     t = np.linspace(0, 2 * np.pi, m, endpoint=False)
     return amp * (np.cos(k * t) if phase == "cos" else np.sin(k * t))
+
+
+def approach(traj):
+    """The monitor's base half of one trajectory: `_approach` over the
+    `_frames` columns of its curves at its frame times."""
+    return _approach(np.asarray(traj.times), _frames(traj.curves))
 
 
 def static_round_traj(n, dtau=0.02, m=128):
@@ -158,12 +165,12 @@ def test_gradient_flow_identity_along_rescaled_flow():
 
 def test_d_coefficient_static_round():
     _, traj = static_round_traj(5)
-    assert np.all(approach_series(traj)["D"] < 1e-8)
+    assert np.all(approach(traj)["D"] < 1e-8)
 
 
 def test_d_coefficient_dominates_deviation_norm():
     traj = run_rmcf(normalized_perturbed_circle(0.08), 0.4, frame_dtau=0.1)
-    series = approach_series(traj)
+    series = approach(traj)
     assert len(series["D"]) == len(traj) - 2 >= 3
     for j, d in enumerate(series["D"], start=1):
         assert d >= np.abs(shrinker_quantity(traj.curves[j])).max()
@@ -171,17 +178,13 @@ def test_d_coefficient_dominates_deviation_norm():
 
 def test_approach_series_converges():
     traj = run_rmcf(normalized_perturbed_circle(0.08), 3.0, frame_dtau=0.1)
-    series = approach_series(traj)
+    series = approach(traj)
     assert np.array_equal(series["tau"], traj.times[1:-1])
     assert np.all(series["D"] >= 0)
     assert series["integralD"] == np.trapezoid(series["D"], series["tau"])
     # slowest stable mode decays like e^(-tau); 0.07 leaves transient room
     assert series["phiC2"][-1] < 0.07 * series["phiC2"][0]
     assert series["phiL2"][-1] < 0.07 * series["phiL2"][0]
-    with pytest.raises(WindowTooShort):
-        approach_series(FlowTrajectory(picture="rmcf", m=traj.m,
-                                       times=traj.times[:2],
-                                       curves=traj.curves[:2]))
 
 
 # ---------------------------------------------------------------------------
@@ -192,17 +195,17 @@ def test_lojasiewicz_fit_mode_two_manifold():
     # area-normalized mode-2 perturbation decays like e^(-tau), the energy
     # gap like e^(-2 tau): exponent 1 - theta = 1/2
     traj = run_rmcf(normalized_perturbed_circle(0.05), 6.0, frame_dtau=0.1)
-    assert 0.4 < approach_series(traj)["theta"] < 0.6
+    assert 0.4 < approach(traj)["theta"] < 0.6
 
 
 def test_lojasiewicz_static_is_exact_shrinker():
     _, traj = static_round_traj(25)
-    assert approach_series(traj)["theta"] is None
+    assert approach(traj)["theta"] is None
 
 
 def test_lojasiewicz_window_guard():
     traj = run_rmcf(normalized_perturbed_circle(0.05), 0.5, frame_dtau=0.1)
-    assert approach_series(traj)["theta"] is None
+    assert approach(traj)["theta"] is None
 
 
 def test_superexponential_flag_cases():
@@ -285,7 +288,7 @@ def test_monitor_real_two_flow_run():
 
 
 def test_monitor_columns_equal_public_helpers():
-    # the monitor's base half is approach_series of its base trajectory,
+    # the monitor's base half is _approach of its base trajectory's frames,
     # number for number; its graph columns are the form and the residual of
     # frame j of one flow written over frame j of the other, by
     # normal_graphs, whose rows do not depend on the frames beside them
@@ -296,7 +299,7 @@ def test_monitor_columns_equal_public_helpers():
     trace = monitor(a, b)
     cols = trace.columns
     assert len(trace) == len(a) - 2
-    series = approach_series(a)
+    series = approach(a)
     for name in ("tau", "Itilde", "F", "dFdtau", "phiL2", "D"):
         assert np.array_equal(cols[name], series[name]), name
     assert trace.integral_d == series["integralD"]
@@ -317,7 +320,7 @@ def test_monitor_columns_equal_public_helpers():
         form = (np.sum(op.potential * u[1] * u[1])
                 - dirichlet_rows([op], [u[1]])[0])
         assert cols["U"][r] == 2.0 * form / cols["I"][r]
-        assert cols["fittedC"][r] == residual(base, *u, span / 2).fitted_c
+        assert cols["fittedC"][r] == residual(base, *u, span / 2)["fittedC"]
 
 
 def test_trace_fields_are_the_normal_graph_rows():

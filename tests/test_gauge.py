@@ -284,23 +284,33 @@ def test_residual_on_manufactured_eigenflow():
     lam = 1.0 - k * k / 2.0
     u = mode(base, k, a)
     rep = residual(base, u * np.exp(-lam * dtau), u, u * np.exp(lam * dtau),
-                   dtau, tau=0.7)
+                   dtau)
     floor = abs(lam) ** 3 * dtau * dtau * a / 6.0
-    assert rep.tau == 0.7
-    assert 0.8 * floor < rep.max_residual < 1.25 * floor
-    assert 0.8 * floor / a < rep.fitted_c < 1.3 * floor / a
-    assert rep.norms_u[0] == pytest.approx(a, rel=1e-12)
+    assert 0.8 * floor < rep["maxResidual"] < 1.25 * floor
+    assert 0.8 * floor / a < rep["fittedC"] < 1.3 * floor / a
+    assert rep["normC0"] == pytest.approx(a, rel=1e-12)
 
 
-def test_residual_report_serialization():
-    base = circle(SQRT2, m=64)
-    u = mode(base, 2, 0.05)
-    rep = residual(base, 0.9 * u, u, 1.1 * u, 0.01, tau=1.5)
-    data = rep.to_dict()
-    assert set(data) == {"tau", "maxResidual", "fittedC", "normsU", "quadRatio"}
-    assert data["tau"] == 1.5
-    assert len(data["normsU"]) == 3
-    assert data["normsU"][0] <= data["normsU"][1] <= data["normsU"][2]
+def test_residual_report_serialization(tmp_path):
+    """The gauge-residual summary writes one report per amplitude, its
+    numbers those of the trace.csv row, at tau = delta_tau."""
+    summary = labcli.run(labcli.validate_config({
+        "scenario": "gauge-residual", "curve1": "circle(%r)" % float(SQRT2),
+        "m": "64", "amplitudes": "0.05, 0.1", "delta_tau": "0.01",
+        "out": str(tmp_path / "x")}))
+    trace = np.genfromtxt(tmp_path / "x" / "trace.csv", delimiter=",",
+                          names=True)
+    assert len(summary["reports"]) == 2
+    for data, row in zip(summary["reports"], trace):
+        assert set(data) == {"tau", "maxResidual", "fittedC", "normsU",
+                             "quadRatio"}
+        assert data["tau"] == 0.01
+        assert len(data["normsU"]) == 3
+        assert data["normsU"][0] <= data["normsU"][1] <= data["normsU"][2]
+        assert data["normsU"] == [row["normC0"], row["normC01"],
+                                  row["normC012"]]
+        for key in ("tau", "maxResidual", "fittedC", "quadRatio"):
+            assert data[key] == row[key], key
 
 
 def test_residual_quadratic_smallness_on_true_flow():
@@ -314,21 +324,24 @@ def test_residual_quadratic_smallness_on_true_flow():
         traj = run_rmcf(start, 2 * dtau, frame_dtau=dtau)
         graphs = [normal_graph(base, c) for c in traj.curves]
         rep = residual(base, graphs[0], graphs[1], graphs[2], dtau)
-        assert rep.fitted_c < 0.2
-        cs[amp] = rep.fitted_c
+        assert rep["fittedC"] < 0.2
+        cs[amp] = rep["fittedC"]
     assert cs[3e-2] / cs[3e-3] > 3.0
 
+
 def test_residuals_rows_equal_residual():
-    """The stacked residual passes give each frame the report of its own
+    """The stacked residual passes give each frame the row of its own
     `residual` call, bit for bit."""
     start = reconstruct(circle(SQRT2, m=128), mode(circle(SQRT2, m=128), 3, 0.03))
     traj = run_rmcf(ellipse(1.5, 1.3, m=128), 0.5, frame_dtau=0.05)
     u = normal_graphs([start] * len(traj), traj.curves)
     bases = traj.curves[1:-1]
     dtaus = 0.5 * (np.array(traj.times[2:]) - np.array(traj.times[:-2]))
-    taus = traj.times[1:-1]
-    reports = residuals(bases, u[:-2], u[1:-1], u[2:], dtaus, taus)
-    for j, rep in enumerate(reports):
-        one = residual(bases[j], u[j], u[j + 1], u[j + 2], dtaus[j], taus[j])
-        assert rep.to_dict() == one.to_dict()
-        assert np.array_equal(rep.drift, one.drift)
+    cols = residuals(bases, u[:-2], u[1:-1], u[2:], dtaus)
+    assert set(cols) == {"maxResidual", "fittedC", "normC0", "normC01",
+                         "normC012", "quadRatio", "drift"}
+    assert cols["drift"].shape == (len(bases), 128)
+    for j in range(len(bases)):
+        one = residual(bases[j], u[j], u[j + 1], u[j + 2], dtaus[j])
+        for name, col in cols.items():
+            assert np.array_equal(col[j], one[name]), name

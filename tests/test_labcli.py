@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from shrinkerlab import labcli, spectral
+from shrinkerlab import gauge, labcli, spectral
 from shrinkerlab.curvegeo import (area_centroid, circle, ellipse,
                                   hausdorff_distance)
 from shrinkerlab.errors import ConfigInvalid, ConvergenceFailure
@@ -508,6 +508,29 @@ out = %s
     assert frequency["lambdaFit"] is None and frequency["Uinf"] is None
 
 
+def test_separation_null_dh_slope_is_flagged(tmp_path, capsys):
+    """A mode-11 start against circle(1): d_H falls by e^-59.5 per unit tau,
+    so only two rows clear _DH_FLOOR and there is no d_H fit. The run stays
+    consistent on its energy fit, and separation.json says why dhSlope is
+    null."""
+    out = tmp_path / "k11"
+    path = write_config(tmp_path, """
+scenario = separation
+curve1 = fourier(0.9999957311932381, %s, 0.004132231404958678, 0)
+curve2 = circle(1)
+m = 256
+tau_end = 2
+out = %s
+""" % (", ".join(["0"] * 20), out))
+    assert main(["separation", "--config", path]) == 0
+    assert "verdict: consistent" in capsys.readouterr().out
+    report = json.loads((out / "separation.json").read_text())
+    assert report["dhSlope"] is None and report["slopesMatch"] is None
+    assert report["flags"] == ["no dH slope: 2 of 39 monitor rows have d_H "
+                               "above 1e-08 outside energy underflow, too "
+                               "few for a fit"]
+
+
 def test_separation_energy_underflow_without_coincidence(tmp_path, capsys):
     """Every graph energy underflows while d_H clears its floor: the monitor
     has no fit, so the run fails instead of reporting placeholder fits."""
@@ -805,6 +828,66 @@ frame_dtau = 0.05
     assert err == ["error: need at least 5 frames, got 3"]
 
 
+def test_gauge_residual_sweeps_in_one_pass(tmp_path, monkeypatch):
+    """gauge-residual writes every amplitude's three frames over the base
+    in one normal_graphs call and takes their residuals in one residuals
+    call; its rows equal per-amplitude normal_graphs and residual calls
+    bit for bit."""
+    calls = {"normal_graphs": [], "residuals": []}
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            calls[name].append((args, out))
+            return out
+        monkeypatch.setattr(labcli, name, wrapped)
+
+    spy("normal_graphs", labcli.normal_graphs)
+    spy("residuals", labcli.residuals)
+    summary = run(validate_config({
+        "scenario": "gauge-residual", "curve1": "ellipse(1.5, 1.3)",
+        "m": "64", "amplitudes": "0.01, 0.03, 0.1", "mode_k": "3",
+        "out": str(tmp_path / "x")}))
+    assert [len(c) for c in calls.values()] == [1, 1]
+    (bases, targets), u = calls["normal_graphs"][0]
+    cols = calls["residuals"][0][1]
+    base = bases[0]
+    for i, report in enumerate(summary["reports"]):
+        one = gauge.normal_graphs([base] * 3, targets[3 * i:3 * i + 3])
+        assert np.array_equal(u[3 * i:3 * i + 3], one)
+        row = gauge.residual(base, *one, 0.005)
+        for name, col in cols.items():
+            assert np.array_equal(col[i], row[name]), name
+        assert report == {"tau": 0.005, "maxResidual": row["maxResidual"],
+                          "fittedC": row["fittedC"],
+                          "normsU": [row["normC0"], row["normC01"],
+                                     row["normC012"]],
+                          "quadRatio": row["quadRatio"]}
+
+
+@pytest.mark.parametrize("mode_k, code", [(31, 0), (32, 1), (40, 1)])
+def test_main_gauge_residual_mode_k_below_nyquist(tmp_path, mode_k, code):
+    """mode_k = m/2 is the grid's sawtooth and higher modes alias onto
+    lower ones: both are one config error line, not a sweep of another
+    mode under the asked one's name."""
+    path = write_config(tmp_path, "curve1 = circle(1.4142135623730951)\n"
+                        "m = 64\namplitudes = 0.001\nmode_k = %d\nout = %s\n"
+                        % (mode_k, tmp_path / "x"))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "shrinkerlab", "gauge-residual",
+         "--config", path],
+        capture_output=True, text=True, env=src_env(), timeout=120)
+    assert proc.returncode == code
+    if code:
+        assert proc.stderr.splitlines() == [
+            "error: mode_k: must be in [0, m/2 = 32), got %d" % mode_k]
+        assert not (tmp_path / "x").exists()
+    else:
+        assert proc.stderr == ""
+        summary = json.loads((tmp_path / "x" / "summary.json").read_text())
+        assert summary["modeK"] == mode_k
+
+
 def test_main_gauge_residual_not_a_graph_names_the_amplitude(tmp_path,
                                                              capsys):
     path = write_config(tmp_path, """
@@ -837,14 +920,10 @@ out = %s
         spectral.rayleigh_bound(traj)
 
 
-def test_main_rate_losing_convexity_is_typed(tmp_path, capsys, monkeypatch):
-    """rate steps under require_convex. Its config check keeps non-convex
-    starts out, so the check is bypassed here to reach the flow's own
-    frame check, which finds the start not convex at frame 0: the run
-    reports it as the config error of that curve."""
-    build = labcli._build_curves
-    monkeypatch.setattr(labcli, "_build_curves",
-                        lambda config, convex=False: build(config))
+def test_main_rate_losing_convexity_is_typed(tmp_path, capsys):
+    """rate steps under require_convex. The flow's own frame check is the
+    one convexity gate: it finds the start not convex at frame 0, and the
+    run reports it as the config error of that curve."""
     path = write_config(tmp_path, """
 scenario = rate
 curve1 = fourier(1, 0, 0, 0.45, 0)
