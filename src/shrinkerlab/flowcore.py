@@ -326,14 +326,12 @@ def _emit_frame(traj, t, coef, control, gauge, where):
     resample synthesizes its new nodes'); the gauge acts on rows and
     coefficients, and the stored curve caches their geometry. The flow keeps
     curves counterclockwise: a frame of area <= 0 raises BlowupDetected.
-    Under `require_convex` the curvature row replaces the simplicity scan,
-    and the rows the next step reads (resampled and regauged) must keep
-    x_theta ^ x_thth >= 0, so the step's guard finds what the frame passed.
+    Under `require_convex` the curvature row replaces the simplicity scan:
+    convexity is checked once, on the rows the next step reads (resampled
+    and regauged), so the step's guard finds what the frame passed.
     Returns the working curve's rfft rows, sample rows, area and max |kappa|.
     """
     rows = fourier.synth_rows(coef, traj.m)
-    if control.require_convex and _metric(rows[2:4], rows[4:])[1].min() < 0.0:
-        raise ConvexityLost("curvature changed sign %s" % where)
     curve = DiscreteCurve(rows[:2].T, validate=not control.require_convex)
     if curve.spacing_ratio() > _RESAMPLE_RATIO:
         curve = resample(curve)
@@ -373,8 +371,10 @@ def run_flows(curves, picture: str, end: float | None = None, *,
 
     picture is "mcf" (`end` = optional t_end, see :func:`run_mcf`) or "rmcf"
     (`end` = tau_end, see :func:`run_rmcf`). All curves need the same m. Each
-    trajectory equals a run of its curve alone up to rounding. A guard
-    failure raises its typed error naming the curve's index and time; a
+    trajectory equals a run of its curve alone up to rounding. Frames leave
+    the loop at one site, frame 0 as each curve's "start" event, where a
+    curve that needs more than STEP_BUDGET steps is refused. A guard failure
+    raises its typed error naming the curve's index and time; a
     ConvexityLost at frame 0 carries that index as `start`.
     """
     control = control or StepControl()
@@ -396,57 +396,68 @@ def run_flows(curves, picture: str, end: float | None = None, *,
     if len({curve.m for curve in curves}) > 1:
         raise InvalidCurve("curves of one batch need the same m")
     level_ratio = math.exp(-frame_dtau)
-
-    var = "tau" if rescaled else "t"
-    # the batch: rfft rows (x rows, then y rows) and their samples
-    # [x; y; x'; y'; x''; y''], curve i at rows i::n, filled by frame 0
-    n, m = len(curves), curves[0].m if curves else 0
-    coef = np.empty((2 * n, m // 2 + 1), dtype=complex)
-    rows = np.empty((6 * n, m))
-    # per active curve: index into curves, time, next frame (an area level
-    # for mcf, an index into frame_times for rmcf)
-    trajs, ids, times, goals = [], [], [], []
-    for i, curve in enumerate(curves):
-        traj = FlowTrajectory(picture=picture, m=m)
-        traj.series = {c: [] for c in _SERIES_COLUMNS}
-        trajs.append(traj)
-        try:
-            coef[i::n], rows[i::n], area, max_curv = _emit_frame(
-                traj, 0.0, np.fft.rfft(curve.points.T, axis=1), control,
-                gauge, "in curve %d at %s=0" % (i, var))
-        except ConvexityLost as exc:
-            exc.start = i
-            raise
-        if rescaled or max_curv < control.stop_curvature:
-            ids.append(i)
-            times.append(0.0)
-            goals.append(0 if rescaled else area * level_ratio)
     # every step is at most _timestep(0) long; an unrescaled run ends at
     # t_end or once its curvature reaches stop_curvature K, which takes at
     # least (1/k0^2 - 1/K^2)/2 from the maximum k0 at frame 0, as the
     # maximum principle on k_t = k_ss + k^3 gives dk_max/dt <= k_max^3; that
     # time exceeds `reach` exactly when k0 sqrt(2 reach + 1/K^2) < 1
     reach = STEP_BUDGET * _timestep(0.0, control)
-    for i in ids:
-        if rescaled:
-            slow = end > reach
-        else:
-            k0 = trajs[i].series["max_curvature"][0]
-            slow = ((end is None or end > reach) and k0 * math.sqrt(
-                2.0 * reach + control.stop_curvature ** -2) < 1.0)
-        if slow:
-            raise StepRejected("curve %d needs more than %d steps to its end "
-                               "time, each at most %.3g long"
-                               % (i, STEP_BUDGET, _timestep(0.0, control)))
-    if len(ids) < n:  # curves done at frame 0 leave the batch
-        coef, rows = coef[ids + [n + i for i in ids]], None
+
+    var = "tau" if rescaled else "t"
+    # the batch: rfft rows (x rows, then y rows) and their samples
+    # [x; y; x'; y'; x''; y''], curve k at rows k::n, frame 0's for the first
+    # step; per active curve its index into curves, time, next frame (an area
+    # level for mcf, an index into frame_times) and event ("start" at first)
+    n, m = len(curves), curves[0].m if curves else 0
+    coef = np.empty((2 * n, m // 2 + 1), dtype=complex)
+    for i, curve in enumerate(curves):
+        coef[i::n] = np.fft.rfft(curve.points.T, axis=1)
+    rows = np.empty((6 * n, m))
+    trajs = [FlowTrajectory(picture, m, series={c: [] for c in _SERIES_COLUMNS})
+             for _ in curves]
+    ids, times, goals, events = list(range(n)), [0.0] * n, [0] * n, ["start"] * n
 
     def where(k):
         return "in curve %d at %s=%.6g" % (ids[k], var, times[k])
 
     since_guard = _GUARD_STRIDE  # full guards on the first step
-    while ids:
-        n = len(ids)
+    while True:
+        keep = []
+        for k in range(n):
+            if events[k] is None:
+                keep.append(k)
+                continue
+            sel = [k, n + k]
+            try:  # a resampled or regauged frame's rows replace the step's
+                coef[sel], frame_rows, area, max_curv = _emit_frame(
+                    trajs[ids[k]], times[k], coef[sel], control, gauge, where(k))
+            except ConvexityLost as exc:
+                exc.start = ids[k] if events[k] == "start" else None
+                raise
+            if rescaled:
+                goals[k] += events[k] == "frame"
+                done = goals[k] == len(frame_times)
+            else:
+                goals[k] = (area if events[k] == "start" else goals[k]) * level_ratio
+                done = events[k] == "end" or max_curv >= control.stop_curvature
+            if events[k] == "start":
+                rows[k::n] = frame_rows
+                slow = rescaled or max_curv * math.sqrt(
+                    2.0 * reach + control.stop_curvature ** -2) < 1.0
+                if slow and not done and (end is None or end > reach):
+                    raise StepRejected(
+                        "curve %d needs more than %d steps to its end time, "
+                        "each at most %.3g long"
+                        % (ids[k], STEP_BUDGET, _timestep(0.0, control)))
+            if not done:
+                keep.append(k)
+        frame_rows = None  # held through the step, it raises peak memory
+        if len(keep) < n:  # curves done leave the batch
+            coef, rows = coef[keep + [n + k for k in keep]], None
+            ids, times, goals = ([v[k] for k in keep] for v in (ids, times, goals))
+            n = len(ids)
+        if not ids:
+            break
         if rows is None:
             rows = fourier.synth_rows(coef, m)
         pts, d1, d2 = rows[:2 * n], rows[2 * n:4 * n], rows[4 * n:]
@@ -486,28 +497,6 @@ def run_flows(curves, picture: str, end: float | None = None, *,
             events.append(event)
         coef = _imex_step(coef, g2, d2, np.array(dts)[:, None], rescaled)
         rows = None
-
-        keep = []
-        for k in range(n):
-            if events[k] is None:
-                keep.append(k)
-                continue
-            sel = [k, n + k]
-            frame_coef, _, _, max_curv = _emit_frame(
-                trajs[ids[k]], times[k], coef[sel], control, gauge, where(k))
-            if events[k] == "frame":
-                goals[k] += 1
-                done = goals[k] == len(frame_times)
-            else:
-                goals[k] *= level_ratio
-                done = events[k] == "end" or max_curv >= control.stop_curvature
-            if not done:
-                # the frame may have been resampled or regauged
-                coef[sel] = frame_coef
-                keep.append(k)
-        if len(keep) < n:
-            coef = coef[keep + [n + k for k in keep]]
-            ids, times, goals = ([v[k] for k in keep] for v in (ids, times, goals))
     for traj in trajs:
         traj.series = {k: np.asarray(v, dtype=float) for k, v in traj.series.items()}
     return trajs

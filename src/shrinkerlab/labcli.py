@@ -30,8 +30,8 @@ from . import fourier, ioutil
 from .curvegeo import (TWO_PI, DiscreteCurve, area_centroid, circle,
                        distance_to_circle, ellipse, fourier_curve, geometry,
                        hausdorff_distance, random_fourier, support_function)
-from .errors import (ConfigInvalid, ConvexityLost, EnergyUnderflow, NotAGraph,
-                     NotShrinking, ShrinkerLabError, WindowTooShort)
+from .errors import (ConfigInvalid, ConvexityLost, EnergyUnderflow, InvalidCurve,
+                     NotAGraph, NotShrinking, ShrinkerLabError, WindowTooShort)
 from .flowcore import (CFL_MAX, GAUGES, StepControl, estimate_singularity,
                        run_flows, run_mcf, run_rmcf, step_curvature)
 from .frequency import monitor, shrinker_energy, superexponential_flag
@@ -322,7 +322,9 @@ def _build_curves(config: ScenarioConfig) -> list:
     a curve too large for their products (the cube of the metric speed in
     the curvature, its sixth power in the step, the cubic moments of the
     centroid) stops the run with one ConfigInvalid naming its key, not a
-    stream of warnings and a later error. Convexity is checked where the
+    stream of warnings and a later error. A builder's InvalidCurve (a polar
+    radius that changes sign, nodes too unevenly spaced for m) is a
+    ConfigInvalid naming its key too. Convexity is checked where the
     convex scenarios step their starts (`_convex_starts`)."""
     curves = []
     for spec, key in zip(config.curve_specs, ("curve1", "curve2")):
@@ -336,6 +338,8 @@ def _build_curves(config: ScenarioConfig) -> list:
         except FloatingPointError:
             raise ConfigInvalid("too large: its geometry overflows double "
                                 "precision", field=key) from None
+        except InvalidCurve as exc:
+            raise ConfigInvalid(str(exc), field=key) from None
         curves.append(curve)
     return curves
 

@@ -401,6 +401,50 @@ def test_batch_guard_names_curve_and_time():
                   frame_dtau=0.5, control=StepControl(stop_curvature=1e12))
 
 
+def nan_rows(m):
+    return np.full((2, m), np.nan)
+
+
+def cusp_rows(m):
+    # x_theta = (-sin t, cos t - cos 2t) * sqrt 2 vanishes at node 0
+    t = fourier.grid(m)
+    return SQRT2 * np.array([np.cos(t), np.sin(t) * (1.0 - np.cos(t))])
+
+
+def dimpled_rows(m):
+    # r = 1 + 0.3 cos 2t: regular, but x_theta ^ x_thth < 0 at t = pi/2
+    return fourier_curve(1.0, (0.0, 0.3), m=m).points.T
+
+
+@pytest.mark.parametrize("rows_of, stride, error, what", [
+    (nan_rows, 1, BlowupDetected, "non-finite positions"),
+    (cusp_rows, 1, BlowupDetected, "parametrization collapsed"),
+    (dimpled_rows, 1, ConvexityLost, "curvature changed sign"),
+    (nan_rows, flowcore._GUARD_STRIDE, BlowupDetected, "non-finite geometry"),
+])
+def test_step_guards_name_curve_and_time(monkeypatch, rows_of, stride, error,
+                                         what):
+    """The first step hands back curve 1 as `rows_of`, between frames: the
+    full guards at the next step (every step at stride 1) or, between
+    them, the per-step NaN sentinel raise their typed error there."""
+    step, dts = flowcore._imex_step, []
+
+    def corrupted(coef, g2, d2, dt, rescaled):
+        out = step(coef, g2, d2, dt, rescaled)
+        if not dts:
+            dts.append(float(dt[1, 0]))
+            out[[1, 3]] = np.fft.rfft(rows_of(d2.shape[1]), axis=1)  # x, y
+        return out
+
+    monkeypatch.setattr(flowcore, "_imex_step", corrupted)
+    monkeypatch.setattr(flowcore, "_GUARD_STRIDE", stride)
+    with pytest.raises(error) as info:
+        run_flows([circle(SQRT2, m=64)] * 2, "rmcf", 1.0, frame_dtau=1.0,
+                  control=StepControl(require_convex=True))
+    assert str(info.value) == "%s in curve 1 at tau=%.6g" % (what, dts[0])
+    assert getattr(info.value, "start", None) is None  # not a start's error
+
+
 def test_batch_rejects_mixed_resolutions():
     with pytest.raises(InvalidCurve):
         run_flows([circle(1.0, m=64), circle(1.0, m=128)], "mcf", 0.1)

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from shrinkerlab import gauge, labcli, spectral
+from shrinkerlab import frequency, gauge, labcli, spectral
 from shrinkerlab.curvegeo import (area_centroid, circle, ellipse,
                                   hausdorff_distance)
 from shrinkerlab.errors import ConfigInvalid, ConvergenceFailure
@@ -531,6 +531,60 @@ out = %s
                                "few for a fit"]
 
 
+def _below_the_trace(monkeypatch):
+    """Lambda = -100 < U/2 on every row."""
+    monkeypatch.setattr(spectral, "rayleigh_bound",
+                        lambda traj, stride: (None, None, -100.0))
+
+
+def _no_error_budget(monkeypatch):
+    """C = D = 0: the right side 3(C + D) + C * ratio of every row is 0."""
+    approach, residuals = frequency._approach, frequency.residuals
+
+    def no_d(*args):
+        return dict(approach(*args), D=np.zeros(len(args[0]) - 2))
+
+    def no_c(*args):
+        res = residuals(*args)
+        return dict(res, fittedC=np.zeros_like(res["fittedC"]))
+
+    monkeypatch.setattr(frequency, "_approach", no_d)
+    monkeypatch.setattr(frequency, "residuals", no_c)
+
+
+@pytest.mark.parametrize("force, flag", [
+    (_below_the_trace,
+     lambda tr, r: "rayleigh bound violated at tau = %.6g (U = %.6g, "
+                   "Lambda = -100)" % (tr.columns["tau"][r], tr.columns["U"][r])),
+    (_no_error_budget,
+     lambda tr, r: "frequency-inequality violated at tau = %.6g (lhs %.3g > "
+                   "rhs 0)" % (tr.columns["tau"][r], -tr.inequality_margin[r])),
+], ids=["rayleigh", "frequency-inequality"])
+def test_separation_carries_the_monitor_violation_flags(tmp_path, monkeypatch,
+                                                        force, flag):
+    """Forced past its bound on every row, the monitor flags each row with
+    its tau and both sides of the inequality, and separation.json carries
+    the flags."""
+    traces, monitor = [], labcli.monitor
+
+    def recorded(*args, **kwargs):
+        traces.append(monitor(*args, **kwargs))
+        return traces[-1]
+
+    force(monkeypatch)
+    monkeypatch.setattr(labcli, "monitor", recorded)
+    out = tmp_path / "sep"
+    run(validate_config({
+        "scenario": "separation", "curve1": "ellipse(1.1, 0.9090909090909091)",
+        "curve2": "circle(1)", "m": "64", "out": str(out), "tau_end": "1"}))
+    (trace,) = traces
+    assert not trace.columns["underflow"].any()
+    expected = [flag(trace, r) for r in range(len(trace))]
+    assert len(expected) == 19 and trace.flags == expected
+    report = json.loads((out / "separation.json").read_text())
+    assert report["flags"] == expected
+
+
 def test_separation_energy_underflow_without_coincidence(tmp_path, capsys):
     """Every graph energy underflows while d_H clears its floor: the monitor
     has no fit, so the run fails instead of reporting placeholder fits."""
@@ -1024,7 +1078,7 @@ out = %s
 """ % (tmp_path / "x"))
     assert main(["rate", "--config", path]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert err == ["error: polar radius must stay positive"]
+    assert err == ["error: curve1: polar radius must stay positive"]
     assert not (tmp_path / "x").exists()
 
 
@@ -1039,7 +1093,23 @@ out = %s
 """ % (tmp_path / "x"))
     assert main(["rate", "--config", path]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert err == ["error: node spacing ratio 19.9 exceeds 10"]
+    assert err == ["error: curve1: node spacing ratio 19.9 exceeds 10"]
+    assert not (tmp_path / "x").exists()
+
+
+def test_main_separation_builder_error_names_its_curve(tmp_path, capsys):
+    """A builder's refusal of curve2 names curve2, not only the reason."""
+    path = write_config(tmp_path, """
+scenario = separation
+curve1 = circle(1)
+curve2 = ellipse(1, 0.01)
+m = 64
+tau_end = 1
+out = %s
+""" % (tmp_path / "x"))
+    assert main(["separation", "--config", path]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: curve2: node spacing ratio 19.9 exceeds 10"]
     assert not (tmp_path / "x").exists()
 
 

@@ -1,12 +1,14 @@
 """The benchmark's hooks into the package still resolve.
 
-`perfbench/tracer.py` wraps package functions by name and
-`perfbench/kernels.py` imports package functions by name, so renaming or
-removing one of them breaks the traced benchmark pass without failing any
-other test.
+`perfbench/tracer.py` wraps package functions by name,
+`perfbench/kernels.py` imports package functions by name, and
+`perfbench/sample.py` sets a workload up through `labcli` names and
+`ScenarioConfig` fields, so renaming or removing one of them breaks the
+benchmark without failing any other test.
 """
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import os
@@ -59,3 +61,21 @@ def test_traced_hausdorff_is_the_swept_kernel():
     # the tracer times labcli._hausdorff_dense as "curvegeo.hausdorff" and the
     # kernel sweep times curvegeo.hausdorff_distance: they must be one routine
     assert labcli._hausdorff_dense is curvegeo.hausdorff_distance
+
+
+def test_sample_setup_names_resolve():
+    # every `labcli.<name>` and `config.<field>` that sample.py reads
+    with open(os.path.join(PERFBENCH, "sample.py")) as fh:
+        tree = ast.parse(fh.read())
+    read = {"labcli": set(), "config": set()}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in read:
+            read[node.value.id].add(node.attr)
+    for name in read["labcli"]:
+        assert hasattr(labcli, name), "labcli.%s" % name
+    fields = {f.name for f in dataclasses.fields(labcli.ScenarioConfig)}
+    assert read["config"] <= fields, read["config"] - fields
+    assert {"build_curve", "parse_config_text", "validate_config",
+            "run"} <= read["labcli"]
+    assert {"curve_specs", "m", "seed", "out"} <= read["config"]
