@@ -37,7 +37,6 @@ from .errors import (
 )
 from .flowcore import (
     FlowTrajectory,
-    SingularityEstimate,
     StepControl,
     estimate_singularity,
     rescale_to_rmcf,

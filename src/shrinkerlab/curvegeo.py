@@ -287,9 +287,8 @@ class DiscreteCurve:
         """Enclosed area of the interpolated curve, see :func:`area_centroid`."""
         return area_centroid(self.points)[0]
 
-    def scaled(self, factor: float, about=(0.0, 0.0)) -> "DiscreteCurve":
-        about = np.asarray(about, dtype=float)
-        return DiscreteCurve(about + factor * (self.points - about), validate=False)
+    def scaled(self, factor: float) -> "DiscreteCurve":
+        return DiscreteCurve(factor * self.points, validate=False)
 
     def __repr__(self):
         return "DiscreteCurve(m=%d)" % self.m

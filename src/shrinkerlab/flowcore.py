@@ -539,26 +539,10 @@ def run_rmcf(curve: DiscreteCurve, tau_end: float, *,
 # Singularity estimation and change of picture
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SingularityEstimate:
-    """Fitted singular spacetime point of an unrescaled run."""
-
-    time: float
-    center: np.ndarray
-    time_err: float
-    center_err: float
-
-    def to_dict(self):
-        return {
-            "time": self.time,
-            "center": [float(self.center[0]), float(self.center[1])],
-            "timeErr": self.time_err,
-            "centerErr": self.center_err,
-        }
-
-
-def estimate_singularity(traj: FlowTrajectory) -> SingularityEstimate:
-    """Extrapolate the singular time and point from an unrescaled run.
+def estimate_singularity(traj: FlowTrajectory) -> dict:
+    """Extrapolate the singular time and point from an unrescaled run, as
+    the singularData record of index.json: time, center, timeErr and
+    centerErr.
 
     The singular time comes from the exact area law A(t) = 2*pi*(T - t):
     each late frame gives T_j = t_j + A_j/(2*pi), and their late-window mean
@@ -594,8 +578,8 @@ def estimate_singularity(traj: FlowTrajectory) -> SingularityEstimate:
     resid = design @ coef - np.column_stack([cx, cy])
     slope = np.hypot(coef[1, 0], coef[1, 1])
     center_err = float(np.abs(resid).max()) + slope * time_err + 1e-12
-    return SingularityEstimate(time=t_hat, center=center.copy(),
-                               time_err=time_err, center_err=center_err)
+    return {"time": t_hat, "center": [float(center[0]), float(center[1])],
+            "timeErr": time_err, "centerErr": center_err}
 
 
 def rescale_to_rmcf(traj: FlowTrajectory, time: float, center) -> FlowTrajectory:

@@ -68,18 +68,14 @@ def deriv12_multipliers(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def deriv12(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First and second spectral theta-derivatives in one transform pair."""
+    """First and second spectral theta-derivatives along axis 0 in one
+    transform pair: :func:`synth_rows` of the columns' rfft rows."""
     values = np.asarray(values, dtype=float)
     m = values.shape[0]
-    cols = values.reshape(m, -1)
-    ncol = cols.shape[1]
-    m1, m2 = (mult[:, None] for mult in deriv12_multipliers(m))
-    coef = np.fft.rfft(cols, axis=0)
-    block = np.empty((m // 2 + 1, 2 * ncol), dtype=complex)
-    np.multiply(coef, m1, out=block[:, :ncol])
-    np.multiply(coef, m2, out=block[:, ncol:])
-    out = np.fft.irfft(block, n=m, axis=0)
-    return out[:, :ncol].reshape(values.shape), out[:, ncol:].reshape(values.shape)
+    rows = values.reshape(m, -1).T
+    out = synth_rows(np.fft.rfft(rows, axis=1), m, with_values=False)
+    r = rows.shape[0]
+    return out[:r].T.reshape(values.shape), out[r:].T.reshape(values.shape)
 
 
 def synth_rows(coef: np.ndarray, m: int, with_values: bool = True) -> np.ndarray:

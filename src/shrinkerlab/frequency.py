@@ -181,20 +181,16 @@ class FrequencyTrace:
     rows carry zeros in the quotient fields and are excluded from every fit.
     Row r is frame r + 1 of both trajectories, and row r of the (rows, m)
     array fields holds the normal-graph heights u of that target frame over
-    that base frame (kept in memory, not written). The margin array and
-    fitted scalars summarize the verified inequalities.
+    that base frame (kept in memory, not written). The margin array
+    summarizes the verified inequalities; summary holds the fitted scalars
+    as `separation` writes them (lambdaFit, offsetFit, Uinf, Lambda,
+    thetaFit, integralD, integralC2).
     """
 
     columns: dict
     fields: np.ndarray
     inequality_margin: np.ndarray
-    lambda_bound: float
-    lambda_fit: float | None
-    offset_fit: float | None
-    u_inf: float | None
-    theta_fit: float | None
-    integral_d: float
-    integral_c2: float
+    summary: dict
     flags: list = field(default_factory=list)
 
     def __len__(self) -> int:
@@ -203,17 +199,6 @@ class FrequencyTrace:
     def save_csv(self, path) -> None:
         ioutil.write_csv(path, TRACE_COLUMNS,
                          zip(*(self.columns[name] for name in TRACE_COLUMNS)))
-
-    def summary_dict(self) -> dict:
-        return {
-            "lambdaFit": self.lambda_fit,
-            "offsetFit": self.offset_fit,
-            "Uinf": self.u_inf,
-            "Lambda": self.lambda_bound,
-            "thetaFit": self.theta_fit,
-            "integralD": self.integral_d,
-            "integralC2": self.integral_c2,
-        }
 
 
 def monitor(base_traj, target_traj, *,
@@ -226,8 +211,8 @@ def monitor(base_traj, target_traj, *,
     Per interior frame: the graph energy I, frequency U, deviation energies
     of the base, the error budget D, the fitted linearization constant C,
     and the decomposition of dU/dtau into its nonnegative main part and the
-    remainder. The base columns (Itilde, F, dFdtau, phiL2, D), integral_d,
-    integral_c2 and theta_fit are those of `_approach` over the `_frames`
+    remainder. The base columns (Itilde, F, dFdtau, phiL2, D), integralD,
+    integralC2 and thetaFit are those of `_approach` over the `_frames`
     columns of base_traj.
     Checks recorded in flags:
 
@@ -251,7 +236,7 @@ def monitor(base_traj, target_traj, *,
     Lambda (the top eigenvalue along the base) comes from an eigensolve
     of every max(1, k // 12)-th base frame and the last, k the number of
     frames. Fits use the trailing fit_fraction of non-underflow rows;
-    lambda_fit, offset_fit and u_inf are None when fewer than two rows clear
+    lambdaFit, offsetFit and Uinf are None when fewer than two rows clear
     ENERGY_FLOOR. FrameMissing if the frame times differ or k < 5;
     NotAGraph, naming the frame time, if a frame pair is no graph.
     """
@@ -357,14 +342,10 @@ def monitor(base_traj, target_traj, *,
             flags.append("super-exponential collapse of I over the "
                          "fit window")
 
-    return FrequencyTrace(columns=cols,
-                          fields=fields[1:-1],
-                          inequality_margin=margin,
-                          lambda_bound=float(lambda_bound),
-                          lambda_fit=lam_fit,
-                          offset_fit=offset_fit,
-                          u_inf=u_inf,
-                          theta_fit=base["theta"],
-                          integral_d=base["integralD"],
-                          integral_c2=base["integralC2"],
+    summary = {"lambdaFit": lam_fit, "offsetFit": offset_fit, "Uinf": u_inf,
+               "Lambda": float(lambda_bound), "thetaFit": base["theta"],
+               "integralD": base["integralD"],
+               "integralC2": base["integralC2"]}
+    return FrequencyTrace(columns=cols, fields=fields[1:-1],
+                          inequality_margin=margin, summary=summary,
                           flags=flags)

@@ -57,13 +57,9 @@ def _render(obj, indent: int) -> str:
     raise TypeError("cannot serialize %r" % type(obj))
 
 
-def dumps_json(obj) -> str:
-    return _render(obj, 0) + "\n"
-
-
 def dump_json(obj, path) -> None:
     with open(path, "w") as fh:
-        fh.write(dumps_json(obj))
+        fh.write(_render(obj, 0) + "\n")
 
 
 def sha256_file(path) -> str:

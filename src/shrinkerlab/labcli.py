@@ -48,6 +48,10 @@ _CLEAN_VERDICTS = ("success", "consistent", "exact-shrinker", "coincident")
 _SLOPE_MATCH_TOL = 0.3
 _DH_FLOOR = 1e-8
 
+# the gate of a quadratic gauge-residual sweep: max quadRatio, max / min
+_QUAD_RATIO_MAX = 1.0
+_RATIO_SPREAD_MAX = 3.0
+
 # separation curves must enclose equal areas to this relative tolerance
 _AREA_MATCH_TOL = 1e-9
 
@@ -267,6 +271,8 @@ def validate_config(raw: dict) -> ScenarioConfig:
         if not amplitudes or any(not a > 0 for a in amplitudes):
             raise ConfigInvalid("needs at least one positive amplitude",
                                 field="amplitudes")
+        if not all(map(math.isfinite, amplitudes)):
+            raise ConfigInvalid("must be finite", field="amplitudes")
 
     return ScenarioConfig(
         scenario=scenario,
@@ -314,32 +320,35 @@ def _write_manifest(config: ScenarioConfig) -> str:
     return path
 
 
+@contextlib.contextmanager
+def _keyed_curve(key: str, what: str = ""):
+    """Around the build and checks of a curve from config key `key`, numpy
+    raising on overflow: an overflow or a builder's InvalidCurve is one
+    ConfigInvalid naming `key`, led by `what`, not warnings and a later error."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        raise ConfigInvalid(what + "too large: its geometry overflows double "
+                            "precision", field=key) from None
+    except InvalidCurve as exc:
+        raise ConfigInvalid(what + str(exc), field=key) from None
+
+
 def _build_curves(config: ScenarioConfig) -> list:
-    """The config's curves at resolution m. Each is built, with its
-    geometry and area moments and, in a scenario that steps the curve as
-    given (simulate, gauge-residual), its squared curvature as the step
-    forms it (`flowcore.step_curvature`), while numpy raises on overflow, so
-    a curve too large for their products (the cube of the metric speed in
-    the curvature, its sixth power in the step, the cubic moments of the
-    centroid) stops the run with one ConfigInvalid naming its key, not a
-    stream of warnings and a later error. A builder's InvalidCurve (a polar
-    radius that changes sign, nodes too unevenly spaced for m) is a
-    ConfigInvalid naming its key too. Convexity is checked where the
-    convex scenarios step their starts (`_convex_starts`)."""
+    """The config's curves at resolution m, each built under `_keyed_curve`
+    with its geometry, area moments and, in simulate and gauge-residual
+    (which step the curve as given), its squared curvature as the step
+    forms it (`flowcore.step_curvature`), so an overflow stops the run here.
+    Convexity is checked where the convex scenarios step (`_convex_starts`)."""
     curves = []
     for spec, key in zip(config.curve_specs, ("curve1", "curve2")):
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                curve = build_curve(spec, config.m, config.seed)
-                geometry(curve)
-                area_centroid(curve.points)
-                if config.scenario in ("simulate", "gauge-residual"):
-                    step_curvature(curve)
-        except FloatingPointError:
-            raise ConfigInvalid("too large: its geometry overflows double "
-                                "precision", field=key) from None
-        except InvalidCurve as exc:
-            raise ConfigInvalid(str(exc), field=key) from None
+        with _keyed_curve(key):
+            curve = build_curve(spec, config.m, config.seed)
+            geometry(curve)
+            area_centroid(curve.points)
+            if config.scenario in ("simulate", "gauge-residual"):
+                step_curvature(curve)
         curves.append(curve)
     return curves
 
@@ -394,10 +403,8 @@ def _run_simulate(config: ScenarioConfig) -> dict:
     predicted = curve.area() / TWO_PI
     traj = run_mcf(curve, t_end=config.t_end, frame_dtau=config.frame_dtau,
                    control=control)
-    estimate = None
     try:
-        estimate = estimate_singularity(traj)
-        traj.singular_data = estimate.to_dict()
+        traj.singular_data = estimate_singularity(traj)
     except NotShrinking:
         pass
     traj.save(config.out)
@@ -410,8 +417,8 @@ def _run_simulate(config: ScenarioConfig) -> dict:
         "singularity": traj.singular_data,
         "verdict": "success",
     }
-    if estimate is not None:
-        summary["singularTime"] = estimate.time
+    if traj.singular_data is not None:
+        summary["singularTime"] = traj.singular_data["time"]
     return summary
 
 
@@ -423,7 +430,7 @@ def _run_spectrum(config: ScenarioConfig) -> dict:
         "scenario": config.scenario,
         "m": config.m,
         "count": len(spectrum.eigenvalues),
-        "Lambda": spectrum.top_eigenvalue,
+        "Lambda": float(spectrum.eigenvalues[0]),
         "eigenvalues": [float(v) for v in spectrum.eigenvalues],
         "verdict": "success",
     }
@@ -434,6 +441,10 @@ _RESIDUAL_COLUMNS = ("epsilon", "tau", "maxResidual", "fittedC",
 
 
 def _run_gauge_residual(config: ScenarioConfig) -> dict:
+    """Residuals of the graph flow from base + eps cos(mode_k theta) nu
+    against its linearization, per amplitude eps; success when they are
+    quadratic in eps (the _QUAD_RATIO_MAX and _RATIO_SPREAD_MAX gate),
+    else not-quadratic."""
     base = _build_curves(config)[0]
     # the operator `residuals` reads, cached on the base: a base whose
     # Gaussian density underflows stops here, before any graph is solved
@@ -441,8 +452,10 @@ def _run_gauge_residual(config: ScenarioConfig) -> dict:
     theta = fourier.grid(config.m)
     delta = config.delta_tau
     amps = config.amplitudes
-    starts = [reconstruct(base, eps * np.cos(config.mode_k * theta))
-              for eps in amps]
+    starts = []
+    for eps in amps:
+        with _keyed_curve("amplitudes", "amplitude %g: " % eps):
+            starts.append(reconstruct(base, eps * np.cos(config.mode_k * theta)))
     trajs = run_flows(starts, "rmcf", 2.0 * delta, frame_dtau=delta,
                       control=StepControl(cfl=config.cfl))
     for eps, traj in zip(amps, trajs):
@@ -460,6 +473,8 @@ def _run_gauge_residual(config: ScenarioConfig) -> dict:
     ioutil.write_csv(os.path.join(config.out, "trace.csv"), _RESIDUAL_COLUMNS,
                      zip(amps, [delta] * len(amps), *stats))
     ratios = cols["quadRatio"]
+    spread = ratios.max() / ratios.min()
+    quadratic = ratios.max() < _QUAD_RATIO_MAX and spread < _RATIO_SPREAD_MAX
     return {
         "scenario": config.scenario,
         "m": config.m,
@@ -470,8 +485,8 @@ def _run_gauge_residual(config: ScenarioConfig) -> dict:
                      "normsU": [a, b, n], "quadRatio": q}
                     for r, c, a, b, n, q in zip(*stats)],
         "maxQuadRatio": ratios.max(),
-        "ratioSpread": ratios.max() / ratios.min(),
-        "verdict": "success",
+        "ratioSpread": spread,
+        "verdict": "success" if quadratic else "not-quadratic",
     }
 
 
@@ -533,7 +548,8 @@ def experiment_separation(config: ScenarioConfig) -> dict:
         collapse = collapse or dh_flagged
     # every frame underflows and no distance clears the floor: M1 = M2
     coincident = underflow.all() and not np.any(dh > _DH_FLOOR)
-    if trace.lambda_fit is None and not coincident:
+    fits = trace.summary
+    if fits["lambdaFit"] is None and not coincident:
         raise EnergyUnderflow("the graph energy clears its floor on %d of %d "
                               "monitor rows, too few for a fit, while d_H "
                               "reaches %.3g"
@@ -541,8 +557,8 @@ def experiment_separation(config: ScenarioConfig) -> dict:
                                  dh.max()))
     slopes_match = None
     if dh_slope is not None:
-        # log sqrt(I) decays at lambda_fit / 2
-        slopes_match = bool(abs(dh_slope + 0.5 * trace.lambda_fit)
+        # log sqrt(I) decays at lambdaFit / 2
+        slopes_match = bool(abs(dh_slope + 0.5 * fits["lambdaFit"])
                             <= _SLOPE_MATCH_TOL)
     flags = list(trace.flags)
     if coincident:
@@ -553,9 +569,9 @@ def experiment_separation(config: ScenarioConfig) -> dict:
             flags.append("no dH slope: %d of %d monitor rows have d_H above "
                          "%g outside energy underflow, too few for a fit"
                          % (np.count_nonzero(usable), len(usable), _DH_FLOOR))
-    report = {"dhSlope": dh_slope, "lambdaFit": trace.lambda_fit,
-              "offsetFit": trace.offset_fit, "Uinf": trace.u_inf,
-              "Lambda": trace.lambda_bound, "slopesMatch": slopes_match,
+    report = {"dhSlope": dh_slope, "lambdaFit": fits["lambdaFit"],
+              "offsetFit": fits["offsetFit"], "Uinf": fits["Uinf"],
+              "Lambda": fits["Lambda"], "slopesMatch": slopes_match,
               "underflowFraction": float(np.mean(underflow)),
               "verdict": verdict}
 
@@ -563,7 +579,7 @@ def experiment_separation(config: ScenarioConfig) -> dict:
     target_traj.save(os.path.join(config.out, "target"))
     trace.save_csv(os.path.join(config.out, "trace.csv"))
     ioutil.dump_json(dict(report, flags=flags,
-                          frequencySummary=trace.summary_dict()),
+                          frequencySummary=fits),
                      os.path.join(config.out, "separation.json"))
     return dict({"scenario": config.scenario, "m": config.m,
                  "tauEnd": config.tau_end}, **report)

@@ -151,17 +151,11 @@ class Spectrum:
     m: int
     eigenvalues: np.ndarray
     eigenfunctions: np.ndarray
-    top_eigenvalue: float
-
-    def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "Lambda": float(self.top_eigenvalue),
-        }
 
     def save(self, path) -> None:
-        ioutil.dump_json(self.to_dict(), path)
+        ioutil.dump_json({"m": self.m,
+                          "eigenvalues": [float(v) for v in self.eigenvalues],
+                          "Lambda": float(self.eigenvalues[0])}, path)
 
 
 def assemble(base: DiscreteCurve) -> WeightedOperator:
@@ -312,8 +306,7 @@ def eigenpairs(op, count: int | None = None) -> Spectrum:
     vals, vecs, _ = _top_pairs(op, count)
     fields = vecs[:, :count] / np.sqrt(op.weights)[:, None]
     return Spectrum(m=m, eigenvalues=vals[:count].copy(),
-                    eigenfunctions=fields,
-                    top_eigenvalue=float(vals[0]))
+                    eigenfunctions=fields)
 
 
 def rayleigh_bound(traj, stride: int = 1):

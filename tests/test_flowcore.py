@@ -458,17 +458,17 @@ def test_estimate_singularity_circle():
     # R0 = 2 centered at (1, 1): T = 2, x0 = (1, 1)
     traj = run_mcf(circle(2.0, center=(1.0, 1.0), m=128))
     est = estimate_singularity(traj)
-    assert abs(est.time - 2.0) < 1e-6
-    assert np.allclose(est.center, [1.0, 1.0], atol=1e-7)
-    assert est.time_err < 1e-6
-    assert est.center_err < 1e-6
+    assert abs(est["time"] - 2.0) < 1e-6
+    assert np.allclose(est["center"], [1.0, 1.0], atol=1e-7)
+    assert est["timeErr"] < 1e-6
+    assert est["centerErr"] < 1e-6
 
 
 def test_estimate_singularity_ellipse_area_time():
     a, b = 1.2, 0.8
     traj = run_mcf(ellipse(a, b, m=128))
     est = estimate_singularity(traj)
-    assert abs(est.time - a * b / 2.0) < 1e-4
+    assert abs(est["time"] - a * b / 2.0) < 1e-4
 
 
 def test_estimate_singularity_gates():

@@ -100,12 +100,12 @@ def test_frequency_matches_eigensolver():
 
 def test_frequency_never_exceeds_doubled_bound():
     base = ellipse(1.5, 1.1, m=128)
-    top = eigenpairs(assemble(base), count=1).top_eigenvalue
+    top = eigenpairs(assemble(base), count=1).eigenvalues[0]
     rng = np.random.default_rng(2)
     trace = static_monitor(base, 1e-3 * rng.standard_normal((10, 128)))
     assert len(trace) == 8
     assert trace.columns["U"].max() <= 2.0 * top + 1e-10
-    assert trace.lambda_bound >= top
+    assert trace.summary["Lambda"] >= top
     assert not any("rayleigh" in flag for flag in trace.flags)
 
 
@@ -118,7 +118,7 @@ def test_energy_floor_guard():
     assert np.all(trace.columns["I"] > 0.0)
     assert np.all(trace.columns["underflow"] == 1)
     assert np.all(trace.columns["U"] == 0.0)
-    assert trace.lambda_fit is None and not trace.flags
+    assert trace.summary["lambdaFit"] is None and not trace.flags
 
 
 def test_shrinker_energy_closed_forms():
@@ -233,10 +233,10 @@ def test_monitor_single_mode_is_exact():
     assert trace.columns["underflow"].max() == 0
     assert not trace.flags
     assert np.all(trace.inequality_margin >= 0)
-    assert trace.lambda_fit == pytest.approx(-2 * lam, abs=1e-6)
-    assert trace.u_inf == pytest.approx(2 * lam, abs=1e-6)
-    assert trace.lambda_bound == pytest.approx(1.0, abs=1e-8)
-    assert trace.theta_fit is None
+    assert trace.summary["lambdaFit"] == pytest.approx(-2 * lam, abs=1e-6)
+    assert trace.summary["Uinf"] == pytest.approx(2 * lam, abs=1e-6)
+    assert trace.summary["Lambda"] == pytest.approx(1.0, abs=1e-8)
+    assert trace.summary["thetaFit"] is None
 
 
 def test_monitor_mixture_selects_slowest_mode():
@@ -265,7 +265,7 @@ def test_monitor_underflow_path():
     base, base_traj = static_round_traj(8)
     trace = monitor(base_traj, base_traj)
     assert np.all(trace.columns["underflow"] == 1)
-    assert trace.lambda_fit is None
+    assert trace.summary["lambdaFit"] is None
     assert not trace.flags
 
 
@@ -278,8 +278,8 @@ def test_monitor_real_two_flow_run():
     assert not trace.flags
     assert np.all(trace.inequality_margin >= 0)
     # the two flows differ mainly in the slowest stable mode
-    assert trace.lambda_fit == pytest.approx(2.0, abs=0.5)
-    assert 0.4 < (trace.theta_fit or 0) < 0.6
+    assert trace.summary["lambdaFit"] == pytest.approx(2.0, abs=0.5)
+    assert 0.4 < (trace.summary["thetaFit"] or 0) < 0.6
     # gradient-flow identity columns agree where the deviation is resolved
     it = trace.columns["Itilde"]
     df = trace.columns["dFdtau"]
@@ -302,9 +302,9 @@ def test_monitor_columns_equal_public_helpers():
     series = approach(a)
     for name in ("tau", "Itilde", "F", "dFdtau", "phiL2", "D"):
         assert np.array_equal(cols[name], series[name]), name
-    assert trace.integral_d == series["integralD"]
-    assert trace.integral_c2 == series["integralC2"]
-    assert trace.theta_fit == series["theta"]
+    assert trace.summary["integralD"] == series["integralD"]
+    assert trace.summary["integralC2"] == series["integralC2"]
+    assert trace.summary["thetaFit"] == series["theta"]
     for r, tau in enumerate(cols["tau"]):
         j = r + 1
         assert a.times[j] == tau and b.times[j] == tau
@@ -406,7 +406,7 @@ def test_trace_serialization(tmp_path):
     trace.save_csv(tmp_path / "again.csv")
     assert (tmp_path / "again.csv").read_bytes() == csv_path.read_bytes()
 
-    data = trace.summary_dict()
-    assert set(data) == {"lambdaFit", "offsetFit", "Uinf", "Lambda",
-                         "thetaFit", "integralD", "integralC2"}
+    data = trace.summary
+    assert list(data) == ["lambdaFit", "offsetFit", "Uinf", "Lambda",
+                          "thetaFit", "integralD", "integralC2"]
     assert data["thetaFit"] is None

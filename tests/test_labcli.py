@@ -9,6 +9,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shrinkerlab import frequency, gauge, labcli, spectral
 from shrinkerlab.curvegeo import (area_centroid, circle, ellipse,
@@ -50,6 +52,67 @@ curve1 = circle(1)
 def test_parse_config_duplicate_key_rejected():
     with pytest.raises(ConfigInvalid, match="m"):
         parse_config_text("m = 64\nm = 128\n")
+
+
+# every key of one valid config per scenario; a property example keeps
+# the required keys and any subset of the rest
+VALID_KEYS = {
+    "simulate": {"curve1": "circle(1)", "m": "64", "out": "o", "t_end": "0.4",
+                 "frame_dtau": "0.1", "cfl": "0.8", "stop_curvature": "3",
+                 "seed": "0"},
+    "separation": {"curve1": "ellipse(1.1, 0.9090909090909091)",
+                   "curve2": "circle(1)", "m": "128", "out": "o",
+                   "tau_end": "1", "frame_dtau": "0.05", "cfl": "1.4",
+                   "fit_window": "0.4", "seed": "5"},
+    "gauge-residual": {"curve1": "circle(1.4142135623730951)", "m": "64",
+                       "out": "o", "amplitudes": "0.01, 0.1", "mode_k": "3",
+                       "delta_tau": "0.001", "cfl": "0.5", "seed": "1"},
+}
+BLANKS = st.text(alphabet=" \t", max_size=3)
+COMMENT = st.text(alphabet="ab =#\t", max_size=8).map(lambda c: "#" + c)
+
+
+@st.composite
+def config_texts(draw):
+    """(keys, values, text): a valid config's lines, shuffled, each key and
+    value padded with blanks, some with a trailing comment, among blank and
+    comment lines."""
+    scenario = draw(st.sampled_from(sorted(VALID_KEYS)))
+    required = ("scenario",) + labcli.SCENARIOS[scenario][0]
+    pool = dict(VALID_KEYS[scenario], scenario=scenario)
+    optional = sorted(set(pool) - set(required))
+    keys = list(required) + draw(st.lists(st.sampled_from(optional),
+                                          unique=True))
+    lines = []
+    for key in draw(st.permutations(keys)):
+        pad = [draw(BLANKS) for _ in range(4)]
+        tail = draw(st.one_of(st.just(""), COMMENT))
+        lines.append("%s%s%s=%s%s%s%s" % (pad[0], key, pad[1], pad[2],
+                                          pool[key], pad[3], tail))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.one_of(BLANKS, COMMENT)))
+    return keys, pool, "\n".join(lines)
+
+
+@settings(max_examples=60, deadline=1000, derandomize=True)
+@given(case=config_texts(), data=st.data())
+def test_config_text_to_hash_ignores_layout(case, data):
+    """Order, blanks and comments do not change the validated config or
+    its hash; a repeated key is one ConfigInvalid naming that key."""
+    keys, pool, text = case
+    plain = "\n".join("%s = %s" % (key, pool[key]) for key in sorted(keys))
+    config = validate_config(parse_config_text(text))
+    plain_config = validate_config(parse_config_text(plain))
+    assert config == plain_config
+    assert labcli.config_hash(config) == labcli.config_hash(plain_config)
+    key = data.draw(st.sampled_from(keys))
+    lines = text.split("\n")
+    lines.insert(data.draw(st.integers(0, len(lines))),
+                 "%s = %s" % (key, pool[key]))
+    with pytest.raises(ConfigInvalid) as err:
+        parse_config_text("\n".join(lines))
+    assert err.value.field == key
 
 
 def test_parse_config_malformed_line_rejected():
@@ -296,6 +359,7 @@ def test_gauge_residual_ratio_bounded(residual_summary):
     assert summary["maxQuadRatio"] < 1.0
     assert summary["ratioSpread"] < 3.0
     assert len(summary["reports"]) == 5
+    assert summary["verdict"] == "success"
 
 
 def test_gauge_residual_trace_layout(residual_summary):
@@ -919,11 +983,13 @@ def test_gauge_residual_sweeps_in_one_pass(tmp_path, monkeypatch):
                           "quadRatio": row["quadRatio"]}
 
 
-@pytest.mark.parametrize("mode_k, code", [(31, 0), (32, 1), (40, 1)])
+@pytest.mark.parametrize("mode_k, code", [(31, 2), (32, 1), (40, 1)])
 def test_main_gauge_residual_mode_k_below_nyquist(tmp_path, mode_k, code):
     """mode_k = m/2 is the grid's sawtooth and higher modes alias onto
     lower ones: both are one config error line, not a sweep of another
-    mode under the asked one's name."""
+    mode under the asked one's name. Mode 31 runs and is written under its
+    own name; delta_tau 0.005 cannot follow its decay rate 1 - 31^2/2, so
+    its remainder is not quadratic: verdict not-quadratic, exit 2."""
     path = write_config(tmp_path, "curve1 = circle(1.4142135623730951)\n"
                         "m = 64\namplitudes = 0.001\nmode_k = %d\nout = %s\n"
                         % (mode_k, tmp_path / "x"))
@@ -932,7 +998,7 @@ def test_main_gauge_residual_mode_k_below_nyquist(tmp_path, mode_k, code):
          "--config", path],
         capture_output=True, text=True, env=src_env(), timeout=120)
     assert proc.returncode == code
-    if code:
+    if code == 1:
         assert proc.stderr.splitlines() == [
             "error: mode_k: must be in [0, m/2 = 32), got %d" % mode_k]
         assert not (tmp_path / "x").exists()
@@ -940,6 +1006,46 @@ def test_main_gauge_residual_mode_k_below_nyquist(tmp_path, mode_k, code):
         assert proc.stderr == ""
         summary = json.loads((tmp_path / "x" / "summary.json").read_text())
         assert summary["modeK"] == mode_k
+        assert summary["verdict"] == "not-quadratic"
+        assert summary["maxQuadRatio"] == pytest.approx(722.45, abs=0.01)
+
+
+def test_main_gauge_residual_not_a_shrinker_is_not_quadratic(tmp_path,
+                                                             capsys):
+    """On a base that is no shrinker L is not the linearization of the
+    graph flow: the sweep's remainder is not quadratic (maxQuadRatio >= 1,
+    here with a spread >= 3), so its verdict is not-quadratic, exit 2, with
+    every file written."""
+    out = tmp_path / "x"
+    path = write_config(tmp_path, "curve1 = fourier(1, 0, 0, 0.3, 0)\nm = 64\n"
+                        "amplitudes = 0.01, 0.1\nout = %s\n" % out)
+    assert main(["gauge-residual", "--config", path]) == 2
+    assert "verdict: not-quadratic" in capsys.readouterr().out.splitlines()
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["verdict"] == "not-quadratic"
+    assert summary["maxQuadRatio"] == pytest.approx(61.9, abs=0.1)
+    assert summary["ratioSpread"] == pytest.approx(18.1, abs=0.1)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest["files"]) == ["summary.json", "trace.csv"]
+
+
+@pytest.mark.parametrize("extra", ["mode_k = 3\namplitudes = 1e300",
+                                   "amplitudes = inf", "amplitudes = 5"],
+                         ids=["overflow", "infinite", "not-simple"])
+def test_main_gauge_residual_bad_start_names_amplitudes(tmp_path, extra):
+    """An amplitude whose start overflows, is not finite or is no simple
+    curve is one config error line naming amplitudes, not a traceback or
+    an unkeyed curve error."""
+    path = write_config(tmp_path, "curve1 = circle(1.4142135623730951)\n"
+                        "m = 64\n%s\nout = %s\n" % (extra, tmp_path / "x"))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "shrinkerlab", "gauge-residual",
+         "--config", path],
+        capture_output=True, text=True, env=src_env(), timeout=120)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: amplitudes: ")
+    assert not (tmp_path / "x").exists()
 
 
 def test_main_gauge_residual_not_a_graph_names_the_amplitude(tmp_path,

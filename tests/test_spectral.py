@@ -71,7 +71,6 @@ def test_round_base_spectrum_is_exact():
         assert time.perf_counter() - t0 < 30.0
         assert peak < 64e6
         assert np.abs(spec.eigenvalues - circle_levels(6)).max() < tol
-        assert spec.top_eigenvalue == spec.eigenvalues[0]
         # degenerate pairs stay numerically degenerate
         pairs = spec.eigenvalues[1::2] - spec.eigenvalues[2::2]
         assert np.abs(pairs).max() < 1e-8
@@ -194,6 +193,7 @@ def test_spectrum_serialization(tmp_path):
     assert set(data) == {"m", "eigenvalues", "Lambda"}
     assert data["m"] == 64
     assert data["Lambda"] == pytest.approx(1.0, abs=1e-9)
+    assert data["Lambda"] == data["eigenvalues"][0]
 
 
 def test_rayleigh_bound_static_and_converging():
