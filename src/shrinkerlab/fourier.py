@@ -149,20 +149,43 @@ _TWO_PI_EXACT = Fraction("6.283185307179586476925286766559005768394")
 
 
 @functools.cache
-def _spacing_error(m: int) -> float:
-    """The rounding error TWO_PI/m - fl(TWO_PI/m) of the grid spacing."""
-    return float(_TWO_PI_EXACT / m - Fraction(TWO_PI / m))
+def _spacing(m: int) -> tuple[float, float, float, float]:
+    """h = TWO_PI/m, h = hi + lo exactly with hi's low 26 significand bits
+    clear (Dekker 1971), and the rounding error TWO_PI/m - fl(TWO_PI/m)."""
+    h = TWO_PI / m
+    mant, e = math.frexp(h)
+    hi = math.ldexp(math.floor(math.ldexp(mant, 27)), e - 27)
+    return h, hi, h - hi, float(_TWO_PI_EXACT / m - Fraction(h))
 
 
 def _nearest_node(thetas: np.ndarray, m: int):
     """Nearest node j and offset x = theta/h - j, |x| <= 1/2, h = 2*pi/m,
     exact to rounding however far theta lies from 0 (theta/h is off by
-    |theta/h| eps): fmod splits theta exactly by the float h, and n times
-    the rounding error of h is added back."""
-    h = TWO_PI / m
-    dh = _spacing_error(m)
-    r = np.fmod(thetas, h)
-    n = np.rint((thetas - r) / h)
+    |theta/h| eps): theta = n h + r splits exactly by the float h, as fmod
+    does, and n times the rounding error of h is added back.
+
+    Below |theta| = 2^26 h, n = trunc(|theta|/h), r = (|theta| - n hi) -
+    n lo (`_spacing`): with n <= 2^26, hi of 27 bits and lo of 26, both
+    products are exact, and so are both differences, multiples of the last
+    place of h. The quotient never rounds below n but may round up to n + 1
+    (at ~40% of the grid nodes); then r < 0, and n - 1, r + h is fmod's
+    split. Beyond, and at nan or inf, fmod splits theta. A call takes ~11
+    us at a few points, ~34 us at 2048 on one Xeon core (fmod: ~6, ~100).
+    """
+    h, hi, lo, dh = _spacing(m)
+    size = np.abs(thetas)
+    n = np.trunc(size / h)
+    r = (size - n * hi) - n * lo
+    if not r.min(initial=0.0) >= 0.0:  # nan too
+        over = r < 0.0
+        n -= over
+        r += over * h
+    np.copysign(r, thetas, out=r)
+    np.copysign(n, thetas, out=n)
+    if not size.max(initial=0.0) < 2.0 ** 26 * h:  # nan too
+        far = ~(size < 2.0 ** 26 * h)
+        r[far] = np.fmod(thetas[far], h)
+        n[far] = np.rint((thetas[far] - r[far]) / h)
     x = (r - n * dh) / h
     near = np.rint(x)
     return (n + near).astype(np.intp) % m, x - near
@@ -195,10 +218,9 @@ def _taylor_degree(half_moduli: np.ndarray, cols: np.ndarray,
     with the weighted amplitudes. Those rows bound every tail: the terms
     beyond them weigh under 1e-20 of t_0, by the choice of _TAYLOR_P. Each
     derivative needs its own bound, as k^r lifts faint high modes above
-    the value's rounding.
+    the value's rounding. `cols` holds the d coefficient columns as rows.
     """
-    # the max over columns of a transposed copy: ~5x faster than along axis 1
-    amp = np.abs(cols).T.copy().max(axis=0)
+    amp = np.abs(cols).max(axis=0)
     amp[1:-1] *= 2.0
     k = np.arange(amp.size, dtype=float)
     weighted = [amp]
@@ -229,7 +251,7 @@ class Interpolant:
     division giving the derivatives with the value. O(P m log m) time to
     build, O(P d n) time and memory per call. On one Xeon core (numpy
     2.4) a call of the order-1 Newton table of a resolved curve (P = 9,
-    d = 2, n = m) takes ~150 us at m = 512 and ~580 us at m = 2048.
+    d = 2, n = m) takes ~90 us at m = 512 and ~210 us at m = 2048.
     """
 
     __slots__ = ("m", "order", "_table", "_tail")
@@ -237,10 +259,10 @@ class Interpolant:
     def __init__(self, coef: np.ndarray, m: int, order: int = 0):
         self.m = m = int(m)  # one cached table per m, whatever its int type
         self.order = order
-        cols = coef.reshape(coef.shape[0], -1)
+        cols = np.ascontiguousarray(coef.reshape(coef.shape[0], -1).T)
         mult, half_moduli = _taylor_multipliers(m)
         rows = _taylor_degree(half_moduli, cols, order) + order + 1
-        self._table = np.fft.irfft(mult[:rows, None, :] * cols.T, n=m, axis=2)
+        self._table = np.fft.irfft(mult[:rows, None, :] * cols, n=m, axis=2)
         self._tail = coef.shape[1:]
 
     @property
@@ -253,7 +275,8 @@ class Interpolant:
         shape (n,) + the trailing shape of the coefficients."""
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
         j, x = _nearest_node(thetas, self.m)
-        near = self._table[:, :, j]
+        rows, d, m = self._table.shape  # one take along the nodes
+        near = self._table.reshape(-1, m).take(j, axis=1).reshape(rows, d, -1)
         # row r of acc ends as the r-th derivative of the polynomial in x
         # over r!; a Horner step sets row r to (row r) x + (old row r - 1),
         # and row 0 to (row 0) x + the next coefficient

@@ -268,9 +268,9 @@ def validate_config(raw: dict) -> ScenarioConfig:
         except ValueError:
             raise ConfigInvalid("must be comma-separated numbers, got %r"
                                 % raw["amplitudes"], field="amplitudes")
-        if not amplitudes or any(not a > 0 for a in amplitudes):
-            raise ConfigInvalid("needs at least one positive amplitude",
-                                field="amplitudes")
+        if any(not a > 0 for a in amplitudes):
+            raise ConfigInvalid("every amplitude must be positive, got %r"
+                                % raw["amplitudes"], field="amplitudes")
         if not all(map(math.isfinite, amplitudes)):
             raise ConfigInvalid("must be finite", field="amplitudes")
 
@@ -454,8 +454,10 @@ def _run_gauge_residual(config: ScenarioConfig) -> dict:
     amps = config.amplitudes
     starts = []
     for eps in amps:
+        # an overflow of the step's curvature names its amplitude here
         with _keyed_curve("amplitudes", "amplitude %g: " % eps):
             starts.append(reconstruct(base, eps * np.cos(config.mode_k * theta)))
+            step_curvature(starts[-1])
     trajs = run_flows(starts, "rmcf", 2.0 * delta, frame_dtau=delta,
                       control=StepControl(cfl=config.cfl))
     for eps, traj in zip(amps, trajs):

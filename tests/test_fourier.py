@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shrinkerlab import fourier
 from shrinkerlab.curvegeo import circle
@@ -134,13 +136,25 @@ def test_trig_eval_matches_dense_basis(m, kind):
         assert np.array_equal(got, want)
 
 
+def fmod_split(thetas, m):
+    """The nearest-node split by fmod: theta = n h + r with r = fmod(theta,
+    h), the oracle `_nearest_node` matches bit for bit."""
+    h = 2.0 * np.pi / m
+    r = np.fmod(thetas, h)
+    n = np.rint((thetas - r) / h)
+    x = (r - n * fourier._spacing(m)[3]) / h
+    near = np.rint(x)
+    return (n + near).astype(np.intp) % m, x - near
+
+
 def horner_on_nodes_first(coef, m, order, degree, thetas):
     """The evaluator on a (rows, m, d) Taylor table, each Horner step
-    broadcasting the offsets over the trailing axis of length d."""
+    broadcasting the offsets over the trailing axis of length d, its
+    Taylor columns gathered by fancy indexing at the fmod split."""
     cols = coef.reshape(coef.shape[0], -1)
     mult = fourier._taylor_multipliers(m)[0][:degree + order + 1]
     table = np.fft.irfft(mult[:, :, None] * cols, n=m, axis=1)
-    j, x = fourier._nearest_node(thetas, m)
+    j, x = fmod_split(thetas, m)
     near = table[:, j]
     x = x[:, None]
     acc = np.zeros((order + 1,) + near.shape[1:])
@@ -171,16 +185,75 @@ def test_interpolant_matches_a_node_first_table_bit_for_bit(m, pair):
         samples = np.exp(np.sin(t))
     samples = samples + 1e-6 * rng.standard_normal(samples.shape)
     coef = fourier.coeffs(samples)
-    thetas = np.concatenate([rng.uniform(-1e4, 1e4, 300),
+    # Newton-like points beside the nodes, the nodes, far points
+    h = 2.0 * np.pi / m
+    thetas = np.concatenate([t + 0.3 * h * np.sin(7 * t), t, -t,
+                             rng.uniform(-1e4, 1e4, 300),
                              [-1e7 - 0.3, 3e8 + 0.1, -2.0 * np.pi, 1e-300]])
     for order in range(3):
         prepared = fourier.Interpolant(coef, m, order)
         want = horner_on_nodes_first(coef, m, order, prepared.degree, thetas)
-        got = prepared(thetas)
+        # finite points raise nothing but the underflow of the Horner
+        # products at theta = 1e-300, whose offset is ~1e-298
+        with np.errstate(all="raise", under="ignore"):
+            got = prepared(thetas)
         assert len(got) == order + 1
         for g, w in zip(got, want):
             assert g.shape == w.shape == thetas.shape + coef.shape[1:]
             assert np.array_equal(g, w)
+
+
+def assert_split_matches_fmod(thetas, m):
+    with np.errstate(invalid="ignore"):  # fmod and the cast at nan, inf
+        j, x = fourier._nearest_node(thetas, m)
+        want_j, want_x = fmod_split(thetas, m)
+    assert np.array_equal(j, want_j)
+    assert np.array_equal(x, want_x, equal_nan=True)
+    assert np.array_equal(np.signbit(x), np.signbit(want_x))
+
+
+#: h = pi 2^(1-k) at m = 2^k has pi's significand, with zeros just past
+#: the 27-bit cut of `_spacing`, where a wider cut splits alike; at
+#: m = 1000 the cut's width shows
+SPLIT_MS = [16, 64, 512, 1000, 2048, 8192]
+
+
+@pytest.mark.parametrize("m", SPLIT_MS)
+def test_nearest_node_matches_the_fmod_split(m):
+    # nodes and their neighbours one float away on either side, out to and
+    # past 2^26 h, where the two-part split hands theta to fmod
+    rng = np.random.default_rng(m)
+    h = 2.0 * np.pi / m
+    k = np.concatenate([np.arange(-3 * m, 3 * m), np.arange(-8, 9) + 2 ** 26,
+                        rng.integers(-2 ** 27, 2 ** 27, 4000)]).astype(float)
+    nodes = np.concatenate([k * h, (k + 0.5) * h, fourier.grid(m)])
+    thetas = np.concatenate([
+        nodes, np.nextafter(nodes, np.inf), np.nextafter(nodes, -np.inf),
+        rng.uniform(-1e4, 1e4, 2000),
+        rng.choice([-1.0, 1.0], 2000) * 10.0 ** rng.uniform(-300, 15, 2000),
+        [0.0, -0.0, 1e15, -1e15, 2.0 ** 26 * h, -2.0 ** 26 * h,
+         np.nextafter(2.0 ** 26 * h, 0.0), np.nan, np.inf, -np.inf]])
+    assert_split_matches_fmod(thetas, m)
+    assert_split_matches_fmod(-thetas, m)
+    # a point and its negative a call, so that no nan, far or rounded-up
+    # point elsewhere decides which checks of the split the call takes
+    for theta in rng.choice(thetas, 400):
+        assert_split_matches_fmod(np.array([theta, -theta]), m)
+    # finite input raises nothing, in reach of the two-part split or not;
+    # below the least normal float, theta/h underflows in either split
+    size = np.abs(thetas)
+    normal = (size == 0.0) | (size >= np.finfo(float).tiny) & (size < np.inf)
+    with np.errstate(all="raise"):
+        fourier._nearest_node(thetas[normal], m)
+        fourier._nearest_node(thetas[normal & (size < 2.0 ** 26 * h)], m)
+
+
+@settings(max_examples=200, deadline=1000, derandomize=True)
+@given(m=st.sampled_from(SPLIT_MS),
+       thetas=st.lists(st.floats(-1e15, 1e15) | st.floats(-2e9, 2e9),
+                       min_size=1, max_size=64))
+def test_nearest_node_matches_the_fmod_split_anywhere(m, thetas):
+    assert_split_matches_fmod(np.array(thetas), m)
 
 
 @pytest.mark.parametrize("m", [16, 64, 256, 2048])

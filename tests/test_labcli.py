@@ -159,9 +159,12 @@ def test_validate_gauge_choices(tmp_path):
 
 
 def test_validate_amplitudes(tmp_path):
-    raw = make_config(tmp_path, scenario="gauge-residual", amplitudes="0.1, -0.2")
-    with pytest.raises(ConfigInvalid, match="amplitudes"):
-        validate_config(raw)
+    for bad in ("0.1, -0.2", "0.1, nan", "0"):
+        raw = make_config(tmp_path, scenario="gauge-residual", amplitudes=bad)
+        with pytest.raises(ConfigInvalid,
+                           match="every amplitude must be positive") as err:
+            validate_config(raw)
+        assert err.value.field == "amplitudes"
     raw["amplitudes"] = "0.1, frog"
     with pytest.raises(ConfigInvalid, match="amplitudes"):
         validate_config(raw)
@@ -1030,12 +1033,17 @@ def test_main_gauge_residual_not_a_shrinker_is_not_quadratic(tmp_path,
 
 
 @pytest.mark.parametrize("extra", ["mode_k = 3\namplitudes = 1e300",
-                                   "amplitudes = inf", "amplitudes = 5"],
-                         ids=["overflow", "infinite", "not-simple"])
+                                   "mode_k = 0\namplitudes = 1e100",
+                                   "amplitudes = inf", "amplitudes = 5",
+                                   "amplitudes = 0.1, -0.2",
+                                   "amplitudes = 0.1, nan"],
+                         ids=["overflow", "step-overflow", "infinite",
+                              "not-simple", "negative", "nan"])
 def test_main_gauge_residual_bad_start_names_amplitudes(tmp_path, extra):
-    """An amplitude whose start overflows, is not finite or is no simple
-    curve is one config error line naming amplitudes, not a traceback or
-    an unkeyed curve error."""
+    """An amplitude that is not positive or not finite, or whose start
+    overflows as it is built or as the step forms its curvature, or is no
+    simple curve, is one config error line naming amplitudes, not a
+    traceback or an unkeyed curve error."""
     path = write_config(tmp_path, "curve1 = circle(1.4142135623730951)\n"
                         "m = 64\n%s\nout = %s\n" % (extra, tmp_path / "x"))
     proc = subprocess.run(
