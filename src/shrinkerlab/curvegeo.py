@@ -473,14 +473,17 @@ def _extreme_nodes(values: np.ndarray, scale: np.ndarray):
 
 def refined_extremes(field, values: np.ndarray, spacing: float,
                      scale: np.ndarray):
-    """(max f_r, min f_r) per row r of periodic functions sampled as the
+    """sup |f_r| per row r of periodic functions sampled as the
     rows of `values` (frames, m) on nodes `spacing` apart, `field` giving
     them as for `refine_extrema`, which runs from the parabolic vertex
     beside every node local extreme that `_extreme_nodes` finds close
     enough to its row's node extreme to hide the true one (none in a row
     of rounding noise for coordinates of size `scale`). Exact to rounding
     when each true extreme lies next to a node local extreme, and never
-    less extreme than the node samples."""
+    below the largest |sample|. It is the larger of max f_r and -min f_r
+    exactly: a refined maximum is never below its node sample, so one below
+    0 never beats -min f_r, and a refined minimum above 0 never beats
+    max f_r."""
     (hi_rows, hi_nodes), (lo_rows, lo_nodes), offset = _extreme_nodes(
         values, scale)
     rows = np.concatenate([hi_rows, lo_rows])
@@ -488,11 +491,9 @@ def refined_extremes(field, values: np.ndarray, spacing: float,
     sign = np.repeat([-1.0, 1.0], [hi_rows.size, lo_rows.size])
     best = refine_extrema(field, rows, (nodes + offset[rows, nodes]) * spacing,
                           sign, values[rows, nodes], spacing)
-    top = values.max(axis=1)
-    bottom = values.min(axis=1)
-    np.maximum.at(top, hi_rows, best[:hi_rows.size])
-    np.minimum.at(bottom, lo_rows, best[hi_rows.size:])
-    return top, bottom
+    sup = np.abs(values).max(axis=1)
+    np.maximum.at(sup, rows, np.abs(best))
+    return sup
 
 
 def _convex_tangents(curve: DiscreteCurve):
@@ -588,8 +589,7 @@ def _support_gaps(curves, support) -> np.ndarray:
             return (gap, x[:, 1] * nx - x[:, 0] * ny - dh,
                     speed - (rho + gap) * turn)
 
-        top, bottom = refined_extremes(field, gaps, TWO_PI / m, scale)
-        out[block] = np.maximum(top, -bottom)
+        out[block] = refined_extremes(field, gaps, TWO_PI / m, scale)
     return out
 
 

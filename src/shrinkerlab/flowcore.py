@@ -565,7 +565,10 @@ def estimate_singularity(traj: FlowTrajectory) -> dict:
     t_win = t[lo:]
     t_hats = t_win + area[lo:] / TWO_PI
     t_hat = float(np.mean(t_hats))
-    time_err = float(np.ptp(t_hats)) / 2.0 + 1e-12
+    # the spread of the window misses an error the whole run shares; frame
+    # 0's prediction t_0 + A_0/(2 pi) bounds it
+    time_err = max(float(np.ptp(t_hats)) / 2.0,
+                   abs(t_hat - (t[0] + area[0] / TWO_PI))) + 1e-12
     if t_hat <= t[-1]:
         raise NotShrinking("extrapolated singular time does not exceed the run")
     # centroid -> x0 + b*(T - t): affine fit, evaluate at T - t = 0

@@ -305,38 +305,6 @@ def _roots_of_unity(m: int) -> np.ndarray:
     return roots
 
 
-def _phases(thetas: np.ndarray, m: int, n_modes: int):
-    """(j, e^(ik theta), e^(ik theta) - e^(ik theta_j)) for k = 0..n_modes -
-    1 at the parameters thetas (n,), both (n, n_modes), theta_j = h j the
-    nearest node.
-
-    theta = h (j + x) is split exactly at the nearest node
-    (`_nearest_node`): e^(ik theta_j) is a cached root of unity, and
-    e^(ikhx) - 1 = -2 sin^2(khx/2) + i sin(khx), |khx| <= pi/2, exact to
-    rounding relative to itself, so the change from the node is too.
-    Writing k = s a + b with s ~ sqrt(n_modes) and b < s, the n (n_modes/s
-    + s) factors of s a and of b give every phase by a few products, the
-    change by e^(i(u + v)) - 1 = (e^(iu) - 1) e^(iv) + (e^(iv) - 1).
-    """
-    j, x = _nearest_node(thetas, m)
-    s = 1 << (n_modes.bit_length() // 2)
-    k = np.concatenate([np.arange(s), np.arange(0, n_modes + s - 1, s)])
-    arg = np.multiply.outer((TWO_PI / m) * x, k)
-    shift = np.empty(arg.shape, dtype=complex)
-    np.sin(0.5 * arg, out=shift.real)
-    shift.real *= -2.0 * shift.real
-    np.sin(arg, out=shift.imag)
-    roots = _roots_of_unity(m)[np.multiply.outer(j, k) % m]
-    fine, coarse = shift[:, None, :s], shift[:, s:, None]
-    root = roots[:, s:, None] * roots[:, None, :s]
-    change = coarse * (fine + 1.0)
-    change += fine
-    change *= root
-    root += change
-    return j, *(a.reshape(thetas.size, -1)[:, :n_modes]
-                for a in (root, change))
-
-
 #: `mode_sum` takes its points in chunks of at most _PAIRS point-mode pairs
 _PAIRS = 1 << 12
 
@@ -351,14 +319,17 @@ def mode_sum(coef: np.ndarray, m: int, rows, thetas, order: int = 0) -> list:
     table is built per coefficient set, which makes it cheaper than an
     `Interpolant` for the few points of a refinement. The value is the grid
     value irfft(coef) at the nearest node, as `Interpolant` gives it
-    there, plus the sum of each mode's change from that node
-    (`_phases`), so it is exact to rounding however far theta lies from 0,
-    and its rounding near a node is that of the change; the derivatives
-    are the direct sums. The points go in chunks of at most _PAIRS
-    point-mode pairs, so memory stays O(_PAIRS + coef.size), and each
-    point's sums run over its own modes alone, so its result does not
-    depend on the other points. Like irfft, it ignores the imaginary parts
-    of the mean and Nyquist coefficients.
+    there, plus the sum of each mode's change from that node: theta =
+    h (j + x) is split exactly at the nearest node (`_nearest_node`), the
+    node's phase e^(ik theta_j) is a cached root of unity, and
+    e^(ikhx) - 1, |khx| <= pi/2, is one `expm1`, exact to rounding
+    relative to itself. So the value is exact to rounding however far
+    theta lies from 0, and its rounding near a node is that of the change;
+    the derivatives are the direct sums. The points go in chunks of at
+    most _PAIRS point-mode pairs, so memory stays O(_PAIRS + coef.size),
+    and each point's sums run over its own modes alone, so its result does
+    not depend on the other points. Like irfft, it ignores the imaginary
+    parts of the mean and Nyquist coefficients.
     """
     rows = np.atleast_1d(np.asarray(rows, dtype=np.intp))
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
@@ -376,15 +347,17 @@ def mode_sum(coef: np.ndarray, m: int, rows, thetas, order: int = 0) -> list:
     step = max(1, _PAIRS // n_modes)
     for lo in range(0, thetas.size, step):
         at = slice(lo, lo + step)
-        j, phase, change = _phases(thetas[at], m, n_modes)
-        # Re(c x) = <(Re c, Im c), (Re x, -Im x)>: one real product per point
-        x = phase[:, None, :] * weights
-        x[:, 0] = change * weights[0]
-        np.conjugate(x, out=x)
-        c = np.ascontiguousarray(coef[rows[at]]).reshape(x.shape[0], -1,
+        j, x = _nearest_node(thetas[at], m)
+        root = _roots_of_unity(m)[np.multiply.outer(j, k) % m]
+        change = root * np.expm1(1j * np.multiply.outer((TWO_PI / m) * x, k))
+        # Re(c p) = <(Re c, Im c), (Re p, -Im p)>: one real product per point
+        p = (root + change)[:, None, :] * weights
+        p[:, 0] = change * weights[0]
+        np.conjugate(p, out=p)
+        c = np.ascontiguousarray(coef[rows[at]]).reshape(p.shape[0], -1,
                                                          n_modes)
         c[..., -1] = c[..., -1].real
-        flat[at] = x.view(float) @ c.view(float).transpose(0, 2, 1)
+        flat[at] = p.view(float) @ c.view(float).transpose(0, 2, 1)
         out[at, 0] += nodes[rows[at], j]
     return list(np.moveaxis(out, 1, 0))
 

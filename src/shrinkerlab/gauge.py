@@ -127,27 +127,25 @@ def normal_graph(base: DiscreteCurve, target: DiscreteCurve,
     rows, cols, uvals, svals = crossings(x, nu, half, p, star_angles(p))
 
     tol = _CLUSTER_TOL * (1.0 + reach)
-    counts = np.bincount(rows, minlength=m)
     # group the crossings by normal, ordered by height within each group
     # (ties by segment); crossings at shared segment endpoints appear twice,
-    # so real multiplicity shows as u-gaps far above rounding
+    # so real multiplicity shows as u-gaps far above rounding: a cluster
+    # starts at each normal's first crossing and at each such gap
     order = np.lexsort((cols, uvals, rows))
     rows_s = rows[order]
     cols_s = cols[order]
     u_s = uvals[order]
-    gap = (np.diff(u_s) > tol) & (rows_s[1:] == rows_s[:-1])
-    no_hit = np.nonzero(counts == 0)[0]
-    j_zero = int(no_hit[0]) if no_hit.size else m
-    bad = rows_s[1:][gap]
-    j_gap = int(bad.min()) if bad.size else m
-    if min(j_zero, j_gap) < m:
-        if j_zero < j_gap:
+    starts_cluster = np.ones(rows_s.size, dtype=bool)
+    starts_cluster[1:] = (np.diff(u_s) > tol) | (rows_s[1:] != rows_s[:-1])
+    clusters = np.bincount(rows_s[starts_cluster], minlength=m)
+    bad = np.flatnonzero(clusters != 1)
+    if bad.size:
+        j = int(bad[0])
+        if not clusters[j]:
             raise NotAGraph("no target point within reach/2 along normal %d"
-                            % j_zero)
-        uj = u_s[rows_s == j_gap]
-        clusters = 1 + int(np.count_nonzero(np.diff(uj) > tol))
+                            % j)
         raise NotAGraph("normal %d crosses the target %d times within "
-                        "reach/2" % (j_gap, clusters))
+                        "reach/2" % (j, clusters[j]))
     starts = np.searchsorted(rows_s, np.arange(m))
     seg = cols_s[starts]
     frac = np.clip(svals[order][starts], 0.0, 1.0)
@@ -262,10 +260,9 @@ def graph_hausdorff(bases, fields, targets) -> np.ndarray:
         u = np.stack([fields[j] for j in rows])
         coef = np.fft.rfft(u, axis=-1)
         scale = np.array([np.abs(bases[j].points).max() for j in rows])
-        top, bottom = refined_extremes(
+        dh[rows] = refined_extremes(
             lambda r, theta: fourier.mode_sum(coef, m, r, theta, 2), u,
             TWO_PI / m, scale)
-        dh[rows] = np.maximum(top, -bottom)
     return dh
 
 

@@ -170,7 +170,7 @@ class ScenarioConfig:
     count: int | None = None
     amplitudes: tuple = ()
     mode_k: int = 2
-    delta_tau: float = 0.005
+    delta_tau: float | None = None
     stop_curvature: float | None = None
     raw: tuple = ()
 
@@ -444,13 +444,17 @@ def _run_gauge_residual(config: ScenarioConfig) -> dict:
     """Residuals of the graph flow from base + eps cos(mode_k theta) nu
     against its linearization, per amplitude eps; success when they are
     quadratic in eps (the _QUAD_RATIO_MAX and _RATIO_SPREAD_MAX gate),
-    else not-quadratic."""
+    else not-quadratic. The step delta_tau defaults to
+    0.005 / max(1, |1 - k^2/2|), so that it follows the decay rate
+    1 - k^2/2 of mode k on the round shrinker (0.005 for modes 0 to 2)."""
     base = _build_curves(config)[0]
     # the operator `residuals` reads, cached on the base: a base whose
     # Gaussian density underflows stops here, before any graph is solved
     assemble(base)
     theta = fourier.grid(config.m)
     delta = config.delta_tau
+    if delta is None:
+        delta = 0.005 / max(1.0, abs(1.0 - 0.5 * config.mode_k ** 2))
     amps = config.amplitudes
     starts = []
     for eps in amps:

@@ -267,8 +267,11 @@ def test_mode_sum_matches_the_interpolant(m):
               rng.standard_normal((m, 2)),
               np.column_stack([np.cos((m // 2) * t), np.sin(t)])]
     h = 2.0 * np.pi / m
+    # points out to and beyond 2^26 h, where `_nearest_node` splits by fmod
+    far = 2.0 ** 26 * h
     thetas = np.concatenate([rng.uniform(-1e4, 1e4, 200),
-                             (np.arange(m) + 0.5) * h, [-0.5 * h, 1e-300]])
+                             (np.arange(m) + 0.5) * h, [-0.5 * h, 1e-300],
+                             [1e9, -1e9, far + h, far - h, -far - h]])
     rows = rng.integers(0, len(frames), thetas.size)
     coef = np.stack([fourier.coeffs(f).T for f in frames])
     for order in range(3):

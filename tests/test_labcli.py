@@ -285,6 +285,24 @@ def test_simulate_ellipse_area_law(tmp_path):
     assert abs(summary["singularity"]["time"] - summary["predictedTime"]) < 1e-3
 
 
+def test_simulate_time_error_covers_the_step_error(tmp_path):
+    """timeErr bounds the time's distance from the area law at frame 0,
+    t_0 + A_0/(2 pi) (predictedTime), and the time's change when cfl
+    halves: on this start both exceed the late window's half-spread a
+    thousandfold."""
+    runs = {}
+    for cfl in ("1.4", "0.7", "0.35"):
+        runs[cfl] = run(validate_config({
+            "scenario": "simulate", "m": "128", "cfl": cfl,
+            "curve1": "fourier(1, 0, 0, 0.08, 0, 0.05, 0)",
+            "out": str(tmp_path / cfl)}))
+    for cfl, finer in (("1.4", "0.7"), ("0.7", "0.35")):
+        est = runs[cfl]["singularity"]
+        assert est["timeErr"] >= abs(est["time"] - runs[cfl]["predictedTime"])
+        assert est["timeErr"] >= abs(est["time"]
+                                     - runs[finer]["singularity"]["time"])
+
+
 def test_spectrum_scenario_matches_circle_modes(tmp_path):
     cfg = validate_config(make_config(tmp_path))
     summary = run(cfg)
@@ -976,10 +994,11 @@ def test_gauge_residual_sweeps_in_one_pass(tmp_path, monkeypatch):
     for i, report in enumerate(summary["reports"]):
         one = gauge.normal_graphs([base] * 3, targets[3 * i:3 * i + 3])
         assert np.array_equal(u[3 * i:3 * i + 3], one)
-        row = gauge.residual(base, *one, 0.005)
+        row = gauge.residual(base, *one, summary["deltaTau"])
         for name, col in cols.items():
             assert np.array_equal(col[i], row[name]), name
-        assert report == {"tau": 0.005, "maxResidual": row["maxResidual"],
+        assert report == {"tau": summary["deltaTau"],
+                          "maxResidual": row["maxResidual"],
                           "fittedC": row["fittedC"],
                           "normsU": [row["normC0"], row["normC01"],
                                      row["normC012"]],
@@ -991,10 +1010,12 @@ def test_main_gauge_residual_mode_k_below_nyquist(tmp_path, mode_k, code):
     """mode_k = m/2 is the grid's sawtooth and higher modes alias onto
     lower ones: both are one config error line, not a sweep of another
     mode under the asked one's name. Mode 31 runs and is written under its
-    own name; delta_tau 0.005 cannot follow its decay rate 1 - 31^2/2, so
-    its remainder is not quadratic: verdict not-quadratic, exit 2."""
+    own name; a delta_tau of 0.005 cannot follow its decay rate
+    1 - 31^2/2, so its remainder is not quadratic: verdict not-quadratic,
+    exit 2."""
     path = write_config(tmp_path, "curve1 = circle(1.4142135623730951)\n"
-                        "m = 64\namplitudes = 0.001\nmode_k = %d\nout = %s\n"
+                        "m = 64\namplitudes = 0.001\nmode_k = %d\n"
+                        "delta_tau = 0.005\nout = %s\n"
                         % (mode_k, tmp_path / "x"))
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-m", "shrinkerlab", "gauge-residual",
@@ -1011,6 +1032,25 @@ def test_main_gauge_residual_mode_k_below_nyquist(tmp_path, mode_k, code):
         assert summary["modeK"] == mode_k
         assert summary["verdict"] == "not-quadratic"
         assert summary["maxQuadRatio"] == pytest.approx(722.45, abs=0.01)
+
+
+@pytest.mark.parametrize("mode_k, amplitudes", [
+    (7, "0.001, 0.003, 0.01, 0.03, 0.1"),
+    (8, "0.001, 0.003, 0.01, 0.03, 0.1"),
+    (10, "0.001, 0.003, 0.01")])
+def test_gauge_residual_default_step_follows_the_mode(tmp_path, mode_k,
+                                                      amplitudes):
+    """With delta_tau unset the step is 0.005 / |1 - k^2/2| for k > 2, so
+    the sweep over the round shrinker stays quadratic in the higher modes
+    too (at the fixed step 0.005, modes 8 and 10 read not-quadratic)."""
+    summary = run(validate_config({
+        "scenario": "gauge-residual", "curve1": "circle(1.4142135623730951)",
+        "m": "128", "amplitudes": amplitudes, "mode_k": str(mode_k),
+        "out": str(tmp_path / "x")}))
+    assert summary["deltaTau"] == 0.005 / (0.5 * mode_k ** 2 - 1.0)
+    assert summary["verdict"] == "success"
+    assert summary["maxQuadRatio"] < 0.25
+    assert summary["ratioSpread"] < 1.2
 
 
 def test_main_gauge_residual_not_a_shrinker_is_not_quadratic(tmp_path,
