@@ -395,10 +395,14 @@ _BLOCK_NODES = 1 << 14
 
 #: the frequency monitor's stacked passes (normal graphs, base diagnostics,
 #: energies, residuals) take their frames in blocks of at most STACK_NODES
-#: nodes: each holds a dozen (frames, m) arrays, or an order-1 Taylor table
-#: of ~22 rows of m per frame, at once. At m = 512 a block of the normal
-#: graphs peaks at ~2.6 MB, against ~8 MB at 1 << 14 nodes, which runs no
-#: faster; frames one at a time run ~50% slower.
+#: nodes: each holds a dozen (frames, m) arrays at once, or one stacked
+#: order-1 Taylor table of the block's targets, (P + 2) rows of 2 columns
+#: of the targets' nodes, P <= 22 the block's largest degree, built from
+#: complex products of the same size: at most ~1.6 MB each when the
+#: targets have the bases' m, ~0.7 MB at the P = 9 of separation-512's
+#: frames. At m = 512 a call of the normal graphs peaks at ~3.1 MB (its
+#: (frames, m) heights included), against ~10.6 MB at 1 << 14 nodes, which
+#: runs no faster; frames one at a time take about twice as long.
 STACK_NODES = 1 << 12
 
 

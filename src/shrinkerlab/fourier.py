@@ -169,8 +169,10 @@ def _nearest_node(thetas: np.ndarray, m: int):
     products are exact, and so are both differences, multiples of the last
     place of h. The quotient never rounds below n but may round up to n + 1
     (at ~40% of the grid nodes); then r < 0, and n - 1, r + h is fmod's
-    split. Beyond, and at nan or inf, fmod splits theta. A call takes ~11
-    us at a few points, ~34 us at 2048 on one Xeon core (fmod: ~6, ~100).
+    split. Beyond, and at nan or inf, fmod splits theta. The node index is
+    taken modulo m only when one leaves [0, m). A call takes ~12 us at a
+    few points, ~32 us at 2048 and ~48 us at 4096 on one Xeon core (fmod:
+    ~6 and ~100 us at a few points and at 2048).
     """
     h, hi, lo, dh = _spacing(m)
     size = np.abs(thetas)
@@ -188,7 +190,13 @@ def _nearest_node(thetas: np.ndarray, m: int):
         n[far] = np.rint((thetas[far] - r[far]) / h)
     x = (r - n * dh) / h
     near = np.rint(x)
-    return (n + near).astype(np.intp) % m, x - near
+    j = (n + near).astype(np.intp)
+    # the int modulo costs ~4x the cast, and only j outside [0, m) needs it:
+    # theta < 0, within half a node below 2 pi, or beyond (a negative j
+    # reads as a huge unsigned one)
+    if not j.view(np.uintp).max(initial=0) < m:
+        j %= m
+    return j, x - near
 
 
 @functools.cache
@@ -205,11 +213,12 @@ def _taylor_multipliers(m: int) -> tuple[np.ndarray, np.ndarray]:
     return pair
 
 
-def _taylor_degree(half_moduli: np.ndarray, cols: np.ndarray,
-                   order: int) -> int:
-    """The least Taylor degree P <= _TAYLOR_P at which, for every
-    derivative r <= order, the terms the table drops sum below eps/16 of
-    its degree-0 terms, so truncation stays under the rounding of the sum.
+def _taylor_degrees(half_moduli: np.ndarray, cols: np.ndarray,
+                    order: int) -> np.ndarray:
+    """Per frame, the least Taylor degree P <= _TAYLOR_P at which, for
+    every derivative r <= order, the terms the table drops sum below
+    eps/16 of its degree-0 terms, so truncation stays under the rounding
+    of the sum.
 
     Derivative r has the coefficients (i k)^r c_k; at |x| <= 1/2 its
     degree-q term from mode k is at most w_k max|c_k| k^r (k h/2)^q/q!
@@ -218,81 +227,113 @@ def _taylor_degree(half_moduli: np.ndarray, cols: np.ndarray,
     with the weighted amplitudes. Those rows bound every tail: the terms
     beyond them weigh under 1e-20 of t_0, by the choice of _TAYLOR_P. Each
     derivative needs its own bound, as k^r lifts faint high modes above
-    the value's rounding. `cols` holds the d coefficient columns as rows.
+    the value's rounding. `cols` (frames, d, m//2+1) holds each frame's d
+    coefficient columns as rows; the stacked product runs one matrix
+    product per frame, so a frame's degree is that of the frame alone.
     """
-    amp = np.abs(cols).max(axis=0)
-    amp[1:-1] *= 2.0
-    k = np.arange(amp.size, dtype=float)
+    amp = np.abs(cols).max(axis=1)
+    amp[:, 1:-1] *= 2.0
+    k = np.arange(amp.shape[1], dtype=float)
     weighted = [amp]
     for _ in range(order):
         weighted.append(weighted[-1] * k)
-    terms = half_moduli @ np.column_stack(weighted)
-    tail = np.cumsum(terms[::-1], axis=0)[::-1]  # row q: sum over q' >= q
-    beyond = tail[1:_TAYLOR_P + 1]  # row P: what degree P drops
-    enough = (beyond <= np.finfo(float).eps / 16 * terms[0]).all(axis=1)
-    return int(np.argmax(enough)) if enough.any() else _TAYLOR_P
+    terms = half_moduli @ np.stack(weighted, axis=-1)
+    tail = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1]  # row q: q' >= q
+    beyond = tail[:, 1:_TAYLOR_P + 1]  # row P: what degree P drops
+    enough = (beyond <= np.finfo(float).eps / 16 * terms[:, :1]).all(axis=2)
+    return np.where(enough.any(axis=1), np.argmax(enough, axis=1), _TAYLOR_P)
 
 
 class Interpolant:
     """The trigonometric interpolant of m grid samples with rfft
     coefficients `coef`, (m//2+1,) or (m//2+1, d), prepared once so that
-    calls return its derivatives 0..order at any parameters.
+    calls return its derivatives 0..order at any parameters; with
+    `stacked`, `coef` is a stack of such sets, (frames, m//2+1) or
+    (frames, m//2+1, d), and a call evaluates each frame at its own
+    parameters.
 
     Row q of the Taylor table holds h^q f^(q)/q! on the grid (h = 2*pi/m),
-    all rows from one batched irfft of coef * (i k h)^q/q!; the Nyquist
-    cosine needs no special case, as irfft drops its odd rows, whose sine
-    vanishes on the grid. The table keeps rows 0..P + order, with `degree`
-    P the least one at which the terms it drops stay below the rounding of
-    the sum (`_taylor_degree`): exact to rounding for any coefficients,
+    all rows of all frames from one batched irfft of coef * (i k h)^q/q!;
+    the Nyquist cosine needs no special case, as irfft drops its odd rows,
+    whose sine vanishes on the grid. A frame keeps rows 0..P + order, with
+    P the least degree at which the terms it drops stay below the rounding
+    of the sum (`_taylor_degrees`): exact to rounding for any coefficients,
     P = _TAYLOR_P for the Nyquist cosine, 20-21 for white noise and 6-15
-    on resolved frames. The table is (rows, d, m), the nodes last: a call
-    gathers the (rows, d, n) columns of the nearest nodes of its n
-    parameters, and each Horner step runs along those n, a synthetic
-    division giving the derivatives with the value. O(P m log m) time to
-    build, O(P d n) time and memory per call. On one Xeon core (numpy
-    2.4) a call of the order-1 Newton table of a resolved curve (P = 9,
-    d = 2, n = m) takes ~90 us at m = 512 and ~210 us at m = 2048.
+    on resolved frames. The table is (rows, frames, d, m), the nodes last,
+    its rows those of the largest P (`degree`), and a frame's rows above
+    its own P are zero: a Horner step on them leaves +-0 x + row = row,
+    so each frame's results are those of its own table bit for bit. A
+    call splits its parameters at their nearest nodes once, and each
+    Horner step takes its table row at every parameter of every frame in
+    one take into one reused buffer and runs along them all at once, a
+    synthetic division giving the derivatives with the value; a call holds
+    no (rows, frames, d, n) gather (0.8 MB for a block at m = 2048, whose
+    page faults cost a fresh process more than the one take saved). O(P
+    frames m log m) time to build, O(P d n) time and O((order + 2) d n)
+    memory per frame and call. On one Xeon core (numpy 2.4) a
+    call of the order-1 Newton table of one resolved curve (P = 9, d = 2,
+    n = m) takes ~90 us at m = 512 and ~210 us at m = 2048, and of the
+    8 stacked frames of a block at m = 512 ~370 us.
     """
 
     __slots__ = ("m", "order", "_table", "_tail")
 
-    def __init__(self, coef: np.ndarray, m: int, order: int = 0):
+    def __init__(self, coef: np.ndarray, m: int, order: int = 0, *,
+                 stacked: bool = False):
         self.m = m = int(m)  # one cached table per m, whatever its int type
         self.order = order
-        cols = np.ascontiguousarray(coef.reshape(coef.shape[0], -1).T)
+        sets = coef if stacked else coef[None]
+        self._tail = sets.shape[2:]
+        # each frame's coefficient columns as rows, (frames, d, m//2+1)
+        cols = np.ascontiguousarray(
+            sets.reshape(sets.shape[:2] + (-1,)).transpose(0, 2, 1))
         mult, half_moduli = _taylor_multipliers(m)
-        rows = _taylor_degree(half_moduli, cols, order) + order + 1
-        self._table = np.fft.irfft(mult[:rows, None, :] * cols, n=m, axis=2)
-        self._tail = coef.shape[1:]
+        rows = _taylor_degrees(half_moduli, cols, order) + order + 1
+        products = mult[:rows.max(), None, None, :] * cols
+        for f, r in enumerate(rows):
+            products[r:, f] = 0.0
+        self._table = np.fft.irfft(products, n=m, axis=-1)
 
     @property
     def degree(self) -> int:
-        """The Taylor degree P: the table holds rows 0..P + order."""
+        """The Taylor degree P, the largest of the frames': the table holds
+        rows 0..P + order."""
         return self._table.shape[0] - 1 - self.order
 
-    def __call__(self, thetas) -> list:
-        """[f, f', ..., f^(order)] at the parameters thetas (n,), each of
-        shape (n,) + the trailing shape of the coefficients."""
+    def __call__(self, thetas, frames=None) -> list:
+        """[f, f', ..., f^(order)] at the parameters thetas, each of shape
+        thetas.shape + the trailing shape of the coefficients. With one
+        coefficient set, thetas has any shape; stacked, thetas is (k, n),
+        row i the parameters of frame frames[i] (default: of frame i)."""
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-        j, x = _nearest_node(thetas, self.m)
-        rows, d, m = self._table.shape  # one take along the nodes
-        near = self._table.reshape(-1, m).take(j, axis=1).reshape(rows, d, -1)
+        rows, count, d, m = self._table.shape
+        frames = np.arange(count) if frames is None else np.asarray(frames)
+        j, x = _nearest_node(thetas.reshape(frames.size, -1), m)
+        # in a flat row of the table, column c of frame f at node j is
+        # (f d + c) m + j; each Horner step takes its row at every point
+        # into one buffer ("clip" leaves these in-range indices as they
+        # are, and unlike "raise" writes `out` unbuffered)
+        at = j[:, None, :] + m * (d * frames[:, None, None]
+                                  + np.arange(d)[:, None])
+        flat = self._table.reshape(rows, -1)
         # row r of acc ends as the r-th derivative of the polynomial in x
         # over r!; a Horner step sets row r to (row r) x + (old row r - 1),
         # and row 0 to (row 0) x + the next coefficient
-        acc = np.zeros((self.order + 1,) + near.shape[1:])
-        acc[0] = near[-1]
+        acc = np.zeros((self.order + 1,) + at.shape)
+        flat[-1].take(at, out=acc[0], mode="clip")
         nxt = np.empty_like(acc)
-        for row in near[-2::-1]:
+        row = np.empty(at.shape)
+        x = x[:, None, :]
+        for q in range(rows - 2, -1, -1):
             np.multiply(acc, x, out=nxt)
-            nxt[0] += row
+            nxt[0] += flat[q].take(at, out=row, mode="clip")
             if self.order:
                 nxt[1:] += acc[:-1]
             acc, nxt = nxt, acc
         h = TWO_PI / self.m
         shape = thetas.shape + self._tail
         return [(o * (math.factorial(r) / h ** r) if r else o)
-                .T.reshape(shape) for r, o in enumerate(acc)]
+                .transpose(0, 2, 1).reshape(shape) for r, o in enumerate(acc)]
 
 
 @functools.cache

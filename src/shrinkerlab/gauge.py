@@ -5,9 +5,11 @@ gauge). `normal_graph` extracts u by intersecting each base normal line with
 the target polyline (`curvegeo.crossings`) and polishing the crossing by a
 2x2 Newton iteration on the target's trigonometric interpolant; it is the
 one crossing search and the only source of NotAGraph. `normal_graphs` does
-the same for a sequence of frame pairs whose bases share one m, with no
-search: the frames of a `curvegeo.frame_blocks` block run the same Newton
-iteration in lockstep, seeded at node j's own parameter (the index seed),
+the same for a sequence of frame pairs whose bases share one m and whose
+targets share one m, with no search: the frames of a
+`curvegeo.frame_blocks` block run the same Newton iteration in lockstep on
+one stacked table of their targets, seeded at node j's own parameter (the
+index seed),
 and a frame is accepted under a convexity certificate, at node
 resolution, that its crossing is the only one within reach/2 (Blaschke's
 rolling disk); a frame that fails it falls back to `normal_graph`.
@@ -60,44 +62,57 @@ def reconstruct(base: DiscreteCurve, values) -> DiscreteCurve:
     return DiscreteCurve(base.points + values[:, None] * normal)
 
 
-def _newton(tables, x, nu, theta, u):
+def _newton(table, x, nu, theta, u):
     """2x2 Newton on c_f(theta) - x - u nu = 0 for frames f, the rows of x
-    and nu (F, m, 2) and of theta and u (F, m), updated in place; tables[f]
-    is the order-1 `Interpolant` of target f. At most four steps, one
-    evaluation each; a frame stops once its largest theta step is below
+    and nu (F, m, 2) and of theta and u (F, m), updated in place; `table`
+    is the order-1 `Interpolant` of the F targets, one coefficient set at
+    F = 1 and else stacked. At most four steps, each one evaluation of the
+    table at every live frame, whose rows are read as views while every
+    frame is live; a frame stops once its largest theta step is below
     1e-12, so its result does not depend on the other frames. Returns
     (converged, tangent): per frame whether its residual |c - x - u nu| is
     within 1e-9 (1 + max|u|) at every node, and c'(theta) at its last
     evaluation. The residual before a last sub-1e-12 step bounds the one
     after and decides when it passes; else, and after the fourth step, the
-    final iterate is evaluated afresh: u's equation is linear, so a theta
-    step below 1e-12 can still move u by as much as the residual before it
-    (a seed on the crossing's parameter but off its height).
+    final iterates of the frames that did not pass are evaluated afresh in
+    one call: u's equation is linear, so a theta step below 1e-12 can
+    still move u by as much as the residual before it (a seed on the
+    crossing's parameter but off its height).
     """
-    err = np.full(len(tables), np.inf)
+    count = len(x)
+
+    def evaluate(frames):
+        """(c, c') at theta of the frames, and their row index."""
+        if frames.size == count:
+            return table(theta), slice(None)
+        return table(theta[frames], frames), frames
+
+    err = np.full(count, np.inf)
     tangent = np.empty(x.shape)
-    live = np.arange(len(tables))
+    live = np.arange(count)
     for _ in range(4):
-        c_val, c_der = (np.stack(c) for c in zip(*(tables[f](theta[f])
-                                                    for f in live)))
-        xs, ns, us = x[live], nu[live], u[live]
+        (c_val, c_der), at = evaluate(live)
+        xs, ns, us = x[at], nu[at], u[at]
         fx = c_val[..., 0] - xs[..., 0] - us * ns[..., 0]
         fy = c_val[..., 1] - xs[..., 1] - us * ns[..., 1]
         det = -(c_der[..., 0] * ns[..., 1] - c_der[..., 1] * ns[..., 0])
         dth = (fx * ns[..., 1] - fy * ns[..., 0]) / det
-        theta[live] += dth
-        u[live] = us + (c_der[..., 1] * fx - c_der[..., 0] * fy) / det
-        tangent[live] = c_der
+        theta[at] += dth
+        u[at] = us + (c_der[..., 1] * fx - c_der[..., 0] * fy) / det
+        tangent[at] = c_der
         done = np.abs(dth).max(axis=1) < 1e-12
         err[live[done]] = np.hypot(fx, fy)[done].max(axis=1)
         live = live[~done]
         if not live.size:
             break
     tol = 1e-9 * (1.0 + np.abs(u).max(axis=1))
-    for f in np.nonzero(~(err <= tol))[0]:
-        c_val, tangent[f] = tables[f](theta[f])
-        err[f] = np.hypot(c_val[:, 0] - x[f, :, 0] - u[f] * nu[f, :, 0],
-                          c_val[:, 1] - x[f, :, 1] - u[f] * nu[f, :, 1]).max()
+    again = np.nonzero(~(err <= tol))[0]
+    if again.size:
+        (c_val, tangent[again]), at = evaluate(again)
+        xs, ns, us = x[at], nu[at], u[at]
+        err[again] = np.hypot(c_val[..., 0] - xs[..., 0] - us * ns[..., 0],
+                              c_val[..., 1] - xs[..., 1] - us * ns[..., 1]
+                              ).max(axis=1)
     return err <= tol, tangent
 
 
@@ -153,7 +168,7 @@ def normal_graph(base: DiscreteCurve, target: DiscreteCurve,
     curve_at = fourier.Interpolant(fourier.coeffs(p), target.m, 1)
     theta = (seg + frac) * (TWO_PI / target.m)
     u = u_s[starts]
-    if not _newton([curve_at], x[None], nu[None], theta[None], u[None])[0][0]:
+    if not _newton(curve_at, x[None], nu[None], theta[None], u[None])[0][0]:
         raise NotAGraph("graph iteration failed to converge onto the target")
     if float(np.abs(u).max()) >= half:
         raise NotAGraph("graph height %.3g reaches reach/2 = %.3g"
@@ -163,18 +178,23 @@ def normal_graph(base: DiscreteCurve, target: DiscreteCurve,
 
 def normal_graphs(bases, targets) -> np.ndarray:
     """The heights (frames, m) that write targets[f] as a normal graph over
-    bases[f], for a sequence of frame pairs whose bases share one m; each
-    row equals `normal_graph` of its pair to about 1e-12 relative.
+    bases[f], for a sequence of frame pairs whose bases share one m and
+    whose targets share one m (ValueError otherwise); each row equals
+    `normal_graph` of its pair to about 1e-12 relative.
 
     Index seed: the frames go in `curvegeo.frame_blocks` of STACK_NODES
-    nodes, one order-1 `Interpolant` per target, and the Newton iteration
-    of `normal_graph` (`_newton`, every frame stopping on its own
-    criterion) starts at u = 0 and at node j's own parameter
-    theta_j = 2 pi j/m, with no crossing search (a target of another m is
-    read at the same fraction of its parameter). A frame is accepted when
-    it passes the convergence check of `normal_graph`, |u| < reach/2 with
-    the default reach 1/max|H| of the target, and this certificate holds at
-    every node: the target has positive node curvature, and
+    base nodes, each block's targets in one stacked order-1 `Interpolant`
+    (one rfft of their points and one irfft of the products), and the
+    Newton iteration of `normal_graph` (`_newton`, one evaluation of that
+    table per step for every live frame, each frame stopping on its own
+    criterion, so a row is bit for bit that of its frame alone) starts at
+    u = 0 and at node j's own parameter theta_j = 2 pi j/m, with no
+    crossing search (a target of another m is read at the same fraction
+    of its parameter: the Newton points number the bases' m). A frame is
+    accepted when it passes the convergence check of `normal_graph`,
+    |u| < reach/2 with the default reach 1/max|H| of the target, and this
+    certificate holds at every node: the target has positive node
+    curvature, and
     2 R cos(alpha) - |u| >= reach/2, with R = 1/max H and alpha the angle
     between the base normal and the target normal at the crossing. Then the
     crossing is the only one within reach/2: a convex curve of curvature at
@@ -197,6 +217,9 @@ def normal_graphs(bases, targets) -> np.ndarray:
     m = bases[0].m if count else 1
     if any(b.m != m for b in bases):
         raise ValueError("normal_graphs needs bases of one m")
+    m_target = targets[0].m if count else 1
+    if any(t.m != m_target for t in targets):
+        raise ValueError("normal_graphs needs targets of one m")
     heights = np.zeros((count, m))
     seed = fourier.grid(m)
     for block in frame_blocks(count, m, STACK_NODES):
@@ -204,14 +227,15 @@ def normal_graphs(bases, targets) -> np.ndarray:
         x = np.stack([bases[f].points for f in frames])
         nu = np.stack([geometry(bases[f]).normal for f in frames])
         curv = [geometry(targets[f]).curvature for f in frames]
-        tables = [fourier.Interpolant(fourier.coeffs(targets[f].points),
-                                      targets[f].m, 1) for f in frames]
+        table = fourier.Interpolant(
+            np.fft.rfft(np.stack([targets[f].points for f in frames]), axis=1),
+            m_target, 1, stacked=True)
         theta = np.tile(seed, (len(frames), 1))
         u = heights[block]
         # a seed far from the crossing may step through a tangency or off
         # to infinity; such a frame fails the checks below
         with np.errstate(all="ignore"):
-            converged, tangent = _newton(tables, x, nu, theta, u)
+            converged, tangent = _newton(table, x, nu, theta, u)
             half = np.array([0.5 / np.abs(h).max() for h in curv])
             cos_a = (np.abs(tangent[..., 0] * nu[..., 1]
                             - tangent[..., 1] * nu[..., 0])

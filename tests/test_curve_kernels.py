@@ -270,6 +270,25 @@ def test_normal_graph_matches_all_pairs_oracle(case):
                           oracle_normal_graph(base, target))
 
 
+def test_normal_graphs_of_96_node_targets_over_128_node_bases():
+    # the different-sampling pair and other 96-node targets over 128-node
+    # bases in one block: the Newton points number the bases' 128 nodes,
+    # the stacked table the targets' 96; each row matches the all-pairs
+    # oracle to 1e-12 relative and is its frame's own row bit for bit
+    pairs = [GRAPH_CASES["different-sampling"](),
+             (circle(SQRT2, m=128), circle(1.5, m=96)),
+             (ellipse(1.3, 0.8, m=128), ellipse(1.32, 0.79, m=96)),
+             (circle(SQRT2, m=128),
+              fourier_curve(1.35, (0.0, 0.04), (0.0, 0.0, 0.02), m=96))]
+    bases, targets = zip(*pairs)
+    rows = gauge.normal_graphs(bases, targets)
+    assert rows.shape == (4, 128)
+    for row, base, target in zip(rows, bases, targets):
+        want = oracle_normal_graph(base, target)
+        assert np.abs(row - want).max() <= 1e-12 * np.abs(want).max()
+        assert np.array_equal(row, gauge.normal_graphs([base], [target])[0])
+
+
 def test_non_star_case_takes_full_rows():
     # so its oracle comparison above covers the full-row path
     assert star_angles(_non_star()[1].points) is None

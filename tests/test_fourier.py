@@ -203,6 +203,43 @@ def test_interpolant_matches_a_node_first_table_bit_for_bit(m, pair):
             assert np.array_equal(g, w)
 
 
+@pytest.mark.parametrize("m", [64, 512])
+@pytest.mark.parametrize("pair", [False, True])
+def test_stacked_interpolant_rows_equal_each_set_alone(m, pair):
+    # three sets whose Taylor degrees differ: a circle, a resolved curve
+    # with a faint high mode, and white noise; the stack holds the rows of
+    # the largest degree, zero above each frame's own, and each frame's
+    # results are those of its own table bit for bit, at every frame or at
+    # a subset in any order, near the nodes and far from them
+    rng = np.random.default_rng(m + pair)
+    t = fourier.grid(m)
+    r = 1.0 + 0.05 * np.cos(3 * t)
+    sets = [np.column_stack([np.cos(t), np.sin(t)]),
+            np.column_stack([r * np.cos(t), r * np.sin(t)])
+            + 1e-9 * np.cos((m // 4) * t)[:, None],
+            rng.standard_normal((m, 2))]
+    if not pair:
+        sets = [s[:, 0] for s in sets]
+    coef = np.stack([fourier.coeffs(s) for s in sets])
+    h = 2.0 * np.pi / m
+    thetas = np.stack([t + 0.4 * h * np.sin(5 * t + f) for f in range(3)])
+    thetas[:, ::7] = rng.uniform(-1e4, 1e4, thetas[:, ::7].shape)
+    for order in range(3):
+        alone = [fourier.Interpolant(c, m, order) for c in coef]
+        degrees = [a.degree for a in alone]
+        assert len(set(degrees)) == 3
+        stack = fourier.Interpolant(coef, m, order, stacked=True)
+        assert stack.degree == max(degrees)
+        for frames in (None, np.array([2, 0]), np.array([1])):
+            rows = np.arange(3) if frames is None else frames
+            got = stack(thetas[rows], frames)
+            assert len(got) == order + 1
+            for i, f in enumerate(rows):
+                for g, w in zip(got, alone[f](thetas[f])):
+                    assert g.shape == thetas[rows].shape + coef.shape[2:]
+                    assert np.array_equal(g[i], w)
+
+
 def assert_split_matches_fmod(thetas, m):
     with np.errstate(invalid="ignore"):  # fmod and the cast at nan, inf
         j, x = fourier._nearest_node(thetas, m)
@@ -254,6 +291,26 @@ def test_nearest_node_matches_the_fmod_split(m):
                        min_size=1, max_size=64))
 def test_nearest_node_matches_the_fmod_split_anywhere(m, thetas):
     assert_split_matches_fmod(np.array(thetas), m)
+
+
+@pytest.mark.parametrize("m", SPLIT_MS)
+def test_nearest_node_wraps_the_index_only_where_it_must(m):
+    # the split takes j modulo m only when an index leaves [0, m): theta
+    # within half a node below 2 pi (nearest node m), negative theta and
+    # theta beyond 2^26 h; alone or beside points whose nodes need no
+    # wrap, every j is the fmod split's j modulo m
+    h = 2.0 * np.pi / m
+    inside = fourier.grid(m) + 0.25 * h
+    assert np.array_equal(fourier._nearest_node(inside, m)[0], np.arange(m))
+    wrapped = [np.nextafter(2.0 * np.pi, 0.0), 2.0 * np.pi - 0.25 * h,
+               -0.75 * h, -np.pi, -1e3, 3.0 * 2.0 ** 26 * h + 0.1, 1e12]
+    for theta in wrapped:
+        for thetas in (np.array([theta]), np.append(inside, theta)):
+            assert_split_matches_fmod(thetas, m)
+            j = fourier._nearest_node(thetas, m)[0]
+            assert 0 <= j.min() and j.max() < m
+    assert fourier._nearest_node(np.array(wrapped[:2]), m)[0].tolist() == [0, 0]
+    assert fourier._nearest_node(np.array([-0.75 * h]), m)[0][0] == m - 1
 
 
 @pytest.mark.parametrize("m", [16, 64, 256, 2048])

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from shrinkerlab import frequency, gauge, labcli
+from shrinkerlab import fourier, frequency, gauge, labcli
 from shrinkerlab.curvegeo import (DiscreteCurve, circle, ellipse, fourier_curve,
                                  gaussian_weights, geometry, random_fourier)
 from shrinkerlab.errors import NotAGraph
@@ -223,6 +223,34 @@ def test_normal_graphs_rows_do_not_depend_on_the_block(monkeypatch):
         rows[frames] = normal_graphs(base.curves, target.curves)
     assert len(base) > 32
     assert np.array_equal(rows[1], rows[32])
+
+
+def test_normal_graphs_rows_of_different_taylor_degrees_equal_each_frame_alone(
+        monkeypatch):
+    """One block whose targets' tables differ in degree: the stacked table
+    is zero above each frame's own degree, so each row is bit for bit
+    that of its frame alone, and every frame passes the certificate."""
+    calls = spied_fallback(monkeypatch)
+    base = circle(SQRT2, m=128)
+    noise = np.random.default_rng(3).standard_normal(128)
+    fields = [mode(base, 3, 0.01),
+              mode(base, 3, 0.01) + mode(base, 29, 1e-7, "sin"),
+              mode(base, 2, 0.02) + 1e-10 * noise]
+    targets = [reconstruct(base, f) for f in fields]
+    degrees = [fourier.Interpolant(fourier.coeffs(t.points), 128, 1).degree
+               for t in targets]
+    assert len(set(degrees)) == 3
+    rows = normal_graphs([base] * 3, targets)
+    assert not calls
+    for row, target, field in zip(rows, targets, fields):
+        assert np.array_equal(row, normal_graphs([base], [target])[0])
+        assert np.abs(row - field).max() < 1e-12
+
+
+def test_normal_graphs_need_targets_of_one_m():
+    base = circle(SQRT2, m=128)
+    with pytest.raises(ValueError, match="targets of one m"):
+        normal_graphs([base, base], [circle(1.2, m=96), circle(1.2, m=128)])
 
 
 def test_seminorms_closed_form():
