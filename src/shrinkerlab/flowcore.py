@@ -20,16 +20,16 @@ sigma * x_thth, sigma = max 1/g^2 per curve frozen over the step, advances
 exactly; the rest, stiff too where g varies, is damped by the phi weights of
 the scheme at every k. The step dt = cfl * C / max(max kappa^2, 1/2) is set
 by accuracy, not by m.
-`run_flows` steps curves of equal m in lockstep as the rows of one (2n, m)
-array, each with its own step, frame times and guards, in eight FFT calls per
-step: per stage one irfft of [c, ik*c, -k^2*c] (the values only at the first
-stage) and one rfft of N. Frames are emitted at exact times: fixed tau
-multiples for the rescaled flow, fixed area levels A(0) * exp(-j * dtau) for
-the unrescaled flow (by the area law these are the same tau grid, without
-knowing T), each built from the step's own rfft rows at one irfft more. A
-saved trajectory keeps its frames in one frames.npy. `run_flows` is the one
-stepping loop: `run_mcf`, `run_rmcf` and the single step `mcf_step` (a run
-to t = dt) go through it.
+`run_flows` steps curves of equal m in lockstep, their rfft rows one
+(curves, 2, m/2 + 1) array, each curve with its own step, frame times and
+guards, in eight FFT calls per step: per stage one irfft of [c, ik*c,
+-k^2*c] (the values only at the first stage) and one rfft of N. Frames are
+emitted at exact times: fixed tau multiples for the rescaled flow, fixed
+area levels A(0) * exp(-j * dtau) for the unrescaled flow (by the area law
+these are the same tau grid, without knowing T), each built from the step's
+own rfft rows at one irfft more. A saved trajectory keeps its frames in one
+frames.npy. `run_flows` is the one stepping loop: `run_mcf`, `run_rmcf` and
+the single step `mcf_step` (a run to t = dt) go through it.
 """
 
 from __future__ import annotations
@@ -102,10 +102,9 @@ class StepControl:
 
 
 def _metric(d1: np.ndarray, d2: np.ndarray):
-    """g^2 = |x_theta|^2 and cross = x_theta ^ x_thth of each curve row pair."""
-    n = d1.shape[0] // 2
-    gx, gy = d1[:n], d1[n:]
-    return gx * gx + gy * gy, gx * d2[n:] - gy * d2[:n]
+    """g^2 = |x_theta|^2 and cross = x_theta ^ x_thth of (..., 2, m) rows (x, y)."""
+    gx, gy = d1[..., 0, :], d1[..., 1, :]
+    return gx * gx + gy * gy, gx * d2[..., 1, :] - gy * d2[..., 0, :]
 
 
 def _curvature_sq(g2: np.ndarray, cross: np.ndarray) -> np.ndarray:
@@ -143,30 +142,31 @@ def _phi(z: np.ndarray) -> list:
     return phi
 
 
-def _imex_step(coef, g2, d2, dt, rescaled: bool) -> np.ndarray:
-    """One ETDRK4 step of `coef`, the rfft x rows, then y rows, of n curves.
+def _imex_step(u, g2, d2, dt, rescaled: bool) -> np.ndarray:
+    """One ETDRK4 step of `u`, the (n, 2, m/2 + 1) rfft rows of n curves.
 
-    g2 and d2 are their metric and second derivatives, dt a scalar or an
+    g2 (n, m) and d2 (n, 2, m) are their metric and second derivatives, dt an
     (n, 1) column. sigma * x_thth decays exactly, by e^z, z = -sigma*dt*k^2;
     N = (1/g^2 - sigma) * x_thth (+ x/2 when rescaled) takes four stages.
     """
-    m, n = d2.shape[1], g2.shape[0]
+    m, n = d2.shape[-1], g2.shape[0]
     sigma = 1.0 / g2.min(axis=1, keepdims=True)
     z = (sigma * dt) * fourier.deriv12_multipliers(m)[1]
     # one array of the z/2 rows, then the z rows; x and y rows share them
-    e, p1, p2, p3 = (p.reshape(2, n, -1)
+    e, p1, p2, p3 = (p.reshape(2, n, 1, -1)
                      for p in _phi(np.concatenate([0.5 * z, z])))
+    dt = dt[:, :, None]
     q = (0.5 * dt) * p1[0]
 
     def slope(y, g2=None, d2=None):
-        """N of the (2, n, m/2 + 1) rows y; g2 and d2 from y unless given."""
+        """N of the (n, 2, m/2 + 1) rows y; g2 and d2 from y unless given."""
         if d2 is None:
-            d = fourier.synth_rows(y.reshape(2 * n, -1), m, with_values=False)
-            g2, d2 = _metric(d[:2 * n], d[2 * n:])[0], d[2 * n:]
-        s = np.fft.rfft(d2.reshape(2, n, -1) * (1.0 / g2 - sigma), axis=-1)
+            d = fourier.synth_rows(y.reshape(-1, m // 2 + 1), m,
+                                   with_values=False).reshape(2, n, 2, m)
+            g2, d2 = _metric(*d)[0], d[1]
+        s = np.fft.rfft(d2 * (1.0 / g2 - sigma)[:, None], axis=-1)
         return s + 0.5 * y if rescaled else s
 
-    u = coef.reshape(2, n, -1)
     e_u = e[0] * u
     n_u = slope(u, g2, d2)
     a = e_u + q * n_u
@@ -176,16 +176,15 @@ def _imex_step(coef, g2, d2, dt, rescaled: bool) -> np.ndarray:
     p1, p2, p3 = dt * p1[1], dt * p2[1], dt * p3[1]
     out = (e[1] * u + (p1 - 3.0 * p2 + 4.0 * p3) * n_u
            + 2.0 * (p2 - 2.0 * p3) * (n_a + n_b) + (4.0 * p3 - p2) * n_c)
-    return out.reshape(2 * n, -1)
+    return out
 
 
 def _guards(pts, g2, cross, control, where) -> None:
     """Raise the typed error of the first unsafe curve; where(k) places curve k."""
-    n = g2.shape[0]
     g = np.sqrt(g2)
     curv = cross / (g2 * g)
-    for k in range(n):
-        if not (np.all(np.isfinite(pts[k])) and np.all(np.isfinite(pts[n + k]))):
+    for k in range(g2.shape[0]):
+        if not np.all(np.isfinite(pts[k])):
             raise BlowupDetected("non-finite positions %s" % where(k))
         if float(g[k].min()) < 1e-12:
             raise BlowupDetected("parametrization collapsed %s" % where(k))
@@ -371,7 +370,7 @@ def run_flows(curves, picture: str, end: float | None = None, *,
 
     picture is "mcf" (`end` = optional t_end, see :func:`run_mcf`) or "rmcf"
     (`end` = tau_end, see :func:`run_rmcf`). All curves need the same m. Each
-    trajectory equals a run of its curve alone up to rounding. Frames leave
+    trajectory equals a run of its curve alone bit for bit. Frames leave
     the loop at one site, frame 0 as each curve's "start" event, where a
     curve that needs more than STEP_BUDGET steps is refused. A guard failure
     raises its typed error naming the curve's index and time; a
@@ -404,15 +403,15 @@ def run_flows(curves, picture: str, end: float | None = None, *,
     reach = STEP_BUDGET * _timestep(0.0, control)
 
     var = "tau" if rescaled else "t"
-    # the batch: rfft rows (x rows, then y rows) and their samples
-    # [x; y; x'; y'; x''; y''], curve k at rows k::n, frame 0's for the first
-    # step; per active curve its index into curves, time, next frame (an area
-    # level for mcf, an index into frame_times) and event ("start" at first)
+    # the batch: rfft rows (curves, 2, m/2 + 1) and samples (3, curves, 2, m),
+    # [x, x', x''] x curve x (x, y) x node, frame 0's for the first step; per
+    # active curve its index into curves, time, next frame (an area level for
+    # mcf, an index into frame_times) and event ("start" at first)
     n, m = len(curves), curves[0].m if curves else 0
-    coef = np.empty((2 * n, m // 2 + 1), dtype=complex)
-    for i, curve in enumerate(curves):
-        coef[i::n] = np.fft.rfft(curve.points.T, axis=1)
-    rows = np.empty((6 * n, m))
+    coef = np.empty((n, 2, m // 2 + 1), dtype=complex)
+    for k, curve in enumerate(curves):
+        coef[k] = np.fft.rfft(curve.points.T, axis=1)
+    rows = np.empty((3, n, 2, m))
     trajs = [FlowTrajectory(picture, m, series={c: [] for c in _SERIES_COLUMNS})
              for _ in curves]
     ids, times, goals, events = list(range(n)), [0.0] * n, [0] * n, ["start"] * n
@@ -427,10 +426,9 @@ def run_flows(curves, picture: str, end: float | None = None, *,
             if events[k] is None:
                 keep.append(k)
                 continue
-            sel = [k, n + k]
             try:  # a resampled or regauged frame's rows replace the step's
-                coef[sel], frame_rows, area, max_curv = _emit_frame(
-                    trajs[ids[k]], times[k], coef[sel], control, gauge, where(k))
+                coef[k], frame_rows, area, max_curv = _emit_frame(
+                    trajs[ids[k]], times[k], coef[k], control, gauge, where(k))
             except ConvexityLost as exc:
                 exc.start = ids[k] if events[k] == "start" else None
                 raise
@@ -441,7 +439,7 @@ def run_flows(curves, picture: str, end: float | None = None, *,
                 goals[k] = (area if events[k] == "start" else goals[k]) * level_ratio
                 done = events[k] == "end" or max_curv >= control.stop_curvature
             if events[k] == "start":
-                rows[k::n] = frame_rows
+                rows[:, k] = frame_rows.reshape(3, 2, m)
                 slow = rescaled or max_curv * math.sqrt(
                     2.0 * reach + control.stop_curvature ** -2) < 1.0
                 if slow and not done and (end is None or end > reach):
@@ -453,14 +451,15 @@ def run_flows(curves, picture: str, end: float | None = None, *,
                 keep.append(k)
         frame_rows = None  # held through the step, it raises peak memory
         if len(keep) < n:  # curves done leave the batch
-            coef, rows = coef[keep + [n + k for k in keep]], None
+            coef, rows = coef[keep], None
             ids, times, goals = ([v[k] for k in keep] for v in (ids, times, goals))
             n = len(ids)
         if not ids:
             break
         if rows is None:
-            rows = fourier.synth_rows(coef, m)
-        pts, d1, d2 = rows[:2 * n], rows[2 * n:4 * n], rows[4 * n:]
+            rows = fourier.synth_rows(coef.reshape(-1, m // 2 + 1),
+                                      m).reshape(3, n, 2, m)
+        pts, d1, d2 = rows
         g2, cross = _metric(d1, d2)
         since_guard += 1
         if since_guard >= _GUARD_STRIDE:
@@ -468,7 +467,8 @@ def run_flows(curves, picture: str, end: float | None = None, *,
             since_guard = 0
         kappa2 = _curvature_sq(g2, cross).max(axis=1).tolist()
         if not rescaled:
-            areas = area_centroid_rows(pts[:n], pts[n:], d1[:n], d1[n:])[0].tolist()
+            areas = area_centroid_rows(pts[:, 0], pts[:, 1], d1[:, 0],
+                                       d1[:, 1])[0].tolist()
         dts, events = [], []
         for k in range(n):
             if math.isnan(kappa2[k]):

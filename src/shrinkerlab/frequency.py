@@ -302,30 +302,28 @@ def monitor(base_traj, target_traj, *,
     cols["U"] = u_quot[1:-1]
     cols["fittedC"] = fitted_c[1:-1]
     cols["underflow"] = (under[:-2] | under[1:-1] | under[2:]).astype(float)
-    margin = np.zeros(n_rows)
-    flags: list = []
-    for r, j in enumerate(range(1, k - 1)):
-        if cols["underflow"][r]:
-            continue
-        tau = taus[j]
-        span = spans[j]
-        dlog_i = (math.log(i_vals[j + 1]) - math.log(i_vals[j - 1])) / span
-        v_main = 4.0 * float(drift_sq[j]) / i_vals[j] - u_quot[j] ** 2
-        cols["dlogI"][r] = dlog_i
-        cols["Vmain"][r] = v_main
-        cols["Verr"][r] = (u_quot[j + 1] - u_quot[j - 1]) / span - v_main
-        lhs = abs(dlog_i - (u_quot[j] - corr[j]))
-        rhs = 3.0 * (fitted_c[j] + cols["D"][r]) + fitted_c[j] * dirat[j]
-        margin[r] = rhs - lhs
-        if margin[r] < -1e-9:
-            flags.append("frequency-inequality violated at tau = %.6g "
-                         "(lhs %.3g > rhs %.3g)" % (tau, lhs, rhs))
-        if u_quot[j] > 2.0 * lambda_bound + 1e-10:
-            flags.append("rayleigh bound violated at tau = %.6g "
-                         "(U = %.6g, Lambda = %.6g)"
-                         % (tau, u_quot[j], lambda_bound))
-
+    # row j - 1 checks frame j unless it underflows; underflow rows keep zeros
     good = cols["underflow"] == 0.0
+    j = np.arange(1, k - 1)[good]
+    span = spans[j]
+    dlog_i = (np.log(i_vals[j + 1]) - np.log(i_vals[j - 1])) / span
+    v_main = 4.0 * drift_sq[j] / i_vals[j] - u_quot[j] ** 2
+    cols["dlogI"][good] = dlog_i
+    cols["Vmain"][good] = v_main
+    cols["Verr"][good] = (u_quot[j + 1] - u_quot[j - 1]) / span - v_main
+    lhs = np.abs(dlog_i - (u_quot[j] - corr[j]))
+    rhs = 3.0 * (fitted_c[j] + cols["D"][good]) + fitted_c[j] * dirat[j]
+    margin = np.zeros(n_rows)
+    margin[good] = rhs - lhs
+    flags: list = []
+    for tau, u, left, right in zip(taus[j], u_quot[j], lhs, rhs):
+        if right - left < -1e-9:
+            flags.append("frequency-inequality violated at tau = %.6g "
+                         "(lhs %.3g > rhs %.3g)" % (tau, left, right))
+        if u > 2.0 * lambda_bound + 1e-10:
+            flags.append("rayleigh bound violated at tau = %.6g "
+                         "(U = %.6g, Lambda = %.6g)" % (tau, u, lambda_bound))
+
     n_good = int(good.sum())
     lam_fit = offset_fit = u_inf = None
     if n_good >= 2:

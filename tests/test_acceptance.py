@@ -252,6 +252,34 @@ def test_separation_converges_in_cfl(tmp_path):
     assert ok, line
 
 
+def test_separation_converges_in_m(tmp_path):
+    """At a fixed cfl the separation run is resolved from m = 128 on: across
+    m = 128, 256 and 512 the fitted rates agree to 1e-10 and the late and
+    top frequencies to 1e-12, for the reference pair and for the pair of
+    which neither flow is a shrinker."""
+    tols = {"dhSlope": 1e-10, "lambdaFit": 1e-10, "Uinf": 1e-12, "Lambda": 1e-12}
+    gaps = dict.fromkeys(tols, 0.0)
+    verdicts = set()
+    for name, curve2 in (("circle", "circle(1)"),
+                         ("ellipse", "ellipse(1.05, 0.9523809523809523)")):
+        runs = [run(validate_config({
+            "scenario": "separation",
+            "curve1": "ellipse(1.1, 0.9090909090909091)", "curve2": curve2,
+            "m": m, "out": str(tmp_path / (name + m)), "tau_end": "7",
+            "frame_dtau": "0.05", "cfl": "1.4"})) for m in ("128", "256", "512")]
+        verdicts.update(summary["verdict"] for summary in runs)
+        for key in tols:
+            values = [summary[key] for summary in runs]
+            gaps[key] = max(gaps[key], max(values) - min(values))
+    ok = (verdicts == {"consistent"}
+          and all(gaps[key] <= tol for key, tol in tols.items()))
+    detail = "; ".join("%s gap %.2e (<= %g)" % (key, gaps[key], tol)
+                       for key, tol in tols.items())
+    line = report("separation m convergence", ok,
+                  "%s; verdicts %s" % (detail, sorted(verdicts)))
+    assert ok, line
+
+
 def test_rate_converges_in_cfl_and_m(tmp_path):
     """The fitted rates of a rate run move by at least 8x less per halving
     of cfl, and m = 128 already resolves them: m = 256 agrees to 1e-12."""
