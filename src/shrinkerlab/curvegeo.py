@@ -62,13 +62,16 @@ def area_centroid(points: np.ndarray) -> tuple[float, float, float]:
 
 
 def gaussian_density(points: np.ndarray) -> np.ndarray:
-    """Per-node Gaussian density exp(-|x|^2/4) of (m, 2) points."""
-    return np.exp(-0.25 * np.einsum("ij,ij->i", points, points))
+    """Per-node Gaussian density exp(-|x|^2/4) of (..., m, 2) points."""
+    return np.exp(-0.25 * np.einsum("...ij,...ij->...i", points, points))
 
 
 def segment_lengths(points: np.ndarray) -> np.ndarray:
     """Chord lengths |p_{j+1} - p_j| of the closed polyline."""
-    return np.hypot(*(np.roll(points, -1, axis=0) - points).T)
+    d = np.empty_like(points)  # np.roll(points, -1, axis=0) - points
+    np.subtract(points[1:], points[:-1], out=d[:-1])
+    np.subtract(points[0], points[-1], out=d[-1])
+    return np.hypot(d[:, 0], d[:, 1])
 
 
 def star_angles(points: np.ndarray):
@@ -227,6 +230,35 @@ def _has_self_intersection(points: np.ndarray) -> bool:
     return bool(np.any(apart & straddles(j, i) & straddles(i, j)))
 
 
+def _checked_nodes(pts: np.ndarray, validate: bool) -> np.ndarray:
+    """`pts` after the construction checks of :class:`DiscreteCurve`: an
+    (m, 2) array of finite values, m even and at least MIN_NODES, and when
+    validating a simple polyline of bounded spacing ratio, returned reversed
+    (a copy) if it runs clockwise. InvalidCurve otherwise."""
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise InvalidCurve("points must have shape (m, 2), got %r" % (pts.shape,))
+    m = pts.shape[0]
+    if m < MIN_NODES or m % 2 != 0:
+        raise InvalidCurve("need an even number of nodes >= %d, got %d" % (MIN_NODES, m))
+    if not np.all(np.isfinite(pts)):
+        raise InvalidCurve("points contain non-finite values")
+    if validate:
+        if polygon_area(pts) < 0.0:
+            pts = pts[::-1].copy()
+        lengths = segment_lengths(pts)
+        lmin = float(lengths.min())
+        if lmin <= 0.0:
+            raise InvalidCurve("coincident consecutive nodes")
+        ratio = float(lengths.max()) / lmin
+        if ratio > SPACING_RATIO_MAX:
+            raise InvalidCurve(
+                "node spacing ratio %.3g exceeds %.3g" % (ratio, SPACING_RATIO_MAX)
+            )
+        if _has_self_intersection(pts):
+            raise InvalidCurve("polyline is not simple")
+    return pts
+
+
 class DiscreteCurve:
     """Closed plane curve sampled on the uniform periodic grid.
 
@@ -250,32 +282,26 @@ class DiscreteCurve:
     __slots__ = ("points", "m", "_cache")
 
     def __init__(self, points, *, validate: bool = True):
-        pts = np.array(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise InvalidCurve("points must have shape (m, 2), got %r" % (pts.shape,))
-        m = pts.shape[0]
-        if m < MIN_NODES or m % 2 != 0:
-            raise InvalidCurve("need an even number of nodes >= %d, got %d" % (MIN_NODES, m))
-        if not np.all(np.isfinite(pts)):
-            raise InvalidCurve("points contain non-finite values")
-        if validate:
-            if polygon_area(pts) < 0.0:
-                pts = pts[::-1].copy()
-            lengths = segment_lengths(pts)
-            lmin = float(lengths.min())
-            if lmin <= 0.0:
-                raise InvalidCurve("coincident consecutive nodes")
-            ratio = float(lengths.max()) / lmin
-            if ratio > SPACING_RATIO_MAX:
-                raise InvalidCurve(
-                    "node spacing ratio %.3g exceeds %.3g" % (ratio, SPACING_RATIO_MAX)
-                )
-            if _has_self_intersection(pts):
-                raise InvalidCurve("polyline is not simple")
+        pts = _checked_nodes(np.array(points, dtype=float), validate)
         pts.flags.writeable = False
         self.points = pts
-        self.m = m
+        self.m = pts.shape[0]
         self._cache = {}
+
+    @classmethod
+    def _view(cls, points: np.ndarray, validate=None) -> "DiscreteCurve":
+        """The curve over the (m, 2) array `points` itself, not a copy: as
+        given when validate is None, else after the checks of the
+        constructor (which reverse a clockwise input into a copy when
+        validating). The curve's own view of the nodes is read-only."""
+        if validate is not None:
+            points = _checked_nodes(points, validate)
+        curve = cls.__new__(cls)
+        curve.points = points.view()
+        curve.points.flags.writeable = False
+        curve.m = points.shape[0]
+        curve._cache = {}
+        return curve
 
     # -- basic derived quantities ------------------------------------------
 
@@ -320,22 +346,36 @@ class GeometryFields:
     metric_speed: np.ndarray
 
 
+def speed_curvature(d1, d2, speed, curvature) -> None:
+    """Fill `speed` with the metric speed g = |x'| and `curvature` with
+    (x' ^ x'')/g^3 from the (2, m) rows (x', y') and (x'', y'') of a curve's
+    theta-derivatives; DegenerateCurve if the metric speed < 1e-10."""
+    g = np.hypot(d1[0], d1[1], out=speed)
+    if float(g.min()) < METRIC_FLOOR:
+        raise DegenerateCurve("metric speed %.3g below %.1g" % (g.min(), METRIC_FLOOR))
+    np.divide(d1[0] * d2[1] - d1[1] * d2[0], g * g * g, out=curvature)
+
+
+def unit_frame(tangent: np.ndarray, speed: np.ndarray):
+    """Divide the (..., m, 2) rows x' of `tangent` by their metric speed
+    (..., m) in place, to the unit tangent; returns the inner unit normal
+    and the arclength weights (2*pi/m) * g of those rows."""
+    tangent /= speed[..., None]
+    normal = np.empty_like(tangent)
+    np.negative(tangent[..., 1], out=normal[..., 0])
+    normal[..., 1] = tangent[..., 0]
+    return normal, (TWO_PI / speed.shape[-1]) * speed
+
+
 def geometry_rows(d1: np.ndarray, d2: np.ndarray) -> GeometryFields:
     """Geometry fields from the (2, m) rows (x', y') and (x'', y'') of a
     curve's theta-derivatives; DegenerateCurve if the metric speed < 1e-10."""
-    g = np.hypot(d1[0], d1[1])
-    if float(g.min()) < METRIC_FLOOR:
-        raise DegenerateCurve("metric speed %.3g below %.1g" % (g.min(), METRIC_FLOOR))
-    tangent = np.column_stack([d1[0] / g, d1[1] / g])
-    normal = np.column_stack([-tangent[:, 1], tangent[:, 0]])
-    curvature = (d1[0] * d2[1] - d1[1] * d2[0]) / (g * g * g)
-    return GeometryFields(
-        tangent=tangent,
-        normal=normal,
-        curvature=curvature,
-        arclength_weights=(TWO_PI / g.size) * g,
-        metric_speed=g,
-    )
+    speed, curvature = np.empty((2, d1.shape[-1]))
+    speed_curvature(d1, d2, speed, curvature)
+    tangent = d1.T.copy()
+    normal, weights = unit_frame(tangent, speed)
+    return GeometryFields(tangent=tangent, normal=normal, curvature=curvature,
+                          arclength_weights=weights, metric_speed=speed)
 
 
 def geometry(curve: DiscreteCurve) -> GeometryFields:
@@ -367,8 +407,13 @@ def shrinker_quantity(curve: DiscreteCurve) -> np.ndarray:
     Vanishes identically exactly on the round curve of radius sqrt(2)
     centered at the origin.
     """
-    geom = geometry(curve)
-    return geom.curvature + 0.5 * np.einsum("ij,ij->i", curve.points, geom.normal)
+    return shrinker_rows(curve.points, geometry(curve))
+
+
+def shrinker_rows(points: np.ndarray, geom: GeometryFields) -> np.ndarray:
+    """phi of `shrinker_quantity` from (..., m, 2) points and the geometry
+    fields of the same rows, row for row that of each curve alone."""
+    return geom.curvature + 0.5 * np.einsum("...ij,...ij->...i", points, geom.normal)
 
 
 def f_functional(curve: DiscreteCurve) -> float:

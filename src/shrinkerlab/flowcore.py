@@ -27,22 +27,24 @@ guards, in eight FFT calls per step: per stage one irfft of [c, ik*c,
 emitted at exact times: fixed tau multiples for the rescaled flow, fixed
 area levels A(0) * exp(-j * dtau) for the unrescaled flow (by the area law
 these are the same tau grid, without knowing T), each built from the step's
-own rfft rows at one irfft more. A saved trajectory keeps its frames in one
-frames.npy. `run_flows` is the one stepping loop: `run_mcf`, `run_rmcf` and
-the single step `mcf_step` (a run to t = dt) go through it.
+own rfft rows at one irfft more and written in place as row j of its
+trajectory's stacked points and geometry. A saved trajectory keeps its
+frames in one frames.npy. `run_flows` is the one stepping loop: `run_mcf`,
+`run_rmcf` and the single step `mcf_step` (a run to t = dt) go through it.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import fourier, ioutil
-from .curvegeo import (TWO_PI, DiscreteCurve, area_centroid_rows, geometry,
-                       geometry_rows, resample)
+from .curvegeo import (STACK_NODES, TWO_PI, DiscreteCurve, GeometryFields,
+                       area_centroid_rows, frame_blocks, geometry, resample,
+                       speed_curvature, unit_frame)
 from .errors import (
     BlowupDetected,
     ConvexityLost,
@@ -147,25 +149,38 @@ def _imex_step(u, g2, d2, dt, rescaled: bool) -> np.ndarray:
 
     g2 (n, m) and d2 (n, 2, m) are their metric and second derivatives, dt an
     (n, 1) column. sigma * x_thth decays exactly, by e^z, z = -sigma*dt*k^2;
-    N = (1/g^2 - sigma) * x_thth (+ x/2 when rescaled) takes four stages.
+    N = (1/g^2 - sigma) * x_thth (+ x/2 when rescaled) takes four stages,
+    whose irffts share one output; its x_theta rows hold the product that N
+    transforms once g^2 is formed.
     """
     m, n = d2.shape[-1], g2.shape[0]
     sigma = 1.0 / g2.min(axis=1, keepdims=True)
-    z = (sigma * dt) * fourier.deriv12_multipliers(m)[1]
+    m1, m2 = fourier.deriv12_multipliers(m)
+    z = (sigma * dt) * m2
     # one array of the z/2 rows, then the z rows; x and y rows share them
     e, p1, p2, p3 = (p.reshape(2, n, 1, -1)
                      for p in _phi(np.concatenate([0.5 * z, z])))
     dt = dt[:, :, None]
     q = (0.5 * dt) * p1[0]
+    d = np.empty((2, n, 2, m))
 
     def slope(y, g2=None, d2=None):
         """N of the (n, 2, m/2 + 1) rows y; g2 and d2 from y unless given."""
         if d2 is None:
-            d = fourier.synth_rows(y.reshape(-1, m // 2 + 1), m,
-                                   with_values=False).reshape(2, n, 2, m)
-            g2, d2 = _metric(*d)[0], d[1]
-        s = np.fft.rfft(d2 * (1.0 / g2 - sigma)[:, None], axis=-1)
-        return s + 0.5 * y if rescaled else s
+            # the synthesis block lives only for its irfft: held through
+            # the step, it would add to the step's peak memory
+            block = np.empty((2,) + y.shape, dtype=complex)
+            np.multiply(y, m1, out=block[0])
+            np.multiply(y, m2, out=block[1])
+            d1, d2 = np.fft.irfft(block, n=m, axis=-1, out=d)
+            del block
+            gx, gy = d1[:, 0], d1[:, 1]
+            g2 = gx * gx + gy * gy
+        s = np.fft.rfft(np.multiply(d2, (1.0 / g2 - sigma)[:, None], out=d[0]),
+                        axis=-1)
+        if rescaled:
+            s += 0.5 * y
+        return s
 
     e_u = e[0] * u
     n_u = slope(u, g2, d2)
@@ -240,6 +255,11 @@ def mcf_step(curve: DiscreteCurve, dt: float,
 
 _SERIES_COLUMNS = ("time", "area", "cx", "cy", "max_curvature", "gauge_shift")
 
+_GEOMETRY_NAMES = tuple(f.name for f in fields(GeometryFields))
+
+# row capacity an unrescaled run's stacks start with; they double when full
+_MCF_ROWS = 64
+
 
 @dataclass
 class FlowTrajectory:
@@ -249,6 +269,15 @@ class FlowTrajectory:
     tau). The series maps column name -> per-frame array; columns are listed
     in _SERIES_COLUMNS. `steps` counts the time steps of the run that made
     the trajectory; it is not saved.
+
+    A trajectory that `run_flows` made keeps its frames as stacked rows:
+    `points` (frames, m, 2) and `geom`, a GeometryFields whose tangent and
+    normal are (frames, m, 2) and whose curvature, metric speed and
+    arclength weights are (frames, m), all read-only. `curves[j]` is then a
+    view of row j whose cached geometry is the views of row j. A
+    trajectory assembled from curves (`load`, `rescale_to_rmcf`, or by
+    hand) has no stacks: `points` and `geom` are None, and `stacked` stacks
+    its curves' own.
     """
 
     picture: str
@@ -258,14 +287,29 @@ class FlowTrajectory:
     singular_data: dict | None = None
     series: dict | None = None
     steps: int = 0
+    points: np.ndarray | None = field(default=None, init=False, repr=False)
+    geom: GeometryFields | None = field(default=None, init=False, repr=False)
 
     def __len__(self):
         return len(self.times)
 
+    def stacked(self, block=slice(None)):
+        """(points, geometry) of the frames in `block` as stacked rows, see
+        the class docstring: views of the stacks, or stacked copies of the
+        curves' points and `geometry` when there are none."""
+        if self.points is not None:
+            return self.points[block], GeometryFields(
+                *(getattr(self.geom, name)[block] for name in _GEOMETRY_NAMES))
+        part = self.curves[block]
+        geoms = [geometry(c) for c in part]
+        return np.stack([c.points for c in part]), GeometryFields(
+            *(np.stack([getattr(g, name) for g in geoms]) for name in _GEOMETRY_NAMES))
+
     def save(self, outdir) -> list:
         """Write frames.npy, index.json and series.csv; returns written paths.
-        frames.npy is np.save of the (frames, m, 2) node positions, streamed
-        frame by frame after its header, so no stacked copy is made."""
+        frames.npy is np.save of the (frames, m, 2) node positions: the
+        stacked points in one write, or else streamed frame by frame after
+        its header, so no stacked copy is made."""
         outdir = os.fspath(outdir)
         os.makedirs(outdir, exist_ok=True)
         paths = [os.path.join(outdir, name)
@@ -274,8 +318,11 @@ class FlowTrajectory:
             np.lib.format.write_array_header_1_0(fh, {
                 "descr": "<f8", "fortran_order": False,
                 "shape": (len(self.curves), self.m, 2)})
-            for curve in self.curves:
-                fh.write(curve.points.astype("<f8", copy=False).tobytes())
+            if self.points is not None:
+                fh.write(self.points.astype("<f8", copy=False).data)
+            else:
+                for curve in self.curves:
+                    fh.write(curve.points.astype("<f8", copy=False).tobytes())
         ioutil.dump_json({"picture": self.picture,
                           "times": [float(t) for t in self.times],
                           "m": self.m, "singularData": self.singular_data},
@@ -318,24 +365,91 @@ class FlowTrajectory:
         return traj
 
 
-def _emit_frame(traj, t, coef, control, gauge, where):
-    """Record the frame at time t of the curve with rfft rows `coef` (x, y).
+class _FrameRows:
+    """The stacked rows a run writes one trajectory's frames into, row
+    `count` next: the frames' points and x_theta rows as (rows, m, 2), their
+    metric speed and curvature as (rows, m), and their series as (rows, 6).
+    `grow` doubles the rows of a run whose frame count is not known up
+    front; `close` completes them into the trajectory."""
 
-    Everything recorded comes from one synth_rows of x, x_theta, x_thth (a
-    resample synthesizes its new nodes'); the gauge acts on rows and
-    coefficients, and the stored curve caches their geometry. The flow keeps
-    curves counterclockwise: a frame of area <= 0 raises BlowupDetected.
-    Under `require_convex` the curvature row replaces the simplicity scan:
-    convexity is checked once, on the rows the next step reads (resampled
-    and regauged), so the step's guard finds what the frame passed.
+    __slots__ = ("count", "points", "tangent", "speed", "curvature", "record")
+
+    def __init__(self, rows: int, m: int):
+        self.count = 0
+        self.points, self.tangent = (np.empty((rows, m, 2)) for _ in range(2))
+        self.speed, self.curvature = (np.empty((rows, m)) for _ in range(2))
+        self.record = np.empty((rows, len(_SERIES_COLUMNS)))
+
+    def _resize(self, rows: int) -> None:
+        # in place: no view of a stack exists while the run writes them
+        for stack in (self.points, self.tangent, self.speed, self.curvature,
+                      self.record):
+            stack.resize((rows,) + stack.shape[1:], refcheck=False)
+
+    def grow(self) -> None:
+        if self.count == len(self.record):
+            self._resize(2 * self.count)
+
+    def close(self, traj: FlowTrajectory, gauge: str) -> None:
+        """Fill traj from the rows written: one pass over all of them gives
+        the area and centroid after the gauge, the unit tangent (the x_theta
+        rows divided in place), the normal and the arclength weights; the
+        stacks turn read-only and each curve is a view of its row."""
+        n = self.count
+        if n < len(self.record):
+            self._resize(n)
+        points, tangent, speed = self.points, self.tangent, self.speed
+        if gauge != "none":  # the rows hold what the gauge made of them
+            # in blocks of STACK_NODES nodes, which bound the products' memory
+            for block in frame_blocks(n, speed.shape[1], STACK_NODES):
+                x, d = points[block], tangent[block]
+                self.record[block, 1:4] = np.column_stack(area_centroid_rows(
+                    x[..., 0], x[..., 1], d[..., 0], d[..., 1]))
+        normal, weights = unit_frame(tangent, speed)
+        geom = GeometryFields(tangent=tangent, normal=normal,
+                              curvature=self.curvature,
+                              arclength_weights=weights, metric_speed=speed)
+        for stack in (points, tangent, normal, self.curvature, weights, speed):
+            stack.flags.writeable = False
+        traj.points, traj.geom = points, geom
+        traj.series = dict(zip(_SERIES_COLUMNS, self.record.T.copy()))
+        traj.times = traj.series["time"].tolist()
+        traj.curves = []
+        for j in range(n):
+            row, row_geom = traj.stacked(j)
+            curve = DiscreteCurve._view(row)
+            curve._cache["geom"] = row_geom
+            traj.curves.append(curve)
+
+
+def _emit_frame(frames: _FrameRows, t, coef, control, gauge, where):
+    """Write the frame at time t of the curve with rfft rows `coef` (x, y)
+    into row `frames.count`.
+
+    The frame comes from one synth_rows of x, x_theta, x_thth (a resample
+    synthesizes its new nodes'), gauged in place on those rows and on the
+    coefficients. Only what the run reads next or what can fail happens
+    here: the node checks of a DiscreteCurve (the simplicity scan only
+    without `require_convex`), the resample test, the area and centroid
+    before the gauge, the gauge, the metric speed and curvature rows
+    (DegenerateCurve below METRIC_FLOOR), the convexity check and max
+    |kappa|; `_FrameRows.close` builds the rest of the record after the
+    run. The flow keeps curves counterclockwise: a frame of area <= 0
+    raises BlowupDetected. Under `require_convex` the frame's curvature row
+    is its convexity check. At frame 0 the first step reads these checked
+    rows; after a later frame the step reads rows synthesized again from
+    the regauged coefficients, equal to them up to rounding (8.9e-16 on the
+    rate-frames-256 workload), which the step's own guards check.
     Returns the working curve's rfft rows, sample rows, area and max |kappa|.
     """
-    rows = fourier.synth_rows(coef, traj.m)
-    curve = DiscreteCurve(rows[:2].T, validate=not control.require_convex)
+    m = frames.points.shape[1]
+    rows = fourier.synth_rows(coef, m)
+    curve = DiscreteCurve._view(rows[:2].T, validate=not control.require_convex)
+    nodes = curve.points
     if curve.spacing_ratio() > _RESAMPLE_RATIO:
-        curve = resample(curve)
-        coef = np.fft.rfft(curve.points.T, axis=1)
-        rows = fourier.synth_rows(coef, traj.m)
+        nodes = resample(curve).points
+        coef = np.fft.rfft(nodes.T, axis=1)
+        rows = fourier.synth_rows(coef, m)
     area, cx, cy = (float(v) for v in area_centroid_rows(*rows[:4]))
     if not area > 0.0:
         raise BlowupDetected("enclosed area %.3g is not positive %s" % (area, where))
@@ -348,18 +462,20 @@ def _emit_frame(traj, t, coef, control, gauge, where):
         if gauge == "area-centroid":
             shift = scale * np.array([cx, cy])
             rows[:2] -= shift[:, None]
-            coef[:, 0] -= traj.m * shift  # coefficient 0 sums the m values
+            coef[:, 0] -= m * shift  # coefficient 0 sums the m values
             gauge_shift += math.hypot(cx, cy)
-        area, cx, cy = (float(v) for v in area_centroid_rows(*rows[:4]))
-        curve = DiscreteCurve(rows[:2].T, validate=False)
-    fields = curve._cache["geom"] = geometry_rows(rows[2:4], rows[4:])
-    if control.require_convex and fields.curvature.min() < 0.0:
+        nodes = rows[:2].T
+    frames.grow()
+    j = frames.count
+    speed_curvature(rows[2:4], rows[4:], frames.speed[j], frames.curvature[j])
+    curv = frames.curvature[j]
+    if control.require_convex and curv.min() < 0.0:
         raise ConvexityLost("curvature changed sign %s" % where)
-    max_curv = float(np.abs(fields.curvature).max())
-    traj.times.append(float(t))
-    traj.curves.append(curve)
-    for col, v in zip(_SERIES_COLUMNS, (t, area, cx, cy, max_curv, gauge_shift)):
-        traj.series[col].append(float(v))
+    max_curv = float(np.abs(curv).max())
+    frames.points[j] = nodes
+    frames.tangent[j] = rows[2:4].T
+    frames.record[j] = (t, area, cx, cy, max_curv, gauge_shift)
+    frames.count += 1
     return coef, rows, area, max_curv
 
 
@@ -371,10 +487,14 @@ def run_flows(curves, picture: str, end: float | None = None, *,
     picture is "mcf" (`end` = optional t_end, see :func:`run_mcf`) or "rmcf"
     (`end` = tau_end, see :func:`run_rmcf`). All curves need the same m. Each
     trajectory equals a run of its curve alone bit for bit. Frames leave
-    the loop at one site, frame 0 as each curve's "start" event, where a
-    curve that needs more than STEP_BUDGET steps is refused. A guard failure
-    raises its typed error naming the curve's index and time; a
-    ConvexityLost at frame 0 carries that index as `start`.
+    the loop at one site, `_emit_frame`, frame 0 as each curve's "start"
+    event, where a curve that needs more than STEP_BUDGET steps is refused.
+    Each frame is written in place into row j of its trajectory's stacks,
+    sized up front for "rmcf" (one row per frame time and frame 0) and
+    doubled as needed for "mcf"; after the loop one pass per trajectory
+    completes them (`_FrameRows.close`). A guard failure raises its typed
+    error naming the curve's index and time; a ConvexityLost at frame 0
+    carries that index as `start`.
     """
     control = control or StepControl()
     rescaled = picture == "rmcf"
@@ -412,8 +532,9 @@ def run_flows(curves, picture: str, end: float | None = None, *,
     for k, curve in enumerate(curves):
         coef[k] = np.fft.rfft(curve.points.T, axis=1)
     rows = np.empty((3, n, 2, m))
-    trajs = [FlowTrajectory(picture, m, series={c: [] for c in _SERIES_COLUMNS})
-             for _ in curves]
+    trajs = [FlowTrajectory(picture, m) for _ in curves]
+    frames = [_FrameRows(len(frame_times) + 1 if rescaled else _MCF_ROWS, m)
+              for _ in curves]
     ids, times, goals, events = list(range(n)), [0.0] * n, [0] * n, ["start"] * n
 
     def where(k):
@@ -428,7 +549,7 @@ def run_flows(curves, picture: str, end: float | None = None, *,
                 continue
             try:  # a resampled or regauged frame's rows replace the step's
                 coef[k], frame_rows, area, max_curv = _emit_frame(
-                    trajs[ids[k]], times[k], coef[k], control, gauge, where(k))
+                    frames[ids[k]], times[k], coef[k], control, gauge, where(k))
             except ConvexityLost as exc:
                 exc.start = ids[k] if events[k] == "start" else None
                 raise
@@ -497,8 +618,8 @@ def run_flows(curves, picture: str, end: float | None = None, *,
             events.append(event)
         coef = _imex_step(coef, g2, d2, np.array(dts)[:, None], rescaled)
         rows = None
-    for traj in trajs:
-        traj.series = {k: np.asarray(v, dtype=float) for k, v in traj.series.items()}
+    for stacks, traj in zip(frames, trajs):
+        stacks.close(traj, gauge)
     return trajs
 
 

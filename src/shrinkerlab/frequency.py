@@ -22,7 +22,8 @@ ratio and the residual columns) runs over blocks of frames in stacked
 passes, each frame's numbers those of the frame alone, and its frames stay
 stacked as (frames, m) rows throughout. Its base half (Itilde, F, D, the C2
 norm of phi, their integrals and theta) comes from `_frames` and `_approach`
-of the base trajectory. `shrinker_energy` gives Itilde of a single curve.
+of the base trajectory's stacked rows. `shrinker_energy` gives Itilde of a
+single curve, `shrinker_energies` of every frame of a trajectory.
 """
 
 from __future__ import annotations
@@ -36,11 +37,11 @@ from . import ioutil, spectral
 from .curvegeo import (
     STACK_NODES,
     DiscreteCurve,
-    f_functional,
     frame_blocks,
+    gaussian_density,
     gaussian_weights,
-    geometry,
     shrinker_quantity,
+    shrinker_rows,
 )
 from .errors import FrameMissing, NotAGraph
 from .gauge import arc_rows, normal_graphs, residuals
@@ -50,6 +51,7 @@ __all__ = [
     "ROUND_F_VALUE",
     "FrequencyTrace",
     "shrinker_energy",
+    "shrinker_energies",
     "superexponential_flag",
     "monitor",
 ]
@@ -67,36 +69,46 @@ def _itilde(weights: np.ndarray, phi: np.ndarray):
     return np.sum(weights * phi * phi, axis=-1) / math.sqrt(4.0 * math.pi)
 
 
-def _frames(curves) -> dict:
-    """The base diagnostics of curves of one m, stacked: the Gaussian
-    quadrature weights and the shrinker deviation phi as (k, m) rows; as
-    (k,) columns the values of shrinker_energy (itilde) and f_functional
-    (f), the sup norm of phi and its first two arc derivatives (c2), and
-    the error budget D without its dphi/dtau term (d_static, see
-    _approach). The curves of each `frame_blocks` block go in one pass, the
-    arc derivatives of phi by one stacked `arc_rows`, each row equal to
-    that of its curve alone."""
-    k, m = len(curves), curves[0].m
+def _base_rows(traj, block):
+    """The Gaussian quadrature weights and phi of the frames in `block` of
+    a trajectory as (frames, m) rows, with their stacked geometry, each row
+    that of `gaussian_weights` and `shrinker_quantity` of its frame alone."""
+    points, geom = traj.stacked(block)
+    weights = geom.arclength_weights * gaussian_density(points)
+    return weights, shrinker_rows(points, geom), geom
+
+
+def _frames(traj) -> dict:
+    """The base diagnostics of the frames of a trajectory, stacked: the
+    Gaussian quadrature weights and the shrinker deviation phi as (k, m)
+    rows; as (k,) columns the values of shrinker_energy (itilde) and
+    f_functional (f), the sup norm of phi and its first two arc derivatives
+    (c2), and the error budget D without its dphi/dtau term (d_static, see
+    _approach). The frames of each `frame_blocks` block go in one pass over
+    the trajectory's stacked rows, the arc derivatives of phi by one stacked
+    `arc_rows`, each row equal to that of its curve alone. Each curve keeps
+    its row of the weights as its cached `gaussian_weights`."""
+    k, m = len(traj), traj.m
     cols = {"weights": np.empty((k, m)), "phi": np.empty((k, m)),
             "itilde": np.empty(k), "f": np.empty(k), "c2": np.empty(k),
             "d_static": np.empty(k)}
     for block in frame_blocks(k, m, STACK_NODES):
-        part = curves[block]
-        weights = np.stack([gaussian_weights(c) for c in part])
-        phi = np.stack([shrinker_quantity(c) for c in part])
-        h = np.stack([geometry(c).curvature for c in part])
-        phi_s, phi_ss = arc_rows(
-            np.stack([geometry(c).metric_speed for c in part]), phi)
+        weights, phi, geom = _base_rows(traj, block)
+        h = geom.curvature
+        phi_s, phi_ss = arc_rows(geom.metric_speed, phi)
         sup_phi = np.abs(phi).max(axis=1)
         metric_term = np.abs(2.0 * phi * h).max(axis=1)
         curv_term = np.abs(2.0 * h * phi_ss + 2.0 * phi * h ** 3).max(axis=1)
         cols["weights"][block] = weights
         cols["phi"][block] = phi
         cols["itilde"][block] = _itilde(weights, phi)
-        cols["f"][block] = [f_functional(c) for c in part]
+        cols["f"][block] = weights.sum(axis=1) / np.sqrt(4.0 * np.pi)
         cols["c2"][block] = (sup_phi + np.abs(phi_s).max(axis=1)
                              + np.abs(phi_ss).max(axis=1))
         cols["d_static"][block] = metric_term + curv_term + sup_phi
+    cols["weights"].flags.writeable = False
+    for curve, row in zip(traj.curves, cols["weights"]):
+        curve._cache.setdefault("gauss", row)
     return cols
 
 
@@ -110,6 +122,16 @@ def shrinker_energy(curve: DiscreteCurve) -> float:
     diagnostics of the monitor.
     """
     return float(_itilde(gaussian_weights(curve), shrinker_quantity(curve)))
+
+
+def shrinker_energies(traj) -> np.ndarray:
+    """`shrinker_energy` of every frame of a trajectory, bit for bit, from
+    its stacked rows in blocks of STACK_NODES nodes."""
+    out = np.empty(len(traj))
+    for block in frame_blocks(len(traj), traj.m, STACK_NODES):
+        weights, phi, _ = _base_rows(traj, block)
+        out[block] = _itilde(weights, phi)
+    return out
 
 
 def _approach(taus: np.ndarray, frames: dict) -> dict:
@@ -255,7 +277,7 @@ def monitor(base_traj, target_traj, *,
         raise NotAGraph("frame pair at tau = %.6g: %s" % (taus[exc.frame], exc))
     _, _, lambda_bound = spectral.rayleigh_bound(base_traj,
                                                  stride=max(1, k // 12))
-    frames = _frames(curves)
+    frames = _frames(base_traj)
     base = _approach(taus, frames)
 
     # per frame: I, U, the measure correction and the Dirichlet ratio, U

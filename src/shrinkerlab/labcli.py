@@ -34,7 +34,7 @@ from .errors import (ConfigInvalid, ConvexityLost, EnergyUnderflow, InvalidCurve
                      NotAGraph, NotShrinking, ShrinkerLabError, WindowTooShort)
 from .flowcore import (CFL_MAX, GAUGES, StepControl, estimate_singularity,
                        run_flows, run_mcf, run_rmcf, step_curvature)
-from .frequency import monitor, shrinker_energy, superexponential_flag
+from .frequency import monitor, shrinker_energies, superexponential_flag
 from .gauge import graph_hausdorff, normal_graphs, reconstruct, residuals
 from .spectral import assemble, eigenpairs
 
@@ -600,7 +600,7 @@ def experiment_rate(config: ScenarioConfig) -> dict:
     1986). Each frame is compared with the round limit through its support
     function h at node resolution: the Hausdorff distance sup|h - sqrt(2)|
     of every frame by one `distance_to_circle` call and the L2 size of the
-    shrinker quantity by `shrinker_energy`, both fitted over the trailing
+    shrinker quantity by `shrinker_energies`, both fitted over the trailing
     window, on the frames whose distance is above _DH_FLOOR, against the
     rate 1 - k^2/2 of the dominant initial mode k, the largest rfft
     amplitude over k >= 2 of h - sqrt(2) at the m grid normal angles of
@@ -618,7 +618,7 @@ def experiment_rate(config: ScenarioConfig) -> dict:
 
     taus = np.asarray(traj.times, dtype=float)
     dh = distance_to_circle(traj.curves, radius)
-    phi_l2 = np.sqrt([shrinker_energy(frame) for frame in traj.curves])
+    phi_l2 = np.sqrt(shrinker_energies(traj))
 
     if not np.any(dh > _DH_FLOOR):
         mode = predicted = dh_slope = phi_slope = None

@@ -98,7 +98,7 @@ def test_gradient_flow_identity(rmcf_mixed_512, rmcf_radial_256):
 def test_integrability_tail(rmcf_convex_128):
     """Late-time integrals of phi's size and the drift coefficient stall."""
     traj, _ = rmcf_convex_128
-    series = _approach(np.asarray(traj.times), _frames(traj.curves))
+    series = _approach(np.asarray(traj.times), _frames(traj))
     taus = series["tau"]
     cum_phi = cumtrapz(taus, series["phiL2"])
     cum_d = cumtrapz(taus, series["D"])

@@ -29,7 +29,7 @@ from shrinkerlab.curvegeo import (_ROWS, TWO_PI, DiscreteCurve,
                                   geometry, hausdorff_distance, random_fourier,
                                   resample, star_angles)
 from shrinkerlab.errors import InvalidCurve, NotAGraph
-from shrinkerlab.flowcore import run_flows, run_rmcf
+from shrinkerlab.flowcore import FlowTrajectory, run_flows, run_rmcf
 from shrinkerlab.gauge import (graph_hausdorff, normal_graph,
                               reconstruct)
 
@@ -766,8 +766,10 @@ def test_batched_distance_memory_is_bounded():
 def test_shrinker_energy_is_the_monitor_itilde():
     for curve in (random_fourier(5, 0.08, seed=2, m=128),
                   ellipse(1.3, 0.8, m=64), circle(1.1, m=64)):
+        one = FlowTrajectory(picture="rmcf", m=curve.m, times=[0.0],
+                             curves=[curve])
         assert frequency.shrinker_energy(curve) == \
-            frequency._frames([curve])["itilde"][0]
+            frequency._frames(one)["itilde"][0]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from shrinkerlab.errors import (
     BlowupDetected,
     ConvexityLost,
     FrameMissing,
+    InterpolationFailure,
     InvalidCurve,
     NotShrinking,
     StepRejected,
@@ -349,13 +350,20 @@ def test_frames_stay_uniformly_sampled():
 # batched runs
 # ---------------------------------------------------------------------------
 
+GEOMETRY_NAMES = ("tangent", "normal", "curvature", "arclength_weights",
+                  "metric_speed")
+
+
 def assert_same_trajectory(batched, solo):
-    """Bit for bit: times, step count, every frame's points and every series
-    column."""
+    """Bit for bit: times, step count, every frame's points, the stacked
+    geometry and every series column."""
     assert batched.times == solo.times
     assert batched.steps == solo.steps
     for a, b in zip(batched.curves, solo.curves, strict=True):
         assert np.array_equal(a.points, b.points)
+    for name in GEOMETRY_NAMES:
+        assert np.array_equal(getattr(batched.geom, name),
+                              getattr(solo.geom, name)), name
     assert list(batched.series) == list(solo.series)
     for col, values in solo.series.items():
         assert np.array_equal(batched.series[col], values), col
@@ -375,6 +383,16 @@ def test_batched_gauged_rmcf_matches_solo_runs():
     for curve, traj in zip(curves, trajs):
         assert_same_trajectory(traj, run_rmcf(curve, 0.3, frame_dtau=0.1,
                                               gauge="area-centroid"))
+
+
+@pytest.mark.parametrize("gauge", ["none", "area"])
+def test_batched_rmcf_matches_solo_runs_under_each_gauge(gauge):
+    curves = [fourier_curve(1.3, (0.08, -0.04), (0.02, 0.05), m=128),
+              ellipse(1.5, 1.2, center=(0.1, 0.0), m=128)]
+    trajs = run_flows(curves, "rmcf", 0.3, frame_dtau=0.1, gauge=gauge)
+    for curve, traj in zip(curves, trajs):
+        assert_same_trajectory(traj, run_rmcf(curve, 0.3, frame_dtau=0.1,
+                                              gauge=gauge))
 
 
 def test_batch_curves_stopping_at_different_steps():
@@ -421,6 +439,22 @@ def dimpled_rows(m):
     return fourier_curve(1.0, (0.0, 0.3), m=m).points.T
 
 
+def corrupt_first_step(monkeypatch, rows_of) -> list:
+    """Make the first step hand back curve 1 as `rows_of`; the list it
+    returns receives that step's dt."""
+    step, dts = flowcore._imex_step, []
+
+    def corrupted(coef, g2, d2, dt, rescaled):
+        out = step(coef, g2, d2, dt, rescaled)
+        if not dts:
+            dts.append(float(dt[1, 0]))
+            out[1] = np.fft.rfft(rows_of(d2.shape[-1]), axis=1)  # x, y
+        return out
+
+    monkeypatch.setattr(flowcore, "_imex_step", corrupted)
+    return dts
+
+
 @pytest.mark.parametrize("rows_of, stride, error, what", [
     (nan_rows, 1, BlowupDetected, "non-finite positions"),
     (cusp_rows, 1, BlowupDetected, "parametrization collapsed"),
@@ -432,22 +466,37 @@ def test_step_guards_name_curve_and_time(monkeypatch, rows_of, stride, error,
     """The first step hands back curve 1 as `rows_of`, between frames: the
     full guards at the next step (every step at stride 1) or, between
     them, the per-step NaN sentinel raise their typed error there."""
-    step, dts = flowcore._imex_step, []
-
-    def corrupted(coef, g2, d2, dt, rescaled):
-        out = step(coef, g2, d2, dt, rescaled)
-        if not dts:
-            dts.append(float(dt[1, 0]))
-            out[1] = np.fft.rfft(rows_of(d2.shape[-1]), axis=1)  # x, y
-        return out
-
-    monkeypatch.setattr(flowcore, "_imex_step", corrupted)
+    dts = corrupt_first_step(monkeypatch, rows_of)
     monkeypatch.setattr(flowcore, "_GUARD_STRIDE", stride)
     with pytest.raises(error) as info:
         run_flows([circle(SQRT2, m=64)] * 2, "rmcf", 1.0, frame_dtau=1.0,
                   control=StepControl(require_convex=True))
     assert str(info.value) == "%s in curve 1 at tau=%.6g" % (what, dts[0])
     assert getattr(info.value, "start", None) is None  # not a start's error
+
+
+@pytest.mark.parametrize("gauge", ["none", "area-centroid"])
+@pytest.mark.parametrize("rows_of, error, message", [
+    (nan_rows, InvalidCurve, "points contain non-finite values"),
+    (cusp_rows, InterpolationFailure, "degenerate parametrization"),
+    (dimpled_rows, ConvexityLost, "curvature changed sign in curve 1 at tau={tau}"),
+])
+def test_frame_step_rows_fail_at_the_emission_site(monkeypatch, rows_of, error,
+                                                   message, gauge):
+    """The same corruption on a step that lands on frame 1 (frame_dtau is
+    the first step): the emission site checks the rows before any step
+    guard does. The frame's node check, the resample of its collapsed
+    parametrization and its curvature row raise there, the last naming
+    curve and time."""
+    dts = corrupt_first_step(monkeypatch, rows_of)
+    control = StepControl(require_convex=True)
+    dt = cfl_timestep(circle(SQRT2, m=64), control)
+    with pytest.raises(error) as info:
+        run_flows([circle(SQRT2, m=64)] * 2, "rmcf", 1.0, frame_dtau=dt,
+                  gauge=gauge, control=control)
+    assert dts == [dt]
+    assert str(info.value) == message.format(tau="%.6g" % dt)
+    assert getattr(info.value, "start", None) is None
 
 
 def test_batch_rejects_mixed_resolutions():
@@ -560,6 +609,56 @@ def test_frames_npy_is_np_save_of_the_stacked_frames(tmp_path):
     assert (tmp_path / "frames.npy").read_bytes() == expected.getvalue()
 
 
+@pytest.mark.parametrize("picture, end, gauge", [("rmcf", 0.3, "area-centroid"),
+                                                 ("rmcf", 0.3, "area"),
+                                                 ("mcf", None, "none")])
+def test_frames_are_read_only_views_of_the_stacks(monkeypatch, tmp_path,
+                                                  picture, end, gauge):
+    """A run writes its frames as stacked rows: each curve and its cached
+    geometry are views of row j that refuse writes, each series row is
+    area_centroid_rows of that frame's own rows, and frames.npy is the
+    points stack, which load and save reproduce byte for byte. The mcf run
+    to its stop curvature writes more frames than its stacks first hold."""
+    d1_rows = []
+    kernel = flowcore.speed_curvature
+
+    def spy(d1, d2, speed, curvature):
+        d1_rows.append(d1.copy())  # the frame's x_theta rows, gauged
+        return kernel(d1, d2, speed, curvature)
+
+    monkeypatch.setattr(flowcore, "speed_curvature", spy)
+    # arclength-uniform nodes, which the flow keeps within the resample ratio
+    curve = curvegeo.resample(fourier_curve(SQRT2, (0.0, 0.02), (0.0, 0.0, 0.01),
+                                            m=64))
+    traj = run_flows([curve], picture, end, frame_dtau=0.05, gauge=gauge)[0]
+    assert len(traj) > (3 if end else flowcore._MCF_ROWS)
+    assert len(d1_rows) == len(traj)
+    assert traj.points.shape == (len(traj), 64, 2)
+    for j, frame in enumerate(traj.curves):
+        assert np.shares_memory(frame.points, traj.points)
+        assert np.array_equal(frame.points, traj.points[j])
+        cached = frame._cache["geom"]
+        for name in GEOMETRY_NAMES:
+            row, stack = getattr(cached, name), getattr(traj.geom, name)
+            assert np.shares_memory(row, stack), name
+            assert np.array_equal(row, stack[j]), name
+            with pytest.raises(ValueError, match="read-only"):
+                row[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            frame.points[0, 0] = 0.0
+        alone = curvegeo.area_centroid_rows(*frame.points.T, *d1_rows[j])
+        assert tuple(traj.series[c][j] for c in ("area", "cx", "cy")) == alone
+    with pytest.raises(ValueError, match="read-only"):
+        traj.points[0, 0, 0] = 0.0
+    traj.save(tmp_path / "a")
+    FlowTrajectory.load(tmp_path / "a").save(tmp_path / "b")
+    written = (tmp_path / "a" / "frames.npy").read_bytes()
+    assert (tmp_path / "b" / "frames.npy").read_bytes() == written
+    expected = io.BytesIO()
+    np.save(expected, traj.points)
+    assert written == expected.getvalue()
+
+
 def test_save_streams_frames_without_a_stacked_copy(tmp_path):
     m, n = 512, 200
     curves = [circle(1.0 + 1e-3 * j, m=m) for j in range(n)]
@@ -638,7 +737,7 @@ def test_frames_cache_the_geometry_of_their_own_rows(monkeypatch):
     m = 256
     start = reconstruct(circle(SQRT2, m=m), 0.1 * np.cos(2 * fourier.grid(m)))
     traj = run_flows([start], "rmcf", 0.3, frame_dtau=0.05, gauge="none")[0]
-    assert traj.curves[0] is resampled[0]
+    assert np.array_equal(traj.curves[0].points, resampled[0].points)
     assert len(resampled) < len(traj)
     names = ("tangent", "normal", "curvature", "arclength_weights",
              "metric_speed")
@@ -648,7 +747,7 @@ def test_frames_cache_the_geometry_of_their_own_rows(monkeypatch):
         fresh = curvegeo.geometry_rows(d1.T, d2.T)
         for name in names:
             got, want = getattr(cached, name), getattr(fresh, name)
-            if any(frame is c for c in resampled):
+            if any(np.array_equal(frame.points, c.points) for c in resampled):
                 assert np.array_equal(got, want), name
             else:
                 assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
@@ -660,10 +759,9 @@ def test_clockwise_rows_raise_blowup(gauge):
     error, not reversed."""
     m = 64
     clockwise = circle(1.0, m=m).points[::-1]
-    traj = FlowTrajectory(picture="rmcf", m=m)
-    traj.series = {c: [] for c in flowcore._SERIES_COLUMNS}
+    frames = flowcore._FrameRows(1, m)
     with pytest.raises(BlowupDetected,
                        match=r"^enclosed area -3.14 is not positive at tau=1$"):
-        flowcore._emit_frame(traj, 1.0, np.fft.rfft(clockwise.T, axis=1),
+        flowcore._emit_frame(frames, 1.0, np.fft.rfft(clockwise.T, axis=1),
                              StepControl(), gauge, "at tau=1")
-    assert traj.curves == []
+    assert frames.count == 0

@@ -32,8 +32,8 @@ def mode(m, k, amp=1.0, phase="cos"):
 
 def approach(traj):
     """The monitor's base half of one trajectory: `_approach` over the
-    `_frames` columns of its curves at its frame times."""
-    return _approach(np.asarray(traj.times), _frames(traj.curves))
+    `_frames` columns of its frames at its frame times."""
+    return _approach(np.asarray(traj.times), _frames(traj))
 
 
 def static_round_traj(n, dtau=0.02, m=128):
