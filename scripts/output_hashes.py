@@ -63,7 +63,12 @@ def main(argv=None) -> int:
         with open(path) as fh:
             text = fh.read()
         scenario = labcli.parse_config_text(text)["scenario"]
-        want = int(re.search(r"^# exit: (\d+)$", text, re.M).group(1))
+        want = re.search(r"^# exit: (\d+)$", text, re.M)
+        if want is None:
+            print("error: %s: no '# exit: N' line" % path, file=sys.stderr)
+            status = 1
+            continue
+        want = int(want.group(1))
         out = os.path.join(args.out, "reruns",
                            os.path.splitext(os.path.basename(path))[0])
         shutil.rmtree(out, ignore_errors=True)

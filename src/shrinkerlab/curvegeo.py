@@ -395,10 +395,21 @@ def gaussian_weights(curve: DiscreteCurve) -> np.ndarray:
     """
     weights = curve._cache.get("gauss")
     if weights is None:
-        weights = geometry(curve).arclength_weights * gaussian_density(curve.points)
+        weights = gaussian_weight_rows(curve.points, geometry(curve))
         weights.flags.writeable = False
         curve._cache["gauss"] = weights
     return weights
+
+
+def gaussian_weight_rows(points: np.ndarray, geom: GeometryFields) -> np.ndarray:
+    """`gaussian_weights` from (..., m, 2) points and the geometry fields of
+    the same rows, row for row that of each curve alone."""
+    return geom.arclength_weights * gaussian_density(points)
+
+
+def gaussian_mass(weights: np.ndarray) -> np.ndarray:
+    """`f_functional` of each (..., m) row of Gaussian weights."""
+    return weights.sum(axis=-1) / np.sqrt(4.0 * np.pi)
 
 
 def shrinker_quantity(curve: DiscreteCurve) -> np.ndarray:
@@ -418,7 +429,7 @@ def shrinker_rows(points: np.ndarray, geom: GeometryFields) -> np.ndarray:
 
 def f_functional(curve: DiscreteCurve) -> float:
     """Normalized Gaussian length (4*pi)^(-1/2) * integral exp(-|x|^2/4) ds."""
-    return float(gaussian_weights(curve).sum()) / np.sqrt(4.0 * np.pi)
+    return float(gaussian_mass(gaussian_weights(curve)))
 
 
 #: Newton steps refine_extrema takes at most on each extremum

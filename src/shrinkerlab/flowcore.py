@@ -150,13 +150,12 @@ def _imex_step(u, g2, d2, dt, rescaled: bool) -> np.ndarray:
     g2 (n, m) and d2 (n, 2, m) are their metric and second derivatives, dt an
     (n, 1) column. sigma * x_thth decays exactly, by e^z, z = -sigma*dt*k^2;
     N = (1/g^2 - sigma) * x_thth (+ x/2 when rescaled) takes four stages,
-    whose irffts share one output; its x_theta rows hold the product that N
-    transforms once g^2 is formed.
+    whose syntheses share one output; its x_theta rows hold the product that
+    N transforms once g^2 is formed.
     """
     m, n = d2.shape[-1], g2.shape[0]
     sigma = 1.0 / g2.min(axis=1, keepdims=True)
-    m1, m2 = fourier.deriv12_multipliers(m)
-    z = (sigma * dt) * m2
+    z = (sigma * dt) * fourier.deriv12_multipliers(m)[1]
     # one array of the z/2 rows, then the z rows; x and y rows share them
     e, p1, p2, p3 = (p.reshape(2, n, 1, -1)
                      for p in _phi(np.concatenate([0.5 * z, z])))
@@ -167,13 +166,9 @@ def _imex_step(u, g2, d2, dt, rescaled: bool) -> np.ndarray:
     def slope(y, g2=None, d2=None):
         """N of the (n, 2, m/2 + 1) rows y; g2 and d2 from y unless given."""
         if d2 is None:
-            # the synthesis block lives only for its irfft: held through
-            # the step, it would add to the step's peak memory
-            block = np.empty((2,) + y.shape, dtype=complex)
-            np.multiply(y, m1, out=block[0])
-            np.multiply(y, m2, out=block[1])
-            d1, d2 = np.fft.irfft(block, n=m, axis=-1, out=d)
-            del block
+            fourier.synth_rows(y.reshape(-1, m // 2 + 1), m, with_values=False,
+                               out=d.reshape(-1, m))
+            d1, d2 = d
             gx, gy = d1[:, 0], d1[:, 1]
             g2 = gx * gx + gy * gy
         s = np.fft.rfft(np.multiply(d2, (1.0 / g2 - sigma)[:, None], out=d[0]),
@@ -307,9 +302,8 @@ class FlowTrajectory:
 
     def save(self, outdir) -> list:
         """Write frames.npy, index.json and series.csv; returns written paths.
-        frames.npy is np.save of the (frames, m, 2) node positions: the
-        stacked points in one write, or else streamed frame by frame after
-        its header, so no stacked copy is made."""
+        frames.npy is np.save of the (frames, m, 2) node positions, streamed
+        frame by frame after its header, so no stacked copy is made."""
         outdir = os.fspath(outdir)
         os.makedirs(outdir, exist_ok=True)
         paths = [os.path.join(outdir, name)
@@ -318,11 +312,8 @@ class FlowTrajectory:
             np.lib.format.write_array_header_1_0(fh, {
                 "descr": "<f8", "fortran_order": False,
                 "shape": (len(self.curves), self.m, 2)})
-            if self.points is not None:
-                fh.write(self.points.astype("<f8", copy=False).data)
-            else:
-                for curve in self.curves:
-                    fh.write(curve.points.astype("<f8", copy=False).tobytes())
+            for curve in self.curves:
+                fh.write(curve.points.astype("<f8", copy=False).tobytes())
         ioutil.dump_json({"picture": self.picture,
                           "times": [float(t) for t in self.times],
                           "m": self.m, "singularData": self.singular_data},
@@ -381,10 +372,12 @@ class _FrameRows:
         self.record = np.empty((rows, len(_SERIES_COLUMNS)))
 
     def _resize(self, rows: int) -> None:
-        # in place: no view of a stack exists while the run writes them
-        for stack in (self.points, self.tangent, self.speed, self.curvature,
-                      self.record):
-            stack.resize((rows,) + stack.shape[1:], refcheck=False)
+        # into new stacks of `rows` rows, the rows written copied over
+        for name in ("points", "tangent", "speed", "curvature", "record"):
+            stack = getattr(self, name)
+            new = np.empty((rows,) + stack.shape[1:])
+            new[:self.count] = stack[:self.count]
+            setattr(self, name, new)
 
     def grow(self) -> None:
         if self.count == len(self.record):

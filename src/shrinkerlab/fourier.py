@@ -78,12 +78,14 @@ def deriv12(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out[:r].T.reshape(values.shape), out[r:].T.reshape(values.shape)
 
 
-def synth_rows(coef: np.ndarray, m: int, with_values: bool = True) -> np.ndarray:
+def synth_rows(coef: np.ndarray, m: int, with_values: bool = True,
+               out: np.ndarray | None = None) -> np.ndarray:
     """Sample rows and their theta-derivatives from rfft rows, in one irfft.
 
     `coef` is the rfft along the last axis of r rows. Returns the (3r, m)
-    stack [values; d/dtheta; d2/dtheta2], or (2r, m) without the values;
-    the multipliers are those of :func:`deriv12`.
+    stack [values; d/dtheta; d2/dtheta2], or (2r, m) without the values,
+    written into `out` when given; the multipliers are those of
+    :func:`deriv12`.
     """
     m1, m2 = deriv12_multipliers(m)
     r = coef.shape[0]
@@ -92,7 +94,7 @@ def synth_rows(coef: np.ndarray, m: int, with_values: bool = True) -> np.ndarray
         block[:r] = coef
     np.multiply(coef, m1, out=block[-2 * r:-r])
     np.multiply(coef, m2, out=block[-r:])
-    return np.fft.irfft(block, n=m, axis=1)
+    return np.fft.irfft(block, n=m, axis=1, out=out)
 
 
 def staggered_multiplier(m: int) -> np.ndarray:

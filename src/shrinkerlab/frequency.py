@@ -38,7 +38,8 @@ from .curvegeo import (
     STACK_NODES,
     DiscreteCurve,
     frame_blocks,
-    gaussian_density,
+    gaussian_mass,
+    gaussian_weight_rows,
     gaussian_weights,
     shrinker_quantity,
     shrinker_rows,
@@ -74,8 +75,7 @@ def _base_rows(traj, block):
     a trajectory as (frames, m) rows, with their stacked geometry, each row
     that of `gaussian_weights` and `shrinker_quantity` of its frame alone."""
     points, geom = traj.stacked(block)
-    weights = geom.arclength_weights * gaussian_density(points)
-    return weights, shrinker_rows(points, geom), geom
+    return gaussian_weight_rows(points, geom), shrinker_rows(points, geom), geom
 
 
 def _frames(traj) -> dict:
@@ -86,8 +86,7 @@ def _frames(traj) -> dict:
     (c2), and the error budget D without its dphi/dtau term (d_static, see
     _approach). The frames of each `frame_blocks` block go in one pass over
     the trajectory's stacked rows, the arc derivatives of phi by one stacked
-    `arc_rows`, each row equal to that of its curve alone. Each curve keeps
-    its row of the weights as its cached `gaussian_weights`."""
+    `arc_rows`, each row equal to that of its curve alone."""
     k, m = len(traj), traj.m
     cols = {"weights": np.empty((k, m)), "phi": np.empty((k, m)),
             "itilde": np.empty(k), "f": np.empty(k), "c2": np.empty(k),
@@ -102,13 +101,10 @@ def _frames(traj) -> dict:
         cols["weights"][block] = weights
         cols["phi"][block] = phi
         cols["itilde"][block] = _itilde(weights, phi)
-        cols["f"][block] = weights.sum(axis=1) / np.sqrt(4.0 * np.pi)
+        cols["f"][block] = gaussian_mass(weights)
         cols["c2"][block] = (sup_phi + np.abs(phi_s).max(axis=1)
                              + np.abs(phi_ss).max(axis=1))
         cols["d_static"][block] = metric_term + curv_term + sup_phi
-    cols["weights"].flags.writeable = False
-    for curve, row in zip(traj.curves, cols["weights"]):
-        curve._cache.setdefault("gauss", row)
     return cols
 
 
