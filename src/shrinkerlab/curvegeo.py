@@ -279,14 +279,14 @@ class DiscreteCurve:
     are stored read-only; operations return new curves.
     """
 
-    __slots__ = ("points", "m", "_cache")
+    __slots__ = ("points", "m", "_geom")
 
     def __init__(self, points, *, validate: bool = True):
         pts = _checked_nodes(np.array(points, dtype=float), validate)
         pts.flags.writeable = False
         self.points = pts
         self.m = pts.shape[0]
-        self._cache = {}
+        self._geom = None
 
     @classmethod
     def _view(cls, points: np.ndarray, validate=None) -> "DiscreteCurve":
@@ -300,7 +300,7 @@ class DiscreteCurve:
         curve.points = points.view()
         curve.points.flags.writeable = False
         curve.m = points.shape[0]
-        curve._cache = {}
+        curve._geom = None
         return curve
 
     # -- basic derived quantities ------------------------------------------
@@ -380,25 +380,16 @@ def geometry_rows(d1: np.ndarray, d2: np.ndarray) -> GeometryFields:
 
 def geometry(curve: DiscreteCurve) -> GeometryFields:
     """Spectral differential geometry fields of `curve`, see
-    :func:`geometry_rows`. Results are cached on the curve."""
-    cached = curve._cache.get("geom")
-    if cached is None:
+    :func:`geometry_rows`. Cached on the curve, its one cached field."""
+    if curve._geom is None:
         d1, d2 = fourier.deriv12(curve.points)
-        cached = curve._cache["geom"] = geometry_rows(d1.T, d2.T)
-    return cached
+        curve._geom = geometry_rows(d1.T, d2.T)
+    return curve._geom
 
 
 def gaussian_weights(curve: DiscreteCurve) -> np.ndarray:
-    """Per-node quadrature weights of the Gaussian measure exp(-|x|^2/4) ds.
-
-    Cached on the curve (read-only), like `geometry`.
-    """
-    weights = curve._cache.get("gauss")
-    if weights is None:
-        weights = gaussian_weight_rows(curve.points, geometry(curve))
-        weights.flags.writeable = False
-        curve._cache["gauss"] = weights
-    return weights
+    """Per-node quadrature weights of the Gaussian measure exp(-|x|^2/4) ds."""
+    return gaussian_weight_rows(curve.points, geometry(curve))
 
 
 def gaussian_weight_rows(points: np.ndarray, geom: GeometryFields) -> np.ndarray:

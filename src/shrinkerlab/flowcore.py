@@ -49,6 +49,7 @@ from .errors import (
     BlowupDetected,
     ConvexityLost,
     FrameMissing,
+    InterpolationFailure,
     InvalidCurve,
     NotShrinking,
     StepRejected,
@@ -411,7 +412,7 @@ class _FrameRows:
         for j in range(n):
             row, row_geom = traj.stacked(j)
             curve = DiscreteCurve._view(row)
-            curve._cache["geom"] = row_geom
+            curve._geom = row_geom
             traj.curves.append(curve)
 
 
@@ -427,22 +428,29 @@ def _emit_frame(frames: _FrameRows, t, coef, control, gauge, where):
     before the gauge, the gauge, the metric speed and curvature rows
     (DegenerateCurve below METRIC_FLOOR), the convexity check and max
     |kappa|; `_FrameRows.close` builds the rest of the record after the
-    run. The flow keeps curves counterclockwise: a frame of area <= 0
-    raises BlowupDetected. Under `require_convex` the frame's curvature row
-    is its convexity check. At frame 0 the first step reads these checked
-    rows; after a later frame the step reads rows synthesized again from
-    the regauged coefficients, equal to them up to rounding (8.9e-16 on the
-    rate-frames-256 workload), which the step's own guards check.
+    run. Rows that fail the node checks or the resample go through the
+    step guards, which name curve and time. The flow keeps curves
+    counterclockwise: a frame of area <= 0 raises BlowupDetected. Under
+    `require_convex` the frame's curvature row is its convexity check. At
+    frame 0 the first step reads these checked rows; after a later frame
+    the step reads rows synthesized again from the regauged coefficients,
+    equal to them up to rounding (8.9e-16 on the rate-frames-256
+    workload), which the step's own guards check.
     Returns the working curve's rfft rows, sample rows, area and max |kappa|.
     """
     m = frames.points.shape[1]
     rows = fourier.synth_rows(coef, m)
-    curve = DiscreteCurve._view(rows[:2].T, validate=not control.require_convex)
-    nodes = curve.points
-    if curve.spacing_ratio() > _RESAMPLE_RATIO:
-        nodes = resample(curve).points
-        coef = np.fft.rfft(nodes.T, axis=1)
-        rows = fourier.synth_rows(coef, m)
+    try:
+        curve = DiscreteCurve._view(rows[:2].T, validate=not control.require_convex)
+        nodes = curve.points
+        if curve.spacing_ratio() > _RESAMPLE_RATIO:
+            nodes = resample(curve).points
+            coef = np.fft.rfft(nodes.T, axis=1)
+            rows = fourier.synth_rows(coef, m)
+    except (InvalidCurve, InterpolationFailure):  # non-finite or collapsed rows
+        _guards(rows[None, :2], *_metric(rows[None, 2:4], rows[None, 4:]),
+                control, lambda k: where)
+        raise
     area, cx, cy = (float(v) for v in area_centroid_rows(*rows[:4]))
     if not area > 0.0:
         raise BlowupDetected("enclosed area %.3g is not positive %s" % (area, where))
@@ -481,7 +489,8 @@ def run_flows(curves, picture: str, end: float | None = None, *,
     (`end` = tau_end, see :func:`run_rmcf`). All curves need the same m. Each
     trajectory equals a run of its curve alone bit for bit. Frames leave
     the loop at one site, `_emit_frame`, frame 0 as each curve's "start"
-    event, where a curve that needs more than STEP_BUDGET steps is refused.
+    event, where a curve that needs more than STEP_BUDGET steps is refused
+    ("rmcf" with more frame times than that before anything is built).
     Each frame is written in place into row j of its trajectory's stacks,
     sized up front for "rmcf" (one row per frame time and frame 0) and
     doubled as needed for "mcf"; after the loop one pass per trajectory
@@ -496,8 +505,12 @@ def run_flows(curves, picture: str, end: float | None = None, *,
             raise TimeOutOfRange("tau_end must be positive")
         if gauge not in GAUGES:
             raise ValueError("unknown gauge %r" % gauge)
-        n_frames = int(math.floor(end / frame_dtau + 1e-9))
-        frame_times = [frame_dtau * j for j in range(1, n_frames + 1)]
+        frames_to_end = end / frame_dtau + 1e-9
+        if frames_to_end >= STEP_BUDGET + 1:  # a step at least to each frame
+            raise StepRejected("curve 0 needs more than %d steps to its end time, "
+                               "one at least to each of %.6g frames"
+                               % (STEP_BUDGET, frames_to_end))
+        frame_times = [frame_dtau * j for j in range(1, int(frames_to_end) + 1)]
         if not frame_times or frame_times[-1] < end - 1e-12:
             frame_times.append(end)
     elif picture != "mcf" or gauge != "none":

@@ -116,11 +116,12 @@ def staggered_deriv(values: np.ndarray) -> np.ndarray:
 
 
 def staggered_interp(values: np.ndarray) -> np.ndarray:
-    """Trigonometric interpolation of grid values onto the half grid."""
-    m = len(values)
+    """Trigonometric interpolation of grid values onto the half grid, along
+    the last axis (rows of frames, each row as if alone)."""
+    m = np.shape(values)[-1]
     mult = np.exp(1j * _wavenumbers(m) * (np.pi / m))
     mult[-1] = 0.0  # the Nyquist cosine vanishes at half-grid points
-    return multiply(values, mult)
+    return multiply(values, mult, -1)
 
 
 def coeffs(values: np.ndarray) -> np.ndarray:

@@ -5,7 +5,7 @@ curve. The central objects:
 
   I      = integral of u^2 dmu          (energy of a graph field u)
   U      = 2 form(u, u) / I             (frequency: doubled Rayleigh quotient
-                                         of the form of `spectral.assemble`)
+                                         of the form of `spectral.assemble_rows`)
   Itilde = integral of phi^2 dmu        (squared shrinker deviation; equals
                                          -dF/dtau along any rescaled flow)
   D(tau) = sup-norm error budget of the moving base
@@ -80,17 +80,15 @@ def _base_rows(traj, block):
 
 def _frames(traj) -> dict:
     """The base diagnostics of the frames of a trajectory, stacked: the
-    Gaussian quadrature weights and the shrinker deviation phi as (k, m)
-    rows; as (k,) columns the values of shrinker_energy (itilde) and
-    f_functional (f), the sup norm of phi and its first two arc derivatives
-    (c2), and the error budget D without its dphi/dtau term (d_static, see
-    _approach). The frames of each `frame_blocks` block go in one pass over
+    shrinker deviation phi as (k, m) rows; as (k,) columns the values of
+    shrinker_energy (itilde) and f_functional (f), the sup norm of phi and
+    its first two arc derivatives (c2), and the error budget D without its
+    dphi/dtau term (d_static, see _approach). The frames of each `frame_blocks` block go in one pass over
     the trajectory's stacked rows, the arc derivatives of phi by one stacked
     `arc_rows`, each row equal to that of its curve alone."""
     k, m = len(traj), traj.m
-    cols = {"weights": np.empty((k, m)), "phi": np.empty((k, m)),
-            "itilde": np.empty(k), "f": np.empty(k), "c2": np.empty(k),
-            "d_static": np.empty(k)}
+    cols = {"phi": np.empty((k, m)), "itilde": np.empty(k), "f": np.empty(k),
+            "c2": np.empty(k), "d_static": np.empty(k)}
     for block in frame_blocks(k, m, STACK_NODES):
         weights, phi, geom = _base_rows(traj, block)
         h = geom.curvature
@@ -98,7 +96,6 @@ def _frames(traj) -> dict:
         sup_phi = np.abs(phi).max(axis=1)
         metric_term = np.abs(2.0 * phi * h).max(axis=1)
         curv_term = np.abs(2.0 * h * phi_ss + 2.0 * phi * h ** 3).max(axis=1)
-        cols["weights"][block] = weights
         cols["phi"][block] = phi
         cols["itilde"][block] = _itilde(weights, phi)
         cols["f"][block] = gaussian_mass(weights)
@@ -248,8 +245,9 @@ def monitor(base_traj, target_traj, *,
     They agree with `normal_graph` to about 1e-12 relative. The graphs, the
     base diagnostics, I, U, the Dirichlet ratio and the residuals run over
     `curvegeo.frame_blocks` of STACK_NODES nodes, as stacked rfft/irfft
-    passes (`spectral.dirichlet_rows`, `gauge.residuals`) whose rows equal
-    the per-frame calls bit for bit.
+    passes (`spectral.dirichlet_rows`, `gauge.residuals`) on one operator
+    per block (`spectral.assemble_rows` of the block's stacked rows) whose
+    rows equal the per-frame calls bit for bit.
 
     Lambda (the top eigenvalue along the base) comes from an eigensolve
     of every max(1, k // 12)-th base frame and the last, k the number of
@@ -265,10 +263,9 @@ def monitor(base_traj, target_traj, *,
     k = len(base_traj)
     if k < 5:
         raise FrameMissing("need at least 5 frames, got %d" % k)
-    curves = base_traj.curves
     taus = np.asarray(base_traj.times, dtype=float)
     try:
-        fields = normal_graphs(curves, target_traj.curves)
+        fields = normal_graphs(base_traj.curves, target_traj.curves)
     except NotAGraph as exc:
         raise NotAGraph("frame pair at tau = %.6g: %s" % (taus[exc.frame], exc))
     _, _, lambda_bound = spectral.rayleigh_bound(base_traj,
@@ -289,27 +286,24 @@ def monitor(base_traj, target_traj, *,
     spans[1:-1] = taus[2:] - taus[:-2]
     for block in frame_blocks(k, base_traj.m, STACK_NODES):
         u = fields[block]
-        weights = frames["weights"][block]
         phi = frames["phi"][block]
-        ops = [spectral.assemble(c) for c in curves[block]]
-        i_vals[block] = np.sum(weights * u * u, axis=1)
-        dirichlet = spectral.dirichlet_rows(ops, u)
-        potential = np.sum(np.stack([op.potential for op in ops]) * u * u,
-                           axis=1)
+        op = spectral.assemble_rows(*base_traj.stacked(block))
+        i_vals[block] = np.sum(op.weights * u * u, axis=1)
+        dirichlet = spectral.dirichlet_rows(op, u)
+        potential = np.sum(op.potential * u * u, axis=1)
         live = i_vals[block] > ENERGY_FLOOR
         i_live = i_vals[block][live]
         u_quot[block][live] = 2.0 * (potential - dirichlet)[live] / i_live
-        corr[block][live] = np.sum(weights * phi ** 2 * u * u,
+        corr[block][live] = np.sum(op.weights * phi ** 2 * u * u,
                                    axis=1)[live] / i_live
         dirat[block][live] = dirichlet[live] / i_live
-        inner = np.arange(k)[block]
-        inner = inner[(inner > 0) & (inner < k - 1)]
-        if not inner.size:
-            continue
-        res = residuals([curves[j] for j in inner], fields[inner - 1],
-                        fields[inner], fields[inner + 1], spans[inner] / 2)
+        index = np.arange(k)[block]
+        interior = (index > 0) & (index < k - 1)  # none in a one-frame edge block
+        inner = index[interior]
+        res = residuals(op[interior], fields[inner - 1], fields[inner],
+                        fields[inner + 1], spans[inner] / 2)
         fitted_c[inner] = res["fittedC"]
-        drift_sq[inner] = np.sum(frames["weights"][inner] * res["drift"] ** 2,
+        drift_sq[inner] = np.sum(op.weights[interior] * res["drift"] ** 2,
                                  axis=1)
     under = i_vals <= ENERGY_FLOOR
 

@@ -29,8 +29,8 @@ theta).
 
 `residuals` measures how well triples of graphs over fixed bases solve
 du/dtau = L u, the quadratic error term of the linearization, as one dict
-of stacked columns, each row bit for bit that of its frame alone;
-`residual` is the row of one frame.
+of stacked columns on one operator of the bases, each row bit for bit
+that of its frame alone; `residual` is the row of one frame.
 """
 
 from __future__ import annotations
@@ -300,14 +300,15 @@ def apply_L(base: DiscreteCurve, values) -> np.ndarray:
 def residual(base: DiscreteCurve, u_prev, u_mid, u_next, dtau: float) -> dict:
     """The `residuals` row of one frame, three equally spaced height arrays
     over base: each column a scalar, drift an (m,) array."""
-    cols = residuals([base], [u_prev], [u_mid], [u_next], dtau)
+    cols = residuals(spectral.assemble(base), [u_prev], [u_mid], [u_next], dtau)
     return {name: col[0] for name, col in cols.items()}
 
 
-def residuals(bases, u_prev, u_mid, u_next, dtau) -> dict:
-    """How far graphs u_prev[r], u_mid[r], u_next[r] (frames, m) over
-    bases[r], of one m, a dtau (or one per frame) apart, are from solving
-    du/dtau = L u, du/dtau the centered difference across the outer graphs,
+def residuals(op, u_prev, u_mid, u_next, dtau) -> dict:
+    """How far graphs u_prev[r], u_mid[r], u_next[r] (frames, m) over base
+    r, a dtau (or one per frame) apart, are from solving du/dtau = L u, L
+    the operator `op` of the bases, rows as for `spectral.apply_rows`,
+    du/dtau the centered difference across the outer graphs,
     as stacked columns over the frames: maxResidual = sup|du/dtau - L u| at
     u_mid, fittedC the smallest C with |residual| <= C (|u| + |u'|)
     nodewise, normC0 = sup|u|, normC01 = normC0 + sup|u'|, the C2 norm
@@ -321,12 +322,11 @@ def residuals(bases, u_prev, u_mid, u_next, dtau) -> dict:
     """
     u_prev, u_mid, u_next = (np.asarray(a, dtype=float)
                              for a in (u_prev, u_mid, u_next))
-    dtau = np.broadcast_to(np.asarray(dtau, dtype=float), (len(bases),))
+    dtau = np.broadcast_to(np.asarray(dtau, dtype=float), (len(u_mid),))
     du_dt = (u_next - u_prev) / (2.0 * dtau[:, None])
-    drift = spectral.apply_rows([spectral.assemble(b) for b in bases], u_mid)
+    drift = spectral.apply_rows(op, u_mid)
     res = np.abs(du_dt - drift)
-    du, d2u = arc_rows(np.stack([geometry(b).metric_speed for b in bases]),
-                       u_mid)
+    du, d2u = arc_rows(op.metric_speed, u_mid)
     c0, c1, c2 = (np.abs(f).max(axis=1) for f in (u_mid, du, d2u))
     gauge_size = np.abs(u_mid) + np.abs(du)
     c01 = c0 + c1

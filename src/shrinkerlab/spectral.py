@@ -21,9 +21,9 @@ derivative, so the discrete symbol is monotone all the way to the grid limit.
 
 Q is applied to a block of fields by FFT, O(m log m) per field: D is the
 rfft multiplier of `fourier.staggered_deriv` and D^T its complex conjugate.
-`assemble` caches the operator on the curve; `gauge.apply_L` is its strong
-form and `frequency` takes the frequency U and the Dirichlet energy from
-its form, so Lambda, U and L u all come from one self-adjoint L.
+`assemble_rows` builds it on a block of frames (`assemble` on one curve);
+`gauge.apply_L` is its strong form and `frequency` takes U and the
+Dirichlet energy from its form: Lambda, U and L u come from one L.
 The top eigenpairs come from block LOBPCG (Knyazev, SIAM J. Sci. Comput. 23,
 2001) on the mass-symmetrized operator M^(-1/2) Q M^(-1/2), preconditioned
 by the constant-coefficient symbol 1 / (1 + s k^2) with s the mean of
@@ -39,8 +39,8 @@ from functools import cached_property
 import numpy as np
 
 from . import fourier, ioutil
-from .curvegeo import (TWO_PI, DiscreteCurve, gaussian_density,
-                       gaussian_weights, geometry)
+from .curvegeo import (TWO_PI, DiscreteCurve, GeometryFields,
+                       gaussian_density, geometry)
 from .errors import ConvergenceFailure, DegenerateCurve
 
 __all__ = [
@@ -48,6 +48,7 @@ __all__ = [
     "Spectrum",
     "apply_rows",
     "assemble",
+    "assemble_rows",
     "dirichlet_rows",
     "eigenpairs",
     "rayleigh_bound",
@@ -61,29 +62,33 @@ _MAX_ITERATIONS = 200
 
 @dataclass(frozen=True)
 class WeightedOperator:
-    """Matrix-free weak form of the drift operator on one base curve.
+    """Matrix-free weak form of the drift operator on base frames, a row each.
 
     Attributes
     ----------
-    base : DiscreteCurve
-        The curve the fields live on.
-    weights : ndarray, shape (m,)
+    weights : ndarray, shape (..., m)
         Diagonal Gaussian mass (quadrature weights of dmu); the operator in
         strong form is diag(1/weights) @ Q.
-    c_half : ndarray, shape (m,)
+    c_half : ndarray, shape (..., m)
         Positive stiffness coefficient on the half grid.
-    potential : ndarray, shape (m,)
+    potential : ndarray, shape (..., m)
         Lumped potential weights * (H^2 + 1/2).
+    metric_speed : ndarray, shape (..., m)
+        |dx/dtheta| of the base, for the arc derivatives of fields on it.
     """
 
-    base: DiscreteCurve
     weights: np.ndarray
     c_half: np.ndarray
     potential: np.ndarray
+    metric_speed: np.ndarray
 
     @property
     def m(self) -> int:
-        return self.base.m
+        return self.weights.shape[-1]
+
+    def __getitem__(self, rows) -> "WeightedOperator":
+        return WeightedOperator(self.weights[rows], self.c_half[rows],
+                                self.potential[rows], self.metric_speed[rows])
 
     @cached_property
     def quad_form(self) -> np.ndarray:
@@ -93,8 +98,7 @@ class WeightedOperator:
         m = self.m
         d_half = fourier.staggered_matrix(m)
         quad = -(TWO_PI / m) * (d_half.T * self.c_half) @ d_half
-        idx = np.arange(m)
-        quad[idx, idx] += self.potential
+        quad[np.diag_indices(m)] += self.potential
         return 0.5 * (quad + quad.T)  # kill rounding asymmetry
 
     def apply(self, u: np.ndarray) -> np.ndarray:
@@ -117,27 +121,23 @@ def _strong_form(c_half, potential, weights, fields, axis: int):
     return weak / weights
 
 
-def _rows(ops, name: str) -> np.ndarray:
-    return np.stack([getattr(op, name) for op in ops])
+def apply_rows(op: WeightedOperator, fields) -> np.ndarray:
+    """The strong form of `op` on each row of fields (frames, m): a block
+    operator row by row, a one-frame operator on every row, in one stacked
+    pass whose rows equal their own `apply` bit for bit."""
+    return _strong_form(op.c_half, op.potential, op.weights,
+                        np.asarray(fields, float), -1)
 
 
-def apply_rows(ops, fields) -> np.ndarray:
-    """ops[r].apply(fields[r]) for the rows of fields (frames, m), one
-    operator of one m per row, in one stacked pass, each row equal to its
-    own call bit for bit."""
-    return _strong_form(_rows(ops, "c_half"), _rows(ops, "potential"),
-                        _rows(ops, "weights"), np.asarray(fields, float), -1)
-
-
-def dirichlet_rows(ops, fields) -> np.ndarray:
+def dirichlet_rows(op: WeightedOperator, fields) -> np.ndarray:
     """The Gaussian Dirichlet energy, the quadrature of |grad u|^2 dmu, of
-    each row u of fields (frames, m) on the operator ops[r] of its row:
+    each row u of fields (frames, m) on `op`, rows as for `apply_rows`:
     (2 pi/m) sum c_half du^2 with du the half-grid derivative, one stacked
     pass whose rows equal those of a one-row call bit for bit."""
     fields = np.asarray(fields, float)
     m = fields.shape[-1]
     du = fourier.multiply(fields, fourier.staggered_multiplier(m), -1)
-    return (TWO_PI / m) * np.sum(_rows(ops, "c_half") * du * du, axis=-1)
+    return (TWO_PI / m) * np.sum(op.c_half * du * du, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -158,39 +158,39 @@ class Spectrum:
                           "Lambda": float(self.eigenvalues[0])}, path)
 
 
-def assemble(base: DiscreteCurve) -> WeightedOperator:
-    """The weak form of the drift operator on `base`, ready to apply.
-
-    The stiffness coefficient is rho/g (Gaussian density over metric speed)
-    interpolated to the staggered half grid. Cached on the curve, like
-    `geometry` and `gaussian_weights`, so every quantity of one frame comes
-    from one assembly.
+def assemble_rows(points: np.ndarray, geom: GeometryFields) -> WeightedOperator:
+    """The weak form of the drift operator on the frames of (..., m, 2)
+    points and their geometry rows, each row that of its frame alone bit
+    for bit. The Gaussian density rho is evaluated once: the weights are
+    `curvegeo.gaussian_weight_rows`, and the stiffness coefficient is rho/g
+    (over metric speed) interpolated to the staggered half grid.
 
     Raises
     ------
     DegenerateCurve
-        If the base metric collapses, the Gaussian density is subnormal (a
-        node beyond |x| = 2 sqrt(-ln tiny) ~ 53.23), or the interpolated
-        stiffness coefficient loses positivity (wildly under-resolved data).
+        If the Gaussian density is subnormal (a node beyond |x| = 2
+        sqrt(-ln tiny) ~ 53.23), or the interpolated stiffness coefficient
+        loses positivity (wildly under-resolved data).
     """
-    op = base._cache.get("drift")
-    if op is not None:
-        return op
-    density = gaussian_density(base.points)
+    density = gaussian_density(points)
     if float(density.min()) < np.finfo(float).tiny:
         raise DegenerateCurve("the Gaussian density exp(-|x|^2/4) underflows: "
                               "the curve reaches |x| = %.4g, beyond 53.23"
-                              % np.hypot(*base.points.T).max())
-    c_half = fourier.staggered_interp(density / geometry(base).metric_speed)
+                              % np.hypot(points[..., 0], points[..., 1]).max())
+    c_half = fourier.staggered_interp(density / geom.metric_speed)
     if float(c_half.min()) <= 0.0:
         raise DegenerateCurve("stiffness coefficient lost positivity on the "
                               "half grid; curve is under-resolved")
-    mass = gaussian_weights(base)
-    potential = mass * (geometry(base).curvature ** 2 + 0.5)
-    op = WeightedOperator(base=base, weights=mass, c_half=c_half,
-                          potential=potential)
-    base._cache["drift"] = op
-    return op
+    weights = geom.arclength_weights * density
+    return WeightedOperator(weights=weights, c_half=c_half,
+                            potential=weights * (geom.curvature ** 2 + 0.5),
+                            metric_speed=geom.metric_speed)
+
+
+def assemble(base: DiscreteCurve) -> WeightedOperator:
+    """`assemble_rows` of one curve: its one-frame operator. DegenerateCurve
+    as there, or if the base metric collapses."""
+    return assemble_rows(base.points, geometry(base))
 
 
 def _start_block(op: WeightedOperator, size: int) -> np.ndarray:
@@ -229,7 +229,7 @@ def _lobpcg(op: WeightedOperator, block: np.ndarray, count: int):
     """
     root = np.sqrt(op.weights)[:, None]
     k = np.arange(op.m // 2 + 1)
-    scale = float(np.mean(geometry(op.base).metric_speed ** -2))
+    scale = float(np.mean(op.metric_speed ** -2))
     precond = 1.0 / (1.0 + scale * k * k)
     size = block.shape[1]
     basis = _orthonormalize(block)
@@ -288,7 +288,7 @@ def eigenpairs(op, count: int | None = None) -> Spectrum:
     Parameters
     ----------
     op : WeightedOperator
-        The operator `assemble` built on a curve.
+        The one-frame operator `assemble` built on a curve.
     count : int, optional
         How many pairs to keep (default 13: the round-circle spectrum down
         to mode 6). count = m returns the full spectrum.

@@ -14,7 +14,6 @@ from shrinkerlab.errors import (
     BlowupDetected,
     ConvexityLost,
     FrameMissing,
-    InterpolationFailure,
     InvalidCurve,
     NotShrinking,
     StepRejected,
@@ -83,6 +82,28 @@ def test_run_flows_refuses_a_run_beyond_the_step_budget(monkeypatch):
         run_flows([circle(1.0, m=64), circle(1e3, m=64)], "mcf")
     with pytest.raises(StepRejected, match="curve 0 needs more than"):
         run_flows([circle(SQRT2, m=64)], "rmcf", 1e5)
+
+
+def test_run_flows_refuses_more_frames_than_the_step_budget(monkeypatch):
+    """Every curve takes a step at least to each frame, so an rmcf run with
+    more frame times than STEP_BUDGET is refused up front, before its frame
+    times or stacks are built (10^7 rows of them here)."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(StepRejected, match=r"^curve 0 needs more than "
+                           r"1000000 steps to its end time, one at least to "
+                           r"each of 1e\+07 frames$"):
+            run_flows([circle(SQRT2, m=64)], "rmcf", 1e4, frame_dtau=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e5
+    # a step per frame on the round shrinker: as many frames as the budget
+    # run, one more is refused
+    monkeypatch.setattr(flowcore, "STEP_BUDGET", 10)
+    assert run_flows([circle(SQRT2, m=64)], "rmcf", 0.2)[0].steps == 10
+    with pytest.raises(StepRejected, match="each of 11 frames"):
+        run_flows([circle(SQRT2, m=64)], "rmcf", 0.22)
 
 
 def test_mcf_step_matches_radius_ode():
@@ -477,17 +498,17 @@ def test_step_guards_name_curve_and_time(monkeypatch, rows_of, stride, error,
 
 @pytest.mark.parametrize("gauge", ["none", "area-centroid"])
 @pytest.mark.parametrize("rows_of, error, message", [
-    (nan_rows, InvalidCurve, "points contain non-finite values"),
-    (cusp_rows, InterpolationFailure, "degenerate parametrization"),
+    (nan_rows, BlowupDetected, "non-finite positions in curve 1 at tau={tau}"),
+    (cusp_rows, BlowupDetected, "parametrization collapsed in curve 1 at tau={tau}"),
     (dimpled_rows, ConvexityLost, "curvature changed sign in curve 1 at tau={tau}"),
 ])
 def test_frame_step_rows_fail_at_the_emission_site(monkeypatch, rows_of, error,
                                                    message, gauge):
     """The same corruption on a step that lands on frame 1 (frame_dtau is
     the first step): the emission site checks the rows before any step
-    guard does. The frame's node check, the resample of its collapsed
-    parametrization and its curvature row raise there, the last naming
-    curve and time."""
+    guard does. The frame's node check and the resample of its collapsed
+    parametrization fail there and hand the rows to the step guards, and
+    its curvature row raises there: each error names curve and time."""
     dts = corrupt_first_step(monkeypatch, rows_of)
     control = StepControl(require_convex=True)
     dt = cfl_timestep(circle(SQRT2, m=64), control)
@@ -637,7 +658,7 @@ def test_frames_are_read_only_views_of_the_stacks(monkeypatch, tmp_path,
     for j, frame in enumerate(traj.curves):
         assert np.shares_memory(frame.points, traj.points)
         assert np.array_equal(frame.points, traj.points[j])
-        cached = frame._cache["geom"]
+        cached = frame._geom
         for name in GEOMETRY_NAMES:
             row, stack = getattr(cached, name), getattr(traj.geom, name)
             assert np.shares_memory(row, stack), name
@@ -742,7 +763,7 @@ def test_frames_cache_the_geometry_of_their_own_rows(monkeypatch):
     names = ("tangent", "normal", "curvature", "arclength_weights",
              "metric_speed")
     for frame in traj.curves:
-        cached = frame._cache["geom"]
+        cached = frame._geom
         d1, d2 = fourier.deriv12(frame.points)
         fresh = curvegeo.geometry_rows(d1.T, d2.T)
         for name in names:

@@ -143,7 +143,7 @@ def test_dirichlet_energy_closed_form():
     base = circle(SQRT2, m=256)
     want = 2 * SQRT2 * math.pi * math.exp(-0.5)  # |grad cos 2t|^2 integrated
     u = mode(256, 2)
-    assert dirichlet_rows([assemble(base)], [u])[0] == pytest.approx(want,
+    assert dirichlet_rows(assemble(base), [u])[0] == pytest.approx(want,
                                                            abs=1e-8)
 
 
@@ -318,7 +318,7 @@ def test_monitor_columns_equal_public_helpers():
         assert cols["I"][r] == np.sum(gaussian_weights(base) * u[1] * u[1])
         op = assemble(base)
         form = (np.sum(op.potential * u[1] * u[1])
-                - dirichlet_rows([op], [u[1]])[0])
+                - dirichlet_rows(op, [u[1]])[0])
         assert cols["U"][r] == 2.0 * form / cols["I"][r]
         assert cols["fittedC"][r] == residual(base, *u, span / 2)["fittedC"]
 

@@ -10,6 +10,7 @@ from shrinkerlab.curvegeo import (DiscreteCurve, circle, ellipse, fourier_curve,
                                  gaussian_weights, geometry, random_fourier)
 from shrinkerlab.errors import NotAGraph
 from shrinkerlab.flowcore import StepControl, run_flows, run_rmcf
+from shrinkerlab.spectral import assemble_rows
 from shrinkerlab.gauge import (
     apply_L,
     arc_rows,
@@ -365,7 +366,8 @@ def test_residuals_rows_equal_residual():
     u = normal_graphs([start] * len(traj), traj.curves)
     bases = traj.curves[1:-1]
     dtaus = 0.5 * (np.array(traj.times[2:]) - np.array(traj.times[:-2]))
-    cols = residuals(bases, u[:-2], u[1:-1], u[2:], dtaus)
+    cols = residuals(assemble_rows(*traj.stacked(slice(1, -1))), u[:-2],
+                     u[1:-1], u[2:], dtaus)
     assert set(cols) == {"maxResidual", "fittedC", "normC0", "normC01",
                          "normC012", "quadRatio", "drift"}
     assert cols["drift"].shape == (len(bases), 128)

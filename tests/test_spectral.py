@@ -2,19 +2,21 @@
 
 import time
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shrinkerlab.curvegeo import (circle, ellipse, fourier_curve,
-                                  gaussian_weights, random_fourier)
+from shrinkerlab.curvegeo import (GeometryFields, circle, ellipse,
+                                  fourier_curve, gaussian_weights, geometry,
+                                  random_fourier)
 from shrinkerlab.errors import DegenerateCurve
-from shrinkerlab.flowcore import run_rmcf
-from shrinkerlab.gauge import apply_L
-from shrinkerlab.spectral import (apply_rows, assemble, dirichlet_rows,
-                                 eigenpairs, rayleigh_bound)
+from shrinkerlab.flowcore import FlowTrajectory, run_rmcf
+from shrinkerlab.gauge import apply_L, residuals
+from shrinkerlab.spectral import (apply_rows, assemble, assemble_rows,
+                                 dirichlet_rows, eigenpairs, rayleigh_bound)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -22,7 +24,7 @@ SQRT2 = np.sqrt(2.0)
 def form(op, u, v):
     """The weak form of op at (u, v): the lumped potential term minus the
     Dirichlet form, polarized from the package's `dirichlet_rows`."""
-    plus, minus = dirichlet_rows([op, op], [u + v, u - v])
+    plus, minus = dirichlet_rows(op, [u + v, u - v])
     return float(np.sum(op.potential * u * v) - 0.25 * (plus - minus))
 
 # the curves the matrix-free solver is checked on against the dense oracle
@@ -234,14 +236,44 @@ def test_rayleigh_bound_memory_is_linear_in_m():
 
 
 def test_stacked_rows_equal_their_own_operator_calls():
-    # one stacked pass over frames of different bases gives each row the
-    # bits of its own operator's apply and of a one-row Dirichlet energy
-    curves = [ORACLE_CURVES[name](128) for name in sorted(ORACLE_CURVES)]
-    ops = [assemble(c) for c in curves]
+    # one assembly over a block of a run's frames, or over frames of
+    # different bases, gives each row the bits of its own frame's operator,
+    # and one stacked pass the bits of its own apply and of a one-row
+    # Dirichlet energy
+    run = separation_base(128, 1.0)
+    oracles = FlowTrajectory("rmcf", 128, times=list(range(len(ORACLE_CURVES))),
+                             curves=[ORACLE_CURVES[name](128)
+                                     for name in sorted(ORACLE_CURVES)])
     rng = np.random.default_rng(3)
-    fields = rng.standard_normal((len(ops), 128))
-    applied = apply_rows(ops, fields)
-    energies = dirichlet_rows(ops, fields)
-    for op, u, lu, e in zip(ops, fields, applied, energies):
-        assert np.array_equal(lu, op.apply(u))
-        assert e == dirichlet_rows([op], [u])[0]
+    for traj, block in ((run, slice(2, 9)), (oracles, slice(None))):
+        op = assemble_rows(*traj.stacked(block))
+        frames = traj.curves[block]
+        rows = rng.standard_normal((len(frames), 128))
+        applied = apply_rows(op, rows)
+        energies = dirichlet_rows(op, rows)
+        for r, (frame, u) in enumerate(zip(frames, rows)):
+            one = assemble(frame)
+            for name in ("weights", "c_half", "potential", "metric_speed"):
+                assert np.array_equal(getattr(op, name)[r],
+                                      getattr(one, name)), name
+            assert np.array_equal(applied[r], one.apply(u))
+            assert energies[r] == dirichlet_rows(one, [u])[0]
+
+
+def test_one_frame_operator_broadcasts_against_rows():
+    # one base's operator on n rows, as gauge-residual applies it, equals
+    # the operator of n stacked copies of the base, bit for bit
+    base = ORACLE_CURVES["random-1"](128)
+    n = 5
+    geom = geometry(base)
+    copies = assemble_rows(np.stack([base.points] * n), GeometryFields(
+        *(np.stack([getattr(geom, f.name)] * n) for f in fields(GeometryFields))))
+    op = assemble(base)
+    rows = np.random.default_rng(5).standard_normal((n, 128))
+    assert np.array_equal(apply_rows(op, rows), apply_rows(copies, rows))
+    assert np.array_equal(dirichlet_rows(op, rows), dirichlet_rows(copies, rows))
+    steps = [rows + 1e-3 * sign for sign in (-1.0, 1.0)]
+    one, stacked = (residuals(o, steps[0], rows, steps[1], 0.01)
+                    for o in (op, copies))
+    for name, col in one.items():
+        assert np.array_equal(col, stacked[name]), name
