@@ -83,9 +83,10 @@ def _frames(traj) -> dict:
     shrinker deviation phi as (k, m) rows; as (k,) columns the values of
     shrinker_energy (itilde) and f_functional (f), the sup norm of phi and
     its first two arc derivatives (c2), and the error budget D without its
-    dphi/dtau term (d_static, see _approach). The frames of each `frame_blocks` block go in one pass over
-    the trajectory's stacked rows, the arc derivatives of phi by one stacked
-    `arc_rows`, each row equal to that of its curve alone."""
+    dphi/dtau term (d_static, see _approach). The frames of each
+    `frame_blocks` block go in one pass over the trajectory's stacked rows,
+    the arc derivatives of phi by one stacked `arc_rows`, each row equal to
+    that of its curve alone."""
     k, m = len(traj), traj.m
     cols = {"phi": np.empty((k, m)), "itilde": np.empty(k), "f": np.empty(k),
             "c2": np.empty(k), "d_static": np.empty(k)}
@@ -303,8 +304,7 @@ def monitor(base_traj, target_traj, *,
         res = residuals(op[interior], fields[inner - 1], fields[inner],
                         fields[inner + 1], spans[inner] / 2)
         fitted_c[inner] = res["fittedC"]
-        drift_sq[inner] = np.sum(op.weights[interior] * res["drift"] ** 2,
-                                 axis=1)
+        drift_sq[inner] = np.sum(op.weights[interior] * res["drift"] ** 2, axis=1)
     under = i_vals <= ENERGY_FLOOR
 
     n_rows = k - 2

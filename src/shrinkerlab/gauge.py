@@ -322,8 +322,7 @@ def residuals(op, u_prev, u_mid, u_next, dtau) -> dict:
     """
     u_prev, u_mid, u_next = (np.asarray(a, dtype=float)
                              for a in (u_prev, u_mid, u_next))
-    dtau = np.broadcast_to(np.asarray(dtau, dtype=float), (len(u_mid),))
-    du_dt = (u_next - u_prev) / (2.0 * dtau[:, None])
+    du_dt = (u_next - u_prev) / (2.0 * np.reshape(dtau, (-1, 1)))
     drift = spectral.apply_rows(op, u_mid)
     res = np.abs(du_dt - drift)
     du, d2u = arc_rows(op.metric_speed, u_mid)

@@ -226,7 +226,8 @@ def validate_config(raw: dict) -> ScenarioConfig:
             raise ConfigInvalid("required for scenario %s" % scenario, field=key)
 
     m = _as_int(raw, "m")
-    if m % 2 != 0 or not 64 <= m <= 1 << 16:  # 8x any test's; numpy fails far past
+    # at most 2^16, 8x any test's m: far larger grids would fail in numpy
+    if m % 2 != 0 or not 64 <= m <= 1 << 16:
         raise ConfigInvalid("must be even and in [64, 65536], got %d" % m, field="m")
     seed = _as_int(raw, "seed")
     if seed is not None and seed < 0:

@@ -144,7 +144,7 @@ def test_dirichlet_energy_closed_form():
     want = 2 * SQRT2 * math.pi * math.exp(-0.5)  # |grad cos 2t|^2 integrated
     u = mode(256, 2)
     assert dirichlet_rows(assemble(base), [u])[0] == pytest.approx(want,
-                                                           abs=1e-8)
+                                                          abs=1e-8)
 
 
 def test_gradient_flow_identity_along_rescaled_flow():

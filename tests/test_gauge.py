@@ -10,7 +10,6 @@ from shrinkerlab.curvegeo import (DiscreteCurve, circle, ellipse, fourier_curve,
                                  gaussian_weights, geometry, random_fourier)
 from shrinkerlab.errors import NotAGraph
 from shrinkerlab.flowcore import StepControl, run_flows, run_rmcf
-from shrinkerlab.spectral import assemble_rows
 from shrinkerlab.gauge import (
     apply_L,
     arc_rows,
@@ -20,6 +19,7 @@ from shrinkerlab.gauge import (
     residual,
     residuals,
 )
+from shrinkerlab.spectral import assemble_rows
 
 SQRT2 = np.sqrt(2.0)
 

@@ -139,19 +139,12 @@ def test_validate_missing_required_names_field(tmp_path):
         validate_config(raw)
 
 
-@pytest.mark.parametrize("bad_m", ["63", "62", "129", "64.5", "lots"])
+@pytest.mark.parametrize("bad_m", ["63", "62", "129", "64.5", "lots", "65538",
+                                   "1125899906842624"])
 def test_validate_m_constraints(tmp_path, bad_m):
     raw = make_config(tmp_path, m=bad_m)
     with pytest.raises(ConfigInvalid, match="m"):
         validate_config(raw)
-
-
-def test_validate_m_is_capped(tmp_path):
-    validate_config(make_config(tmp_path, m=str(2 ** 16)))
-    for bad_m in (2 ** 16 + 2, 2 ** 50):
-        with pytest.raises(ConfigInvalid, match="^m: ") as info:
-            validate_config(make_config(tmp_path, m=str(bad_m)))
-        assert info.value.field == "m"
 
 
 def test_validate_fit_window_range(tmp_path):
@@ -1359,21 +1352,6 @@ def test_a_rate_run_with_too_many_frames_is_one_error_line(tmp_path):
     assert proc.stderr.splitlines() == [
         "error: curve 0 needs more than 1000000 steps to its end time, one "
         "at least to each of 1e+07 frames"]
-    assert not (tmp_path / "x").exists()
-
-
-def test_an_m_past_the_cap_is_one_error_line(tmp_path):
-    """m = 2^50 passes no grid to numpy: validation refuses it with one
-    `error: m:` line and leaves no output."""
-    path = write_config(tmp_path, "curve1 = circle(1.4142135623730951)\n"
-                        "m = %d\nout = %s\n" % (2 ** 50, tmp_path / "x"))
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "shrinkerlab", "spectrum",
-         "--config", path],
-        capture_output=True, text=True, env=src_env(), timeout=120)
-    assert proc.returncode == 1
-    assert proc.stderr.splitlines() == [
-        "error: m: must be even and in [64, 65536], got %d" % 2 ** 50]
     assert not (tmp_path / "x").exists()
 
 
