@@ -14,7 +14,7 @@ the stationary profile of the rescaled flow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -289,18 +289,19 @@ class DiscreteCurve:
         self._geom = None
 
     @classmethod
-    def _view(cls, points: np.ndarray, validate=None) -> "DiscreteCurve":
+    def _view(cls, points, geom=None, *, validate=None) -> "DiscreteCurve":
         """The curve over the (m, 2) array `points` itself, not a copy: as
         given when validate is None, else after the checks of the
         constructor (which reverse a clockwise input into a copy when
-        validating). The curve's own view of the nodes is read-only."""
+        validating). The curve's own view of the nodes is read-only; its
+        cached geometry is `geom`, the GeometryFields of the same row."""
         if validate is not None:
             points = _checked_nodes(points, validate)
         curve = cls.__new__(cls)
         curve.points = points.view()
         curve.points.flags.writeable = False
         curve.m = points.shape[0]
-        curve._geom = None
+        curve._geom = geom
         return curve
 
     # -- basic derived quantities ------------------------------------------
@@ -345,6 +346,15 @@ class GeometryFields:
     arclength_weights: np.ndarray
     metric_speed: np.ndarray
 
+    def __getitem__(self, rows) -> "GeometryFields":
+        """The fields of frames `rows` of stacked fields, (frames, m, ...)."""
+        return GeometryFields(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    @classmethod
+    def joined(cls, parts, join=np.stack) -> "GeometryFields":
+        """`parts` joined field by field (np.stack of curves' fields)."""
+        return cls(*(join([getattr(p, f.name) for p in parts]) for f in fields(cls)))
+
 
 def speed_curvature(d1, d2, speed, curvature) -> None:
     """Fill `speed` with the metric speed g = |x'| and `curvature` with
@@ -374,8 +384,7 @@ def geometry_rows(d1: np.ndarray, d2: np.ndarray) -> GeometryFields:
     speed_curvature(d1, d2, speed, curvature)
     tangent = d1.T.copy()
     normal, weights = unit_frame(tangent, speed)
-    return GeometryFields(tangent=tangent, normal=normal, curvature=curvature,
-                          arclength_weights=weights, metric_speed=speed)
+    return GeometryFields(tangent, normal, curvature, weights, speed)
 
 
 def geometry(curve: DiscreteCurve) -> GeometryFields:
@@ -547,15 +556,16 @@ def refined_extremes(field, values: np.ndarray, spacing: float,
     return sup
 
 
-def _convex_tangents(curve: DiscreteCurve):
-    """The node unit tangents (tx, ty) of a convex curve; InvalidCurve if a
-    node curvature is <= 0."""
-    geom = geometry(curve)
-    kmin = float(geom.curvature.min())
-    if not kmin > 0.0:
+def _convex_tangents(geom: GeometryFields):
+    """The node unit tangents (tx, ty) of convex curves, each (m,) for one
+    curve's geometry and (frames, m) for stacked rows; InvalidCurve naming
+    the least node curvature of the first curve that has one <= 0."""
+    kmin = np.atleast_1d(geom.curvature.min(axis=-1))
+    bad = np.flatnonzero(~(kmin > 0.0))
+    if bad.size:
         raise InvalidCurve("support-function distance needs a convex curve, "
-                           "but a node curvature is %.3g" % kmin)
-    return geom.tangent.T
+                           "but a node curvature is %.3g" % kmin[bad[0]])
+    return np.moveaxis(geom.tangent, -1, 0)
 
 
 def support_function(curve: DiscreteCurve):
@@ -571,7 +581,7 @@ def support_function(curve: DiscreteCurve):
     rounding.
     """
     curve_at = fourier.Interpolant(fourier.coeffs(curve.points), curve.m, 2)
-    tx, ty = _convex_tangents(curve)
+    tx, ty = _convex_tangents(geometry(curve))
     angles = np.unwrap(np.arctan2(-tx, ty))
     angles = np.append(angles, angles[0] + TWO_PI)
     scale = float(np.abs(curve.points).max())
@@ -596,38 +606,33 @@ def support_function(curve: DiscreteCurve):
     return support
 
 
-def _node_gaps(frames, support):
-    """(the node gaps h - h_L (frames, m) of convex curves of one m, the
-    rfft rows (frames, 2, m//2+1) of their points, and the largest
-    coordinate of each), h_L = support(...)[0] as for `_support_gaps`."""
-    tx, ty = np.stack([_convex_tangents(c) for c in frames], axis=1)
-    points = np.stack([c.points.T for c in frames])
-    x, y = points[:, 0], points[:, 1]
-    gaps = ((x * ty - y * tx).ravel()
-            - support(ty.ravel(), -tx.ravel())[0]).reshape(x.shape)
-    return gaps, np.fft.rfft(points, axis=-1), np.abs(points).max(axis=(1, 2))
-
-
-def _support_gaps(curves, support) -> np.ndarray:
+def _support_gaps(rows, support) -> np.ndarray:
     """sup over directions of |h - h_L| per curve, h the support function of
     a convex curve and h_L = support(...)[0] that of a convex body L, as
     for `support_function`: the Hausdorff distance between the curve and
-    the boundary of L (Schneider, Convex Bodies, section 1.8), for a
-    sequence of curves of one m.
+    the boundary of L (Schneider, Convex Bodies, section 1.8), for the
+    curves of the stacked (points, geometry) rows `rows`.
 
-    The directions are each curve's outward normals n = -`geometry().normal`,
-    its node gaps h - h_L `refined_extremes` on the curve's parameter, all
-    frames of a `frame_blocks` block in one pass, their points evaluated
-    by `fourier.mode_sum`. With h' = <x, t> and h'' = rho - h, the gap g
-    has g' = <x - y, t> and g'' = rho - rho_L - g in the normal angle,
-    whose theta-derivative kappa |x'| is the positive scale
-    `refine_extrema` allows. InvalidCurve if a curve has a node curvature
-    <= 0.
+    The directions are each curve's outward normals n = -normal, its node
+    gaps h - h_L `refined_extremes` on the curve's parameter, all frames
+    of a `frame_blocks` block in one pass, their points evaluated by
+    `fourier.mode_sum`. With h' = <x, t> and h'' = rho - h, the gap g has
+    g' = <x - y, t> and g'' = rho - rho_L - g in the normal angle, whose
+    theta-derivative kappa |x'| is the positive scale `refine_extrema`
+    allows. InvalidCurve if a curve has a node curvature <= 0.
     """
-    m = curves[0].m if len(curves) else 1
-    out = np.empty(len(curves))
-    for block in frame_blocks(len(curves), m):
-        gaps, coef, scale = _node_gaps(curves[block], support)
+    points, geom = rows
+    count, m = points.shape[:2]
+    out = np.empty(count)
+    for block in frame_blocks(count, m):
+        # the node gaps of the block (frames, m) from its (x, y) rows
+        tx, ty = _convex_tangents(geom[block])
+        xy = points[block].transpose(0, 2, 1)
+        x, y = xy[:, 0], xy[:, 1]
+        gaps = ((x * ty - y * tx).ravel()
+                - support(ty.ravel(), -tx.ravel())[0]).reshape(x.shape)
+        coef = np.fft.rfft(xy, axis=-1)
+        scale = np.abs(xy).max(axis=(1, 2))
 
         def field(rows, theta):
             x, dx, ddx = fourier.mode_sum(coef, m, rows, theta, 2)
@@ -649,21 +654,22 @@ def hausdorff_distance(a: DiscreteCurve, b: DiscreteCurve) -> float:
     the sup of the gap of their support functions (`_support_gaps`), taken
     over the outward normals of each in turn, so symmetric bit for bit.
     InvalidCurve if either has a node curvature <= 0."""
-    return float(max(_support_gaps([a], support_function(b))[0],
-                     _support_gaps([b], support_function(a))[0]))
+    a_rows, b_rows = ((c.points[None], geometry(c)[None]) for c in (a, b))
+    return float(max(_support_gaps(a_rows, support_function(b))[0],
+                     _support_gaps(b_rows, support_function(a))[0]))
 
 
-def distance_to_circle(curves, radius: float) -> np.ndarray:
-    """Hausdorff distances from the interpolants of a sequence of convex
-    curves of one m to the circle of `radius` about the origin:
-    `_support_gaps` against h = rho = radius. InvalidCurve if a curve has a
-    node curvature <= 0.
+def distance_to_circle(rows, radius: float) -> np.ndarray:
+    """Hausdorff distances from the interpolants of convex curves, stacked
+    (points, geometry) rows as `FlowTrajectory.stacked` gives them, to the
+    circle of `radius` about the origin: `_support_gaps` against h = rho =
+    radius. InvalidCurve if a curve has a node curvature <= 0.
 
     On a round curve h' and the second derivative |x'| - h kappa |x'| are
     zero up to rounding, and so are the node gaps' second differences, so
     no extreme is refined and the result stays at rounding.
     """
-    return _support_gaps(curves, lambda nx, ny: (radius, 0.0, radius))
+    return _support_gaps(rows, lambda nx, ny: (radius, 0.0, radius))
 
 
 def resample(curve: DiscreteCurve) -> DiscreteCurve:

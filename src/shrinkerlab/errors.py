@@ -27,7 +27,7 @@ class BlowupDetected(ShrinkerLabError):
 
 class StepRejected(ShrinkerLabError):
     """A time step or a run's step plan is refused: a step beyond its bound,
-    a cfl out of range, or a run longer than the step budget."""
+    a cfl out of range, or a run past its step or stored-node budget."""
 
 
 class ConvexityLost(ShrinkerLabError):

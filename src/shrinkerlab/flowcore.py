@@ -35,9 +35,11 @@ frames in one frames.npy. `run_flows` is the one stepping loop: `run_mcf`,
 
 from __future__ import annotations
 
+import json
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -83,6 +85,11 @@ _SINGULAR_WINDOW = 0.25
 #: `run_flows` refuses up front a curve that needs more steps than this to
 #: its end time: at m = 64 a step takes some 30-50 us, so about a minute
 STEP_BUDGET = 10 ** 6
+
+#: `run_flows` refuses up front a curve whose frames store more nodes than
+#: this (frames x m): 72 bytes of stacks a node, so 1.2 GB, 160 times the
+#: 401 x 256 of rate-frames-256, the most any reference config stores
+STORED_NODES_MAX = 1 << 24
 
 
 # phi_3(z) = sum_j z^j/(j + 3)!, j = 0..15, is exact to rounding for |z| <= 1
@@ -251,70 +258,71 @@ def mcf_step(curve: DiscreteCurve, dt: float,
 
 _SERIES_COLUMNS = ("time", "area", "cx", "cy", "max_curvature", "gauge_shift")
 
-_GEOMETRY_NAMES = tuple(f.name for f in fields(GeometryFields))
-
 # row capacity an unrescaled run's stacks start with; they double when full
 _MCF_ROWS = 64
 
 
-@dataclass
+@dataclass(eq=False)
 class FlowTrajectory:
     """Ordered frames of one flow, with per-frame scalar series.
 
     picture is "mcf" (unrescaled, times are t) or "rmcf" (rescaled, times are
-    tau). The series maps column name -> per-frame array; columns are listed
-    in _SERIES_COLUMNS. `steps` counts the time steps of the run that made
-    the trajectory; it is not saved.
-
-    A trajectory that `run_flows` made keeps its frames as stacked rows:
-    `points` (frames, m, 2) and `geom`, a GeometryFields whose tangent and
-    normal are (frames, m, 2) and whose curvature, metric speed and
-    arclength weights are (frames, m), all read-only. `curves[j]` is then a
-    view of row j whose cached geometry is the views of row j. A
-    trajectory assembled from curves (`load`, `rescale_to_rmcf`, or by
-    hand) has no stacks: `points` and `geom` are None, and `stacked` stacks
-    its curves' own.
+    tau). The frames are stacked rows, read-only: `points` (frames, m, 2)
+    and `geom`, a GeometryFields whose tangent and normal are (frames, m, 2)
+    and whose curvature, arclength weights and metric speed are (frames,
+    m). A run writes its frames into them in place (`run_flows`); a
+    trajectory of given curves (`load`, `rescale_to_rmcf`, or by hand) is
+    stacked once from their points and `geometry` (`from_curves`). The
+    series maps column name -> per-frame array; columns are listed in
+    _SERIES_COLUMNS. `steps` counts the time steps of the run that made the
+    trajectory; it is not saved.
     """
 
     picture: str
-    m: int
-    times: list = field(default_factory=list)
-    curves: list = field(default_factory=list)
+    times: list
+    points: np.ndarray
+    geom: GeometryFields
     singular_data: dict | None = None
     series: dict | None = None
     steps: int = 0
-    points: np.ndarray | None = field(default=None, init=False, repr=False)
-    geom: GeometryFields | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        for stack in (self.points, *vars(self.geom).values()):
+            stack.flags.writeable = False
+
+    @classmethod
+    def from_curves(cls, picture, times, curves, singular_data=None):
+        """The trajectory of the frames `curves` (of one m) at `times`, its
+        stacks those of the curves' points and `geometry`, row j bit for
+        bit that of curves[j]."""
+        return cls(picture, list(times), np.stack([c.points for c in curves]),
+                   GeometryFields.joined([geometry(c) for c in curves]),
+                   singular_data)
+
+    @property
+    def m(self) -> int:
+        return self.points.shape[1]
 
     def __len__(self):
         return len(self.times)
 
     def stacked(self, block=slice(None)):
-        """(points, geometry) of the frames in `block` as stacked rows, see
-        the class docstring: views of the stacks, or stacked copies of the
-        curves' points and `geometry` when there are none."""
-        if self.points is not None:
-            return self.points[block], GeometryFields(
-                *(getattr(self.geom, name)[block] for name in _GEOMETRY_NAMES))
-        part = self.curves[block]
-        geoms = [geometry(c) for c in part]
-        return np.stack([c.points for c in part]), GeometryFields(
-            *(np.stack([getattr(g, name) for g in geoms]) for name in _GEOMETRY_NAMES))
+        """(points, geometry) views of the frames in `block`; one frame's for an index."""
+        return self.points[block], self.geom[block]
+
+    @cached_property
+    def curves(self) -> list:
+        """Frame j as a view of row j, its geometry the views of row j."""
+        return [DiscreteCurve._view(*self.stacked(j)) for j in range(len(self))]
 
     def save(self, outdir) -> list:
         """Write frames.npy, index.json and series.csv; returns written paths.
-        frames.npy is np.save of the (frames, m, 2) node positions, streamed
-        frame by frame after its header, so no stacked copy is made."""
+        frames.npy is np.save of the (frames, m, 2) points stack."""
         outdir = os.fspath(outdir)
         os.makedirs(outdir, exist_ok=True)
         paths = [os.path.join(outdir, name)
                  for name in ("frames.npy", "index.json", "series.csv")]
-        with open(paths[0], "wb") as fh:
-            np.lib.format.write_array_header_1_0(fh, {
-                "descr": "<f8", "fortran_order": False,
-                "shape": (len(self.curves), self.m, 2)})
-            for curve in self.curves:
-                fh.write(curve.points.astype("<f8", copy=False).tobytes())
+        np.save(paths[0], self.points)
         ioutil.dump_json({"picture": self.picture,
                           "times": [float(t) for t in self.times],
                           "m": self.m, "singularData": self.singular_data},
@@ -329,9 +337,7 @@ class FlowTrajectory:
     def load(cls, outdir) -> "FlowTrajectory":
         """Read a trajectory written by :meth:`save`, its frames bit for bit.
         FrameMissing: index.json or frames.npy is missing or unreadable, or
-        the frames' shape is not (len(times), m, 2)."""
-        import json
-
+        the frames' shape is not (len(times), m, 2) with at least one frame."""
         outdir = os.fspath(outdir)
         try:
             with open(os.path.join(outdir, "index.json")) as fh:
@@ -341,17 +347,17 @@ class FlowTrajectory:
             raise FrameMissing("cannot read the trajectory under %s: %s"
                                % (outdir, exc)) from exc
         shape = (len(index["times"]), int(index["m"]), 2)
-        if frames.shape != shape:
+        if frames.shape != shape or not shape[0]:
             raise FrameMissing("frames.npy holds shape %r, index.json needs %r"
-                               % (frames.shape, shape))
-        traj = cls(picture=index["picture"], m=shape[1],
-                   times=[float(t) for t in index["times"]],
-                   curves=[DiscreteCurve(frame) for frame in frames],
-                   singular_data=index.get("singularData"))
+                               " with a frame at least" % (frames.shape, shape))
+        traj = cls.from_curves(index["picture"],
+                               [float(t) for t in index["times"]],
+                               [DiscreteCurve(frame) for frame in frames],
+                               index.get("singularData"))
         series_path = os.path.join(outdir, "series.csv")
         if os.path.exists(series_path):
-            data = np.genfromtxt(series_path, delimiter=",", names=True)
-            data = np.atleast_1d(data)
+            data = np.atleast_1d(np.genfromtxt(series_path, delimiter=",",
+                                               names=True))
             traj.series = {name: np.asarray(data[name], dtype=float)
                            for name in data.dtype.names}
         return traj
@@ -384,11 +390,9 @@ class _FrameRows:
         if self.count == len(self.record):
             self._resize(2 * self.count)
 
-    def close(self, traj: FlowTrajectory, gauge: str) -> None:
-        """Fill traj from the rows written: one pass over all of them gives
-        the area and centroid after the gauge, the unit tangent (the x_theta
-        rows divided in place), the normal and the arclength weights; the
-        stacks turn read-only and each curve is a view of its row."""
+    def close(self, picture: str, gauge: str, steps: int) -> FlowTrajectory:
+        """The trajectory of the rows written, after one pass over them for the
+        area and centroid after the gauge, the unit frame and arclength weights."""
         n = self.count
         if n < len(self.record):
             self._resize(n)
@@ -400,20 +404,10 @@ class _FrameRows:
                 self.record[block, 1:4] = np.column_stack(area_centroid_rows(
                     x[..., 0], x[..., 1], d[..., 0], d[..., 1]))
         normal, weights = unit_frame(tangent, speed)
-        geom = GeometryFields(tangent=tangent, normal=normal,
-                              curvature=self.curvature,
-                              arclength_weights=weights, metric_speed=speed)
-        for stack in (points, tangent, normal, self.curvature, weights, speed):
-            stack.flags.writeable = False
-        traj.points, traj.geom = points, geom
-        traj.series = dict(zip(_SERIES_COLUMNS, self.record.T.copy()))
-        traj.times = traj.series["time"].tolist()
-        traj.curves = []
-        for j in range(n):
-            row, row_geom = traj.stacked(j)
-            curve = DiscreteCurve._view(row)
-            curve._geom = row_geom
-            traj.curves.append(curve)
+        series = dict(zip(_SERIES_COLUMNS, self.record.T.copy()))
+        geom = GeometryFields(tangent, normal, self.curvature, weights, speed)
+        return FlowTrajectory(picture, series["time"].tolist(), points, geom,
+                              series=series, steps=steps)
 
 
 def _emit_frame(frames: _FrameRows, t, coef, control, gauge, where):
@@ -480,6 +474,20 @@ def _emit_frame(frames: _FrameRows, t, coef, control, gauge, where):
     return coef, rows, area, max_curv
 
 
+def _check_frames(curve: int, frames: float, m: int) -> None:
+    """Refuse curve `curve` of m nodes whose run emits `frames` frames at
+    least after frame 0, a step each: more than STEP_BUDGET or STORED_NODES_MAX."""
+    if frames >= STEP_BUDGET + 1:
+        raise StepRejected("curve %d needs more than %d steps to its end time, "
+                           "one at least to each of %.6g frames"
+                           % (curve, STEP_BUDGET, frames))
+    rows = int(frames) + 1
+    if rows * m > STORED_NODES_MAX:
+        raise StepRejected("curve %d stores at least %d frames x %d nodes = %d "
+                           "nodes, more than STORED_NODES_MAX = %d"
+                           % (curve, rows, m, rows * m, STORED_NODES_MAX))
+
+
 def run_flows(curves, picture: str, end: float | None = None, *,
               frame_dtau: float = 0.02, gauge: str = "none",
               control: StepControl | None = None) -> list:
@@ -489,8 +497,10 @@ def run_flows(curves, picture: str, end: float | None = None, *,
     (`end` = tau_end, see :func:`run_rmcf`). All curves need the same m. Each
     trajectory equals a run of its curve alone bit for bit. Frames leave
     the loop at one site, `_emit_frame`, frame 0 as each curve's "start"
-    event, where a curve that needs more than STEP_BUDGET steps is refused
-    ("rmcf" with more frame times than that before anything is built).
+    event, where a curve that needs more than STEP_BUDGET steps is refused,
+    or whose frames need that many (`_check_frames`), each a step at least,
+    or more than STORED_NODES_MAX stored nodes ("rmcf" before anything is
+    built; "mcf" from a lower bound on its area levels).
     Each frame is written in place into row j of its trajectory's stacks,
     sized up front for "rmcf" (one row per frame time and frame 0) and
     doubled as needed for "mcf"; after the loop one pass per trajectory
@@ -500,16 +510,14 @@ def run_flows(curves, picture: str, end: float | None = None, *,
     """
     control = control or StepControl()
     rescaled = picture == "rmcf"
+    n, m = len(curves), curves[0].m if curves else 0
     if rescaled:
         if end is None or end <= 0:
             raise TimeOutOfRange("tau_end must be positive")
         if gauge not in GAUGES:
             raise ValueError("unknown gauge %r" % gauge)
         frames_to_end = end / frame_dtau + 1e-9
-        if frames_to_end >= STEP_BUDGET + 1:  # a step at least to each frame
-            raise StepRejected("curve 0 needs more than %d steps to its end time, "
-                               "one at least to each of %.6g frames"
-                               % (STEP_BUDGET, frames_to_end))
+        _check_frames(0, frames_to_end, m)
         frame_times = [frame_dtau * j for j in range(1, int(frames_to_end) + 1)]
         if not frame_times or frame_times[-1] < end - 1e-12:
             frame_times.append(end)
@@ -533,12 +541,11 @@ def run_flows(curves, picture: str, end: float | None = None, *,
     # [x, x', x''] x curve x (x, y) x node, frame 0's for the first step; per
     # active curve its index into curves, time, next frame (an area level for
     # mcf, an index into frame_times) and event ("start" at first)
-    n, m = len(curves), curves[0].m if curves else 0
     coef = np.empty((n, 2, m // 2 + 1), dtype=complex)
     for k, curve in enumerate(curves):
         coef[k] = np.fft.rfft(curve.points.T, axis=1)
     rows = np.empty((3, n, 2, m))
-    trajs = [FlowTrajectory(picture, m) for _ in curves]
+    steps = [0] * n
     frames = [_FrameRows(len(frame_times) + 1 if rescaled else _MCF_ROWS, m)
               for _ in curves]
     ids, times, goals, events = list(range(n)), [0.0] * n, [0] * n, ["start"] * n
@@ -574,6 +581,13 @@ def run_flows(curves, picture: str, end: float | None = None, *,
                         "curve %d needs more than %d steps to its end time, "
                         "each at most %.3g long"
                         % (ids[k], STEP_BUDGET, _timestep(0.0, control)))
+                # mcf runs to t_end or at least that time to K, losing 2 pi
+                # of area per unit time, past an area level to each frame
+                lasts = min(0.5 * (max_curv ** -2 - control.stop_curvature ** -2),
+                            math.inf if end is None else end)
+                left = area - TWO_PI * lasts
+                if not rescaled and lasts > 0.0 and left > 0.0:
+                    _check_frames(ids[k], math.log(area / left) / frame_dtau, m)
             if not done:
                 keep.append(k)
         frame_rows = None  # held through the step, it raises peak memory
@@ -619,14 +633,13 @@ def run_flows(curves, picture: str, end: float | None = None, *,
                     dt = end - times[k]
                     event = "end"
                 times[k] += dt
-            trajs[ids[k]].steps += 1
+            steps[ids[k]] += 1
             dts.append(dt)
             events.append(event)
         coef = _imex_step(coef, g2, d2, np.array(dts)[:, None], rescaled)
         rows = None
-    for stacks, traj in zip(frames, trajs):
-        stacks.close(traj, gauge)
-    return trajs
+    return [stacks.close(picture, gauge, count)
+            for stacks, count in zip(frames, steps)]
 
 
 def run_mcf(curve: DiscreteCurve, *, t_end: float | None = None,
@@ -722,13 +735,12 @@ def rescale_to_rmcf(traj: FlowTrajectory, time: float, center) -> FlowTrajectory
     if traj.picture != "mcf":
         raise ValueError("expected an unrescaled trajectory")
     center = np.asarray(center, dtype=float)
-    out = FlowTrajectory(picture="rmcf", m=traj.m, singular_data=traj.singular_data)
-    for t, curve in zip(traj.times, traj.curves):
+    times, curves = [], []
+    for t, points in zip(traj.times, traj.points):
         gap = time - t
         if gap <= 0.0:
             raise TimeOutOfRange("frame at t=%.6g is not before time=%.6g" % (t, time))
-        scale = 1.0 / math.sqrt(gap)
-        pts = (curve.points - center) * scale
-        out.times.append(-math.log(gap))
-        out.curves.append(DiscreteCurve(pts, validate=False))
-    return out
+        times.append(-math.log(gap))
+        curves.append(DiscreteCurve((points - center) * (1.0 / math.sqrt(gap)),
+                                    validate=False))
+    return FlowTrajectory.from_curves("rmcf", times, curves, traj.singular_data)

@@ -237,13 +237,8 @@ def monitor(base_traj, target_traj, *,
       * U <= 2 Lambda + 1e-10 against the spectral bound;
       * no super-exponential collapse of I over the fit window.
 
-    The graphs come from `gauge.normal_graphs`: Newton seeded at each base
-    node's own parameter, no crossing search, each frame accepted under the
-    convexity certificate that its crossing is the only one within reach/2
-    (the rolling disk of radius 1/max H of a convex target, at node
-    resolution) and otherwise sent through `gauge.normal_graph`, the one
-    crossing search; the target flow may have another m than the base.
-    They agree with `normal_graph` to about 1e-12 relative. The graphs, the
+    The graphs are `gauge.normal_graphs` of the two trajectories' stacked
+    rows; the target flow may have another m than the base. The graphs, the
     base diagnostics, I, U, the Dirichlet ratio and the residuals run over
     `curvegeo.frame_blocks` of STACK_NODES nodes, as stacked rfft/irfft
     passes (`spectral.dirichlet_rows`, `gauge.residuals`) on one operator
@@ -266,7 +261,7 @@ def monitor(base_traj, target_traj, *,
         raise FrameMissing("need at least 5 frames, got %d" % k)
     taus = np.asarray(base_traj.times, dtype=float)
     try:
-        fields = normal_graphs(base_traj.curves, target_traj.curves)
+        fields = normal_graphs(base_traj.stacked(), target_traj.stacked())
     except NotAGraph as exc:
         raise NotAGraph("frame pair at tau = %.6g: %s" % (taus[exc.frame], exc))
     _, _, lambda_bound = spectral.rayleigh_bound(base_traj,

@@ -4,20 +4,16 @@ A nearby curve is written as x + u(x) * nu(x) over a base curve (the graph
 gauge). `normal_graph` extracts u by intersecting each base normal line with
 the target polyline (`curvegeo.crossings`) and polishing the crossing by a
 2x2 Newton iteration on the target's trigonometric interpolant; it is the
-one crossing search and the only source of NotAGraph. `normal_graphs` does
-the same for a sequence of frame pairs whose bases share one m and whose
-targets share one m, with no search: the frames of a
-`curvegeo.frame_blocks` block run the same Newton iteration in lockstep on
-one stacked table of their targets, seeded at node j's own parameter (the
-index seed),
-and a frame is accepted under a convexity certificate, at node
-resolution, that its crossing is the only one within reach/2 (Blaschke's
-rolling disk); a frame that fails it falls back to `normal_graph`.
-`reconstruct` goes the other way. `graph_hausdorff` reads the Hausdorff
-distances off a sequence of graphs between convex curves: sup|u| in closed
-form while it stays below half of both reaches (1/max H), the node extremes
-of all frames refined in one pass on the direct mode sums of u; beyond
-that, the support-function distance `curvegeo.hausdorff_distance`.
+one crossing search and the only source of NotAGraph. `normal_graphs` and
+`graph_hausdorff` take their frames as stacked (points, geometry) rows, as
+`FlowTrajectory.stacked` gives them. `normal_graphs` runs the same Newton
+iteration on the frames of a `curvegeo.frame_blocks` block in lockstep,
+seeded at node j's own parameter with no search, accepts a frame under a
+convexity certificate that its crossing is the only one within reach/2
+(Blaschke's rolling disk), and sends the others through `normal_graph`.
+`graph_hausdorff` reads the Hausdorff distances off graphs between convex
+curves: sup|u| in closed form within half of both reaches (1/max H),
+`curvegeo.hausdorff_distance` beyond. `reconstruct` goes the other way.
 `apply_L` is the linearization of the rescaled flow at a stationary base:
 
     L u = u'' - <x, T>/2 * u' + (H^2 + 1/2) u      (' = arclength derivative)
@@ -176,88 +172,83 @@ def normal_graph(base: DiscreteCurve, target: DiscreteCurve,
     return u
 
 
-def normal_graphs(bases, targets) -> np.ndarray:
-    """The heights (frames, m) that write targets[f] as a normal graph over
-    bases[f], for a sequence of frame pairs whose bases share one m and
-    whose targets share one m (ValueError otherwise); each row equals
-    `normal_graph` of its pair to about 1e-12 relative.
+def _frame(rows, f) -> DiscreteCurve:
+    """Frame f of stacked (points, geometry) rows as a curve with its rows'
+    geometry cached (one frame's rows at every f)."""
+    points, geom = rows
+    return DiscreteCurve._view(*(rows if points.ndim == 2 else (points[f], geom[f])))
+
+
+def normal_graphs(base, target) -> np.ndarray:
+    """The heights (frames, m) that write each target frame as a normal
+    graph over its base frame, given as stacked (points, geometry) rows as
+    `FlowTrajectory.stacked` gives them: target rows (frames, m_t, ...),
+    base rows (frames, m, ...) or one frame's (m, ...), the base of every
+    target frame. Each row equals `normal_graph` of its pair to about 1e-12
+    relative, and bit for bit the row of its frame alone.
 
     Index seed: the frames go in `curvegeo.frame_blocks` of STACK_NODES
-    base nodes, each block's targets in one stacked order-1 `Interpolant`
-    (one rfft of their points and one irfft of the products), and the
-    Newton iteration of `normal_graph` (`_newton`, one evaluation of that
-    table per step for every live frame, each frame stopping on its own
-    criterion, so a row is bit for bit that of its frame alone) starts at
-    u = 0 and at node j's own parameter theta_j = 2 pi j/m, with no
-    crossing search (a target of another m is read at the same fraction
-    of its parameter: the Newton points number the bases' m). A frame is
-    accepted when it passes the convergence check of `normal_graph`,
-    |u| < reach/2 with the default reach 1/max|H| of the target, and this
-    certificate holds at every node: the target has positive node
-    curvature, and
-    2 R cos(alpha) - |u| >= reach/2, with R = 1/max H and alpha the angle
-    between the base normal and the target normal at the crossing. Then the
-    crossing is the only one within reach/2: a convex curve of curvature at
-    most 1/R holds, at each of its points, the disk of radius R tangent
-    there (Blaschke's rolling theorem), so a line through the point at
-    angle alpha to its normal keeps the chord of that disk, of length
-    2 R cos(alpha), inside the curve; a line meets a convex curve at most
-    twice, so its other crossing lies at least 2 R cos(alpha) along the
-    line from this one, at a height of size at least 2 R cos(alpha) - |u|.
-    The certificate holds at node resolution, as the default reach does:
-    H and its sign are read at the nodes, and the interpolant's curvature
-    between nodes may exceed their maximum; alpha is read at the last
-    evaluation, within 1e-12 in theta of the crossing.
+    base nodes, each block's targets in one stacked order-1 `Interpolant`,
+    and the Newton iteration of `normal_graph` (`_newton`, each frame
+    stopping on its own criterion) starts at u = 0 and at node j's own
+    parameter 2 pi j/m (a target of another m is read at the same fraction
+    of its parameter). A frame is accepted when it converges, |u| < reach/2
+    with the reach 1/max|H| of the target, and at every node the target
+    has positive curvature and 2 R cos(alpha) - |u| >= reach/2, with R =
+    1/max H and alpha the angle between the base normal and the target
+    normal at the crossing. Then the crossing is the only one within
+    reach/2: a convex curve of curvature at most 1/R holds, at each of its
+    points, the tangent disk of radius R (Blaschke's rolling theorem), so a
+    line through the point at angle alpha to its normal keeps a chord of
+    length 2 R cos(alpha) inside the curve; a line meets a convex curve at
+    most twice, so its other crossing lies at a height of size at least
+    2 R cos(alpha) - |u|. The certificate holds at node resolution, as the
+    default reach does; alpha is read within 1e-12 in theta of the crossing.
 
-    Fallback: a frame that fails any of these goes through `normal_graph`
-    unchanged, the one crossing search and the only source of NotAGraph,
-    whose error then carries the frame index as `frame`.
+    A frame that fails goes through `normal_graph` on the pair's frames as
+    curves with their rows' geometry: the one crossing search and the only
+    source of NotAGraph, whose error then carries the frame index as
+    `frame`.
     """
-    count = len(targets)
-    m = bases[0].m if count else 1
-    if any(b.m != m for b in bases):
-        raise ValueError("normal_graphs needs bases of one m")
-    m_target = targets[0].m if count else 1
-    if any(t.m != m_target for t in targets):
-        raise ValueError("normal_graphs needs targets of one m")
+    points, target_geom = target
+    count, m_target = points.shape[:2]
+    m = base[0].shape[-2]
+    x_all, nu_all = (np.broadcast_to(a, (count, m, 2)) for a in (base[0], base[1].normal))
     heights = np.zeros((count, m))
     seed = fourier.grid(m)
     for block in frame_blocks(count, m, STACK_NODES):
-        frames = range(count)[block]
-        x = np.stack([bases[f].points for f in frames])
-        nu = np.stack([geometry(bases[f]).normal for f in frames])
-        curv = [geometry(targets[f]).curvature for f in frames]
-        table = fourier.Interpolant(
-            np.fft.rfft(np.stack([targets[f].points for f in frames]), axis=1),
-            m_target, 1, stacked=True)
-        theta = np.tile(seed, (len(frames), 1))
+        x, nu = x_all[block], nu_all[block]
+        curv = target_geom.curvature[block]
+        table = fourier.Interpolant(np.fft.rfft(points[block], axis=1),
+                                    m_target, 1, stacked=True)
+        theta = np.tile(seed, (len(x), 1))
         u = heights[block]
         # a seed far from the crossing may step through a tangency or off
         # to infinity; such a frame fails the checks below
         with np.errstate(all="ignore"):
             converged, tangent = _newton(table, x, nu, theta, u)
-            half = np.array([0.5 / np.abs(h).max() for h in curv])
+            half = 0.5 / np.abs(curv).max(axis=1)
             cos_a = (np.abs(tangent[..., 0] * nu[..., 1]
                             - tangent[..., 1] * nu[..., 0])
                      / np.hypot(tangent[..., 0], tangent[..., 1]))
-            ok = (converged & np.array([h.min() > 0.0 for h in curv])
+            ok = (converged & (curv.min(axis=1) > 0.0)
                   & (np.abs(u).max(axis=1) < half)
                   & np.all(4.0 * half[:, None] * cos_a - np.abs(u)
                            >= half[:, None], axis=1))
         for r in np.nonzero(~ok)[0]:
-            f = frames[r]
+            f = block.start + r
             try:
-                u[r] = normal_graph(bases[f], targets[f])
+                u[r] = normal_graph(_frame(base, f), _frame(target, f))
             except NotAGraph as exc:
                 exc.frame = f
                 raise
     return heights
 
 
-def graph_hausdorff(bases, fields, targets) -> np.ndarray:
-    """Hausdorff distances between convex curves bases[j] and targets[j],
-    the curve the graph heights fields[j] write over bases[j]
-    (targets[j] = bases[j] + fields[j] nu), for sequences of one m.
+def graph_hausdorff(base, fields, target) -> np.ndarray:
+    """Hausdorff distances between frame j of `base` and of `target`,
+    convex curves as stacked (points, geometry) rows, target frame j the
+    graph of heights fields[j] over base frame j (x + fields[j] nu).
 
     While sup|u| stays below half of both reaches (1/max H for a convex
     closed curve), d_H = sup|u| exactly: each target point x + u nu lies on
@@ -266,24 +257,24 @@ def graph_hausdorff(bases, fields, targets) -> np.ndarray:
     maxima and minima of those u are `refined_extremes` on u' = 0, all
     frames of a `frame_blocks` block in one pass, their points evaluated
     by `fourier.mode_sum`; a result is never below the node maximum of
-    |u|. Beyond half a reach, `hausdorff_distance` measures the pair, which
-    raises InvalidCurve if either curve has a node curvature <= 0.
+    |u|. Beyond half a reach, `hausdorff_distance` measures the pair of
+    frames as curves with their rows' geometry, which raises InvalidCurve
+    if either has a node curvature <= 0.
     """
-    dh = np.empty(len(fields))
-    closed = []
-    for j, (base, u, target) in enumerate(zip(bases, fields, targets)):
-        if (float(np.abs(u).max())
-                >= 0.5 / max(float(geometry(base).curvature.max()),
-                             float(geometry(target).curvature.max()))):
-            dh[j] = hausdorff_distance(base, target)
-        else:
-            closed.append(j)
-    m = len(fields[0]) if len(fields) else 1
-    for block in frame_blocks(len(closed), m):
+    fields = np.asarray(fields, dtype=float)
+    count, m = fields.shape
+    reach = 0.5 / np.maximum(base[1].curvature.max(axis=1),
+                             target[1].curvature.max(axis=1))
+    far = np.abs(fields).max(axis=1) >= reach
+    dh = np.empty(count)
+    for j in np.flatnonzero(far):
+        dh[j] = hausdorff_distance(_frame(base, j), _frame(target, j))
+    closed = np.flatnonzero(~far)
+    for block in frame_blocks(closed.size, m):
         rows = closed[block]
-        u = np.stack([fields[j] for j in rows])
+        u = fields[rows]
         coef = np.fft.rfft(u, axis=-1)
-        scale = np.array([np.abs(bases[j].points).max() for j in rows])
+        scale = np.abs(base[0][rows]).max(axis=(1, 2))
         dh[rows] = refined_extremes(
             lambda r, theta: fourier.mode_sum(coef, m, r, theta, 2), u,
             TWO_PI / m, scale)

@@ -27,9 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fourier, ioutil
-from .curvegeo import (TWO_PI, DiscreteCurve, area_centroid, circle,
-                       distance_to_circle, ellipse, fourier_curve, geometry,
-                       hausdorff_distance, random_fourier, support_function)
+from .curvegeo import (TWO_PI, DiscreteCurve, GeometryFields, area_centroid,
+                       circle, distance_to_circle, ellipse, fourier_curve,
+                       geometry, hausdorff_distance, random_fourier,
+                       support_function)
 from .errors import (ConfigInvalid, ConvexityLost, EnergyUnderflow, InvalidCurve,
                      NotAGraph, NotShrinking, ShrinkerLabError, WindowTooShort)
 from .flowcore import (CFL_MAX, GAUGES, StepControl, estimate_singularity,
@@ -412,7 +413,7 @@ def _run_simulate(config: ScenarioConfig) -> dict:
     summary = {
         "scenario": config.scenario,
         "m": config.m,
-        "frames": len(traj.curves),
+        "frames": len(traj),
         "finalTime": float(traj.times[-1]),
         "predictedTime": predicted,
         "singularity": traj.singular_data,
@@ -465,14 +466,13 @@ def _run_gauge_residual(config: ScenarioConfig) -> dict:
             step_curvature(starts[-1])
     trajs = run_flows(starts, "rmcf", 2.0 * delta, frame_dtau=delta,
                       control=StepControl(cfl=config.cfl))
-    for eps, traj in zip(amps, trajs):
-        if len(traj.curves) < 3:
-            raise WindowTooShort("flow stopped before three frames at "
-                                 "amplitude %g" % eps)
-    # frames 0, 1, 2 of every amplitude over the base, in one pass
+    # frames 0, 1, 2 of every amplitude over the base in one pass, over one
+    # copy of their rows: the runs' own stacks go once copied
+    points, geoms = zip(*(traj.stacked(slice(3)) for traj in trajs))
+    targets = np.concatenate(points), GeometryFields.joined(geoms, np.concatenate)
+    del trajs, points, geoms
     try:
-        u = normal_graphs([base] * (3 * len(amps)),
-                          [c for traj in trajs for c in traj.curves[:3]])
+        u = normal_graphs((base.points, geometry(base)), targets)
     except NotAGraph as exc:
         raise NotAGraph("amplitude %g: %s" % (amps[exc.frame // 3], exc))
     cols = residuals(op, u[0::3], u[1::3], u[2::3], delta)
@@ -506,17 +506,12 @@ def experiment_separation(config: ScenarioConfig) -> dict:
     area-centroid gauge (so their frames share the times 0, frame_dtau, ...,
     tau_end), then the two-flow frequency monitor pairs their frames by
     index, plus a Hausdorff distance fit. The monitor writes target frame j
-    as a normal graph over base frame j by `gauge.normal_graphs`: Newton
-    seeded at each base node's own parameter, with no crossing search,
-    each frame accepted under a convexity certificate (at node resolution)
-    that its crossing is the only one within half a reach and otherwise
-    sent through `gauge.normal_graph`. Each dH row is read off the normal
-    graph u the monitor built for that frame, all rows in one
-    `gauge.graph_hausdorff` call: the frames are convex (`require_convex`),
-    so while sup|u| stays below half of both reaches (1/max H), d_H =
-    sup|u| in closed form, the node extremes refined on the mode sums of u;
-    beyond that, the support-function distance `hausdorff_distance`. The
-    fit takes every row above _DH_FLOOR whose graph energy does not
+    as a normal graph u over base frame j (`gauge.normal_graphs`), and
+    each dH row is read off that u, all rows in one `gauge.graph_hausdorff`
+    call on the interior frames' stacked rows: the frames are convex
+    (`require_convex`), so d_H = sup|u| in closed form while sup|u| stays
+    below half of both reaches, and the support-function distance beyond.
+    The fit takes every row above _DH_FLOOR whose graph energy does not
     underflow; when fewer than three do, dhSlope is None, and a run that is
     not coincident says so in its flags with the count of those rows.
     The verdict is superexponential-flagged when log I or log d_H drops below
@@ -543,8 +538,8 @@ def experiment_separation(config: ScenarioConfig) -> dict:
     trace = monitor(base_traj, target_traj, fit_fraction=config.fit_window)
     taus = trace.columns["tau"]
     underflow = trace.columns["underflow"].astype(bool)
-    dh = graph_hausdorff(base_traj.curves[1:-1], trace.fields,
-                         target_traj.curves[1:-1])
+    dh = graph_hausdorff(base_traj.stacked(slice(1, -1)), trace.fields,
+                         target_traj.stacked(slice(1, -1)))
 
     usable = (dh > _DH_FLOOR) & ~underflow
     dh_slope, tw, lw = _fit_tail_slope(taus[usable], dh[usable],
@@ -609,8 +604,7 @@ def experiment_rate(config: ScenarioConfig) -> dict:
     is rounding noise: there is no mode, and every fitted field is None.
     Writes frames.npy, index.json, series.csv and trace.csv.
     """
-    curve = _build_curves(config)[0]
-    start = _normalize_unit_area(curve)
+    start = _normalize_unit_area(_build_curves(config)[0])
     control = StepControl(cfl=config.cfl, require_convex=True)
     with _convex_starts(config):
         traj = run_rmcf(start, config.tau_end, frame_dtau=config.frame_dtau,
@@ -618,7 +612,7 @@ def experiment_rate(config: ScenarioConfig) -> dict:
     radius = math.sqrt(2.0)
 
     taus = np.asarray(traj.times, dtype=float)
-    dh = distance_to_circle(traj.curves, radius)
+    dh = distance_to_circle(traj.stacked(), radius)
     phi_l2 = np.sqrt(shrinker_energies(traj))
 
     if not np.any(dh > _DH_FLOOR):
@@ -626,7 +620,8 @@ def experiment_rate(config: ScenarioConfig) -> dict:
         verdict = "exact-shrinker"
     else:
         alpha = fourier.grid(config.m)
-        h = support_function(traj.curves[0])(np.cos(alpha), np.sin(alpha))[0]
+        h = support_function(DiscreteCurve._view(*traj.stacked(0)))(
+            np.cos(alpha), np.sin(alpha))[0]
         mode = int(np.argmax(np.abs(np.fft.rfft(h - radius))[2:])) + 2
         predicted = 1.0 - 0.5 * mode * mode
         fit_mask = dh > _DH_FLOOR

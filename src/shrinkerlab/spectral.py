@@ -316,7 +316,8 @@ def rayleigh_bound(traj, stride: int = 1):
     frames; that maximum is the constant the frequency monitor compares the
     Rayleigh quotient against. Each value is the Kato-Temple upper bound
     theta1 + |r1|^2 / (theta1 - theta2 - |r2|) of the top Ritz pair (theta1
-    + |r1| when that gap is not positive), and each frame's solve starts
+    + |r1| when that gap is not positive) of the frame's one-frame operator
+    (`assemble_rows` of its stacked rows), and each frame's solve starts
     from the previous frame's Ritz block.
 
     Raises
@@ -326,14 +327,12 @@ def rayleigh_bound(traj, stride: int = 1):
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    idx = list(range(0, len(traj), stride))
-    if idx[-1] != len(traj) - 1:
-        idx.append(len(traj) - 1)
+    idx = sorted(set(range(0, len(traj), stride)) | {len(traj) - 1})
     times = np.array([traj.times[i] for i in idx])
     values = np.empty(len(idx))
     block = None
     for j, i in enumerate(idx):
-        vals, block, norms = _top_pairs(assemble(traj.curves[i]), 1, block)
+        vals, block, norms = _top_pairs(assemble_rows(*traj.stacked(i)), 1, block)
         gap = vals[0] - vals[1] - norms[1]
         values[j] = vals[0] + (norms[0] ** 2 / gap if gap > 0 else norms[0])
     return times, values, float(values.max())

@@ -141,10 +141,9 @@ def _synthetic_monitor(mode_amps, taus, base):
             u += amp * math.exp(lam * tau) * np.cos(k * theta)
         return u
 
-    base_traj = FlowTrajectory(picture="rmcf", m=base.m, times=list(taus),
-                               curves=[base] * len(taus))
-    target = FlowTrajectory(picture="rmcf", m=base.m, times=list(taus),
-                            curves=[reconstruct(base, graph(t)) for t in taus])
+    base_traj = FlowTrajectory.from_curves("rmcf", taus, [base] * len(taus))
+    target = FlowTrajectory.from_curves(
+        "rmcf", taus, [reconstruct(base, graph(t)) for t in taus])
     return monitor(base_traj, target)
 
 

@@ -35,6 +35,12 @@ from shrinkerlab.gauge import (graph_hausdorff, normal_graph,
 
 SQRT2 = math.sqrt(2.0)
 
+
+def stacked(curves):
+    """The stacked (points, geometry) rows of a trajectory of `curves`."""
+    return FlowTrajectory.from_curves("rmcf", range(len(curves)),
+                                      curves).stacked()
+
 #: points of the dense polygons the distance oracles sample each
 #: interpolant on
 M_DENSE = 8192
@@ -281,12 +287,13 @@ def test_normal_graphs_of_96_node_targets_over_128_node_bases():
              (circle(SQRT2, m=128),
               fourier_curve(1.35, (0.0, 0.04), (0.0, 0.0, 0.02), m=96))]
     bases, targets = zip(*pairs)
-    rows = gauge.normal_graphs(bases, targets)
+    rows = gauge.normal_graphs(stacked(bases), stacked(targets))
     assert rows.shape == (4, 128)
     for row, base, target in zip(rows, bases, targets):
         want = oracle_normal_graph(base, target)
         assert np.abs(row - want).max() <= 1e-12 * np.abs(want).max()
-        assert np.array_equal(row, gauge.normal_graphs([base], [target])[0])
+        assert np.array_equal(row, gauge.normal_graphs(
+            stacked([base]), stacked([target]))[0])
 
 
 def test_non_star_case_takes_full_rows():
@@ -473,7 +480,7 @@ def test_distances_reject_a_curve_that_is_not_convex():
         with pytest.raises(InvalidCurve, match="convex"):
             hausdorff_distance(a, b)
     with pytest.raises(InvalidCurve, match="convex"):
-        distance_to_circle([dented()], SQRT2)
+        distance_to_circle(stacked([dented()]), SQRT2)
 
 
 def test_one_interpolant_table_per_coefficient_set(monkeypatch):
@@ -555,22 +562,23 @@ def test_distance_to_circle_is_exact_on_a_rotated_ellipse():
     curve = DiscreteCurve(np.column_stack([a * np.cos(t + phi),
                                            b * np.sin(t + phi)]))
     expected = max(a - SQRT2, SQRT2 - b)
-    assert abs(distance_to_circle([curve], SQRT2)[0] - expected) <= 1e-14
+    assert abs(distance_to_circle(stacked([curve]), SQRT2)[0] - expected) <= 1e-14
 
 
 def test_distance_to_circle_round_and_off_centre(recwarn):
     # on a round curve the second derivative of the support gap is rounding
     # noise: the safeguarded division warns of nothing and the result stays
     # exact
-    assert distance_to_circle([circle(SQRT2)], SQRT2)[0] <= 1e-14
-    assert abs(distance_to_circle([circle(1.3)], SQRT2)[0]
+    assert distance_to_circle(stacked([circle(SQRT2)]), SQRT2)[0] <= 1e-14
+    assert abs(distance_to_circle(stacked([circle(1.3)]), SQRT2)[0]
                - (SQRT2 - 1.3)) <= 1e-14
     # off the origin, and passing 0.001 from it: the support functions
     # 1 + <c, n> and sqrt(2) differ most along c or against it
-    assert abs(distance_to_circle([circle(1.0, center=(2.0, 0.0))], SQRT2)[0]
-               - (1.0 + SQRT2)) <= 1e-14
-    assert abs(distance_to_circle([circle(1.0, center=(0.999, 0.0), m=256)],
-                                  SQRT2)[0] - (SQRT2 - 0.001)) <= 1e-14
+    assert abs(distance_to_circle(stacked([circle(1.0, center=(2.0, 0.0))]),
+                                  SQRT2)[0] - (1.0 + SQRT2)) <= 1e-14
+    assert abs(distance_to_circle(
+        stacked([circle(1.0, center=(0.999, 0.0), m=256)]), SQRT2)[0]
+        - (SQRT2 - 0.001)) <= 1e-14
     assert len(recwarn) == 0
 
 
@@ -584,7 +592,7 @@ def test_distance_to_circle_matches_dense_along_a_flow():
         traj = run_rmcf(start, 2.0, frame_dtau=0.1)
         reference = circle(SQRT2, m=m)
         for frame, got in zip(traj.curves,
-                              distance_to_circle(traj.curves, SQRT2)):
+                              distance_to_circle(traj.stacked(), SQRT2)):
             dense = oracle_hausdorff_dense(frame, reference,
                                            windowed_directed_sup)
             assert abs(got - dense) <= 1e-12 * dense, (m, modes)
@@ -633,7 +641,8 @@ def test_distance_to_circle_resolves_a_mode_5_flow():
         start = labcli._normalize_unit_area(
             fourier_curve(1.0, (0.0, 0.0, 0.0, 0.0, 0.035), m=m))
         frames = run_rmcf(start, 2.0, frame_dtau=0.1).curves
-        for frame, got in zip(frames, distance_to_circle(frames, SQRT2)):
+        for frame, got in zip(frames,
+                              distance_to_circle(stacked(frames), SQRT2)):
             exact = oracle_round_distance(
                 np.hypot(*upsample(frame.points.T, M_DENSE)),
                 direct_radius(frame))
@@ -655,7 +664,7 @@ def test_distance_to_circle_finds_the_extreme_the_node_samples_misrank():
     assert np.argmax(r) == 0 and np.argmin(r) == 32
     exact = oracle_round_distance(radius_at(grid(M_DENSE)), radius_at)
     assert exact - max(r.max() - SQRT2, SQRT2 - r.min()) > 1e-4
-    assert abs(distance_to_circle([curve], SQRT2)[0] - exact) <= ROUND_R
+    assert abs(distance_to_circle(stacked([curve]), SQRT2)[0] - exact) <= ROUND_R
 
 
 def test_distance_to_circle_matches_dense_off_the_origin(recwarn):
@@ -665,7 +674,7 @@ def test_distance_to_circle_matches_dense_off_the_origin(recwarn):
     curve = translated(fourier_curve(0.5, (0.0, 0.0, 0.0, 0.05), m=256),
                        (1.6, 0.4))
     assert curve.points[:, 0].min() > 0.0
-    (got,) = distance_to_circle([curve], SQRT2)
+    (got,) = distance_to_circle(stacked([curve]), SQRT2)
     pa, pb = (upsample(c.points.T, M_DENSE).T
               for c in (curve, circle(SQRT2, m=256)))
     exact = max(oracle_polygon_sup(pa, pb), oracle_polygon_sup(pb, pa))
@@ -705,12 +714,12 @@ def test_batched_distances_do_not_couple_frames(monkeypatch):
               translated(fourier_curve(0.5, (0.0, 0.0, 0.0, 0.05), m=256),
                          (1.6, 0.4))] + rate_frames(tau_end=1.3)
     assert len(frames) > 2 * (curvegeo._BLOCK_NODES // 256)
-    batched = distance_to_circle(frames, SQRT2)
+    batched = distance_to_circle(stacked(frames), SQRT2)
     assert batched.shape == (len(frames),)
     evaluated = sum(points)
     points.clear()
     for frame, got in zip(frames, batched):
-        assert distance_to_circle([frame], SQRT2)[0] == got
+        assert distance_to_circle(stacked([frame]), SQRT2)[0] == got
     assert sum(points) == evaluated
     # the graph distances of the separation frames, in blocks of 3 frames
     starts = [labcli._normalize_unit_area(c)
@@ -718,15 +727,17 @@ def test_batched_distances_do_not_couple_frames(monkeypatch):
     base, target = run_flows(starts, "rmcf", 2.0, frame_dtau=0.1,
                              gauge="area-centroid")
     fields = frequency.monitor(base, target).fields
-    args = (base.curves[1:-1], fields, target.curves[1:-1])
     monkeypatch.setattr(curvegeo, "_BLOCK_NODES", 3 * 128)
     points.clear()
-    batched = graph_hausdorff(*args)
+    batched = graph_hausdorff(base.stacked(slice(1, -1)), fields,
+                              target.stacked(slice(1, -1)))
     assert batched.shape == (len(fields),) and len(fields) > 6
     evaluated = sum(points)
     points.clear()
-    for j, row in enumerate(zip(*args)):
-        assert graph_hausdorff(*([a] for a in row))[0] == batched[j]
+    for j in range(len(fields)):
+        one = slice(j + 1, j + 2)
+        assert graph_hausdorff(base.stacked(one), fields[j:j + 1],
+                               target.stacked(one))[0] == batched[j]
     assert sum(points) == evaluated
 
 
@@ -736,14 +747,15 @@ def test_rounding_noise_refines_nothing(monkeypatch):
     # would be refined without the noise floor
     calls = counted_mode_sum(monkeypatch)
     round_frame = circle(SQRT2, m=2048)
-    assert distance_to_circle([round_frame], SQRT2)[0] <= 1e-14
+    assert distance_to_circle(stacked([round_frame]), SQRT2)[0] <= 1e-14
     u = normal_graph(round_frame, circle(SQRT2, m=2048))
-    assert graph_hausdorff([round_frame], [u], [round_frame])[0] <= 1e-14
+    assert graph_hausdorff(stacked([round_frame]), [u],
+                           stacked([round_frame]))[0] <= 1e-14
     assert calls == []
     # a frame one step from round still refines its extremes
-    assert distance_to_circle([circle(1.3, m=2048)], SQRT2)[0] \
+    assert distance_to_circle(stacked([circle(1.3, m=2048)]), SQRT2)[0] \
         == pytest.approx(SQRT2 - 1.3, abs=1e-14)
-    assert distance_to_circle([rate_frames()[-1]], SQRT2)[0] > 1e-3
+    assert distance_to_circle(stacked([rate_frames()[-1]]), SQRT2)[0] > 1e-3
     assert calls
 
 
@@ -753,10 +765,11 @@ def test_batched_distance_memory_is_bounded():
     # of all 401 frames peaks near 7.5 MB (one table per frame, 0.2 MB)
     frames = rate_frames()
     assert len(frames) == 401
-    distance_to_circle(frames, SQRT2)
+    rows = stacked(frames)
+    distance_to_circle(rows, SQRT2)
     tracemalloc.start()
     try:
-        distance_to_circle(frames, SQRT2)
+        distance_to_circle(rows, SQRT2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -766,8 +779,7 @@ def test_batched_distance_memory_is_bounded():
 def test_shrinker_energy_is_the_monitor_itilde():
     for curve in (random_fourier(5, 0.08, seed=2, m=128),
                   ellipse(1.3, 0.8, m=64), circle(1.1, m=64)):
-        one = FlowTrajectory(picture="rmcf", m=curve.m, times=[0.0],
-                             curves=[curve])
+        one = FlowTrajectory.from_curves("rmcf", [0.0], [curve])
         assert frequency.shrinker_energy(curve) == \
             frequency._frames(one)["itilde"][0]
 
@@ -835,7 +847,7 @@ def test_graph_hausdorff_refines_a_sup_between_nodes(pair, m, monkeypatch):
     base, target = GRAPH_PAIRS[pair](m)
     monkeypatch.setattr(gauge, "hausdorff_distance", None)  # no fallback
     u = normal_graph(base, target)
-    (got,) = graph_hausdorff([base], [u], [target])
+    (got,) = graph_hausdorff(stacked([base]), [u], stacked([target]))
     assert got > np.abs(u).max()
     assert abs(got - graph_pair_oracle(pair)) <= 1e-9
 
@@ -850,7 +862,8 @@ def test_graph_hausdorff_refines_a_peak_below_the_node_maximum(monkeypatch):
     base = circle(SQRT2, m=m)
     u = u_of(grid(m))
     monkeypatch.setattr(gauge, "hausdorff_distance", None)  # no fallback
-    (got,) = graph_hausdorff([base], [u], [reconstruct(base, u)])
+    (got,) = graph_hausdorff(stacked([base]), [u],
+                             stacked([reconstruct(base, u)]))
     fine = np.abs(u_of(grid(1 << 16)))
     j = int(np.argmax(fine))
     h = TWO_PI / fine.size
@@ -869,8 +882,8 @@ def test_graph_hausdorff_matches_dense_on_separation_frames(monkeypatch):
                              gauge="area-centroid")
     trace = frequency.monitor(base, target)
     assert len(trace.fields) == len(base) - 2 > 20
-    dists = graph_hausdorff(base.curves[1:-1], trace.fields,
-                            target.curves[1:-1])
+    dists = graph_hausdorff(base.stacked(slice(1, -1)), trace.fields,
+                            target.stacked(slice(1, -1)))
     for j, got in enumerate(dists, start=1):
         assert abs(got - hausdorff_distance(base.curves[j], target.curves[j])) \
             <= 1e-15
@@ -888,14 +901,15 @@ def test_graph_hausdorff_falls_back_off_its_conditions(monkeypatch):
     # in reach over a convex base: closed form
     base = circle(1.0, m=128)
     u = 0.02 * np.cos(3 * t)
-    assert abs(graph_hausdorff([base], [u], [reconstruct(base, u)])[0]
+    assert abs(graph_hausdorff(stacked([base]), [u],
+                               stacked([reconstruct(base, u)]))[0]
                - 0.02) <= 1e-15
     assert calls == []
     # a height of 0.6 over circle(1) (reach 1): beyond half of either reach
     for height in (0.6, -0.6):
         u = np.full(128, height)
         target = reconstruct(base, u)
-        assert graph_hausdorff([base], [u], [target])[0] \
+        assert graph_hausdorff(stacked([base]), [u], stacked([target]))[0] \
             == hausdorff_distance(base, target)
     assert len(calls) == 2
     # beyond half the reach of a base that is not convex: the support
@@ -905,8 +919,10 @@ def test_graph_hausdorff_falls_back_off_its_conditions(monkeypatch):
     assert 0.3 >= 0.5 / geometry(base).curvature.max()
     target = reconstruct(base, u)
     with pytest.raises(InvalidCurve, match="convex"):
-        graph_hausdorff([base], [u], [target])
-    assert len(calls) == 3 and calls[-1] == (base, target)
+        graph_hausdorff(stacked([base]), [u], stacked([target]))
+    assert len(calls) == 3
+    assert all(np.array_equal(a.points, b.points)
+               for a, b in zip(calls[-1], (base, target)))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from shrinkerlab import curvegeo, flowcore, fourier
+from shrinkerlab import curvegeo, flowcore, fourier, gauge, spectral
 from shrinkerlab.curvegeo import circle, ellipse, fourier_curve, geometry
 from shrinkerlab.errors import (
     BlowupDetected,
@@ -104,6 +104,27 @@ def test_run_flows_refuses_more_frames_than_the_step_budget(monkeypatch):
     assert run_flows([circle(SQRT2, m=64)], "rmcf", 0.2)[0].steps == 10
     with pytest.raises(StepRejected, match="each of 11 frames"):
         run_flows([circle(SQRT2, m=64)], "rmcf", 0.22)
+
+
+@pytest.mark.parametrize("picture, m, radius, end, frame_dtau, frames", [
+    ("rmcf", 1 << 16, SQRT2, 1e3, 1e-3, 10 ** 6),
+    ("mcf", 64, 1.0, None, 1e-6, 7.8e6)], ids=["rmcf-stored-nodes", "mcf-frames"])
+def test_run_flows_refuses_frames_past_their_budgets_up_front(
+        picture, m, radius, end, frame_dtau, frames):
+    """An rmcf run whose stacks would hold more than STORED_NODES_MAX
+    nodes, and an mcf run that needs more than STEP_BUDGET frames (past
+    an area level each, from A(0) to at most A(0) - 2 pi (1/k0^2 - 1/K^2)/2
+    at its stop curvature K), are refused before their frames are stored:
+    the memory traced is far below the 72 bytes a node of those frames."""
+    curve = circle(radius, m=m)
+    tracemalloc.start()
+    try:
+        with pytest.raises(StepRejected, match="^curve 0 "):
+            run_flows([curve], picture, end, frame_dtau=frame_dtau)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6 < 1e-3 * 72 * frames * m
 
 
 def test_mcf_step_matches_radius_ode():
@@ -680,11 +701,71 @@ def test_frames_are_read_only_views_of_the_stacks(monkeypatch, tmp_path,
     assert written == expected.getvalue()
 
 
+def assert_rows_are_the_curves(traj, curves):
+    """Row j of the trajectory's stacks is curves[j]'s points and
+    `geometry`, bit for bit."""
+    assert traj.points.shape == (len(curves), traj.m, 2)
+    for j, curve in enumerate(curves):
+        assert np.array_equal(traj.points[j], curve.points)
+        for name in GEOMETRY_NAMES:
+            assert np.array_equal(getattr(traj.geom, name)[j],
+                                  getattr(geometry(curve), name)), name
+
+
+def test_trajectories_of_curves_hold_their_rows(tmp_path):
+    """A trajectory built from curves (`load`, `rescale_to_rmcf`, or by hand
+    from a run's own curves) holds stacks whose rows are each curve's
+    points and geometry bit for bit, as read-only as a run's."""
+    run = run_mcf(circle(2.0, center=(1.0, 1.0), m=64), t_end=1.5)
+    run.save(tmp_path)
+    loaded = FlowTrajectory.load(tmp_path)
+    assert_rows_are_the_curves(loaded, [
+        curvegeo.DiscreteCurve(frame)
+        for frame in np.load(tmp_path / "frames.npy")])
+    rescaled = rescale_to_rmcf(run, 2.0, (1.0, 1.0))
+    assert_rows_are_the_curves(rescaled, [
+        curvegeo.DiscreteCurve((frame - 1.0) * (1.0 / math.sqrt(2.0 - t)),
+                               validate=False)
+        for t, frame in zip(run.times, run.points)])
+    by_hand = FlowTrajectory.from_curves("mcf", run.times, run.curves)
+    assert_rows_are_the_curves(by_hand, run.curves)
+    for traj in (loaded, rescaled, by_hand):
+        with pytest.raises(ValueError, match="read-only"):
+            traj.geom.curvature[0, 0] = 0.0
+    for name in GEOMETRY_NAMES:
+        assert np.array_equal(getattr(by_hand.geom, name),
+                              getattr(run.geom, name)), name
+
+
+def test_frame_consumers_read_a_copy_of_a_run_bit_for_bit():
+    """The frame consumers take stacked rows: on a trajectory rebuilt by
+    hand from a run's curves they give the run's own results bit for
+    bit."""
+    starts = [_normalize_unit_area(c)
+              for c in (ellipse(1.1, 1.0 / 1.1, m=64), circle(1.0, m=64))]
+    runs = run_flows(starts, "rmcf", 1.0, frame_dtau=0.1,
+                     gauge="area-centroid")
+    copies = [FlowTrajectory.from_curves("rmcf", t.times, t.curves)
+              for t in runs]
+    results = []
+    for base, target in (runs, copies):
+        fields = gauge.normal_graphs(base.stacked(), target.stacked())
+        inner = slice(1, -1)
+        results.append((
+            fields,
+            gauge.graph_hausdorff(base.stacked(inner), fields[inner],
+                                  target.stacked(inner)),
+            curvegeo.distance_to_circle(base.stacked(), SQRT2),
+            *spectral.rayleigh_bound(base, stride=3)[1:]))
+    for got, want in zip(*results):
+        assert np.array_equal(got, want)
+
+
 def test_save_streams_frames_without_a_stacked_copy(tmp_path):
     m, n = 512, 200
     curves = [circle(1.0 + 1e-3 * j, m=m) for j in range(n)]
-    traj = FlowTrajectory(picture="rmcf", m=m, curves=curves,
-                          times=[0.01 * j for j in range(n)])
+    traj = FlowTrajectory.from_curves("rmcf", [0.01 * j for j in range(n)],
+                                      curves)
     stacked = n * m * 2 * 8  # bytes of the (n, m, 2) array, 1.6 MB
     tracemalloc.start()
     try:

@@ -38,23 +38,21 @@ def approach(traj):
 
 def static_round_traj(n, dtau=0.02, m=128):
     base = circle(SQRT2, m=m)
-    return base, FlowTrajectory(picture="rmcf", m=m,
-                                times=[j * dtau for j in range(n)],
-                                curves=[base] * n)
+    return base, FlowTrajectory.from_curves(
+        "rmcf", [j * dtau for j in range(n)], [base] * n)
 
 
 def graph_traj(base, fields, dtau):
-    return FlowTrajectory(picture="rmcf", m=base.m,
-                          times=[j * dtau for j in range(len(fields))],
-                          curves=[reconstruct(base, u) for u in fields])
+    return FlowTrajectory.from_curves(
+        "rmcf", [j * dtau for j in range(len(fields))],
+        [reconstruct(base, u) for u in fields])
 
 
 def static_monitor(base, fields, dtau=0.02):
     """Monitor of the graphs fields[j] over a base that stays put."""
     n = len(fields)
-    base_traj = FlowTrajectory(picture="rmcf", m=base.m,
-                               times=[j * dtau for j in range(n)],
-                               curves=[base] * n)
+    base_traj = FlowTrajectory.from_curves(
+        "rmcf", [j * dtau for j in range(n)], [base] * n)
     return monitor(base_traj, graph_traj(base, fields, dtau))
 
 
@@ -309,7 +307,8 @@ def test_monitor_columns_equal_public_helpers():
         j = r + 1
         assert a.times[j] == tau and b.times[j] == tau
         base = a.curves[j]
-        u = [normal_graphs([a.curves[i]], [b.curves[i]])[0]
+        u = [normal_graphs(a.stacked(slice(i, i + 1)),
+                           b.stacked(slice(i, i + 1)))[0]
              for i in (j - 1, j, j + 1)]
         assert np.array_equal(trace.fields[r], u[1])
         oracle = normal_graph(base, b.curves[j])
@@ -333,8 +332,8 @@ def test_trace_fields_are_the_normal_graph_rows():
                  frame_dtau=0.05)
     fields = monitor(a, b).fields
     assert isinstance(fields, np.ndarray) and fields.shape == (len(a) - 2, 96)
-    assert np.array_equal(fields, normal_graphs(a.curves[1:-1],
-                                                b.curves[1:-1]))
+    assert np.array_equal(fields, normal_graphs(a.stacked(slice(1, -1)),
+                                                b.stacked(slice(1, -1))))
 
 
 def test_monitor_pairs_flows_of_different_m():
@@ -358,8 +357,7 @@ def test_monitor_not_a_graph_names_the_frame_tau():
     base, base_traj = static_round_traj(8)
     curves = list(base_traj.curves)
     curves[3] = circle(0.3, m=128)
-    target = FlowTrajectory(picture="rmcf", m=128, times=base_traj.times,
-                            curves=curves)
+    target = FlowTrajectory.from_curves("rmcf", base_traj.times, curves)
     with pytest.raises(NotAGraph, match=r"^frame pair at tau = 0\.06: no "
                        "target point within reach/2 along normal 0$"):
         monitor(base_traj, target)
@@ -367,17 +365,16 @@ def test_monitor_not_a_graph_names_the_frame_tau():
 
 def test_monitor_requires_rescaled_pictures():
     base, base_traj = static_round_traj(8)
-    mcf_like = FlowTrajectory(picture="mcf", m=128, times=base_traj.times,
-                              curves=base_traj.curves)
+    mcf_like = FlowTrajectory.from_curves("mcf", base_traj.times,
+                                          base_traj.curves)
     with pytest.raises(ValueError):
         monitor(mcf_like, base_traj)
 
 
 def test_monitor_needs_overlap():
     base, base_traj = static_round_traj(8)
-    shifted = FlowTrajectory(picture="rmcf", m=128,
-                             times=[t + 100.0 for t in base_traj.times],
-                             curves=base_traj.curves)
+    shifted = FlowTrajectory.from_curves(
+        "rmcf", [t + 100.0 for t in base_traj.times], base_traj.curves)
     with pytest.raises(FrameMissing):
         monitor(base_traj, shifted)
 
@@ -388,8 +385,7 @@ def test_monitor_pairs_frames_only_at_equal_times():
     base, base_traj = static_round_traj(8)
     times = list(base_traj.times)
     times[3] += 1e-12
-    moved = FlowTrajectory(picture="rmcf", m=128, times=times,
-                           curves=base_traj.curves)
+    moved = FlowTrajectory.from_curves("rmcf", times, base_traj.curves)
     with pytest.raises(FrameMissing, match="frame times"):
         monitor(base_traj, moved)
 

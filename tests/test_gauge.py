@@ -9,7 +9,8 @@ from shrinkerlab import fourier, frequency, gauge, labcli
 from shrinkerlab.curvegeo import (DiscreteCurve, circle, ellipse, fourier_curve,
                                  gaussian_weights, geometry, random_fourier)
 from shrinkerlab.errors import NotAGraph
-from shrinkerlab.flowcore import StepControl, run_flows, run_rmcf
+from shrinkerlab.flowcore import (FlowTrajectory, StepControl, run_flows,
+                                  run_rmcf)
 from shrinkerlab.gauge import (
     apply_L,
     arc_rows,
@@ -22,6 +23,17 @@ from shrinkerlab.gauge import (
 from shrinkerlab.spectral import assemble_rows
 
 SQRT2 = np.sqrt(2.0)
+
+
+def stacked(curves):
+    """The stacked (points, geometry) rows of a trajectory of `curves`."""
+    return FlowTrajectory.from_curves("rmcf", range(len(curves)),
+                                      curves).stacked()
+
+
+def one_frame(curve):
+    """The rows of one curve, the base of every target frame."""
+    return curve.points, geometry(curve)
 
 
 def mode(base, k, amp=1.0, phase="cos"):
@@ -51,8 +63,8 @@ def test_graph_concentric_circles_half_a_node_apart():
     t = (np.arange(64) + 0.5) * (2 * np.pi / 64)
     target = DiscreteCurve(1.3 * np.column_stack([np.cos(t), np.sin(t)]))
     assert np.allclose(normal_graph(base, target), SQRT2 - 1.3, atol=1e-12)
-    assert np.allclose(normal_graphs([base], [target])[0], SQRT2 - 1.3,
-                       atol=1e-12)
+    assert np.allclose(normal_graphs(stacked([base]), stacked([target]))[0],
+                       SQRT2 - 1.3, atol=1e-12)
 
 
 def test_graph_reconstruct_round_trip():
@@ -104,9 +116,10 @@ def recorded_graph_pairs(monkeypatch, owner, text):
     scenario of the config `text` runs."""
     pairs = []
 
-    def recorder(bases, targets):
-        pairs.extend(zip(bases, targets))
-        return normal_graphs(bases, targets)
+    def recorder(base, target):
+        pairs.extend((gauge._frame(base, f), gauge._frame(target, f))
+                     for f in range(len(target[0])))
+        return normal_graphs(base, target)
 
     monkeypatch.setattr(owner, "normal_graphs", recorder)
     labcli.run(labcli.validate_config(labcli.parse_config_text(text)))
@@ -142,7 +155,7 @@ def test_normal_graphs_match_the_crossing_search_on_the_reference_runs(
                                      separation_512(seed, tmp_path / "sep"))
         assert len(pairs) == 141
     for base, target in pairs:
-        got = normal_graphs([base], [target])[0]
+        got = normal_graphs(stacked([base]), stacked([target]))[0]
         want = normal_graph(base, target)
         assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
 
@@ -175,17 +188,19 @@ def test_normal_graphs_fall_back_where_the_certificate_fails(monkeypatch):
              / np.hypot(crossing[:, 0], crossing[:, 1]))
     assert (2 * SQRT2 * cos_a - np.abs(want)).min() < SQRT2 / 2
     calls.clear()
-    got = normal_graphs([base, base], [target, target])
-    assert [c is target for c in calls] == [True, True]
+    got = normal_graphs(stacked([base, base]), stacked([target, target]))
+    assert [np.array_equal(c.points, target.points) for c in calls] \
+        == [True, True]
     assert np.array_equal(got[0], want) and np.array_equal(got[1], want)
     calls.clear()
-    normal_graphs([circle(1.3, m=256)], [target])  # a certified pair
+    # a certified pair
+    normal_graphs(stacked([circle(1.3, m=256)]), stacked([target]))
     assert not calls
 
     bumpy = fourier_curve(1.0, (0.0, 0.0, 0.12), m=128)
     assert geometry(bumpy).curvature.min() < 0.0
     nearby = reconstruct(bumpy, mode(bumpy, 2, 0.002))
-    got = normal_graphs([bumpy], [nearby])
+    got = normal_graphs(stacked([bumpy]), stacked([nearby]))
     assert len(calls) == 1
     assert np.array_equal(got[0], normal_graph(bumpy, nearby))
 
@@ -196,7 +211,8 @@ def test_normal_graphs_raise_the_search_error_with_the_frame(monkeypatch):
     base = circle(SQRT2, m=64)
     near = reconstruct(base, mode(base, 2, 0.01))
     with pytest.raises(NotAGraph) as seeded:
-        normal_graphs([base] * 3, [near, near, circle(0.3, m=64)])
+        normal_graphs(one_frame(base),
+                      stacked([near, near, circle(0.3, m=64)]))
     with pytest.raises(NotAGraph) as search:
         normal_graph(base, circle(0.3, m=64))
     assert str(seeded.value) == str(search.value)
@@ -205,7 +221,7 @@ def test_normal_graphs_raise_the_search_error_with_the_frame(monkeypatch):
     # at heights +-0.131, both within its reach/2 = 0.15
     small = circle(0.3, center=(SQRT2, 0.27), m=64)
     with pytest.raises(NotAGraph) as twice:
-        normal_graphs([base, base], [small, near])
+        normal_graphs(stacked([base, base]), stacked([small, near]))
     assert twice.value.frame == 0
     assert str(twice.value) == "normal 0 crosses the target 2 times within reach/2"
 
@@ -221,7 +237,7 @@ def test_normal_graphs_rows_do_not_depend_on_the_block(monkeypatch):
     rows = {}
     for frames in (1, 32):
         monkeypatch.setattr(gauge, "STACK_NODES", frames * 128)
-        rows[frames] = normal_graphs(base.curves, target.curves)
+        rows[frames] = normal_graphs(base.stacked(), target.stacked())
     assert len(base) > 32
     assert np.array_equal(rows[1], rows[32])
 
@@ -241,17 +257,12 @@ def test_normal_graphs_rows_of_different_taylor_degrees_equal_each_frame_alone(
     degrees = [fourier.Interpolant(fourier.coeffs(t.points), 128, 1).degree
                for t in targets]
     assert len(set(degrees)) == 3
-    rows = normal_graphs([base] * 3, targets)
+    rows = normal_graphs(one_frame(base), stacked(targets))
     assert not calls
     for row, target, field in zip(rows, targets, fields):
-        assert np.array_equal(row, normal_graphs([base], [target])[0])
+        assert np.array_equal(row, normal_graphs(stacked([base]),
+                                                 stacked([target]))[0])
         assert np.abs(row - field).max() < 1e-12
-
-
-def test_normal_graphs_need_targets_of_one_m():
-    base = circle(SQRT2, m=128)
-    with pytest.raises(ValueError, match="targets of one m"):
-        normal_graphs([base, base], [circle(1.2, m=96), circle(1.2, m=128)])
 
 
 def test_seminorms_closed_form():
@@ -363,7 +374,7 @@ def test_residuals_rows_equal_residual():
     `residual` call, bit for bit."""
     start = reconstruct(circle(SQRT2, m=128), mode(circle(SQRT2, m=128), 3, 0.03))
     traj = run_rmcf(ellipse(1.5, 1.3, m=128), 0.5, frame_dtau=0.05)
-    u = normal_graphs([start] * len(traj), traj.curves)
+    u = normal_graphs(one_frame(start), traj.stacked())
     bases = traj.curves[1:-1]
     dtaus = 0.5 * (np.array(traj.times[2:]) - np.array(traj.times[:-2]))
     cols = residuals(assemble_rows(*traj.stacked(slice(1, -1))), u[:-2],

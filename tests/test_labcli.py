@@ -692,7 +692,7 @@ out = %s
 
 def test_separation_dh_rows_use_the_monitor_frame_pairs(tmp_path, monkeypatch):
     """dH row r reads interior frame r + 1 of both flows and the graph the
-    monitor wrote between those two frames."""
+    monitor wrote between those two frames: views of the flows' stacks."""
     flows, traces, calls = [], [], []
     run_flows, monitor = labcli.run_flows, labcli.monitor
     graph_hausdorff = labcli.graph_hausdorff
@@ -706,9 +706,9 @@ def test_separation_dh_rows_use_the_monitor_frame_pairs(tmp_path, monkeypatch):
         traces.append(monitor(*args, **kwargs))
         return traces[-1]
 
-    def recorded(bases, fields, targets):
-        calls.append((bases, fields, targets))
-        return graph_hausdorff(bases, fields, targets)
+    def recorded(base_rows, fields, target_rows):
+        calls.append((base_rows, fields, target_rows))
+        return graph_hausdorff(base_rows, fields, target_rows)
 
     monkeypatch.setattr(labcli, "run_flows", recorded_flows)
     monkeypatch.setattr(labcli, "monitor", recorded_monitor)
@@ -720,11 +720,15 @@ def test_separation_dh_rows_use_the_monitor_frame_pairs(tmp_path, monkeypatch):
     base, target = flows
     (trace,) = traces
     assert len(base) > 22 and len(calls) == 1
-    bases, fields, targets = calls[0]
-    assert len(bases) == len(fields) == len(targets) == len(base) - 2
+    base_rows, fields, target_rows = calls[0]
+    assert len(base_rows[0]) == len(fields) == len(target_rows[0]) \
+        == len(base) - 2
     assert fields is trace.fields
-    for j, (a, b) in enumerate(zip(bases, targets), start=1):
-        assert a is base.curves[j] and b is target.curves[j]
+    for traj, (points, geom) in ((base, base_rows), (target, target_rows)):
+        stack_points, stack_geom = traj.stacked(slice(1, -1))
+        for row, stack in ((points, stack_points), (geom.curvature,
+                                                     stack_geom.curvature)):
+            assert np.shares_memory(row, stack) and np.array_equal(row, stack)
 
 
 def test_separation_cross_resolution_slope(separation_result, tmp_path):
@@ -989,11 +993,12 @@ def test_gauge_residual_sweeps_in_one_pass(tmp_path, monkeypatch):
         "m": "64", "amplitudes": "0.01, 0.03, 0.1", "mode_k": "3",
         "out": str(tmp_path / "x")}))
     assert [len(c) for c in calls.values()] == [1, 1]
-    (bases, targets), u = calls["normal_graphs"][0]
+    (base_rows, (points, geom)), u = calls["normal_graphs"][0]
     cols = calls["residuals"][0][1]
-    base = bases[0]
+    base = gauge._frame(base_rows, 0)
     for i, report in enumerate(summary["reports"]):
-        one = gauge.normal_graphs([base] * 3, targets[3 * i:3 * i + 3])
+        block = slice(3 * i, 3 * i + 3)
+        one = gauge.normal_graphs(base_rows, (points[block], geom[block]))
         assert np.array_equal(u[3 * i:3 * i + 3], one)
         row = gauge.residual(base, *one, summary["deltaTau"])
         for name, col in cols.items():
@@ -1352,6 +1357,31 @@ def test_a_rate_run_with_too_many_frames_is_one_error_line(tmp_path):
     assert proc.stderr.splitlines() == [
         "error: curve 0 needs more than 1000000 steps to its end time, one "
         "at least to each of 1e+07 frames"]
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("scenario, text, message", [
+    ("rate", "curve1 = circle(1.4142135623730951)\nm = 65536\ntau_end = 1000\n"
+             "frame_dtau = 0.001\n",
+     "error: curve 0 stores at least 1000001 frames x 65536 nodes = "
+     "65536065536 nodes, more than STORED_NODES_MAX = 16777216"),
+    ("simulate", "curve1 = circle(1)\nm = 64\nframe_dtau = 0.000001\n",
+     "error: curve 0 needs more than 1000000 steps to its end time, one at "
+     "least to each of 7.82405e+06 frames"),
+], ids=["rate-stored-nodes", "simulate-frames"])
+def test_a_run_past_its_frame_budgets_is_one_error_line(tmp_path, scenario,
+                                                         text, message):
+    """A rate run whose 10^6 frames at m = 65536 would store 6.6e10 nodes
+    (4.7 TB of stacks), and a simulate run whose area levels 10^-6 apart
+    need 7.8e6 frames to its stop curvature, each a step at least, stop up
+    front with one typed line under `python -W error`, and no output."""
+    path = write_config(tmp_path, text + "out = %s\n" % (tmp_path / "x"))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "shrinkerlab", scenario,
+         "--config", path],
+        capture_output=True, text=True, env=src_env(), timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [message]
     assert not (tmp_path / "x").exists()
 
 

@@ -241,9 +241,9 @@ def test_stacked_rows_equal_their_own_operator_calls():
     # and one stacked pass the bits of its own apply and of a one-row
     # Dirichlet energy
     run = separation_base(128, 1.0)
-    oracles = FlowTrajectory("rmcf", 128, times=list(range(len(ORACLE_CURVES))),
-                             curves=[ORACLE_CURVES[name](128)
-                                     for name in sorted(ORACLE_CURVES)])
+    oracles = FlowTrajectory.from_curves(
+        "rmcf", range(len(ORACLE_CURVES)),
+        [ORACLE_CURVES[name](128) for name in sorted(ORACLE_CURVES)])
     rng = np.random.default_rng(3)
     for traj, block in ((run, slice(2, 9)), (oracles, slice(None))):
         op = assemble_rows(*traj.stacked(block))
